@@ -17,10 +17,10 @@
 //!    equality with the original so the numbers can never come from a
 //!    short-circuited load.
 //! 2. **Mapped vs decoded routing**: the same Monte-Carlo trial sequence is
-//!    routed four ways — decoded CSR (`TrialBatch`), decode-free over the
-//!    mapped store's LRU cursor, the eager-decode cursor (A/B), and
-//!    shard-local with explicit handoff — asserting the outcomes are
-//!    element-for-element identical before reporting throughput. The
+//!    routed three ways — decoded CSR (`TrialBatch`), decode-free over the
+//!    mapped store's LRU cursor, and shard-local with explicit handoff —
+//!    asserting the outcomes are element-for-element identical before
+//!    reporting throughput. The
 //!    `vs decoded` column is the throughput fraction relative to the
 //!    decoded baseline; `artifact_check` gates the mapped row at >= 0.5x
 //!    at full scale.
@@ -42,17 +42,17 @@ use std::process::Command;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use smallworld_analysis::Table;
 use smallworld_bench::{
-    mapped_trials, split_seed, Artifact, RoutingAggregate, Scale, TrialBatch, TrialOutcome,
+    draw_endpoints, mapped_trials, Artifact, RoutingAggregate, Scale, TrialBatch, TrialOutcome,
 };
 use smallworld_core::greedy::DEFAULT_MAX_STEPS;
 use smallworld_core::{
     route_sharded, GirgObjective, GreedyRouter, Objective, PackedGirgObjective, ShardSlice,
 };
-use smallworld_graph::{Components, Graph, NodeId};
+use smallworld_graph::{Components, Graph};
 use smallworld_models::girg::{Girg, GirgBuilder};
 use smallworld_obs::{JsonValue, Span};
 use smallworld_par::Pool;
@@ -172,35 +172,9 @@ fn measure(girg: &Girg<2>, shards: usize, dir: &std::path::Path) -> Measurement 
     }
 }
 
-/// Draws the trial endpoint sequence exactly as `TrialBatch` (and
-/// `mapped_trials`) does: per-trial seeded RNG, connected-only redraws.
-fn draw_connected_pairs(
-    n: usize,
-    comps: &Components,
-    pairs: usize,
-    master_seed: u64,
-) -> Vec<(NodeId, NodeId)> {
-    (0..pairs)
-        .map(|i| {
-            let mut rng = StdRng::seed_from_u64(split_seed(master_seed, i as u64));
-            loop {
-                let s = NodeId::from_index(rng.gen_range(0..n));
-                let t = NodeId::from_index(rng.gen_range(0..n));
-                if t == s {
-                    continue;
-                }
-                if !comps.same_component(s, t) {
-                    continue;
-                }
-                break (s, t);
-            }
-        })
-        .collect()
-}
-
-/// Routes one trial sequence four ways — decoded, mapped (lazy LRU),
-/// mapped (eager A/B), and shard-local with handoff — asserting the
-/// outcomes identical, and reports throughput for each.
+/// Routes one trial sequence three ways — decoded, mapped (LRU cursor),
+/// and shard-local with handoff — asserting the outcomes identical, and
+/// reports throughput for each.
 fn routing_table(girg: &Girg<2>, comps: &Components, scale: Scale, dir: &std::path::Path) -> Table {
     let path = dir.join("bench-store-routing.swg");
     smallworld_store::save_girg(girg, &path, ROUTE_SHARDS)
@@ -229,23 +203,21 @@ fn routing_table(girg: &Girg<2>, comps: &Components, scale: Scale, dir: &std::pa
     let mut variants: Vec<(&str, Vec<TrialOutcome>, f64, u64)> =
         vec![("decoded", decoded.clone(), decoded_secs, 0)];
 
-    for (label, eager) in [("mapped", false), ("mapped eager", true)] {
-        let start = Instant::now();
-        let got = {
-            let _span = Span::enter("route_mapped");
-            mapped_trials(&mapped, comps, &packed, pairs, seed, &pool, eager)
-        };
-        let secs = start.elapsed().as_secs_f64();
-        assert_eq!(
-            got.outcomes, decoded,
-            "{label} routing diverged from the decoded baseline"
-        );
-        eprintln!(
-            "{label}: LRU {} hits / {} misses",
-            got.lru_hits, got.lru_misses
-        );
-        variants.push((label, got.outcomes, secs, 0));
-    }
+    let start = Instant::now();
+    let got = {
+        let _span = Span::enter("route_mapped");
+        mapped_trials(&mapped, comps, &packed, pairs, seed, &pool)
+    };
+    let secs = start.elapsed().as_secs_f64();
+    assert_eq!(
+        got.outcomes, decoded,
+        "mapped routing diverged from the decoded baseline"
+    );
+    eprintln!(
+        "mapped: LRU {} hits / {} misses",
+        got.lru_hits, got.lru_misses
+    );
+    variants.push(("mapped", got.outcomes, secs, 0));
 
     // shard-local routing with explicit cross-shard handoff, over the
     // store's own partition
@@ -266,7 +238,7 @@ fn routing_table(girg: &Girg<2>, comps: &Components, scale: Scale, dir: &std::pa
             boundary: s.boundary(),
         })
         .collect();
-    let endpoints = draw_connected_pairs(girg.node_count(), comps, pairs, seed);
+    let endpoints = draw_endpoints(0..pairs, girg.node_count(), seed, comps, true, None);
     let start = Instant::now();
     let mut handoffs = 0u64;
     let sharded: Vec<TrialOutcome> = {

@@ -355,7 +355,7 @@ fn route_phase_mapped<const D: usize>(
     let start = std::time::Instant::now();
     let trials = {
         let _span = Span::enter("route_pairs");
-        mapped_trials(mapped, comps, objective, pairs, seed, &pool, false)
+        mapped_trials(mapped, comps, objective, pairs, seed, &pool)
     };
     let elapsed = start.elapsed().as_secs_f64();
     let agg = RoutingAggregate::from_trials(&trials.outcomes);

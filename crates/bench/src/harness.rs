@@ -386,6 +386,46 @@ where
     out
 }
 
+/// The endpoint pairs of trials `range` among `n` vertices: trial `i`
+/// draws from its own RNG seeded by [`split_seed`]`(master_seed, i)`,
+/// redrawing `s == t` and — with `connected_only` — pairs in different
+/// components. Pairs are drawn in original-id space and mapped forward
+/// through `id_map` when given, so a relabeled run draws the same trial
+/// sequence as an unrelabeled one.
+///
+/// Each pair is a pure function of `(n, master_seed, i)` and the filters,
+/// which is what makes every trial runner's results independent of thread
+/// count and chunking, and equal across runners.
+pub fn draw_endpoints(
+    range: std::ops::Range<usize>,
+    n: usize,
+    master_seed: u64,
+    components: &Components,
+    connected_only: bool,
+    id_map: Option<&Permutation>,
+) -> Vec<(NodeId, NodeId)> {
+    range
+        .map(|i| {
+            let mut rng = StdRng::seed_from_u64(split_seed(master_seed, i as u64));
+            loop {
+                let s = NodeId::from_index(rng.gen_range(0..n));
+                let t = NodeId::from_index(rng.gen_range(0..n));
+                if t == s {
+                    continue;
+                }
+                let (s, t) = match id_map {
+                    Some(perm) => (perm.forward(s), perm.forward(t)),
+                    None => (s, t),
+                };
+                if connected_only && !components.same_component(s, t) {
+                    continue;
+                }
+                break (s, t);
+            }
+        })
+        .collect()
+}
+
 /// A batched Monte-Carlo routing experiment fanned out over a thread pool.
 ///
 /// Where [`route_random_pairs`] walks one RNG through all trials
@@ -562,30 +602,15 @@ impl<'a> TrialBatch<'a> {
             let hop_hdr = smallworld_obs::metrics::hdr("route.hops");
             let mut out = Vec::with_capacity(range.len());
             let mut stretches = StretchBatch::new(self.measure_stretch);
-            // phase 1: draw every trial's endpoints exactly as the scalar
-            // path did — the RNG stream per trial is untouched, so the pair
-            // sequence is bitwise-identical to pre-batched runs
-            let endpoints: Vec<(NodeId, NodeId)> = range
-                .clone()
-                .map(|i| {
-                    let mut rng = StdRng::seed_from_u64(split_seed(master_seed, i as u64));
-                    loop {
-                        let s = NodeId::from_index(rng.gen_range(0..n));
-                        let t = NodeId::from_index(rng.gen_range(0..n));
-                        if t == s {
-                            continue;
-                        }
-                        let (s, t) = match self.id_map {
-                            Some(perm) => (perm.forward(s), perm.forward(t)),
-                            None => (s, t),
-                        };
-                        if self.connected_only && !self.components.same_component(s, t) {
-                            continue;
-                        }
-                        break (s, t);
-                    }
-                })
-                .collect();
+            // phase 1: draw every trial's endpoints
+            let endpoints = draw_endpoints(
+                range.clone(),
+                n,
+                master_seed,
+                self.components,
+                self.connected_only,
+                self.id_map,
+            );
             // phase 2: prepare all targets at once, then route each trial
             // against its prepared kernel
             let prepared = objective.prepare_batch(endpoints.iter().map(|&(_, t)| t));

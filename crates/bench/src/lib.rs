@@ -22,5 +22,7 @@ pub mod harness;
 pub mod mapped;
 
 pub use artifact::{push_record, Artifact};
-pub use harness::{parallel_map, split_seed, RoutingAggregate, Scale, TrialBatch, TrialOutcome};
+pub use harness::{
+    draw_endpoints, parallel_map, split_seed, RoutingAggregate, Scale, TrialBatch, TrialOutcome,
+};
 pub use mapped::{mapped_trials, MappedTrials};

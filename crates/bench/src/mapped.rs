@@ -3,23 +3,22 @@
 //! [`mapped_trials`] is the [`TrialBatch`](crate::TrialBatch) twin for a
 //! [`MappedGraph`]: trial `i`'s endpoint pair and route are the same pure
 //! function of `(store, master_seed, i)` that the decoded batch computes —
-//! identical per-trial RNG seeding ([`split_seed`]), identical
-//! connected-only redraws, and the same first-best argmax (the packed φ
-//! kernel is bitwise the point kernel, and [`ViewRouter`] runs the
-//! identical greedy loop) — so the outcome vector equals the decoded run's
+//! the same endpoint draw ([`draw_endpoints`]) and the same first-best
+//! argmax (the packed φ kernel is bitwise the point kernel, and
+//! [`GreedyRouter::route_view`] runs the greedy loop of the decoded
+//! router) — so the outcome vector equals the decoded run's
 //! element for element while the adjacency never leaves the mmap. Both
 //! `girg_gen --mapped` and `bench_store`'s throughput comparison route
 //! through this one function, and `bench_store` asserts the equality.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-use smallworld_core::{MetricsRouteObserver, Objective, PackedGirgObjective, RouteScratch, ViewRouter};
-use smallworld_graph::{Components, NodeId};
+use smallworld_core::{
+    GreedyRouter, MetricsRouteObserver, Objective, PackedGirgObjective, RouteScratch,
+};
+use smallworld_graph::Components;
 use smallworld_par::{chunk_ranges, Pool};
 use smallworld_store::MappedGraph;
 
-use crate::harness::{split_seed, TrialOutcome};
+use crate::harness::{draw_endpoints, TrialOutcome};
 
 /// The result of a decode-free trial batch: the outcomes (bitwise those of
 /// the decoded [`TrialBatch`](crate::TrialBatch) run) plus the mapped
@@ -36,15 +35,13 @@ pub struct MappedTrials {
 
 /// Routes `pairs` connected-only trials straight off `mapped`, fanned out
 /// over `pool` in per-trial-seeded chunks exactly like
-/// [`TrialBatch::run`](crate::TrialBatch::run). With `eager` set, each
-/// worker pre-decodes the full adjacency once (the A/B baseline); otherwise
-/// neighbor lists decode on demand through the per-worker LRU cursor.
+/// [`TrialBatch::run`](crate::TrialBatch::run). Neighbor lists decode on
+/// demand through a per-worker LRU cursor.
 ///
 /// # Panics
 ///
-/// Panics if the graph has fewer than two vertices, if no two vertices
-/// share a component, or (with `eager`) if the mapped adjacency fails to
-/// decode — all sampler/store bugs, not caller errors.
+/// Panics if the graph has fewer than two vertices or if no two vertices
+/// share a component — both sampler/store bugs, not caller errors.
 pub fn mapped_trials<const D: usize>(
     mapped: &MappedGraph<'_>,
     comps: &Components,
@@ -52,7 +49,6 @@ pub fn mapped_trials<const D: usize>(
     pairs: usize,
     master_seed: u64,
     pool: &Pool,
-    eager: bool,
 ) -> MappedTrials {
     let n = mapped.node_count();
     assert!(n >= 2, "need at least two vertices to route");
@@ -62,34 +58,14 @@ pub fn mapped_trials<const D: usize>(
     );
     let chunks = chunk_ranges(pairs, pool.threads().saturating_mul(4));
     let per_chunk = pool.map_items(chunks, |_, range| {
-        let mut cursor = if eager {
-            mapped.cursor_eager().expect("mapped adjacency decodes")
-        } else {
-            mapped.cursor()
-        };
+        let mut cursor = mapped.cursor();
         let mut scratch = RouteScratch::with_path_capacity(32);
         let mut obs = MetricsRouteObserver::new();
         let hop_hdr = smallworld_obs::metrics::hdr("route.hops");
-        let router = ViewRouter::new();
-        // draw every trial's endpoints exactly as TrialBatch does: the
-        // RNG stream per trial is untouched by chunking or threading
-        let endpoints: Vec<(NodeId, NodeId)> = range
-            .clone()
-            .map(|i| {
-                let mut rng = StdRng::seed_from_u64(split_seed(master_seed, i as u64));
-                loop {
-                    let s = NodeId::from_index(rng.gen_range(0..n));
-                    let t = NodeId::from_index(rng.gen_range(0..n));
-                    if t == s {
-                        continue;
-                    }
-                    if !comps.same_component(s, t) {
-                        continue;
-                    }
-                    break (s, t);
-                }
-            })
-            .collect();
+        let router = GreedyRouter::new();
+        // the endpoint draw TrialBatch makes: per-trial RNG streams are
+        // untouched by chunking or threading
+        let endpoints = draw_endpoints(range.clone(), n, master_seed, comps, true, None);
         let prepared = objective.prepare_batch(endpoints.iter().map(|&(_, t)| t));
         let mut out = Vec::with_capacity(range.len());
         for (k, &(s, _)) in endpoints.iter().enumerate() {
@@ -132,8 +108,8 @@ mod tests {
     use smallworld_store::GraphStore;
 
     /// The headline equivalence: decode-free trials over a mapped store
-    /// equal the decoded TrialBatch run element for element, lazy and
-    /// eager, at 1 and 3 threads.
+    /// equal the decoded TrialBatch run element for element, at 1 and 3
+    /// threads.
     #[test]
     fn mapped_trials_match_decoded_trial_batch() {
         let mut rng = StdRng::seed_from_u64(41);
@@ -163,16 +139,8 @@ mod tests {
             );
         for threads in [1, 3] {
             let pool = Pool::with_threads(threads);
-            for eager in [false, true] {
-                let got = mapped_trials(&mapped, &comps, &packed, 80, 13, &pool, eager);
-                assert_eq!(
-                    got.outcomes, decoded,
-                    "threads={threads} eager={eager}"
-                );
-                if eager {
-                    assert_eq!(got.lru_misses, 0, "eager cursor never decodes on demand");
-                }
-            }
+            let got = mapped_trials(&mapped, &comps, &packed, 80, 13, &pool);
+            assert_eq!(got.outcomes, decoded, "threads={threads}");
         }
         std::fs::remove_file(&path).ok();
     }

@@ -212,34 +212,10 @@ pub fn neg_max_distance_block<const D: usize>(
     }
 }
 
-/// Folds a scored block into the running first-best-in-slot-order argmax.
-///
-/// Bitwise-preserves the scalar sweep's tie-breaking: a slot replaces the
-/// running best only under strict `>`, scanned in slot order. A
-/// vectorizable `any(s > best)` pass runs first as a branch-light fast
-/// path — when no slot beats the running best, the in-order scan is
-/// skipped entirely. The rejection is semantics-preserving even for NaN
-/// scores: a NaN fails the strict `>` in both the any-pass and the
-/// per-slot scan, so a rejected block could never have updated `best`
-/// anyway.
-#[inline(always)]
-pub fn fold_first_best(best: &mut Option<(f64, NodeId)>, scores: &[f64], nodes: &[NodeId]) {
-    debug_assert!(nodes.len() >= scores.len());
-    if let Some((b, _)) = *best {
-        let mut any = false;
-        for &s in scores {
-            any |= s > b;
-        }
-        if !any {
-            return;
-        }
-    }
-    for (&s, &v) in scores.iter().zip(nodes) {
-        if best.is_none_or(|(b, _)| s > b) {
-            *best = Some((s, v));
-        }
-    }
-}
+/// The first-best-in-slot-order argmax fold, shared with every other greedy
+/// argmax in the workspace (defined next to `AdjacencyView`'s tie-order
+/// contract).
+pub use smallworld_graph::view::fold_first_best;
 
 /// Argmax sweep of the GIRG φ kernel over a packed neighborhood: scores
 /// every slot blockwise and returns the first-best `(φ, node)`.

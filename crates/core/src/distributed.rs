@@ -20,6 +20,7 @@
 use std::cell::Cell;
 
 use smallworld_geometry::Point;
+use smallworld_graph::view::fold_first_best;
 use smallworld_graph::{Graph, NodeId};
 use smallworld_models::girg::Girg;
 use smallworld_net::{
@@ -124,7 +125,9 @@ pub trait NodeProgram<A> {
 /// Algorithm 1 as a node program over GIRG addresses: forward to the
 /// neighbor most likely to know the target, i.e. maximizing
 /// `w_u / ‖x_u − x_t‖^d` (the normalization constants of φ are shared by
-/// all candidates and cancel).
+/// all candidates and cancel). Ties go to the first neighbor in adjacency
+/// order, through the same [`fold_first_best`] as every other greedy
+/// argmax.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DistributedGreedy;
 
@@ -147,10 +150,13 @@ impl<const D: usize> NodeProgram<(Point<D>, f64)> for DistributedGreedy {
     ) -> Decision {
         let target = &packet.target_address.0;
         let own = Self::score(view.own_address(), target);
-        let best = view
-            .neighbors()
-            .map(|(u, addr)| (Self::score(addr, target), u))
-            .max_by(|a, b| a.0.total_cmp(&b.0));
+        let scores: Vec<f64> = view
+            .neighbor_addresses
+            .iter()
+            .map(|addr| Self::score(addr, target))
+            .collect();
+        let mut best = None;
+        fold_first_best(&mut best, &scores, view.neighbors);
         match best {
             Some((score, u)) if score > own => Decision::Forward(u),
             _ => Decision::Drop,
@@ -356,6 +362,39 @@ mod tests {
             }
         }
         assert!(delivered > 50);
+    }
+
+    /// Addresses read from a position/weight table.
+    struct TableAddressing(Vec<(Point<2>, f64)>);
+
+    impl Addressing for TableAddressing {
+        type Address = (Point<2>, f64);
+
+        fn address_of(&self, v: NodeId) -> Self::Address {
+            self.0[v.index()]
+        }
+    }
+
+    /// Neighbors 1 and 2 tie for the best φ from 0: the node program must
+    /// keep the first in adjacency order, exactly as `GreedyRouter` does.
+    #[test]
+    fn ties_break_first_best_like_greedy_router() {
+        let graph = Graph::from_edges(4, [(0u32, 1u32), (0, 2), (1, 3), (2, 3)]).unwrap();
+        let positions = [
+            Point::new([0.5, 0.0]),
+            Point::new([0.25, 0.5]),
+            Point::new([0.75, 0.5]),
+            Point::new([0.5, 0.5]),
+        ];
+        let weights = [1.0; 4];
+        let objective = GirgObjective::from_parts(&positions, &weights, 4.0);
+        let addressing = TableAddressing(positions.iter().map(|&p| (p, 1.0)).collect());
+        let (s, t) = (NodeId::new(0), NodeId::new(3));
+        let central = GreedyRouter::new().route_quiet(&graph, &objective, s, t);
+        let (distributed, _) =
+            Simulator::new().route(&graph, &addressing, &DistributedGreedy, s, t);
+        assert_eq!(central.path, [0, 1, 3].map(NodeId::new));
+        assert_eq!(distributed, central);
     }
 
     /// §3's energy claim: one activation per hop (plus the final delivery

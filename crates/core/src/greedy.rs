@@ -8,11 +8,12 @@
 //! address carried by the message, exactly the locality the paper insists
 //! on.
 
-use smallworld_graph::{Graph, NodeId};
+use smallworld_graph::view::first_best_by_blocks;
+use smallworld_graph::{AdjacencyView, Graph, NodeId};
 
 use crate::objective::{Objective, ScoreKernel};
-use crate::observe::RouteObserver;
-use crate::router::RouteScratch;
+use crate::observe::{NoopObserver, RouteObserver};
+use crate::router::{RouteScratch, Router};
 
 /// Default cap on routing steps; greedy paths are `Θ(log log n)` so this is
 /// effectively unlimited while still preventing runaway loops with
@@ -126,17 +127,21 @@ impl Default for GreedyRouter {
 }
 
 impl GreedyRouter {
-    /// The kernel-level greedy loop shared by [`Router::route_with`] (which
-    /// prepares per call) and [`Router::route_prepared`] (which enters with
-    /// a batch-prepared kernel): both paths run this exact code, so their
-    /// records and observer events agree bitwise.
-    fn route_kernel<K: ScoreKernel, Obs: RouteObserver>(
+    /// Algorithm 1, written once: from `s`, hop to `best_neighbor(current)`
+    /// while it strictly improves on the current score, until the kernel's
+    /// target is reached, the step cap is hit, or a local optimum drops the
+    /// packet.
+    ///
+    /// Every entry point — decoded CSR, adjacency view, shard partition —
+    /// differs only in how it computes the first-best neighbor, so all of
+    /// them share this loop's records and observer events bitwise.
+    fn walk<K: ScoreKernel, Obs: RouteObserver>(
         &self,
-        graph: &Graph,
         kernel: &K,
         s: NodeId,
         obs: &mut Obs,
         scratch: &mut RouteScratch,
+        mut best_neighbor: impl FnMut(NodeId) -> Option<(f64, NodeId)>,
     ) -> RouteRecord {
         let t = kernel.target();
         obs.on_start(s, t);
@@ -144,23 +149,14 @@ impl GreedyRouter {
         path.push(s);
         let mut current = s;
         let mut current_score = kernel.score(s);
-        loop {
+        let outcome = loop {
             if current == t {
-                obs.on_finish(RouteOutcome::Delivered, path.len() - 1);
-                return RouteRecord {
-                    outcome: RouteOutcome::Delivered,
-                    path,
-                };
+                break RouteOutcome::Delivered;
             }
             if path.len() > self.max_steps {
-                obs.on_finish(RouteOutcome::MaxStepsExceeded, path.len() - 1);
-                return RouteRecord {
-                    outcome: RouteOutcome::MaxStepsExceeded,
-                    path,
-                };
+                break RouteOutcome::MaxStepsExceeded;
             }
-            // argmax over neighbors; first-best wins ties deterministically
-            match kernel.best_neighbor(graph, current) {
+            match best_neighbor(current) {
                 Some((score, u)) if score > current_score => {
                     obs.on_hop(u, score);
                     path.push(u);
@@ -169,18 +165,54 @@ impl GreedyRouter {
                 }
                 _ => {
                     obs.on_dead_end(current);
-                    obs.on_finish(RouteOutcome::DeadEnd, path.len() - 1);
-                    return RouteRecord {
-                        outcome: RouteOutcome::DeadEnd,
-                        path,
-                    };
+                    break RouteOutcome::DeadEnd;
                 }
             }
-        }
+        };
+        obs.on_finish(outcome, path.len() - 1);
+        RouteRecord { outcome, path }
+    }
+
+    /// Routes from `s` towards the kernel's target over any
+    /// [`AdjacencyView`] — e.g. a cursor decoding neighbor lists on demand
+    /// from a memory-mapped store, so no CSR is ever materialized.
+    ///
+    /// The per-hop argmax scores each neighbor list through
+    /// [`ScoreKernel::score_block`] and folds it with
+    /// [`first_best_by_blocks`], which is bitwise the scalar fold of
+    /// [`ScoreKernel::best_neighbor`]: over a view of the same adjacency the
+    /// record equals [`Router::route_prepared`]'s.
+    pub fn route_view<V, K, Obs>(
+        &self,
+        view: &mut V,
+        kernel: &K,
+        s: NodeId,
+        obs: &mut Obs,
+        scratch: &mut RouteScratch,
+    ) -> RouteRecord
+    where
+        V: AdjacencyView,
+        K: ScoreKernel,
+        Obs: RouteObserver,
+    {
+        self.walk(kernel, s, obs, scratch, |v| {
+            view.with_neighbors(v, |ns| {
+                first_best_by_blocks(ns, |chunk, out| kernel.score_block(chunk, out))
+            })
+        })
+    }
+
+    /// [`GreedyRouter::route_view`] with no observer and fresh scratch.
+    pub fn route_view_quiet<V, K>(&self, view: &mut V, kernel: &K, s: NodeId) -> RouteRecord
+    where
+        V: AdjacencyView,
+        K: ScoreKernel,
+    {
+        self.route_view(view, kernel, s, &mut NoopObserver, &mut RouteScratch::new())
     }
 }
 
-impl crate::router::Router for GreedyRouter {
+impl Router for GreedyRouter {
     fn name(&self) -> &'static str {
         "greedy"
     }
@@ -194,8 +226,7 @@ impl crate::router::Router for GreedyRouter {
         obs: &mut Obs,
         scratch: &mut RouteScratch,
     ) -> RouteRecord {
-        let kernel = objective.prepare(t);
-        self.route_kernel(graph, &kernel, s, obs, scratch)
+        self.route_prepared(graph, &objective.prepare(t), s, obs, scratch)
     }
 
     fn route_prepared<K: ScoreKernel, Obs: RouteObserver>(
@@ -206,7 +237,7 @@ impl crate::router::Router for GreedyRouter {
         obs: &mut Obs,
         scratch: &mut RouteScratch,
     ) -> RouteRecord {
-        self.route_kernel(graph, kernel, s, obs, scratch)
+        self.walk(kernel, s, obs, scratch, |v| kernel.best_neighbor(graph, v))
     }
 }
 

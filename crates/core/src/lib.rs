@@ -7,7 +7,9 @@
 //!   degree-agnostic geometric objective of §4, Kleinberg's lattice
 //!   objective, and the relaxed/approximate objectives of Theorem 3.5.
 //! * [`greedy`] — Algorithm 1: forward the packet to the neighbor with the
-//!   best objective, fail in local optima.
+//!   best objective, fail in local optima. One loop serves a decoded
+//!   [`Graph`](smallworld_graph::Graph) and any adjacency view (e.g. a
+//!   memory-mapped store decoded on demand).
 //! * [`router`] — the [`Router`] trait every protocol implements, plus
 //!   [`RouterKind`] for heterogeneous harnesses.
 //! * [`distributed`] — the same protocol run as per-node programs against
@@ -25,10 +27,9 @@
 //! * [`packed`] — the φ objective over packed (flat `f64`) geometry, as
 //!   exposed by a memory-mapped `smallworld-store` file: same bitwise
 //!   scores, zero geometry copies.
-//! * [`view_route`] — the same greedy loop over an adjacency *view*
-//!   (`smallworld_graph::AdjacencyView`): decode-free routing straight off
-//!   a memory-mapped store, plus shard-local routing with explicit
-//!   cross-shard handoff — both bitwise-identical to the decoded route.
+//! * [`view_route`] — shard-local routing with explicit cross-shard
+//!   handoff through the same greedy loop, bitwise-identical to the
+//!   decoded route.
 //! * [`observe`] — per-hop routing probes: every router reports hops,
 //!   objective values, backtracks and dead ends to a [`RouteObserver`];
 //!   the no-op default monomorphizes to zero cost.

@@ -1,151 +1,28 @@
-//! Greedy routing over an [`AdjacencyView`] — decode-free routing straight
-//! off a memory-mapped store, and shard-local routing with explicit
-//! cross-shard handoff.
+//! Shard-local routing with explicit cross-shard handoff, plus the
+//! [`ViewRouter`] name for view-based routing.
 //!
-//! [`GreedyRouter`](crate::GreedyRouter) requires a fully decoded
-//! [`Graph`](smallworld_graph::Graph); for a 10⁸-vertex store that decode
-//! is gigabytes of RSS before the first hop. [`ViewRouter`] runs the
-//! **identical greedy loop** against the [`AdjacencyView`] abstraction, so
-//! a mapped store's on-demand cursor (which decodes one vertex's varint
-//! stream per hop, LRU-cached) routes without any up-front decode. The
-//! argmax inside the view callback is the same first-best-in-adjacency-
-//! order fold as [`ScoreKernel::best_neighbor`], evaluated via
-//! [`ScoreKernel::score_block`] in [`BLOCK_WIDTH`] chunks — both are
-//! bitwise-pinned to the scalar fold, so a [`ViewRouter`] route over a
-//! mapped cursor equals the decoded [`GreedyRouter`](crate::GreedyRouter)
-//! route **bitwise**
-//! (same path, same outcome; `smallworld-store`'s equivalence tests
-//! enforce this).
+//! Decode-free routing over any [`AdjacencyView`] — e.g. a cursor decoding
+//! neighbor lists on demand from a memory-mapped store — is
+//! [`GreedyRouter::route_view`]: the same Algorithm 1 loop as the decoded
+//! router, so its routes equal the decoded ones **bitwise**
+//! (`smallworld-store`'s equivalence tests enforce this).
 //!
-//! [`route_sharded`] extends the same loop across a partitioned store:
-//! each shard exposes its local adjacency as a view plus a boundary-edge
-//! table, and the router merges local and boundary neighbors in global id
-//! order — exactly the merge the store's `assemble` performs — so the
-//! sharded route is bitwise the global route, while only touching the
-//! shards the packet actually crosses. A *handoff* is counted whenever
-//! the chosen hop leaves the current shard.
+//! [`route_sharded`] routes across a partitioned store through that same
+//! loop: each shard exposes its local adjacency as a view plus a
+//! boundary-edge table, and a private sharded view merges local and
+//! boundary neighbors in global id order — exactly the merge the store's
+//! `assemble` performs — so the sharded route is bitwise the global route,
+//! while only touching the shards the packet actually crosses. A *handoff*
+//! is counted whenever a hop of the route leaves the current shard.
 
 use smallworld_graph::{AdjacencyView, NodeId};
 
-use crate::block::{fold_first_best, BLOCK_WIDTH};
-use crate::greedy::{RouteOutcome, RouteRecord, DEFAULT_MAX_STEPS};
+use crate::greedy::{GreedyRouter, RouteRecord};
 use crate::objective::ScoreKernel;
-use crate::observe::RouteObserver;
-use crate::router::RouteScratch;
 
-/// The greedy argmax over one neighbor list: scores in [`BLOCK_WIDTH`]
-/// chunks and folds first-best-in-order, bitwise-identical to the scalar
-/// fold in [`ScoreKernel::best_neighbor`].
-#[inline]
-fn best_of_list<K: ScoreKernel>(kernel: &K, neighbors: &[NodeId]) -> Option<(f64, NodeId)> {
-    let mut best: Option<(f64, NodeId)> = None;
-    let mut scores = [0.0f64; BLOCK_WIDTH];
-    for chunk in neighbors.chunks(BLOCK_WIDTH) {
-        kernel.score_block(chunk, &mut scores);
-        fold_first_best(&mut best, &scores[..chunk.len()], chunk);
-    }
-    best
-}
-
-/// Greedy routing (Algorithm 1) over any [`AdjacencyView`].
-///
-/// Same protocol, same step cap, same observer events, and bitwise the
-/// same routes as [`GreedyRouter`](crate::GreedyRouter) — only the
-/// adjacency access is abstracted, so the view may decode neighbor lists
-/// on demand from a mapped store instead of holding a decoded CSR.
-#[derive(Clone, Copy, Debug)]
-pub struct ViewRouter {
-    max_steps: usize,
-}
-
-impl ViewRouter {
-    /// Creates the router with the default step cap.
-    pub fn new() -> Self {
-        ViewRouter {
-            max_steps: DEFAULT_MAX_STEPS,
-        }
-    }
-
-    /// Creates the router with an explicit step cap.
-    pub fn with_max_steps(max_steps: usize) -> Self {
-        ViewRouter { max_steps }
-    }
-
-    /// Routes from `s` towards the kernel's target over `view`.
-    pub fn route_view<V, K, Obs>(
-        &self,
-        view: &mut V,
-        kernel: &K,
-        s: NodeId,
-        obs: &mut Obs,
-        scratch: &mut RouteScratch,
-    ) -> RouteRecord
-    where
-        V: AdjacencyView,
-        K: ScoreKernel,
-        Obs: RouteObserver,
-    {
-        let t = kernel.target();
-        obs.on_start(s, t);
-        let mut path = scratch.take_path();
-        path.push(s);
-        let mut current = s;
-        let mut current_score = kernel.score(s);
-        loop {
-            if current == t {
-                obs.on_finish(RouteOutcome::Delivered, path.len() - 1);
-                return RouteRecord {
-                    outcome: RouteOutcome::Delivered,
-                    path,
-                };
-            }
-            if path.len() > self.max_steps {
-                obs.on_finish(RouteOutcome::MaxStepsExceeded, path.len() - 1);
-                return RouteRecord {
-                    outcome: RouteOutcome::MaxStepsExceeded,
-                    path,
-                };
-            }
-            match view.with_neighbors(current, |ns| best_of_list(kernel, ns)) {
-                Some((score, u)) if score > current_score => {
-                    obs.on_hop(u, score);
-                    path.push(u);
-                    current = u;
-                    current_score = score;
-                }
-                _ => {
-                    obs.on_dead_end(current);
-                    obs.on_finish(RouteOutcome::DeadEnd, path.len() - 1);
-                    return RouteRecord {
-                        outcome: RouteOutcome::DeadEnd,
-                        path,
-                    };
-                }
-            }
-        }
-    }
-
-    /// Convenience wrapper: no observer, fresh scratch.
-    pub fn route_view_quiet<V, K>(&self, view: &mut V, kernel: &K, s: NodeId) -> RouteRecord
-    where
-        V: AdjacencyView,
-        K: ScoreKernel,
-    {
-        self.route_view(
-            view,
-            kernel,
-            s,
-            &mut crate::observe::NoopObserver,
-            &mut RouteScratch::new(),
-        )
-    }
-}
-
-impl Default for ViewRouter {
-    fn default() -> Self {
-        ViewRouter::new()
-    }
-}
+/// The router for [`AdjacencyView`]s: [`GreedyRouter`], whose
+/// [`route_view`](GreedyRouter::route_view) runs Algorithm 1 over any view.
+pub type ViewRouter = GreedyRouter;
 
 /// One shard of a partitioned graph, as seen by [`route_sharded`]: the
 /// contiguous global id range `start..end`, a view of the shard-local
@@ -190,62 +67,55 @@ fn owner<V>(shards: &[ShardSlice<'_, V>], g: u32) -> usize {
     i
 }
 
-/// The greedy argmax over global vertex `g`'s full neighborhood, seen
-/// through its owner shard: local neighbors (offset to global ids) merged
-/// with the boundary targets in ascending global order — the same merge
-/// the store's shard assembly performs — folded first-best element-wise,
-/// so the result is bitwise [`ScoreKernel::best_neighbor`] on the
-/// assembled graph.
-#[inline]
-fn best_neighbor_sharded<V: AdjacencyView, K: ScoreKernel>(
-    shard: &mut ShardSlice<'_, V>,
-    kernel: &K,
-    g: u32,
-) -> Option<(f64, NodeId)> {
-    let start = shard.start;
-    let l = g - start;
-    let from = shard.boundary.partition_point(|&(src, _)| src < l);
-    let to = shard.boundary.partition_point(|&(src, _)| src <= l);
-    let boundary = &shard.boundary[from..to];
-    shard.local.with_neighbors(NodeId::new(l), |ns| {
-        let mut best: Option<(f64, NodeId)> = None;
-        let mut fold = |u: NodeId| {
-            let score = kernel.score(u);
-            if best.is_none_or(|(b, _)| score > b) {
-                best = Some((score, u));
-            }
-        };
-        let (mut i, mut j) = (0, 0);
-        while i < ns.len() && j < boundary.len() {
-            let local_global = ns[i].raw() + start;
-            // a boundary target is never a local id, so < is exact
-            if local_global < boundary[j].1 {
-                fold(NodeId::new(local_global));
-                i += 1;
-            } else {
-                fold(NodeId::new(boundary[j].1));
-                j += 1;
-            }
-        }
-        for &u in &ns[i..] {
-            fold(NodeId::new(u.raw() + start));
-        }
-        for &(_, t) in &boundary[j..] {
-            fold(NodeId::new(t));
-        }
-        best
-    })
+/// The global adjacency of a shard partition: global vertex `g`'s
+/// neighbors are its owner shard's local neighbors (offset to global ids)
+/// merged with the boundary targets in ascending global order, assembled
+/// in a reused buffer.
+struct ShardedView<'s, 'a, V> {
+    shards: &'s mut [ShardSlice<'a, V>],
+    merged: Vec<NodeId>,
 }
 
-/// Greedy routing across a shard partition with explicit handoff: the
-/// packet routes within the owning shard's local adjacency until the best
-/// neighbor is (or crosses into) another shard, then hands off via the
-/// boundary table.
+impl<V: AdjacencyView> AdjacencyView for ShardedView<'_, '_, V> {
+    fn node_count(&self) -> usize {
+        self.shards.last().map_or(0, |s| s.end as usize)
+    }
+
+    fn with_neighbors<R>(&mut self, v: NodeId, f: impl FnOnce(&[NodeId]) -> R) -> R {
+        let shard = &mut self.shards[owner(self.shards, v.raw())];
+        let (start, l, table) = (shard.start, v.raw() - shard.start, shard.boundary);
+        let from = table.partition_point(|&(src, _)| src < l);
+        let to = table.partition_point(|&(src, _)| src <= l);
+        let boundary = &table[from..to];
+        let merged = &mut self.merged;
+        merged.clear();
+        shard.local.with_neighbors(NodeId::new(l), |ns| {
+            merged.reserve(ns.len() + boundary.len());
+            let mut j = 0;
+            for &u in ns {
+                let g = u.raw() + start;
+                // a boundary target is never a local id, so < is exact
+                while j < boundary.len() && boundary[j].1 < g {
+                    merged.push(NodeId::new(boundary[j].1));
+                    j += 1;
+                }
+                merged.push(NodeId::new(g));
+            }
+            merged.extend(boundary[j..].iter().map(|&(_, t)| NodeId::new(t)));
+        });
+        f(merged)
+    }
+}
+
+/// Greedy routing across a shard partition with explicit handoff: each
+/// hop reads the current vertex's neighborhood from its owning shard's
+/// local adjacency plus boundary table, and a hop into another shard is a
+/// handoff.
 ///
 /// The returned route is **bitwise identical** (path, outcome, hop count)
 /// to routing on the assembled global graph, for any shard count — the
-/// per-hop argmax merges local and boundary neighbors in exactly the
-/// global adjacency order.
+/// per-hop argmax sees local and boundary neighbors in exactly the global
+/// adjacency order.
 ///
 /// # Panics
 ///
@@ -261,59 +131,24 @@ where
     V: AdjacencyView,
     K: ScoreKernel,
 {
-    let t = kernel.target();
-    let mut path = Vec::new();
-    path.push(s);
-    let mut current = s;
-    let mut shard_idx = owner(shards, s.raw());
-    let mut current_score = kernel.score(s);
-    let mut handoffs = 0u64;
-    loop {
-        if current == t {
-            return ShardedRoute {
-                record: RouteRecord {
-                    outcome: RouteOutcome::Delivered,
-                    path,
-                },
-                handoffs,
-            };
-        }
-        if path.len() > max_steps {
-            return ShardedRoute {
-                record: RouteRecord {
-                    outcome: RouteOutcome::MaxStepsExceeded,
-                    path,
-                },
-                handoffs,
-            };
-        }
-        match best_neighbor_sharded(&mut shards[shard_idx], kernel, current.raw()) {
-            Some((score, u)) if score > current_score => {
-                path.push(u);
-                current = u;
-                current_score = score;
-                let next_idx = owner(shards, u.raw());
-                if next_idx != shard_idx {
-                    handoffs += 1;
-                    shard_idx = next_idx;
-                }
-            }
-            _ => {
-                return ShardedRoute {
-                    record: RouteRecord {
-                        outcome: RouteOutcome::DeadEnd,
-                        path,
-                    },
-                    handoffs,
-                };
-            }
-        }
-    }
+    let mut view = ShardedView {
+        shards,
+        merged: Vec::new(),
+    };
+    let record = GreedyRouter::with_max_steps(max_steps).route_view_quiet(&mut view, kernel, s);
+    let shards = &*view.shards;
+    let handoffs = record
+        .path
+        .windows(2)
+        .filter(|w| owner(shards, w[0].raw()) != owner(shards, w[1].raw()))
+        .count() as u64;
+    ShardedRoute { record, handoffs }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::greedy::RouteOutcome;
     use crate::objective::{GirgObjective, Objective};
     use crate::router::Router;
     use crate::GreedyRouter;

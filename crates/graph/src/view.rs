@@ -11,6 +11,10 @@
 //! exists for those caching cursors: the decoded list lives in a buffer the
 //! cursor owns and may recycle on the next call, so the borrow cannot
 //! outlive the call.
+//!
+//! The tie order that makes routes comparable across substrates lives here
+//! too: [`fold_first_best`] and [`first_best_by_blocks`] are the one greedy
+//! argmax every router, forwarding policy and node program folds through.
 
 use crate::csr::{Graph, NodeId};
 
@@ -19,7 +23,8 @@ use crate::csr::{Graph, NodeId};
 /// Implementations must present each vertex's neighbor list **sorted
 /// ascending by node id**, exactly as [`Graph::neighbors`] does —
 /// protocols compare routes bitwise across substrates, and the argmax
-/// tie-breaking of greedy routing depends on the iteration order.
+/// tie-breaking of greedy routing ([`fold_first_best`]) depends on the
+/// iteration order.
 pub trait AdjacencyView {
     /// Number of vertices; valid ids are `0..node_count`.
     fn node_count(&self) -> usize;
@@ -44,6 +49,58 @@ impl AdjacencyView for &Graph {
     fn with_neighbors<R>(&mut self, v: NodeId, f: impl FnOnce(&[NodeId]) -> R) -> R {
         f(self.neighbors(v))
     }
+}
+
+/// Folds a scored block into the running first-best-in-order argmax.
+///
+/// A slot replaces the running best only under strict `>`, scanned in
+/// slot order, so among equal scores the first one wins and a NaN never
+/// wins. A vectorizable `any(s > best)` pass runs first as a branch-light
+/// fast path — when no slot beats the running best, the in-order scan is
+/// skipped entirely. The rejection is semantics-preserving even for NaN
+/// scores: a NaN fails the strict `>` in both the any-pass and the
+/// per-slot scan, so a rejected block could never have updated `best`
+/// anyway.
+#[inline(always)]
+pub fn fold_first_best(best: &mut Option<(f64, NodeId)>, scores: &[f64], nodes: &[NodeId]) {
+    debug_assert!(nodes.len() >= scores.len());
+    if let Some((b, _)) = *best {
+        let mut any = false;
+        for &s in scores {
+            any |= s > b;
+        }
+        if !any {
+            return;
+        }
+    }
+    for (&s, &v) in scores.iter().zip(nodes) {
+        if best.is_none_or(|(b, _)| s > b) {
+            *best = Some((s, v));
+        }
+    }
+}
+
+/// Slots per [`first_best_by_blocks`] scorer call.
+const SCORE_BLOCK: usize = 8;
+
+/// The first-best argmax of `nodes`: scores them in order, in blocks of up
+/// to eight, and folds each block through [`fold_first_best`].
+///
+/// `score_block(chunk, out)` must fill `out[..chunk.len()]` (`out` holds
+/// eight slots); blocked scorers that are bitwise their scalar form give
+/// bitwise the scalar argmax.
+#[inline(always)]
+pub fn first_best_by_blocks(
+    nodes: &[NodeId],
+    mut score_block: impl FnMut(&[NodeId], &mut [f64]),
+) -> Option<(f64, NodeId)> {
+    let mut best = None;
+    let mut scores = [0.0f64; SCORE_BLOCK];
+    for chunk in nodes.chunks(SCORE_BLOCK) {
+        score_block(chunk, &mut scores);
+        fold_first_best(&mut best, &scores[..chunk.len()], chunk);
+    }
+    best
 }
 
 #[cfg(test)]

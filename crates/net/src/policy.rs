@@ -15,6 +15,7 @@
 //! e.g. `|v, t| objective.score(v, t)` from `smallworld-core`, or that
 //! crate's kernel-backed `PreparedObjective` adapter for the fast path.
 
+use smallworld_graph::view::first_best_by_blocks;
 use smallworld_graph::NodeId;
 
 use crate::event::Time;
@@ -164,18 +165,9 @@ impl<S: HopScore> HopPolicy for GreedyPolicy<S> {
         // kernel-backed scores batch their gathers and divides; the fold
         // stays first-best-in-adjacency-order, matching the scalar scan
         // bitwise
-        const BLOCK: usize = 8;
-        let mut best: Option<(f64, NodeId)> = None;
-        let mut scores = [0.0f64; BLOCK];
-        for chunk in view.candidates.chunks(BLOCK) {
-            self.score
-                .score_block(view.target, chunk, &mut scores[..chunk.len()]);
-            for (&s, &v) in scores[..chunk.len()].iter().zip(chunk) {
-                if best.is_none_or(|(b, _)| s > b) {
-                    best = Some((s, v));
-                }
-            }
-        }
+        let best = first_best_by_blocks(view.candidates, |chunk, out| {
+            self.score.score_block(view.target, chunk, out)
+        });
         let here = self.score.score(view.current, view.target);
         match best {
             Some((s, v)) if s > here => HopChoice::Forward(v),

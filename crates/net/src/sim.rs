@@ -565,33 +565,6 @@ impl<'g, P: HopPolicy> Simulation<'g, P, UnitLatency> {
 }
 
 impl<'g, P: HopPolicy, L: LatencyModel> Simulation<'g, P, L> {
-    /// Replaces the latency model.
-    #[deprecated(note = "assemble with SimBuilder::latency, which validates in build()")]
-    pub fn with_latency<L2: LatencyModel>(self, latency: L2) -> Simulation<'g, P, L2> {
-        Simulation {
-            graph: self.graph,
-            policy: self.policy,
-            latency,
-            faults: self.faults,
-            config: self.config,
-            shards: self.shards,
-        }
-    }
-
-    /// Replaces the fault plan.
-    #[deprecated(note = "assemble with SimBuilder::faults, which validates in build()")]
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Replaces the configuration.
-    #[deprecated(note = "assemble with SimBuilder::config, which validates in build()")]
-    pub fn with_config(mut self, config: SimConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// The configuration in effect.
     pub fn config(&self) -> &SimConfig {
         &self.config
@@ -1139,21 +1112,6 @@ mod tests {
             mk().latency(ZeroLatency).build().err(),
             Some(SimBuildError::ZeroMinLatency)
         );
-    }
-
-    #[test]
-    fn deprecated_setters_still_work() {
-        #![allow(deprecated)]
-        let g = path_graph(4);
-        let cfg = SimConfig {
-            ttl: 2,
-            ..SimConfig::default()
-        };
-        let sim = Simulation::new(&g, GreedyPolicy::new(id_score))
-            .with_faults(FaultPlan::none())
-            .with_config(cfg);
-        let report = sim.run(SliceWorkload::new(&[inject(0, 3, 0)]));
-        assert_eq!(report.packets[0].outcome, PacketOutcome::Expired);
     }
 
     #[test]

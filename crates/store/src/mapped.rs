@@ -10,12 +10,10 @@
 //!
 //! [`MappedCursor`] adds a small set-associative LRU of hot decoded
 //! neighbor lists on top (greedy routes revisit high-degree hubs
-//! constantly), plus an eager-decode toggle that pre-decodes everything —
-//! the A/B baseline for measuring what on-demand decoding costs. Both
-//! present adjacency through `smallworld_graph::AdjacencyView`, so the
-//! same routing loop runs over an in-memory [`Graph`] or over the file
-//! bytes, producing bitwise-identical routes (pinned by the
-//! `mapped_equivalence` proptests).
+//! constantly) and presents adjacency through
+//! `smallworld_graph::AdjacencyView`, so the same routing loop runs over an
+//! in-memory [`Graph`] or over the file bytes, producing bitwise-identical
+//! routes (pinned by `tests/mapped_routing.rs`).
 
 use std::borrow::Cow;
 
@@ -150,9 +148,12 @@ impl<'a> MappedGraph<'a> {
     ///
     /// Panics if `v >= node_count`.
     pub fn decode_into(&self, v: usize, out: &mut Vec<u32>) -> Result<(), StoreError> {
-        let lo = self.offsets[v] as usize;
-        let hi = self.offsets[v + 1] as usize;
-        varint::decode_sorted(&self.nbr[lo..hi], out)
+        varint::decode_sorted(self.stream(v), out)
+    }
+
+    /// Vertex `v`'s varint delta stream.
+    fn stream(&self, v: usize) -> &'a [u8] {
+        &self.nbr[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }
 
     /// Decodes the full adjacency into a [`Graph`], re-validating the CSR
@@ -192,41 +193,11 @@ impl<'a> MappedGraph<'a> {
     pub fn cursor(&self) -> MappedCursor<'_> {
         MappedCursor {
             graph: self,
-            eager: None,
             slots: (0..LRU_SETS * LRU_WAYS).map(|_| CacheSlot::default()).collect(),
             tick: 0,
-            scratch: Vec::new(),
             hits: 0,
             misses: 0,
         }
-    }
-
-    /// An eager cursor that pre-decodes the entire adjacency up front —
-    /// the A/B baseline against [`MappedGraph::cursor`]: identical
-    /// interface and results, in-memory CSR cost model.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Corrupt`] on a malformed stream.
-    pub fn cursor_eager(&self) -> Result<MappedCursor<'_>, StoreError> {
-        let n = self.node_count();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets: Vec<u32> = Vec::with_capacity(self.target_count);
-        offsets.push(0usize);
-        for v in 0..n {
-            self.decode_into(v, &mut targets)?;
-            offsets.push(targets.len());
-        }
-        let targets: Vec<NodeId> = targets.into_iter().map(NodeId::new).collect();
-        Ok(MappedCursor {
-            graph: self,
-            eager: Some((offsets, targets)),
-            slots: Vec::new(),
-            tick: 0,
-            scratch: Vec::new(),
-            hits: 0,
-            misses: 0,
-        })
     }
 }
 
@@ -250,10 +221,9 @@ impl Default for CacheSlot {
     }
 }
 
-/// A stateful adjacency reader over a [`MappedGraph`]: either decodes on
-/// demand through a small LRU of hot lists, or (eager mode) serves from a
-/// pre-decoded CSR. Implements [`AdjacencyView`], so routing loops are
-/// generic over it.
+/// A stateful adjacency reader over a [`MappedGraph`] that decodes on
+/// demand through a small LRU of hot lists. Implements [`AdjacencyView`],
+/// so routing loops are generic over it.
 ///
 /// Cursors are cheap and thread-confined; parallel harnesses create one
 /// per worker over the same shared [`MappedGraph`].
@@ -267,18 +237,15 @@ impl Default for CacheSlot {
 #[derive(Debug)]
 pub struct MappedCursor<'a> {
     graph: &'a MappedGraph<'a>,
-    /// Pre-decoded `(offsets, targets)` CSR when in eager mode.
-    eager: Option<(Vec<usize>, Vec<NodeId>)>,
     /// `LRU_SETS × LRU_WAYS` cache slots, set-major.
     slots: Vec<CacheSlot>,
     tick: u64,
-    scratch: Vec<u32>,
     hits: u64,
     misses: u64,
 }
 
 impl<'a> MappedCursor<'a> {
-    /// Cache hits since creation (always 0 in eager mode).
+    /// Cache hits since creation.
     pub fn hits(&self) -> u64 {
         self.hits
     }
@@ -286,11 +253,6 @@ impl<'a> MappedCursor<'a> {
     /// Cache misses (on-demand decodes) since creation.
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Whether this cursor pre-decoded the full adjacency.
-    pub fn is_eager(&self) -> bool {
-        self.eager.is_some()
     }
 }
 
@@ -300,9 +262,6 @@ impl AdjacencyView for MappedCursor<'_> {
     }
 
     fn with_neighbors<R>(&mut self, v: NodeId, f: impl FnOnce(&[NodeId]) -> R) -> R {
-        if let Some((offsets, targets)) = &self.eager {
-            return f(&targets[offsets[v.index()]..offsets[v.index() + 1]]);
-        }
         let set = v.index() % LRU_SETS;
         let ways = &mut self.slots[set * LRU_WAYS..(set + 1) * LRU_WAYS];
         self.tick += 1;
@@ -312,18 +271,20 @@ impl AdjacencyView for MappedCursor<'_> {
             return f(&slot.list);
         }
         self.misses += 1;
-        self.scratch.clear();
-        self.graph
-            .decode_into(v.index(), &mut self.scratch)
-            .expect("validated store has decodable neighbor streams");
         let victim = ways
             .iter_mut()
             .min_by_key(|s| s.tick)
             .expect("cache sets are non-empty");
+        // untag first: a decode that panics midway leaves an empty slot,
+        // never a half-decoded list cached under `v`
+        victim.vertex = u32::MAX;
+        victim.list.clear();
+        varint::decode_sorted_with(self.graph.stream(v.index()), |t| {
+            victim.list.push(NodeId::new(t))
+        })
+        .expect("validated store has decodable neighbor streams");
         victim.vertex = v.raw();
         victim.tick = self.tick;
-        victim.list.clear();
-        victim.list.extend(self.scratch.iter().map(|&t| NodeId::new(t)));
         f(&victim.list)
     }
 }
@@ -381,18 +342,13 @@ mod tests {
         let store = GraphStore::open(&path).unwrap();
         let mapped = store.mapped_graph().unwrap();
         let mut lazy = mapped.cursor();
-        let mut eager = mapped.cursor_eager().unwrap();
-        assert!(!lazy.is_eager());
-        assert!(eager.is_eager());
         // revisit each vertex immediately: a sequential full scan is the
         // LRU's worst case (everything evicts before a second pass), but a
         // back-to-back repeat must always hit
         for v in girg.graph().nodes() {
             for _visit in 0..2 {
                 let from_lazy = lazy.with_neighbors(v, |ns| ns.to_vec());
-                let from_eager = eager.with_neighbors(v, |ns| ns.to_vec());
                 assert_eq!(from_lazy, girg.graph().neighbors(v), "lazy {v}");
-                assert_eq!(from_eager, girg.graph().neighbors(v), "eager {v}");
             }
         }
         assert_eq!(lazy.hits(), girg.graph().node_count() as u64);

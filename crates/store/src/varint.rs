@@ -83,7 +83,22 @@ pub fn encode_sorted(list: &[u32], out: &mut Vec<u8>) {
 ///
 /// Returns [`StoreError::Corrupt`] on a malformed varint or when a decoded
 /// value exceeds `u32::MAX`.
-pub fn decode_sorted(mut buf: &[u8], out: &mut Vec<u32>) -> Result<(), StoreError> {
+pub fn decode_sorted(buf: &[u8], out: &mut Vec<u32>) -> Result<(), StoreError> {
+    decode_sorted_with(buf, |v| out.push(v))
+}
+
+/// [`decode_sorted`] handing each value to `push` instead of a `Vec<u32>`,
+/// so callers can decode straight into their own element type. On error,
+/// `push` has already seen a prefix of the list.
+///
+/// # Errors
+///
+/// As [`decode_sorted`].
+#[inline]
+pub(crate) fn decode_sorted_with(
+    mut buf: &[u8],
+    mut push: impl FnMut(u32),
+) -> Result<(), StoreError> {
     if buf.is_empty() {
         return Ok(());
     }
@@ -92,7 +107,7 @@ pub fn decode_sorted(mut buf: &[u8], out: &mut Vec<u32>) -> Result<(), StoreErro
         return Err(StoreError::Corrupt("neighbor id exceeds u32".into()));
     }
     buf = &buf[used..];
-    out.push(first as u32);
+    push(first as u32);
     let mut prev = first;
     while !buf.is_empty() {
         let (gap, used) = read_u64(buf)?;
@@ -104,7 +119,7 @@ pub fn decode_sorted(mut buf: &[u8], out: &mut Vec<u32>) -> Result<(), StoreErro
         if next > u32::MAX as u64 {
             return Err(StoreError::Corrupt("neighbor id exceeds u32".into()));
         }
-        out.push(next as u32);
+        push(next as u32);
         prev = next;
     }
     Ok(())

@@ -83,14 +83,11 @@ fn check_mapped_decode_matches(tag: &str, n: usize, raw_edges: &[(u32, u32)]) {
     }
 
     // the LRU cursor (revisit every vertex twice so the cache both fills
-    // and serves hits) and the eager A/B cursor
+    // and serves hits)
     let mut cursor = mapped.cursor();
     assert_view_matches(&mut cursor, &graph);
     assert_view_matches(&mut cursor, &graph);
     assert_eq!(cursor.hits() + cursor.misses(), 2 * graph.node_count() as u64);
-    let mut eager = mapped.cursor_eager().expect("own encoding decodes");
-    assert_view_matches(&mut eager, &graph);
-    assert_eq!(eager.misses(), 0, "eager cursor never decodes on demand");
 
     std::fs::remove_file(&path).ok();
 }
@@ -151,18 +148,15 @@ fn mapped_routes_are_bitwise_identical() {
         PackedGirgObjective::<2>::new(&positions, &weights, params.wmin * params.intensity);
     let router = ViewRouter::new();
 
-    // decode-free over the LRU cursor, the eager cursor, and — pinning the
-    // view router itself against the reference loop — the decoded graph
+    // decode-free over the LRU cursor and — pinning the view router itself
+    // against the reference loop — the decoded graph
     let mut lazy = mapped.cursor();
-    let mut eager = mapped.cursor_eager().unwrap();
     let mut decoded_view = girg.graph();
     for (i, &(s, t)) in pairs.iter().enumerate() {
         let kernel = packed.prepare(t);
         let via_lazy = router.route_view_quiet(&mut lazy, &kernel, s);
-        let via_eager = router.route_view_quiet(&mut eager, &kernel, s);
         let via_decoded = router.route_view_quiet(&mut decoded_view, &kernel, s);
         assert_eq!(via_lazy, reference[i], "lazy cursor, pair {i}");
-        assert_eq!(via_eager, reference[i], "eager cursor, pair {i}");
         assert_eq!(via_decoded, reference[i], "decoded view, pair {i}");
     }
     std::fs::remove_file(&path).ok();

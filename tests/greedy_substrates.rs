@@ -1,0 +1,232 @@
+//! One greedy loop, six substrates: Algorithm 1 must take bitwise the same
+//! route whether it reads a decoded CSR, the in-RAM SoA index, a
+//! memory-mapped store decoded on demand, a shard partition with handoff,
+//! the traffic simulator's forwarding policy, or the locality-enforcing
+//! node-program simulator.
+//!
+//! Inputs are a small Morton-relabelled GIRG saved with four shards, and a
+//! four-vertex graph on which two neighbors tie for the best φ — the case
+//! where a last-best argmax would route differently from the first-best
+//! fold every substrate shares.
+
+use std::path::{Path, PathBuf};
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+use smallworld::core::distributed::GirgAddressing;
+use smallworld::core::greedy::DEFAULT_MAX_STEPS;
+use smallworld::core::{
+    route_sharded, DistributedGreedy, GirgObjective, GreedyRouter, IndexedGirgObjective, Objective,
+    PackedGirgObjective, PreparedObjective, RouteOutcome, RouteRecord, Router, RoutingIndex,
+    ShardSlice, Simulator,
+};
+use smallworld::geometry::Point;
+use smallworld::graph::{Components, Graph, NodeId};
+use smallworld::models::girg::{Girg, GirgBuilder, GirgParams};
+use smallworld::models::Alpha;
+use smallworld::net::{GreedyPolicy, Injection, PacketOutcome, Simulation, SliceWorkload};
+use smallworld::store::{save_girg, GraphStore};
+
+fn temp_path(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!(
+        "smallworld-greedy-substrates-{}-{name}.swg",
+        std::process::id()
+    ))
+}
+
+/// The route on every substrate but the reference, for comparison.
+struct Substrates {
+    indexed: Vec<RouteRecord>,
+    mapped: Vec<RouteRecord>,
+    sharded: Vec<RouteRecord>,
+    net_policy: Vec<RouteRecord>,
+    node_program: Vec<RouteRecord>,
+}
+
+/// Routes every pair through each substrate. `girg` is written to `path`
+/// with `shards` shards so the store-backed substrates read it back.
+fn route_everywhere(
+    girg: &Girg<2>,
+    path: &Path,
+    shards: usize,
+    pairs: &[(NodeId, NodeId)],
+) -> Substrates {
+    let graph = girg.graph();
+    let objective = GirgObjective::new(girg);
+    let router = GreedyRouter::new();
+
+    let index = RoutingIndex::build(graph, girg.positions(), girg.weights());
+    let indexed_objective = IndexedGirgObjective::new(GirgObjective::new(girg), &index);
+    let indexed = pairs
+        .iter()
+        .map(|&(s, t)| router.route_quiet(graph, &indexed_objective, s, t))
+        .collect();
+
+    save_girg(girg, path, shards).expect("temp dir is writable");
+    let store = GraphStore::open(path).expect("own file reopens");
+    let positions = store.packed_positions().expect("positions stored");
+    let weights = store.packed_weights().expect("weights stored");
+    let (params, _) = store.params().expect("params stored");
+    let packed =
+        PackedGirgObjective::<2>::new(&positions, &weights, params.wmin * params.intensity);
+
+    let mapped_graph = store.mapped_graph().expect("own file maps");
+    let mut cursor = mapped_graph.cursor();
+    let mapped = pairs
+        .iter()
+        .map(|&(s, t)| router.route_view_quiet(&mut cursor, &packed.prepare(t), s))
+        .collect();
+
+    let sharded_store = store.load_shards().expect("shards were written");
+    let locals: Vec<Graph> = sharded_store
+        .shards()
+        .iter()
+        .map(|s| s.local_graph().expect("shard decodes"))
+        .collect();
+    let mut slices: Vec<ShardSlice<'_, &Graph>> = sharded_store
+        .shards()
+        .iter()
+        .zip(&locals)
+        .map(|(s, local)| ShardSlice {
+            start: s.spec().nodes.start,
+            end: s.spec().nodes.end,
+            local,
+            boundary: s.boundary(),
+        })
+        .collect();
+    let sharded = pairs
+        .iter()
+        .map(|&(s, t)| route_sharded(&mut slices, &packed.prepare(t), s, DEFAULT_MAX_STEPS).record)
+        .collect();
+
+    let injections: Vec<Injection> = pairs
+        .iter()
+        .map(|&(source, target)| Injection {
+            source,
+            target,
+            at: 0,
+        })
+        .collect();
+    let report = Simulation::new(graph, GreedyPolicy::new(PreparedObjective::new(&objective)))
+        .run(SliceWorkload::new(&injections));
+    let net_policy = report
+        .packets
+        .into_iter()
+        .map(|packet| RouteRecord {
+            outcome: match packet.outcome {
+                PacketOutcome::Delivered => RouteOutcome::Delivered,
+                PacketOutcome::DeadEnd => RouteOutcome::DeadEnd,
+                PacketOutcome::Expired => RouteOutcome::MaxStepsExceeded,
+                other => panic!("fault-free simulation ended a packet as {other:?}"),
+            },
+            path: packet.path,
+        })
+        .collect();
+
+    let addressing = GirgAddressing::new(girg);
+    let node_program = pairs
+        .iter()
+        .map(|&(s, t)| {
+            Simulator::new()
+                .route(graph, &addressing, &DistributedGreedy, s, t)
+                .0
+        })
+        .collect();
+
+    std::fs::remove_file(path).ok();
+    Substrates {
+        indexed,
+        mapped,
+        sharded,
+        net_policy,
+        node_program,
+    }
+}
+
+fn assert_all_equal(reference: &[RouteRecord], got: &Substrates) {
+    for (name, routes) in [
+        ("indexed", &got.indexed),
+        ("mapped", &got.mapped),
+        ("sharded", &got.sharded),
+        ("net policy", &got.net_policy),
+        ("node program", &got.node_program),
+    ] {
+        assert_eq!(routes.len(), reference.len(), "{name}: route count");
+        for (i, (route, expect)) in routes.iter().zip(reference).enumerate() {
+            assert_eq!(route, expect, "{name}, pair {i}");
+        }
+    }
+}
+
+#[test]
+fn every_substrate_routes_a_sharded_girg_identically() {
+    let mut rng = StdRng::seed_from_u64(2017);
+    let girg = GirgBuilder::<2>::new(3_000)
+        .beta(2.5)
+        .alpha(2.0)
+        .sample(&mut rng)
+        .expect("valid parameters");
+    let girg = girg.relabel(&girg.morton_permutation());
+    let comps = Components::compute(girg.graph());
+    let n = girg.node_count();
+    let pairs: Vec<(NodeId, NodeId)> = std::iter::repeat_with(|| {
+        (
+            NodeId::from_index(rng.gen_range(0..n)),
+            NodeId::from_index(rng.gen_range(0..n)),
+        )
+    })
+    .filter(|&(s, t)| s != t && comps.same_component(s, t))
+    .take(200)
+    .collect();
+
+    let objective = GirgObjective::new(&girg);
+    let reference: Vec<RouteRecord> = pairs
+        .iter()
+        .map(|&(s, t)| GreedyRouter::new().route_quiet(girg.graph(), &objective, s, t))
+        .collect();
+    let delivered = reference.iter().filter(|r| r.is_success()).count();
+    let multi_hop = reference.iter().filter(|r| r.hops() >= 2).count();
+    assert!(delivered > 100, "only {delivered} of 200 routes delivered");
+    assert!(
+        multi_hop > 50,
+        "only {multi_hop} routes took two or more hops"
+    );
+
+    let got = route_everywhere(&girg, &temp_path("girg"), 4, &pairs);
+    assert_all_equal(&reference, &got);
+}
+
+#[test]
+fn every_substrate_breaks_phi_ties_first_best() {
+    // 0 at (0.5, 0) sees neighbors 1 and 2 at equal distance from the
+    // target 3, with equal weights: their φ ties exactly
+    let graph = Graph::from_edges(4, [(0u32, 1u32), (0, 2), (1, 3), (2, 3)]).unwrap();
+    let positions = vec![
+        Point::new([0.5, 0.0]),
+        Point::new([0.25, 0.5]),
+        Point::new([0.75, 0.5]),
+        Point::new([0.5, 0.5]),
+    ];
+    let params = GirgParams {
+        intensity: 4.0,
+        beta: 2.5,
+        wmin: 1.0,
+        alpha: Alpha::Finite(2.0),
+        lambda: 1.0,
+    };
+    let girg = Girg::from_parts(graph, positions, vec![1.0; 4], params, 0);
+    let pairs = [(NodeId::new(0), NodeId::new(3))];
+
+    let reference = vec![GreedyRouter::new().route_quiet(
+        girg.graph(),
+        &GirgObjective::new(&girg),
+        pairs[0].0,
+        pairs[0].1,
+    )];
+    assert_eq!(reference[0].outcome, RouteOutcome::Delivered);
+    assert_eq!(reference[0].path, [0, 1, 3].map(NodeId::new));
+
+    let got = route_everywhere(&girg, &temp_path("ties"), 2, &pairs);
+    assert_all_equal(&reference, &got);
+}
