@@ -176,20 +176,15 @@ fn throughput_table(girg: &Girg<2>, pairs: usize, seed: u64) -> Vec<Table> {
         ]);
     }
 
-    // weight lane is optional (satellite: positions-only objectives skip
-    // it), so the memory table reports both layouts
-    let lean = RoutingIndex::for_girg_positions_only(girg);
     let mut memory = Table::new(["layout", "vertices", "edge slots", "index bytes", "bytes/slot"])
         .title("routing index memory");
-    for (layout, ix) in [("weighted", &index), ("positions-only", &lean)] {
-        memory.row([
-            layout.to_string(),
-            ix.node_count().to_string(),
-            ix.entry_count().to_string(),
-            ix.bytes().to_string(),
-            format!("{:.1}", ix.bytes() as f64 / ix.entry_count().max(1) as f64),
-        ]);
-    }
+    memory.row([
+        "weighted".to_string(),
+        index.node_count().to_string(),
+        index.entry_count().to_string(),
+        index.bytes().to_string(),
+        format!("{:.1}", index.bytes() as f64 / index.entry_count().max(1) as f64),
+    ]);
 
     vec![table, scaling, memory]
 }

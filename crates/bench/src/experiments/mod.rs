@@ -23,8 +23,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use smallworld_core::{
-    DistanceObjective, GirgObjective, IndexedGirgObjective, QuantizedObjective, RelaxedObjective,
-    RouteObserver, Router, RoutingIndex,
+    DistanceObjective, GirgObjective, QuantizedObjective, RelaxedObjective, RouteObserver, Router,
 };
 use smallworld_graph::Components;
 use smallworld_models::girg::{Girg, GirgBuilder};
@@ -99,23 +98,6 @@ impl GirgConfig {
             .sample(rng)
             .expect("experiment configurations are valid")
     }
-}
-
-/// Whether the experiment battery routes through the edge-packed
-/// [`RoutingIndex`] (`SMALLWORLD_INDEX=1` / `true` / `yes`, case-insensitive).
-///
-/// Purely a mechanism switch: the index produces bitwise-identical
-/// [`smallworld_core::RouteRecord`]s (enforced by the equivalence tests), so
-/// enabling it may only change throughput, never results.
-pub fn routing_index_enabled() -> bool {
-    parse_index_flag(std::env::var("SMALLWORLD_INDEX").ok().as_deref())
-}
-
-fn parse_index_flag(value: Option<&str>) -> bool {
-    value.is_some_and(|v| {
-        let v = v.trim().to_ascii_lowercase();
-        v == "1" || v == "true" || v == "yes"
-    })
 }
 
 /// Connected components for a graph sampled *inside* a [`parallel_map`]
@@ -216,16 +198,6 @@ where
         let o = &mut obs;
         let _span = smallworld_obs::Span::enter("route_pairs");
         match objective {
-            ObjectiveChoice::Girg if routing_index_enabled() => {
-                let index = {
-                    let _span = smallworld_obs::Span::enter("build_index");
-                    RoutingIndex::for_girg(&girg)
-                };
-                let obj = IndexedGirgObjective::new(GirgObjective::new(&girg), &index);
-                route_random_pairs_observed(
-                    girg.graph(), &obj, router, &comps, pairs, measure_stretch, &mut rng, o,
-                )
-            }
             ObjectiveChoice::Girg => {
                 let obj = GirgObjective::new(&girg);
                 route_random_pairs_observed(
@@ -277,17 +249,6 @@ mod tests {
                 "alpha={alpha}: degree {avg} far from target 10"
             );
         }
-    }
-
-    #[test]
-    fn index_flag_parses_conventional_truths_only() {
-        for on in ["1", "true", "yes", " TRUE ", "Yes"] {
-            assert!(parse_index_flag(Some(on)), "{on:?} should enable");
-        }
-        for off in ["", "0", "false", "no", "2", "on"] {
-            assert!(!parse_index_flag(Some(off)), "{off:?} should not enable");
-        }
-        assert!(!parse_index_flag(None));
     }
 
     #[test]

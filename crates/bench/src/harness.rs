@@ -5,8 +5,7 @@ use rand::{Rng, SeedableRng};
 
 use smallworld_analysis::{Proportion, Summary};
 use smallworld_core::{
-    MetricsRouteObserver, NoopObserver, Objective, RouteObserver, RouteRecord, RouteScratch,
-    Router,
+    MetricsRouteObserver, Objective, RouteObserver, RouteRecord, RouteScratch, Router,
 };
 use smallworld_graph::analytics::{pair_distances_with, MsBfsScratch};
 use smallworld_graph::{Components, Graph, NodeId, Permutation};
@@ -110,40 +109,14 @@ pub struct TrialOutcome {
     pub same_component: bool,
 }
 
-/// Routes `pairs` uniformly random source/target pairs and records outcomes.
+/// Routes `pairs` uniformly random source/target pairs, records outcomes,
+/// and reports every routing event to `obs` (pass
+/// [`NoopObserver`](smallworld_core::NoopObserver) to route unobserved).
 ///
 /// Pairs with `s == t` are redrawn. When `measure_stretch` is set, each
-/// successful route also runs a bidirectional BFS.
-pub fn route_random_pairs<R, O>(
-    graph: &Graph,
-    objective: &O,
-    router: &R,
-    components: &Components,
-    pairs: usize,
-    measure_stretch: bool,
-    rng: &mut StdRng,
-) -> Vec<TrialOutcome>
-where
-    R: Router,
-    O: Objective,
-{
-    route_random_pairs_observed(
-        graph,
-        objective,
-        router,
-        components,
-        pairs,
-        measure_stretch,
-        rng,
-        &mut NoopObserver,
-    )
-}
-
-/// Like [`route_random_pairs`], but reports every routing event to `obs`.
-///
-/// The observer receives the concatenated event streams of all `pairs`
-/// routes, in trial order. Trial outcomes are bitwise-identical to the
-/// unobserved variant for the same `rng` state.
+/// successful route also runs a bidirectional BFS. The observer receives
+/// the concatenated event streams of all `pairs` routes, in trial order;
+/// trial outcomes do not depend on the observer.
 #[allow(clippy::too_many_arguments)]
 pub fn route_random_pairs_observed<R, O, Obs>(
     graph: &Graph,
@@ -163,44 +136,13 @@ where
     route_pairs_impl(graph, objective, router, components, pairs, measure_stretch, false, rng, obs)
 }
 
-/// Like [`route_random_pairs`], but only pairs within one component are
-/// drawn (redrawing until one is found).
+/// Like [`route_random_pairs_observed`], but only pairs within one
+/// component are drawn (redrawing until one is found).
 ///
 /// Use this for backtracking patchers: on a cross-component pair they
 /// correctly — but expensively — exhaust the source's component before
 /// failing, which measures nothing the theorems speak about (Theorem 3.4 is
 /// conditional on a shared component).
-///
-/// # Panics
-///
-/// Panics if no two vertices share a component.
-pub fn route_random_connected_pairs<R, O>(
-    graph: &Graph,
-    objective: &O,
-    router: &R,
-    components: &Components,
-    pairs: usize,
-    measure_stretch: bool,
-    rng: &mut StdRng,
-) -> Vec<TrialOutcome>
-where
-    R: Router,
-    O: Objective,
-{
-    route_random_connected_pairs_observed(
-        graph,
-        objective,
-        router,
-        components,
-        pairs,
-        measure_stretch,
-        rng,
-        &mut NoopObserver,
-    )
-}
-
-/// Like [`route_random_connected_pairs`], but reports every routing event
-/// to `obs`.
 ///
 /// # Panics
 ///
@@ -428,7 +370,7 @@ pub fn draw_endpoints(
 
 /// A batched Monte-Carlo routing experiment fanned out over a thread pool.
 ///
-/// Where [`route_random_pairs`] walks one RNG through all trials
+/// Where [`route_random_pairs_observed`] walks one RNG through all trials
 /// sequentially, a batch derives an independent RNG per trial from the
 /// master seed via [`split_seed`]: the drawn pair and the routing outcome of
 /// trial `i` are a pure function of `(configuration, master_seed, i)`. The
@@ -765,7 +707,7 @@ mod tests {
         let girg = GirgBuilder::<2>::new(1_000).sample(&mut rng).unwrap();
         let comps = Components::compute(girg.graph());
         let obj = GirgObjective::new(&girg);
-        let trials = route_random_pairs(
+        let trials = route_random_pairs_observed(
             girg.graph(),
             &obj,
             &GreedyRouter::new(),
@@ -773,6 +715,7 @@ mod tests {
             100,
             true,
             &mut rng,
+            &mut smallworld_core::NoopObserver,
         );
         assert_eq!(trials.len(), 100);
         let agg = RoutingAggregate::from_trials(&trials);

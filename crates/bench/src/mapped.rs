@@ -4,16 +4,14 @@
 //! [`MappedGraph`]: trial `i`'s endpoint pair and route are the same pure
 //! function of `(store, master_seed, i)` that the decoded batch computes —
 //! the same endpoint draw ([`draw_endpoints`]) and the same first-best
-//! argmax (the packed φ kernel is bitwise the point kernel, and
+//! argmax (φ over the store's flat lanes is the in-RAM φ chain, and
 //! [`GreedyRouter::route_view`] runs the greedy loop of the decoded
 //! router) — so the outcome vector equals the decoded run's
 //! element for element while the adjacency never leaves the mmap. Both
 //! `girg_gen --mapped` and `bench_store`'s throughput comparison route
 //! through this one function, and `bench_store` asserts the equality.
 
-use smallworld_core::{
-    GreedyRouter, MetricsRouteObserver, Objective, PackedGirgObjective, RouteScratch,
-};
+use smallworld_core::{GirgObjective, GreedyRouter, MetricsRouteObserver, Objective, RouteScratch};
 use smallworld_graph::Components;
 use smallworld_par::{chunk_ranges, Pool};
 use smallworld_store::MappedGraph;
@@ -45,7 +43,7 @@ pub struct MappedTrials {
 pub fn mapped_trials<const D: usize>(
     mapped: &MappedGraph<'_>,
     comps: &Components,
-    objective: &PackedGirgObjective<'_, D>,
+    objective: &GirgObjective<'_, D>,
     pairs: usize,
     master_seed: u64,
     pool: &Pool,
@@ -127,7 +125,7 @@ mod tests {
         let weights = store.packed_weights().unwrap();
         let (params, _) = store.params().unwrap();
         let packed =
-            PackedGirgObjective::<2>::new(&positions, &weights, params.wmin * params.intensity);
+            GirgObjective::<2>::from_lanes(&positions, &weights, params.wmin * params.intensity);
 
         let decoded = TrialBatch::new(girg.graph(), &comps, 80)
             .connected_only(true)

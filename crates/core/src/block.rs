@@ -1,22 +1,22 @@
-//! Blocked, SIMD-friendly scoring primitives over structure-of-arrays lanes.
+//! Blocked, SIMD-friendly φ primitives over structure-of-arrays lanes.
 //!
 //! The routing hot path scores every neighbor slot of the current vertex
 //! against a fixed target. With the slots laid out as per-axis coordinate
-//! lanes (see [`crate::index::RoutingIndex`]), the distance and φ loops in
-//! this module evaluate up to [`BLOCK_WIDTH`] slots per call as straight-line
-//! f64 code that LLVM auto-vectorizes: no per-slot branches, no gathers,
-//! constant trip counts after the specialization on `D`.
+//! lanes (see [`crate::index::RoutingIndex`]), the max-norm distance and φ
+//! loops in this module evaluate up to [`BLOCK_WIDTH`] slots per call as
+//! straight-line f64 code that LLVM auto-vectorizes: no per-slot branches,
+//! no gathers, constant trip counts after the specialization on `D`.
 //!
-//! Every function here is **bitwise identical** to its scalar counterpart in
-//! [`smallworld_geometry::Point`] / [`smallworld_geometry::Norm`] and the
-//! prepared kernels in [`crate::objective`]: the per-slot operation chains
-//! are the same IEEE-754 ops in the same order (Rust never contracts
-//! separate mul/add into FMA), only the loop *across* slots is widened. The
-//! proptests in `tests/kernel_equivalence.rs` pin this for all norms,
-//! dimensions 1–3, ±0.0 distances, infinite weights, and remainder blocks.
+//! Every function here is **bitwise identical** to the scalar φ chain of
+//! [`GirgHopKernel`](crate::GirgHopKernel) (the max-norm fold of
+//! [`smallworld_geometry::point::max_distance`], `powi(D)`, the zero guard,
+//! one divide): the per-slot operation chains are the same IEEE-754 ops in
+//! the same order (Rust never contracts separate mul/add into FMA), only
+//! the loop *across* slots is widened. The proptests in
+//! `tests/kernel_equivalence.rs` pin this for dimensions 1–3, ±0.0
+//! distances, infinite weights, and remainder blocks.
 
 use smallworld_geometry::point::axis_distance;
-use smallworld_geometry::Norm;
 use smallworld_graph::NodeId;
 
 /// Number of neighbor slots scored per blocked-kernel call.
@@ -51,10 +51,10 @@ pub fn prefetch<T>(slice: &[T], i: usize) {
 /// Max-norm torus distances from slots `base..base + out.len()` to `target`.
 ///
 /// `lanes[k][base + j]` is coordinate `k` of slot `base + j`. Matches
-/// [`smallworld_geometry::Point::distance`] bitwise: the axis fold starts at
-/// `+0.0` and takes a strict `>` max, and `axis_distance` never returns a
-/// negative zero, so the unrolled `d = 1` and `d = 2` forms below are the
-/// same chain with the dead fold steps removed.
+/// [`smallworld_geometry::point::max_distance`] bitwise: the axis fold
+/// starts at `+0.0` and takes a strict `>` max, and `axis_distance` never
+/// returns a negative zero, so the unrolled `d = 1` and `d = 2` forms below
+/// are the same chain with the dead fold steps removed.
 #[inline(always)]
 pub fn max_distance_block<const D: usize>(
     lanes: &[&[f64]; D],
@@ -108,68 +108,6 @@ pub fn max_distance_block<const D: usize>(
     }
 }
 
-/// L1 torus distances for a block of slots; matches [`Norm::distance`]
-/// bitwise (left-to-right axis summation starting from `+0.0`).
-#[inline(always)]
-pub fn l1_distance_block<const D: usize>(
-    lanes: &[&[f64]; D],
-    target: &[f64; D],
-    base: usize,
-    out: &mut [f64],
-) {
-    let len = out.len();
-    out.fill(0.0);
-    // lane-major accumulation keeps each slot's left-to-right axis order
-    for k in 0..D {
-        let (lane, t) = (&lanes[k][base..base + len], target[k]);
-        for (o, &a) in out.iter_mut().zip(lane) {
-            *o += axis_distance(a, t);
-        }
-    }
-}
-
-/// L2 torus distances for a block of slots; matches [`Norm::distance`]
-/// bitwise (left-to-right sum of squares, then one `sqrt`; no FMA
-/// contraction, so the blocked sum is the identical op chain).
-#[inline(always)]
-pub fn l2_distance_block<const D: usize>(
-    lanes: &[&[f64]; D],
-    target: &[f64; D],
-    base: usize,
-    out: &mut [f64],
-) {
-    let len = out.len();
-    out.fill(0.0);
-    // lane-major accumulation keeps each slot's left-to-right axis order
-    for k in 0..D {
-        let (lane, t) = (&lanes[k][base..base + len], target[k]);
-        for (o, &a) in out.iter_mut().zip(lane) {
-            let d = axis_distance(a, t);
-            *o += d * d;
-        }
-    }
-    for o in out.iter_mut() {
-        *o = o.sqrt();
-    }
-}
-
-/// Torus distances for a block of slots under `norm`; bitwise identical to
-/// calling [`Norm::distance`] slot by slot.
-#[inline(always)]
-pub fn norm_distance_block<const D: usize>(
-    norm: Norm,
-    lanes: &[&[f64]; D],
-    target: &[f64; D],
-    base: usize,
-    out: &mut [f64],
-) {
-    match norm {
-        Norm::Max => max_distance_block::<D>(lanes, target, base, out),
-        Norm::L1 => l1_distance_block::<D>(lanes, target, base, out),
-        Norm::L2 => l2_distance_block::<D>(lanes, target, base, out),
-    }
-}
-
 /// GIRG objective φ for a block of slots:
 /// `out[j] = weights[base + j] / (norm_const · dist^D)`, `+∞` at distance 0.
 ///
@@ -194,21 +132,6 @@ pub fn girg_phi_block<const D: usize>(
         // that the select immediately discards for the scalar path's +∞)
         let q = wj / (norm_const * dist_pow_d);
         *o = if dist_pow_d == 0.0 { f64::INFINITY } else { q };
-    }
-}
-
-/// Negated max-norm distances for a block of slots — the distance
-/// objective's score, before the caller patches the target slot to `+∞`.
-#[inline(always)]
-pub fn neg_max_distance_block<const D: usize>(
-    lanes: &[&[f64]; D],
-    target: &[f64; D],
-    base: usize,
-    out: &mut [f64],
-) {
-    max_distance_block::<D>(lanes, target, base, out);
-    for o in out.iter_mut() {
-        *o = -*o;
     }
 }
 
@@ -343,71 +266,6 @@ fn girg_sweep<const D: usize>(
     best
 }
 
-/// Argmax sweep of the negated-distance kernel over a packed neighborhood,
-/// with the target slot patched to `+∞` (the negated distance of the
-/// target to itself is `-0.0`, not `+∞` — the patch is load-bearing).
-///
-/// Multiversioned exactly like [`girg_best_neighbor`].
-#[inline]
-pub fn distance_best_neighbor<const D: usize>(
-    lanes: &[&[f64]; D],
-    nodes: &[NodeId],
-    target: NodeId,
-    target_pos: &[f64; D],
-) -> Option<(f64, NodeId)> {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: dispatch is guarded by the runtime AVX2 check above.
-        return unsafe { distance_sweep_avx2::<D>(lanes, nodes, target, target_pos) };
-    }
-    distance_sweep::<D>(lanes, nodes, target, target_pos)
-}
-
-/// AVX2 clone of [`distance_sweep`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn distance_sweep_avx2<const D: usize>(
-    lanes: &[&[f64]; D],
-    nodes: &[NodeId],
-    target: NodeId,
-    target_pos: &[f64; D],
-) -> Option<(f64, NodeId)> {
-    distance_sweep::<D>(lanes, nodes, target, target_pos)
-}
-
-/// Portable body of [`distance_best_neighbor`].
-#[inline(always)]
-fn distance_sweep<const D: usize>(
-    lanes: &[&[f64]; D],
-    nodes: &[NodeId],
-    target: NodeId,
-    target_pos: &[f64; D],
-) -> Option<(f64, NodeId)> {
-    let mut best: Option<(f64, NodeId)> = None;
-    let mut scores = [0.0; BLOCK_WIDTH];
-    let mut base = 0;
-    while base < nodes.len() {
-        let len = (nodes.len() - base).min(BLOCK_WIDTH);
-        let next = base + BLOCK_WIDTH;
-        for lane in lanes {
-            prefetch(lane, next);
-        }
-        if len == BLOCK_WIDTH {
-            neg_max_distance_block::<D>(lanes, target_pos, base, &mut scores);
-        } else {
-            neg_max_distance_block::<D>(lanes, target_pos, base, &mut scores[..len]);
-        }
-        for (j, &u) in nodes[base..base + len].iter().enumerate() {
-            if u == target {
-                scores[j] = f64::INFINITY;
-            }
-        }
-        fold_first_best(&mut best, &scores[..len], &nodes[base..base + len]);
-        base = next;
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -437,18 +295,16 @@ mod tests {
         let target = Point::new([0.25, 0.5, 0.9]);
         let lanes = lanes_of(&points);
         let views: [&[f64]; 3] = std::array::from_fn(|k| lanes[k].as_slice());
-        for norm in [Norm::Max, Norm::L1, Norm::L2] {
-            let mut out = [0.0; BLOCK_WIDTH];
-            let mut base = 0;
-            while base < points.len() {
-                let len = (points.len() - base).min(BLOCK_WIDTH);
-                norm_distance_block::<3>(norm, &views, target.coords(), base, &mut out[..len]);
-                for j in 0..len {
-                    let scalar = norm.distance(&points[base + j], &target);
-                    assert_eq!(out[j].to_bits(), scalar.to_bits(), "{norm:?} slot {}", base + j);
-                }
-                base += len;
+        let mut out = [0.0; BLOCK_WIDTH];
+        let mut base = 0;
+        while base < points.len() {
+            let len = (points.len() - base).min(BLOCK_WIDTH);
+            max_distance_block::<3>(&views, target.coords(), base, &mut out[..len]);
+            for j in 0..len {
+                let scalar = points[base + j].distance(&target);
+                assert_eq!(out[j].to_bits(), scalar.to_bits(), "slot {}", base + j);
             }
+            base += len;
         }
     }
 

@@ -387,7 +387,7 @@ mod tests {
             Point::new([0.5, 0.5]),
         ];
         let weights = [1.0; 4];
-        let objective = GirgObjective::from_parts(&positions, &weights, 4.0);
+        let objective = GirgObjective::<2>::from_lanes(Point::flatten(&positions), &weights, 4.0);
         let addressing = TableAddressing(positions.iter().map(|&p| (p, 1.0)).collect());
         let (s, t) = (NodeId::new(0), NodeId::new(3));
         let central = GreedyRouter::new().route_quiet(&graph, &objective, s, t);

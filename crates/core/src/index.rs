@@ -11,25 +11,22 @@
 //!
 //! [`RoutingIndex`] trades memory for locality *and* vectorizability: it is
 //! built once per graph and stores, in CSR slot order, one contiguous f64
-//! lane per position dimension, an optional weight lane, and a neighbor-id
-//! lane. The per-hop scan then sweeps [`BLOCK_WIDTH`](crate::block)-slot
-//! blocks of each lane with the straight-line kernels of [`crate::block`]
-//! — sequential loads LLVM auto-vectorizes, plus software prefetch of the
-//! next block. Cost: 28 bytes per *directed* edge slot for a weighted
-//! `D = 2` index, 20 bytes without the weight lane (see
-//! [`RoutingIndex::positions_only`]), reported exactly by
-//! [`RoutingIndex::bytes`].
+//! lane per position dimension, a weight lane, and a neighbor-id lane. The
+//! per-hop scan then sweeps [`BLOCK_WIDTH`](crate::block)-slot blocks of
+//! each lane with the straight-line kernels of [`crate::block`] —
+//! sequential loads LLVM auto-vectorizes, plus software prefetch of the
+//! next block. Cost: 28 bytes per *directed* edge slot for `D = 2`,
+//! reported exactly by [`RoutingIndex::bytes`].
 //!
 //! The index plugs in through the same [`Objective`]/[`ScoreKernel`] pair as
-//! everything else: [`IndexedGirgObjective`] and [`IndexedDistanceObjective`]
-//! wrap their base objectives and return kernels whose
-//! [`ScoreKernel::best_neighbor`] override sweeps the packed lanes. Because
-//! each slot holds bit-copies of the same coordinates the base objective
-//! reads, the blocked kernels perform the identical per-slot operation
-//! chains (see [`crate::block`]), and the argmax fold preserves the
-//! first-best-in-adjacency-order tie-break, the override is bitwise-faithful:
-//! routers produce byte-identical `RouteRecord`s with the index on or off
-//! (enforced by the `kernel_equivalence` suite).
+//! everything else: [`IndexedGirgObjective`] wraps [`GirgObjective`] and
+//! returns a kernel whose [`ScoreKernel::best_neighbor`] override sweeps the
+//! packed lanes. Because each slot holds bit-copies of the same coordinates
+//! and weights the base objective reads, the blocked kernels perform the
+//! identical per-slot φ chain (see [`crate::block`]), and the argmax fold
+//! preserves the first-best-in-adjacency-order tie-break, the override is
+//! bitwise-faithful: routers produce byte-identical `RouteRecord`s with the
+//! index on or off (enforced by the `kernel_equivalence` suite).
 
 use std::ops::Range;
 
@@ -38,15 +35,13 @@ use smallworld_graph::{Graph, NodeId};
 use smallworld_models::girg::Girg;
 
 use crate::block;
-use crate::objective::{
-    DistanceHopKernel, DistanceObjective, GirgHopKernel, GirgObjective, Objective, ScoreKernel,
-};
+use crate::objective::{GirgHopKernel, GirgObjective, Objective, ScoreKernel};
 
 /// The structure-of-arrays routing index; see the [module docs](self).
 ///
-/// Built once per graph with [`RoutingIndex::build`] /
-/// [`RoutingIndex::positions_only`] (or [`RoutingIndex::for_girg`]) and
-/// shared immutably by any number of concurrent routing workers.
+/// Built once per graph with [`RoutingIndex::build`] (or
+/// [`RoutingIndex::for_girg`]) and shared immutably by any number of
+/// concurrent routing workers.
 #[derive(Clone, Debug)]
 pub struct RoutingIndex<const D: usize> {
     /// CSR offsets: slots of vertex `v` are `offsets[v]..offsets[v + 1]`.
@@ -54,9 +49,8 @@ pub struct RoutingIndex<const D: usize> {
     /// One lane per position dimension; `lanes[k][s]` is coordinate `k` of
     /// the neighbor in slot `s`.
     lanes: [Vec<f64>; D],
-    /// Neighbor weights, present only for weight-aware objectives —
-    /// distance/Kleinberg-style objectives should not pay for this lane.
-    weights: Option<Vec<f64>>,
+    /// Neighbor weights.
+    weights: Vec<f64>,
     /// Neighbor ids, for reporting the argmax.
     nodes: Vec<NodeId>,
 }
@@ -74,25 +68,14 @@ impl<const D: usize> RoutingIndex<D> {
     /// Panics if `positions` or `weights` does not have exactly one entry
     /// per graph vertex.
     pub fn build(graph: &Graph, positions: &[Point<D>], weights: &[f64]) -> Self {
-        assert_eq!(weights.len(), graph.node_count(), "one weight per vertex");
-        Self::build_impl(graph, positions, Some(weights))
-    }
-
-    /// Like [`build`](RoutingIndex::build), but without the weight lane —
-    /// 8 bytes per slot cheaper, for objectives that only read geometry
-    /// (e.g. [`IndexedDistanceObjective`]).
-    pub fn positions_only(graph: &Graph, positions: &[Point<D>]) -> Self {
-        Self::build_impl(graph, positions, None)
-    }
-
-    fn build_impl(graph: &Graph, positions: &[Point<D>], weights: Option<&[f64]>) -> Self {
         let n = graph.node_count();
         assert_eq!(positions.len(), n, "one position per vertex");
+        assert_eq!(weights.len(), n, "one weight per vertex");
         let slot_count = graph.edge_count() * 2;
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0usize);
         let mut lanes: [Vec<f64>; D] = std::array::from_fn(|_| Vec::with_capacity(slot_count));
-        let mut weight_lane = weights.map(|_| Vec::with_capacity(slot_count));
+        let mut weight_lane = Vec::with_capacity(slot_count);
         let mut nodes = Vec::with_capacity(slot_count);
         for v in graph.nodes() {
             for &u in graph.neighbors(v) {
@@ -100,9 +83,7 @@ impl<const D: usize> RoutingIndex<D> {
                 for (k, lane) in lanes.iter_mut().enumerate() {
                     lane.push(coords[k]);
                 }
-                if let (Some(lane), Some(w)) = (weight_lane.as_mut(), weights) {
-                    lane.push(w[u.index()]);
-                }
+                weight_lane.push(weights[u.index()]);
                 nodes.push(u);
             }
             offsets.push(nodes.len());
@@ -115,15 +96,9 @@ impl<const D: usize> RoutingIndex<D> {
         }
     }
 
-    /// Convenience: weighted [`build`](RoutingIndex::build) from a GIRG.
+    /// Convenience: [`build`](RoutingIndex::build) from a GIRG.
     pub fn for_girg(girg: &Girg<D>) -> Self {
         RoutingIndex::build(girg.graph(), girg.positions(), girg.weights())
-    }
-
-    /// Convenience: [`positions_only`](RoutingIndex::positions_only) from a
-    /// GIRG, for the degree-agnostic objectives.
-    pub fn for_girg_positions_only(girg: &Girg<D>) -> Self {
-        RoutingIndex::positions_only(girg.graph(), girg.positions())
     }
 
     /// Number of vertices the index covers.
@@ -136,23 +111,11 @@ impl<const D: usize> RoutingIndex<D> {
         self.nodes.len()
     }
 
-    /// Whether the index carries a weight lane (required by
-    /// [`IndexedGirgObjective`]).
-    pub fn has_weights(&self) -> bool {
-        self.weights.is_some()
-    }
-
     /// Heap memory held by the index, in bytes — the figure to quote when
     /// deciding whether the opt-in is worth it for a given graph.
     pub fn bytes(&self) -> usize {
         let slots = self.nodes.len();
-        let weight_bytes = if self.weights.is_some() {
-            slots * std::mem::size_of::<f64>()
-        } else {
-            0
-        };
-        slots * D * std::mem::size_of::<f64>()
-            + weight_bytes
+        slots * (D + 1) * std::mem::size_of::<f64>()
             + slots * std::mem::size_of::<NodeId>()
             + self.offsets.len() * std::mem::size_of::<usize>()
     }
@@ -207,7 +170,6 @@ impl<const D: usize> RoutingIndex<D> {
 pub struct IndexedGirgObjective<'a, const D: usize> {
     base: GirgObjective<'a, D>,
     index: &'a RoutingIndex<D>,
-    weights: &'a [f64],
 }
 
 impl<'a, const D: usize> IndexedGirgObjective<'a, D> {
@@ -216,23 +178,14 @@ impl<'a, const D: usize> IndexedGirgObjective<'a, D> {
     /// # Panics
     ///
     /// Panics if the index covers a different number of vertices than the
-    /// objective, or was built without a weight lane
-    /// ([`RoutingIndex::positions_only`]) — φ is weight-aware.
+    /// objective.
     pub fn new(base: GirgObjective<'a, D>, index: &'a RoutingIndex<D>) -> Self {
         assert_eq!(
             base.node_count(),
             index.node_count(),
             "index and objective must cover the same graph"
         );
-        let weights = index
-            .weights
-            .as_deref()
-            .expect("the φ objective needs an index with a weight lane (RoutingIndex::build)");
-        IndexedGirgObjective {
-            base,
-            index,
-            weights,
-        }
+        IndexedGirgObjective { base, index }
     }
 }
 
@@ -250,7 +203,6 @@ impl<const D: usize> Objective for IndexedGirgObjective<'_, D> {
         IndexedGirgHopKernel {
             base: self.base.prepare(target),
             index: self.index,
-            weights: self.weights,
         }
     }
 }
@@ -261,7 +213,6 @@ impl<const D: usize> Objective for IndexedGirgObjective<'_, D> {
 pub struct IndexedGirgHopKernel<'k, const D: usize> {
     base: GirgHopKernel<'k, D>,
     index: &'k RoutingIndex<D>,
-    weights: &'k [f64],
 }
 
 impl<const D: usize> ScoreKernel for IndexedGirgHopKernel<'_, D> {
@@ -284,96 +235,18 @@ impl<const D: usize> ScoreKernel for IndexedGirgHopKernel<'_, D> {
         debug_assert_eq!(graph.node_count(), self.index.node_count());
         let range = self.index.slot_range(v);
         let lanes = self.index.lane_views(range.clone());
-        let weights = &self.weights[range.clone()];
+        let weights = &self.index.weights[range.clone()];
         let nodes = &self.index.nodes[range];
-        let target = self.base.target_pos;
-        let target = target.coords();
-        let norm = self.base.norm;
         // No target branch needed: the target's slot bit-copies its own
         // position, the torus distance of a point to itself is exactly 0,
         // and φ at distance 0 is +∞, matching ScoreKernel::score.
-        block::girg_best_neighbor::<D>(&lanes, weights, nodes, target, norm)
-    }
-}
-
-/// [`DistanceObjective`] accelerated by a [`RoutingIndex`].
-///
-/// The weight lane, if present, is ignored — a weighted index is shareable
-/// between the weight-aware and degree-agnostic objectives of the same
-/// graph, and a [`RoutingIndex::positions_only`] index serves this
-/// objective at 8 bytes per slot less.
-#[derive(Clone, Copy, Debug)]
-pub struct IndexedDistanceObjective<'a, const D: usize> {
-    base: DistanceObjective<'a, D>,
-    index: &'a RoutingIndex<D>,
-}
-
-impl<'a, const D: usize> IndexedDistanceObjective<'a, D> {
-    /// Pairs a distance objective with an index built over the same graph.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index covers a different number of vertices than the
-    /// objective.
-    pub fn new(base: DistanceObjective<'a, D>, index: &'a RoutingIndex<D>) -> Self {
-        assert_eq!(
-            base.node_count(),
-            index.node_count(),
-            "index and objective must cover the same graph"
-        );
-        IndexedDistanceObjective { base, index }
-    }
-}
-
-impl<const D: usize> Objective for IndexedDistanceObjective<'_, D> {
-    fn score(&self, v: NodeId, target: NodeId) -> f64 {
-        self.base.score(v, target)
-    }
-
-    type Kernel<'k>
-        = IndexedDistanceHopKernel<'k, D>
-    where
-        Self: 'k;
-
-    fn prepare(&self, target: NodeId) -> Self::Kernel<'_> {
-        IndexedDistanceHopKernel {
-            base: self.base.prepare(target),
-            index: self.index,
-        }
-    }
-}
-
-/// Prepared kernel of [`IndexedDistanceObjective`].
-#[derive(Clone, Copy, Debug)]
-pub struct IndexedDistanceHopKernel<'k, const D: usize> {
-    base: DistanceHopKernel<'k, D>,
-    index: &'k RoutingIndex<D>,
-}
-
-impl<const D: usize> ScoreKernel for IndexedDistanceHopKernel<'_, D> {
-    fn target(&self) -> NodeId {
-        self.base.target()
-    }
-
-    #[inline]
-    fn score(&self, v: NodeId) -> f64 {
-        self.base.score(v)
-    }
-
-    #[inline]
-    fn score_block(&self, vs: &[NodeId], out: &mut [f64]) {
-        self.base.score_block(vs, out);
-    }
-
-    #[inline]
-    fn best_neighbor(&self, graph: &Graph, v: NodeId) -> Option<(f64, NodeId)> {
-        debug_assert_eq!(graph.node_count(), self.index.node_count());
-        let range = self.index.slot_range(v);
-        let lanes = self.index.lane_views(range.clone());
-        let nodes = &self.index.nodes[range];
-        let target = self.base.target();
-        let target_pos = self.base.target_pos;
-        block::distance_best_neighbor::<D>(&lanes, nodes, target, target_pos.coords())
+        block::girg_best_neighbor::<D>(
+            &lanes,
+            weights,
+            nodes,
+            &self.base.target_pos,
+            self.base.norm,
+        )
     }
 }
 
@@ -402,7 +275,6 @@ mod tests {
         let index = RoutingIndex::for_girg(&g);
         assert_eq!(index.node_count(), g.graph().node_count());
         assert_eq!(index.entry_count(), g.graph().edge_count() * 2);
-        assert!(index.has_weights());
         // weighted D=2: two coordinate lanes + weight lane + id lane = 28 B/slot
         assert!(index.bytes() >= index.entry_count() * 28);
         for v in g.graph().nodes() {
@@ -411,47 +283,21 @@ mod tests {
     }
 
     #[test]
-    fn positions_only_index_drops_the_weight_lane() {
-        let g = girg();
-        let weighted = RoutingIndex::for_girg(&g);
-        let lean = RoutingIndex::for_girg_positions_only(&g);
-        assert!(!lean.has_weights());
-        assert_eq!(lean.entry_count(), weighted.entry_count());
-        assert_eq!(
-            lean.bytes() + lean.entry_count() * std::mem::size_of::<f64>(),
-            weighted.bytes(),
-        );
-        for v in g.graph().nodes() {
-            assert_eq!(lean.nodes_of(v), weighted.nodes_of(v));
-        }
-    }
-
-    #[test]
     fn indexed_sweeps_match_default_scan_bitwise() {
         let g = girg();
         let index = RoutingIndex::for_girg(&g);
-        let lean = RoutingIndex::for_girg_positions_only(&g);
         let girg_obj = GirgObjective::new(&g);
-        let dist_obj = DistanceObjective::for_girg(&g);
         let idx_girg = IndexedGirgObjective::new(girg_obj, &index);
-        let idx_dist = IndexedDistanceObjective::new(dist_obj, &lean);
         let n = g.graph().node_count() as u32;
         for t in [0, 7 % n, n / 2, n - 1] {
             let t = NodeId::new(t);
             let base_g = girg_obj.prepare(t);
             let fast_g = idx_girg.prepare(t);
-            let base_d = dist_obj.prepare(t);
-            let fast_d = idx_dist.prepare(t);
             for v in g.graph().nodes() {
                 assert_eq!(
                     fast_g.best_neighbor(g.graph(), v).map(|(s, u)| (s.to_bits(), u)),
                     base_g.best_neighbor(g.graph(), v).map(|(s, u)| (s.to_bits(), u)),
                     "girg sweep diverges at v={v}, t={t}"
-                );
-                assert_eq!(
-                    fast_d.best_neighbor(g.graph(), v).map(|(s, u)| (s.to_bits(), u)),
-                    base_d.best_neighbor(g.graph(), v).map(|(s, u)| (s.to_bits(), u)),
-                    "distance sweep diverges at v={v}, t={t}"
                 );
             }
         }
@@ -487,14 +333,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(13);
         let other = GirgBuilder::<2>::new(100).sample(&mut rng).unwrap();
         let index = RoutingIndex::for_girg(&other);
-        let _ = IndexedGirgObjective::new(GirgObjective::new(&g), &index);
-    }
-
-    #[test]
-    #[should_panic(expected = "weight lane")]
-    fn weightless_index_is_rejected_by_phi() {
-        let g = girg();
-        let index = RoutingIndex::for_girg_positions_only(&g);
         let _ = IndexedGirgObjective::new(GirgObjective::new(&g), &index);
     }
 }

@@ -18,15 +18,15 @@
 //! * [`lookahead`] — the one-hop "know thy neighbor's neighbor" variant
 //!   cited among the Kleinberg-model refinements.
 //! * [`index`] — the opt-in structure-of-arrays routing index: per-axis
-//!   coordinate lanes (plus optional weight lane) in CSR slot order, so the
-//!   hop scan is a blocked, auto-vectorizable sweep with no random gathers
+//!   coordinate lanes plus a weight lane in CSR slot order, so the φ hop
+//!   scan is a blocked, auto-vectorizable sweep with no random gathers
 //!   (bitwise-identical routes, enforced).
-//! * [`block`] — the blocked scoring primitives behind it: fixed-width
-//!   distance/φ loops per norm and dimension, software prefetch, and the
+//! * [`block`] — the blocked φ primitives behind it: fixed-width max-norm
+//!   distance/φ loops per dimension, software prefetch, and the
 //!   tie-break-preserving argmax fold.
-//! * [`packed`] — the φ objective over packed (flat `f64`) geometry, as
-//!   exposed by a memory-mapped `smallworld-store` file: same bitwise
-//!   scores, zero geometry copies.
+//! * [`packed`] — [`PackedGirgObjective`], the store-path name of
+//!   [`GirgObjective`] over flat lanes borrowed from a memory-mapped
+//!   `smallworld-store` file ([`GirgObjective::from_lanes`]).
 //! * [`view_route`] — shard-local routing with explicit cross-shard
 //!   handoff through the same greedy loop, bitwise-identical to the
 //!   decoded route.
@@ -83,7 +83,7 @@ pub mod view_route;
 
 pub use distributed::{DistributedGreedy, Simulator};
 pub use greedy::{GreedyRouter, RouteOutcome, RouteRecord};
-pub use index::{IndexedDistanceObjective, IndexedGirgObjective, RoutingIndex};
+pub use index::{IndexedGirgObjective, RoutingIndex};
 pub use lookahead::LookaheadRouter;
 pub use observe::{NoopObserver, RouteObserver};
 pub use observers::{CountingObserver, MetricsRouteObserver};
@@ -93,7 +93,7 @@ pub use objective::{
     KleinbergObjective, NaiveKernel, NaiveObjective, Objective, PreparedBatch, PreparedObjective,
     QuantizedHopKernel, QuantizedObjective, RelaxedHopKernel, RelaxedObjective, ScoreKernel,
 };
-pub use packed::{PackedGirgHopKernel, PackedGirgObjective};
+pub use packed::PackedGirgObjective;
 pub use patching::{GravityPressureRouter, HistoryRouter, PhiDfsRouter};
 pub use router::{RouteScratch, Router, RouterKind};
 pub use stretch::{stretch, stretch_many};

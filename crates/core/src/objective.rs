@@ -29,6 +29,7 @@
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
+use smallworld_geometry::point::max_distance;
 use smallworld_geometry::Point;
 use smallworld_graph::{Graph, NodeId};
 use smallworld_models::girg::Girg;
@@ -416,6 +417,13 @@ impl<O: Objective> smallworld_net::HopScore for PreparedObjective<'_, O> {
 ///
 /// Returns `+∞` for the target itself (distance 0).
 ///
+/// Geometry is read from flat vertex-major lanes — `n · D` canonical
+/// coordinates plus `n` weights — borrowed either from a sampled [`Girg`]
+/// ([`GirgObjective::new`]) or straight from a memory-mapped store's
+/// position and weight sections ([`GirgObjective::from_lanes`]). Both give
+/// the same scores bit for bit, through the one scalar φ chain that the
+/// prepared [`GirgHopKernel`] shares.
+///
 /// # Examples
 ///
 /// ```
@@ -432,33 +440,58 @@ impl<O: Objective> smallworld_net::HopScore for PreparedObjective<'_, O> {
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct GirgObjective<'a, const D: usize> {
-    positions: &'a [Point<D>],
+    /// The flat position lane viewed `D` coordinates at a time.
+    positions: &'a [[f64; D]],
     weights: &'a [f64],
     norm: f64,
 }
 
+/// φ for one vertex against a target position: the max-norm torus distance
+/// ([`max_distance`], the fold of [`Point::distance`]), `powi(D)`, the
+/// zero-distance guard, and one divide. Every scalar GIRG score in the
+/// crate runs this chain; the blocked lanes of [`crate::block`] replay it
+/// slot by slot.
+#[inline]
+fn phi_chain<const D: usize>(x: &[f64; D], target: &[f64; D], w: f64, norm: f64) -> f64 {
+    let dist_pow_d = max_distance(x, target).powi(D as i32);
+    if dist_pow_d == 0.0 {
+        f64::INFINITY
+    } else {
+        w / (norm * dist_pow_d)
+    }
+}
+
 impl<'a, const D: usize> GirgObjective<'a, D> {
-    /// Creates the objective for a sampled GIRG.
+    /// Creates the objective for a sampled GIRG, borrowing its positions
+    /// as one flat lane ([`Point::flatten`]).
     pub fn new(girg: &'a Girg<D>) -> Self {
-        GirgObjective {
-            positions: girg.positions(),
-            weights: girg.weights(),
-            norm: girg.params().wmin * girg.params().intensity,
-        }
+        let params = girg.params();
+        GirgObjective::from_lanes(
+            Point::flatten(girg.positions()),
+            girg.weights(),
+            params.wmin * params.intensity,
+        )
     }
 
-    /// Creates the objective from raw positions and weights with
-    /// normalization `w_min · n`.
+    /// Creates the objective over flat lanes: `positions` holds `D`
+    /// canonical (`[0, 1)`) coordinates per vertex, vertex-major, and
+    /// `weights` one weight per vertex — the layout of a `.swg` store's
+    /// position and weight sections. `wmin_times_n` is the normalization
+    /// `w_min · n`.
     ///
     /// # Panics
     ///
-    /// Panics if the slices differ in length or the normalization is not
-    /// positive.
-    pub fn from_parts(positions: &'a [Point<D>], weights: &'a [f64], wmin_times_n: f64) -> Self {
-        assert_eq!(positions.len(), weights.len());
+    /// Panics if `positions.len() != weights.len() · D` or the
+    /// normalization is not positive.
+    pub fn from_lanes(positions: &'a [f64], weights: &'a [f64], wmin_times_n: f64) -> Self {
+        assert_eq!(
+            positions.len(),
+            weights.len() * D,
+            "positions must hold D coordinates per vertex"
+        );
         assert!(wmin_times_n > 0.0, "normalization must be positive");
         GirgObjective {
-            positions,
+            positions: positions.as_chunks::<D>().0,
             weights,
             norm: wmin_times_n,
         }
@@ -466,18 +499,18 @@ impl<'a, const D: usize> GirgObjective<'a, D> {
 
     /// Number of vertices the objective covers.
     pub fn node_count(&self) -> usize {
-        self.positions.len()
+        self.weights.len()
     }
 
     /// The raw φ value (same as [`Objective::score`], provided for
     /// phase/trajectory analysis).
     pub fn phi(&self, v: NodeId, target: NodeId) -> f64 {
-        let dist_pow_d = self.positions[v.index()].distance_pow_d(&self.positions[target.index()]);
-        if dist_pow_d == 0.0 {
-            f64::INFINITY
-        } else {
-            self.weights[v.index()] / (self.norm * dist_pow_d)
-        }
+        phi_chain(
+            &self.positions[v.index()],
+            &self.positions[target.index()],
+            self.weights[v.index()],
+            self.norm,
+        )
     }
 }
 
@@ -513,24 +546,24 @@ impl<const D: usize> Objective for GirgObjective<'_, D> {
 /// kernels such as `smallworld_models::GirgKernel`.)
 #[derive(Clone, Copy, Debug)]
 pub struct GirgHopKernel<'k, const D: usize> {
-    pub(crate) positions: &'k [Point<D>],
-    pub(crate) weights: &'k [f64],
+    positions: &'k [[f64; D]],
+    weights: &'k [f64],
     pub(crate) norm: f64,
-    pub(crate) target: NodeId,
-    pub(crate) target_pos: Point<D>,
+    target: NodeId,
+    pub(crate) target_pos: [f64; D],
 }
 
 impl<const D: usize> GirgHopKernel<'_, D> {
-    /// φ without the `v == target` short-circuit; identical op order to
-    /// [`GirgObjective::phi`] so results agree bitwise.
+    /// φ without the `v == target` short-circuit; the same [`phi_chain`]
+    /// as [`GirgObjective::phi`], so results agree bitwise.
     #[inline]
     pub(crate) fn phi(&self, v: NodeId) -> f64 {
-        let dist_pow_d = self.positions[v.index()].distance_pow_d(&self.target_pos);
-        if dist_pow_d == 0.0 {
-            f64::INFINITY
-        } else {
-            self.weights[v.index()] / (self.norm * dist_pow_d)
-        }
+        phi_chain(
+            &self.positions[v.index()],
+            &self.target_pos,
+            self.weights[v.index()],
+            self.norm,
+        )
     }
 }
 
@@ -626,9 +659,9 @@ impl<const D: usize> Objective for DistanceObjective<'_, D> {
 /// hoisted.
 #[derive(Clone, Copy, Debug)]
 pub struct DistanceHopKernel<'k, const D: usize> {
-    pub(crate) positions: &'k [Point<D>],
-    pub(crate) target: NodeId,
-    pub(crate) target_pos: Point<D>,
+    positions: &'k [Point<D>],
+    target: NodeId,
+    target_pos: Point<D>,
 }
 
 impl<const D: usize> ScoreKernel for DistanceHopKernel<'_, D> {

@@ -1,28 +1,20 @@
-//! Objectives that score straight off packed (flat `f64`) geometry.
+//! The φ objective under the name the store-path benchmark adapter uses.
 //!
 //! The on-disk store (`smallworld-store`) keeps vertex positions as one flat
 //! little-endian `f64` array of length `n · d` and weights as a plain `f64`
-//! array — the natural zero-copy view of a memory-mapped file. Rebuilding
-//! `Vec<Point<D>>` from those sections just to construct a
-//! [`GirgObjective`](crate::GirgObjective) would copy the whole geometry and
-//! double the resident set; [`PackedGirgObjective`] instead borrows the flat
-//! slices directly and materializes each `Point` in registers at score time.
-//!
-//! Scores are **bitwise identical** to [`GirgObjective`](crate::GirgObjective):
-//! the op order of φ is replicated exactly, and reconstructing a point from
-//! its canonical coordinates (`0.0 ≤ c < 1.0`, which the store validates on
-//! load) is the identity — [`Point::new`]'s torus wrap maps canonical
-//! coordinates to themselves bit for bit.
+//! array — the natural zero-copy view of a memory-mapped file.
+//! [`GirgObjective::from_lanes`] borrows those sections directly, so
+//! [`PackedGirgObjective`] is only a name: a newtype over
+//! [`GirgObjective`] whose kernel is [`GirgHopKernel`]. New code should
+//! call [`GirgObjective::from_lanes`].
 
-use smallworld_geometry::Point;
 use smallworld_graph::NodeId;
 
-use crate::objective::{Objective, ScoreKernel};
+use crate::objective::{GirgHopKernel, GirgObjective, Objective};
 
-/// The paper's objective `φ(v) = w_v / (w_min · n · ‖x_v − x_t‖^d)` (§2.2),
-/// evaluated over packed geometry: a flat `f64` position array (`n · d`
-/// entries, vertex-major) and a weight array, as exposed by a mapped
-/// `.swg` store.
+/// [`GirgObjective`] over a mapped `.swg` store's packed position and
+/// weight sections: a flat `f64` position array (`n · d` entries,
+/// vertex-major) and a weight array.
 ///
 /// # Examples
 ///
@@ -38,193 +30,98 @@ use crate::objective::{Objective, ScoreKernel};
 /// assert!(obj.score(NodeId::new(0), NodeId::new(1)) > 0.0);
 /// ```
 #[derive(Clone, Copy, Debug)]
-pub struct PackedGirgObjective<'a, const D: usize> {
-    positions: &'a [f64],
-    weights: &'a [f64],
-    norm: f64,
-}
-
-/// Loads vertex `v`'s position out of a flat vertex-major array.
-///
-/// Canonical coordinates pass through [`Point::new`]'s wrap unchanged, so
-/// this reproduces the original `Point` bitwise.
-#[inline]
-fn unpack<const D: usize>(positions: &[f64], v: usize) -> Point<D> {
-    let mut coords = [0.0f64; D];
-    coords.copy_from_slice(&positions[v * D..v * D + D]);
-    Point::new(coords)
-}
+pub struct PackedGirgObjective<'a, const D: usize>(GirgObjective<'a, D>);
 
 impl<'a, const D: usize> PackedGirgObjective<'a, D> {
-    /// Creates the objective over packed geometry with normalization
-    /// `w_min · n`.
+    /// [`GirgObjective::from_lanes`] under this name.
     ///
     /// # Panics
     ///
     /// Panics if `positions.len() != weights.len() * D` or the
     /// normalization is not positive.
     pub fn new(positions: &'a [f64], weights: &'a [f64], wmin_times_n: f64) -> Self {
-        assert_eq!(
-            positions.len(),
-            weights.len() * D,
-            "positions must hold D coordinates per vertex"
-        );
-        assert!(wmin_times_n > 0.0, "normalization must be positive");
-        PackedGirgObjective {
-            positions,
-            weights,
-            norm: wmin_times_n,
-        }
-    }
-
-    /// Number of vertices the objective covers.
-    pub fn node_count(&self) -> usize {
-        self.weights.len()
-    }
-
-    /// The raw φ value (same as [`Objective::score`] without the
-    /// `v == target` short-circuit).
-    pub fn phi(&self, v: NodeId, target: NodeId) -> f64 {
-        let target_pos = unpack::<D>(self.positions, target.index());
-        let dist_pow_d = unpack::<D>(self.positions, v.index()).distance_pow_d(&target_pos);
-        if dist_pow_d == 0.0 {
-            f64::INFINITY
-        } else {
-            self.weights[v.index()] / (self.norm * dist_pow_d)
-        }
+        PackedGirgObjective(GirgObjective::from_lanes(positions, weights, wmin_times_n))
     }
 }
 
 impl<const D: usize> Objective for PackedGirgObjective<'_, D> {
     fn score(&self, v: NodeId, target: NodeId) -> f64 {
-        if v == target {
-            return f64::INFINITY;
-        }
-        self.phi(v, target)
+        self.0.score(v, target)
     }
 
     type Kernel<'k>
-        = PackedGirgHopKernel<'k, D>
+        = GirgHopKernel<'k, D>
     where
         Self: 'k;
 
     fn prepare(&self, target: NodeId) -> Self::Kernel<'_> {
-        PackedGirgHopKernel {
-            positions: self.positions,
-            weights: self.weights,
-            norm: self.norm,
-            target,
-            target_pos: unpack::<D>(self.positions, target.index()),
-        }
-    }
-}
-
-/// Prepared kernel of [`PackedGirgObjective`] with the target position
-/// hoisted into a register copy.
-#[derive(Clone, Copy, Debug)]
-pub struct PackedGirgHopKernel<'k, const D: usize> {
-    positions: &'k [f64],
-    weights: &'k [f64],
-    norm: f64,
-    target: NodeId,
-    target_pos: Point<D>,
-}
-
-impl<const D: usize> ScoreKernel for PackedGirgHopKernel<'_, D> {
-    fn target(&self) -> NodeId {
-        self.target
-    }
-
-    #[inline]
-    fn score(&self, v: NodeId) -> f64 {
-        if v == self.target {
-            return f64::INFINITY;
-        }
-        let dist_pow_d = unpack::<D>(self.positions, v.index()).distance_pow_d(&self.target_pos);
-        if dist_pow_d == 0.0 {
-            f64::INFINITY
-        } else {
-            self.weights[v.index()] / (self.norm * dist_pow_d)
-        }
-    }
-
-    #[inline]
-    fn score_block(&self, vs: &[NodeId], out: &mut [f64]) {
-        debug_assert!(out.len() >= vs.len());
-        // Same per-slot chain as `score`, with the target check as a final
-        // select so the gathers and divides pipeline across slots.
-        for (o, &v) in out.iter_mut().zip(vs) {
-            let dist_pow_d =
-                unpack::<D>(self.positions, v.index()).distance_pow_d(&self.target_pos);
-            let s = if dist_pow_d == 0.0 {
-                f64::INFINITY
-            } else {
-                self.weights[v.index()] / (self.norm * dist_pow_d)
-            };
-            *o = if v == self.target { f64::INFINITY } else { s };
-        }
+        self.0.prepare(target)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::GirgObjective;
+    use crate::ScoreKernel;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use smallworld_geometry::Point;
     use smallworld_models::girg::{Girg, GirgBuilder};
 
-    fn pack<const D: usize>(girg: &Girg<D>) -> Vec<f64> {
-        girg.positions()
-            .iter()
-            .flat_map(|p| p.coords().to_vec())
-            .collect()
-    }
-
-    #[test]
-    fn scores_match_point_based_objective_bitwise() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let girg: Girg<2> = GirgBuilder::new(500).sample(&mut rng).unwrap();
-        let flat = pack(&girg);
-        let packed = PackedGirgObjective::<2>::new(&flat, girg.weights(), {
-            let p = girg.params();
-            p.wmin * p.intensity
-        });
-        let reference = GirgObjective::new(&girg);
+    /// The packed lanes score bitwise like the scalar `Point` chain
+    /// (`w / (w_min · n · distance_pow_d)`, `+∞` at distance 0), through
+    /// `score`, the prepared kernel and `score_block`. Vertices planted at
+    /// coordinate `0.0` and at the largest `f64` below `1.0` sit one ulp
+    /// apart across the torus seam, as vertex and as target.
+    fn check_against_point_chain<const D: usize>(seed: u64) {
+        let below_one = 1.0f64.next_down();
+        let mixed = std::array::from_fn(|k| if k == 0 { 0.0 } else { below_one });
+        let mut rng = StdRng::seed_from_u64(seed);
+        let girg: Girg<D> = GirgBuilder::new(300)
+            .plant(Point::new([0.0; D]), 2.0)
+            .plant(Point::new([below_one; D]), 3.0)
+            .plant(Point::new(mixed), 1.5)
+            .sample(&mut rng)
+            .unwrap();
+        assert_eq!(girg.positions()[1].coords(), &[below_one; D]);
+        let flat: Vec<f64> = girg.positions().iter().flat_map(|p| *p.coords()).collect();
+        let p = girg.params();
+        let norm = p.wmin * p.intensity;
+        let packed = PackedGirgObjective::<D>::new(&flat, girg.weights(), norm);
         let n = girg.node_count();
-        for t in (0..n).step_by(17) {
-            let t = NodeId::new(t as u32);
+        let all: Vec<NodeId> = (0..n as u32).map(NodeId::new).collect();
+        let mut block = vec![0.0; n];
+        let targets = [0, 1, 2].into_iter().chain((3..n).step_by(17));
+        for t in targets.map(|t| NodeId::new(t as u32)) {
             let kernel = packed.prepare(t);
-            let ref_kernel = reference.prepare(t);
-            for v in 0..n as u32 {
-                let v = NodeId::new(v);
-                let a = reference.score(v, t);
-                let b = packed.score(v, t);
-                assert!(
-                    a.to_bits() == b.to_bits(),
-                    "score mismatch at v={v:?} t={t:?}: {a} vs {b}"
-                );
-                assert_eq!(kernel.score(v).to_bits(), ref_kernel.score(v).to_bits());
+            kernel.score_block(&all, &mut block);
+            for &v in &all {
+                let dist_pow_d = girg.position(v).distance_pow_d(&girg.position(t));
+                let reference = if v == t || dist_pow_d == 0.0 {
+                    f64::INFINITY
+                } else {
+                    girg.weight(v) / (norm * dist_pow_d)
+                };
+                for (path, got) in [
+                    ("score", packed.score(v, t)),
+                    ("kernel", kernel.score(v)),
+                    ("block", block[v.index()]),
+                ] {
+                    assert_eq!(
+                        got.to_bits(),
+                        reference.to_bits(),
+                        "D={D} {path} at v={v:?} t={t:?}: {got} vs {reference}"
+                    );
+                }
             }
         }
     }
 
     #[test]
-    fn one_dimensional_geometry_unpacks() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let girg: Girg<1> = GirgBuilder::new(200).sample(&mut rng).unwrap();
-        let flat = pack(&girg);
-        let p = girg.params();
-        let packed = PackedGirgObjective::<1>::new(&flat, girg.weights(), p.wmin * p.intensity);
-        let reference = GirgObjective::new(&girg);
-        let t = NodeId::new(0);
-        for v in 0..girg.node_count() as u32 {
-            let v = NodeId::new(v);
-            assert_eq!(
-                packed.score(v, t).to_bits(),
-                reference.score(v, t).to_bits()
-            );
-        }
+    fn scores_match_point_based_objective_bitwise() {
+        check_against_point_chain::<1>(3);
+        check_against_point_chain::<2>(11);
+        check_against_point_chain::<3>(5);
     }
 
     #[test]

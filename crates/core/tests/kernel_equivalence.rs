@@ -13,13 +13,13 @@ use proptest::prelude::ProptestConfig;
 use proptest::proptest;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use smallworld_core::block::{girg_phi_block, norm_distance_block, BLOCK_WIDTH};
+use smallworld_core::block::{girg_phi_block, BLOCK_WIDTH};
 use smallworld_core::{
     DistanceObjective, GirgObjective, GravityPressureRouter, GreedyRouter, HistoryRouter,
-    HyperbolicObjective, IndexedDistanceObjective, IndexedGirgObjective, KleinbergObjective,
-    LookaheadRouter, NaiveObjective, Objective, PhiDfsRouter, Router, RouterKind, RoutingIndex,
+    HyperbolicObjective, IndexedGirgObjective, KleinbergObjective, LookaheadRouter,
+    NaiveObjective, Objective, PhiDfsRouter, Router, RouterKind, RoutingIndex,
 };
-use smallworld_geometry::{Norm, Point};
+use smallworld_geometry::Point;
 use smallworld_graph::{Graph, NodeId};
 use smallworld_models::girg::GirgBuilder;
 use smallworld_models::{HrgBuilder, KleinbergLattice};
@@ -34,32 +34,6 @@ fn random_soa<const D: usize>(rng: &mut StdRng, count: usize) -> (Vec<Point<D>>,
         .collect();
     let target = Point::new(std::array::from_fn(|_| rng.gen_range(0.0..1.0)));
     (points, lanes, target)
-}
-
-/// Pins [`norm_distance_block`] bitwise to the scalar [`Norm::distance`]
-/// over every norm and a slot count whose remainder block is 1..=7.
-fn check_distance_blocks<const D: usize>(rng: &mut StdRng) {
-    let count = BLOCK_WIDTH + rng.gen_range(1..BLOCK_WIDTH);
-    let (points, lanes, target) = random_soa::<D>(rng, count);
-    let views: [&[f64]; D] = std::array::from_fn(|k| lanes[k].as_slice());
-    for norm in [Norm::Max, Norm::L1, Norm::L2] {
-        let mut out = [0.0; BLOCK_WIDTH];
-        let mut base = 0;
-        while base < count {
-            let len = (count - base).min(BLOCK_WIDTH);
-            norm_distance_block::<D>(norm, &views, target.coords(), base, &mut out[..len]);
-            for (j, o) in out[..len].iter().enumerate() {
-                let scalar = norm.distance(&points[base + j], &target);
-                assert_eq!(
-                    o.to_bits(),
-                    scalar.to_bits(),
-                    "{norm:?} D={D} slot {}: {o} vs {scalar}",
-                    base + j
-                );
-            }
-            base += len;
-        }
-    }
 }
 
 /// Pins [`girg_phi_block`] bitwise to the scalar φ chain
@@ -198,7 +172,7 @@ proptest! {
     }
 
     /// The edge-packed index is pure mechanism: indexed sweeps route
-    /// identically to the default gather scan for both indexed objectives.
+    /// identically to the default gather scan.
     #[test]
     fn prop_indexed_routes_match_unindexed(seed in 0u64..1 << 32) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -212,24 +186,7 @@ proptest! {
                 6,
                 seed ^ 0x1111,
             );
-            assert_identical_records(
-                girg.graph(),
-                &IndexedDistanceObjective::new(DistanceObjective::for_girg(&girg), &index),
-                &DistanceObjective::for_girg(&girg),
-                6,
-                seed ^ 0x2222,
-            );
         }
-    }
-
-    /// Blocked distance kernels are bitwise the scalar [`Norm::distance`]
-    /// for every norm, dimension 1–3, and every remainder block length.
-    #[test]
-    fn prop_distance_blocks_match_scalar_bitwise(seed in 0u64..1 << 32) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        check_distance_blocks::<1>(&mut rng);
-        check_distance_blocks::<2>(&mut rng);
-        check_distance_blocks::<3>(&mut rng);
     }
 
     /// The blocked φ kernel is bitwise the scalar φ chain even for ±0.0

@@ -63,6 +63,24 @@ pub fn axis_distance(a: f64, b: f64) -> f64 {
     d.min(1.0 - d)
 }
 
+/// Max-norm torus distance of two canonical coordinate arrays — the one
+/// fold behind [`Point::distance`]: per-axis [`axis_distance`], folded
+/// from `+0.0` with a strict `>` max in ascending axis order.
+///
+/// Kernels that read positions out of flat vertex-major lanes call this
+/// directly, so they evaluate the identical op chain as `Point`.
+#[inline]
+pub fn max_distance<const D: usize>(a: &[f64; D], b: &[f64; D]) -> f64 {
+    let mut max = 0.0f64;
+    for i in 0..D {
+        let d = axis_distance(a[i], b[i]);
+        if d > max {
+            max = d;
+        }
+    }
+    max
+}
+
 /// A point on the `D`-dimensional torus `T^D = [0,1)^D` with opposite faces
 /// identified.
 ///
@@ -83,6 +101,7 @@ pub fn axis_distance(a: f64, b: f64) -> f64 {
 /// assert!((p.distance(&q) - 0.5).abs() < 1e-12);
 /// ```
 #[derive(Clone, Copy, PartialEq)]
+#[repr(transparent)]
 pub struct Point<const D: usize> {
     coords: [f64; D],
 }
@@ -151,14 +170,7 @@ impl<const D: usize> Point<D> {
     /// Torus distance in the maximum norm — the paper's `‖x_u − x_v‖`.
     #[inline]
     pub fn distance(&self, other: &Point<D>) -> f64 {
-        let mut max = 0.0f64;
-        for i in 0..D {
-            let d = axis_distance(self.coords[i], other.coords[i]);
-            if d > max {
-                max = d;
-            }
-        }
-        max
+        max_distance(&self.coords, &other.coords)
     }
 
     /// `‖x_u − x_v‖^D`, the volume scale appearing throughout the paper
@@ -166,6 +178,26 @@ impl<const D: usize> Point<D> {
     #[inline]
     pub fn distance_pow_d(&self, other: &Point<D>) -> f64 {
         self.distance(other).powi(D as i32)
+    }
+
+    /// Views a slice of points as one flat vertex-major coordinate lane:
+    /// `points.len() · D` values, point `i`'s coordinates at
+    /// `[i · D, (i + 1) · D)` — the layout of a `.swg` store's position
+    /// section, so objectives can read in-RAM and mapped geometry alike.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use smallworld_geometry::Point;
+    ///
+    /// let points = [Point::new([0.25, 0.5]), Point::new([0.75, 0.0])];
+    /// assert_eq!(Point::flatten(&points), &[0.25, 0.5, 0.75, 0.0]);
+    /// ```
+    pub fn flatten(points: &[Point<D>]) -> &[f64] {
+        // SAFETY: `Point<D>` is `#[repr(transparent)]` over `[f64; D]`, so
+        // `points` is `points.len() · D` contiguous, initialized, aligned
+        // `f64`s, borrowed for the same lifetime.
+        unsafe { std::slice::from_raw_parts(points.as_ptr().cast::<f64>(), points.len() * D) }
     }
 
     /// The point shifted by `delta` (component-wise, wrapped back onto the

@@ -420,7 +420,7 @@ struct SectionEntry {
 /// [`GraphStore::load_girg`] reassembles the full [`Girg`], and the
 /// `packed_*` accessors expose the geometry sections without materializing
 /// `Point` vectors — the zero-copy path for kernels that score straight off
-/// the store (`smallworld_core::PackedGirgObjective`).
+/// the store (`smallworld_core::GirgObjective::from_lanes`).
 #[derive(Debug)]
 pub struct GraphStore {
     mapping: Mapping,
@@ -679,12 +679,20 @@ impl GraphStore {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError`] if geometry is absent or malformed.
+    /// Returns [`StoreError`] if geometry is absent or malformed, and
+    /// [`StoreError::Corrupt`] if any coordinate lies outside the canonical
+    /// torus `[0, 1)` (NaN included).
     pub fn packed_positions(&self) -> Result<Cow<'_, [f64]>, StoreError> {
-        self.f64_section(
+        let positions = self.f64_section(
             SectionId::Pos,
             self.node_count as usize * self.dim as usize,
-        )
+        )?;
+        if let Some(c) = positions.iter().find(|c| !(0.0..1.0).contains(*c)) {
+            return Err(StoreError::Corrupt(format!(
+                "position coordinate {c} outside the canonical torus"
+            )));
+        }
+        Ok(positions)
     }
 
     /// The packed vertex weights (`node_count` values). Zero-copy when
@@ -692,9 +700,14 @@ impl GraphStore {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError`] if geometry is absent or malformed.
+    /// Returns [`StoreError`] if geometry is absent or malformed, and
+    /// [`StoreError::Corrupt`] if any weight is not finite.
     pub fn packed_weights(&self) -> Result<Cow<'_, [f64]>, StoreError> {
-        self.f64_section(SectionId::Weight, self.node_count as usize)
+        let weights = self.f64_section(SectionId::Weight, self.node_count as usize)?;
+        if weights.iter().any(|w| !w.is_finite()) {
+            return Err(StoreError::Corrupt("non-finite vertex weight".into()));
+        }
+        Ok(weights)
     }
 
     /// Reassembles the stored GIRG: adjacency, positions, weights, and
@@ -704,8 +717,10 @@ impl GraphStore {
     ///
     /// Returns [`StoreError::DimensionMismatch`] when `D` differs from the
     /// stored dimension, and the usual variants for missing/corrupt
-    /// sections. Non-finite or out-of-range coordinates are rejected as
-    /// [`StoreError::Corrupt`] rather than panicking.
+    /// sections. Non-finite or out-of-range coordinates and non-finite
+    /// weights are rejected as [`StoreError::Corrupt`] (by
+    /// [`GraphStore::packed_positions`] / [`GraphStore::packed_weights`])
+    /// rather than panicking.
     pub fn load_girg<const D: usize>(&self) -> Result<Girg<D>, StoreError> {
         if self.dim as usize != D {
             return Err(StoreError::DimensionMismatch {
@@ -715,23 +730,8 @@ impl GraphStore {
         }
         let graph = self.load_graph()?;
         let flat = self.packed_positions()?;
-        let mut positions = Vec::with_capacity(self.node_count as usize);
-        for chunk in flat.chunks_exact(D) {
-            let mut coords = [0.0f64; D];
-            coords.copy_from_slice(chunk);
-            for &c in &coords {
-                if !(0.0..1.0).contains(&c) {
-                    return Err(StoreError::Corrupt(format!(
-                        "position coordinate {c} outside the canonical torus"
-                    )));
-                }
-            }
-            positions.push(Point::new(coords));
-        }
+        let positions = flat.as_chunks::<D>().0.iter().map(|&c| Point::new(c)).collect();
         let weights = self.packed_weights()?;
-        if weights.iter().any(|w| !w.is_finite()) {
-            return Err(StoreError::Corrupt("non-finite vertex weight".into()));
-        }
         let (params, planted) = self.params()?;
         if graph.node_count() != self.node_count as usize {
             return Err(StoreError::Corrupt(

@@ -45,7 +45,7 @@ use smallworld_models::girg::Girg;
 pub use crate::csr::CompressedCsr;
 pub use crate::error::StoreError;
 pub use crate::format::{
-    write_girg_swg, write_graph_swg, GraphStore, SectionId, WriteStats, FLAG_GEOMETRY,
+    crc32, write_girg_swg, write_graph_swg, GraphStore, SectionId, WriteStats, FLAG_GEOMETRY,
     FLAG_SHARDS, MAGIC, VERSION,
 };
 pub use crate::mapped::{MappedCursor, MappedGraph};

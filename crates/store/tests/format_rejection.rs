@@ -9,7 +9,7 @@ use rand::SeedableRng;
 use smallworld_models::girg::{Girg, GirgBuilder};
 use smallworld_models::{GraphModel, KleinbergLatticeBuilder};
 use smallworld_store::{
-    write_graph_swg, GraphStore, StoreError, MAGIC,
+    crc32, write_graph_swg, GraphStore, SectionId, StoreError, MAGIC,
 };
 
 fn temp_path(name: &str) -> std::path::PathBuf {
@@ -152,6 +152,55 @@ fn header_checksum_covers_the_section_table() {
         open_bytes(&bytes, "table"),
         Err(StoreError::ChecksumMismatch { section: "header" })
     ));
+}
+
+/// Overwrites the first `f64` of section `id`'s payload with `value`, then
+/// rewrites that section's CRC and the header CRC so the file still opens:
+/// the damage reaches the geometry accessors instead of the checksums.
+fn poke_section_f64(bytes: &mut [u8], id: SectionId, value: f64) {
+    let count = u32::from_le_bytes(bytes[40..44].try_into().unwrap()) as usize;
+    let table_end = 64 + count * 24;
+    let entry = (64..table_end)
+        .step_by(24)
+        .find(|&at| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) == id as u32)
+        .expect("section present");
+    let field = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    let (offset, len) = (field(entry + 8), field(entry + 16));
+    bytes[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
+    let section_crc = crc32(&bytes[offset..offset + len]);
+    bytes[entry + 4..entry + 8].copy_from_slice(&section_crc.to_le_bytes());
+    let header_crc = crc32(&[&bytes[..44], &bytes[64..table_end]].concat());
+    bytes[44..48].copy_from_slice(&header_crc.to_le_bytes());
+}
+
+#[test]
+fn non_finite_geometry_with_valid_checksums_is_a_typed_error() {
+    let (_, clean) = written_girg_bytes(6, 1);
+    for (id, value) in [
+        (SectionId::Pos, f64::NAN),
+        (SectionId::Pos, 1.0),
+        (SectionId::Weight, f64::INFINITY),
+    ] {
+        let mut bytes = clean.clone();
+        poke_section_f64(&mut bytes, id, value);
+        let path = temp_path("poke");
+        std::fs::write(&path, &bytes).unwrap();
+        let store = GraphStore::open(&path).expect("checksums were rewritten");
+        let lane = match id {
+            SectionId::Pos => store.packed_positions(),
+            _ => store.packed_weights(),
+        };
+        assert!(
+            matches!(lane, Err(StoreError::Corrupt(_))),
+            "{id:?} = {value}: expected Corrupt, got {lane:?}"
+        );
+        assert!(
+            matches!(store.load_girg::<2>(), Err(StoreError::Corrupt(_))),
+            "{id:?} = {value}: load_girg must reject it too"
+        );
+        drop(store);
+        std::fs::remove_file(&path).ok();
+    }
 }
 
 #[test]
