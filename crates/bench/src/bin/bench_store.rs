@@ -49,7 +49,9 @@ use smallworld_bench::{
     draw_endpoints, mapped_trials, Artifact, RoutingAggregate, Scale, TrialBatch, TrialOutcome,
 };
 use smallworld_core::greedy::DEFAULT_MAX_STEPS;
-use smallworld_core::{route_sharded, GirgObjective, GreedyRouter, Objective, ShardSlice};
+use smallworld_core::{
+    route_sharded, GirgObjective, GreedyRouter, Objective, PackedGirgObjective, ShardSlice,
+};
 use smallworld_graph::{Components, Graph};
 use smallworld_models::girg::{Girg, GirgBuilder};
 use smallworld_obs::{JsonValue, Span};
@@ -184,7 +186,7 @@ fn routing_table(girg: &Girg<2>, comps: &Components, scale: Scale, dir: &std::pa
     let weights = store.packed_weights().expect("weights present");
     let (params, _) = store.params().expect("params present");
     let packed =
-        GirgObjective::<2>::from_lanes(&positions, &weights, params.wmin * params.intensity);
+        PackedGirgObjective::<2>::new(&positions, &weights, params.wmin * params.intensity);
 
     let pairs = scale.pick(2_000, 10_000);
     let seed = 11;

@@ -39,6 +39,7 @@ use smallworld_bench::{mapped_trials, Artifact, RoutingAggregate, Scale, TrialBa
 use smallworld_core::theory::lambda_for_average_degree;
 use smallworld_core::{
     GirgObjective, GreedyRouter, HyperbolicObjective, KleinbergObjective, Objective,
+    PackedGirgObjective,
 };
 use smallworld_graph::analytics::par_components;
 use smallworld_graph::{Components, Graph};
@@ -346,7 +347,7 @@ fn route_phase<O: Objective + Sync>(
 fn route_phase_mapped<const D: usize>(
     mapped: &MappedGraph<'_>,
     comps: &Components,
-    objective: &GirgObjective<'_, D>,
+    objective: &PackedGirgObjective<'_, D>,
     pairs: usize,
     seed: u64,
 ) -> Table {
@@ -432,7 +433,7 @@ fn run_mapped(path: &str, route: usize, seed: u64) -> Result<Vec<Table>, String>
         let weights = store
             .packed_weights()
             .map_err(|e| format!("reading weights from {path}: {e}"))?;
-        let packed = GirgObjective::<2>::from_lanes(&positions, &weights, p.wmin * p.intensity);
+        let packed = PackedGirgObjective::<2>::new(&positions, &weights, p.wmin * p.intensity);
         tables.push(route_phase_mapped(&mapped, &comps, &packed, route, seed));
     }
     Ok(tables)

@@ -6,12 +6,16 @@
 //! the same endpoint draw ([`draw_endpoints`]) and the same first-best
 //! argmax (φ over the store's flat lanes is the in-RAM φ chain, and
 //! [`GreedyRouter::route_view`] runs the greedy loop of the decoded
-//! router) — so the outcome vector equals the decoded run's
-//! element for element while the adjacency never leaves the mmap. Both
+//! router, pruning hub scans exactly through the
+//! [`PackedGirgObjective`]'s bounds) — so the outcome vector equals the
+//! decoded run's element for element while the adjacency never leaves the
+//! mmap. Both
 //! `girg_gen --mapped` and `bench_store`'s throughput comparison route
 //! through this one function, and `bench_store` asserts the equality.
 
-use smallworld_core::{GirgObjective, GreedyRouter, MetricsRouteObserver, Objective, RouteScratch};
+use smallworld_core::{
+    GreedyRouter, MetricsRouteObserver, Objective, PackedGirgObjective, RouteScratch,
+};
 use smallworld_graph::Components;
 use smallworld_par::{chunk_ranges, Pool};
 use smallworld_store::MappedGraph;
@@ -43,7 +47,7 @@ pub struct MappedTrials {
 pub fn mapped_trials<const D: usize>(
     mapped: &MappedGraph<'_>,
     comps: &Components,
-    objective: &GirgObjective<'_, D>,
+    objective: &PackedGirgObjective<'_, D>,
     pairs: usize,
     master_seed: u64,
     pool: &Pool,
@@ -125,7 +129,11 @@ mod tests {
         let weights = store.packed_weights().unwrap();
         let (params, _) = store.params().unwrap();
         let packed =
-            GirgObjective::<2>::from_lanes(&positions, &weights, params.wmin * params.intensity);
+            PackedGirgObjective::<2>::new(&positions, &weights, params.wmin * params.intensity);
+        assert!(
+            packed.bounds().is_some(),
+            "a Morton-relabeled store gets bounds"
+        );
 
         let decoded = TrialBatch::new(girg.graph(), &comps, 80)
             .connected_only(true)

@@ -8,7 +8,6 @@
 //! address carried by the message, exactly the locality the paper insists
 //! on.
 
-use smallworld_graph::view::first_best_by_blocks;
 use smallworld_graph::{AdjacencyView, Graph, NodeId};
 
 use crate::objective::{Objective, ScoreKernel};
@@ -127,21 +126,24 @@ impl Default for GreedyRouter {
 }
 
 impl GreedyRouter {
-    /// Algorithm 1, written once: from `s`, hop to `best_neighbor(current)`
-    /// while it strictly improves on the current score, until the kernel's
-    /// target is reached, the step cap is hit, or a local optimum drops the
-    /// packet.
+    /// Algorithm 1, written once: from `s`, hop to
+    /// `best_neighbor(current, current_score)` while it strictly improves
+    /// on the current score, until the kernel's target is reached, the step
+    /// cap is hit, or a local optimum drops the packet.
     ///
     /// Every entry point — decoded CSR, adjacency view, shard partition —
     /// differs only in how it computes the first-best neighbor, so all of
-    /// them share this loop's records and observer events bitwise.
+    /// them share this loop's records and observer events bitwise. The
+    /// closure must return the first-best neighbor whenever its score beats
+    /// `current_score`, and anything not beating it otherwise
+    /// ([`ScoreKernel::best_above`]'s contract).
     fn walk<K: ScoreKernel, Obs: RouteObserver>(
         &self,
         kernel: &K,
         s: NodeId,
         obs: &mut Obs,
         scratch: &mut RouteScratch,
-        mut best_neighbor: impl FnMut(NodeId) -> Option<(f64, NodeId)>,
+        mut best_neighbor: impl FnMut(NodeId, f64) -> Option<(f64, NodeId)>,
     ) -> RouteRecord {
         let t = kernel.target();
         obs.on_start(s, t);
@@ -156,7 +158,7 @@ impl GreedyRouter {
             if path.len() > self.max_steps {
                 break RouteOutcome::MaxStepsExceeded;
             }
-            match best_neighbor(current) {
+            match best_neighbor(current, current_score) {
                 Some((score, u)) if score > current_score => {
                     obs.on_hop(u, score);
                     path.push(u);
@@ -177,11 +179,14 @@ impl GreedyRouter {
     /// [`AdjacencyView`] — e.g. a cursor decoding neighbor lists on demand
     /// from a memory-mapped store, so no CSR is ever materialized.
     ///
-    /// The per-hop argmax scores each neighbor list through
-    /// [`ScoreKernel::score_block`] and folds it with
-    /// [`first_best_by_blocks`], which is bitwise the scalar fold of
-    /// [`ScoreKernel::best_neighbor`]: over a view of the same adjacency the
-    /// record equals [`Router::route_prepared`]'s.
+    /// The per-hop argmax is [`ScoreKernel::best_above`] with the current
+    /// score as floor: by default the blocked fold [`first_best_by_blocks`]
+    /// over [`ScoreKernel::score_block`], which is bitwise the scalar fold
+    /// of [`ScoreKernel::best_neighbor`], and for bounded kernels a pruned
+    /// scan with the same result whenever a hop is taken. Over a view of
+    /// the same adjacency the record equals [`Router::route_prepared`]'s.
+    ///
+    /// [`first_best_by_blocks`]: smallworld_graph::view::first_best_by_blocks
     pub fn route_view<V, K, Obs>(
         &self,
         view: &mut V,
@@ -195,10 +200,8 @@ impl GreedyRouter {
         K: ScoreKernel,
         Obs: RouteObserver,
     {
-        self.walk(kernel, s, obs, scratch, |v| {
-            view.with_neighbors(v, |ns| {
-                first_best_by_blocks(ns, |chunk, out| kernel.score_block(chunk, out))
-            })
+        self.walk(kernel, s, obs, scratch, |v, floor| {
+            view.with_neighbors(v, |ns| kernel.best_above(ns, floor))
         })
     }
 
@@ -237,7 +240,9 @@ impl Router for GreedyRouter {
         obs: &mut Obs,
         scratch: &mut RouteScratch,
     ) -> RouteRecord {
-        self.walk(kernel, s, obs, scratch, |v| kernel.best_neighbor(graph, v))
+        self.walk(kernel, s, obs, scratch, |v, _| {
+            kernel.best_neighbor(graph, v)
+        })
     }
 }
 

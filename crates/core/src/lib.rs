@@ -24,9 +24,11 @@
 //! * [`block`] — the blocked φ primitives behind it: fixed-width max-norm
 //!   distance/φ loops per dimension, software prefetch, and the
 //!   tie-break-preserving argmax fold.
-//! * [`packed`] — [`PackedGirgObjective`], the store-path name of
+//! * [`packed`] — [`PackedGirgObjective`], the store-path objective:
 //!   [`GirgObjective`] over flat lanes borrowed from a memory-mapped
-//!   `smallworld-store` file ([`GirgObjective::from_lanes`]).
+//!   `smallworld-store` file ([`GirgObjective::from_lanes`]) plus the
+//!   [`PhiBounds`] that let its kernels skip whole Morton id runs of a
+//!   hub's neighbor list (exact branch-and-bound; routes unchanged).
 //! * [`view_route`] — shard-local routing with explicit cross-shard
 //!   handoff through the same greedy loop, bitwise-identical to the
 //!   decoded route.
@@ -90,8 +92,8 @@ pub use observers::{CountingObserver, MetricsRouteObserver};
 pub use objective::{
     DistanceHopKernel, DistanceObjective, ForwardKernel, GirgHopKernel, GirgObjective,
     HyperbolicHopKernel, HyperbolicObjective, KernelObjective, KleinbergHopKernel,
-    KleinbergObjective, NaiveKernel, NaiveObjective, Objective, PreparedBatch, PreparedObjective,
-    QuantizedHopKernel, QuantizedObjective, RelaxedHopKernel, RelaxedObjective, ScoreKernel,
+    KleinbergObjective, NaiveKernel, NaiveObjective, Objective, PhiBounds, PreparedBatch,
+    PreparedObjective, QuantizedHopKernel, QuantizedObjective, RelaxedHopKernel, RelaxedObjective, ScoreKernel,
 };
 pub use packed::PackedGirgObjective;
 pub use patching::{GravityPressureRouter, HistoryRouter, PhiDfsRouter};

@@ -29,12 +29,15 @@
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-use smallworld_geometry::point::max_distance;
+use smallworld_geometry::point::{axis_distance, max_distance};
 use smallworld_geometry::Point;
+use smallworld_graph::view::{first_best_by_blocks, fold_first_best};
 use smallworld_graph::{Graph, NodeId};
 use smallworld_models::girg::Girg;
 use smallworld_models::hyperbolic::{hyperbolic_distance, Hrg};
 use smallworld_models::kleinberg::{ContinuumKleinberg, KleinbergLattice};
+
+use crate::block::BLOCK_WIDTH;
 
 /// A routing objective: vertices with larger score are "closer" to `target`.
 ///
@@ -208,6 +211,11 @@ impl<K: ScoreKernel> ScoreKernel for ForwardKernel<'_, K> {
     fn best_neighbor(&self, graph: &Graph, v: NodeId) -> Option<(f64, NodeId)> {
         self.0.best_neighbor(graph, v)
     }
+
+    #[inline]
+    fn best_above(&self, ns: &[NodeId], floor: f64) -> Option<(f64, NodeId)> {
+        self.0.best_above(ns, floor)
+    }
 }
 
 /// A routing objective specialized to one target: the hop-loop view of an
@@ -255,6 +263,24 @@ pub trait ScoreKernel {
             }
         }
         best
+    }
+
+    /// The greedy argmax of one hop over a sorted neighbor slice, needed
+    /// only when it beats `floor` (the current vertex's score).
+    ///
+    /// Returns exactly the first-best of `ns` — what
+    /// [`first_best_by_blocks`] over [`Self::score_block`] returns — when
+    /// that score is `> floor`. Otherwise it may return `None` or any pair
+    /// whose score is not `> floor`, so a greedy step that requires a
+    /// strict improvement takes the same hop either way.
+    ///
+    /// The default is the full blocked fold. Kernels that can bound the
+    /// score of whole id runs override it to skip runs that cannot beat
+    /// `floor` or the running best (see [`PhiBounds`]).
+    #[inline]
+    fn best_above(&self, ns: &[NodeId], floor: f64) -> Option<(f64, NodeId)> {
+        let _ = floor;
+        first_best_by_blocks(ns, |chunk, out| self.score_block(chunk, out))
     }
 }
 
@@ -453,11 +479,215 @@ pub struct GirgObjective<'a, const D: usize> {
 /// slot by slot.
 #[inline]
 fn phi_chain<const D: usize>(x: &[f64; D], target: &[f64; D], w: f64, norm: f64) -> f64 {
-    let dist_pow_d = max_distance(x, target).powi(D as i32);
+    phi_at_distance::<D>(max_distance(x, target), w, norm)
+}
+
+/// The tail of [`phi_chain`] after the distance fold, shared with the
+/// [`PhiBounds`] bound so that both run the same `powi`, guard and divide.
+#[inline]
+fn phi_at_distance<const D: usize>(dist: f64, w: f64, norm: f64) -> f64 {
+    let dist_pow_d = dist.powi(D as i32);
     if dist_pow_d == 0.0 {
         f64::INFINITY
     } else {
         w / (norm * dist_pow_d)
+    }
+}
+
+/// Bounding box and largest weight of one aligned id range of
+/// [`PhiBounds`], rounded outward to `f32` (half the memory of `f64`; the
+/// box still holds every member, which is all the bound relies on).
+#[derive(Clone, Copy, Debug)]
+struct IdBox<const D: usize> {
+    lo: [f32; D],
+    hi: [f32; D],
+    w_max: f32,
+}
+
+/// The largest `f32` that is `≤ x`.
+fn f32_down(x: f64) -> f32 {
+    let f = x as f32;
+    if f64::from(f) > x {
+        f.next_down()
+    } else {
+        f
+    }
+}
+
+/// The smallest `f32` that is `≥ x`.
+fn f32_up(x: f64) -> f32 {
+    let f = x as f32;
+    if f64::from(f) < x {
+        f.next_up()
+    } else {
+        f
+    }
+}
+
+impl<const D: usize> IdBox<D> {
+    /// The box of `xs` with the largest of `ws`, or `None` if a vertex
+    /// falls outside the soundness argument (a non-finite coordinate, a
+    /// negative or NaN weight).
+    fn of(xs: &[[f64; D]], ws: &[f64]) -> Option<Self> {
+        let (mut lo, mut hi, mut w_max) = ([f64::INFINITY; D], [f64::NEG_INFINITY; D], 0.0f64);
+        for (x, &w) in xs.iter().zip(ws) {
+            if w.is_nan() || w < 0.0 || x.iter().any(|c| !c.is_finite()) {
+                return None;
+            }
+            for k in 0..D {
+                lo[k] = lo[k].min(x[k]);
+                hi[k] = hi[k].max(x[k]);
+            }
+            w_max = w_max.max(w);
+        }
+        Some(IdBox {
+            lo: lo.map(f32_down),
+            hi: hi.map(f32_up),
+            w_max: f32_up(w_max),
+        })
+    }
+
+    /// The smallest box holding all of `boxes`.
+    fn union(boxes: &[IdBox<D>]) -> Self {
+        let mut u = boxes[0];
+        for b in &boxes[1..] {
+            for k in 0..D {
+                u.lo[k] = u.lo[k].min(b.lo[k]);
+                u.hi[k] = u.hi[k].max(b.hi[k]);
+            }
+            u.w_max = u.w_max.max(b.w_max);
+        }
+        u
+    }
+
+    /// Widest per-axis extent `hi − lo`.
+    fn extent(&self) -> f32 {
+        (0..D).map(|k| self.hi[k] - self.lo[k]).fold(0.0, f32::max)
+    }
+
+    /// [`phi_chain`] with `w_max` for the weight and, per axis, a lower
+    /// bound on the member's [`axis_distance`] for the distance: 0 when
+    /// the target coordinate lies in `[lo, hi]`, else the nearer of the
+    /// two box faces. Folded with the strict `>` max of [`max_distance`].
+    #[inline]
+    fn phi_bound(&self, target: &[f64; D], norm: f64) -> f64 {
+        let mut dist = 0.0f64;
+        for (k, &t) in target.iter().enumerate() {
+            let (lo, hi) = (f64::from(self.lo[k]), f64::from(self.hi[k]));
+            let d = if t >= lo && t <= hi {
+                0.0
+            } else {
+                axis_distance(lo, t).min(axis_distance(hi, t))
+            };
+            if d > dist {
+                dist = d;
+            }
+        }
+        phi_at_distance::<D>(dist, f64::from(self.w_max), norm)
+    }
+}
+
+/// Upper bounds on φ over aligned id ranges: for every block of
+/// [`PhiBounds::BLOCK_IDS`] consecutive ids and every superblock of
+/// [`PhiBounds::SUPERBLOCK_IDS`], the per-axis coordinate box and the
+/// largest weight of its vertices, rounded outward to `f32`.
+///
+/// A range's bound runs the op chain of [`GirgObjective::phi`] on `w_max`
+/// and a lower bound of the distance, and is **bitwise ≥** the φ of every member — no
+/// safety margin is needed, because every op of the chain rounds
+/// monotonically:
+///
+/// * Per axis, for a target coordinate `t` below the box, `x − t` grows
+///   with `x`, and round-to-nearest is monotone, so `fl(x − t)` lies
+///   between `fl(lo − t)` and `fl(hi − t)`, and `fl(1 − d)` moves the other
+///   way. Hence `min(d, fl(1 − d))` for a member is at least
+///   `min(axis_distance(lo, t), axis_distance(hi, t))`. Above the box the
+///   same holds with `lo` and `hi` swapped; inside it the bound is 0.
+/// * The strict-`>` max fold, `powi(D)` (a product of non-negative
+///   factors), `norm · d` and `w / (norm · d)` are each monotone in their
+///   inputs, with `w_max ≥ w ≥ 0`. A zero bound distance gives `+∞`.
+///
+/// The argument only uses `lo ≤ x ≤ hi` and `w ≤ w_max` for the members,
+/// which the outward `f32` rounding keeps (0.3 MiB per 10⁶ vertices at
+/// d = 2).
+///
+/// So a run whose bound is `≤` the incumbent score holds no vertex that
+/// could replace it under the strict `>` of the first-best fold, and
+/// [`GirgHopKernel::best_above`] can skip it with routes unchanged.
+///
+/// Bounds only pay when consecutive ids are spatially close, as after a
+/// Morton relabeling. [`PhiBounds::new`] decides from the data: it builds
+/// nothing when most full blocks span half the torus or more on some axis
+/// (ids in sampling or random order), and nothing for lanes the argument
+/// does not cover (non-finite coordinates, negative or NaN weights).
+#[derive(Clone, Debug)]
+pub struct PhiBounds<const D: usize> {
+    blocks: Vec<IdBox<D>>,
+    superblocks: Vec<IdBox<D>>,
+}
+
+impl<const D: usize> PhiBounds<D> {
+    /// Ids per block; block `b` holds ids `b · BLOCK_IDS ..`.
+    pub const BLOCK_IDS: usize = 64;
+    /// Ids per superblock; superblock `s` holds blocks
+    /// `s · SUPERBLOCK_IDS / BLOCK_IDS ..`.
+    pub const SUPERBLOCK_IDS: usize = 4096;
+
+    /// Builds the bounds from flat vertex-major lanes (the layout of
+    /// [`GirgObjective::from_lanes`]) in one pass, or `None` when the id
+    /// order is not spatially coherent or the lanes fall outside the
+    /// soundness argument (see the type docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `positions.len() != weights.len() · D`.
+    pub fn new(positions: &[f64], weights: &[f64]) -> Option<Self> {
+        assert_eq!(
+            positions.len(),
+            weights.len() * D,
+            "positions must hold D coordinates per vertex"
+        );
+        let points = positions.as_chunks::<D>().0;
+        let blocks: Vec<IdBox<D>> = points
+            .chunks(Self::BLOCK_IDS)
+            .zip(weights.chunks(Self::BLOCK_IDS))
+            .map(|(xs, ws)| IdBox::of(xs, ws))
+            .collect::<Option<_>>()?;
+        let full = weights.len() / Self::BLOCK_IDS;
+        let narrow = blocks[..full].iter().filter(|b| b.extent() < 0.5).count();
+        if 2 * narrow <= full {
+            return None;
+        }
+        let superblocks = blocks
+            .chunks(Self::SUPERBLOCK_IDS / Self::BLOCK_IDS)
+            .map(IdBox::union)
+            .collect();
+        Some(PhiBounds {
+            blocks,
+            superblocks,
+        })
+    }
+
+    /// Upper bound on φ, towards a target at `target` with normalization
+    /// `norm`, of every vertex in block `block`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block holds no id.
+    #[inline]
+    pub fn block_bound(&self, block: usize, target: &[f64; D], norm: f64) -> f64 {
+        self.blocks[block].phi_bound(target, norm)
+    }
+
+    /// Upper bound on φ of every vertex in superblock `superblock`, as
+    /// [`Self::block_bound`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the superblock holds no id.
+    #[inline]
+    pub fn superblock_bound(&self, superblock: usize, target: &[f64; D], norm: f64) -> f64 {
+        self.superblocks[superblock].phi_bound(target, norm)
     }
 }
 
@@ -534,6 +764,7 @@ impl<const D: usize> Objective for GirgObjective<'_, D> {
             norm: self.norm,
             target,
             target_pos: self.positions[target.index()],
+            bounds: None,
         }
     }
 }
@@ -541,6 +772,11 @@ impl<const D: usize> Objective for GirgObjective<'_, D> {
 /// Prepared kernel of [`GirgObjective`]: the target position is a register
 /// copy, so each hop performs one position gather and one weight gather per
 /// neighbor instead of reloading the target every call.
+///
+/// A kernel handed out by [`PackedGirgObjective`](crate::PackedGirgObjective)
+/// also carries its [`PhiBounds`], and its
+/// [`best_above`](ScoreKernel::best_above) skips id runs that cannot beat
+/// the incumbent; one from [`GirgObjective`] scans every neighbor.
 ///
 /// (`*HopKernel`, to avoid colliding with the models' edge-probability
 /// kernels such as `smallworld_models::GirgKernel`.)
@@ -551,9 +787,16 @@ pub struct GirgHopKernel<'k, const D: usize> {
     pub(crate) norm: f64,
     target: NodeId,
     pub(crate) target_pos: [f64; D],
+    bounds: Option<&'k PhiBounds<D>>,
 }
 
-impl<const D: usize> GirgHopKernel<'_, D> {
+impl<'k, const D: usize> GirgHopKernel<'k, D> {
+    /// The same kernel, pruning its hop scans with `bounds` (built over the
+    /// kernel's own lanes).
+    pub(crate) fn with_bounds(self, bounds: Option<&'k PhiBounds<D>>) -> Self {
+        GirgHopKernel { bounds, ..self }
+    }
+
     /// φ without the `v == target` short-circuit; the same [`phi_chain`]
     /// as [`GirgObjective::phi`], so results agree bitwise.
     #[inline]
@@ -590,6 +833,48 @@ impl<const D: usize> ScoreKernel for GirgHopKernel<'_, D> {
             let s = self.phi(v);
             *o = if v == self.target { f64::INFINITY } else { s };
         }
+    }
+
+    /// Branch-and-bound over the sorted slice: a superblock or block run
+    /// whose [`PhiBounds`] bound is `≤ max(floor, incumbent)` is skipped
+    /// whole (one `partition_point`), every other run is scored and folded
+    /// in order, so the first-best is the full fold's (see [`PhiBounds`]).
+    fn best_above(&self, ns: &[NodeId], floor: f64) -> Option<(f64, NodeId)> {
+        let Some(bounds) = self.bounds else {
+            return first_best_by_blocks(ns, |chunk, out| self.score_block(chunk, out));
+        };
+        let (block_ids, super_ids) = (PhiBounds::<D>::BLOCK_IDS, PhiBounds::<D>::SUPERBLOCK_IDS);
+        let mut best: Option<(f64, NodeId)> = None;
+        let mut scores = [0.0; BLOCK_WIDTH];
+        let mut checked_super = usize::MAX;
+        let mut i = 0;
+        while i < ns.len() {
+            let bar = best.map_or(floor, |(b, _)| b.max(floor));
+            let id = ns[i].index();
+            let sup = id / super_ids;
+            if sup != checked_super {
+                checked_super = sup;
+                if bounds.superblock_bound(sup, &self.target_pos, self.norm) <= bar {
+                    // distinct sorted ids: a superblock's run is at most
+                    // `super_ids` long
+                    let window = &ns[i..ns.len().min(i + super_ids)];
+                    i += window.partition_point(|v| v.index() / super_ids == sup);
+                    continue;
+                }
+            }
+            let blk = id / block_ids;
+            let window = &ns[i..ns.len().min(i + block_ids)];
+            let run = &window[..window.partition_point(|v| v.index() / block_ids == blk)];
+            i += run.len();
+            if bounds.block_bound(blk, &self.target_pos, self.norm) <= bar {
+                continue;
+            }
+            for chunk in run.chunks(scores.len()) {
+                self.score_block(chunk, &mut scores);
+                fold_first_best(&mut best, &scores[..chunk.len()], chunk);
+            }
+        }
+        best
     }
 }
 

@@ -1,20 +1,25 @@
-//! The φ objective under the name the store-path benchmark adapter uses.
+//! The store-path φ objective: [`GirgObjective`] over flat lanes plus the
+//! [`PhiBounds`] that prune its hop scans.
 //!
 //! The on-disk store (`smallworld-store`) keeps vertex positions as one flat
 //! little-endian `f64` array of length `n · d` and weights as a plain `f64`
-//! array — the natural zero-copy view of a memory-mapped file.
-//! [`GirgObjective::from_lanes`] borrows those sections directly, so
-//! [`PackedGirgObjective`] is only a name: a newtype over
-//! [`GirgObjective`] whose kernel is [`GirgHopKernel`]. New code should
-//! call [`GirgObjective::from_lanes`].
+//! array — the natural zero-copy view of a memory-mapped file — with ids in
+//! Morton order. [`PackedGirgObjective::new`] borrows those sections through
+//! [`GirgObjective::from_lanes`] and builds the per-id-block φ upper bounds
+//! in one O(n) pass (or none, when the ids are not spatially ordered), so
+//! the kernels it hands out skip hub-neighbor runs that cannot beat the
+//! current vertex. Scores and routes are bitwise those of [`GirgObjective`];
+//! the bounds live in memory only, so the `.swg` format is unchanged.
 
 use smallworld_graph::NodeId;
 
-use crate::objective::{GirgHopKernel, GirgObjective, Objective};
+use crate::objective::{GirgHopKernel, GirgObjective, Objective, PhiBounds};
 
 /// [`GirgObjective`] over a mapped `.swg` store's packed position and
-/// weight sections: a flat `f64` position array (`n · d` entries,
-/// vertex-major) and a weight array.
+/// weight sections — a flat `f64` position array (`n · d` entries,
+/// vertex-major) and a weight array — with [`PhiBounds`] over its id
+/// blocks, so [`GreedyRouter::route_view`](crate::GreedyRouter::route_view)
+/// prunes hub scans.
 ///
 /// # Examples
 ///
@@ -28,25 +33,39 @@ use crate::objective::{GirgHopKernel, GirgObjective, Objective};
 /// let obj = PackedGirgObjective::<2>::new(&positions, &weights, 2.0);
 /// assert!(obj.score(NodeId::new(1), NodeId::new(1)).is_infinite());
 /// assert!(obj.score(NodeId::new(0), NodeId::new(1)) > 0.0);
+/// // too few vertices for a full id block: no bounds, plain scans
+/// assert!(obj.bounds().is_none());
 /// ```
-#[derive(Clone, Copy, Debug)]
-pub struct PackedGirgObjective<'a, const D: usize>(GirgObjective<'a, D>);
+#[derive(Clone, Debug)]
+pub struct PackedGirgObjective<'a, const D: usize> {
+    objective: GirgObjective<'a, D>,
+    bounds: Option<PhiBounds<D>>,
+}
 
 impl<'a, const D: usize> PackedGirgObjective<'a, D> {
-    /// [`GirgObjective::from_lanes`] under this name.
+    /// [`GirgObjective::from_lanes`] plus [`PhiBounds::new`] over the same
+    /// lanes.
     ///
     /// # Panics
     ///
     /// Panics if `positions.len() != weights.len() * D` or the
     /// normalization is not positive.
     pub fn new(positions: &'a [f64], weights: &'a [f64], wmin_times_n: f64) -> Self {
-        PackedGirgObjective(GirgObjective::from_lanes(positions, weights, wmin_times_n))
+        PackedGirgObjective {
+            objective: GirgObjective::from_lanes(positions, weights, wmin_times_n),
+            bounds: PhiBounds::new(positions, weights),
+        }
+    }
+
+    /// The hop-scan bounds, or `None` when the guard declined to build them.
+    pub fn bounds(&self) -> Option<&PhiBounds<D>> {
+        self.bounds.as_ref()
     }
 }
 
 impl<const D: usize> Objective for PackedGirgObjective<'_, D> {
     fn score(&self, v: NodeId, target: NodeId) -> f64 {
-        self.0.score(v, target)
+        self.objective.score(v, target)
     }
 
     type Kernel<'k>
@@ -55,7 +74,9 @@ impl<const D: usize> Objective for PackedGirgObjective<'_, D> {
         Self: 'k;
 
     fn prepare(&self, target: NodeId) -> Self::Kernel<'_> {
-        self.0.prepare(target)
+        self.objective
+            .prepare(target)
+            .with_bounds(self.bounds.as_ref())
     }
 }
 
@@ -122,6 +143,35 @@ mod tests {
         check_against_point_chain::<1>(3);
         check_against_point_chain::<2>(11);
         check_against_point_chain::<3>(5);
+    }
+
+    /// The guard decides from the data: bounds over Morton-sorted lanes,
+    /// none over the same vertices in sampling (random) order, and none
+    /// for lanes outside the soundness argument.
+    #[test]
+    fn guard_builds_no_bounds_for_shuffled_ids() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(8);
+        let shuffled: Vec<Point<2>> = (0..5_000)
+            .map(|_| Point::new([rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)]))
+            .collect();
+        let weights: Vec<f64> = (0..5_000).map(|_| rng.gen_range(1.0..10.0)).collect();
+        let mut sorted = shuffled.clone();
+        sorted.sort_by_key(smallworld_geometry::morton::point_code);
+        let bounded = |points: &[Point<2>], weights: &[f64]| {
+            PackedGirgObjective::<2>::new(Point::flatten(points), weights, 1.0)
+                .bounds()
+                .is_some()
+        };
+        assert!(bounded(&sorted, &weights));
+        assert!(!bounded(&shuffled, &weights));
+
+        let mut negative = weights.clone();
+        negative[4_321] = -1.0;
+        assert!(!bounded(&sorted, &negative));
+        let mut nan = weights;
+        nan[7] = f64::NAN;
+        assert!(!bounded(&sorted, &nan));
     }
 
     #[test]

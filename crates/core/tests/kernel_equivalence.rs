@@ -16,10 +16,12 @@ use rand::{Rng, SeedableRng};
 use smallworld_core::block::{girg_phi_block, BLOCK_WIDTH};
 use smallworld_core::{
     DistanceObjective, GirgObjective, GravityPressureRouter, GreedyRouter, HistoryRouter,
-    HyperbolicObjective, IndexedGirgObjective, KleinbergObjective, LookaheadRouter,
-    NaiveObjective, Objective, PhiDfsRouter, Router, RouterKind, RoutingIndex,
+    HyperbolicObjective, IndexedGirgObjective, KleinbergObjective, LookaheadRouter, NaiveObjective,
+    Objective, PackedGirgObjective, PhiBounds, PhiDfsRouter, Router, RouterKind, RoutingIndex,
+    ScoreKernel,
 };
 use smallworld_geometry::Point;
+use smallworld_graph::view::first_best_by_blocks;
 use smallworld_graph::{Graph, NodeId};
 use smallworld_models::girg::GirgBuilder;
 use smallworld_models::{HrgBuilder, KleinbergLattice};
@@ -232,4 +234,262 @@ proptest! {
             }
         }
     }
+}
+
+/// Vertices in the synthetic bounded-scan lanes: five superblocks, so
+/// superblock skips fire.
+const LANE_VERTICES: usize = 20_000;
+
+/// Synthetic store-like lanes: [`LANE_VERTICES`] uniform points in Morton
+/// order with Pareto(β = 2.5) weights, plus the seam corners — all-`0.0`,
+/// all-`1.0f64.next_down()` and a mixed point — which sort to the first,
+/// last and some middle id. Returns the flat positions and the weights.
+///
+/// With `f32_exact`, coordinates and weights apart from the corners are
+/// `f32` values, so the stored boxes are exact and a bound can equal a
+/// member's φ: a bound off by one ulp fails [`check_bounds_dominate`].
+/// Without it they are arbitrary `f64`s, which the boxes round outward.
+fn morton_lanes<const D: usize>(rng: &mut StdRng, f32_exact: bool) -> (Vec<f64>, Vec<f64>) {
+    let below_one = 1.0f64.next_down();
+    let grid = f64::from(1u32 << 24);
+    let snap = |x: f64| {
+        if f32_exact {
+            (x * grid).floor() / grid
+        } else {
+            x
+        }
+    };
+    let mut vertices: Vec<(Point<D>, f64)> = (0..LANE_VERTICES - 3)
+        .map(|_| {
+            let p = Point::new(std::array::from_fn(|_| snap(rng.gen_range(0.0..1.0))));
+            let w = (1.0 - rng.gen_range(0.0..1.0f64)).powf(-1.0 / 1.5);
+            (p, if f32_exact { f64::from(w as f32) } else { w })
+        })
+        .collect();
+    let mixed = std::array::from_fn(|k| if k % 2 == 0 { 0.0 } else { below_one });
+    vertices.push((Point::new([0.0; D]), 3.0));
+    vertices.push((Point::new([below_one; D]), 3.0));
+    vertices.push((Point::new(mixed), 3.0));
+    // a 2^10-per-side Morton key (`morton::point_code` needs D >= 2)
+    let side = 1u32 << 10;
+    vertices.sort_by_key(|(p, _)| {
+        let cell =
+            std::array::from_fn(|k| ((p.coords()[k] * f64::from(side)) as u32).min(side - 1));
+        smallworld_geometry::morton::encode::<D>(cell, 10)
+    });
+    assert_eq!(vertices.last().unwrap().0.coords(), &[below_one; D]);
+    let positions = vertices.iter().flat_map(|(p, _)| *p.coords()).collect();
+    let weights = vertices.iter().map(|&(_, w)| w).collect();
+    (positions, weights)
+}
+
+/// Targets for the bound checks: both seam corners, the mixed corner, and
+/// random vertices.
+fn lane_targets(positions: &[f64], rng: &mut StdRng, d: usize) -> Vec<NodeId> {
+    let n = positions.len() / d;
+    let mixed = (0..n)
+        .find(|&v| {
+            (0..d)
+                .all(|k| positions[v * d + k] == if k % 2 == 0 { 0.0 } else { 1.0f64.next_down() })
+        })
+        .expect("mixed corner planted");
+    let mut targets = vec![0, n - 1, mixed];
+    targets.extend((0..5).map(|_| rng.gen_range(0..n)));
+    targets.into_iter().map(|t| NodeId::new(t as u32)).collect()
+}
+
+/// Every block and superblock bound is `>=` the φ of each of its members,
+/// compared as floats with no margin, and `+∞` for the range holding the
+/// target.
+fn check_bounds_dominate<const D: usize>(seed: u64, f32_exact: bool) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (positions, weights) = morton_lanes::<D>(&mut rng, f32_exact);
+    let norm = 1.0 * LANE_VERTICES as f64;
+    let bounds = PhiBounds::<D>::new(&positions, &weights).expect("Morton lanes get bounds");
+    let objective = GirgObjective::<D>::from_lanes(&positions, &weights, norm);
+    let n = weights.len();
+    for t in lane_targets(&positions, &mut rng, D) {
+        let target: [f64; D] = std::array::from_fn(|k| positions[t.index() * D + k]);
+        for (ids, bound) in [
+            (
+                PhiBounds::<D>::BLOCK_IDS,
+                PhiBounds::<D>::block_bound as fn(&PhiBounds<D>, usize, &[f64; D], f64) -> f64,
+            ),
+            (
+                PhiBounds::<D>::SUPERBLOCK_IDS,
+                PhiBounds::<D>::superblock_bound,
+            ),
+        ] {
+            for range in 0..n.div_ceil(ids) {
+                let b = bound(&bounds, range, &target, norm);
+                for v in range * ids..n.min((range + 1) * ids) {
+                    let phi = objective.phi(NodeId::new(v as u32), t);
+                    assert!(
+                        b >= phi,
+                        "D={D} t={t:?} range {range}/{ids}: bound {b} < φ(v{v}) {phi}"
+                    );
+                }
+                if range == t.index() / ids {
+                    assert_eq!(
+                        b,
+                        f64::INFINITY,
+                        "D={D}: the target's own range is unbounded"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn phi_bounds_dominate_every_member_bitwise() {
+    for f32_exact in [true, false] {
+        check_bounds_dominate::<1>(61, f32_exact);
+        check_bounds_dominate::<2>(62, f32_exact);
+        check_bounds_dominate::<3>(63, f32_exact);
+    }
+}
+
+/// Sorted neighbor-like id slices over `0..n`: the whole range (a hub
+/// adjacent to everything), dense and sparse random subsets, and short
+/// lists around one id.
+fn id_slices(n: usize, rng: &mut StdRng) -> Vec<Vec<NodeId>> {
+    let mut slices = vec![(0..n).collect::<Vec<_>>()];
+    for p in [0.5, 0.05, 0.002] {
+        slices.push((0..n).filter(|_| rng.gen_bool(p)).collect());
+    }
+    for _ in 0..4 {
+        let centre = rng.gen_range(0..n);
+        let lo = centre.saturating_sub(300);
+        slices.push(
+            (lo..n.min(centre + 300))
+                .filter(|_| rng.gen_bool(0.1))
+                .collect(),
+        );
+    }
+    slices
+        .into_iter()
+        .map(|s| s.into_iter().map(|v| NodeId::new(v as u32)).collect())
+        .collect()
+}
+
+/// `best_above` against the full first-best fold for floors `−∞`,
+/// mid-range (the slice's median score) and above every finite score:
+/// equal whenever the fold's score beats the floor, never beating the
+/// floor otherwise. Also checks that some superblock bound falls to the
+/// fold's score, i.e. that superblock skips fire on these inputs.
+fn check_best_above<const D: usize>(seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (positions, weights) = morton_lanes::<D>(&mut rng, false);
+    let norm = LANE_VERTICES as f64;
+    let objective = PackedGirgObjective::<D>::new(&positions, &weights, norm);
+    let bounds = objective.bounds().expect("Morton lanes get bounds");
+    let superblocks = LANE_VERTICES.div_ceil(PhiBounds::<D>::SUPERBLOCK_IDS);
+    let slices = id_slices(LANE_VERTICES, &mut rng);
+    let mut skippable = 0;
+    for t in lane_targets(&positions, &mut rng, D) {
+        let target: [f64; D] = std::array::from_fn(|k| positions[t.index() * D + k]);
+        let kernel = objective.prepare(t);
+        for ns in &slices {
+            let full = first_best_by_blocks(ns, |chunk, out| kernel.score_block(chunk, out));
+            let mut scores: Vec<f64> = ns.iter().map(|&v| kernel.score(v)).collect();
+            scores.sort_by(f64::total_cmp);
+            let mid = scores.get(scores.len() / 2).copied().unwrap_or(0.0);
+            let top = scores
+                .iter()
+                .rev()
+                .find(|s| s.is_finite())
+                .map_or(1.0, |s| s * 2.0);
+            for floor in [f64::NEG_INFINITY, mid, top] {
+                let got = kernel.best_above(ns, floor);
+                match full {
+                    Some((s, v)) if s > floor => {
+                        let (gs, gv) = got.expect("a neighbor beats the floor");
+                        assert_eq!(
+                            (gs.to_bits(), gv),
+                            (s.to_bits(), v),
+                            "D={D} t={t:?} floor {floor}"
+                        );
+                    }
+                    _ => assert!(
+                        got.is_none_or(|(s, _)| s.is_nan() || s <= floor),
+                        "D={D} t={t:?} floor {floor}: {got:?} beats the floor, the fold does not"
+                    ),
+                }
+            }
+            if let Some((s, _)) = full {
+                skippable += (0..superblocks)
+                    .filter(|&sb| bounds.superblock_bound(sb, &target, norm) <= s)
+                    .count();
+            }
+        }
+    }
+    assert!(skippable > 0, "D={D}: no superblock skip fired");
+}
+
+#[test]
+fn best_above_matches_first_best_fold() {
+    check_best_above::<1>(71);
+    check_best_above::<2>(72);
+    check_best_above::<3>(73);
+}
+
+/// Two vertices with bitwise-equal φ in different id blocks (and
+/// superblocks): the first one in slice order wins, whatever the floor.
+fn check_equal_phi_twins<const D: usize>(seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (mut positions, mut weights) = morton_lanes::<D>(&mut rng, false);
+    let norm = LANE_VERTICES as f64;
+    let t = NodeId::new(rng.gen_range(0..LANE_VERTICES as u32));
+    let twins = [LANE_VERTICES / 3, 2 * LANE_VERTICES / 3];
+    let twin_pos: [f64; D] = std::array::from_fn(|k| {
+        let c = positions[t.index() * D + k] + 0.01;
+        if c >= 1.0 {
+            c - 1.0
+        } else {
+            c
+        }
+    });
+    for twin in twins {
+        positions[twin * D..(twin + 1) * D].copy_from_slice(&twin_pos);
+        weights[twin] = 1e9;
+    }
+    let objective = PackedGirgObjective::<D>::new(&positions, &weights, norm);
+    assert!(
+        objective.bounds().is_some(),
+        "D={D}: twins must not break the guard"
+    );
+    let kernel = objective.prepare(t);
+    let (a, b) = (NodeId::new(twins[0] as u32), NodeId::new(twins[1] as u32));
+    assert_eq!(kernel.score(a).to_bits(), kernel.score(b).to_bits());
+    assert_ne!(
+        twins[0] / PhiBounds::<D>::SUPERBLOCK_IDS,
+        twins[1] / PhiBounds::<D>::SUPERBLOCK_IDS
+    );
+    let ns: Vec<NodeId> = (0..LANE_VERTICES as u32)
+        .filter(|&v| {
+            v != t.raw() && (v % 7 == 0 || v as usize == twins[0] || v as usize == twins[1])
+        })
+        .map(NodeId::new)
+        .collect();
+    let full = first_best_by_blocks(&ns, |chunk, out| kernel.score_block(chunk, out));
+    assert_eq!(
+        full.map(|(_, v)| v),
+        Some(a),
+        "D={D}: the twins must be the best"
+    );
+    for floor in [f64::NEG_INFINITY, 0.0, kernel.score(a).next_down()] {
+        assert_eq!(
+            kernel.best_above(&ns, floor).map(|(_, v)| v),
+            Some(a),
+            "D={D} floor {floor}"
+        );
+    }
+}
+
+#[test]
+fn equal_phi_twins_keep_first_best_order() {
+    check_equal_phi_twins::<1>(81);
+    check_equal_phi_twins::<2>(82);
+    check_equal_phi_twins::<3>(83);
 }

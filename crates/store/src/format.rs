@@ -420,7 +420,9 @@ struct SectionEntry {
 /// [`GraphStore::load_girg`] reassembles the full [`Girg`], and the
 /// `packed_*` accessors expose the geometry sections without materializing
 /// `Point` vectors — the zero-copy path for kernels that score straight off
-/// the store (`smallworld_core::GirgObjective::from_lanes`).
+/// the store (`smallworld_core::PackedGirgObjective`, which also builds the
+/// in-memory id-block φ bounds that prune hub scans; nothing extra is
+/// stored).
 #[derive(Debug)]
 pub struct GraphStore {
     mapping: Mapping,

@@ -116,16 +116,15 @@ fn mapped_decode_handles_degenerate_graphs() {
     check_mapped_decode_matches("complete", 8, &complete);
 }
 
-#[test]
-fn mapped_routes_are_bitwise_identical() {
-    let mut rng = StdRng::seed_from_u64(99);
-    let girg: Girg<2> = GirgBuilder::new(2_000).sample(&mut rng).unwrap();
-    let girg = girg.relabel(&girg.morton_permutation());
+/// Routes 300 pairs over `girg`'s mapped store and demands each record
+/// equal the in-memory `GreedyRouter`'s; `bounded` says whether the
+/// store-path objective prunes with id-block bounds on this input.
+fn check_mapped_routes(tag: &str, girg: &Girg<2>, bounded: bool) {
     let pairs = trial_pairs(girg.node_count(), 300);
 
     let reference: Vec<RouteRecord> = {
         let router = GreedyRouter::new();
-        let objective = GirgObjective::new(&girg);
+        let objective = GirgObjective::new(girg);
         pairs
             .iter()
             .map(|&(s, t)| router.route_quiet(girg.graph(), &objective, s, t))
@@ -137,8 +136,8 @@ fn mapped_routes_are_bitwise_identical() {
         .count();
     assert!(delivered > 0, "trial set must contain delivered routes");
 
-    let path = temp_path("routes");
-    smallworld_store::save_girg(&girg, &path, 1).unwrap();
+    let path = temp_path(tag);
+    smallworld_store::save_girg(girg, &path, 1).unwrap();
     let store = GraphStore::open(&path).unwrap();
     let mapped = store.mapped_graph().unwrap();
     let positions = store.packed_positions().unwrap();
@@ -146,6 +145,7 @@ fn mapped_routes_are_bitwise_identical() {
     let (params, _) = store.params().unwrap();
     let packed =
         PackedGirgObjective::<2>::new(&positions, &weights, params.wmin * params.intensity);
+    assert_eq!(packed.bounds().is_some(), bounded, "{tag}: bounds guard");
     let router = ViewRouter::new();
 
     // decode-free over the LRU cursor and — pinning the view router itself
@@ -156,10 +156,23 @@ fn mapped_routes_are_bitwise_identical() {
         let kernel = packed.prepare(t);
         let via_lazy = router.route_view_quiet(&mut lazy, &kernel, s);
         let via_decoded = router.route_view_quiet(&mut decoded_view, &kernel, s);
-        assert_eq!(via_lazy, reference[i], "lazy cursor, pair {i}");
-        assert_eq!(via_decoded, reference[i], "decoded view, pair {i}");
+        assert_eq!(via_lazy, reference[i], "{tag}: lazy cursor, pair {i}");
+        assert_eq!(via_decoded, reference[i], "{tag}: decoded view, pair {i}");
     }
     std::fs::remove_file(&path).ok();
+}
+
+/// Over a Morton-relabeled store the hop scans prune through id-block
+/// bounds; over the as-sampled store (ids in sampling order) the guard
+/// builds none and every neighbor is scored. Both route bitwise like the
+/// in-memory router.
+#[test]
+fn mapped_routes_are_bitwise_identical() {
+    let mut rng = StdRng::seed_from_u64(99);
+    let sampled: Girg<2> = GirgBuilder::new(2_000).sample(&mut rng).unwrap();
+    let relabeled = sampled.relabel(&sampled.morton_permutation());
+    check_mapped_routes("routes", &relabeled, true);
+    check_mapped_routes("routes-as-sampled", &sampled, false);
 }
 
 #[test]
