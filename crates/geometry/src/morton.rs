@@ -15,9 +15,15 @@
 use crate::point::Point;
 
 /// Maximum grid refinement level such that `D * level` bits fit into `u64`
-/// for the given dimension.
+/// for the given dimension and every cell coordinate fits into a `u32`
+/// (which caps d = 1 at level 32).
 pub const fn max_level(dim: usize) -> u32 {
-    (63 / dim) as u32
+    let level = 63 / dim;
+    if level < 32 {
+        level as u32
+    } else {
+        32
+    }
 }
 
 /// The Morton code of the finest grid cell containing `point`, at
@@ -152,7 +158,7 @@ mod tests {
 
     #[test]
     fn max_level_fits() {
-        assert_eq!(max_level(1), 63);
+        assert_eq!(max_level(1), 32);
         assert_eq!(max_level(2), 31);
         assert_eq!(max_level(3), 21);
     }
@@ -187,6 +193,16 @@ mod tests {
             level,
         );
         assert_eq!(point_code(&p), expected);
+    }
+
+    #[test]
+    fn point_code_is_monotone_in_x_for_d1() {
+        // d = 1 codes are the cell index itself, so they must sort like x
+        let xs = [0.0, 1e-12, 0.1, 0.25, 0.5, 0.9, 1.0f64.next_down()];
+        let codes: Vec<u64> = xs.iter().map(|&x| point_code(&Point::new([x]))).collect();
+        assert!(codes.windows(2).all(|w| w[0] <= w[1]), "{codes:?}");
+        assert!(codes[2] < codes[3] && codes[5] < codes[6], "{codes:?}");
+        assert_eq!(point_code(&Point::new([0.5])), 1u64 << 31);
     }
 
     proptest! {

@@ -18,9 +18,12 @@
 //! ```
 //!
 //! All integers are little-endian. Every section payload carries its own
-//! CRC32, verified when the file is opened. Payloads start on page
-//! boundaries so that, under `mmap`, fixed-width sections (OFFSETS, POS,
-//! WEIGHT) are naturally aligned for direct `&[u64]`/`&[f64]` views.
+//! CRC32 (IEEE, reflected, zlib-compatible), verified when the file is
+//! opened, so opening reads every byte once. The checksum runs at memory
+//! speed: a carry-less-multiply fold on x86_64 CPUs with PCLMULQDQ, a
+//! slicing-by-16 table kernel elsewhere (see `crc.rs`). Payloads start on
+//! page boundaries so that, under `mmap`, fixed-width sections (OFFSETS,
+//! POS, WEIGHT) are naturally aligned for direct `&[u64]`/`&[f64]` views.
 //!
 //! Sections:
 //!
@@ -43,6 +46,7 @@ use smallworld_graph::Graph;
 use smallworld_models::girg::{Girg, GirgParams};
 use smallworld_models::Alpha;
 
+use crate::crc::{crc32, Crc32};
 use crate::csr::CompressedCsr;
 use crate::mmap::{map_readonly, Mapping};
 use crate::shard::ShardedStore;
@@ -93,54 +97,6 @@ impl SectionId {
             SectionId::Shards => "SHARDS",
         }
     }
-}
-
-/// CRC32 (IEEE 802.3, reflected) lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
-
-/// CRC32 of `bytes` (IEEE polynomial, as in gzip/zlib).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    crc32_update(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF
-}
-
-/// Incremental CRC32 for producers that stream a payload to disk: start
-/// from [`Crc32::new`], feed chunks, take [`Crc32::finish`].
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Crc32(u32);
-
-impl Crc32 {
-    pub(crate) fn new() -> Crc32 {
-        Crc32(0xFFFF_FFFF)
-    }
-
-    pub(crate) fn update(&mut self, bytes: &[u8]) {
-        self.0 = crc32_update(self.0, bytes);
-    }
-
-    pub(crate) fn finish(self) -> u32 {
-        self.0 ^ 0xFFFF_FFFF
-    }
-}
-
-fn crc32_update(mut state: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        state = (state >> 8) ^ CRC_TABLE[((state ^ b as u32) & 0xFF) as usize];
-    }
-    state
 }
 
 /// Statistics reported by the write path, feeding `bench_store`.
@@ -227,9 +183,10 @@ pub(crate) fn write_sections(
     header.extend_from_slice(&node_count.to_le_bytes());
     header.extend_from_slice(&target_count.to_le_bytes());
     header.extend_from_slice(&(sections.len() as u32).to_le_bytes());
-    let mut crc_state = crc32_update(0xFFFF_FFFF, &header);
-    crc_state = crc32_update(crc_state, &table);
-    header.extend_from_slice(&(crc_state ^ 0xFFFF_FFFF).to_le_bytes());
+    let mut crc = Crc32::new();
+    crc.update(&header);
+    crc.update(&table);
+    header.extend_from_slice(&crc.finish().to_le_bytes());
     header.resize(HEADER_LEN, 0);
 
     let file = File::create(path)?;
@@ -496,9 +453,10 @@ impl GraphStore {
         if bytes.len() < table_end {
             return Err(StoreError::Truncated { what: "section table" });
         }
-        let mut crc_state = crc32_update(0xFFFF_FFFF, &bytes[..44]);
-        crc_state = crc32_update(crc_state, &bytes[HEADER_LEN..table_end]);
-        if crc_state ^ 0xFFFF_FFFF != stored_crc {
+        let mut crc = Crc32::new();
+        crc.update(&bytes[..44]);
+        crc.update(&bytes[HEADER_LEN..table_end]);
+        if crc.finish() != stored_crc {
             return Err(StoreError::ChecksumMismatch { section: "header" });
         }
 

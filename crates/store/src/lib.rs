@@ -27,6 +27,7 @@
 //! legacy text format of `smallworld-models::io` under the single
 //! [`StoreError`] type.
 
+mod crc;
 mod csr;
 mod error;
 mod format;
@@ -42,11 +43,12 @@ use std::path::Path;
 
 use smallworld_models::girg::Girg;
 
+pub use crate::crc::crc32;
 pub use crate::csr::CompressedCsr;
 pub use crate::error::StoreError;
 pub use crate::format::{
-    crc32, write_girg_swg, write_graph_swg, GraphStore, SectionId, WriteStats, FLAG_GEOMETRY,
-    FLAG_SHARDS, MAGIC, VERSION,
+    write_girg_swg, write_graph_swg, GraphStore, SectionId, WriteStats, FLAG_GEOMETRY, FLAG_SHARDS,
+    MAGIC, VERSION,
 };
 pub use crate::mapped::{MappedCursor, MappedGraph};
 pub use crate::mmap::{map_readonly, Mapping};

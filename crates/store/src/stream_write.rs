@@ -14,28 +14,37 @@
 //! for the same (Morton-relabeled) sample; `tests/` pin this by hashing
 //! whole files.
 //!
-//! Peak memory is one vertex's neighbor list plus the offsets index —
-//! `O(n)` — regardless of the edge count.
+//! Encoded lists are batched and written (and checksummed) about 64 KiB at
+//! a time, so the CRC runs on long slices. Peak memory is one vertex's
+//! neighbor list, one batch and the offsets index — `O(n)` — regardless of
+//! the edge count.
 
 use std::fs::File;
-use std::io::{BufWriter, Write};
+use std::io::Write;
 use std::path::Path;
 
 use smallworld_models::girg::StreamedGirg;
 
+use crate::crc::Crc32;
 use crate::format::{
-    meta_section_bytes, offsets_section_bytes, pos_section_bytes, weight_section_bytes, Crc32,
+    meta_section_bytes, offsets_section_bytes, pos_section_bytes, weight_section_bytes,
     SectionSource,
 };
 use crate::{varint, SectionId, StoreError, WriteStats, FLAG_GEOMETRY};
 
+/// Staged NBR bytes are written and checksummed in batches of about this
+/// many bytes: one vertex's list (~100 B) is too short for the CRC fold.
+const FLUSH_BYTES: usize = 1 << 16;
+
 /// Accumulates the NBR section in a staged spill file: per-vertex varint
 /// streams, a running offsets index, and the payload CRC32.
 struct NbrStager {
-    writer: BufWriter<File>,
+    file: File,
     crc: Crc32,
     offsets: Vec<u64>,
+    /// Bytes already written to `file`.
     written: u64,
+    /// Encoded lists not yet written.
     encode_buf: Vec<u8>,
 }
 
@@ -44,7 +53,7 @@ impl NbrStager {
         let mut offsets = Vec::with_capacity(node_count + 1);
         offsets.push(0);
         Ok(NbrStager {
-            writer: BufWriter::new(File::create(path)?),
+            file: File::create(path)?,
             crc: Crc32::new(),
             offsets,
             written: 0,
@@ -54,17 +63,26 @@ impl NbrStager {
 
     /// Appends one vertex's sorted neighbor list (possibly empty).
     fn push_vertex(&mut self, targets: &[u32]) -> Result<(), StoreError> {
-        self.encode_buf.clear();
         varint::encode_sorted(targets, &mut self.encode_buf);
-        self.writer.write_all(&self.encode_buf)?;
+        let end = self.written + self.encode_buf.len() as u64;
+        self.offsets.push(end);
+        if self.encode_buf.len() >= FLUSH_BYTES {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    /// Writes and checksums the batched encodings.
+    fn flush(&mut self) -> Result<(), StoreError> {
+        self.file.write_all(&self.encode_buf)?;
         self.crc.update(&self.encode_buf);
         self.written += self.encode_buf.len() as u64;
-        self.offsets.push(self.written);
+        self.encode_buf.clear();
         Ok(())
     }
 
     fn finish(mut self) -> Result<(Vec<u64>, u64, u32), StoreError> {
-        self.writer.flush()?;
+        self.flush()?;
         Ok((self.offsets, self.written, self.crc.finish()))
     }
 }
