@@ -10,11 +10,14 @@
 //! [`route_sharded`] routes across a partitioned store through that same
 //! loop: each shard exposes its local adjacency as a view plus a
 //! boundary-edge table, and a private sharded view merges local and
-//! boundary neighbors in global id order — exactly the merge the store's
-//! `assemble` performs — so the sharded route is bitwise the global route,
-//! while only touching the shards the packet actually crosses. A *handoff*
-//! is counted whenever a hop of the route leaves the current shard.
+//! boundary neighbors in global id order through
+//! `smallworld_graph::view::merge_shard_neighbors` — the one merge the
+//! store's `ShardedStore::assemble` also calls — so the sharded route is
+//! bitwise the global route, while only touching the shards the packet
+//! actually crosses. A *handoff* is counted whenever a hop of the route
+//! leaves the current shard.
 
+use smallworld_graph::view::merge_shard_neighbors;
 use smallworld_graph::{AdjacencyView, NodeId};
 
 use crate::greedy::{GreedyRouter, RouteRecord};
@@ -68,9 +71,9 @@ fn owner<V>(shards: &[ShardSlice<'_, V>], g: u32) -> usize {
 }
 
 /// The global adjacency of a shard partition: global vertex `g`'s
-/// neighbors are its owner shard's local neighbors (offset to global ids)
-/// merged with the boundary targets in ascending global order, assembled
-/// in a reused buffer.
+/// neighbors are its owner shard's local neighbors merged with its
+/// boundary targets ([`merge_shard_neighbors`]), assembled in a reused
+/// buffer.
 struct ShardedView<'s, 'a, V> {
     shards: &'s mut [ShardSlice<'a, V>],
     merged: Vec<NodeId>,
@@ -84,24 +87,10 @@ impl<V: AdjacencyView> AdjacencyView for ShardedView<'_, '_, V> {
     fn with_neighbors<R>(&mut self, v: NodeId, f: impl FnOnce(&[NodeId]) -> R) -> R {
         let shard = &mut self.shards[owner(self.shards, v.raw())];
         let (start, l, table) = (shard.start, v.raw() - shard.start, shard.boundary);
-        let from = table.partition_point(|&(src, _)| src < l);
-        let to = table.partition_point(|&(src, _)| src <= l);
-        let boundary = &table[from..to];
         let merged = &mut self.merged;
         merged.clear();
         shard.local.with_neighbors(NodeId::new(l), |ns| {
-            merged.reserve(ns.len() + boundary.len());
-            let mut j = 0;
-            for &u in ns {
-                let g = u.raw() + start;
-                // a boundary target is never a local id, so < is exact
-                while j < boundary.len() && boundary[j].1 < g {
-                    merged.push(NodeId::new(boundary[j].1));
-                    j += 1;
-                }
-                merged.push(NodeId::new(g));
-            }
-            merged.extend(boundary[j..].iter().map(|&(_, t)| NodeId::new(t)));
+            merge_shard_neighbors(ns.iter().map(|u| u.raw()), start, l, table, merged);
         });
         f(merged)
     }

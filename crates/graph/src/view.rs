@@ -14,7 +14,9 @@
 //!
 //! The tie order that makes routes comparable across substrates lives here
 //! too: [`fold_first_best`] and [`first_best_by_blocks`] are the one greedy
-//! argmax every router, forwarding policy and node program folds through.
+//! argmax every router, forwarding policy and node program folds through,
+//! and [`merge_shard_neighbors`] is the one rule that gives a shard
+//! partition's vertices their global neighbor order.
 
 use crate::csr::{Graph, NodeId};
 
@@ -101,6 +103,42 @@ pub fn first_best_by_blocks(
         fold_first_best(&mut best, &scores[..chunk.len()], chunk);
     }
     best
+}
+
+/// Appends the global neighbor list of a shard's local vertex `l` to
+/// `out`, in ascending global id order.
+///
+/// The shard owns the contiguous ids `start..`; `local` is `l`'s sorted
+/// shard-local neighbor list (local ids, so `start` is added), and `table`
+/// is the shard's boundary table of `(local source, global target)` rows,
+/// sorted, every target outside the shard. `l`'s rows are merged with its
+/// local neighbors, so the result is exactly `l`'s list in the unsharded
+/// graph — the order the store's shard assembly and sharded routing both
+/// rely on. Callers must keep every local id below the shard's length, so
+/// that adding `start` cannot overflow.
+pub fn merge_shard_neighbors(
+    local: impl IntoIterator<Item = u32>,
+    start: u32,
+    l: u32,
+    table: &[(u32, u32)],
+    out: &mut Vec<NodeId>,
+) {
+    let from = table.partition_point(|&(src, _)| src < l);
+    let to = table.partition_point(|&(src, _)| src <= l);
+    let boundary = &table[from..to];
+    let local = local.into_iter();
+    out.reserve(local.size_hint().0 + boundary.len());
+    let mut j = 0;
+    for u in local {
+        let g = u + start;
+        // a boundary target is never a local id, so < is exact
+        while j < boundary.len() && boundary[j].1 < g {
+            out.push(NodeId::new(boundary[j].1));
+            j += 1;
+        }
+        out.push(NodeId::new(g));
+    }
+    out.extend(boundary[j..].iter().map(|&(_, t)| NodeId::new(t)));
 }
 
 #[cfg(test)]

@@ -48,6 +48,7 @@ use smallworld_models::Alpha;
 
 use crate::crc::{crc32, Crc32};
 use crate::csr::CompressedCsr;
+use crate::mapped::MappedGraph;
 use crate::mmap::{map_readonly, Mapping};
 use crate::shard::ShardedStore;
 use crate::StoreError;
@@ -87,6 +88,15 @@ pub enum SectionId {
 }
 
 impl SectionId {
+    /// The name of the section with raw id `raw`, or `"unknown"`.
+    fn name_of(raw: u32) -> &'static str {
+        use SectionId::*;
+        [Meta, Offsets, Nbr, Pos, Weight, Shards]
+            .into_iter()
+            .find(|&id| id as u32 == raw)
+            .map_or("unknown", SectionId::name)
+    }
+
     fn name(self) -> &'static str {
         match self {
             SectionId::Meta => "META",
@@ -228,7 +238,7 @@ pub(crate) fn offsets_section_bytes(offsets: &[u64]) -> Vec<u8> {
     bytes
 }
 
-fn adjacency_sections(graph: &Graph) -> (CompressedCsr, Vec<(SectionId, SectionSource)>) {
+fn adjacency_sections(graph: &Graph) -> (CompressedCsr<'static>, Vec<(SectionId, SectionSource)>) {
     let compressed = CompressedCsr::from_graph(graph);
     let offsets_bytes = offsets_section_bytes(compressed.offsets());
     let sections = vec![
@@ -398,6 +408,52 @@ fn read_u64(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
 }
 
+/// An 8-byte plain-old-data word stored little-endian: every bit pattern
+/// is a valid value. Implemented for `u64` and `f64` only.
+trait LeWord: Copy {
+    fn from_le(bytes: [u8; 8]) -> Self;
+}
+
+impl LeWord for u64 {
+    fn from_le(bytes: [u8; 8]) -> Self {
+        u64::from_le_bytes(bytes)
+    }
+}
+
+impl LeWord for f64 {
+    fn from_le(bytes: [u8; 8]) -> Self {
+        f64::from_le_bytes(bytes)
+    }
+}
+
+/// Reads little-endian section bytes as words, borrowing them in place
+/// when the target is little-endian and the bytes are 8-aligned (mmap'd
+/// sections are page-aligned), and decoding an owned copy otherwise.
+/// `None` if the length is not a whole number of words.
+fn le_words<T: LeWord>(bytes: &[u8]) -> Option<Cow<'_, [T]>> {
+    if !bytes.len().is_multiple_of(8) {
+        return None;
+    }
+    #[cfg(target_endian = "little")]
+    {
+        // SAFETY: `LeWord` is implemented only for `u64` and `f64`, 8-byte
+        // types for which every bit pattern is a valid value, so
+        // reinterpreting initialized bytes is sound; `align_to` places in
+        // `mid` only correctly aligned words, and the borrow is taken only
+        // when `mid` covers every byte.
+        let (pre, mid, post) = unsafe { bytes.align_to::<T>() };
+        if pre.is_empty() && post.is_empty() {
+            return Some(Cow::Borrowed(mid));
+        }
+    }
+    Some(Cow::Owned(
+        bytes
+            .chunks_exact(8)
+            .map(|c| T::from_le(c.try_into().expect("8 bytes")))
+            .collect(),
+    ))
+}
+
 impl GraphStore {
     /// Opens a `.swg` store, via `mmap` when available (see
     /// [`map_readonly`](crate::map_readonly)). The header, section table,
@@ -475,7 +531,7 @@ impl GraphStore {
             }
             if crc32(&bytes[offset..end]) != crc {
                 return Err(StoreError::ChecksumMismatch {
-                    section: section_name(id),
+                    section: SectionId::name_of(id),
                 });
             }
             sections.push(SectionEntry { id, offset, len });
@@ -502,7 +558,7 @@ impl GraphStore {
     }
 
     /// Total neighbor-list entries (`2m`), from the header.
-    pub(crate) fn target_count(&self) -> usize {
+    fn target_count(&self) -> usize {
         self.target_count as usize
     }
 
@@ -527,7 +583,7 @@ impl GraphStore {
         self.mapping.is_zero_copy()
     }
 
-    pub(crate) fn section(&self, id: SectionId) -> Result<&[u8], StoreError> {
+    fn section(&self, id: SectionId) -> Result<&[u8], StoreError> {
         self.sections
             .iter()
             .find(|s| s.id == id as u32)
@@ -535,41 +591,42 @@ impl GraphStore {
             .ok_or(StoreError::MissingSection(id.name()))
     }
 
-    /// The compressed adjacency (copies the two sections out of the
-    /// mapping).
+    /// A decode-free adjacency view borrowing this store's OFFSETS and NBR
+    /// sections. The offsets index and the header counts are validated by
+    /// [`CompressedCsr::from_parts`] before any neighbor list is touched;
+    /// on a little-endian target an aligned OFFSETS section (every mmap'd
+    /// one) is borrowed in place, not copied.
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError`] if the sections are missing or malformed.
-    pub fn compressed(&self) -> Result<CompressedCsr, StoreError> {
-        let offsets_bytes = self.section(SectionId::Offsets)?;
-        let expected = (self.node_count as usize + 1) * 8;
-        if offsets_bytes.len() != expected {
-            return Err(StoreError::Corrupt(format!(
-                "OFFSETS section is {} bytes, expected {expected}",
-                offsets_bytes.len()
-            )));
-        }
-        let offsets: Vec<u64> = offsets_bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect();
-        let data = self.section(SectionId::Nbr)?.to_vec();
-        CompressedCsr::from_raw_parts(offsets, data, self.target_count as usize)
+    /// Returns [`StoreError`] when either section is missing, and
+    /// [`StoreError::Corrupt`] when the offsets index is malformed or the
+    /// header's counts do not fit it.
+    pub fn mapped_graph(&self) -> Result<MappedGraph<'_>, StoreError> {
+        let bytes = self.section(SectionId::Offsets)?;
+        let offsets = le_words(bytes).ok_or_else(|| {
+            StoreError::Corrupt(format!(
+                "OFFSETS section is {} bytes, not whole u64s",
+                bytes.len()
+            ))
+        })?;
+        CompressedCsr::from_parts(
+            offsets,
+            self.section(SectionId::Nbr)?,
+            self.node_count(),
+            self.target_count(),
+        )
     }
 
-    /// Decodes the full adjacency into a [`Graph`].
-    ///
-    /// Goes through [`GraphStore::mapped_graph`], which decodes straight
-    /// out of the mapping — no intermediate copy of the NBR bytes or the
-    /// offsets index is made (the `open_buffered` fallback used to pay
-    /// both copies on top of its owned file buffer).
+    /// Decodes the full adjacency into a [`Graph`]: the full decode of
+    /// [`GraphStore::mapped_graph`]'s borrowed CSR, straight out of the
+    /// mapping, so no copy of the NBR bytes or the offsets index is made.
     ///
     /// # Errors
     ///
     /// Returns [`StoreError`] on missing or malformed sections.
     pub fn load_graph(&self) -> Result<Graph, StoreError> {
-        self.mapped_graph()?.decode_full()
+        self.mapped_graph()?.decode()
     }
 
     /// The stored model parameters and planted-vertex count.
@@ -605,32 +662,17 @@ impl GraphStore {
         Ok((params, planted))
     }
 
-    fn f64_section(&self, id: SectionId, expected: usize) -> Result<Cow<'_, [f64]>, StoreError> {
+    /// Section `id` as `count` little-endian `f64`s.
+    fn f64_section(&self, id: SectionId, count: usize) -> Result<Cow<'_, [f64]>, StoreError> {
         let bytes = self.section(id)?;
-        if bytes.len() != expected * 8 {
+        if count.checked_mul(8) != Some(bytes.len()) {
             return Err(StoreError::Corrupt(format!(
-                "{} section is {} bytes, expected {}",
+                "{} section is {} bytes, expected {count} f64 values",
                 id.name(),
                 bytes.len(),
-                expected * 8
             )));
         }
-        #[cfg(target_endian = "little")]
-        {
-            // SAFETY: every bit pattern is a valid f64; align_to only
-            // reinterprets, and the borrowed path is taken solely when the
-            // slice is 8-aligned (mmap'd sections are page-aligned).
-            let (pre, mid, post) = unsafe { bytes.align_to::<f64>() };
-            if pre.is_empty() && post.is_empty() {
-                return Ok(Cow::Borrowed(mid));
-            }
-        }
-        Ok(Cow::Owned(
-            bytes
-                .chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-                .collect(),
-        ))
+        Ok(le_words(bytes).expect("length is a multiple of 8"))
     }
 
     /// The packed position coordinates: `node_count · dim` canonical torus
@@ -643,10 +685,16 @@ impl GraphStore {
     /// [`StoreError::Corrupt`] if any coordinate lies outside the canonical
     /// torus `[0, 1)` (NaN included).
     pub fn packed_positions(&self) -> Result<Cow<'_, [f64]>, StoreError> {
-        let positions = self.f64_section(
-            SectionId::Pos,
-            self.node_count as usize * self.dim as usize,
-        )?;
+        let count = self
+            .node_count()
+            .checked_mul(self.dim as usize)
+            .ok_or_else(|| {
+                StoreError::Corrupt(format!(
+                    "{} vertices of dimension {} overflow the POS size",
+                    self.node_count, self.dim
+                ))
+            })?;
+        let positions = self.f64_section(SectionId::Pos, count)?;
         if let Some(c) = positions.iter().find(|c| !(0.0..1.0).contains(*c)) {
             return Err(StoreError::Corrupt(format!(
                 "position coordinate {c} outside the canonical torus"
@@ -663,7 +711,7 @@ impl GraphStore {
     /// Returns [`StoreError`] if geometry is absent or malformed, and
     /// [`StoreError::Corrupt`] if any weight is not finite.
     pub fn packed_weights(&self) -> Result<Cow<'_, [f64]>, StoreError> {
-        let weights = self.f64_section(SectionId::Weight, self.node_count as usize)?;
+        let weights = self.f64_section(SectionId::Weight, self.node_count())?;
         if weights.iter().any(|w| !w.is_finite()) {
             return Err(StoreError::Corrupt("non-finite vertex weight".into()));
         }
@@ -715,18 +763,6 @@ impl GraphStore {
     /// without shards, or [`StoreError::Corrupt`] on malformed payload.
     pub fn load_shards(&self) -> Result<ShardedStore, StoreError> {
         ShardedStore::from_bytes(self.section(SectionId::Shards)?, self.node_count as usize)
-    }
-}
-
-fn section_name(id: u32) -> &'static str {
-    match id {
-        1 => "META",
-        2 => "OFFSETS",
-        3 => "NBR",
-        4 => "POS",
-        5 => "WEIGHT",
-        6 => "SHARDS",
-        _ => "unknown",
     }
 }
 

@@ -11,6 +11,10 @@
 //!   Morton-relabeled graph have small id gaps, so delta + LEB128-varint
 //!   encoding shrinks adjacency to a fraction of the raw 4 bytes per
 //!   half-edge while keeping O(degree) random access per vertex.
+//!   [`CompressedCsr`] is the one compressed-adjacency type: owned when
+//!   encoded or parsed from a shard, borrowed from the mapping by
+//!   [`GraphStore::mapped_graph`] ([`MappedGraph`] is an alias), with one
+//!   validating constructor, one decoder and one caching [`MappedCursor`].
 //! - **Format** ([`GraphStore`], [`write_girg_swg`], [`write_graph_swg`]):
 //!   a versioned, checksummed binary container with page-aligned sections,
 //!   memory-mapped on load (feature `mmap`, on by default; a portable
@@ -20,7 +24,9 @@
 //! - **Shards** ([`ShardedStore`]): a geometric partition into contiguous
 //!   Morton ranges, each shard a self-contained compressed CSR plus an
 //!   explicit cross-shard boundary-edge table; [`ShardedStore::assemble`]
-//!   reproduces the exact global graph.
+//!   reproduces the exact global graph through the same merge
+//!   (`smallworld_graph::view::merge_shard_neighbors`) sharded routing
+//!   uses.
 //!
 //! [`save_girg`] / [`load_girg`] are the one-stop entry points: they
 //! dispatch on the `.swg` extension, routing everything else through the

@@ -1,27 +1,27 @@
 //! Decode-free adjacency access straight over a mapped `.swg` store.
 //!
-//! [`GraphStore::load_graph`] decodes the whole varint NBR stream into an
-//! in-memory CSR before the first route starts — fine at 10⁶ vertices,
-//! prohibitive at 10⁸. [`MappedGraph`] is the alternative: a thin view over
-//! the mapped OFFSETS and NBR sections that decodes **one vertex's**
-//! delta+LEB128 stream on demand (the offsets index gives O(1) seek into
-//! the stream), so routing touches only the pages its path actually
-//! crosses and RAM holds no adjacency beyond the OS page cache.
+//! [`GraphStore::load_graph`](crate::GraphStore::load_graph) decodes the
+//! whole varint NBR stream into an in-memory CSR before the first route
+//! starts — fine at 10⁶ vertices, prohibitive at 10⁸.
+//! [`GraphStore::mapped_graph`](crate::GraphStore::mapped_graph) is the
+//! alternative: it borrows the mapped OFFSETS and NBR sections as a
+//! [`CompressedCsr`] (the same type the writers build; [`MappedGraph`]
+//! names the borrowed form), which decodes **one vertex's** delta+LEB128
+//! stream on demand (the offsets index gives O(1) seek into the stream),
+//! so routing touches only the pages its path actually crosses and RAM
+//! holds no adjacency beyond the OS page cache.
 //!
 //! [`MappedCursor`] adds a small set-associative LRU of hot decoded
 //! neighbor lists on top (greedy routes revisit high-degree hubs
 //! constantly) and presents adjacency through
 //! `smallworld_graph::AdjacencyView`, so the same routing loop runs over an
-//! in-memory [`Graph`] or over the file bytes, producing bitwise-identical
+//! in-memory `Graph` or over the file bytes, producing bitwise-identical
 //! routes (pinned by `tests/mapped_routing.rs`).
 
-use std::borrow::Cow;
+use smallworld_graph::{AdjacencyView, NodeId};
 
-use smallworld_graph::{AdjacencyView, Graph, NodeId};
-
-use crate::format::{GraphStore, SectionId};
+use crate::csr::CompressedCsr;
 use crate::varint;
-use crate::StoreError;
 
 /// Cache geometry of [`MappedCursor`]: vertices map to one of
 /// [`LRU_SETS`] sets by `v % LRU_SETS`, each holding [`LRU_WAYS`] decoded
@@ -35,165 +35,20 @@ const LRU_SETS: usize = 64;
 /// Associativity of the cursor cache (see [`LRU_SETS`]).
 const LRU_WAYS: usize = 4;
 
-/// A zero-decode view of a store's adjacency: borrowed OFFSETS index plus
-/// the raw NBR varint bytes, validated structurally at construction.
-///
-/// Create one with [`GraphStore::mapped_graph`]; it borrows the store's
-/// mapping, so no adjacency bytes are copied (on a little-endian target
-/// even the offsets index is borrowed in place). Neighbor lists are
-/// decoded per vertex via [`MappedGraph::decode_into`] or iterated through
-/// a caching [`MappedCursor`].
-#[derive(Debug)]
-pub struct MappedGraph<'a> {
-    /// Byte offsets into `nbr`, length `node_count + 1`.
-    offsets: Cow<'a, [u64]>,
-    /// Concatenated per-vertex varint delta streams.
-    nbr: &'a [u8],
-    /// Total neighbor-list entries (`2m`), from the store header.
-    target_count: usize,
-}
+/// A store's adjacency borrowed straight from its mapping: the
+/// [`CompressedCsr`] that
+/// [`GraphStore::mapped_graph`](crate::GraphStore::mapped_graph) returns.
+pub type MappedGraph<'a> = CompressedCsr<'a>;
 
-/// Reinterprets little-endian `u64` section bytes, borrowing in place when
-/// the mapping is aligned (mmap'd sections are page-aligned, so the owned
-/// fallback only triggers for big-endian targets or odd buffered reads).
-fn u64_view(bytes: &[u8]) -> Cow<'_, [u64]> {
-    #[cfg(target_endian = "little")]
-    {
-        // SAFETY: every bit pattern is a valid u64; align_to only
-        // reinterprets, and the borrow is taken solely when the slice is
-        // fully 8-aligned.
-        let (pre, mid, post) = unsafe { bytes.align_to::<u64>() };
-        if pre.is_empty() && post.is_empty() {
-            return Cow::Borrowed(mid);
-        }
-    }
-    Cow::Owned(
-        bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect(),
-    )
-}
-
-impl GraphStore {
-    /// A decode-free adjacency view borrowing this store's OFFSETS and NBR
-    /// sections. The offsets index is validated (monotone cover of the NBR
-    /// bytes, correct length) before any neighbor list is touched.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError`] when either section is missing or the
-    /// offsets index is malformed.
-    pub fn mapped_graph(&self) -> Result<MappedGraph<'_>, StoreError> {
-        let offsets_bytes = self.section(SectionId::Offsets)?;
-        let expected = (self.node_count() + 1) * 8;
-        if offsets_bytes.len() != expected {
-            return Err(StoreError::Corrupt(format!(
-                "OFFSETS section is {} bytes, expected {expected}",
-                offsets_bytes.len()
-            )));
-        }
-        let offsets = u64_view(offsets_bytes);
-        let nbr = self.section(SectionId::Nbr)?;
-        if offsets[0] != 0 {
-            return Err(StoreError::Corrupt("compressed offsets must start at 0".into()));
-        }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err(StoreError::Corrupt("compressed offsets decrease".into()));
-        }
-        if *offsets.last().expect("validated non-empty") != nbr.len() as u64 {
-            return Err(StoreError::Corrupt(
-                "compressed offsets do not cover the data stream".into(),
-            ));
-        }
-        Ok(MappedGraph {
-            offsets,
-            nbr,
-            target_count: self.target_count(),
-        })
-    }
-}
-
-impl<'a> MappedGraph<'a> {
-    /// Number of vertices.
-    pub fn node_count(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Total neighbor-list entries across all vertices (`2m`).
-    pub fn target_count(&self) -> usize {
-        self.target_count
-    }
-
-    /// Number of undirected edges.
-    pub fn edge_count(&self) -> usize {
-        self.target_count / 2
-    }
-
-    /// Whether the offsets index is borrowed straight from the mapping
-    /// (as opposed to parsed into an owned copy).
-    pub fn offsets_borrowed(&self) -> bool {
-        matches!(self.offsets, Cow::Borrowed(_))
-    }
-
-    /// Decodes vertex `v`'s sorted neighbor list from the mapped stream,
-    /// appending to `out`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Corrupt`] on a malformed varint stream
-    /// (truncated varint, id overflow).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v >= node_count`.
-    pub fn decode_into(&self, v: usize, out: &mut Vec<u32>) -> Result<(), StoreError> {
-        varint::decode_sorted(self.stream(v), out)
-    }
-
-    /// Vertex `v`'s varint delta stream.
-    fn stream(&self, v: usize) -> &'a [u8] {
-        &self.nbr[self.offsets[v] as usize..self.offsets[v + 1] as usize]
-    }
-
-    /// Decodes the full adjacency into a [`Graph`], re-validating the CSR
-    /// invariants — the eager path behind [`GraphStore::load_graph`].
-    ///
-    /// Unlike [`GraphStore::compressed`] this never copies the NBR bytes
-    /// or the offsets index out of the mapping: the only allocations are
-    /// the decoded CSR arrays themselves.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Corrupt`] on malformed streams or a
-    /// target-count mismatch with the header, and [`StoreError::Graph`]
-    /// if the decoded arrays violate the graph invariants.
-    pub fn decode_full(&self) -> Result<Graph, StoreError> {
-        let n = self.node_count();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets: Vec<u32> = Vec::with_capacity(self.target_count);
-        offsets.push(0usize);
-        for v in 0..n {
-            self.decode_into(v, &mut targets)?;
-            offsets.push(targets.len());
-        }
-        if targets.len() != self.target_count {
-            return Err(StoreError::Corrupt(format!(
-                "decoded {} adjacency entries, header claims {}",
-                targets.len(),
-                self.target_count
-            )));
-        }
-        let targets: Vec<NodeId> = targets.into_iter().map(NodeId::new).collect();
-        Ok(Graph::from_sorted_csr(offsets, targets)?)
-    }
-
+impl CompressedCsr<'_> {
     /// An adjacency cursor decoding neighbor lists on demand through the
     /// set-associative LRU cache.
     pub fn cursor(&self) -> MappedCursor<'_> {
         MappedCursor {
             graph: self,
-            slots: (0..LRU_SETS * LRU_WAYS).map(|_| CacheSlot::default()).collect(),
+            slots: (0..LRU_SETS * LRU_WAYS)
+                .map(|_| CacheSlot::default())
+                .collect(),
             tick: 0,
             hits: 0,
             misses: 0,
@@ -221,22 +76,26 @@ impl Default for CacheSlot {
     }
 }
 
-/// A stateful adjacency reader over a [`MappedGraph`] that decodes on
+/// A stateful adjacency reader over a [`CompressedCsr`] that decodes on
 /// demand through a small LRU of hot lists. Implements [`AdjacencyView`],
 /// so routing loops are generic over it.
 ///
 /// Cursors are cheap and thread-confined; parallel harnesses create one
-/// per worker over the same shared [`MappedGraph`].
+/// per worker over the same shared [`CompressedCsr`].
 ///
 /// # Panics
 ///
-/// [`AdjacencyView::with_neighbors`] panics on a corrupt varint stream.
-/// Section checksums are verified when the store is opened, so a decode
-/// failure here means the offsets index itself lies about stream
-/// boundaries — unreachable for a store that passed validation.
+/// [`AdjacencyView::with_neighbors`] panics on a malformed varint stream
+/// (a truncated varint or an id past `u32`). Opening a store proves only
+/// that its bytes are the ones that were written — the section checksums
+/// match — and [`CompressedCsr::from_parts`] checks only the offsets
+/// index, so a store written with a malformed stream reaches this panic.
+/// Making the view fallible is the ROADMAP's store-v2 "fallible view"
+/// item; until then, [`CompressedCsr::decode`] is the path that returns a
+/// typed error instead.
 #[derive(Debug)]
 pub struct MappedCursor<'a> {
-    graph: &'a MappedGraph<'a>,
+    graph: &'a CompressedCsr<'a>,
     /// `LRU_SETS × LRU_WAYS` cache slots, set-major.
     slots: Vec<CacheSlot>,
     tick: u64,
@@ -292,7 +151,7 @@ impl AdjacencyView for MappedCursor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::write_girg_swg;
+    use crate::format::{write_girg_swg, GraphStore};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use smallworld_models::girg::{Girg, GirgBuilder};
@@ -310,13 +169,13 @@ mod tests {
     }
 
     #[test]
-    fn decode_full_matches_compressed_decode() {
+    fn mapped_decode_matches_the_written_graph() {
         let (girg, path) = sample_store("full.swg");
         let store = GraphStore::open(&path).unwrap();
         let mapped = store.mapped_graph().unwrap();
         assert_eq!(mapped.node_count(), girg.graph().node_count());
         assert_eq!(mapped.edge_count(), girg.graph().edge_count());
-        assert_eq!(&mapped.decode_full().unwrap(), girg.graph());
+        assert_eq!(&mapped.decode().unwrap(), girg.graph());
         assert_eq!(&store.load_graph().unwrap(), girg.graph());
         std::fs::remove_file(&path).ok();
     }
@@ -358,11 +217,25 @@ mod tests {
 
     #[test]
     fn offsets_view_is_zero_copy_under_mmap() {
-        let (_girg, path) = sample_store("zero-copy.swg");
+        let (girg, path) = sample_store("zero-copy.swg");
         let store = GraphStore::open(&path).unwrap();
         let mapped = store.mapped_graph().unwrap();
         if store.is_zero_copy() && cfg!(target_endian = "little") {
             assert!(mapped.offsets_borrowed());
+        }
+        // the read-into-memory fallback must decode every vertex exactly as
+        // the mapping does, whether or not its OFFSETS words were borrowed
+        let buffered = GraphStore::open_buffered(&path).unwrap();
+        assert!(!buffered.is_zero_copy());
+        let copied = buffered.mapped_graph().unwrap();
+        assert_eq!(copied, mapped);
+        let (mut from_map, mut from_buffer) = (Vec::new(), Vec::new());
+        for v in 0..girg.graph().node_count() {
+            from_map.clear();
+            from_buffer.clear();
+            mapped.decode_into(v, &mut from_map).unwrap();
+            copied.decode_into(v, &mut from_buffer).unwrap();
+            assert_eq!(from_buffer, from_map, "vertex {v}");
         }
         std::fs::remove_file(&path).ok();
     }

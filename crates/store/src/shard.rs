@@ -22,10 +22,10 @@
 use std::ops::Range;
 
 use smallworld_geometry::{morton, Point};
+use smallworld_graph::view::merge_shard_neighbors;
 use smallworld_graph::{Graph, NodeId};
 
 use crate::csr::CompressedCsr;
-use crate::varint;
 use crate::StoreError;
 
 /// Identity of one shard: which global ids it owns and, when geometry is
@@ -43,7 +43,7 @@ pub struct ShardSpec {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StoreShard {
     spec: ShardSpec,
-    local: CompressedCsr,
+    local: CompressedCsr<'static>,
     /// `(local source id, global target id)`, sorted; targets always lie
     /// outside `spec.nodes`.
     boundary: Vec<(u32, u32)>,
@@ -66,7 +66,7 @@ impl StoreShard {
     }
 
     /// The shard-internal adjacency in compressed form (local ids).
-    pub fn local_csr(&self) -> &CompressedCsr {
+    pub fn local_csr(&self) -> &CompressedCsr<'static> {
         &self.local
     }
 
@@ -153,27 +153,24 @@ impl ShardedStore {
         for nodes in ranges {
             let start = nodes.start;
             let morton = if nodes.is_empty() { None } else { morton_of(&nodes) };
-            // split each vertex's neighbor list into local and boundary
-            let mut local_edges: Vec<(u32, u32)> = Vec::new();
+            // split each vertex's sorted neighbor list into its local part
+            // (encoded in place, still sorted) and its boundary rows, which
+            // come out sorted by (local source, global target)
             let mut boundary: Vec<(u32, u32)> = Vec::new();
-            for v in nodes.clone() {
-                for &t in graph.neighbors(NodeId::new(v)) {
+            let local = CompressedCsr::encode(nodes.len(), 0, |l, list| {
+                let l = l as u32;
+                for &t in graph.neighbors(NodeId::new(start + l)) {
                     let t = t.raw();
                     if nodes.contains(&t) {
-                        if v < t {
-                            local_edges.push((v - start, t - start));
-                        }
+                        list.push(t - start);
                     } else {
-                        boundary.push((v - start, t));
+                        boundary.push((l, t));
                     }
                 }
-            }
-            let local_n = nodes.len();
-            let local = Graph::from_edges(local_n, local_edges)
-                .expect("local edges are valid by construction");
+            });
             shards.push(StoreShard {
                 spec: ShardSpec { nodes, morton },
-                local: CompressedCsr::from_graph(&local),
+                local,
                 boundary,
             });
         }
@@ -212,34 +209,25 @@ impl ShardedStore {
         offsets.push(0usize);
         let mut local_list: Vec<u32> = Vec::new();
         for shard in &self.shards {
-            let start = shard.spec.nodes.start;
-            let mut b = 0usize; // cursor into the sorted boundary table
-            for v in 0..shard.len() {
+            for l in 0..shard.len() {
                 local_list.clear();
-                shard.local.decode_list(v, &mut local_list)?;
-                // merge shard-local targets (all inside the range, offset
-                // by start) with this vertex's boundary targets (outside)
-                let boundary_lo = b;
-                while b < shard.boundary.len() && shard.boundary[b].0 as usize == v {
-                    b += 1;
+                shard.local.decode_into(l, &mut local_list)?;
+                // lists decode sorted, so the last id bounds them all
+                if local_list
+                    .last()
+                    .is_some_and(|&last| last as usize >= shard.len())
+                {
+                    return Err(StoreError::Corrupt(
+                        "shard-local neighbor id outside the shard".into(),
+                    ));
                 }
-                let bnd = &shard.boundary[boundary_lo..b];
-                let mut li = 0usize;
-                let mut bi = 0usize;
-                while li < local_list.len() || bi < bnd.len() {
-                    let take_local = match (local_list.get(li), bnd.get(bi)) {
-                        (Some(&l), Some(&(_, t))) => l + start < t,
-                        (Some(_), None) => true,
-                        _ => false,
-                    };
-                    if take_local {
-                        targets.push(NodeId::new(local_list[li] + start));
-                        li += 1;
-                    } else {
-                        targets.push(NodeId::new(bnd[bi].1));
-                        bi += 1;
-                    }
-                }
+                merge_shard_neighbors(
+                    local_list.iter().copied(),
+                    shard.spec.nodes.start,
+                    l as u32,
+                    &shard.boundary,
+                    &mut targets,
+                );
                 offsets.push(targets.len());
             }
         }
@@ -253,11 +241,11 @@ impl ShardedStore {
 
     /// Serializes the partition into the SHARDS section payload.
     ///
-    /// Layout: `shard_count u32`, then per shard a fixed descriptor
-    /// (`node_start u32, node_end u32, has_morton u32, morton_lo u64,
-    /// morton_hi u64, offsets_len u64, data_len u64, boundary_len u64`)
-    /// followed by its offsets (u64 LE each), varint data, and boundary
-    /// pairs (2 × u32 LE each).
+    /// Layout: `shard_count u32`, `node_count u64`, then per shard a fixed
+    /// descriptor (`node_start u32, node_end u32, has_morton u32,
+    /// morton_lo u64, morton_hi u64, offsets_len u64, data_len u64,
+    /// boundary_len u64`) followed by its offsets (u64 LE each), varint
+    /// data, and boundary pairs (2 × u32 LE each).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(&(self.shards.len() as u32).to_le_bytes());
@@ -303,7 +291,7 @@ impl ShardedStore {
                 "shard section stores {stored_n} vertices, header says {node_count}"
             )));
         }
-        let mut shards = Vec::with_capacity(shard_count);
+        let mut shards = Vec::new();
         let mut expected_start = 0u32;
         for _ in 0..shard_count {
             let start = cur.u32()?;
@@ -318,30 +306,26 @@ impl ShardedStore {
             let lo = cur.u64()?;
             let hi = cur.u64()?;
             let morton = if has_morton != 0 { Some((lo, hi)) } else { None };
-            let offsets_len = cur.u64()? as usize;
-            let data_len = cur.u64()? as usize;
-            let boundary_len = cur.u64()? as usize;
-            if offsets_len != (end - start) as usize + 1 {
-                return Err(StoreError::Corrupt(
-                    "shard offset index length mismatches its range".into(),
-                ));
-            }
-            let mut offsets = Vec::with_capacity(offsets_len);
-            for _ in 0..offsets_len {
-                offsets.push(cur.u64()?);
-            }
+            let offsets_len = cur.u64()?;
+            let data_len = cur.u64()?;
+            let boundary_len = cur.u64()?;
+            // every length is checked against the bytes left before it
+            // sizes an allocation
+            let offsets: Vec<u64> = cur
+                .take_words(offsets_len)?
+                .map(|w| u64::from_le_bytes(w.try_into().expect("8")))
+                .collect();
             let data = cur.take(data_len)?.to_vec();
-            // target_count is recomputed by decoding; the local CSR stores
-            // 2·(local edges) entries — count them by decoding lazily. We
-            // derive it from the stream on first decode; store a
-            // conservative value by summing varint counts now.
-            let target_count = count_entries(&offsets, &data)?;
-            let local = CompressedCsr::from_raw_parts(offsets, data, target_count)?;
-            let mut boundary = Vec::with_capacity(boundary_len);
+            // the SHARDS layout stores no entry count; count_entries
+            // recovers it from the data
+            let target_count = count_entries(&data);
+            let local =
+                CompressedCsr::from_parts(offsets, data, (end - start) as usize, target_count)?;
+            let mut boundary = Vec::new();
             let mut prev: Option<(u32, u32)> = None;
-            for _ in 0..boundary_len {
-                let src = cur.u32()?;
-                let tgt = cur.u32()?;
+            for pair in cur.take_words(boundary_len)? {
+                let src = u32::from_le_bytes(pair[..4].try_into().expect("4"));
+                let tgt = u32::from_le_bytes(pair[4..].try_into().expect("4"));
                 if src >= end - start {
                     return Err(StoreError::Corrupt(
                         "boundary source outside the shard".into(),
@@ -386,23 +370,12 @@ impl ShardedStore {
     }
 }
 
-/// Counts the neighbor-list entries across all per-vertex varint streams
-/// without materializing them.
-fn count_entries(offsets: &[u64], data: &[u8]) -> Result<usize, StoreError> {
-    let mut total = 0usize;
-    for w in offsets.windows(2) {
-        let (lo, hi) = (w[0] as usize, w[1] as usize);
-        if lo > hi || hi > data.len() {
-            return Err(StoreError::Corrupt("shard offsets out of bounds".into()));
-        }
-        let mut slice = &data[lo..hi];
-        while !slice.is_empty() {
-            let (_, used) = varint::read_u64(slice)?;
-            slice = &slice[used..];
-            total += 1;
-        }
-    }
-    Ok(total)
+/// The number of varints in `data`: each ends in the one byte whose
+/// continuation bit is clear. When every per-vertex stream decodes, that
+/// is exactly the neighbor-list entry count; a malformed stream fails its
+/// decode before the count matters.
+fn count_entries(data: &[u8]) -> usize {
+    data.iter().filter(|&&b| b & 0x80 == 0).count()
 }
 
 struct Cursor<'a> {
@@ -411,15 +384,25 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
-    fn take(&mut self, len: usize) -> Result<&'a [u8], StoreError> {
-        let end = self
-            .at
-            .checked_add(len)
+    fn take(&mut self, len: u64) -> Result<&'a [u8], StoreError> {
+        let end = usize::try_from(len)
+            .ok()
+            .and_then(|len| self.at.checked_add(len))
             .filter(|&e| e <= self.bytes.len())
-            .ok_or(StoreError::Truncated { what: "shard section" })?;
+            .ok_or(StoreError::Truncated {
+                what: "shard section",
+            })?;
         let slice = &self.bytes[self.at..end];
         self.at = end;
         Ok(slice)
+    }
+
+    /// The next `count` 8-byte words.
+    fn take_words(&mut self, count: u64) -> Result<std::slice::ChunksExact<'a, u8>, StoreError> {
+        let len = count.checked_mul(8).ok_or(StoreError::Truncated {
+            what: "shard section",
+        })?;
+        Ok(self.take(len)?.chunks_exact(8))
     }
 
     fn u32(&mut self) -> Result<u32, StoreError> {
@@ -551,6 +534,24 @@ mod tests {
         let mut extended = bytes.clone();
         extended.push(0);
         assert!(ShardedStore::from_bytes(&extended, g.node_count()).is_err());
+    }
+
+    #[test]
+    fn out_of_shard_local_ids_are_a_typed_error() {
+        let g = grid_graph(4);
+        let mut sharded = ShardedStore::partition(&g, 2);
+        let shard = &mut sharded.shards[1];
+        // well-formed varints naming a local id past the shard's end: the
+        // payload parses, assembly must reject it rather than overflow
+        shard.local = CompressedCsr::encode(shard.len(), 0, |l, list| {
+            if l == 0 {
+                list.push(u32::MAX);
+            }
+        });
+        let back = ShardedStore::from_bytes(&sharded.to_bytes(), g.node_count()).unwrap();
+        for store in [&sharded, &back] {
+            assert!(matches!(store.assemble(), Err(StoreError::Corrupt(_))));
+        }
     }
 
     #[test]

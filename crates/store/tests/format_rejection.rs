@@ -169,6 +169,13 @@ fn poke_section_f64(bytes: &mut [u8], id: SectionId, value: f64) {
     bytes[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
     let section_crc = crc32(&bytes[offset..offset + len]);
     bytes[entry + 4..entry + 8].copy_from_slice(&section_crc.to_le_bytes());
+    rewrite_header_crc(bytes);
+}
+
+/// Recomputes the header CRC over header bytes 0..44 and the section table.
+fn rewrite_header_crc(bytes: &mut [u8]) {
+    let count = u32::from_le_bytes(bytes[40..44].try_into().unwrap()) as usize;
+    let table_end = 64 + count * 24;
     let header_crc = crc32(&[&bytes[..44], &bytes[64..table_end]].concat());
     bytes[44..48].copy_from_slice(&header_crc.to_le_bytes());
 }
@@ -198,6 +205,47 @@ fn non_finite_geometry_with_valid_checksums_is_a_typed_error() {
             matches!(store.load_girg::<2>(), Err(StoreError::Corrupt(_))),
             "{id:?} = {value}: load_girg must reject it too"
         );
+        drop(store);
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+#[test]
+fn absurd_header_counts_with_valid_checksums_are_a_typed_error() {
+    const NODE_COUNT: usize = 24;
+    const TARGET_COUNT: usize = 32;
+    let (_, clean) = written_girg_bytes(7, 1);
+    let n = u64::from_le_bytes(clean[NODE_COUNT..NODE_COUNT + 8].try_into().unwrap());
+    for (field, value) in [
+        (TARGET_COUNT, 1u64 << 62),
+        (NODE_COUNT, u64::MAX),
+        (NODE_COUNT, 1 << 61),
+        // n · d wraps around to the true POS size unless the product is checked
+        (NODE_COUNT, (1 << 63) + n),
+    ] {
+        let mut bytes = clean.clone();
+        bytes[field..field + 8].copy_from_slice(&value.to_le_bytes());
+        rewrite_header_crc(&mut bytes);
+        let path = temp_path("counts");
+        std::fs::write(&path, &bytes).unwrap();
+        let store = GraphStore::open(&path).expect("the header checksum was rewritten");
+        let results = [
+            ("mapped_graph", store.mapped_graph().map(|_| ())),
+            ("load_graph", store.load_graph().map(|_| ())),
+            ("load_girg", store.load_girg::<2>().map(|_| ())),
+            ("packed_positions", store.packed_positions().map(|_| ())),
+        ];
+        for (call, result) in results {
+            // the POS size depends on the node count only
+            if field == TARGET_COUNT && call == "packed_positions" {
+                assert!(result.is_ok(), "{call}: {result:?}");
+                continue;
+            }
+            assert!(
+                matches!(result, Err(StoreError::Corrupt(_))),
+                "header byte {field} = {value}: {call} gave {result:?}"
+            );
+        }
         drop(store);
         std::fs::remove_file(&path).ok();
     }

@@ -67,7 +67,7 @@ fn check_mapped_decode_matches(tag: &str, n: usize, raw_edges: &[(u32, u32)]) {
     assert_eq!(mapped.node_count(), graph.node_count());
     assert_eq!(mapped.target_count(), 2 * graph.edge_count());
     assert_eq!(mapped.edge_count(), graph.edge_count());
-    assert_eq!(mapped.decode_full().expect("own encoding decodes"), graph);
+    assert_eq!(mapped.decode().expect("own encoding decodes"), graph);
 
     // per-vertex on-demand decode, without any cursor cache
     let mut out = Vec::new();
@@ -271,7 +271,7 @@ fn truncated_files_never_reach_the_mapped_path() {
     let mut rejected = 0;
     for len in lengths {
         std::fs::write(&cut, &bytes[..len]).unwrap();
-        match GraphStore::open(&cut).and_then(|s| s.mapped_graph().and_then(|m| m.decode_full())) {
+        match GraphStore::open(&cut).and_then(|s| s.mapped_graph().and_then(|m| m.decode())) {
             Ok(graph) => assert_eq!(
                 &graph,
                 girg.graph(),
