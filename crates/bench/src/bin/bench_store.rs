@@ -17,10 +17,11 @@
 //!    equality with the original so the numbers can never come from a
 //!    short-circuited load.
 //! 2. **Mapped vs decoded routing**: the same Monte-Carlo trial sequence is
-//!    routed three ways — decoded CSR (`TrialBatch`), decode-free over the
-//!    mapped store's LRU cursor, and shard-local with explicit handoff —
-//!    asserting the outcomes are element-for-element identical before
-//!    reporting throughput. The
+//!    routed three ways — decoded CSR (`TrialBatch::run`), decode-free over
+//!    per-worker LRU cursors on the mapped store (`TrialBatch::run_views`),
+//!    and shard-local with explicit handoff (its own loop: `route_sharded`
+//!    takes no observer or scratch) — asserting the outcomes are
+//!    element-for-element identical before reporting throughput. The
 //!    `vs decoded` column is the throughput fraction relative to the
 //!    decoded baseline; `artifact_check` gates the mapped row at >= 0.5x
 //!    at full scale.
@@ -46,7 +47,7 @@ use rand::SeedableRng;
 
 use smallworld_analysis::Table;
 use smallworld_bench::{
-    draw_endpoints, mapped_trials, Artifact, RoutingAggregate, Scale, TrialBatch, TrialOutcome,
+    draw_endpoints, Artifact, RoutingAggregate, Scale, TrialBatch, TrialOutcome,
 };
 use smallworld_core::greedy::DEFAULT_MAX_STEPS;
 use smallworld_core::{
@@ -205,20 +206,29 @@ fn routing_table(girg: &Girg<2>, comps: &Components, scale: Scale, dir: &std::pa
         vec![("decoded", decoded.clone(), decoded_secs, 0)];
 
     let start = Instant::now();
-    let got = {
+    let (outcomes, cursors) = {
         let _span = Span::enter("route_mapped");
-        mapped_trials(&mapped, comps, &packed, pairs, seed, &pool)
+        TrialBatch::for_views(mapped.node_count(), comps, pairs)
+            .connected_only(true)
+            .run_views(
+                &GreedyRouter::new(),
+                &packed,
+                || mapped.cursor(),
+                seed,
+                &pool,
+            )
     };
     let secs = start.elapsed().as_secs_f64();
     assert_eq!(
-        got.outcomes, decoded,
+        outcomes, decoded,
         "mapped routing diverged from the decoded baseline"
     );
     eprintln!(
         "mapped: LRU {} hits / {} misses",
-        got.lru_hits, got.lru_misses
+        cursors.iter().map(|c| c.hits()).sum::<u64>(),
+        cursors.iter().map(|c| c.misses()).sum::<u64>()
     );
-    variants.push(("mapped", got.outcomes, secs, 0));
+    variants.push(("mapped", outcomes, secs, 0));
 
     // shard-local routing with explicit cross-shard handoff, over the
     // store's own partition

@@ -27,15 +27,18 @@
 //! `--mapped` goes one step further: it routes and analyzes **without
 //! decoding the adjacency at all** — components and greedy trials stream
 //! per-vertex neighbor lists on demand through the mapped store's LRU
-//! cursor, scoring straight off the flat geometry lanes. Its tables are
-//! cell-for-cell those of `--load` (CI diffs all three runs), and it prints
-//! the peak RSS plus the decode-free open time to stderr.
+//! cursor, scoring straight off the flat geometry lanes. Every path routes
+//! through one `route_phase` and the same `TrialBatch` trials (`run` over
+//! a decoded graph, `run_views` over the store's cursors), so `--mapped`
+//! tables are cell-for-cell those of `--load` (CI diffs all three runs).
+//! It prints the peak RSS, the decode-free open time and the cursors' LRU
+//! hits / misses to stderr, and refuses a store whose dimension is not 2.
 
 use std::path::Path;
 use std::process::ExitCode;
 
 use smallworld_analysis::Table;
-use smallworld_bench::{mapped_trials, Artifact, RoutingAggregate, Scale, TrialBatch};
+use smallworld_bench::{Artifact, RoutingAggregate, Scale, TrialBatch, TrialOutcome};
 use smallworld_core::theory::lambda_for_average_degree;
 use smallworld_core::{
     GirgObjective, GreedyRouter, HyperbolicObjective, KleinbergObjective, Objective,
@@ -48,7 +51,7 @@ use smallworld_models::hyperbolic::HrgBuilder;
 use smallworld_models::{Alpha, ChungLuBuilder, GraphInstance, GraphModel, KleinbergLatticeBuilder};
 use smallworld_obs::Span;
 use smallworld_par::Pool;
-use smallworld_store::{GraphStore, MappedGraph};
+use smallworld_store::{GraphStore, StoreError};
 
 struct Options {
     model: String,
@@ -296,38 +299,19 @@ fn load_and_summarize(path: &str, seed: u64) -> Result<(Girg<2>, Components, Tab
     Ok((girg, comps, table))
 }
 
-/// Builds the routing-trial table both the decoded and mapped route phases
-/// share; the cells must format identically so a `--mapped` rerun diffs
-/// cleanly against the generating run under `swreport --diff`.
-fn route_table(pairs: usize, threads: usize, agg: &RoutingAggregate, elapsed: f64) -> Table {
-    let mut table = Table::new(["pairs", "threads", "success rate", "mean hops", "route secs"])
-        .title("girg_gen: greedy routing trials");
-    table.row([
-        pairs.to_string(),
-        threads.to_string(),
-        format!("{:.4}", agg.success.rate()),
-        format!("{:.3}", agg.hops.mean()),
-        format!("{elapsed:.3}"),
-    ]);
-    table
-}
-
-/// Runs `pairs` greedy trials on the shared pool and tabulates the result;
-/// deterministic in `seed` regardless of `SMALLWORLD_THREADS`.
-fn route_phase<O: Objective + Sync>(
-    graph: &Graph,
-    comps: &Components,
-    objective: &O,
-    pairs: usize,
-    seed: u64,
-) -> Table {
+/// Runs `pairs` connected greedy trials through `trials` on the shared
+/// pool — a decoded [`TrialBatch::run`] for sampled and `--load`ed graphs,
+/// a [`TrialBatch::run_views`] over the mapped store for `--mapped` — and
+/// tabulates the result. Deterministic in the seed regardless of
+/// `SMALLWORLD_THREADS`, and the cells format identically for every
+/// substrate, so a `--mapped` rerun diffs cleanly against the generating
+/// run under `swreport --diff`.
+fn route_phase(pairs: usize, trials: impl FnOnce(&Pool) -> Vec<TrialOutcome>) -> Table {
     let pool = Pool::from_env();
     let start = std::time::Instant::now();
     let trials = {
         let _span = Span::enter("route_pairs");
-        TrialBatch::new(graph, comps, pairs)
-            .connected_only(true)
-            .run(&GreedyRouter::new(), objective, seed, &pool)
+        trials(&pool)
     };
     let elapsed = start.elapsed().as_secs_f64();
     let agg = RoutingAggregate::from_trials(&trials);
@@ -338,37 +322,37 @@ fn route_phase<O: Objective + Sync>(
         100.0 * agg.success.rate(),
         agg.hops.mean()
     );
-    route_table(pairs, pool.threads(), &agg, elapsed)
+    let mut table = Table::new([
+        "pairs",
+        "threads",
+        "success rate",
+        "mean hops",
+        "route secs",
+    ])
+    .title("girg_gen: greedy routing trials");
+    table.row([
+        pairs.to_string(),
+        pool.threads().to_string(),
+        format!("{:.4}", agg.success.rate()),
+        format!("{:.3}", agg.hops.mean()),
+        format!("{elapsed:.3}"),
+    ]);
+    table
 }
 
-/// Routes `pairs` trials straight off the mapped store via
-/// [`smallworld_bench::mapped_trials`] — outcome-for-outcome the decoded
-/// [`route_phase`] run — and tabulates the result in its exact shape.
-fn route_phase_mapped<const D: usize>(
-    mapped: &MappedGraph<'_>,
+/// [`route_phase`] over a decoded graph.
+fn route_decoded<O: Objective + Sync>(
+    graph: &Graph,
     comps: &Components,
-    objective: &PackedGirgObjective<'_, D>,
+    objective: &O,
     pairs: usize,
     seed: u64,
 ) -> Table {
-    let pool = Pool::from_env();
-    let start = std::time::Instant::now();
-    let trials = {
-        let _span = Span::enter("route_pairs");
-        mapped_trials(mapped, comps, objective, pairs, seed, &pool)
-    };
-    let elapsed = start.elapsed().as_secs_f64();
-    let agg = RoutingAggregate::from_trials(&trials.outcomes);
-    eprintln!(
-        "routed {pairs} connected pairs decode-free on {} thread(s) in {elapsed:.2}s \
-         (success {:.1}%, mean hops {:.2}, LRU {} hits / {} misses)",
-        pool.threads(),
-        100.0 * agg.success.rate(),
-        agg.hops.mean(),
-        trials.lru_hits,
-        trials.lru_misses
-    );
-    route_table(pairs, pool.threads(), &agg, elapsed)
+    route_phase(pairs, |pool| {
+        TrialBatch::new(graph, comps, pairs)
+            .connected_only(true)
+            .run(&GreedyRouter::new(), objective, seed, pool)
+    })
 }
 
 /// The `--mapped` path: open the store, route and analyze **without
@@ -383,6 +367,14 @@ fn run_mapped(path: &str, route: usize, seed: u64) -> Result<Vec<Table>, String>
         let _span = Span::enter("open_swg");
         GraphStore::open(Path::new(path)).map_err(|e| format!("opening {path}: {e}"))?
     };
+    // the objective reads d = 2 lanes; refuse other stores as `--load` does
+    if store.dim() != 2 {
+        let e = StoreError::DimensionMismatch {
+            file: store.dim(),
+            expected: 2,
+        };
+        return Err(format!("opening {path}: {e}"));
+    }
     let mapped = store
         .mapped_graph()
         .map_err(|e| format!("mapping {path}: {e}"))?;
@@ -434,7 +426,23 @@ fn run_mapped(path: &str, route: usize, seed: u64) -> Result<Vec<Table>, String>
             .packed_weights()
             .map_err(|e| format!("reading weights from {path}: {e}"))?;
         let packed = PackedGirgObjective::<2>::new(&positions, &weights, p.wmin * p.intensity);
-        tables.push(route_phase_mapped(&mapped, &comps, &packed, route, seed));
+        tables.push(route_phase(route, |pool| {
+            let (trials, cursors) = TrialBatch::for_views(mapped.node_count(), &comps, route)
+                .connected_only(true)
+                .run_views(
+                    &GreedyRouter::new(),
+                    &packed,
+                    || mapped.cursor(),
+                    seed,
+                    pool,
+                );
+            eprintln!(
+                "decode-free: LRU {} hits / {} misses",
+                cursors.iter().map(|c| c.hits()).sum::<u64>(),
+                cursors.iter().map(|c| c.misses()).sum::<u64>()
+            );
+            trials
+        }));
     }
     Ok(tables)
 }
@@ -505,7 +513,13 @@ fn main() -> ExitCode {
                 let mut tables = vec![table];
                 if opts.route > 0 {
                     let obj = GirgObjective::new(&girg);
-                    tables.push(route_phase(girg.graph(), &comps, &obj, opts.route, opts.seed));
+                    tables.push(route_decoded(
+                        girg.graph(),
+                        &comps,
+                        &obj,
+                        opts.route,
+                        opts.seed,
+                    ));
                 }
                 if let Some(path) = &opts.out {
                     let _span = Span::enter("write_girg");
@@ -530,7 +544,13 @@ fn main() -> ExitCode {
                 let mut tables = vec![table];
                 if opts.route > 0 {
                     let obj = HyperbolicObjective::new(&hrg);
-                    tables.push(route_phase(hrg.graph(), &comps, &obj, opts.route, opts.seed));
+                    tables.push(route_decoded(
+                        hrg.graph(),
+                        &comps,
+                        &obj,
+                        opts.route,
+                        opts.seed,
+                    ));
                 }
                 tables
             }
@@ -543,7 +563,7 @@ fn main() -> ExitCode {
                 let mut tables = vec![table];
                 if opts.route > 0 {
                     let obj = KleinbergObjective::new(&lattice);
-                    tables.push(route_phase(
+                    tables.push(route_decoded(
                         lattice.graph(),
                         &comps,
                         &obj,
@@ -566,4 +586,30 @@ fn main() -> ExitCode {
     });
     artifact.finish();
     exit
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::SeedableRng;
+
+    /// The mapped path reads d = 2 lanes, so a store of any other dimension
+    /// is refused when it opens — with or without routing — instead of
+    /// panicking in the objective.
+    #[test]
+    fn run_mapped_rejects_a_store_of_another_dimension() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let girg = GirgBuilder::<3>::new(300).sample(&mut rng).unwrap();
+        let path = std::env::temp_dir().join(format!(
+            "smallworld-girg-gen-dim3-{}.swg",
+            std::process::id()
+        ));
+        smallworld_store::save_girg(&girg, &path, 1).unwrap();
+        let file = path.to_str().unwrap();
+        for route in [0, 50] {
+            let err = run_mapped(file, route, 1).expect_err("a d = 3 store must be refused");
+            assert!(err.contains("store has dimension 3, expected 2"), "{err}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
 }

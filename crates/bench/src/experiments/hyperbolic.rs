@@ -16,8 +16,7 @@ use smallworld_core::{GreedyRouter, HyperbolicObjective, PhiDfsRouter};
 use smallworld_models::HrgBuilder;
 
 use crate::harness::{
-    parallel_map, route_random_connected_pairs_observed, route_random_pairs_observed,
-    RoutingAggregate, Scale,
+    parallel_map, route_random_pairs_observed, PairDraw, RoutingAggregate, Scale,
 };
 
 /// Runs E10 and prints/returns its table.
@@ -55,6 +54,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
                         &obj,
                         &GreedyRouter::new(),
                         &comps,
+                        PairDraw::Any,
                         pairs,
                         true,
                         &mut rng,
@@ -62,11 +62,12 @@ pub fn run(scale: Scale) -> Vec<Table> {
                     );
                     // connected pairs only: Φ-DFS would otherwise exhaust the
                     // giant on every cross-component pair
-                    let patched = route_random_connected_pairs_observed(
+                    let patched = route_random_pairs_observed(
                         hrg.graph(),
                         &obj,
                         &PhiDfsRouter::new(),
                         &comps,
+                        PairDraw::Connected,
                         pairs / 4,
                         false,
                         &mut rng,

@@ -21,7 +21,9 @@ use smallworld_core::{DistanceObjective, GreedyRouter, KleinbergObjective};
 use smallworld_models::{ContinuumKleinberg, KleinbergLattice};
 
 use crate::experiments::{run_girg_trials, GirgConfig, ObjectiveChoice};
-use crate::harness::{parallel_map, route_random_pairs_observed, RoutingAggregate, Scale};
+use crate::harness::{
+    parallel_map, route_random_pairs_observed, PairDraw, RoutingAggregate, Scale,
+};
 
 /// Runs E12 (parts A and B); prints/returns both tables.
 pub fn run(scale: Scale) -> Vec<Table> {
@@ -53,6 +55,7 @@ fn part_a(scale: Scale) -> Table {
                     &obj,
                     &GreedyRouter::new(),
                     &comps,
+                    PairDraw::Any,
                     pairs,
                     false,
                     &mut rng,
@@ -103,6 +106,7 @@ fn part_b(scale: Scale) -> Table {
                 &obj,
                 &GreedyRouter::new(),
                 &comps,
+                PairDraw::Any,
                 pairs,
                 false,
                 &mut rng,

@@ -30,7 +30,7 @@ use smallworld_models::girg::{Girg, GirgBuilder};
 use smallworld_models::Alpha;
 use smallworld_core::MetricsRouteObserver;
 
-use crate::harness::{parallel_map, route_random_pairs_observed, TrialOutcome};
+use crate::harness::{parallel_map, route_random_pairs_observed, PairDraw, TrialOutcome};
 
 /// Parameters of one GIRG sampling configuration (dimension fixed to 2;
 /// [`robustness`] instantiates other dimensions explicitly).
@@ -195,32 +195,31 @@ where
             worker_components(girg.graph())
         };
         let mut obs = make_obs();
-        let o = &mut obs;
         let _span = smallworld_obs::Span::enter("route_pairs");
+        // one call per objective type: the runner is generic over it
+        macro_rules! route {
+            ($obj:expr) => {
+                route_random_pairs_observed(
+                    girg.graph(),
+                    &$obj,
+                    router,
+                    &comps,
+                    PairDraw::Any,
+                    pairs,
+                    measure_stretch,
+                    &mut rng,
+                    &mut obs,
+                )
+            };
+        }
         match objective {
-            ObjectiveChoice::Girg => {
-                let obj = GirgObjective::new(&girg);
-                route_random_pairs_observed(
-                    girg.graph(), &obj, router, &comps, pairs, measure_stretch, &mut rng, o,
-                )
-            }
-            ObjectiveChoice::Distance => {
-                let obj = DistanceObjective::for_girg(&girg);
-                route_random_pairs_observed(
-                    girg.graph(), &obj, router, &comps, pairs, measure_stretch, &mut rng, o,
-                )
-            }
+            ObjectiveChoice::Girg => route!(GirgObjective::new(&girg)),
+            ObjectiveChoice::Distance => route!(DistanceObjective::for_girg(&girg)),
             ObjectiveChoice::Relaxed(eps) => {
-                let obj = RelaxedObjective::new(GirgObjective::new(&girg), eps, seed);
-                route_random_pairs_observed(
-                    girg.graph(), &obj, router, &comps, pairs, measure_stretch, &mut rng, o,
-                )
+                route!(RelaxedObjective::new(GirgObjective::new(&girg), eps, seed))
             }
             ObjectiveChoice::Quantized(levels) => {
-                let obj = QuantizedObjective::new(GirgObjective::new(&girg), levels);
-                route_random_pairs_observed(
-                    girg.graph(), &obj, router, &comps, pairs, measure_stretch, &mut rng, o,
-                )
+                route!(QuantizedObjective::new(GirgObjective::new(&girg), levels))
             }
         }
     });

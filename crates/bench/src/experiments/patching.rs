@@ -23,7 +23,7 @@ use smallworld_core::GirgObjective;
 
 use crate::experiments::GirgConfig;
 use crate::harness::{
-    parallel_map, route_random_connected_pairs_observed, RoutingAggregate, Scale, TrialOutcome,
+    parallel_map, route_random_pairs_observed, PairDraw, RoutingAggregate, Scale, TrialOutcome,
 };
 
 fn routers() -> Vec<RouterKind> {
@@ -66,8 +66,16 @@ fn compare_routers(
                 // the whole budget exhaustively failing cross-component pairs
                 let mut pair_rng = StdRng::seed_from_u64(seed ^ 0xABCD);
                 let mut obs = smallworld_core::MetricsRouteObserver::new();
-                route_random_connected_pairs_observed(
-                    girg.graph(), &obj, router, &comps, pairs, false, &mut pair_rng, &mut obs,
+                route_random_pairs_observed(
+                    girg.graph(),
+                    &obj,
+                    router,
+                    &comps,
+                    PairDraw::Connected,
+                    pairs,
+                    false,
+                    &mut pair_rng,
+                    &mut obs,
                 )
             })
             .collect()

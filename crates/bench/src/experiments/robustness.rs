@@ -15,7 +15,9 @@ use smallworld_graph::Components;
 use smallworld_models::girg::GirgBuilder;
 use smallworld_models::Alpha;
 
-use crate::harness::{parallel_map, route_random_pairs_observed, RoutingAggregate, Scale};
+use crate::harness::{
+    parallel_map, route_random_pairs_observed, PairDraw, RoutingAggregate, Scale,
+};
 
 /// Samples and routes in dimension `D`.
 fn run_cell<const D: usize>(
@@ -51,6 +53,7 @@ fn run_cell<const D: usize>(
             &obj,
             &GreedyRouter::new(),
             &comps,
+            PairDraw::Any,
             pairs,
             false,
             &mut rng,
@@ -159,11 +162,12 @@ fn edge_failures(scale: Scale) -> Table {
             let comps = super::worker_components(&failed);
             let obj = GirgObjective::new(&girg);
             let _span = smallworld_obs::Span::enter("route_pairs");
-            let trials = crate::harness::route_random_giant_pairs_observed(
+            let trials = route_random_pairs_observed(
                 &failed,
                 &obj,
                 &GreedyRouter::new(),
                 &comps,
+                PairDraw::Giant,
                 pairs,
                 false,
                 &mut rng,

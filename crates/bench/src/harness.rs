@@ -1,13 +1,22 @@
 //! Deterministic seeding, parallel Monte-Carlo, and routing aggregates.
+//!
+//! Every routing trial runs through one private trial body; its callers
+//! differ only in how they draw endpoint pairs and what they route over:
+//! [`route_random_pairs_observed`] draws from the caller's RNG by a
+//! [`PairDraw`] rule, while [`TrialBatch`] draws per-trial-seeded pairs
+//! ([`draw_endpoints`]) over a pool and routes a decoded [`Graph`]
+//! ([`TrialBatch::run`]) or per-worker [`AdjacencyView`]s such as a mapped
+//! store's LRU cursor ([`TrialBatch::run_views`]).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use smallworld_analysis::{Proportion, Summary};
 use smallworld_core::{
-    MetricsRouteObserver, Objective, RouteObserver, RouteRecord, RouteScratch, Router,
+    GreedyRouter, MetricsRouteObserver, Objective, RouteObserver, RouteRecord, RouteScratch, Router,
 };
-use smallworld_graph::analytics::{pair_distances_with, MsBfsScratch};
+use smallworld_graph::analytics::pair_distances;
+use smallworld_graph::view::AdjacencyView;
 use smallworld_graph::{Components, Graph, NodeId, Permutation};
 use smallworld_par::{chunk_ranges, Pool};
 
@@ -109,20 +118,87 @@ pub struct TrialOutcome {
     pub same_component: bool,
 }
 
-/// Routes `pairs` uniformly random source/target pairs, records outcomes,
-/// and reports every routing event to `obs` (pass
+/// How [`route_random_pairs_observed`] draws its endpoint pairs from the
+/// caller's RNG.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PairDraw {
+    /// Both endpoints uniform over all vertices; pairs with `s == t` are
+    /// redrawn.
+    Any,
+    /// As [`PairDraw::Any`], also redrawing pairs in different components.
+    ///
+    /// Use this for backtracking patchers: on a cross-component pair they
+    /// correctly — but expensively — exhaust the source's component before
+    /// failing, which measures nothing the theorems speak about (Theorem
+    /// 3.4 is conditional on a shared component).
+    Connected,
+    /// Both endpoints uniform over the **largest** component, redrawing
+    /// `s == t`. Every pair is connected by construction, so a failed trial
+    /// means the router got stuck — disconnection is factored out entirely
+    /// (report it separately, e.g. via [`Components::giant_fraction`]).
+    Giant,
+}
+
+impl PairDraw {
+    /// Draws `pairs` endpoint pairs from `rng`, one pair after another.
+    fn draw(
+        self,
+        graph: &Graph,
+        components: &Components,
+        pairs: usize,
+        rng: &mut StdRng,
+    ) -> Vec<(NodeId, NodeId)> {
+        let candidates = match self {
+            PairDraw::Any => graph.node_count(),
+            PairDraw::Connected | PairDraw::Giant => components.largest_size(),
+        };
+        assert!(candidates >= 2, "no two vertices to pair up");
+        let giant: Option<Vec<NodeId>> = (self == PairDraw::Giant).then(|| {
+            graph
+                .nodes()
+                .filter(|&v| components.in_largest(v))
+                .collect()
+        });
+        let mut pick = || match &giant {
+            Some(giant) => giant[rng.gen_range(0..giant.len())],
+            None => NodeId::from_index(rng.gen_range(0..graph.node_count())),
+        };
+        (0..pairs)
+            .map(|_| loop {
+                let (s, t) = (pick(), pick());
+                if s != t && (self != PairDraw::Connected || components.same_component(s, t)) {
+                    break (s, t);
+                }
+            })
+            .collect()
+    }
+}
+
+/// Routes `pairs` random source/target pairs drawn from `rng` by `draw`,
+/// records outcomes, and reports every routing event to `obs` (pass
 /// [`NoopObserver`](smallworld_core::NoopObserver) to route unobserved).
 ///
-/// Pairs with `s == t` are redrawn. When `measure_stretch` is set, each
-/// successful route also runs a bidirectional BFS. The observer receives
-/// the concatenated event streams of all `pairs` routes, in trial order;
-/// trial outcomes do not depend on the observer.
+/// All pairs are drawn before the first route. Routing never reads `rng`,
+/// so this is the pair stream — and the final `rng` state — of a loop that
+/// draws one pair and routes it before drawing the next, which is what
+/// keeps `EXPERIMENTS.md`'s numbers reproducible. When `measure_stretch`
+/// is set, every successful multi-hop route's stretch is resolved after
+/// routing. The observer receives the concatenated event streams of all
+/// `pairs` routes, in trial order; trial outcomes do not depend on the
+/// observer.
+///
+/// # Panics
+///
+/// Panics if the graph has fewer than two vertices, or — for
+/// [`PairDraw::Connected`] and [`PairDraw::Giant`] — if no two vertices
+/// share a component.
 #[allow(clippy::too_many_arguments)]
 pub fn route_random_pairs_observed<R, O, Obs>(
     graph: &Graph,
     objective: &O,
     router: &R,
     components: &Components,
+    draw: PairDraw,
     pairs: usize,
     measure_stretch: bool,
     rng: &mut StdRng,
@@ -133,198 +209,90 @@ where
     O: Objective,
     Obs: RouteObserver,
 {
-    route_pairs_impl(graph, objective, router, components, pairs, measure_stretch, false, rng, obs)
+    let endpoints = draw.draw(graph, components, pairs, rng);
+    let stretch_graph = measure_stretch.then_some(graph);
+    let route =
+        |kernel: &_, s, scratch: &mut _| router.route_prepared(graph, kernel, s, obs, scratch);
+    route_trials(
+        &endpoints,
+        objective,
+        components,
+        stretch_graph,
+        None,
+        false,
+        route,
+    )
+    .into_iter()
+    .map(|(outcome, _)| outcome)
+    .collect()
 }
 
-/// Like [`route_random_pairs_observed`], but only pairs within one
-/// component are drawn (redrawing until one is found).
+/// The one routing-trial body every runner shares.
 ///
-/// Use this for backtracking patchers: on a cross-component pair they
-/// correctly — but expensively — exhaust the source's component before
-/// failing, which measures nothing the theorems speak about (Theorem 3.4 is
-/// conditional on a shared component).
-///
-/// # Panics
-///
-/// Panics if no two vertices share a component.
-#[allow(clippy::too_many_arguments)]
-pub fn route_random_connected_pairs_observed<R, O, Obs>(
-    graph: &Graph,
-    objective: &O,
-    router: &R,
+/// Prepares the targets of `endpoints` in one [`Objective::prepare_batch`]
+/// call, then routes pair `k` as `route(kernel_k, s_k, scratch)`. Each
+/// successful route's hop count lands in the `route.hops` HDR histogram
+/// (the artifact's hop quantiles). With `stretch_graph`, stretch resolves
+/// after routing in one [`pair_distances`] sweep over that graph, queued
+/// in routed-id space so distances come from the graph the routes walked;
+/// distances are exact, so each value is bitwise what a per-route
+/// [`stretch`](smallworld_core::stretch) call gives. With `keep_records`
+/// each record is returned, its path mapped back to original ids through
+/// `id_map`; otherwise its path buffer is recycled into the next route.
+fn route_trials<'o, O, F>(
+    endpoints: &[(NodeId, NodeId)],
+    objective: &'o O,
     components: &Components,
-    pairs: usize,
-    measure_stretch: bool,
-    rng: &mut StdRng,
-    obs: &mut Obs,
-) -> Vec<TrialOutcome>
+    stretch_graph: Option<&Graph>,
+    id_map: Option<&Permutation>,
+    keep_records: bool,
+    mut route: F,
+) -> Vec<(TrialOutcome, Option<RouteRecord>)>
 where
-    R: Router,
     O: Objective,
-    Obs: RouteObserver,
+    F: FnMut(&O::Kernel<'o>, NodeId, &mut RouteScratch) -> RouteRecord,
 {
-    assert!(
-        components.largest_size() >= 2,
-        "no two vertices share a component"
-    );
-    route_pairs_impl(graph, objective, router, components, pairs, measure_stretch, true, rng, obs)
-}
-
-/// Like [`route_random_pairs_observed`], but both endpoints are drawn
-/// uniformly from the **largest** connected component. Every drawn pair is
-/// connected by construction, so a failed trial means the router got stuck
-/// — disconnection is factored out entirely (report it separately, e.g. via
-/// [`Components::giant_fraction`]).
-///
-/// # Panics
-///
-/// Panics if the largest component has fewer than two vertices.
-#[allow(clippy::too_many_arguments)]
-pub fn route_random_giant_pairs_observed<R, O, Obs>(
-    graph: &Graph,
-    objective: &O,
-    router: &R,
-    components: &Components,
-    pairs: usize,
-    measure_stretch: bool,
-    rng: &mut StdRng,
-    obs: &mut Obs,
-) -> Vec<TrialOutcome>
-where
-    R: Router,
-    O: Objective,
-    Obs: RouteObserver,
-{
-    let giant: Vec<NodeId> = graph.nodes().filter(|&v| components.in_largest(v)).collect();
-    assert!(
-        giant.len() >= 2,
-        "largest component has fewer than two vertices"
-    );
-    let mut out = Vec::with_capacity(pairs);
-    let mut stretches = StretchBatch::new(measure_stretch);
-    for _ in 0..pairs {
-        let (s, t) = loop {
-            let s = giant[rng.gen_range(0..giant.len())];
-            let t = giant[rng.gen_range(0..giant.len())];
-            if s != t {
-                break (s, t);
-            }
-        };
-        let record = router.route(graph, objective, s, t, obs);
-        stretches.push(out.len(), &record);
-        out.push(TrialOutcome {
-            success: record.is_success(),
-            hops: record.hops(),
-            stretch: None,
-            same_component: true,
-        });
-    }
-    stretches.resolve(graph, &mut out);
-    out
-}
-
-/// Deferred stretch measurement: successful routes queue their endpoints
-/// here, and one [`pair_distances_with`] sweep resolves the whole batch
-/// after routing. Distances are exact, so each filled-in stretch is
-/// bitwise-identical to what a per-route [`stretch`] call would produce —
-/// batch boundaries cannot change values.
-struct StretchBatch {
-    enabled: bool,
-    /// `(outcome slot, hops)` aligned with `pairs`.
-    slots: Vec<(usize, usize)>,
-    pairs: Vec<(NodeId, NodeId)>,
-}
-
-impl StretchBatch {
-    fn new(enabled: bool) -> Self {
-        StretchBatch {
-            enabled,
-            slots: Vec::new(),
-            pairs: Vec::new(),
-        }
-    }
-
-    /// Queues `record`'s endpoints for measurement, remembering which
-    /// outcome slot the result belongs to. No-op when disabled or when the
-    /// route has no defined stretch (failed or zero-hop).
-    fn push(&mut self, slot: usize, record: &RouteRecord) {
-        if self.enabled && record.is_success() && record.hops() > 0 {
-            self.slots.push((slot, record.hops()));
-            self.pairs.push((record.source(), record.last()));
-        }
-    }
-
-    /// Resolves all queued distances in one MS-BFS pass and writes the
-    /// stretches into `out`.
-    fn resolve(self, graph: &Graph, out: &mut [TrialOutcome]) {
-        let mut scratch = MsBfsScratch::new();
-        self.resolve_each(graph, &mut scratch, |slot, st| out[slot].stretch = Some(st));
-    }
-
-    /// Resolves all queued distances and hands each `(slot, stretch)` to
-    /// `apply`.
-    fn resolve_each(
-        self,
-        graph: &Graph,
-        scratch: &mut MsBfsScratch,
-        mut apply: impl FnMut(usize, f64),
-    ) {
-        if self.pairs.is_empty() {
-            return;
-        }
-        let dists = pair_distances_with(graph, &self.pairs, scratch);
-        for (k, &(slot, hops)) in self.slots.iter().enumerate() {
-            if let Some(d) = dists[k] {
-                debug_assert!(d > 0, "distinct endpoints have positive distance");
-                apply(slot, hops as f64 / d as f64);
+    let hop_hdr = smallworld_obs::metrics::hdr("route.hops");
+    let prepared = objective.prepare_batch(endpoints.iter().map(|&(_, t)| t));
+    let mut scratch = RouteScratch::with_path_capacity(32);
+    // (trial, hops) of every route with a defined stretch, and its pair
+    let (mut stretch_slots, mut stretch_pairs) = (Vec::new(), Vec::new());
+    let mut out = Vec::with_capacity(endpoints.len());
+    for (k, &(s, t)) in endpoints.iter().enumerate() {
+        let mut record = route(prepared.kernel(k), s, &mut scratch);
+        if record.is_success() {
+            hop_hdr.record(record.hops() as u64);
+            if stretch_graph.is_some() && record.hops() > 0 {
+                stretch_slots.push((k, record.hops()));
+                stretch_pairs.push((s, record.last()));
             }
         }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn route_pairs_impl<R, O, Obs>(
-    graph: &Graph,
-    objective: &O,
-    router: &R,
-    components: &Components,
-    pairs: usize,
-    measure_stretch: bool,
-    connected_only: bool,
-    rng: &mut StdRng,
-    obs: &mut Obs,
-) -> Vec<TrialOutcome>
-where
-    R: Router,
-    O: Objective,
-    Obs: RouteObserver,
-{
-    let n = graph.node_count();
-    assert!(n >= 2, "need at least two vertices to route");
-    let mut out = Vec::with_capacity(pairs);
-    let mut stretches = StretchBatch::new(measure_stretch);
-    for _ in 0..pairs {
-        let (s, t) = loop {
-            let s = smallworld_graph::NodeId::from_index(rng.gen_range(0..n));
-            let t = smallworld_graph::NodeId::from_index(rng.gen_range(0..n));
-            if t == s {
-                continue;
-            }
-            if connected_only && !components.same_component(s, t) {
-                continue;
-            }
-            break (s, t);
-        };
-        let record = router.route(graph, objective, s, t, obs);
-        stretches.push(out.len(), &record);
-        out.push(TrialOutcome {
+        let outcome = TrialOutcome {
             success: record.is_success(),
             hops: record.hops(),
             stretch: None,
             same_component: components.same_component(s, t),
-        });
+        };
+        if !keep_records {
+            scratch.recycle(record.path);
+            out.push((outcome, None));
+            continue;
+        }
+        if let Some(perm) = id_map {
+            let path = perm.path_to_original(&record.path);
+            scratch.recycle(std::mem::replace(&mut record.path, path));
+        }
+        out.push((outcome, Some(record)));
     }
-    stretches.resolve(graph, &mut out);
+    if let Some(graph) = stretch_graph.filter(|_| !stretch_pairs.is_empty()) {
+        let dists = pair_distances(graph, &stretch_pairs);
+        for (&(slot, hops), d) in stretch_slots.iter().zip(dists) {
+            if let Some(d) = d {
+                debug_assert!(d > 0, "distinct endpoints have positive distance");
+                out[slot].0.stretch = Some(hops as f64 / d as f64);
+            }
+        }
+    }
     out
 }
 
@@ -336,8 +304,8 @@ where
 /// sequence as an unrelabeled one.
 ///
 /// Each pair is a pure function of `(n, master_seed, i)` and the filters,
-/// which is what makes every trial runner's results independent of thread
-/// count and chunking, and equal across runners.
+/// which is what makes every [`TrialBatch`] run's results independent of
+/// thread count and chunking, and equal across substrates.
 pub fn draw_endpoints(
     range: std::ops::Range<usize>,
     n: usize,
@@ -377,6 +345,11 @@ pub fn draw_endpoints(
 /// result vector is therefore **bitwise-identical at any thread count** —
 /// `SMALLWORLD_THREADS=1` reproduces the default pool exactly.
 ///
+/// `G` is the substrate: a decoded [`Graph`] ([`TrialBatch::new`], routed
+/// by any [`Router`]) or `()` for a batch over per-worker adjacency views
+/// ([`TrialBatch::for_views`], routed by [`GreedyRouter::route_view`]).
+/// Only a decoded batch can measure stretch, which needs BFS distances.
+///
 /// Per-hop probe counters land in the sharded global metrics registry
 /// ([`smallworld_obs::metrics`]), so worker threads never contend on a
 /// shared observer.
@@ -400,8 +373,9 @@ pub fn draw_endpoints(
 /// # Ok::<(), smallworld_models::ModelError>(())
 /// ```
 #[derive(Clone, Copy, Debug)]
-pub struct TrialBatch<'a> {
-    graph: &'a Graph,
+pub struct TrialBatch<'a, G = &'a Graph> {
+    graph: G,
+    node_count: usize,
     components: &'a Components,
     pairs: usize,
     measure_stretch: bool,
@@ -412,45 +386,12 @@ pub struct TrialBatch<'a> {
 impl<'a> TrialBatch<'a> {
     /// Configures a batch of `pairs` routing trials on `graph`.
     pub fn new(graph: &'a Graph, components: &'a Components, pairs: usize) -> Self {
-        TrialBatch {
-            graph,
-            components,
-            pairs,
-            measure_stretch: false,
-            connected_only: false,
-            id_map: None,
-        }
+        TrialBatch::over(graph, graph.node_count(), components, pairs)
     }
 
-    /// Also measure stretch (runs a BFS per successful route).
+    /// Also measure stretch (resolved per chunk in one MS-BFS sweep).
     pub fn measure_stretch(mut self, yes: bool) -> Self {
         self.measure_stretch = yes;
-        self
-    }
-
-    /// Only draw pairs that share a connected component.
-    pub fn connected_only(mut self, yes: bool) -> Self {
-        self.connected_only = yes;
-        self
-    }
-
-    /// Declares that `graph` (and the objective) live in a *relabeled* id
-    /// space — typically `Girg::morton_permutation` — while reported results
-    /// stay in the original one: pairs are drawn in original-id space (so
-    /// the trial sequence matches an unrelabeled run seed-for-seed), mapped
-    /// forward for routing, and every returned [`RouteRecord`] path is
-    /// mapped back to original ids.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the permutation length mismatches the graph.
-    pub fn with_id_map(mut self, perm: &'a Permutation) -> Self {
-        assert_eq!(
-            perm.len(),
-            self.graph.node_count(),
-            "permutation length must match node count"
-        );
-        self.id_map = Some(perm);
         self
     }
 
@@ -475,7 +416,7 @@ impl<'a> TrialBatch<'a> {
         R: Router + Sync,
         O: Objective + Sync,
     {
-        self.run_chunked(router, objective, master_seed, pool, false)
+        self.run_decoded(router, objective, master_seed, pool, false)
             .into_iter()
             .map(|(outcome, _)| outcome)
             .collect()
@@ -498,23 +439,15 @@ impl<'a> TrialBatch<'a> {
         R: Router + Sync,
         O: Objective + Sync,
     {
-        self.run_chunked(router, objective, master_seed, pool, true)
+        self.run_decoded(router, objective, master_seed, pool, true)
             .into_iter()
             .map(|(outcome, record)| (outcome, record.expect("records were kept")))
             .collect()
     }
 
-    /// Shared driver: trials are fanned out in contiguous chunks so each
-    /// worker reuses one [`RouteScratch`] and one interned metrics observer
-    /// across its whole chunk. Trial `i`'s RNG is still seeded from
-    /// `(master_seed, i)` alone, so results are independent of both the
-    /// thread count and the chunking.
-    ///
-    /// Each chunk draws all of its endpoint pairs up front and prepares the
-    /// targets in one [`Objective::prepare_batch`] call; the routing loop
-    /// then runs over the prepared kernels via [`Router::route_prepared`],
-    /// amortizing per-target setup without touching the trial RNG stream.
-    fn run_chunked<R, O>(
+    /// Routes every chunk over the decoded graph via
+    /// [`Router::route_prepared`], one interned metrics observer per chunk.
+    fn run_decoded<R, O>(
         &self,
         router: &R,
         objective: &O,
@@ -526,76 +459,160 @@ impl<'a> TrialBatch<'a> {
         R: Router + Sync,
         O: Objective + Sync,
     {
-        let n = self.graph.node_count();
+        let stretch_graph = self.measure_stretch.then_some(self.graph);
+        self.fan_out(master_seed, pool, |endpoints| {
+            let mut obs = MetricsRouteObserver::new();
+            route_trials(
+                endpoints,
+                objective,
+                self.components,
+                stretch_graph,
+                self.id_map,
+                keep_records,
+                |kernel, s, scratch| {
+                    router.route_prepared(self.graph, kernel, s, &mut obs, scratch)
+                },
+            )
+        })
+        .into_iter()
+        .flatten()
+        .collect()
+    }
+}
+
+impl<'a> TrialBatch<'a, ()> {
+    /// Configures a batch of `pairs` greedy trials among `node_count`
+    /// vertices, routed by [`TrialBatch::run_views`] over adjacency views —
+    /// no decoded [`Graph`] is needed, and so no stretch can be asked for.
+    pub fn for_views(node_count: usize, components: &'a Components, pairs: usize) -> Self {
+        TrialBatch::over((), node_count, components, pairs)
+    }
+
+    /// Runs the batch on `pool` with [`GreedyRouter::route_view`], each
+    /// worker chunk over its own view from `make_view` — e.g. a mapped
+    /// store's LRU cursor, so neighbor lists decode on demand and the
+    /// adjacency never leaves the mmap.
+    ///
+    /// Trial `i`'s pair is the one [`TrialBatch::run`] draws, so over a
+    /// view of the same adjacency the outcomes equal a decoded run's with
+    /// the same router, element for element. The views come back in chunk
+    /// order, so callers can read their cache counters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node_count < 2`, or if `connected_only` is set and no two
+    /// vertices share a component.
+    pub fn run_views<V, O>(
+        &self,
+        router: &GreedyRouter,
+        objective: &O,
+        make_view: impl Fn() -> V + Sync,
+        master_seed: u64,
+        pool: &Pool,
+    ) -> (Vec<TrialOutcome>, Vec<V>)
+    where
+        V: AdjacencyView + Send,
+        O: Objective + Sync,
+    {
+        let per_chunk = self.fan_out(master_seed, pool, |endpoints| {
+            let mut view = make_view();
+            let mut obs = MetricsRouteObserver::new();
+            let trials = route_trials(
+                endpoints,
+                objective,
+                self.components,
+                None,
+                self.id_map,
+                false,
+                |kernel, s, scratch| router.route_view(&mut view, kernel, s, &mut obs, scratch),
+            );
+            (trials, view)
+        });
+        let (trials, views): (Vec<_>, Vec<V>) = per_chunk.into_iter().unzip();
+        let outcomes = trials
+            .into_iter()
+            .flatten()
+            .map(|(outcome, _)| outcome)
+            .collect();
+        (outcomes, views)
+    }
+}
+
+impl<'a, G> TrialBatch<'a, G> {
+    fn over(graph: G, node_count: usize, components: &'a Components, pairs: usize) -> Self {
+        TrialBatch {
+            graph,
+            node_count,
+            components,
+            pairs,
+            measure_stretch: false,
+            connected_only: false,
+            id_map: None,
+        }
+    }
+
+    /// Only draw pairs that share a connected component.
+    pub fn connected_only(mut self, yes: bool) -> Self {
+        self.connected_only = yes;
+        self
+    }
+
+    /// Declares that the graph (and the objective) live in a *relabeled*
+    /// id space — typically `Girg::morton_permutation` — while reported
+    /// results stay in the original one: pairs are drawn in original-id
+    /// space (so the trial sequence matches an unrelabeled run
+    /// seed-for-seed), mapped forward for routing, and every returned
+    /// [`RouteRecord`] path is mapped back to original ids.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the permutation length mismatches the node count.
+    pub fn with_id_map(mut self, perm: &'a Permutation) -> Self {
+        assert_eq!(
+            perm.len(),
+            self.node_count,
+            "permutation length must match node count"
+        );
+        self.id_map = Some(perm);
+        self
+    }
+
+    /// Fans the trials out over `pool` in contiguous chunks, so each worker
+    /// reuses one scratch buffer and one observer across its whole chunk:
+    /// every chunk draws its endpoint pairs up front ([`draw_endpoints`])
+    /// and hands them to `chunk`. Trial `i`'s pair depends on
+    /// `(master_seed, i)` alone, so results are independent of both the
+    /// thread count and the chunking. Results come back in chunk order.
+    fn fan_out<T: Send>(
+        &self,
+        master_seed: u64,
+        pool: &Pool,
+        chunk: impl Fn(&[(NodeId, NodeId)]) -> T + Sync,
+    ) -> Vec<T> {
+        let (n, components, connected_only, id_map) = (
+            self.node_count,
+            self.components,
+            self.connected_only,
+            self.id_map,
+        );
         assert!(n >= 2, "need at least two vertices to route");
-        if self.connected_only {
+        if connected_only {
             assert!(
-                self.components.largest_size() >= 2,
+                components.largest_size() >= 2,
                 "no two vertices share a component"
             );
         }
         let chunks = chunk_ranges(self.pairs, pool.threads().saturating_mul(4));
-        let per_chunk = pool.map_items(chunks, |_, range| {
-            let mut scratch = RouteScratch::with_path_capacity(32);
-            let mut msbfs = MsBfsScratch::new();
-            let mut obs = MetricsRouteObserver::new();
-            // interned once per chunk; successful hop counts feed the
-            // artifact's p50/p90/p99/p999 quantiles
-            let hop_hdr = smallworld_obs::metrics::hdr("route.hops");
-            let mut out = Vec::with_capacity(range.len());
-            let mut stretches = StretchBatch::new(self.measure_stretch);
-            // phase 1: draw every trial's endpoints
-            let endpoints = draw_endpoints(
-                range.clone(),
+        pool.map_items(chunks, |_, range| {
+            chunk(&draw_endpoints(
+                range,
                 n,
                 master_seed,
-                self.components,
-                self.connected_only,
-                self.id_map,
-            );
-            // phase 2: prepare all targets at once, then route each trial
-            // against its prepared kernel
-            let prepared = objective.prepare_batch(endpoints.iter().map(|&(_, t)| t));
-            for (k, &(s, t)) in endpoints.iter().enumerate() {
-                let record =
-                    router.route_prepared(self.graph, prepared.kernel(k), s, &mut obs, &mut scratch);
-                if record.is_success() {
-                    hop_hdr.record(record.hops() as u64);
-                }
-                // stretch resolves after the chunk in one MS-BFS pass; the
-                // endpoints queue in routed-id space so distances come from
-                // the same graph the route walked
-                stretches.push(out.len(), &record);
-                let outcome = TrialOutcome {
-                    success: record.is_success(),
-                    hops: record.hops(),
-                    stretch: None,
-                    same_component: self.components.same_component(s, t),
-                };
-                let record = if keep_records {
-                    Some(match self.id_map {
-                        Some(perm) => {
-                            let path = perm.path_to_original(&record.path);
-                            scratch.recycle(record.path);
-                            RouteRecord {
-                                outcome: record.outcome,
-                                path,
-                            }
-                        }
-                        None => record,
-                    })
-                } else {
-                    scratch.recycle(record.path);
-                    None
-                };
-                out.push((outcome, record));
-            }
-            stretches.resolve_each(self.graph, &mut msbfs, |slot, st| {
-                out[slot].0.stretch = Some(st);
-            });
-            out
-        });
-        per_chunk.into_iter().flatten().collect()
+                components,
+                connected_only,
+                id_map,
+            ))
+        })
     }
 }
 
@@ -712,6 +729,7 @@ mod tests {
             &obj,
             &GreedyRouter::new(),
             &comps,
+            PairDraw::Any,
             100,
             true,
             &mut rng,
@@ -858,5 +876,160 @@ mod tests {
         }
         let agg = RoutingAggregate::from_trials(outcomes.iter());
         assert_eq!(agg.success.trials(), 40);
+    }
+
+    /// The per-pair loop the sequential runner replaced: draw one pair from
+    /// `rng` by `draw`'s rule, route it with [`Router::route`], measure its
+    /// stretch by BFS, repeat.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_loop<R: Router, O: Objective>(
+        graph: &Graph,
+        objective: &O,
+        router: &R,
+        comps: &Components,
+        draw: PairDraw,
+        pairs: usize,
+        rng: &mut StdRng,
+        obs: &mut smallworld_core::CountingObserver,
+    ) -> Vec<TrialOutcome> {
+        let n = graph.node_count();
+        let giant: Vec<NodeId> = graph.nodes().filter(|&v| comps.in_largest(v)).collect();
+        (0..pairs)
+            .map(|_| {
+                let (s, t) = loop {
+                    let (s, t) = match draw {
+                        PairDraw::Giant => (
+                            giant[rng.gen_range(0..giant.len())],
+                            giant[rng.gen_range(0..giant.len())],
+                        ),
+                        PairDraw::Any | PairDraw::Connected => (
+                            NodeId::from_index(rng.gen_range(0..n)),
+                            NodeId::from_index(rng.gen_range(0..n)),
+                        ),
+                    };
+                    if s != t && (draw != PairDraw::Connected || comps.same_component(s, t)) {
+                        break (s, t);
+                    }
+                };
+                let record = router.route(graph, objective, s, t, obs);
+                TrialOutcome {
+                    success: record.is_success(),
+                    hops: record.hops(),
+                    stretch: smallworld_core::stretch(graph, &record),
+                    same_component: comps.same_component(s, t),
+                }
+            })
+            .collect()
+    }
+
+    /// The sequential runner's contract, which keeps `EXPERIMENTS.md`
+    /// reproducible: for every draw rule and router, its outcomes, observer
+    /// events and final RNG state equal the per-pair reference loop's.
+    #[test]
+    fn sequential_runner_matches_per_pair_reference_loop() {
+        use smallworld_core::{CountingObserver, PhiDfsRouter, RouterKind};
+        let mut rng = StdRng::seed_from_u64(17);
+        let girg = GirgBuilder::<2>::new(400)
+            .lambda(0.01)
+            .sample(&mut rng)
+            .unwrap();
+        let comps = Components::compute(girg.graph());
+        assert!(comps.giant_fraction() < 1.0, "the draw rules must differ");
+        let obj = GirgObjective::new(&girg);
+        let routers = [
+            RouterKind::Greedy(GreedyRouter::new()),
+            RouterKind::PhiDfs(PhiDfsRouter::new()),
+        ];
+        for router in &routers {
+            for draw in [PairDraw::Any, PairDraw::Connected, PairDraw::Giant] {
+                let label = format!("{} {draw:?}", router.name());
+                let mut want_rng = StdRng::seed_from_u64(99);
+                let mut want_obs = CountingObserver::default();
+                let want = reference_loop(
+                    girg.graph(),
+                    &obj,
+                    router,
+                    &comps,
+                    draw,
+                    60,
+                    &mut want_rng,
+                    &mut want_obs,
+                );
+                let mut got_rng = StdRng::seed_from_u64(99);
+                let mut got_obs = CountingObserver::default();
+                let got = route_random_pairs_observed(
+                    girg.graph(),
+                    &obj,
+                    router,
+                    &comps,
+                    draw,
+                    60,
+                    true,
+                    &mut got_rng,
+                    &mut got_obs,
+                );
+                assert_eq!(got, want, "{label}");
+                assert_eq!(got_obs, want_obs, "{label}");
+                assert_eq!(got_rng.gen::<u64>(), want_rng.gen::<u64>(), "{label}");
+                assert!(got.iter().any(|o| o.stretch.is_some()), "{label}");
+            }
+        }
+    }
+
+    /// A view run over a mapped store's LRU cursors equals the decoded
+    /// `TrialBatch` run element for element, at 1 and 3 threads — over a
+    /// Morton-relabeled store (bounded hop scans) and over an as-sampled
+    /// one, for which the φ-bounds guard builds no bounds.
+    #[test]
+    fn view_run_matches_decoded_trial_batch() {
+        use smallworld_core::PackedGirgObjective;
+        use smallworld_store::GraphStore;
+        let mut rng = StdRng::seed_from_u64(41);
+        let sampled = GirgBuilder::<2>::new(1_500).sample(&mut rng).unwrap();
+        let morton = sampled.relabel(&sampled.morton_permutation());
+        for (label, girg, bounded) in [("morton", &morton, true), ("as-sampled", &sampled, false)] {
+            let path = std::env::temp_dir().join(format!(
+                "smallworld-bench-view-run-{label}-{}.swg",
+                std::process::id()
+            ));
+            smallworld_store::save_girg(girg, &path, 1).unwrap();
+            let store = GraphStore::open(&path).unwrap();
+            let mapped = store.mapped_graph().unwrap();
+            let positions = store.packed_positions().unwrap();
+            let weights = store.packed_weights().unwrap();
+            let (params, _) = store.params().unwrap();
+            let packed =
+                PackedGirgObjective::<2>::new(&positions, &weights, params.wmin * params.intensity);
+            assert_eq!(packed.bounds().is_some(), bounded, "{label}");
+
+            let comps = Components::compute(girg.graph());
+            let decoded = TrialBatch::new(girg.graph(), &comps, 80)
+                .connected_only(true)
+                .run(
+                    &GreedyRouter::new(),
+                    &GirgObjective::new(girg),
+                    13,
+                    &Pool::with_threads(1),
+                );
+            for threads in [1, 3] {
+                let (got, cursors) = TrialBatch::for_views(mapped.node_count(), &comps, 80)
+                    .connected_only(true)
+                    .run_views(
+                        &GreedyRouter::new(),
+                        &packed,
+                        || mapped.cursor(),
+                        13,
+                        &Pool::with_threads(threads),
+                    );
+                assert_eq!(got, decoded, "{label}, threads={threads}");
+                let hits: u64 = cursors.iter().map(|c| c.hits()).sum();
+                let misses: u64 = cursors.iter().map(|c| c.misses()).sum();
+                assert!(
+                    hits > 0 && misses > 0,
+                    "{label}, threads={threads}: {hits}/{misses}"
+                );
+            }
+            std::fs::remove_file(&path).ok();
+        }
     }
 }
