@@ -229,8 +229,8 @@ where
 
 /// The one routing-trial body every runner shares.
 ///
-/// Prepares the targets of `endpoints` in one [`Objective::prepare_batch`]
-/// call, then routes pair `k` as `route(kernel_k, s_k, scratch)`. Each
+/// Prepares the targets of `endpoints` up front with [`Objective::prepare`],
+/// then routes pair `k` as `route(kernel_k, s_k, scratch)`. Each
 /// successful route's hop count lands in the `route.hops` HDR histogram
 /// (the artifact's hop quantiles). With `stretch_graph`, stretch resolves
 /// after routing in one [`pair_distances`] sweep over that graph, queued
@@ -253,13 +253,16 @@ where
     F: FnMut(&O::Kernel<'o>, NodeId, &mut RouteScratch) -> RouteRecord,
 {
     let hop_hdr = smallworld_obs::metrics::hdr("route.hops");
-    let prepared = objective.prepare_batch(endpoints.iter().map(|&(_, t)| t));
+    let kernels: Vec<_> = endpoints
+        .iter()
+        .map(|&(_, t)| objective.prepare(t))
+        .collect();
     let mut scratch = RouteScratch::with_path_capacity(32);
     // (trial, hops) of every route with a defined stretch, and its pair
     let (mut stretch_slots, mut stretch_pairs) = (Vec::new(), Vec::new());
     let mut out = Vec::with_capacity(endpoints.len());
     for (k, &(s, t)) in endpoints.iter().enumerate() {
-        let mut record = route(prepared.kernel(k), s, &mut scratch);
+        let mut record = route(&kernels[k], s, &mut scratch);
         if record.is_success() {
             hop_hdr.record(record.hops() as u64);
             if stretch_graph.is_some() && record.hops() > 0 {

@@ -14,8 +14,9 @@
 //! target's address). There is no way to express a non-local protocol
 //! against this interface, and the [`Simulator`] additionally rejects
 //! forwarding to a non-neighbor. [`DistributedGreedy`] re-implements
-//! Algorithm 1 against the interface; a test asserts its routes are
-//! identical to [`crate::greedy::GreedyRouter`]'s.
+//! Algorithm 1's hop rule against the interface, scoring through φ's one
+//! scalar chain; tests assert its routes are identical to
+//! [`crate::greedy::GreedyRouter`]'s, near-ties included.
 
 use std::cell::Cell;
 
@@ -28,6 +29,7 @@ use smallworld_net::{
 };
 
 use crate::greedy::{RouteOutcome, RouteRecord, DEFAULT_MAX_STEPS};
+use crate::objective::phi_chain;
 
 /// Supplies the address of a vertex — the only per-vertex information a
 /// distributed protocol may read.
@@ -123,22 +125,48 @@ pub trait NodeProgram<A> {
 }
 
 /// Algorithm 1 as a node program over GIRG addresses: forward to the
-/// neighbor most likely to know the target, i.e. maximizing
-/// `w_u / ‖x_u − x_t‖^d` (the normalization constants of φ are shared by
-/// all candidates and cancel). Ties go to the first neighbor in adjacency
-/// order, through the same [`fold_first_best`] as every other greedy
-/// argmax.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DistributedGreedy;
+/// neighbor maximizing φ(u) = w_u / (w_min · n · ‖x_u − x_t‖^d) if it beats
+/// the node's own φ, else drop.
+///
+/// φ runs through the same scalar chain as [`GirgObjective`], so every
+/// score — near-ties included — is bitwise the centralized one; `w_min · n`
+/// is a model constant every node knows, like the dimension, not
+/// information about other nodes. Ties go to the first neighbor in
+/// adjacency order, through the same [`fold_first_best`] as every other
+/// greedy argmax.
+///
+/// [`GirgObjective`]: crate::objective::GirgObjective
+#[derive(Clone, Copy, Debug)]
+pub struct DistributedGreedy {
+    wmin_times_n: f64,
+}
 
 impl DistributedGreedy {
-    fn score<const D: usize>(address: &(Point<D>, f64), target: &Point<D>) -> f64 {
-        let dist_pow_d = address.0.distance_pow_d(target);
-        if dist_pow_d == 0.0 {
-            f64::INFINITY
-        } else {
-            address.1 / dist_pow_d
-        }
+    /// Creates the program with φ's normalization `w_min · n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the normalization is not positive.
+    pub fn new(wmin_times_n: f64) -> Self {
+        assert!(wmin_times_n > 0.0, "normalization must be positive");
+        DistributedGreedy { wmin_times_n }
+    }
+
+    /// Creates the program with the normalization of a sampled GIRG's φ,
+    /// the one [`GirgObjective::new`](crate::objective::GirgObjective::new)
+    /// uses.
+    pub fn for_girg<const D: usize>(girg: &Girg<D>) -> Self {
+        let params = girg.params();
+        DistributedGreedy::new(params.wmin * params.intensity)
+    }
+
+    fn score<const D: usize>(&self, address: &(Point<D>, f64), target: &Point<D>) -> f64 {
+        phi_chain(
+            address.0.coords(),
+            target.coords(),
+            address.1,
+            self.wmin_times_n,
+        )
     }
 }
 
@@ -149,11 +177,11 @@ impl<const D: usize> NodeProgram<(Point<D>, f64)> for DistributedGreedy {
         packet: &Packet<(Point<D>, f64)>,
     ) -> Decision {
         let target = &packet.target_address.0;
-        let own = Self::score(view.own_address(), target);
+        let own = self.score(view.own_address(), target);
         let scores: Vec<f64> = view
             .neighbor_addresses
             .iter()
-            .map(|addr| Self::score(addr, target))
+            .map(|addr| self.score(addr, target))
             .collect();
         let mut best = None;
         fold_first_best(&mut best, &scores, view.neighbors);
@@ -347,6 +375,7 @@ mod tests {
         let girg = girg(1);
         let addressing = GirgAddressing::new(&girg);
         let objective = GirgObjective::new(&girg);
+        let program = DistributedGreedy::for_girg(&girg);
         let sim = Simulator::new();
         let mut rng = StdRng::seed_from_u64(2);
         let mut delivered = 0;
@@ -354,7 +383,7 @@ mod tests {
             let s = girg.random_vertex(&mut rng);
             let t = girg.random_vertex(&mut rng);
             let central = GreedyRouter::new().route_quiet(girg.graph(), &objective, s, t);
-            let (distributed, _) = sim.route(girg.graph(), &addressing, &DistributedGreedy, s, t);
+            let (distributed, _) = sim.route(girg.graph(), &addressing, &program, s, t);
             assert_eq!(distributed.path, central.path, "{s}->{t}");
             assert_eq!(distributed.outcome, central.outcome);
             if distributed.is_success() {
@@ -392,7 +421,7 @@ mod tests {
         let (s, t) = (NodeId::new(0), NodeId::new(3));
         let central = GreedyRouter::new().route_quiet(&graph, &objective, s, t);
         let (distributed, _) =
-            Simulator::new().route(&graph, &addressing, &DistributedGreedy, s, t);
+            Simulator::new().route(&graph, &addressing, &DistributedGreedy::new(4.0), s, t);
         assert_eq!(central.path, [0, 1, 3].map(NodeId::new));
         assert_eq!(distributed, central);
     }
@@ -403,12 +432,13 @@ mod tests {
     fn one_activation_per_step() {
         let girg = girg(3);
         let addressing = GirgAddressing::new(&girg);
+        let program = DistributedGreedy::for_girg(&girg);
         let sim = Simulator::new();
         let mut rng = StdRng::seed_from_u64(4);
         for _ in 0..50 {
             let s = girg.random_vertex(&mut rng);
             let t = girg.random_vertex(&mut rng);
-            let (record, stats) = sim.route(girg.graph(), &addressing, &DistributedGreedy, s, t);
+            let (record, stats) = sim.route(girg.graph(), &addressing, &program, s, t);
             match record.outcome {
                 RouteOutcome::Delivered => assert_eq!(stats.activations, record.hops()),
                 RouteOutcome::DeadEnd => assert_eq!(stats.activations, record.hops() + 1),

@@ -10,14 +10,17 @@
 
 use smallworld_graph::{AdjacencyView, Graph, NodeId};
 
-use crate::objective::{Objective, ScoreKernel};
+use crate::objective::ScoreKernel;
 use crate::observe::{NoopObserver, RouteObserver};
 use crate::router::{RouteScratch, Router};
 
 /// Default cap on routing steps; greedy paths are `Θ(log log n)` so this is
 /// effectively unlimited while still preventing runaway loops with
 /// ill-behaved custom objectives.
-pub const DEFAULT_MAX_STEPS: usize = 1_000_000;
+///
+/// It is `smallworld-net`'s default TTL, so a packet that expires in the
+/// traffic simulator is exactly a route that exceeds this cap.
+pub const DEFAULT_MAX_STEPS: usize = smallworld_net::DEFAULT_TTL as usize;
 
 /// How a routing attempt ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -220,18 +223,6 @@ impl Router for GreedyRouter {
         "greedy"
     }
 
-    fn route_with<O: Objective, Obs: RouteObserver>(
-        &self,
-        graph: &Graph,
-        objective: &O,
-        s: NodeId,
-        t: NodeId,
-        obs: &mut Obs,
-        scratch: &mut RouteScratch,
-    ) -> RouteRecord {
-        self.route_prepared(graph, &objective.prepare(t), s, obs, scratch)
-    }
-
     fn route_prepared<K: ScoreKernel, Obs: RouteObserver>(
         &self,
         graph: &Graph,
@@ -249,7 +240,7 @@ impl Router for GreedyRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objective::GirgObjective;
+    use crate::objective::{GirgObjective, Objective};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use crate::router::Router;

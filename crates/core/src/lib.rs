@@ -10,11 +10,13 @@
 //!   best objective, fail in local optima. One loop serves a decoded
 //!   [`Graph`](smallworld_graph::Graph) and any adjacency view (e.g. a
 //!   memory-mapped store decoded on demand).
-//! * [`router`] — the [`Router`] trait every protocol implements, plus
-//!   [`RouterKind`] for heterogeneous harnesses.
+//! * [`router`] — the [`Router`] trait every protocol implements through
+//!   one routing method, [`Router::route_prepared`] over a prepared
+//!   [`ScoreKernel`], plus [`RouterKind`] for heterogeneous harnesses.
 //! * [`distributed`] — the same protocol run as per-node programs against
 //!   a locality-enforcing interface: the §3 "purely distributed, one node
-//!   awake at a time" claim, made structural.
+//!   awake at a time" claim, made structural. Its node program scores
+//!   through φ's one scalar chain, so its routes are bitwise Algorithm 1's.
 //! * [`lookahead`] — the one-hop "know thy neighbor's neighbor" variant
 //!   cited among the Kleinberg-model refinements.
 //! * [`index`] — the opt-in structure-of-arrays routing index: per-axis
@@ -90,10 +92,10 @@ pub use lookahead::LookaheadRouter;
 pub use observe::{NoopObserver, RouteObserver};
 pub use observers::{CountingObserver, MetricsRouteObserver};
 pub use objective::{
-    DistanceHopKernel, DistanceObjective, ForwardKernel, GirgHopKernel, GirgObjective,
-    HyperbolicHopKernel, HyperbolicObjective, KernelObjective, KleinbergHopKernel,
-    KleinbergObjective, NaiveKernel, NaiveObjective, Objective, PhiBounds, PreparedBatch,
-    PreparedObjective, QuantizedHopKernel, QuantizedObjective, RelaxedHopKernel, RelaxedObjective, ScoreKernel,
+    DistanceHopKernel, DistanceObjective, GirgHopKernel, GirgObjective, HyperbolicHopKernel,
+    HyperbolicObjective, KleinbergHopKernel, KleinbergObjective, NaiveKernel, NaiveObjective,
+    Objective, PhiBounds, PreparedObjective, QuantizedHopKernel, QuantizedObjective,
+    RelaxedHopKernel, RelaxedObjective, ScoreKernel,
 };
 pub use packed::PackedGirgObjective;
 pub use patching::{GravityPressureRouter, HistoryRouter, PhiDfsRouter};

@@ -19,7 +19,7 @@
 use smallworld_graph::{Graph, NodeId};
 
 use crate::greedy::{RouteOutcome, RouteRecord, DEFAULT_MAX_STEPS};
-use crate::objective::{Objective, ScoreKernel};
+use crate::objective::ScoreKernel;
 use crate::observe::RouteObserver;
 use crate::router::{RouteScratch, Router};
 
@@ -72,11 +72,12 @@ impl Default for LookaheadRouter {
     }
 }
 
-impl LookaheadRouter {
-    /// The kernel-level lookahead loop shared by [`Router::route_with`] and
-    /// [`Router::route_prepared`]: both paths run this exact code, so their
-    /// records and observer events agree bitwise.
-    fn route_kernel<K: ScoreKernel, Obs: RouteObserver>(
+impl Router for LookaheadRouter {
+    fn name(&self) -> &'static str {
+        "lookahead"
+    }
+
+    fn route_prepared<K: ScoreKernel, Obs: RouteObserver>(
         &self,
         graph: &Graph,
         kernel: &K,
@@ -156,41 +157,11 @@ impl LookaheadRouter {
     }
 }
 
-impl Router for LookaheadRouter {
-    fn name(&self) -> &'static str {
-        "lookahead"
-    }
-
-    fn route_with<O: Objective, Obs: RouteObserver>(
-        &self,
-        graph: &Graph,
-        objective: &O,
-        s: NodeId,
-        t: NodeId,
-        obs: &mut Obs,
-        scratch: &mut RouteScratch,
-    ) -> RouteRecord {
-        let kernel = objective.prepare(t);
-        self.route_kernel(graph, &kernel, s, obs, scratch)
-    }
-
-    fn route_prepared<K: ScoreKernel, Obs: RouteObserver>(
-        &self,
-        graph: &Graph,
-        kernel: &K,
-        s: NodeId,
-        obs: &mut Obs,
-        scratch: &mut RouteScratch,
-    ) -> RouteRecord {
-        self.route_kernel(graph, kernel, s, obs, scratch)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::greedy::GreedyRouter;
-    use crate::objective::{DistanceObjective, GirgObjective};
+    use crate::objective::{DistanceObjective, GirgObjective, Objective};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use smallworld_graph::Components;

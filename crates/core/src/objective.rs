@@ -22,9 +22,11 @@
 //! target's position (and any normalization) hoisted out of the loop. The
 //! same monotone-transform argument that licenses `−d_H` licenses this
 //! compilation — and the contract here is stronger: a prepared kernel must
-//! return **bitwise-identical** scores to [`Objective::score`], so routers
-//! produce identical `RouteRecord`s on either path (enforced by the
-//! `kernel_equivalence` test suite).
+//! return **bitwise-identical** scores to [`Objective::score`], so routers,
+//! which score only through the kernel they are handed
+//! ([`Router::route_prepared`](crate::router::Router::route_prepared)),
+//! produce the `RouteRecord`s the objective's own scores give (enforced by
+//! the `kernel_equivalence` test suite).
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -60,162 +62,6 @@ pub trait Objective {
     /// loaded once. Implementations with no precomputation to exploit can
     /// use [`NaiveKernel`] via [`crate::impl_naive_kernel!`].
     fn prepare(&self, target: NodeId) -> Self::Kernel<'_>;
-
-    /// Compiles kernels for a whole batch of targets in one pass.
-    ///
-    /// Trial harnesses route many `(source, target)` pairs back to back;
-    /// preparing every target up front amortizes the per-target hoisting
-    /// (position/weight gathers, normalization) across the batch instead of
-    /// interleaving it with routing. `batch.kernel(i)` is the kernel for
-    /// the `i`-th yielded target, each bitwise-identical to
-    /// [`prepare`](Objective::prepare)`(target_i)`.
-    fn prepare_batch<I>(&self, targets: I) -> PreparedBatch<'_, Self>
-    where
-        Self: Sized,
-        I: IntoIterator<Item = NodeId>,
-    {
-        PreparedBatch {
-            kernels: targets.into_iter().map(|t| self.prepare(t)).collect(),
-        }
-    }
-}
-
-/// A batch of prepared per-target kernels — see
-/// [`Objective::prepare_batch`].
-pub struct PreparedBatch<'a, O: Objective + ?Sized + 'a> {
-    kernels: Vec<O::Kernel<'a>>,
-}
-
-impl<'a, O: Objective + ?Sized + 'a> PreparedBatch<'a, O> {
-    /// The kernel prepared for the `i`-th target of the batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[inline]
-    pub fn kernel(&self, i: usize) -> &O::Kernel<'a> {
-        &self.kernels[i]
-    }
-
-    /// Number of prepared targets.
-    pub fn len(&self) -> usize {
-        self.kernels.len()
-    }
-
-    /// Whether the batch is empty.
-    pub fn is_empty(&self) -> bool {
-        self.kernels.is_empty()
-    }
-}
-
-impl<'a, O: Objective + ?Sized + 'a> fmt::Debug for PreparedBatch<'a, O> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PreparedBatch")
-            .field("len", &self.kernels.len())
-            .finish_non_exhaustive()
-    }
-}
-
-/// Views an already-prepared [`ScoreKernel`] as an [`Objective`], so the
-/// [`Router`](crate::router::Router) machinery can route with a kernel from
-/// a [`PreparedBatch`] without re-preparing per trial.
-///
-/// [`prepare`](Objective::prepare) hands out a zero-cost forwarding kernel
-/// and must be called with the wrapped kernel's own target.
-pub struct KernelObjective<'a, K>(&'a K);
-
-impl<'a, K: ScoreKernel> KernelObjective<'a, K> {
-    /// Wraps a prepared kernel.
-    pub fn new(kernel: &'a K) -> Self {
-        KernelObjective(kernel)
-    }
-}
-
-impl<K> Clone for KernelObjective<'_, K> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<K> Copy for KernelObjective<'_, K> {}
-
-impl<K: ScoreKernel> fmt::Debug for KernelObjective<'_, K> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("KernelObjective")
-            .field("target", &self.0.target())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<K: ScoreKernel> Objective for KernelObjective<'_, K> {
-    fn score(&self, v: NodeId, target: NodeId) -> f64 {
-        debug_assert_eq!(
-            target,
-            self.0.target(),
-            "kernel was prepared for a different target"
-        );
-        self.0.score(v)
-    }
-
-    type Kernel<'k>
-        = ForwardKernel<'k, K>
-    where
-        Self: 'k;
-
-    fn prepare(&self, target: NodeId) -> Self::Kernel<'_> {
-        assert_eq!(
-            target,
-            self.0.target(),
-            "kernel was prepared for a different target"
-        );
-        ForwardKernel(self.0)
-    }
-}
-
-/// Kernel of [`KernelObjective`]: forwards every call — including the
-/// blocked and argmax fast paths — to the wrapped kernel.
-pub struct ForwardKernel<'k, K>(&'k K);
-
-impl<K> Clone for ForwardKernel<'_, K> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<K> Copy for ForwardKernel<'_, K> {}
-
-impl<K: ScoreKernel> fmt::Debug for ForwardKernel<'_, K> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ForwardKernel")
-            .field("target", &self.0.target())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<K: ScoreKernel> ScoreKernel for ForwardKernel<'_, K> {
-    fn target(&self) -> NodeId {
-        self.0.target()
-    }
-
-    #[inline]
-    fn score(&self, v: NodeId) -> f64 {
-        self.0.score(v)
-    }
-
-    #[inline]
-    fn score_block(&self, vs: &[NodeId], out: &mut [f64]) {
-        self.0.score_block(vs, out);
-    }
-
-    #[inline]
-    fn best_neighbor(&self, graph: &Graph, v: NodeId) -> Option<(f64, NodeId)> {
-        self.0.best_neighbor(graph, v)
-    }
-
-    #[inline]
-    fn best_above(&self, ns: &[NodeId], floor: f64) -> Option<(f64, NodeId)> {
-        self.0.best_above(ns, floor)
-    }
 }
 
 /// A routing objective specialized to one target: the hop-loop view of an
@@ -478,7 +324,7 @@ pub struct GirgObjective<'a, const D: usize> {
 /// crate runs this chain; the blocked lanes of [`crate::block`] replay it
 /// slot by slot.
 #[inline]
-fn phi_chain<const D: usize>(x: &[f64; D], target: &[f64; D], w: f64, norm: f64) -> f64 {
+pub(crate) fn phi_chain<const D: usize>(x: &[f64; D], target: &[f64; D], w: f64, norm: f64) -> f64 {
     phi_at_distance::<D>(max_distance(x, target), w, norm)
 }
 

@@ -25,7 +25,7 @@ use std::collections::HashMap;
 use smallworld_graph::{Graph, NodeId};
 
 use crate::greedy::{RouteOutcome, RouteRecord, DEFAULT_MAX_STEPS};
-use crate::objective::{Objective, ScoreKernel};
+use crate::objective::ScoreKernel;
 use crate::observe::RouteObserver;
 use crate::router::{RouteScratch, Router};
 
@@ -115,16 +115,15 @@ impl Router for PhiDfsRouter {
         "phi-dfs"
     }
 
-    fn route_with<O: Objective, Obs: RouteObserver>(
+    fn route_prepared<K: ScoreKernel, Obs: RouteObserver>(
         &self,
         graph: &Graph,
-        objective: &O,
+        kernel: &K,
         s: NodeId,
-        t: NodeId,
         obs: &mut Obs,
         scratch: &mut RouteScratch,
     ) -> RouteRecord {
-        let kernel = objective.prepare(t);
+        let t = kernel.target();
         let phi = |v: NodeId| kernel.score(v);
         obs.on_start(s, t);
         // Total order on vertices by (objective, id). The paper's pseudocode

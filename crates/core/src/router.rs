@@ -7,19 +7,21 @@
 //! (the `exp_*` binaries, the contract tests) program against the trait and
 //! never name a concrete router in their routing loops.
 //!
-//! The single required method is [`Router::route_with`], which reports
-//! per-hop events to a [`RouteObserver`] and draws its buffers from a
-//! caller-owned [`RouteScratch`]; [`Router::route`] (fresh scratch) and
+//! The single required routing method is [`Router::route_prepared`], which
+//! routes towards the target of an already-prepared [`ScoreKernel`],
+//! reports per-hop events to a [`RouteObserver`] and draws its buffers
+//! from a caller-owned [`RouteScratch`]. [`Router::route_with`] (prepares
+//! the kernel from an [`Objective`]), [`Router::route`] (fresh scratch) and
 //! [`Router::route_quiet`] (additionally plugs in [`NoopObserver`]) are
 //! provided conveniences, so the uninstrumented protocol pays nothing for
-//! the indirection and batch harnesses can recycle allocations across
-//! trials.
+//! the indirection and batch harnesses can prepare targets up front and
+//! recycle allocations across trials.
 
 use smallworld_graph::{Graph, NodeId};
 
 use crate::greedy::{GreedyRouter, RouteRecord};
 use crate::lookahead::LookaheadRouter;
-use crate::objective::{KernelObjective, Objective, ScoreKernel};
+use crate::objective::{Objective, ScoreKernel};
 use crate::observe::{NoopObserver, RouteObserver};
 use crate::patching::{GravityPressureRouter, HistoryRouter, PhiDfsRouter};
 
@@ -100,37 +102,16 @@ pub trait Router {
     /// A short identifier for tables and logs (e.g. `"phi-dfs"`).
     fn name(&self) -> &'static str;
 
-    /// Routes a packet from `s` to `t`, reporting per-hop events to `obs`
+    /// Routes a packet from `s` to `kernel.target()` with an
+    /// already-prepared [`ScoreKernel`], reporting per-hop events to `obs`
     /// and drawing buffers from `scratch`.
     ///
-    /// This is the single implementation point; [`Router::route`] delegates
-    /// here with fresh scratch and [`Router::route_quiet`] additionally
-    /// plugs in [`NoopObserver`], which monomorphizes the probes away.
-    /// Scratch reuse must be invisible: for a fixed input, the returned
-    /// record is identical whatever state `scratch` carries.
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic if `s` or `t` is out of range for `graph`.
-    fn route_with<O: Objective, Obs: RouteObserver>(
-        &self,
-        graph: &Graph,
-        objective: &O,
-        s: NodeId,
-        t: NodeId,
-        obs: &mut Obs,
-        scratch: &mut RouteScratch,
-    ) -> RouteRecord;
-
-    /// Routes a packet from `s` to `kernel.target()` with an
-    /// already-prepared [`ScoreKernel`] — the batched-trial fast path (see
-    /// [`Objective::prepare_batch`]).
-    ///
-    /// Behaves exactly like [`route_with`](Router::route_with) towards the
-    /// kernel's target: same records bitwise, same observer events. The
-    /// default wraps the kernel in a [`KernelObjective`], whose forwarding
-    /// kernel monomorphizes away; the hot-loop routers override this to
-    /// enter their kernel-level loop directly.
+    /// This is the single implementation point; [`Router::route_with`]
+    /// prepares the kernel and delegates here, [`Router::route`] adds fresh
+    /// scratch and [`Router::route_quiet`] additionally plugs in
+    /// [`NoopObserver`], which monomorphizes the probes away. Scratch reuse
+    /// must be invisible: for a fixed input, the returned record is
+    /// identical whatever state `scratch` carries.
     ///
     /// # Panics
     ///
@@ -143,9 +124,25 @@ pub trait Router {
         s: NodeId,
         obs: &mut Obs,
         scratch: &mut RouteScratch,
+    ) -> RouteRecord;
+
+    /// Routes a packet from `s` to `t`, reporting per-hop events to `obs`
+    /// and drawing buffers from `scratch`: [`Router::route_prepared`] with
+    /// `objective.prepare(t)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` or `t` is out of range for `graph`.
+    fn route_with<O: Objective, Obs: RouteObserver>(
+        &self,
+        graph: &Graph,
+        objective: &O,
+        s: NodeId,
+        t: NodeId,
+        obs: &mut Obs,
+        scratch: &mut RouteScratch,
     ) -> RouteRecord {
-        let target = kernel.target();
-        self.route_with(graph, &KernelObjective::new(kernel), s, target, obs, scratch)
+        self.route_prepared(graph, &objective.prepare(t), s, obs, scratch)
     }
 
     /// Routes a packet from `s` to `t`, reporting per-hop events to `obs`.
@@ -203,24 +200,6 @@ impl Router for RouterKind {
             RouterKind::PhiDfs(r) => r.name(),
             RouterKind::History(r) => r.name(),
             RouterKind::GravityPressure(r) => r.name(),
-        }
-    }
-
-    fn route_with<O: Objective, Obs: RouteObserver>(
-        &self,
-        graph: &Graph,
-        objective: &O,
-        s: NodeId,
-        t: NodeId,
-        obs: &mut Obs,
-        scratch: &mut RouteScratch,
-    ) -> RouteRecord {
-        match self {
-            RouterKind::Greedy(r) => r.route_with(graph, objective, s, t, obs, scratch),
-            RouterKind::Lookahead(r) => r.route_with(graph, objective, s, t, obs, scratch),
-            RouterKind::PhiDfs(r) => r.route_with(graph, objective, s, t, obs, scratch),
-            RouterKind::History(r) => r.route_with(graph, objective, s, t, obs, scratch),
-            RouterKind::GravityPressure(r) => r.route_with(graph, objective, s, t, obs, scratch),
         }
     }
 
@@ -321,39 +300,6 @@ mod tests {
                     );
                     assert_eq!(fresh, reused, "{}: {s}->{t}", kind.name());
                     scratch.recycle(reused.path);
-                }
-            }
-        }
-    }
-
-    /// `route_prepared` with a batch-prepared kernel must return the same
-    /// record as `route_with` preparing per call, for every router.
-    #[test]
-    fn route_prepared_matches_route_with() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let graph = random_graph(&mut rng, 12, 0.25);
-        let targets: Vec<NodeId> = (0..12u32).map(NodeId::new).collect();
-        let batch = IdObjective.prepare_batch(targets.iter().copied());
-        for kind in [
-            RouterKind::Greedy(GreedyRouter::new()),
-            RouterKind::Lookahead(LookaheadRouter::new()),
-            RouterKind::PhiDfs(PhiDfsRouter::new()),
-            RouterKind::History(HistoryRouter::new()),
-            RouterKind::GravityPressure(GravityPressureRouter::new()),
-        ] {
-            let mut scratch = RouteScratch::new();
-            for s in 0..12u32 {
-                for (i, &t) in targets.iter().enumerate() {
-                    let s = NodeId::new(s);
-                    let plain = kind.route_quiet(&graph, &IdObjective, s, t);
-                    let prepared = kind.route_prepared(
-                        &graph,
-                        batch.kernel(i),
-                        s,
-                        &mut NoopObserver,
-                        &mut scratch,
-                    );
-                    assert_eq!(plain, prepared, "{}: {s}->{t}", kind.name());
                 }
             }
         }

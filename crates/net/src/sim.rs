@@ -46,8 +46,9 @@ use crate::policy::HopPolicy;
 use crate::shard::{run_serial, run_sharded, EngineConfig, EngineOutput};
 use crate::workload::Workload;
 
-/// Default TTL, matching `smallworld-core`'s `DEFAULT_MAX_STEPS` so the
-/// single-packet wrapper is equivalence-preserving out of the box.
+/// Default TTL. `smallworld-core`'s `DEFAULT_MAX_STEPS` is defined from
+/// it, so the single-packet wrapper is equivalence-preserving out of the
+/// box.
 pub const DEFAULT_TTL: u32 = 1_000_000;
 
 /// Knobs of the node/link machinery (the protocol itself lives in the

@@ -4,10 +4,12 @@
 //! the traffic simulator's forwarding policy, or the locality-enforcing
 //! node-program simulator.
 //!
-//! Inputs are a small Morton-relabelled GIRG saved with four shards, and a
-//! four-vertex graph on which two neighbors tie for the best φ — the case
-//! where a last-best argmax would route differently from the first-best
-//! fold every substrate shares.
+//! Inputs are a small Morton-relabelled GIRG saved with four shards, and
+//! two four-vertex graphs: one on which two neighbors tie for the best φ —
+//! the case where a last-best argmax would route differently from the
+//! first-best fold every substrate shares — and one on which their φ differ
+//! by one ulp, so a substrate with its own φ rounding would route
+//! differently from Algorithm 1.
 
 use std::path::{Path, PathBuf};
 
@@ -125,13 +127,10 @@ fn route_everywhere(
         .collect();
 
     let addressing = GirgAddressing::new(girg);
+    let program = DistributedGreedy::for_girg(girg);
     let node_program = pairs
         .iter()
-        .map(|&(s, t)| {
-            Simulator::new()
-                .route(graph, &addressing, &DistributedGreedy, s, t)
-                .0
-        })
+        .map(|&(s, t)| Simulator::new().route(graph, &addressing, &program, s, t).0)
         .collect();
 
     std::fs::remove_file(path).ok();
@@ -199,34 +198,57 @@ fn every_substrate_routes_a_sharded_girg_identically() {
 
 #[test]
 fn every_substrate_breaks_phi_ties_first_best() {
-    // 0 at (0.5, 0) sees neighbors 1 and 2 at equal distance from the
-    // target 3, with equal weights: their φ ties exactly
-    let graph = Graph::from_edges(4, [(0u32, 1u32), (0, 2), (1, 3), (2, 3)]).unwrap();
-    let positions = vec![
-        Point::new([0.5, 0.0]),
-        Point::new([0.25, 0.5]),
-        Point::new([0.75, 0.5]),
-        Point::new([0.5, 0.5]),
+    // The diamond 0 – {1, 2} – 3 with w_min = 1, routed from 0 to 3.
+    // "ties": 0 at (0.5, 0) sees 1 and 2 at equal distance from 3, with
+    // equal weights, so their φ ties exactly and 1 comes first.
+    // "near-ties": φ(2) exceeds φ(1) by one ulp once divided by
+    // w_min · n = 3000, while the undivided w / ‖x − x_t‖² of both round to
+    // the same value, so a substrate scoring without the normalization
+    // would tie and take 1.
+    let cases = [
+        (
+            "ties",
+            [[0.5, 0.0], [0.25, 0.5], [0.75, 0.5], [0.5, 0.5]],
+            [1.0; 4],
+            4.0,
+            [0, 1, 3],
+        ),
+        (
+            "near-ties",
+            [
+                [0.5, 0.05],
+                [0.591391841569948, 0.3793360969644826],
+                [0.43613705142655435, 0.411556341922073],
+                [0.5, 0.5],
+            ],
+            [1.0, 6.958758837880713, 3.738612396423514, 1.0],
+            3000.0,
+            [0, 2, 3],
+        ),
     ];
-    let params = GirgParams {
-        intensity: 4.0,
-        beta: 2.5,
-        wmin: 1.0,
-        alpha: Alpha::Finite(2.0),
-        lambda: 1.0,
-    };
-    let girg = Girg::from_parts(graph, positions, vec![1.0; 4], params, 0);
-    let pairs = [(NodeId::new(0), NodeId::new(3))];
+    for (name, positions, weights, intensity, expect) in cases {
+        let graph = Graph::from_edges(4, [(0u32, 1u32), (0, 2), (1, 3), (2, 3)]).unwrap();
+        let params = GirgParams {
+            intensity,
+            beta: 2.5,
+            wmin: 1.0,
+            alpha: Alpha::Finite(2.0),
+            lambda: 1.0,
+        };
+        let positions = positions.into_iter().map(Point::new).collect();
+        let girg = Girg::from_parts(graph, positions, weights.to_vec(), params, 0);
+        let pairs = [(NodeId::new(0), NodeId::new(3))];
 
-    let reference = vec![GreedyRouter::new().route_quiet(
-        girg.graph(),
-        &GirgObjective::new(&girg),
-        pairs[0].0,
-        pairs[0].1,
-    )];
-    assert_eq!(reference[0].outcome, RouteOutcome::Delivered);
-    assert_eq!(reference[0].path, [0, 1, 3].map(NodeId::new));
+        let reference = vec![GreedyRouter::new().route_quiet(
+            girg.graph(),
+            &GirgObjective::new(&girg),
+            pairs[0].0,
+            pairs[0].1,
+        )];
+        assert_eq!(reference[0].outcome, RouteOutcome::Delivered, "{name}");
+        assert_eq!(reference[0].path, expect.map(NodeId::new), "{name}");
 
-    let got = route_everywhere(&girg, &temp_path("ties"), 2, &pairs);
-    assert_all_equal(&reference, &got);
+        let got = route_everywhere(&girg, &temp_path(name), 2, &pairs);
+        assert_all_equal(&reference, &got);
+    }
 }
