@@ -21,7 +21,9 @@
 //!    per-worker LRU cursors on the mapped store (`TrialBatch::run_views`),
 //!    and shard-local with explicit handoff (its own loop: `route_sharded`
 //!    takes no observer or scratch) — asserting the outcomes are
-//!    element-for-element identical before reporting throughput. The
+//!    element-for-element identical before reporting throughput, and that
+//!    the mapped cursors skipped hub runs through their run directories
+//!    (so the identity covers that path). The
 //!    `vs decoded` column is the throughput fraction relative to the
 //!    decoded baseline; `artifact_check` gates the mapped row at >= 0.5x
 //!    at full scale.
@@ -223,10 +225,17 @@ fn routing_table(girg: &Girg<2>, comps: &Components, scale: Scale, dir: &std::pa
         outcomes, decoded,
         "mapped routing diverged from the decoded baseline"
     );
+    let skipped_runs: u64 = cursors.iter().map(|c| c.skipped_runs()).sum();
     eprintln!(
-        "mapped: LRU {} hits / {} misses",
+        "mapped: cache {} hits / {} misses, {skipped_runs} runs skipped, \
+         {:.0} decoded ids per route",
         cursors.iter().map(|c| c.hits()).sum::<u64>(),
-        cursors.iter().map(|c| c.misses()).sum::<u64>()
+        cursors.iter().map(|c| c.misses()).sum::<u64>(),
+        cursors.iter().map(|c| c.decoded_ids()).sum::<u64>() as f64 / outcomes.len() as f64
+    );
+    assert!(
+        skipped_runs > 0,
+        "mapped routing never skipped a hub run through the run directory"
     );
     variants.push(("mapped", outcomes, secs, 0));
 

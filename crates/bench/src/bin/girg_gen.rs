@@ -31,8 +31,9 @@
 //! through one `route_phase` and the same `TrialBatch` trials (`run` over
 //! a decoded graph, `run_views` over the store's cursors), so `--mapped`
 //! tables are cell-for-cell those of `--load` (CI diffs all three runs).
-//! It prints the peak RSS, the decode-free open time and the cursors' LRU
-//! hits / misses to stderr, and refuses a store whose dimension is not 2.
+//! It prints the peak RSS, the decode-free open time and the cursors'
+//! cache hits / misses, skipped hub runs and decoded ids per route to
+//! stderr, and refuses a store whose dimension is not 2.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -437,9 +438,13 @@ fn run_mapped(path: &str, route: usize, seed: u64) -> Result<Vec<Table>, String>
                     pool,
                 );
             eprintln!(
-                "decode-free: LRU {} hits / {} misses",
+                "decode-free: cache {} hits / {} misses, {} runs skipped, \
+                 {:.0} decoded ids per route",
                 cursors.iter().map(|c| c.hits()).sum::<u64>(),
-                cursors.iter().map(|c| c.misses()).sum::<u64>()
+                cursors.iter().map(|c| c.misses()).sum::<u64>(),
+                cursors.iter().map(|c| c.skipped_runs()).sum::<u64>(),
+                cursors.iter().map(|c| c.decoded_ids()).sum::<u64>() as f64
+                    / trials.len().max(1) as f64
             );
             trials
         }));

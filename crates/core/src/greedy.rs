@@ -8,7 +8,7 @@
 //! address carried by the message, exactly the locality the paper insists
 //! on.
 
-use smallworld_graph::{AdjacencyView, Graph, NodeId};
+use smallworld_graph::{AdjacencyView, Graph, NodeId, RunFold};
 
 use crate::objective::ScoreKernel;
 use crate::observe::{NoopObserver, RouteObserver};
@@ -189,6 +189,16 @@ impl GreedyRouter {
     /// scan with the same result whenever a hop is taken. Over a view of
     /// the same adjacency the record equals [`Router::route_prepared`]'s.
     ///
+    /// A kernel that [bounds runs](ScoreKernel::bounds_runs) folds each
+    /// list through [`AdjacencyView::fold_runs`] instead: with `bar =
+    /// max(floor, incumbent)`, a run is wanted only if its
+    /// [`run_bound`](ScoreKernel::run_bound) is not `≤ bar`, a wanted run's
+    /// [`best_above`](ScoreKernel::best_above) against `bar` replaces the
+    /// incumbent only under strict `>`, and a view that fetches runs alone
+    /// never decodes the unwanted ones. Runs before the first-best hold
+    /// only lower scores, so it is wanted and wins its run; no later run
+    /// can replace it. The hop is the same.
+    ///
     /// [`first_best_by_blocks`]: smallworld_graph::view::first_best_by_blocks
     pub fn route_view<V, K, Obs>(
         &self,
@@ -204,7 +214,16 @@ impl GreedyRouter {
         Obs: RouteObserver,
     {
         self.walk(kernel, s, obs, scratch, |v, floor| {
-            view.with_neighbors(v, |ns| kernel.best_above(ns, floor))
+            if !kernel.bounds_runs() {
+                return view.with_neighbors(v, |ns| kernel.best_above(ns, floor));
+            }
+            let mut hop = HopFold {
+                kernel,
+                floor,
+                best: None,
+            };
+            view.fold_runs(v, &mut hop);
+            hop.best
         })
     }
 
@@ -215,6 +234,38 @@ impl GreedyRouter {
         K: ScoreKernel,
     {
         self.route_view(view, kernel, s, &mut NoopObserver, &mut RouteScratch::new())
+    }
+}
+
+/// One hop of [`GreedyRouter::route_view`] as a [`RunFold`]: the first-best
+/// above `floor`, run by run.
+struct HopFold<'k, K> {
+    kernel: &'k K,
+    floor: f64,
+    best: Option<(f64, NodeId)>,
+}
+
+impl<K> HopFold<'_, K> {
+    /// `max(floor, incumbent)`: what a run must beat to change the hop.
+    fn bar(&self) -> f64 {
+        self.best.map_or(self.floor, |(b, _)| b.max(self.floor))
+    }
+}
+
+impl<K: ScoreKernel> RunFold for HopFold<'_, K> {
+    fn wants(&mut self, run: usize) -> bool {
+        // a NaN bound compares neither way and is never skipped
+        let beaten = self.kernel.run_bound(run) <= self.bar();
+        !beaten
+    }
+
+    fn fold(&mut self, ids: &[NodeId]) {
+        let bar = self.bar();
+        if let Some((score, u)) = self.kernel.best_above(ids, bar) {
+            if score > bar {
+                self.best = Some((score, u));
+            }
+        }
     }
 }
 

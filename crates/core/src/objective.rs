@@ -34,7 +34,7 @@ use std::hash::{Hash, Hasher};
 use smallworld_geometry::point::{axis_distance, max_distance};
 use smallworld_geometry::Point;
 use smallworld_graph::view::{first_best_by_blocks, fold_first_best};
-use smallworld_graph::{Graph, NodeId};
+use smallworld_graph::{Graph, NodeId, RUN_IDS};
 use smallworld_models::girg::Girg;
 use smallworld_models::hyperbolic::{hyperbolic_distance, Hrg};
 use smallworld_models::kleinberg::{ContinuumKleinberg, KleinbergLattice};
@@ -121,12 +121,34 @@ pub trait ScoreKernel {
     /// strict improvement takes the same hop either way.
     ///
     /// The default is the full blocked fold. Kernels that can bound the
-    /// score of whole id runs override it to skip runs that cannot beat
+    /// score of whole id blocks override it to skip blocks that cannot beat
     /// `floor` or the running best (see [`PhiBounds`]).
     #[inline]
     fn best_above(&self, ns: &[NodeId], floor: f64) -> Option<(f64, NodeId)> {
         let _ = floor;
         first_best_by_blocks(ns, |chunk, out| self.score_block(chunk, out))
+    }
+
+    /// Whether [`Self::run_bound`] bounds anything. When it does,
+    /// [`GreedyRouter::route_view`](crate::GreedyRouter::route_view) folds
+    /// each neighbor list run by run and skips runs that cannot beat the
+    /// hop's bar before the view fetches them; when it does not, every hop
+    /// takes the whole list. The default is `false`.
+    #[inline]
+    fn bounds_runs(&self) -> bool {
+        false
+    }
+
+    /// An upper bound on the score of every vertex in run `run` (the ids
+    /// `run · RUN_IDS ..`, see [`AdjacencyView::fold_runs`]); `+∞` by
+    /// default. It must be `≥` every member's score, or NaN (which never
+    /// skips a run).
+    ///
+    /// [`AdjacencyView::fold_runs`]: smallworld_graph::AdjacencyView::fold_runs
+    #[inline]
+    fn run_bound(&self, run: usize) -> f64 {
+        let _ = run;
+        f64::INFINITY
     }
 }
 
@@ -459,7 +481,10 @@ impl<const D: usize> IdBox<D> {
 ///
 /// So a run whose bound is `≤` the incumbent score holds no vertex that
 /// could replace it under the strict `>` of the first-best fold, and
-/// [`GirgHopKernel::best_above`] can skip it with routes unchanged.
+/// [`GirgHopKernel::best_above`] (blocks) and the run fold of
+/// [`GreedyRouter::route_view`](crate::GreedyRouter::route_view)
+/// (superblocks, through [`ScoreKernel::run_bound`]) can skip it with
+/// routes unchanged.
 ///
 /// Bounds only pay when consecutive ids are spatially close, as after a
 /// Morton relabeling. [`PhiBounds::new`] decides from the data: it builds
@@ -476,8 +501,11 @@ impl<const D: usize> PhiBounds<D> {
     /// Ids per block; block `b` holds ids `b · BLOCK_IDS ..`.
     pub const BLOCK_IDS: usize = 64;
     /// Ids per superblock; superblock `s` holds blocks
-    /// `s · SUPERBLOCK_IDS / BLOCK_IDS ..`.
-    pub const SUPERBLOCK_IDS: usize = 4096;
+    /// `s · SUPERBLOCK_IDS / BLOCK_IDS ..`. A superblock is a run of
+    /// [`AdjacencyView::fold_runs`](smallworld_graph::AdjacencyView::fold_runs),
+    /// so [`GirgHopKernel`]'s superblock bound is its
+    /// [`run_bound`](ScoreKernel::run_bound).
+    pub const SUPERBLOCK_IDS: usize = RUN_IDS;
 
     /// Builds the bounds from flat vertex-major lanes (the layout of
     /// [`GirgObjective::from_lanes`]) in one pass, or `None` when the id
@@ -620,9 +648,10 @@ impl<const D: usize> Objective for GirgObjective<'_, D> {
 /// neighbor instead of reloading the target every call.
 ///
 /// A kernel handed out by [`PackedGirgObjective`](crate::PackedGirgObjective)
-/// also carries its [`PhiBounds`], and its
-/// [`best_above`](ScoreKernel::best_above) skips id runs that cannot beat
-/// the incumbent; one from [`GirgObjective`] scans every neighbor.
+/// also carries its [`PhiBounds`]: its [`run_bound`](ScoreKernel::run_bound)
+/// bounds superblocks and its [`best_above`](ScoreKernel::best_above) skips
+/// blocks, so neither a run nor a block that cannot beat the incumbent is
+/// scored; one from [`GirgObjective`] scans every neighbor.
 ///
 /// (`*HopKernel`, to avoid colliding with the models' edge-probability
 /// kernels such as `smallworld_models::GirgKernel`.)
@@ -681,34 +710,25 @@ impl<const D: usize> ScoreKernel for GirgHopKernel<'_, D> {
         }
     }
 
-    /// Branch-and-bound over the sorted slice: a superblock or block run
-    /// whose [`PhiBounds`] bound is `≤ max(floor, incumbent)` is skipped
-    /// whole (one `partition_point`), every other run is scored and folded
-    /// in order, so the first-best is the full fold's (see [`PhiBounds`]).
+    /// Branch-and-bound over the sorted slice: a block run whose
+    /// [`PhiBounds`] bound is `≤ max(floor, incumbent)` is skipped whole,
+    /// every other run is scored and folded in order, so the first-best is
+    /// the full fold's (see [`PhiBounds`]). Superblocks are skipped one
+    /// level up, by the run fold of
+    /// [`GreedyRouter::route_view`](crate::GreedyRouter::route_view)
+    /// through [`ScoreKernel::run_bound`].
     fn best_above(&self, ns: &[NodeId], floor: f64) -> Option<(f64, NodeId)> {
         let Some(bounds) = self.bounds else {
             return first_best_by_blocks(ns, |chunk, out| self.score_block(chunk, out));
         };
-        let (block_ids, super_ids) = (PhiBounds::<D>::BLOCK_IDS, PhiBounds::<D>::SUPERBLOCK_IDS);
+        let block_ids = PhiBounds::<D>::BLOCK_IDS;
         let mut best: Option<(f64, NodeId)> = None;
         let mut scores = [0.0; BLOCK_WIDTH];
-        let mut checked_super = usize::MAX;
         let mut i = 0;
         while i < ns.len() {
             let bar = best.map_or(floor, |(b, _)| b.max(floor));
-            let id = ns[i].index();
-            let sup = id / super_ids;
-            if sup != checked_super {
-                checked_super = sup;
-                if bounds.superblock_bound(sup, &self.target_pos, self.norm) <= bar {
-                    // distinct sorted ids: a superblock's run is at most
-                    // `super_ids` long
-                    let window = &ns[i..ns.len().min(i + super_ids)];
-                    i += window.partition_point(|v| v.index() / super_ids == sup);
-                    continue;
-                }
-            }
-            let blk = id / block_ids;
+            let blk = ns[i].index() / block_ids;
+            // distinct sorted ids: a block's run is at most `block_ids` long
             let window = &ns[i..ns.len().min(i + block_ids)];
             let run = &window[..window.partition_point(|v| v.index() / block_ids == blk)];
             i += run.len();
@@ -721,6 +741,17 @@ impl<const D: usize> ScoreKernel for GirgHopKernel<'_, D> {
             }
         }
         best
+    }
+
+    fn bounds_runs(&self) -> bool {
+        self.bounds.is_some()
+    }
+
+    /// [`PhiBounds::superblock_bound`]: a run is a superblock.
+    fn run_bound(&self, run: usize) -> f64 {
+        self.bounds.map_or(f64::INFINITY, |b| {
+            b.superblock_bound(run, &self.target_pos, self.norm)
+        })
     }
 }
 

@@ -485,6 +485,16 @@ fn check_equal_phi_twins<const D: usize>(seed: u64) {
             "D={D} floor {floor}"
         );
     }
+    // the view router's run fold, which skips whole superblocks, takes the
+    // first twin too: one hop out of a star centred on a vertex off `ns`
+    let centre = (0..LANE_VERTICES as u32)
+        .map(NodeId::new)
+        .find(|&c| c != t && ns.binary_search(&c).is_err())
+        .unwrap();
+    let star =
+        Graph::from_edges(LANE_VERTICES, ns.iter().map(|v| (centre.raw(), v.raw()))).unwrap();
+    let hop = GreedyRouter::with_max_steps(1).route_view_quiet(&mut &star, &kernel, centre);
+    assert_eq!(hop.path, [centre, a], "D={D}: route_view's first hop");
 }
 
 #[test]

@@ -45,4 +45,4 @@ pub use csr::{percolate, percolate_vertices, Graph, GraphBuilder, GraphError, No
 pub use permute::Permutation;
 pub use traversal::{bfs_distance, bfs_distances, double_sweep_diameter, Components};
 pub use union_find::UnionFind;
-pub use view::AdjacencyView;
+pub use view::{AdjacencyView, RunFold, RUN_IDS};

@@ -12,6 +12,11 @@
 //! cursor owns and may recycle on the next call, so the borrow cannot
 //! outlive the call.
 //!
+//! A view may also hand a list over run by run ([`AdjacencyView::fold_runs`]):
+//! a fold that can bound a whole aligned run of [`RUN_IDS`] ids says which
+//! runs it wants before their ids are fetched, so a view that can fetch one
+//! run alone never decodes the others.
+//!
 //! The tie order that makes routes comparable across substrates lives here
 //! too: [`fold_first_best`] and [`first_best_by_blocks`] are the one greedy
 //! argmax every router, forwarding policy and node program folds through,
@@ -41,6 +46,56 @@ pub trait AdjacencyView {
     ///
     /// Panics if `v` is out of range.
     fn with_neighbors<R>(&mut self, v: NodeId, f: impl FnOnce(&[NodeId]) -> R) -> R;
+
+    /// Folds the sorted neighbor list of `v` run by run: for each non-empty
+    /// aligned run of [`RUN_IDS`] ids, in ascending order, asks
+    /// [`RunFold::wants`] and hands the run's ids to [`RunFold::fold`] only
+    /// if it does.
+    ///
+    /// The default fetches the whole list through [`Self::with_neighbors`]
+    /// and splits it with [`fold_sorted_runs`]. Views that can fetch one
+    /// run alone override it so that unwanted runs are never fetched; the
+    /// fold sees the same runs either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    fn fold_runs(&mut self, v: NodeId, fold: &mut impl RunFold) {
+        self.with_neighbors(v, |ns| fold_sorted_runs(ns, fold));
+    }
+}
+
+/// Ids per run of [`AdjacencyView::fold_runs`]: run `r` holds the ids
+/// `r · RUN_IDS .. (r + 1) · RUN_IDS`.
+pub const RUN_IDS: usize = 4096;
+
+/// A fold over one vertex's sorted neighbor list, run by run (see
+/// [`AdjacencyView::fold_runs`]).
+pub trait RunFold {
+    /// Whether the fold needs the ids of run `run`. Asked once per
+    /// non-empty run, in ascending order, before its ids are fetched.
+    fn wants(&mut self, run: usize) -> bool;
+
+    /// Folds the ids of the last run [`Self::wants`] accepted: a
+    /// non-empty, strictly increasing slice, all in that run.
+    fn fold(&mut self, ids: &[NodeId]);
+}
+
+/// Splits a sorted neighbor list into its aligned runs of [`RUN_IDS`] ids
+/// and hands each run the fold wants to [`RunFold::fold`], in order — the
+/// default [`AdjacencyView::fold_runs`] over an in-memory list.
+pub fn fold_sorted_runs(ns: &[NodeId], fold: &mut impl RunFold) {
+    let mut rest = ns;
+    while let Some(first) = rest.first() {
+        let run = first.index() / RUN_IDS;
+        // distinct sorted ids: a run is at most `RUN_IDS` long
+        let window = &rest[..rest.len().min(RUN_IDS)];
+        let len = window.partition_point(|v| v.index() / RUN_IDS == run);
+        if fold.wants(run) {
+            fold.fold(&rest[..len]);
+        }
+        rest = &rest[len..];
+    }
 }
 
 impl AdjacencyView for &Graph {
@@ -153,6 +208,51 @@ mod tests {
         for v in g.nodes() {
             let from_view = view.with_neighbors(v, |ns| ns.to_vec());
             assert_eq!(from_view, g.neighbors(v));
+        }
+    }
+
+    /// Records every run it is asked about and keeps the ids of the runs
+    /// it accepts, rejecting the runs in `reject`.
+    struct Recorder {
+        reject: Vec<usize>,
+        asked: Vec<usize>,
+        kept: Vec<NodeId>,
+    }
+
+    impl RunFold for Recorder {
+        fn wants(&mut self, run: usize) -> bool {
+            self.asked.push(run);
+            !self.reject.contains(&run)
+        }
+
+        fn fold(&mut self, ids: &[NodeId]) {
+            let run = *self.asked.last().unwrap();
+            assert!(ids.iter().all(|v| v.index() / RUN_IDS == run));
+            self.kept.extend_from_slice(ids);
+        }
+    }
+
+    #[test]
+    fn default_fold_runs_splits_at_run_boundaries() {
+        let hub = 3 * RUN_IDS as u32 + 5;
+        let spokes = [0u32, 1, 4095, 4096, 4097, 3 * 4096, 3 * 4096 + 1];
+        let n = hub as usize + 1;
+        let g = Graph::from_edges(n, spokes.iter().map(|&u| (u, hub))).unwrap();
+        let mut view = &g;
+        for reject in [vec![], vec![0], vec![1], vec![0, 3], vec![0, 1, 3]] {
+            let mut fold = Recorder {
+                reject: reject.clone(),
+                asked: Vec::new(),
+                kept: Vec::new(),
+            };
+            view.fold_runs(NodeId::new(hub), &mut fold);
+            assert_eq!(fold.asked, [0, 1, 3], "reject {reject:?}");
+            let expect: Vec<NodeId> = spokes
+                .iter()
+                .filter(|&&u| !reject.contains(&(u as usize / RUN_IDS)))
+                .map(|&u| NodeId::new(u))
+                .collect();
+            assert_eq!(fold.kept, expect, "reject {reject:?}");
         }
     }
 }

@@ -11,29 +11,59 @@
 //! so routing touches only the pages its path actually crosses and RAM
 //! holds no adjacency beyond the OS page cache.
 //!
-//! [`MappedCursor`] adds a small set-associative LRU of hot decoded
-//! neighbor lists on top (greedy routes revisit high-degree hubs
-//! constantly) and presents adjacency through
+//! [`MappedCursor`] presents that adjacency through
 //! `smallworld_graph::AdjacencyView`, so the same routing loop runs over an
 //! in-memory `Graph` or over the file bytes, producing bitwise-identical
-//! routes (pinned by `tests/mapped_routing.rs`).
+//! routes (pinned by `tests/mapped_routing.rs`). Greedy routes revisit
+//! high-degree hubs constantly, and a hop needs only the runs of a hub's
+//! list whose φ bound can beat it: for a long list the cursor keeps a *run
+//! directory* — where each aligned run of `RUN_IDS` ids starts in the
+//! stream — so [`AdjacencyView::fold_runs`] decodes only the runs the fold
+//! wants.
 
-use smallworld_graph::{AdjacencyView, NodeId};
+use smallworld_graph::view::fold_sorted_runs;
+use smallworld_graph::{AdjacencyView, NodeId, RunFold, RUN_IDS};
 
 use crate::csr::CompressedCsr;
 use crate::varint;
 
-/// Cache geometry of [`MappedCursor`]: vertices map to one of
-/// [`LRU_SETS`] sets by `v % LRU_SETS`, each holding [`LRU_WAYS`] decoded
+/// Geometry of [`MappedCursor`]'s cache of decoded lists: vertices map to
+/// one of [`LRU_SETS`] sets by `v % LRU_SETS`, each holding [`LRU_WAYS`]
 /// lists evicted least-recently-used.
 ///
-/// 64 × 4 slots keep the directory footprint trivial (a few KiB plus the
-/// cached lists themselves) while covering the handful of hubs a greedy
-/// route cycles through; routing throughput is insensitive to the exact
-/// shape well past this size.
+/// It serves [`AdjacencyView::with_neighbors`], which unbounded kernels and
+/// short lists use. Swept with `girg_gen --mapped` (3000 routes on one
+/// thread over a 2·10⁵-vertex λ = 1 store in sampling order, where no
+/// kernel bounds runs; three runs each on a shared 2-core x86-64 host):
+/// 16 × 4 and 64 × 4 took 1.27–1.35 s, 256 × 4 and 64 × 16 1.26–1.78 s
+/// with 4.5 MiB more peak RSS, and no cache 1.65–2.90 s (59.6k decoded ids
+/// per route against 2.6k at 64 × 4).
 const LRU_SETS: usize = 64;
-/// Associativity of the cursor cache (see [`LRU_SETS`]).
+/// Associativity of the decoded-list cache (see [`LRU_SETS`]).
 const LRU_WAYS: usize = 4;
+
+/// Lists of at least this many bytes get a run directory in
+/// [`AdjacencyView::fold_runs`]; shorter ones are folded from the
+/// decoded-list cache.
+///
+/// Swept on perfbench mapped-1m (10⁶ vertices, λ = 1, seed 1, 10 s runs on
+/// a shared 2-core x86-64 host; whole-list decode through the list cache
+/// alone ran 12–15k routes/s): 1, 2 and 4 KiB all ran 25–29k routes/s,
+/// 16 KiB 21k. At 4 KiB, 529 of the 10⁶ lists get a directory, 1.2 MiB for
+/// all of them.
+const DIRECTORY_MIN_BYTES: usize = 4096;
+
+/// Run-directory cache geometry: vertices map to one of [`DIR_SETS`] sets
+/// by `v % DIR_SETS`, each holding [`DIR_WAYS`] directories evicted
+/// least-recently-used.
+///
+/// In the sweep above, 64 × 4 ran 22–24k routes/s, 256 × 4 25–28k, and
+/// neither 256 × 8 nor 1024 × 4 did better. A directory holds at most
+/// `⌈n / RUN_IDS⌉` runs of 12 bytes, so the cache holds at most
+/// 1024 × 12 B × `⌈n / RUN_IDS⌉`: 2.9 MiB at 10⁶ vertices, 286 MiB at 10⁸.
+const DIR_SETS: usize = 256;
+/// Associativity of the run-directory cache (see [`DIR_SETS`]).
+const DIR_WAYS: usize = 4;
 
 /// A store's adjacency borrowed straight from its mapping: the
 /// [`CompressedCsr`] that
@@ -41,77 +71,166 @@ const LRU_WAYS: usize = 4;
 pub type MappedGraph<'a> = CompressedCsr<'a>;
 
 impl CompressedCsr<'_> {
-    /// An adjacency cursor decoding neighbor lists on demand through the
-    /// set-associative LRU cache.
+    /// An adjacency cursor decoding neighbor lists on demand, with a
+    /// set-associative LRU of decoded lists and one of run directories.
     pub fn cursor(&self) -> MappedCursor<'_> {
         MappedCursor {
             graph: self,
-            slots: (0..LRU_SETS * LRU_WAYS)
-                .map(|_| CacheSlot::default())
-                .collect(),
+            lists: (0..LRU_SETS * LRU_WAYS).map(|_| Way::default()).collect(),
+            directories: (0..DIR_SETS * DIR_WAYS).map(|_| Way::default()).collect(),
+            ids: Vec::new(),
             tick: 0,
             hits: 0,
             misses: 0,
+            decoded_ids: 0,
+            skipped_runs: 0,
         }
     }
 }
 
-/// One way of the cursor cache: a decoded neighbor list tagged with its
-/// vertex and last-touch tick. `u32::MAX` marks an empty slot (vertex ids
-/// are `< u32::MAX` because `NodeId::from_index` bounds them).
+/// Whether a list of `len` stream bytes gets a run directory: long enough
+/// to pay for one, and short enough that every byte offset within it fits
+/// [`RunStart::offset`]. A longer list takes the whole-list path; no offset
+/// is ever truncated.
+fn takes_directory(len: usize) -> bool {
+    len >= DIRECTORY_MIN_BYTES && u32::try_from(len).is_ok()
+}
+
+/// Where one non-empty run of a list starts in its stream (12 bytes).
+#[derive(Clone, Copy, Debug)]
+struct RunStart {
+    /// The run number: every id of the run is in `run · RUN_IDS ..`.
+    run: u32,
+    /// Byte offset of the run's first varint within the list's stream; 0
+    /// only for the first run, whose first id is stored absolute.
+    offset: u32,
+    /// The id before the run's first id, which its first gap continues
+    /// (unused at offset 0).
+    prev: u32,
+}
+
+/// One way of a set-associative cache: a value tagged with its vertex and
+/// last-touch tick. `u32::MAX` marks an empty way (vertex ids are
+/// `< u32::MAX` because `NodeId::from_index` bounds them).
 #[derive(Debug)]
-struct CacheSlot {
+struct Way<T> {
     vertex: u32,
     tick: u64,
-    list: Vec<NodeId>,
+    value: T,
 }
 
-impl Default for CacheSlot {
+impl<T: Default> Default for Way<T> {
     fn default() -> Self {
-        CacheSlot {
+        Way {
             vertex: u32::MAX,
             tick: 0,
-            list: Vec::new(),
+            value: T::default(),
         }
     }
+}
+
+/// Finds `v` in its set of a set-major cache of `ways`-way sets, touching
+/// the way at `tick`: `Ok` with the way holding `v`, or `Err` with the
+/// set's least-recently-used way, untagged — so a fill that panics midway
+/// leaves an empty way, never a partial value cached under `v`. The caller
+/// tags a filled way with `v`.
+fn lookup<T>(
+    cache: &mut [Way<T>],
+    ways: usize,
+    v: NodeId,
+    tick: u64,
+) -> Result<&mut Way<T>, &mut Way<T>> {
+    let set = v.index() % (cache.len() / ways);
+    let set = &mut cache[set * ways..(set + 1) * ways];
+    let hit = set.iter().position(|w| w.vertex == v.raw());
+    let i = hit.unwrap_or_else(|| {
+        (0..ways)
+            .min_by_key(|&i| set[i].tick)
+            .expect("cache sets are non-empty")
+    });
+    let way = &mut set[i];
+    way.tick = tick;
+    if hit.is_some() {
+        Ok(way)
+    } else {
+        way.vertex = u32::MAX;
+        Err(way)
+    }
+}
+
+/// Decodes `stream` (after `after`, see [`varint::decode_sorted_from`]),
+/// panicking as [`MappedCursor`] documents on a malformed stream.
+fn decode(stream: &[u8], after: Option<u32>, push: impl FnMut(usize, u32)) {
+    varint::decode_sorted_from(stream, after, push)
+        .expect("validated store has decodable neighbor streams");
 }
 
 /// A stateful adjacency reader over a [`CompressedCsr`] that decodes on
-/// demand through a small LRU of hot lists. Implements [`AdjacencyView`],
-/// so routing loops are generic over it.
+/// demand. Implements [`AdjacencyView`], so routing loops are generic over
+/// it.
+///
+/// [`AdjacencyView::with_neighbors`] decodes the whole list, through a
+/// small LRU of decoded lists (greedy routes revisit hubs constantly).
+/// [`AdjacencyView::fold_runs`] does the same for a short list, but a list
+/// of at least `DIRECTORY_MIN_BYTES` bytes gets a *run directory* on its
+/// first visit, built during that visit's one checked decode: the run
+/// number, byte offset and preceding id of each non-empty run. Directories
+/// live in an LRU of their own, and a later visit decodes only the runs the
+/// fold wants, each through the same checked decoder, so the fold sees
+/// exactly the runs and ids of the whole list.
 ///
 /// Cursors are cheap and thread-confined; parallel harnesses create one
 /// per worker over the same shared [`CompressedCsr`].
 ///
 /// # Panics
 ///
-/// [`AdjacencyView::with_neighbors`] panics on a malformed varint stream
-/// (a truncated varint or an id past `u32`). Opening a store proves only
-/// that its bytes are the ones that were written — the section checksums
-/// match — and [`CompressedCsr::from_parts`] checks only the offsets
-/// index, so a store written with a malformed stream reaches this panic.
-/// Making the view fallible is the ROADMAP's store-v2 "fallible view"
-/// item; until then, [`CompressedCsr::decode`] is the path that returns a
-/// typed error instead.
+/// [`AdjacencyView::with_neighbors`] and [`AdjacencyView::fold_runs`]
+/// panic on a malformed varint stream (a truncated varint or an id past
+/// `u32`) on the first visit, since that visit decodes the whole list; a
+/// list or directory is cached only once its list decoded cleanly. Opening
+/// a store proves only that its bytes are the ones that were written — the
+/// section checksums match — and [`CompressedCsr::from_parts`] checks only
+/// the offsets index, so a store written with a malformed stream reaches
+/// this panic. Making the view fallible is the ROADMAP's store-v2
+/// "fallible view" item; until then, [`CompressedCsr::decode`] is the path
+/// that returns a typed error instead.
 #[derive(Debug)]
 pub struct MappedCursor<'a> {
     graph: &'a CompressedCsr<'a>,
-    /// `LRU_SETS × LRU_WAYS` cache slots, set-major.
-    slots: Vec<CacheSlot>,
+    /// `LRU_SETS × LRU_WAYS` decoded lists, set-major.
+    lists: Vec<Way<Vec<NodeId>>>,
+    /// `DIR_SETS × DIR_WAYS` run directories, set-major.
+    directories: Vec<Way<Vec<RunStart>>>,
+    /// The list or run the directory path decoded last.
+    ids: Vec<NodeId>,
     tick: u64,
     hits: u64,
     misses: u64,
+    decoded_ids: u64,
+    skipped_runs: u64,
 }
 
 impl<'a> MappedCursor<'a> {
-    /// Cache hits since creation.
+    /// Visits served from a cached decoded list or run directory.
     pub fn hits(&self) -> u64 {
         self.hits
     }
 
-    /// Cache misses (on-demand decodes) since creation.
+    /// Visits that decoded a whole list: decoded-list cache misses and
+    /// directory builds.
     pub fn misses(&self) -> u64 {
         self.misses
+    }
+
+    /// Neighbor ids decoded since creation.
+    pub fn decoded_ids(&self) -> u64 {
+        self.decoded_ids
+    }
+
+    /// Runs a fold did not want and a cached directory let the cursor skip
+    /// without decoding them.
+    pub fn skipped_runs(&self) -> u64 {
+        self.skipped_runs
     }
 }
 
@@ -121,30 +240,78 @@ impl AdjacencyView for MappedCursor<'_> {
     }
 
     fn with_neighbors<R>(&mut self, v: NodeId, f: impl FnOnce(&[NodeId]) -> R) -> R {
-        let set = v.index() % LRU_SETS;
-        let ways = &mut self.slots[set * LRU_WAYS..(set + 1) * LRU_WAYS];
         self.tick += 1;
-        if let Some(slot) = ways.iter_mut().find(|s| s.vertex == v.raw()) {
-            slot.tick = self.tick;
-            self.hits += 1;
-            return f(&slot.list);
+        let list = match lookup(&mut self.lists, LRU_WAYS, v, self.tick) {
+            Ok(hit) => {
+                self.hits += 1;
+                hit
+            }
+            Err(victim) => {
+                self.misses += 1;
+                let list = &mut victim.value;
+                list.clear();
+                decode(self.graph.stream(v.index()), None, |_, id| {
+                    list.push(NodeId::new(id))
+                });
+                self.decoded_ids += list.len() as u64;
+                victim.vertex = v.raw();
+                victim
+            }
+        };
+        f(&list.value)
+    }
+
+    fn fold_runs(&mut self, v: NodeId, fold: &mut impl RunFold) {
+        let graph = self.graph;
+        let stream = graph.stream(v.index());
+        if !takes_directory(stream.len()) {
+            return self.with_neighbors(v, |ns| fold_sorted_runs(ns, fold));
         }
-        self.misses += 1;
-        let victim = ways
-            .iter_mut()
-            .min_by_key(|s| s.tick)
-            .expect("cache sets are non-empty");
-        // untag first: a decode that panics midway leaves an empty slot,
-        // never a half-decoded list cached under `v`
-        victim.vertex = u32::MAX;
-        victim.list.clear();
-        varint::decode_sorted_with(self.graph.stream(v.index()), |t| {
-            victim.list.push(NodeId::new(t))
-        })
-        .expect("validated store has decodable neighbor streams");
-        victim.vertex = v.raw();
-        victim.tick = self.tick;
-        f(&victim.list)
+        self.tick += 1;
+        let ids = &mut self.ids;
+        match lookup(&mut self.directories, DIR_WAYS, v, self.tick) {
+            Ok(dir) => {
+                self.hits += 1;
+                let runs = &dir.value;
+                for (i, start) in runs.iter().enumerate() {
+                    if !fold.wants(start.run as usize) {
+                        self.skipped_runs += 1;
+                        continue;
+                    }
+                    let end = runs
+                        .get(i + 1)
+                        .map_or(stream.len(), |next| next.offset as usize);
+                    let after = (start.offset != 0).then_some(start.prev);
+                    ids.clear();
+                    decode(&stream[start.offset as usize..end], after, |_, id| {
+                        ids.push(NodeId::new(id))
+                    });
+                    self.decoded_ids += ids.len() as u64;
+                    fold.fold(ids);
+                }
+            }
+            Err(victim) => {
+                self.misses += 1;
+                let runs = &mut victim.value;
+                runs.clear();
+                ids.clear();
+                decode(stream, None, |offset, id| {
+                    let run = id / RUN_IDS as u32;
+                    if runs.last().is_none_or(|r| r.run != run) {
+                        runs.push(RunStart {
+                            run,
+                            offset: u32::try_from(offset)
+                                .expect("offsets of a list with a directory fit u32"),
+                            prev: ids.last().map_or(0, |u| u.raw()),
+                        });
+                    }
+                    ids.push(NodeId::new(id));
+                });
+                victim.vertex = v.raw();
+                self.decoded_ids += ids.len() as u64;
+                fold_sorted_runs(ids, fold);
+            }
+        }
     }
 }
 
@@ -213,6 +380,71 @@ mod tests {
         assert_eq!(lazy.hits(), girg.graph().node_count() as u64);
         assert!(lazy.misses() >= girg.graph().node_count() as u64);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A fold that wants every run and keeps its ids.
+    struct KeepAll(Vec<NodeId>);
+
+    impl RunFold for KeepAll {
+        fn wants(&mut self, _run: usize) -> bool {
+            true
+        }
+
+        fn fold(&mut self, ids: &[NodeId]) {
+            self.0.extend_from_slice(ids);
+        }
+    }
+
+    #[test]
+    fn only_lists_whose_offsets_fit_get_a_directory() {
+        assert!(!takes_directory(0));
+        assert!(!takes_directory(DIRECTORY_MIN_BYTES - 1));
+        assert!(takes_directory(DIRECTORY_MIN_BYTES));
+        assert!(takes_directory(u32::MAX as usize));
+        // a longer list would wrap a `u32` offset: it is decoded whole
+        if let Some(too_long) = (u32::MAX as usize).checked_add(1) {
+            assert!(!takes_directory(too_long));
+        }
+    }
+
+    /// A malformed varint at the end of a hub list panics on the first
+    /// visit, which builds the directory, and on every later one, through
+    /// the run fold as through `with_neighbors`: no partial directory is
+    /// ever cached.
+    #[test]
+    fn malformed_hub_list_panics_on_every_visit() {
+        let n = 3 * RUN_IDS + 10;
+        let hub: Vec<u32> = (1..=2 * DIRECTORY_MIN_BYTES as u32)
+            .map(|u| 3 * u)
+            .collect();
+        let mut data = Vec::new();
+        varint::encode_sorted(&hub, &mut data);
+        data.push(0x80); // a varint cut short
+        let mut offsets = vec![data.len() as u64; n + 1];
+        offsets[0] = 0;
+        let csr = CompressedCsr::from_parts(offsets, data, n, hub.len()).unwrap();
+        assert!(takes_directory(csr.stream(0).len()));
+        let mut cursor = csr.cursor();
+        let expect = "validated store has decodable neighbor streams";
+        for visit in 0..3 {
+            let folded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                cursor.fold_runs(NodeId::new(0), &mut KeepAll(Vec::new()))
+            }));
+            let listed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                cursor.with_neighbors(NodeId::new(0), |ns| ns.len())
+            }));
+            for (path, result) in [
+                ("fold_runs", folded.err()),
+                ("with_neighbors", listed.err()),
+            ] {
+                let message = result
+                    .unwrap_or_else(|| panic!("visit {visit}: {path} decoded a malformed list"))
+                    .downcast::<String>()
+                    .unwrap();
+                assert!(message.contains(expect), "visit {visit}: {path}: {message}");
+            }
+        }
+        assert_eq!(cursor.hits(), 0, "no directory was cached");
     }
 
     #[test]

@@ -84,34 +84,42 @@ pub fn encode_sorted(list: &[u32], out: &mut Vec<u8>) {
 /// Returns [`StoreError::Corrupt`] on a malformed varint or when a decoded
 /// value exceeds `u32::MAX`.
 pub fn decode_sorted(buf: &[u8], out: &mut Vec<u32>) -> Result<(), StoreError> {
-    decode_sorted_with(buf, |v| out.push(v))
+    decode_sorted_from(buf, None, |_, v| out.push(v))
 }
 
-/// [`decode_sorted`] handing each value to `push` instead of a `Vec<u32>`,
-/// so callers can decode straight into their own element type. On error,
-/// `push` has already seen a prefix of the list.
+/// The one checked decoder of [`encode_sorted`] streams: decodes `buf` as
+/// a whole list when `after` is `None`, or as the rest of a list whose
+/// previous value was `after` (so the first varint is a gap, not an
+/// absolute id), handing `push` each value with the byte offset of its
+/// varint within `buf`.
 ///
 /// # Errors
 ///
-/// As [`decode_sorted`].
+/// As [`decode_sorted`]. On error, `push` has already seen a prefix.
 #[inline]
-pub(crate) fn decode_sorted_with(
-    mut buf: &[u8],
-    mut push: impl FnMut(u32),
+pub(crate) fn decode_sorted_from(
+    buf: &[u8],
+    after: Option<u32>,
+    mut push: impl FnMut(usize, u32),
 ) -> Result<(), StoreError> {
-    if buf.is_empty() {
-        return Ok(());
-    }
-    let (first, used) = read_u64(buf)?;
-    if first > u32::MAX as u64 {
-        return Err(StoreError::Corrupt("neighbor id exceeds u32".into()));
-    }
-    buf = &buf[used..];
-    push(first as u32);
-    let mut prev = first;
-    while !buf.is_empty() {
-        let (gap, used) = read_u64(buf)?;
-        buf = &buf[used..];
+    let mut at = 0;
+    let mut prev = match after {
+        Some(prev) => u64::from(prev),
+        None => {
+            if buf.is_empty() {
+                return Ok(());
+            }
+            let (first, used) = read_u64(buf)?;
+            if first > u32::MAX as u64 {
+                return Err(StoreError::Corrupt("neighbor id exceeds u32".into()));
+            }
+            push(0, first as u32);
+            at = used;
+            first
+        }
+    };
+    while at < buf.len() {
+        let (gap, used) = read_u64(&buf[at..])?;
         let next = prev
             .checked_add(gap)
             .and_then(|x| x.checked_add(1))
@@ -119,7 +127,8 @@ pub(crate) fn decode_sorted_with(
         if next > u32::MAX as u64 {
             return Err(StoreError::Corrupt("neighbor id exceeds u32".into()));
         }
-        push(next as u32);
+        push(at, next as u32);
+        at += used;
         prev = next;
     }
     Ok(())
@@ -216,6 +225,25 @@ mod tests {
         encode_sorted(&list, &mut buf);
         // first element: 2 bytes; 127 gaps of 0: 1 byte each
         assert_eq!(buf.len(), 2 + 127);
+    }
+
+    #[test]
+    fn decoding_from_an_offset_continues_the_list() {
+        let list = [3u32, 4, 200, 70_000, 70_001, 4_000_000_000];
+        let mut buf = Vec::new();
+        encode_sorted(&list, &mut buf);
+        let mut seen = Vec::new();
+        decode_sorted_from(&buf, None, |at, v| seen.push((at, v))).unwrap();
+        assert_eq!(seen.iter().map(|&(_, v)| v).collect::<Vec<_>>(), list);
+        // restarting at any varint with the value before it decodes the tail
+        for (i, &(at, _)) in seen.iter().enumerate().skip(1) {
+            let mut tail = Vec::new();
+            decode_sorted_from(&buf[at..], Some(list[i - 1]), |_, v| tail.push(v)).unwrap();
+            assert_eq!(tail, list[i..], "restart at byte {at}");
+        }
+        // a gap past u32 is rejected from an offset too
+        let mut out = Vec::new();
+        assert!(decode_sorted_from(&[0], Some(u32::MAX), |_, v| out.push(v)).is_err());
     }
 
     #[test]

@@ -1,24 +1,28 @@
 //! Decode-free access is invisible: adjacency read through the mapped
-//! view (on-demand per-vertex decode, with or without the LRU cursor)
-//! equals the fully decoded graph on arbitrary inputs, greedy routes over
-//! the mmap are bitwise those of the in-memory `GreedyRouter`, shard-local
-//! routing with explicit handoff reproduces the global walk at every shard
-//! count, and truncated files can never reach the mapped path.
+//! view (on-demand per-vertex decode, with or without the LRU cursor, and
+//! run by run through the cursor's run directory) equals the fully decoded
+//! graph on arbitrary inputs, greedy routes over the mmap are bitwise those
+//! of the in-memory `GreedyRouter`, shard-local routing with explicit
+//! handoff reproduces the global walk at every shard count, and truncated
+//! files can never reach the mapped path.
 //!
 //! This is what licenses `girg_gen --mapped` and `bench_store`'s
 //! mapped-vs-decoded throughput comparison: the mapped numbers are
 //! measurements of the *same* computation, not of an approximation.
 
+use std::collections::BTreeSet;
+
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use smallworld_core::greedy::DEFAULT_MAX_STEPS;
 use smallworld_core::{
     route_sharded, GirgObjective, GreedyRouter, Objective, PackedGirgObjective, RouteRecord,
     Router, ShardSlice, ViewRouter,
 };
-use smallworld_graph::{AdjacencyView, Graph, NodeId};
+use smallworld_geometry::Point;
+use smallworld_graph::{AdjacencyView, Graph, NodeId, RunFold, RUN_IDS};
 use smallworld_models::girg::{Girg, GirgBuilder};
 use smallworld_store::{write_graph_swg, GraphStore, MappedGraph};
 
@@ -118,8 +122,9 @@ fn mapped_decode_handles_degenerate_graphs() {
 
 /// Routes 300 pairs over `girg`'s mapped store and demands each record
 /// equal the in-memory `GreedyRouter`'s; `bounded` says whether the
-/// store-path objective prunes with id-block bounds on this input.
-fn check_mapped_routes(tag: &str, girg: &Girg<2>, bounded: bool) {
+/// store-path objective prunes with id-block bounds on this input. Returns
+/// the runs the routing cursor skipped.
+fn check_mapped_routes(tag: &str, girg: &Girg<2>, bounded: bool) -> u64 {
     let pairs = trial_pairs(girg.node_count(), 300);
 
     let reference: Vec<RouteRecord> = {
@@ -160,6 +165,7 @@ fn check_mapped_routes(tag: &str, girg: &Girg<2>, bounded: bool) {
         assert_eq!(via_decoded, reference[i], "{tag}: decoded view, pair {i}");
     }
     std::fs::remove_file(&path).ok();
+    lazy.skipped_runs()
 }
 
 /// Over a Morton-relabeled store the hop scans prune through id-block
@@ -173,6 +179,143 @@ fn mapped_routes_are_bitwise_identical() {
     let relabeled = sampled.relabel(&sampled.morton_permutation());
     check_mapped_routes("routes", &relabeled, true);
     check_mapped_routes("routes-as-sampled", &sampled, false);
+}
+
+/// A Morton store of more than three runs of `RUN_IDS` ids whose hub's list
+/// is long enough for a run directory and spans every run: it holds id 0
+/// (run 0 starts at byte 0 with an absolute id) and every multiple of
+/// `RUN_IDS` (runs entered exactly at their first id). Returns it with its
+/// hub and the as-sampled GIRG it was relabeled from.
+fn hub_store_girgs() -> (Girg<2>, NodeId, Girg<2>) {
+    let mut rng = StdRng::seed_from_u64(41);
+    let planted: Girg<2> = GirgBuilder::new(14_000)
+        .plant(Point::new([0.5, 0.5]), 3_000.0)
+        .sample(&mut rng)
+        .unwrap();
+    let sampled = Girg::from_parts(
+        planted.graph().clone(),
+        planted.positions().to_vec(),
+        planted.weights().to_vec(),
+        *planted.params(),
+        0,
+    );
+    let perm = sampled.morton_permutation();
+    let morton = sampled.relabel(&perm);
+    let hub = perm.forward(NodeId::new(0));
+    let graph = morton.graph();
+    let n = graph.node_count();
+    assert!(n > 3 * RUN_IDS, "{n} vertices");
+    let mut edges: BTreeSet<(u32, u32)> = graph
+        .nodes()
+        .flat_map(|v| graph.neighbors(v).iter().map(move |&u| (v.raw(), u.raw())))
+        .filter(|(v, u)| v < u)
+        .collect();
+    for u in (0..n as u32).step_by(RUN_IDS).filter(|&u| u != hub.raw()) {
+        edges.insert((u.min(hub.raw()), u.max(hub.raw())));
+    }
+    let morton = Girg::from_parts(
+        Graph::from_edges(n, edges).unwrap(),
+        morton.positions().to_vec(),
+        morton.weights().to_vec(),
+        *morton.params(),
+        0,
+    );
+    (morton, hub, sampled)
+}
+
+/// Rejects a seeded random subset of the runs it is asked about and keeps
+/// the ids of the others, checking each run's ids lie in it.
+struct SeededFold {
+    rng: StdRng,
+    asked: Vec<usize>,
+    wanted: Vec<usize>,
+    kept: Vec<NodeId>,
+}
+
+impl RunFold for SeededFold {
+    fn wants(&mut self, run: usize) -> bool {
+        self.asked.push(run);
+        let wanted = self.rng.gen_bool(0.5);
+        if wanted {
+            self.wanted.push(run);
+        }
+        wanted
+    }
+
+    fn fold(&mut self, ids: &[NodeId]) {
+        let run = *self.asked.last().unwrap();
+        assert_eq!(self.wanted.last(), Some(&run), "folded an unwanted run");
+        assert!(ids.iter().all(|v| v.index() / RUN_IDS == run));
+        self.kept.extend_from_slice(ids);
+    }
+}
+
+/// The cursor's run fold — a directory build on the first visit, a
+/// directory walk after — hands a fold exactly the runs of
+/// `with_neighbors`'s list it wants, in order, and skips the rest.
+#[test]
+fn run_fold_sees_exactly_the_wanted_runs() {
+    let (girg, hub, _) = hub_store_girgs();
+    let path = temp_path("hub-runs");
+    smallworld_store::save_girg(&girg, &path, 1).unwrap();
+    let store = GraphStore::open(&path).unwrap();
+    let mapped = store.mapped_graph().unwrap();
+    let mut cursor = mapped.cursor();
+    let list = cursor.with_neighbors(hub, |ns| ns.to_vec());
+    assert_eq!(list, girg.graph().neighbors(hub));
+    let runs: Vec<usize> = list.iter().map(|v| v.index() / RUN_IDS).collect();
+    let mut distinct = runs.clone();
+    distinct.dedup();
+    assert_eq!(
+        distinct,
+        (0..=girg.node_count() / RUN_IDS).collect::<Vec<_>>()
+    );
+    assert_eq!(list[0], NodeId::new(0));
+    for seed in 0..24 {
+        let mut fold = SeededFold {
+            rng: StdRng::seed_from_u64(seed),
+            asked: Vec::new(),
+            wanted: Vec::new(),
+            kept: Vec::new(),
+        };
+        let skipped = cursor.skipped_runs();
+        cursor.fold_runs(hub, &mut fold);
+        assert_eq!(fold.asked, distinct, "seed {seed}");
+        let expect: Vec<NodeId> = list
+            .iter()
+            .zip(&runs)
+            .filter(|(_, run)| fold.wanted.contains(run))
+            .map(|(&v, _)| v)
+            .collect();
+        assert_eq!(fold.kept, expect, "seed {seed}");
+        // the first visit builds the directory from one whole decode; every
+        // later one skips the unwanted runs without decoding them
+        let expect_skipped = if seed == 0 {
+            0
+        } else {
+            distinct.len() - fold.wanted.len()
+        };
+        assert_eq!(
+            cursor.skipped_runs() - skipped,
+            expect_skipped as u64,
+            "seed {seed}"
+        );
+    }
+    assert_eq!(cursor.hits(), 23);
+    assert!(cursor.skipped_runs() > 0);
+    std::fs::remove_file(&path).ok();
+}
+
+/// Routes over the hub store equal the in-memory router's: the Morton
+/// store's hub hops go through the run directory and skip runs, while the
+/// as-sampled store (no bounds) takes the whole-list path and skips none.
+#[test]
+fn hub_routes_are_bitwise_identical_through_the_run_directory() {
+    let (morton, _, sampled) = hub_store_girgs();
+    let skipped = check_mapped_routes("hub-routes", &morton, true);
+    assert!(skipped > 0, "the hub's runs were never skipped");
+    let skipped = check_mapped_routes("hub-routes-as-sampled", &sampled, false);
+    assert_eq!(skipped, 0);
 }
 
 #[test]
