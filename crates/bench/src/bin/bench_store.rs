@@ -34,7 +34,10 @@
 //!    `sample_streamed` + `write_girg_swg_streamed`) and in-RAM
 //!    (`sample` + relabel + `write_girg_swg`). Both children write
 //!    byte-identical stores; the parent asserts the file sizes and edge
-//!    counts agree, and reports the RSS ratio. Full scale climbs
+//!    counts agree, and reports the RSS ratio, the streamed peak in bytes
+//!    per vertex, and the streamed child's sampler account (pairs examined
+//!    per edge, exact-probability fallbacks, spill sort and write seconds).
+//!    Full scale climbs
 //!    10⁶ → 10⁷, and `SMALLWORLD_FULLSCALE=1` adds the 10⁸ rung (streamed
 //!    only — the in-RAM comparison would not fit the point of the
 //!    exercise). `artifact_check` gates every rung's streamed peak RSS
@@ -332,6 +335,11 @@ struct ChildStats {
     file_bytes: u64,
     spill_bytes: u64,
     edges: u64,
+    /// Pairs the edge sampler examined (type-I pairs + type-II candidates).
+    examined: u64,
+    exact_fallbacks: u64,
+    spill_sort_secs: f64,
+    spill_write_secs: f64,
 }
 
 fn run_ladder_child(mode: &str, n: u64) -> ChildStats {
@@ -361,6 +369,10 @@ fn run_ladder_child(mode: &str, n: u64) -> ChildStats {
         file_bytes: field("file_bytes") as u64,
         spill_bytes: field("spill_bytes") as u64,
         edges: field("edges") as u64,
+        examined: field("examined") as u64,
+        exact_fallbacks: field("exact_fallbacks") as u64,
+        spill_sort_secs: field("spill_sort_secs"),
+        spill_write_secs: field("spill_write_secs"),
     }
 }
 
@@ -387,7 +399,9 @@ fn ladder_child(args: &[String]) -> ! {
         std::process::id()
     ));
     let start = Instant::now();
-    let (file_bytes, spill_bytes, edges) = match mode {
+    // the in-RAM child has no spill to time
+    let mut spill_secs = (0.0, 0.0);
+    let (file_bytes, spill_bytes, edges, counts) = match mode {
         "streamed" => {
             let mut rng = StdRng::seed_from_u64(seed);
             let sample = GirgBuilder::<2>::new(n)
@@ -397,22 +411,26 @@ fn ladder_child(args: &[String]) -> ! {
                 .expect("valid ladder configuration");
             let spill_bytes = sample.spill_bytes();
             let edges = sample.edge_count() as u64;
+            spill_secs = (
+                sample.spill_sort_time().as_secs_f64(),
+                sample.spill_write_time().as_secs_f64(),
+            );
             let stats = smallworld_store::write_girg_swg_streamed(&sample, &path)
                 .expect("writable temp dir");
-            (stats.file_bytes, spill_bytes, edges)
+            (stats.file_bytes, spill_bytes, edges, sample.sampler_counts())
         }
         "inram" => {
             let mut rng = StdRng::seed_from_u64(seed);
-            let girg = GirgBuilder::<2>::new(n)
+            let (girg, counts) = GirgBuilder::<2>::new(n)
                 .beta(2.5)
                 .alpha(2.0)
-                .sample(&mut rng)
+                .sample_counted(&mut rng)
                 .expect("valid ladder configuration");
             let girg = girg.relabel(&girg.morton_permutation());
             let stats = smallworld_store::save_girg(&girg, &path, 1)
                 .expect("writable temp dir")
                 .expect(".swg path takes the binary format");
-            (stats.file_bytes, 0, girg.graph().edge_count() as u64)
+            (stats.file_bytes, 0, girg.graph().edge_count() as u64, counts)
         }
         other => {
             eprintln!("unknown ladder mode {other:?}; {usage}");
@@ -422,6 +440,7 @@ fn ladder_child(args: &[String]) -> ! {
     let secs = start.elapsed().as_secs_f64();
     std::fs::remove_file(&path).ok();
     let peak = smallworld_obs::peak_rss_bytes().unwrap_or(0);
+    eprintln!("ladder child {mode} n={n}: sampler: {counts}");
     println!(
         "{}",
         JsonValue::object([
@@ -432,6 +451,13 @@ fn ladder_child(args: &[String]) -> ! {
             ("file_bytes", JsonValue::from(file_bytes)),
             ("spill_bytes", JsonValue::from(spill_bytes)),
             ("edges", JsonValue::from(edges)),
+            (
+                "examined",
+                JsonValue::from(counts.type_one_pairs + counts.type_two_candidates),
+            ),
+            ("exact_fallbacks", JsonValue::from(counts.exact_fallbacks)),
+            ("spill_sort_secs", JsonValue::from(spill_secs.0)),
+            ("spill_write_secs", JsonValue::from(spill_secs.1)),
         ])
     );
     std::process::exit(0);
@@ -461,6 +487,11 @@ fn ladder_table(scale: Scale) -> Table {
         "file MiB",
         "ceiling MiB",
         "within ceiling",
+        "streamed B/vertex",
+        "examined/edge",
+        "exact fallbacks",
+        "spill sort secs",
+        "spill write secs",
     ])
     .title("bench_store: out-of-core sampling ladder");
     for (n, compare_in_ram) in rungs {
@@ -521,6 +552,11 @@ fn ladder_table(scale: Scale) -> Table {
             format!("{:.1}", mib(streamed.file_bytes)),
             format!("{:.0}", mib(ceiling)),
             within.to_string(),
+            format!("{:.1}", streamed.peak_rss as f64 / n as f64),
+            format!("{:.2}", streamed.examined as f64 / streamed.edges.max(1) as f64),
+            streamed.exact_fallbacks.to_string(),
+            format!("{:.3}", streamed.spill_sort_secs),
+            format!("{:.3}", streamed.spill_write_secs),
         ]);
     }
     table

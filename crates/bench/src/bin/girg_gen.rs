@@ -11,7 +11,10 @@
 //!
 //! `--model` picks the generator (`girg`, `hrg`, `kleinberg`, `chung-lu`);
 //! every model is driven through the same `GraphModel::sample_seeded` entry
-//! point, so adding a model here is one match arm. `--route <pairs>` runs
+//! point, so adding a model here is one match arm. A GIRG is sampled with
+//! the same seeding through `GirgBuilder::sample_counted`, and the edge
+//! sampler's work counters (pairs examined per edge, exact-probability
+//! fallbacks) go to stderr. `--route <pairs>` runs
 //! that many greedy Monte-Carlo trials on the shared thread pool
 //! (`SMALLWORLD_THREADS` workers) — deterministic in `--seed` at any thread
 //! count. Omit `--out` to print statistics only. `--degree` calibrates λ via
@@ -38,6 +41,9 @@
 use std::path::Path;
 use std::process::ExitCode;
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
 use smallworld_analysis::Table;
 use smallworld_bench::{Artifact, RoutingAggregate, Scale, TrialBatch, TrialOutcome};
 use smallworld_core::theory::lambda_for_average_degree;
@@ -47,7 +53,7 @@ use smallworld_core::{
 };
 use smallworld_graph::analytics::par_components;
 use smallworld_graph::{Components, Graph};
-use smallworld_models::girg::{Girg, GirgBuilder};
+use smallworld_models::girg::{Girg, GirgBuilder, SamplerCounts};
 use smallworld_models::hyperbolic::HrgBuilder;
 use smallworld_models::{Alpha, ChungLuBuilder, GraphInstance, GraphModel, KleinbergLatticeBuilder};
 use smallworld_obs::Span;
@@ -226,16 +232,17 @@ fn summary_table(
     table
 }
 
-/// Samples `model` through the [`GraphModel`] trait and summarizes it.
-fn sample_and_summarize<M: GraphModel>(
-    model: &M,
+/// Samples one instance of model `name` through `sample` and summarizes it.
+fn sample_and_summarize<I: GraphInstance>(
+    name: &str,
     params: &str,
     seed: u64,
-) -> Result<(M::Instance, Components, Table), smallworld_models::ModelError> {
+    sample: impl FnOnce() -> Result<I, smallworld_models::ModelError>,
+) -> Result<(I, Components, Table), smallworld_models::ModelError> {
     let start = std::time::Instant::now();
     let instance = {
         let _span = Span::enter("sample_graph");
-        model.sample_seeded(seed)?
+        sample()?
     };
     let elapsed = start.elapsed().as_secs_f64();
     let graph = instance.graph();
@@ -243,16 +250,15 @@ fn sample_and_summarize<M: GraphModel>(
     // out and produces the same labels as the serial path at any thread count
     let comps = par_components(graph, &Pool::from_env());
     eprintln!(
-        "sampled {} ({params}): {} vertices, {} edges in {elapsed:.2}s \
+        "sampled {name} ({params}): {} vertices, {} edges in {elapsed:.2}s \
          (avg degree {:.2}, giant {:.1}%)",
-        model.name(),
         graph.node_count(),
         graph.edge_count(),
         graph.average_degree(),
         100.0 * comps.giant_fraction()
     );
     let table = summary_table(
-        model.name(),
+        name,
         params,
         seed,
         graph.node_count(),
@@ -474,7 +480,10 @@ fn main() -> ExitCode {
     let (_, _) = artifact.run_suite("girg_gen", Scale::Full, |_| {
         macro_rules! try_sample {
             ($model:expr, $params:expr) => {
-                match sample_and_summarize(&$model, &$params, opts.seed) {
+                try_sample!($model, $params, || $model.sample_seeded(opts.seed))
+            };
+            ($model:expr, $params:expr, $sample:expr) => {
+                match sample_and_summarize($model.name(), &$params, opts.seed, $sample) {
                     Ok(parts) => parts,
                     Err(e) => {
                         eprintln!("error: {e}");
@@ -513,7 +522,17 @@ fn main() -> ExitCode {
                         .lambda(lambda);
                     let params =
                         girg_params_label(opts.n as f64, opts.beta, opts.alpha, lambda);
-                    try_sample!(model, params)
+                    let mut counts = SamplerCounts::default();
+                    let parts = try_sample!(model, params, || {
+                        // the draws of `GraphModel::sample_seeded`, plus the
+                        // edge sampler's work counters
+                        let mut rng = StdRng::seed_from_u64(opts.seed);
+                        let (girg, sampled) = model.sample_counted(&mut rng)?;
+                        counts = sampled;
+                        Ok(girg)
+                    });
+                    eprintln!("sampler: {counts}");
+                    parts
                 };
                 let mut tables = vec![table];
                 if opts.route > 0 {

@@ -25,6 +25,20 @@
 //! Correctness does not depend on the choice of `ℓ(i,j)` (only efficiency
 //! does); correctness *does* depend on `upper_bound` dominating the
 //! probability on each box, which the kernel tests verify.
+//!
+//! Two things keep the pair tests cheap without changing an edge. The
+//! sampler copies the vertices' positions and weights into lanes grouped
+//! by layer and Morton-sorted within it, so the type-I loops and type-II
+//! candidates read contiguous memory instead of gathering by vertex id
+//! (+24 B per vertex at d = 2).
+//! And every accept test first asks the kernel's
+//! [`bracket`](ConnectionKernel::bracket): the exact probability is
+//! evaluated only when the uniform draw lands inside the bracket's band,
+//! so each decision — and every RNG draw — is the one the exact test
+//! would have made.
+
+use std::fmt;
+use std::ops::{AddAssign, Range};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -44,6 +58,61 @@ const MAX_DEPTH: u32 = 31;
 /// the sampled edges) would differ between pool sizes.
 const SPLIT_TARGET_CELLS_LOG2: u32 = 6;
 
+/// Work counters of one sampling run: how many vertex pairs the sampler
+/// examined to emit its edges.
+///
+/// Examined pairs per emitted edge is the efficiency ratio of the
+/// Bringmann–Keusch–Lengler analysis. Each task counts into its own
+/// plain counters; they are summed per batch. The naive sampler examines
+/// every pair exactly and reports them as type-I pairs.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SamplerCounts {
+    /// Pairs examined with their exact probability (type-I cell pairs).
+    pub type_one_pairs: u64,
+    /// Candidate pairs examined in type-II cell pairs: drawn by geometric
+    /// jumps, or every pair where the kernel's bound saturates at 1.
+    pub type_two_candidates: u64,
+    /// Edges emitted.
+    pub edges: u64,
+    /// Examined pairs the kernel's [`bracket`](ConnectionKernel::bracket)
+    /// left undecided, so the exact probability was evaluated on top.
+    pub exact_fallbacks: u64,
+}
+
+impl SamplerCounts {
+    /// Pairs examined per emitted edge (0 without edges).
+    pub fn examined_per_edge(&self) -> f64 {
+        if self.edges == 0 {
+            return 0.0;
+        }
+        (self.type_one_pairs + self.type_two_candidates) as f64 / self.edges as f64
+    }
+}
+
+impl fmt::Display for SamplerCounts {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} type-I pairs + {} type-II candidates examined for {} edges \
+             ({:.2} per edge), {} exact-probability fallbacks",
+            self.type_one_pairs,
+            self.type_two_candidates,
+            self.edges,
+            self.examined_per_edge(),
+            self.exact_fallbacks
+        )
+    }
+}
+
+impl AddAssign for SamplerCounts {
+    fn add_assign(&mut self, other: SamplerCounts) {
+        self.type_one_pairs += other.type_one_pairs;
+        self.type_two_candidates += other.type_two_candidates;
+        self.edges += other.edges;
+        self.exact_fallbacks += other.exact_fallbacks;
+    }
+}
+
 /// Samples the edge set in expected linear time. See the module docs.
 ///
 /// Internally draws one master seed from `rng` and runs the deterministic
@@ -54,7 +123,7 @@ pub fn sample_edges<const D: usize, K, R>(
     weights: &[f64],
     kernel: &K,
     rng: &mut R,
-) -> Vec<(u32, u32)>
+) -> (Vec<(u32, u32)>, SamplerCounts)
 where
     K: ConnectionKernel + Sync,
     R: Rng + ?Sized,
@@ -75,7 +144,7 @@ pub fn sample_edges_pooled<const D: usize, K>(
     kernel: &K,
     master_seed: u64,
     pool: &Pool,
-) -> Vec<(u32, u32)>
+) -> (Vec<(u32, u32)>, SamplerCounts)
 where
     K: ConnectionKernel + Sync,
 {
@@ -100,10 +169,11 @@ pub(crate) struct CellPlan<'a, const D: usize, K> {
 }
 
 /// Prepares the task decomposition for the given instance (see
-/// [`CellPlan`]).
+/// [`CellPlan`]). The plan copies what it needs of `positions` and
+/// `weights` into its layers and keeps no borrow of them.
 pub(crate) fn plan<'a, const D: usize, K>(
-    positions: &'a [Point<D>],
-    weights: &'a [f64],
+    positions: &[Point<D>],
+    weights: &[f64],
     kernel: &'a K,
 ) -> CellPlan<'a, D, K>
 where
@@ -132,19 +202,19 @@ impl<const D: usize, K: ConnectionKernel + Sync> CellPlan<'_, D, K> {
     }
 
     /// Runs the tasks with indices in `range` and returns their edges
-    /// concatenated in task order.
+    /// concatenated in task order, with the batch's summed counters.
     ///
     /// # Panics
     ///
     /// Panics if `range` exceeds `0..task_count()`.
     pub(crate) fn run_batch(
         &self,
-        range: std::ops::Range<usize>,
+        range: Range<usize>,
         master_seed: u64,
         pool: &Pool,
-    ) -> Vec<(u32, u32)> {
+    ) -> (Vec<(u32, u32)>, SamplerCounts) {
         let Some(sampler) = &self.sampler else {
-            return Vec::new();
+            return (Vec::new(), SamplerCounts::default());
         };
         assert!(range.end <= self.tasks.len(), "task range out of bounds");
         let start = range.start;
@@ -153,10 +223,18 @@ impl<const D: usize, K: ConnectionKernel + Sync> CellPlan<'_, D, K> {
             let mut rng =
                 StdRng::seed_from_u64(smallworld_par::split_seed(master_seed, i as u64));
             let mut edges = Vec::new();
-            sampler.run_task(&self.tasks[i], &mut rng, &mut edges);
-            edges
+            let mut counts = SamplerCounts::default();
+            sampler.run_task(&self.tasks[i], &mut rng, &mut edges, &mut counts);
+            counts.edges = edges.len() as u64;
+            (edges, counts)
         });
-        per_task.concat()
+        let mut edges = Vec::with_capacity(per_task.iter().map(|(e, _)| e.len()).sum());
+        let mut counts = SamplerCounts::default();
+        for (task_edges, task_counts) in per_task {
+            edges.extend(task_edges);
+            counts += task_counts;
+        }
+        (edges, counts)
     }
 }
 
@@ -178,28 +256,26 @@ enum TaskKind {
     Local,
 }
 
-/// One weight layer: vertex ids sorted by max-level Morton code.
+/// The vertices' lanes, grouped by weight layer and sorted within each
+/// layer by `(max-level Morton code, id)`: positions and weights are copied
+/// into that order, so the pair tests of a cell read contiguous memory.
+struct Lanes<const D: usize> {
+    codes: Vec<u64>,
+    ids: Vec<u32>,
+    positions: Vec<Point<D>>,
+    weights: Vec<f64>,
+}
+
+/// One weight layer: its index range in the [`Lanes`].
 struct Layer {
-    /// Sorted `(code, vertex)` pairs.
-    entries: Vec<(u64, u32)>,
+    span: Range<usize>,
     /// Maximum weight present in this layer (for upper bounds).
     max_weight: f64,
 }
 
-impl Layer {
-    /// The contiguous slice of vertices inside `cell`.
-    fn slice<const D: usize>(&self, cell: &MortonCell, max_level: u32) -> &[(u64, u32)] {
-        let range = cell.descendant_range::<D>(max_level);
-        let lo = self.entries.partition_point(|&(c, _)| c < range.start);
-        let hi = self.entries.partition_point(|&(c, _)| c < range.end);
-        &self.entries[lo..hi]
-    }
-}
-
 struct CellSampler<'a, const D: usize, K> {
-    positions: &'a [Point<D>],
-    weights: &'a [f64],
     kernel: &'a K,
+    lanes: Lanes<D>,
     layers: Vec<Layer>,
     /// All vertices' max-level codes, sorted — for occupancy pruning.
     all_codes: Vec<u64>,
@@ -212,7 +288,7 @@ struct CellSampler<'a, const D: usize, K> {
 }
 
 impl<'a, const D: usize, K: ConnectionKernel> CellSampler<'a, D, K> {
-    fn new(positions: &'a [Point<D>], weights: &'a [f64], kernel: &'a K) -> Self {
+    fn new(positions: &[Point<D>], weights: &[f64], kernel: &'a K) -> Self {
         assert!(
             (1..=3).contains(&D),
             "cell sampler supports dimensions 1..=3"
@@ -233,25 +309,31 @@ impl<'a, const D: usize, K: ConnectionKernel> CellSampler<'a, D, K> {
         };
         let num_layers = weights.iter().map(|&w| layer_of(w)).max().unwrap_or(0) + 1;
 
-        let mut layers: Vec<Layer> = (0..num_layers)
-            .map(|_| Layer {
-                entries: Vec::new(),
-                max_weight: 0.0,
+        // (layer, code, vertex) in lane order
+        let mut order: Vec<(u32, u64, u32)> = (0..n)
+            .map(|v| {
+                let code = grid.cell_of(&positions[v]).code();
+                (layer_of(weights[v]) as u32, code, v as u32)
             })
             .collect();
-        let mut all_codes = Vec::with_capacity(n);
-        for v in 0..n {
-            let code = grid.cell_of(&positions[v]).code();
-            let li = layer_of(weights[v]);
-            layers[li].entries.push((code, v as u32));
-            if weights[v] > layers[li].max_weight {
-                layers[li].max_weight = weights[v];
-            }
-            all_codes.push(code);
-        }
-        for layer in &mut layers {
-            layer.entries.sort_unstable();
-        }
+        order.sort_unstable();
+        let ids: Vec<u32> = order.iter().map(|&(_, _, v)| v).collect();
+        let lanes = Lanes {
+            codes: order.iter().map(|&(_, c, _)| c).collect(),
+            positions: ids.iter().map(|&v| positions[v as usize]).collect(),
+            weights: ids.iter().map(|&v| weights[v as usize]).collect(),
+            ids,
+        };
+        let layers: Vec<Layer> = (0..num_layers as u32)
+            .map(|i| {
+                let span = order.partition_point(|&(l, ..)| l < i)
+                    ..order.partition_point(|&(l, ..)| l <= i);
+                let max_weight = lanes.weights[span.clone()].iter().copied().fold(0.0, f64::max);
+                Layer { span, max_weight }
+            })
+            .collect();
+        drop(order);
+        let mut all_codes = lanes.codes.clone();
         all_codes.sort_unstable();
 
         // Comparison level per unordered layer pair: the deepest level whose
@@ -259,11 +341,11 @@ impl<'a, const D: usize, K: ConnectionKernel> CellSampler<'a, D, K> {
         let mut pairs_at_level: Vec<Vec<(usize, usize)>> =
             (0..=max_level).map(|_| Vec::new()).collect();
         for i in 0..num_layers {
-            if layers[i].entries.is_empty() {
+            if layers[i].span.is_empty() {
                 continue;
             }
             for j in i..num_layers {
-                if layers[j].entries.is_empty() {
+                if layers[j].span.is_empty() {
                     continue;
                 }
                 let vol = (layers[i].max_weight * layers[j].max_weight / (w0 * n as f64)).min(1.0);
@@ -285,15 +367,24 @@ impl<'a, const D: usize, K: ConnectionKernel> CellSampler<'a, D, K> {
         }
 
         CellSampler {
-            positions,
-            weights,
             kernel,
+            lanes,
             layers,
             all_codes,
             max_level,
             pairs_at_level,
             pairs_from_level,
         }
+    }
+
+    /// The lane indices of layer `i`'s vertices inside `cell`.
+    fn range(&self, i: usize, cell: &MortonCell) -> Range<usize> {
+        let cell_codes = cell.descendant_range::<D>(self.max_level);
+        let span = self.layers[i].span.clone();
+        let codes = &self.lanes.codes[span.clone()];
+        let lo = codes.partition_point(|&c| c < cell_codes.start);
+        let hi = lo + codes[lo..].partition_point(|&c| c < cell_codes.end);
+        span.start + lo..span.start + hi
     }
 
     fn cell_occupied(&self, cell: &MortonCell) -> bool {
@@ -359,12 +450,18 @@ impl<'a, const D: usize, K: ConnectionKernel> CellSampler<'a, D, K> {
     }
 
     /// Runs one task of the parallel decomposition.
-    fn run_task<R: Rng + ?Sized>(&self, task: &Task, rng: &mut R, edges: &mut Vec<(u32, u32)>) {
+    fn run_task<R: Rng + ?Sized>(
+        &self,
+        task: &Task,
+        rng: &mut R,
+        edges: &mut Vec<(u32, u32)>,
+        counts: &mut SamplerCounts,
+    ) {
         match task.kind {
-            TaskKind::Full => self.process_pair(task.a, task.b, rng, edges),
+            TaskKind::Full => self.process_pair(task.a, task.b, rng, edges, counts),
             TaskKind::Local => {
                 for &(i, j) in &self.pairs_at_level[task.a.level() as usize] {
-                    self.type_one(task.a, task.b, i, j, rng, edges);
+                    self.type_one(task.a, task.b, i, j, rng, edges, counts);
                 }
             }
         }
@@ -377,6 +474,7 @@ impl<'a, const D: usize, K: ConnectionKernel> CellSampler<'a, D, K> {
         b: MortonCell,
         rng: &mut R,
         edges: &mut Vec<(u32, u32)>,
+        counts: &mut SamplerCounts,
     ) {
         if !self.cell_occupied(&a) || (a != b && !self.cell_occupied(&b)) {
             return;
@@ -384,20 +482,20 @@ impl<'a, const D: usize, K: ConnectionKernel> CellSampler<'a, D, K> {
         let level = a.level();
         if a.is_adjacent::<D>(&b) {
             for &(i, j) in &self.pairs_at_level[level as usize] {
-                self.type_one(a, b, i, j, rng, edges);
+                self.type_one(a, b, i, j, rng, edges, counts);
             }
             if level < self.max_level && !self.pairs_from_level[level as usize + 1].is_empty() {
                 if a == b {
                     let children: Vec<MortonCell> = a.children::<D>().collect();
                     for (ci, &ca) in children.iter().enumerate() {
                         for &cb in &children[ci..] {
-                            self.process_pair(ca, cb, rng, edges);
+                            self.process_pair(ca, cb, rng, edges, counts);
                         }
                     }
                 } else {
                     for ca in a.children::<D>() {
                         for cb in b.children::<D>() {
-                            self.process_pair(ca, cb, rng, edges);
+                            self.process_pair(ca, cb, rng, edges, counts);
                         }
                     }
                 }
@@ -405,13 +503,14 @@ impl<'a, const D: usize, K: ConnectionKernel> CellSampler<'a, D, K> {
         } else {
             let min_dist = a.min_distance::<D>(&b);
             for &(i, j) in &self.pairs_from_level[level as usize] {
-                self.type_two(a, b, i, j, min_dist, rng, edges);
+                self.type_two(a, b, i, j, min_dist, rng, edges, counts);
             }
         }
     }
 
     /// Exact examination of all pairs between adjacent cells for layer pair
     /// `(i, j)`.
+    #[allow(clippy::too_many_arguments)]
     fn type_one<R: Rng + ?Sized>(
         &self,
         a: MortonCell,
@@ -420,33 +519,32 @@ impl<'a, const D: usize, K: ConnectionKernel> CellSampler<'a, D, K> {
         j: usize,
         rng: &mut R,
         edges: &mut Vec<(u32, u32)>,
+        counts: &mut SamplerCounts,
     ) {
         if a == b {
-            let ai = self.layers[i].slice::<D>(&a, self.max_level);
+            let ai = self.range(i, &a);
             if i == j {
-                for (k, &(_, u)) in ai.iter().enumerate() {
-                    for &(_, v) in &ai[k + 1..] {
-                        self.flip_exact(u, v, rng, edges);
-                    }
+                let len = ai.len() as u64;
+                counts.type_one_pairs += len * len.saturating_sub(1) / 2;
+                for k in ai.clone() {
+                    self.row(k, k + 1..ai.end, rng, edges, &mut counts.exact_fallbacks);
                 }
             } else {
-                let aj = self.layers[j].slice::<D>(&a, self.max_level);
-                for &(_, u) in ai {
-                    for &(_, v) in aj {
-                        self.flip_exact(u, v, rng, edges);
-                    }
-                }
+                let aj = self.range(j, &a);
+                counts.type_one_pairs += ai.len() as u64 * aj.len() as u64;
+                self.all_pairs(ai, aj, rng, edges, &mut counts.exact_fallbacks);
             }
         } else {
-            self.cross_exact(&a, &b, i, j, rng, edges);
+            self.cross_exact(&a, &b, i, j, rng, edges, counts);
             if i != j {
-                self.cross_exact(&a, &b, j, i, rng, edges);
+                self.cross_exact(&a, &b, j, i, rng, edges, counts);
             }
         }
     }
 
     /// All pairs between layer `i` of cell `a` and layer `j` of cell `b`
     /// (disjoint vertex sets), exact probabilities.
+    #[allow(clippy::too_many_arguments)]
     fn cross_exact<R: Rng + ?Sized>(
         &self,
         a: &MortonCell,
@@ -455,14 +553,11 @@ impl<'a, const D: usize, K: ConnectionKernel> CellSampler<'a, D, K> {
         j: usize,
         rng: &mut R,
         edges: &mut Vec<(u32, u32)>,
+        counts: &mut SamplerCounts,
     ) {
-        let ai = self.layers[i].slice::<D>(a, self.max_level);
-        let bj = self.layers[j].slice::<D>(b, self.max_level);
-        for &(_, u) in ai {
-            for &(_, v) in bj {
-                self.flip_exact(u, v, rng, edges);
-            }
-        }
+        let (ai, bj) = (self.range(i, a), self.range(j, b));
+        counts.type_one_pairs += ai.len() as u64 * bj.len() as u64;
+        self.all_pairs(ai, bj, rng, edges, &mut counts.exact_fallbacks);
     }
 
     /// Geometric-jump sampling between non-adjacent cells for layer pair
@@ -477,11 +572,12 @@ impl<'a, const D: usize, K: ConnectionKernel> CellSampler<'a, D, K> {
         min_dist: f64,
         rng: &mut R,
         edges: &mut Vec<(u32, u32)>,
+        counts: &mut SamplerCounts,
     ) {
         debug_assert!(a != b);
-        self.jump_sample(&a, &b, i, j, min_dist, rng, edges);
+        self.jump_sample(&a, &b, i, j, min_dist, rng, edges, counts);
         if i != j {
-            self.jump_sample(&a, &b, j, i, min_dist, rng, edges);
+            self.jump_sample(&a, &b, j, i, min_dist, rng, edges, counts);
         }
     }
 
@@ -495,68 +591,155 @@ impl<'a, const D: usize, K: ConnectionKernel> CellSampler<'a, D, K> {
         min_dist: f64,
         rng: &mut R,
         edges: &mut Vec<(u32, u32)>,
+        counts: &mut SamplerCounts,
     ) {
-        let bound = self
-            .kernel
-            .upper_bound(self.layers[i].max_weight, self.layers[j].max_weight, min_dist);
+        let (wi, wj) = (self.layers[i].max_weight, self.layers[j].max_weight);
+        let bound = self.kernel.upper_bound(wi, wj, min_dist);
         if bound <= 0.0 {
             return;
         }
-        let ai = self.layers[i].slice::<D>(a, self.max_level);
-        let bj = self.layers[j].slice::<D>(b, self.max_level);
+        let (ai, bj) = (self.range(i, a), self.range(j, b));
         if ai.is_empty() || bj.is_empty() {
             return;
         }
-        let total = ai.len() as u64 * bj.len() as u64;
         if bound >= 1.0 {
             // no skipping possible; examine all pairs exactly
-            for &(_, u) in ai {
-                for &(_, v) in bj {
-                    self.flip_exact(u, v, rng, edges);
-                }
-            }
+            counts.type_two_candidates += ai.len() as u64 * bj.len() as u64;
+            self.all_pairs(ai, bj, rng, edges, &mut counts.exact_fallbacks);
             return;
         }
+        // candidate k of the row-major ai × bj grid is (row, col) =
+        // (k / len, k % len), carried across skips without dividing
+        let (rows, len) = (ai.len() as u64, bj.len() as u64);
+        let lanes = &self.lanes;
         let log_one_minus = (1.0 - bound).ln();
-        let mut k = geometric_skip(rng, log_one_minus);
-        while k < total {
-            let u = ai[(k / bj.len() as u64) as usize].1;
-            let v = bj[(k % bj.len() as u64) as usize].1;
-            let dist = self.positions[u as usize].distance(&self.positions[v as usize]);
-            let p = self
-                .kernel
-                .probability(self.weights[u as usize], self.weights[v as usize], dist);
-            debug_assert!(
-                p <= bound + 1e-9,
-                "kernel upper bound violated: p={p} bound={bound}"
-            );
-            if rng.gen::<f64>() * bound < p {
-                edges.push(ordered(u, v));
+        let first = geometric_skip(rng, log_one_minus);
+        let (mut row, mut col) = (first / len, first % len);
+        while row < rows {
+            counts.type_two_candidates += 1;
+            let (u, v) = (ai.start + row as usize, bj.start + col as usize);
+            let (wu, wv) = (lanes.weights[u], lanes.weights[v]);
+            let dist = lanes.positions[u].distance(&lanes.positions[v]);
+            let exact = || self.kernel.probability(wu, wv, dist);
+            #[cfg(debug_assertions)]
+            {
+                let p = exact();
+                debug_assert!(
+                    p <= bound + 1e-9,
+                    "kernel upper bound violated: p={p} bound={bound}"
+                );
+            }
+            let x = rng.gen::<f64>() * bound;
+            let bracket = self.kernel.bracket(wu, wv, dist);
+            if below(x, bracket, exact, &mut counts.exact_fallbacks) {
+                edges.push(ordered(lanes.ids[u], lanes.ids[v]));
             }
             // saturating: a skip of u64::MAX (possible for tiny bounds)
             // must terminate the loop, not wrap around
-            k = k
-                .saturating_add(1)
-                .saturating_add(geometric_skip(rng, log_one_minus));
+            let step = geometric_skip(rng, log_one_minus).saturating_add(1);
+            (row, col) = advance(row, col, len, step);
         }
     }
 
-    #[inline]
-    fn flip_exact<R: Rng + ?Sized>(
+    /// Every pair of lane range `ai` with lane range `bj`, row by row, each
+    /// with the exact accept test.
+    fn all_pairs<R: Rng + ?Sized>(
         &self,
-        u: u32,
-        v: u32,
+        ai: Range<usize>,
+        bj: Range<usize>,
         rng: &mut R,
         edges: &mut Vec<(u32, u32)>,
+        fallbacks: &mut u64,
     ) {
-        let dist = self.positions[u as usize].distance(&self.positions[v as usize]);
-        let p = self
-            .kernel
-            .probability(self.weights[u as usize], self.weights[v as usize], dist);
-        if p >= 1.0 || (p > 0.0 && rng.gen::<f64>() < p) {
-            edges.push(ordered(u, v));
+        for k in ai {
+            self.row(k, bj.clone(), rng, edges, fallbacks);
         }
     }
+
+    /// The exact accept test of lane entry `k` against each entry of lane
+    /// range `bj`, in lane order: emits each edge with the kernel's
+    /// probability.
+    #[inline]
+    fn row<R: Rng + ?Sized>(
+        &self,
+        k: usize,
+        bj: Range<usize>,
+        rng: &mut R,
+        edges: &mut Vec<(u32, u32)>,
+        fallbacks: &mut u64,
+    ) {
+        let lanes = &self.lanes;
+        let (pu, wu, u) = (&lanes.positions[k], lanes.weights[k], lanes.ids[k]);
+        let row = lanes.positions[bj.clone()].iter().zip(&lanes.weights[bj.clone()]);
+        for ((pv, &wv), &v) in row.zip(&lanes.ids[bj]) {
+            let dist = pu.distance(pv);
+            let accepted = accept(
+                self.kernel.bracket(wu, wv, dist),
+                || self.kernel.probability(wu, wv, dist),
+                || rng.gen::<f64>(),
+                fallbacks,
+            );
+            if accepted {
+                edges.push(ordered(u, v));
+            }
+        }
+    }
+}
+
+/// The type-I accept test `p >= 1 || (p > 0 && u < p)`, decided from a
+/// bracket `lo ≤ p ≤ hi` with `p = exact()` and `u = draw()`.
+///
+/// Draws exactly when the reference expression would (`0 < p < 1`), and
+/// evaluates `exact` only when the bracket straddles 0 or 1 or the draw
+/// lands inside `[lo, hi)` — each such evaluation counts in `fallbacks`.
+#[inline]
+fn accept(
+    (lo, hi): (f64, f64),
+    exact: impl FnOnce() -> f64,
+    draw: impl FnOnce() -> f64,
+    fallbacks: &mut u64,
+) -> bool {
+    if lo >= 1.0 {
+        return true;
+    }
+    if lo > 0.0 && hi < 1.0 {
+        return below(draw(), (lo, hi), exact, fallbacks);
+    }
+    let p = if lo == hi {
+        lo
+    } else {
+        *fallbacks += 1;
+        exact()
+    };
+    p >= 1.0 || (p > 0.0 && draw() < p)
+}
+
+/// `x < p`, decided from a bracket `lo ≤ p ≤ hi` with `p = exact()`:
+/// evaluates `exact` (and counts it in `fallbacks`) only when
+/// `lo ≤ x < hi`.
+#[inline]
+fn below(x: f64, (lo, hi): (f64, f64), exact: impl FnOnce() -> f64, fallbacks: &mut u64) -> bool {
+    if x < lo {
+        return true;
+    }
+    if x >= hi {
+        return false;
+    }
+    *fallbacks += 1;
+    x < exact()
+}
+
+/// Moves the row-major cursor `(row, col)` over rows of `len` entries
+/// forward by `step`: `(k / len, k % len)` of `k = row · len + col + step`,
+/// dividing only when the step leaves the row. Saturates instead of
+/// wrapping, so an overlong step lands past every row.
+#[inline]
+fn advance(row: u64, col: u64, len: u64, step: u64) -> (u64, u64) {
+    let col = col.saturating_add(step);
+    if col < len {
+        return (row, col);
+    }
+    (row.saturating_add(col / len), col % len)
 }
 
 #[inline]
@@ -612,8 +795,8 @@ mod tests {
     fn trivial_inputs() {
         let k = GirgKernel::new(Alpha::Finite(2.0), 1.0, 1.0, 10.0, 2).unwrap();
         let mut rng = StdRng::seed_from_u64(0);
-        assert!(sample_edges::<2, _, _>(&[], &[], &k, &mut rng).is_empty());
-        assert!(sample_edges(&[Point::<2>::origin()], &[1.0], &k, &mut rng).is_empty());
+        assert!(sample_edges::<2, _, _>(&[], &[], &k, &mut rng).0.is_empty());
+        assert!(sample_edges(&[Point::<2>::origin()], &[1.0], &k, &mut rng).0.is_empty());
     }
 
     #[test]
@@ -621,7 +804,7 @@ mod tests {
         let (pos, w) = random_instance::<2>(800, 2.5, 1);
         let k = GirgKernel::new(Alpha::Finite(2.0), 1.0, 1.0, 800.0, 2).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
-        let edges = sample_edges(&pos, &w, &k, &mut rng);
+        let edges = sample_edges(&pos, &w, &k, &mut rng).0;
         let set = edge_set(&edges);
         assert_eq!(set.len(), edges.len(), "duplicate edges emitted");
         assert!(edges.iter().all(|&(u, v)| u < v));
@@ -637,8 +820,8 @@ mod tests {
             let k = GirgKernel::new(Alpha::Threshold, 1.3, 1.0, 600.0, 2).unwrap();
             let mut rng1 = StdRng::seed_from_u64(100);
             let mut rng2 = StdRng::seed_from_u64(200);
-            let fast = edge_set(&sample_edges(&pos, &w, &k, &mut rng1));
-            let slow = edge_set(&naive::sample_edges(&pos, &w, &k, &mut rng2));
+            let fast = edge_set(&sample_edges(&pos, &w, &k, &mut rng1).0);
+            let slow = edge_set(&naive::sample_edges(&pos, &w, &k, &mut rng2).0);
             assert_eq!(fast, slow, "beta={beta}");
         }
     }
@@ -648,14 +831,14 @@ mod tests {
         let (pos, w) = random_instance::<1>(500, 2.4, 21);
         let k = GirgKernel::new(Alpha::Threshold, 1.0, 1.0, 500.0, 1).unwrap();
         let mut rng = StdRng::seed_from_u64(0);
-        let fast = edge_set(&sample_edges(&pos, &w, &k, &mut rng));
-        let slow = edge_set(&naive::sample_edges(&pos, &w, &k, &mut rng));
+        let fast = edge_set(&sample_edges(&pos, &w, &k, &mut rng).0);
+        let slow = edge_set(&naive::sample_edges(&pos, &w, &k, &mut rng).0);
         assert_eq!(fast, slow);
 
         let (pos, w) = random_instance::<3>(400, 2.6, 22);
         let k = GirgKernel::new(Alpha::Threshold, 1.0, 1.0, 400.0, 3).unwrap();
-        let fast = edge_set(&sample_edges(&pos, &w, &k, &mut rng));
-        let slow = edge_set(&naive::sample_edges(&pos, &w, &k, &mut rng));
+        let fast = edge_set(&sample_edges(&pos, &w, &k, &mut rng).0);
+        let slow = edge_set(&naive::sample_edges(&pos, &w, &k, &mut rng).0);
         assert_eq!(fast, slow);
     }
 
@@ -668,11 +851,11 @@ mod tests {
         let reps = 60;
         let mut rng = StdRng::seed_from_u64(31);
         let fast_mean: f64 = (0..reps)
-            .map(|_| sample_edges(&pos, &w, &k, &mut rng).len() as f64)
+            .map(|_| sample_edges(&pos, &w, &k, &mut rng).0.len() as f64)
             .sum::<f64>()
             / reps as f64;
         let slow_mean: f64 = (0..reps)
-            .map(|_| naive::sample_edges(&pos, &w, &k, &mut rng).len() as f64)
+            .map(|_| naive::sample_edges(&pos, &w, &k, &mut rng).0.len() as f64)
             .sum::<f64>()
             / reps as f64;
         // means should agree within a few standard errors; edge count ~ few
@@ -698,11 +881,11 @@ mod tests {
             edges.iter().filter(|&&(u, v)| u == hub || v == hub).count() as f64
         };
         let fast: f64 = (0..reps)
-            .map(|_| deg_of(&sample_edges(&pos, &w, &k, &mut rng)))
+            .map(|_| deg_of(&sample_edges(&pos, &w, &k, &mut rng).0))
             .sum::<f64>()
             / reps as f64;
         let slow: f64 = (0..reps)
-            .map(|_| deg_of(&naive::sample_edges(&pos, &w, &k, &mut rng)))
+            .map(|_| deg_of(&naive::sample_edges(&pos, &w, &k, &mut rng).0))
             .sum::<f64>()
             / reps as f64;
         let tol = 6.0 * (fast.max(slow) / reps as f64).sqrt().max(1.0);
@@ -716,8 +899,8 @@ mod tests {
         let pos: Vec<Point<2>> = (0..500).map(|_| Point::random(&mut rng)).collect();
         let w = vec![1.0; 500];
         let k = GirgKernel::new(Alpha::Threshold, 2.0, 1.0, 500.0, 2).unwrap();
-        let fast = edge_set(&sample_edges(&pos, &w, &k, &mut rng));
-        let slow = edge_set(&naive::sample_edges(&pos, &w, &k, &mut rng));
+        let fast = edge_set(&sample_edges(&pos, &w, &k, &mut rng).0);
+        let slow = edge_set(&naive::sample_edges(&pos, &w, &k, &mut rng).0);
         assert_eq!(fast, slow);
     }
 
@@ -733,8 +916,8 @@ mod tests {
             .collect();
         let w = vec![1.0; 200];
         let k = GirgKernel::new(Alpha::Threshold, 1.0, 1.0, 200.0, 2).unwrap();
-        let fast = edge_set(&sample_edges(&pos, &w, &k, &mut rng));
-        let slow = edge_set(&naive::sample_edges(&pos, &w, &k, &mut rng));
+        let fast = edge_set(&sample_edges(&pos, &w, &k, &mut rng).0);
+        let slow = edge_set(&naive::sample_edges(&pos, &w, &k, &mut rng).0);
         assert_eq!(fast, slow);
     }
 
@@ -747,8 +930,8 @@ mod tests {
         pos.push(Point::new([0.1, 0.9]));
         w.push(4000.0);
         let k = GirgKernel::new(Alpha::Threshold, 1.0, 1.0, 300.0, 2).unwrap();
-        let fast = edge_set(&sample_edges(&pos, &w, &k, &mut rng));
-        let slow = edge_set(&naive::sample_edges(&pos, &w, &k, &mut rng));
+        let fast = edge_set(&sample_edges(&pos, &w, &k, &mut rng).0);
+        let slow = edge_set(&naive::sample_edges(&pos, &w, &k, &mut rng).0);
         assert_eq!(fast, slow);
         // the hub reaches every vertex: wu·wv/(wmin n) = 4000/300 > (1/2)^2
         let hub_degree = fast.iter().filter(|&&(u, v)| u == 300 || v == 300).count();
@@ -770,8 +953,8 @@ mod tests {
             let (pos, w) = random_instance::<2>(n, beta, seed);
             let k = GirgKernel::new(Alpha::Threshold, lambda, 1.0, n as f64, 2).unwrap();
             let mut rng = StdRng::seed_from_u64(seed ^ 0xFF);
-            let fast = edge_set(&sample_edges(&pos, &w, &k, &mut rng));
-            let slow = edge_set(&naive::sample_edges(&pos, &w, &k, &mut rng));
+            let fast = edge_set(&sample_edges(&pos, &w, &k, &mut rng).0);
+            let slow = edge_set(&naive::sample_edges(&pos, &w, &k, &mut rng).0);
             proptest::prop_assert_eq!(fast, slow);
         }
 
@@ -786,7 +969,7 @@ mod tests {
             let (pos, w) = random_instance::<2>(150, 2.5, seed);
             let k = GirgKernel::new(Alpha::Finite(alpha), lambda, 1.0, 150.0, 2).unwrap();
             let mut rng = StdRng::seed_from_u64(seed);
-            let edges = sample_edges(&pos, &w, &k, &mut rng);
+            let edges = sample_edges(&pos, &w, &k, &mut rng).0;
             let set = edge_set(&edges);
             proptest::prop_assert_eq!(set.len(), edges.len());
             proptest::prop_assert!(edges.iter().all(|&(u, v)| u < v && (v as usize) < 150));
@@ -794,7 +977,8 @@ mod tests {
     }
 
     /// Bitwise thread-count invariance: same master seed, any pool size →
-    /// byte-for-byte identical edge lists (not just equal sets).
+    /// byte-for-byte identical edge lists (not just equal sets) and equal
+    /// work counters.
     #[test]
     fn parallel_sampling_is_bitwise_identical_across_thread_counts() {
         let k1 = GirgKernel::new(Alpha::Finite(1.8), 0.8, 1.0, 700.0, 1).unwrap();
@@ -833,6 +1017,175 @@ mod tests {
             let sequential = sample_edges_pooled(&pos, &w, &k, master, &Pool::with_threads(1));
             let parallel = sample_edges_pooled(&pos, &w, &k, master, &Pool::with_threads(threads));
             proptest::prop_assert_eq!(sequential, parallel);
+        }
+    }
+
+    /// The reference type-I decision `p >= 1 || (p > 0 && u < p)`, and
+    /// whether it draws `u`.
+    fn reference_accept(p: f64, u: f64) -> (bool, bool) {
+        if p >= 1.0 {
+            (true, false)
+        } else if p > 0.0 {
+            (u < p, true)
+        } else {
+            (false, false)
+        }
+    }
+
+    /// Checks both bracket decisions against the reference expressions at
+    /// the draws where they could part: the band's ends and `p` itself.
+    fn check_decisions(lo: f64, p: f64, hi: f64) {
+        assert!(lo <= p && p <= hi, "not a bracket: {lo} {p} {hi}");
+        for u in [lo, hi, p, p.next_up(), p.next_down()] {
+            let mut fallbacks = 0;
+            let mut drew = false;
+            let got = accept(
+                (lo, hi),
+                || p,
+                || {
+                    drew = true;
+                    u
+                },
+                &mut fallbacks,
+            );
+            let expected = reference_accept(p, u);
+            assert_eq!((got, drew), expected, "type I: {lo} {p} {hi} u={u}");
+            // type II tests `u · bound < p`; `x` stands for the product
+            let x = u;
+            let got = below(x, (lo, hi), || p, &mut fallbacks);
+            assert_eq!(got, x < p, "type II: {lo} {p} {hi} x={x}");
+        }
+    }
+
+    #[test]
+    fn bracket_decisions_equal_the_exact_tests() {
+        // synthetic brackets: strict bands, exact points, bands touching or
+        // straddling 0 and 1
+        for (lo, p, hi) in [
+            (0.25, 0.3, 0.35),
+            (0.3, 0.3, 0.3),
+            (0.0, 0.0, 0.0),
+            (1.0, 1.0, 1.0),
+            (0.999, 1.0, 1.0),
+            (0.999, 0.9995, 1.0),
+            (0.0, 1e-300, 1e-290),
+            (0.0, 0.0, 0.5),
+            (f64::MIN_POSITIVE, f64::MIN_POSITIVE, 1e-300),
+        ] {
+            check_decisions(lo, p, hi);
+        }
+        // the kernel's own brackets, integer and non-integer α
+        for alpha in [2.0, 3.0, 2.5] {
+            let k = GirgKernel::new(Alpha::Finite(alpha), 1.0, 1.0, 1e5, 2).unwrap();
+            for (wu, wv, dist) in [
+                (1.0, 1.0, 0.01),
+                (3.0, 7.0, 0.002),
+                (50.0, 80.0, 0.0001),
+                (1.0, 1.0, 0.0),
+                (1.0, 1.0, 0.4),
+                (1.0, 1.0, 1e90),
+            ] {
+                let (lo, hi) = k.bracket(wu, wv, dist);
+                check_decisions(lo, k.probability(wu, wv, dist), hi);
+            }
+        }
+    }
+
+    #[test]
+    fn a_draw_outside_the_band_needs_no_exact_probability() {
+        let mut fallbacks = 0;
+        let never = || -> f64 { panic!("exact probability evaluated") };
+        assert!(accept((0.2, 0.3), never, || 0.1, &mut fallbacks));
+        assert!(!accept((0.2, 0.3), never, || 0.3, &mut fallbacks));
+        assert!(accept((1.0, 1.0), never, || panic!("drew"), &mut fallbacks));
+        assert!(!accept((0.0, 0.0), never, || panic!("drew"), &mut fallbacks));
+        assert!(below(0.1, (0.2, 0.3), never, &mut fallbacks));
+        assert!(!below(0.3, (0.2, 0.3), never, &mut fallbacks));
+        assert_eq!(fallbacks, 0);
+        // inside the band the exact value decides, and counts
+        assert!(accept((0.2, 0.3), || 0.26, || 0.25, &mut fallbacks));
+        assert!(!below(0.27, (0.2, 0.3), || 0.26, &mut fallbacks));
+        assert_eq!(fallbacks, 2);
+    }
+
+    /// `GirgKernel` without its own bracket: every decision evaluates the
+    /// exact probability.
+    struct ExactOnly(GirgKernel);
+
+    impl ConnectionKernel for ExactOnly {
+        fn probability(&self, wu: f64, wv: f64, dist: f64) -> f64 {
+            self.0.probability(wu, wv, dist)
+        }
+
+        fn upper_bound(&self, wu_max: f64, wv_max: f64, min_dist: f64) -> f64 {
+            self.0.upper_bound(wu_max, wv_max, min_dist)
+        }
+    }
+
+    /// The bracket changes no edge: bitwise the same sample as the exact
+    /// kernel, over seeds, dimensions and α (integer ones take the `powi`
+    /// band, the others the exact default).
+    #[test]
+    fn bracketed_sampling_equals_exact_sampling_bitwise() {
+        let pool = Pool::with_threads(2);
+        let cases = [(1u64, 2.0, 1.0), (2, 3.0, 0.3), (3, 4.0, 2.0), (4, 2.5, 1.0)];
+        for (seed, alpha, lambda) in cases {
+            let (p1, w1) = random_instance::<1>(3_000, 2.5, seed);
+            let k1 = GirgKernel::new(Alpha::Finite(alpha), lambda, 1.0, 3_000.0, 1).unwrap();
+            let (p2, w2) = random_instance::<2>(3_000, 2.5, seed);
+            let k2 = GirgKernel::new(Alpha::Finite(alpha), lambda, 1.0, 3_000.0, 2).unwrap();
+            for (fast, exact) in [
+                (
+                    sample_edges_pooled(&p1, &w1, &k1, seed, &pool),
+                    sample_edges_pooled(&p1, &w1, &ExactOnly(k1), seed, &pool),
+                ),
+                (
+                    sample_edges_pooled(&p2, &w2, &k2, seed, &pool),
+                    sample_edges_pooled(&p2, &w2, &ExactOnly(k2), seed, &pool),
+                ),
+            ] {
+                assert_eq!(fast.0, exact.0, "seed={seed} alpha={alpha}");
+                let examined = |c: SamplerCounts| (c.type_one_pairs, c.type_two_candidates);
+                assert_eq!(examined(fast.1), examined(exact.1));
+                if alpha.fract() == 0.0 {
+                    assert!(fast.1.exact_fallbacks * 1000 < fast.1.type_one_pairs);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn counts_add_up() {
+        let (pos, w) = random_instance::<2>(4_000, 2.5, 9);
+        let k = GirgKernel::new(Alpha::Finite(2.0), 1.0, 1.0, 4_000.0, 2).unwrap();
+        let (edges, counts) = sample_edges_pooled(&pos, &w, &k, 9, &Pool::with_threads(1));
+        assert_eq!(counts.edges, edges.len() as u64);
+        assert!(counts.type_one_pairs > 0 && counts.type_two_candidates > 0);
+        assert!(counts.type_one_pairs + counts.type_two_candidates >= counts.edges);
+        assert!(counts.examined_per_edge() >= 1.0);
+        let (naive_edges, naive_counts) =
+            naive::sample_edges(&pos[..100], &w[..100], &k, &mut StdRng::seed_from_u64(1));
+        assert_eq!(naive_counts.type_one_pairs, 100 * 99 / 2);
+        assert_eq!(naive_counts.edges, naive_edges.len() as u64);
+    }
+
+    /// The jump cursor carried across skips lands where the division of the
+    /// linear index would put it: inside a row, across one row, across many
+    /// rows, and past every row on a saturated skip.
+    #[test]
+    fn advance_matches_division() {
+        for len in [1u64, 2, 3, 7, 64, 1_000] {
+            for k in [0u64, 1, len - 1, len, 5 * len + len / 2] {
+                let (row, col) = (k / len, k % len);
+                for step in [1u64, 2, len - 1, len, len + 1, 17 * len + 5, 1_000 * len] {
+                    let t = k + step;
+                    let expected = (t / len, t % len);
+                    assert_eq!(advance(row, col, len, step), expected, "len={len} k={k} +{step}");
+                }
+                // any grid has at most u64::MAX / len rows
+                let (past, _) = advance(row, col, len, u64::MAX);
+                assert!(past >= u64::MAX / len, "len={len} k={k}");
+            }
         }
     }
 

@@ -20,6 +20,7 @@ mod cells;
 mod naive;
 mod stream;
 
+pub use cells::SamplerCounts;
 pub use stream::{HalfEdges, StreamError, StreamedGirg};
 
 use rand::Rng;
@@ -331,6 +332,20 @@ impl<const D: usize> GirgBuilder<D> {
     /// `w_min ≤ 0`, `λ ≤ 0`, the intensity is zero, or a planted weight is
     /// below `w_min`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<Girg<D>, ModelError> {
+        self.sample_counted(rng).map(|(girg, _)| girg)
+    }
+
+    /// [`sample`](Self::sample), also returning the edge sampler's work
+    /// counters (pairs examined per emitted edge, exact-probability
+    /// fallbacks). Same draws, same graph.
+    ///
+    /// # Errors
+    ///
+    /// As [`sample`](Self::sample).
+    pub fn sample_counted<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+    ) -> Result<(Girg<D>, SamplerCounts), ModelError> {
         check_param(
             "beta",
             self.beta,
@@ -367,11 +382,12 @@ impl<const D: usize> GirgBuilder<D> {
         }
 
         let pool = smallworld_par::Pool::from_env();
-        let edges = sample_edges(&positions, &weights, &kernel, self.algorithm, rng);
+        let (edges, counts) =
+            sample_edges_counted(&positions, &weights, &kernel, self.algorithm, rng);
         let graph = Graph::from_edges_parallel(total, &edges, &pool)
             .expect("sampler produces valid simple edges");
 
-        Ok(Girg {
+        let girg = Girg {
             graph,
             positions,
             weights,
@@ -383,7 +399,8 @@ impl<const D: usize> GirgBuilder<D> {
                 lambda: self.lambda,
             },
             planted: self.planted.len(),
-        })
+        };
+        Ok((girg, counts))
     }
 }
 
@@ -400,6 +417,21 @@ pub fn sample_edges<const D: usize, K, R>(
     algorithm: SamplerAlgorithm,
     rng: &mut R,
 ) -> Vec<(u32, u32)>
+where
+    K: ConnectionKernel + Sync,
+    R: Rng + ?Sized,
+{
+    sample_edges_counted(positions, weights, kernel, algorithm, rng).0
+}
+
+/// [`sample_edges`] with the sampler's work counters.
+fn sample_edges_counted<const D: usize, K, R>(
+    positions: &[Point<D>],
+    weights: &[f64],
+    kernel: &K,
+    algorithm: SamplerAlgorithm,
+    rng: &mut R,
+) -> (Vec<(u32, u32)>, SamplerCounts)
 where
     K: ConnectionKernel + Sync,
     R: Rng + ?Sized,
@@ -438,13 +470,14 @@ where
         weights.len(),
         "positions and weights must have equal length"
     );
-    if use_cells(algorithm, positions.len()) {
+    let (edges, _) = if use_cells(algorithm, positions.len()) {
         cells::sample_edges_pooled(positions, weights, kernel, master_seed, pool)
     } else {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(master_seed);
         naive::sample_edges(positions, weights, kernel, &mut rng)
-    }
+    };
+    edges
 }
 
 fn use_cells(algorithm: SamplerAlgorithm, n: usize) -> bool {

@@ -16,20 +16,25 @@
 //! 3. full run buffers are sorted and spilled to a single append-only
 //!    spill file as delta-varint runs;
 //! 4. [`StreamedGirg::half_edges`] k-way merges the runs back into one
-//!    strictly increasing half-edge stream for the store writer.
+//!    strictly increasing half-edge stream for the store writer: a binary
+//!    min-heap over the run heads, whose top is replaced in place (one
+//!    sift per key), fed by varints decoded straight from each run's read
+//!    buffer.
 //!
 //! Peak memory is `O(vertices + run buffer)`: positions, weights, the
 //! permutation, one run buffer, and one batch's edge output. The merged
 //! stream is byte-for-byte the adjacency `sample` + Morton relabel would
 //! produce — `smallworld-store` pins this by comparing whole `.swg` files.
 
-use std::collections::BinaryHeap;
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::error::Error;
 use std::fmt;
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 use rand::Rng;
 
@@ -41,7 +46,7 @@ use crate::poisson::sample_poisson;
 use crate::weights::PowerLaw;
 use crate::{check_param, ModelError};
 
-use super::{cells, naive, use_cells, GirgBuilder, GirgParams};
+use super::{cells, naive, use_cells, GirgBuilder, GirgParams, SamplerCounts};
 
 /// Half-edge run-buffer capacity in keys (8 bytes each): large enough
 /// that run count stays small at full scale, small enough that the buffer
@@ -116,23 +121,44 @@ fn write_var(mut value: u64, out: &mut Vec<u8>) {
     }
 }
 
-/// Reads one LEB128 varint byte-at-a-time from `r`.
+/// Reads one LEB128 varint straight out of `r`'s buffer, refilling it
+/// only when the varint straddles the buffer's end.
+///
+/// # Errors
+///
+/// `UnexpectedEof` if the input ends inside the varint, `InvalidData` if
+/// it overflows `u64`.
 #[inline]
-fn read_var<R: Read>(r: &mut R) -> io::Result<u64> {
+fn read_var<R: BufRead>(r: &mut R) -> io::Result<u64> {
     let mut value = 0u64;
     let mut shift = 0u32;
-    let mut byte = [0u8; 1];
     loop {
-        r.read_exact(&mut byte)?;
-        let group = (byte[0] & 0x7f) as u64;
-        if shift >= 64 || (shift == 63 && group > 1) {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "spill varint overflow"));
+        let buf = r.fill_buf()?;
+        if buf.is_empty() {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "spill run ends inside a varint",
+            ));
         }
-        value |= group << shift;
-        if byte[0] & 0x80 == 0 {
+        let mut done = false;
+        let mut used = 0;
+        for &byte in buf {
+            used += 1;
+            let group = (byte & 0x7f) as u64;
+            if shift >= 64 || (shift == 63 && group > 1) {
+                return Err(io::Error::new(io::ErrorKind::InvalidData, "spill varint overflow"));
+            }
+            value |= group << shift;
+            if byte & 0x80 == 0 {
+                done = true;
+                break;
+            }
+            shift += 7;
+        }
+        r.consume(used);
+        if done {
             return Ok(value);
         }
-        shift += 7;
     }
 }
 
@@ -145,6 +171,10 @@ struct SpillWriter {
     runs: Vec<RunMeta>,
     offset: u64,
     scratch: Vec<u8>,
+    /// Time spent sorting run buffers.
+    sort_time: Duration,
+    /// Time spent encoding and writing runs.
+    write_time: Duration,
 }
 
 impl SpillWriter {
@@ -156,6 +186,8 @@ impl SpillWriter {
             runs: Vec::new(),
             offset: 0,
             scratch: Vec::new(),
+            sort_time: Duration::ZERO,
+            write_time: Duration::ZERO,
         })
     }
 
@@ -171,7 +203,10 @@ impl SpillWriter {
         if self.buf.is_empty() {
             return Ok(());
         }
+        let start = Instant::now();
         self.buf.sort_unstable();
+        let sorted = Instant::now();
+        self.sort_time += sorted - start;
         self.scratch.clear();
         let mut prev = 0u64;
         for (i, &key) in self.buf.iter().enumerate() {
@@ -190,13 +225,18 @@ impl SpillWriter {
         });
         self.offset += self.scratch.len() as u64;
         self.buf.clear();
+        self.write_time += sorted.elapsed();
         Ok(())
     }
 
-    fn finish(mut self) -> io::Result<(Vec<RunMeta>, u64)> {
+    /// Spills the last run and flushes the file: the runs, the spill
+    /// size in bytes, and the sort and write times.
+    fn finish(mut self) -> io::Result<(Vec<RunMeta>, u64, Duration, Duration)> {
         self.flush_run()?;
+        let start = Instant::now();
         self.writer.flush()?;
-        Ok((self.runs, self.offset))
+        self.write_time += start.elapsed();
+        Ok((self.runs, self.offset, self.sort_time, self.write_time))
     }
 }
 
@@ -253,19 +293,48 @@ impl RunReader {
 pub struct HalfEdges {
     runs: Vec<RunReader>,
     /// Min-heap of `(next key, run index)`.
-    heap: BinaryHeap<std::cmp::Reverse<(u64, usize)>>,
+    heap: BinaryHeap<Reverse<(u64, usize)>>,
     last: Option<u64>,
+}
+
+impl HalfEdges {
+    /// Opens a reader per run of the spill file at `path` and seeds the
+    /// heap with each run's first key.
+    fn open(path: &Path, metas: &[RunMeta]) -> io::Result<HalfEdges> {
+        let mut runs = Vec::with_capacity(metas.len());
+        let mut heap = BinaryHeap::with_capacity(metas.len());
+        for (i, &meta) in metas.iter().enumerate() {
+            let mut reader = RunReader::open(path, meta)?;
+            if let Some(first) = reader.next_key()? {
+                heap.push(Reverse((first, i)));
+            }
+            runs.push(reader);
+        }
+        Ok(HalfEdges {
+            runs,
+            heap,
+            last: None,
+        })
+    }
 }
 
 impl Iterator for HalfEdges {
     type Item = io::Result<(u32, u32)>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let std::cmp::Reverse((key, run)) = self.heap.pop()?;
+        let mut top = self.heap.peek_mut()?;
+        let Reverse((key, run)) = *top;
+        // replacing the top sifts it down once when `top` drops; only an
+        // exhausted (or failed) run leaves the heap
         match self.runs[run].next_key() {
-            Ok(Some(next)) => self.heap.push(std::cmp::Reverse((next, run))),
-            Ok(None) => {}
-            Err(e) => return Some(Err(e)),
+            Ok(Some(next)) => *top = Reverse((next, run)),
+            Ok(None) => {
+                PeekMut::pop(top);
+            }
+            Err(e) => {
+                PeekMut::pop(top);
+                return Some(Err(e));
+            }
         }
         if self.last.is_some_and(|l| key <= l) {
             return Some(Err(io::Error::new(
@@ -293,6 +362,9 @@ pub struct StreamedGirg<const D: usize> {
     runs: Vec<RunMeta>,
     spill_bytes: u64,
     edge_count: usize,
+    counts: SamplerCounts,
+    spill_sort: Duration,
+    spill_write: Duration,
 }
 
 impl<const D: usize> StreamedGirg<D> {
@@ -336,26 +408,28 @@ impl<const D: usize> StreamedGirg<D> {
         self.spill_bytes
     }
 
+    /// The edge sampler's work counters, summed over every batch.
+    pub fn sampler_counts(&self) -> SamplerCounts {
+        self.counts
+    }
+
+    /// Time spent sorting run buffers before they were spilled.
+    pub fn spill_sort_time(&self) -> Duration {
+        self.spill_sort
+    }
+
+    /// Time spent encoding and writing the sorted runs to the spill file.
+    pub fn spill_write_time(&self) -> Duration {
+        self.spill_write
+    }
+
     /// Opens the k-way merge over all spilled runs.
     ///
     /// # Errors
     ///
     /// Returns an I/O error if the spill file cannot be reopened.
     pub fn half_edges(&self) -> io::Result<HalfEdges> {
-        let mut runs = Vec::with_capacity(self.runs.len());
-        let mut heap = BinaryHeap::with_capacity(self.runs.len());
-        for (i, &meta) in self.runs.iter().enumerate() {
-            let mut reader = RunReader::open(&self.spill_path, meta)?;
-            if let Some(first) = reader.next_key()? {
-                heap.push(std::cmp::Reverse((first, i)));
-            }
-            runs.push(reader);
-        }
-        Ok(HalfEdges {
-            runs,
-            heap,
-            last: None,
-        })
+        HalfEdges::open(&self.spill_path, &self.runs)
     }
 }
 
@@ -441,6 +515,7 @@ impl<const D: usize> GirgBuilder<D> {
         let capacity = (total / 2).clamp(MIN_RUN_KEYS, MAX_RUN_KEYS);
         let mut spill = SpillWriter::create(&spill_path, capacity)?;
         let mut edge_count = 0usize;
+        let mut counts = SamplerCounts::default();
 
         let spill_edges = |edges: &[(u32, u32)], spill: &mut SpillWriter| -> io::Result<()> {
             for &(u, v) in edges {
@@ -460,18 +535,20 @@ impl<const D: usize> GirgBuilder<D> {
             let mut start = 0;
             while start < plan.task_count() {
                 let end = (start + batch_len).min(plan.task_count());
-                let edges = plan.run_batch(start..end, master_seed, &pool);
+                let (edges, batch_counts) = plan.run_batch(start..end, master_seed, &pool);
                 edge_count += edges.len();
+                counts += batch_counts;
                 spill_edges(&edges, &mut spill)?;
                 start = end;
             }
         } else {
-            let edges = naive::sample_edges(&positions, &weights, &kernel, rng);
+            let (edges, naive_counts) = naive::sample_edges(&positions, &weights, &kernel, rng);
             edge_count += edges.len();
+            counts = naive_counts;
             spill_edges(&edges, &mut spill)?;
         }
 
-        let (runs, spill_bytes) = spill.finish()?;
+        let (runs, spill_bytes, spill_sort, spill_write) = spill.finish()?;
         Ok(StreamedGirg {
             positions: perm.apply_slice(&positions),
             weights: perm.apply_slice(&weights),
@@ -486,6 +563,9 @@ impl<const D: usize> GirgBuilder<D> {
             runs,
             spill_bytes,
             edge_count,
+            counts,
+            spill_sort,
+            spill_write,
         })
     }
 }
@@ -570,12 +650,151 @@ mod tests {
 
     #[test]
     fn varints_roundtrip() {
+        let values = [0u64, 1, 127, 128, 16_383, 16_384, u64::MAX];
         let mut buf = Vec::new();
-        for v in [0u64, 1, 127, 128, 16_383, 16_384, u64::MAX] {
+        for v in values {
             buf.clear();
             write_var(v, &mut buf);
             let mut cursor = io::Cursor::new(&buf);
             assert_eq!(read_var(&mut cursor).unwrap(), v);
         }
+        // every varint straddles refills of a tiny read buffer
+        buf.clear();
+        for v in values {
+            write_var(v, &mut buf);
+        }
+        for capacity in [1, 2, 3] {
+            let mut reader = BufReader::with_capacity(capacity, &buf[..]);
+            for v in values {
+                assert_eq!(read_var(&mut reader).unwrap(), v, "capacity {capacity}");
+            }
+            assert_eq!(
+                read_var(&mut reader).unwrap_err().kind(),
+                io::ErrorKind::UnexpectedEof
+            );
+        }
+    }
+
+    #[test]
+    fn malformed_varints_are_typed_errors() {
+        let kind = |bytes: &[u8]| {
+            read_var(&mut BufReader::with_capacity(4, bytes))
+                .unwrap_err()
+                .kind()
+        };
+        // the input ends inside a varint
+        assert_eq!(kind(&[0x80, 0x80]), io::ErrorKind::UnexpectedEof);
+        assert_eq!(kind(&[]), io::ErrorKind::UnexpectedEof);
+        // ten groups whose last carries more than u64's top bit
+        assert_eq!(kind(&[0xff; 10]), io::ErrorKind::InvalidData);
+        // an eleventh group
+        let mut long = [0x80u8; 11];
+        long[10] = 0x00;
+        assert_eq!(kind(&long), io::ErrorKind::InvalidData);
+    }
+
+    /// A scratch spill file holding the given runs, each written by the
+    /// spill writer (sorted, delta-varint encoded).
+    struct ScratchSpill {
+        path: PathBuf,
+        runs: Vec<RunMeta>,
+    }
+
+    impl ScratchSpill {
+        fn new(name: &str, runs: &[&[u64]]) -> ScratchSpill {
+            let path = std::env::temp_dir().join(format!(
+                "swstream-test-{}-{name}.spill",
+                std::process::id()
+            ));
+            let mut spill = SpillWriter::create(&path, 64).unwrap();
+            for run in runs {
+                for &key in *run {
+                    spill.push(key).unwrap();
+                }
+                spill.flush_run().unwrap();
+            }
+            let (runs, ..) = spill.finish().unwrap();
+            ScratchSpill { path, runs }
+        }
+
+        fn merge(&self) -> Vec<io::Result<(u32, u32)>> {
+            HalfEdges::open(&self.path, &self.runs).unwrap().collect()
+        }
+    }
+
+    impl Drop for ScratchSpill {
+        fn drop(&mut self) {
+            std::fs::remove_file(&self.path).ok();
+        }
+    }
+
+    #[test]
+    fn merge_of_runs_that_end_at_different_times_is_strictly_increasing() {
+        let key = |src: u64, tgt: u64| (src << 32) | tgt;
+        let spill = ScratchSpill::new(
+            "uneven",
+            &[
+                &[key(0, 1), key(5, 2), key(9, 9), key(9, 10), key(12, 0)],
+                &[key(0, 2)],
+                &[key(1, 0), key(5, 1), key(u32::MAX as u64, u32::MAX as u64)],
+                &[],
+                &[key(9, 8)],
+            ],
+        );
+        let merged: Vec<(u32, u32)> = spill.merge().into_iter().map(Result::unwrap).collect();
+        assert_eq!(
+            merged,
+            [
+                (0, 1),
+                (0, 2),
+                (1, 0),
+                (5, 1),
+                (5, 2),
+                (9, 8),
+                (9, 9),
+                (9, 10),
+                (12, 0),
+                (u32::MAX, u32::MAX)
+            ]
+        );
+    }
+
+    #[test]
+    fn a_key_in_two_runs_breaks_the_merge() {
+        let spill = ScratchSpill::new("duplicate", &[&[3, 7], &[7, 9]]);
+        let merged = spill.merge();
+        let err = merged.iter().find_map(|r| r.as_ref().err()).expect("duplicate detected");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn a_truncated_run_is_unexpected_eof() {
+        let mut spill = ScratchSpill::new("truncated", &[&[1, 2, 300]]);
+        // claim one key more than the run holds: the decoder hits the end
+        spill.runs[0].count += 1;
+        let merged = spill.merge();
+        let err = merged.last().unwrap().as_ref().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        // a run cut inside its last varint: 300 needs two bytes
+        let bytes = std::fs::read(&spill.path).unwrap();
+        std::fs::write(&spill.path, &bytes[..bytes.len() - 1]).unwrap();
+        spill.runs[0].count -= 1;
+        let merged = spill.merge();
+        assert_eq!(merged.len(), 2, "the error surfaces on advancing past key 2");
+        assert_eq!(merged[1].as_ref().unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn an_overflowing_delta_is_invalid_data() {
+        // first key u64::MAX, then a delta of 0: the next key overflows
+        let mut spill = ScratchSpill::new("overflow", &[]);
+        let mut bytes = Vec::new();
+        write_var(u64::MAX, &mut bytes);
+        write_var(0, &mut bytes);
+        std::fs::write(&spill.path, &bytes).unwrap();
+        spill.runs = vec![RunMeta { offset: 0, count: 2 }];
+        let merged = spill.merge();
+        assert_eq!(merged.len(), 1);
+        assert_eq!(merged[0].as_ref().unwrap_err().kind(), io::ErrorKind::InvalidData);
     }
 }

@@ -74,7 +74,36 @@ pub trait ConnectionKernel {
     /// *never* under-estimate, or the sampled graph is biased. It should be
     /// as tight as cheaply possible, or the sampler wastes rejections.
     fn upper_bound(&self, wu_max: f64, wv_max: f64, min_dist: f64) -> f64;
+
+    /// Cheap bounds `(lo, hi)` with `lo ≤ probability(wu, wv, dist) ≤ hi`.
+    ///
+    /// The cell sampler decides a pair from the bracket alone whenever its
+    /// uniform draw falls outside `[lo, hi)`, and calls
+    /// [`probability`](Self::probability) only when the draw lands inside
+    /// the band — so a tight, cheap bracket saves the exact evaluation
+    /// without changing a single decision or draw. The default is the exact
+    /// `(p, p)`.
+    #[inline]
+    fn bracket(&self, wu: f64, wv: f64, dist: f64) -> (f64, f64) {
+        let p = self.probability(wu, wv, dist);
+        (p, p)
+    }
 }
+
+/// Relative half-width `2⁻⁴⁰` of [`GirgKernel`]'s `powi` bracket.
+///
+/// `λ·x.powi(α)` and the exact `λ·x.powf(α)` differ by about `α + 2` ULPs
+/// at most (`powi` rounds once per multiplication, each squaring doubling
+/// the error before it; libm's `pow` is documented within one ULP): a
+/// relative `2⁻⁵⁰` at α ≤ 6 and under `2⁻⁴⁶` at α = 64. `2⁻⁴⁰` leaves a
+/// margin of a thousand, or 64 at worst, while a uniform draw lands inside
+/// the band only once in `~10¹²` pairs.
+const BRACKET_EPS: f64 = 1.0 / (1u64 << 40) as f64;
+
+/// Largest integer α the bracket evaluates by `powi`: its error grows with
+/// the number of multiplications, so larger exponents keep the exact
+/// default.
+const BRACKET_MAX_POWI: f64 = 64.0;
 
 /// The GIRG kernel: condition (EP1) for finite `α`, (EP2) for `α = ∞`.
 ///
@@ -192,6 +221,32 @@ impl ConnectionKernel for GirgKernel {
         // monotone: increasing in weights, decreasing in distance
         self.probability(wu_max, wv_max, min_dist)
     }
+
+    /// For integer `α ≤ 64`, `λ·x.powi(α)` widened by a relative `2⁻⁴⁰`
+    /// either way (and capped at 1, as `probability` is): no `powf`. Sound
+    /// because `x` is the same `ratio` `probability` uses and both powers
+    /// are within a few ULPs of the true `x^α` — as long as every value is
+    /// a normal double, which is checked; outside that range (and for
+    /// non-integer α or the threshold kernel) the bracket is the exact
+    /// `(p, p)`.
+    #[inline]
+    fn bracket(&self, wu: f64, wv: f64, dist: f64) -> (f64, f64) {
+        if let Alpha::Finite(a) = self.alpha {
+            if a.fract() == 0.0 && a <= BRACKET_MAX_POWI {
+                let x = self.ratio(wu, wv, dist);
+                let x_pow = x.powi(a as i32);
+                let q = self.lambda * x_pow;
+                if x.is_normal() && x_pow.is_normal() && q.is_normal() {
+                    return (
+                        (q * (1.0 - BRACKET_EPS)).min(1.0),
+                        (q * (1.0 + BRACKET_EPS)).min(1.0),
+                    );
+                }
+            }
+        }
+        let p = self.probability(wu, wv, dist);
+        (p, p)
+    }
 }
 
 #[cfg(test)]
@@ -294,5 +349,45 @@ mod tests {
             let p = k.probability(wu * frac_u, wv * frac_v, dmin + extra);
             prop_assert!(p <= bound + 1e-12);
         }
+
+        /// The bracket holds the exact probability for any weights,
+        /// distances (0 included) and λ across twelve decades, at integer
+        /// α (the `powi` band) and non-integer α (the exact default).
+        #[test]
+        fn prop_bracket_contains_probability(
+            wu in 1.0..1e4f64, wv in 1.0..1e4f64,
+            d in 0.0..0.5f64, coincident in proptest::bool::ANY,
+            log_lambda in -6.0..6.0f64,
+            int_alpha in 2u32..8, frac_alpha in 1.05..6.0f64,
+            dim in 1u32..4,
+        ) {
+            let dist = if coincident { 0.0 } else { d };
+            let lambda = 10f64.powf(log_lambda);
+            for alpha in [f64::from(int_alpha), frac_alpha] {
+                let k = GirgKernel::new(Alpha::Finite(alpha), lambda, 1.0, 1e5, dim).unwrap();
+                let p = k.probability(wu, wv, dist);
+                let (lo, hi) = k.bracket(wu, wv, dist);
+                prop_assert!(lo <= p && p <= hi, "alpha={alpha}: {lo} <= {p} <= {hi}");
+                if alpha.fract() != 0.0 {
+                    prop_assert_eq!((lo, hi), (p, p));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bracket_is_exact_outside_the_normal_range() {
+        let k = GirgKernel::new(Alpha::Finite(3.0), 1.0, 1.0, 1e5, 2).unwrap();
+        // coincident points: ratio is infinite
+        assert_eq!(k.bracket(1.0, 1.0, 0.0), (1.0, 1.0));
+        // x^α underflows below the normal range
+        let tiny = k.bracket(1.0, 1.0, 1e90);
+        assert_eq!(tiny, (k.probability(1.0, 1.0, 1e90), k.probability(1.0, 1.0, 1e90)));
+        // a band strictly inside (0, 1) for an ordinary pair
+        let (lo, hi) = k.bracket(1.0, 1.0, 0.01);
+        assert!(0.0 < lo && lo < hi && hi < 1.0, "{lo} {hi}");
+        // the threshold kernel keeps the exact default
+        let t = GirgKernel::new(Alpha::Threshold, 1.0, 1.0, 1e5, 2).unwrap();
+        assert_eq!(t.bracket(1.0, 1.0, 0.5), (0.0, 0.0));
     }
 }
