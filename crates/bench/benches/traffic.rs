@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use smallworld_core::{GirgObjective, Objective};
+use smallworld_core::GirgObjective;
 use smallworld_graph::NodeId;
 use smallworld_models::girg::{Girg, GirgBuilder};
 use smallworld_net::{
@@ -34,14 +34,13 @@ fn injections(girg: &Girg<2>, load: f64) -> Vec<Injection> {
 fn bench_traffic(c: &mut Criterion) {
     let girg = sample();
     let obj = GirgObjective::new(&girg);
-    let score = |v: NodeId, t: NodeId| obj.score(v, t);
     let mut group = c.benchmark_group("traffic_10k_packets");
     group.sample_size(10);
     group.throughput(Throughput::Elements(PACKETS as u64));
 
     group.bench_function("greedy_fault_free", |b| {
         let batch = injections(&girg, 8.0);
-        let sim = SimBuilder::new(girg.graph(), GreedyPolicy::new(score))
+        let sim = SimBuilder::new(girg.graph(), GreedyPolicy::new(&obj))
             .shards(1)
             .build()
             .expect("valid");
@@ -50,7 +49,7 @@ fn bench_traffic(c: &mut Criterion) {
 
     group.bench_function("greedy_fault_free_4_shards", |b| {
         let batch = injections(&girg, 8.0);
-        let sim = SimBuilder::new(girg.graph(), GreedyPolicy::new(score))
+        let sim = SimBuilder::new(girg.graph(), GreedyPolicy::new(&obj))
             .shards(4)
             .build()
             .expect("valid");
@@ -59,7 +58,7 @@ fn bench_traffic(c: &mut Criterion) {
 
     group.bench_function("greedy_fault_free_summary", |b| {
         let batch = injections(&girg, 8.0);
-        let sim = SimBuilder::new(girg.graph(), GreedyPolicy::new(score))
+        let sim = SimBuilder::new(girg.graph(), GreedyPolicy::new(&obj))
             .shards(1)
             .build()
             .expect("valid");
@@ -68,7 +67,7 @@ fn bench_traffic(c: &mut Criterion) {
 
     group.bench_function("greedy_bounded_queues", |b| {
         let batch = injections(&girg, 64.0);
-        let sim = SimBuilder::new(girg.graph(), GreedyPolicy::new(score))
+        let sim = SimBuilder::new(girg.graph(), GreedyPolicy::new(&obj))
             .config(SimConfig {
                 queue_capacity: Some(8),
                 ..SimConfig::default()
@@ -88,7 +87,7 @@ fn bench_traffic(c: &mut Criterion) {
             repair_after: Some(50),
             ..FaultSpec::none()
         };
-        let sim = SimBuilder::new(girg.graph(), GreedyPolicy::new(score))
+        let sim = SimBuilder::new(girg.graph(), GreedyPolicy::new(&obj))
             .faults(FaultPlan::new(spec, 3))
             .config(SimConfig {
                 max_retries: 3,

@@ -31,7 +31,7 @@ use rand::SeedableRng;
 use smallworld_analysis::table::fmt_f64;
 use smallworld_analysis::Table;
 use smallworld_bench::{push_record, Artifact, Scale};
-use smallworld_core::{GirgObjective, PreparedObjective};
+use smallworld_core::GirgObjective;
 use smallworld_models::girg::{Girg, GirgBuilder};
 use smallworld_net::{
     nodes_from_mask, FaultPlan, FaultSpec, GreedyPolicy, PatchingPolicy, SimBuilder, SimConfig,
@@ -81,16 +81,15 @@ fn measure(
         let eligible = nodes_from_mask(&plan.survivor_mask(girg.graph()));
         let workload = UniformPairs::new(packets, load, smallworld_par::split_seed(seed, 1));
         let obj = GirgObjective::new(girg);
-        let score = PreparedObjective::new(&obj);
         match policy {
-            "greedy" => SimBuilder::new(girg.graph(), GreedyPolicy::new(score))
+            "greedy" => SimBuilder::new(girg.graph(), GreedyPolicy::new(&obj))
                 .faults(plan)
                 .config(config)
                 .shards(shards)
                 .build()
                 .expect("valid benchmark sim")
                 .run_summary(workload.over(&eligible)),
-            "patching" => SimBuilder::new(girg.graph(), PatchingPolicy::new(score))
+            "patching" => SimBuilder::new(girg.graph(), PatchingPolicy::new(&obj))
                 .faults(plan)
                 .config(config)
                 .shards(shards)

@@ -28,9 +28,7 @@ use rand::SeedableRng;
 
 use smallworld_analysis::table::fmt_f64;
 use smallworld_analysis::Table;
-use smallworld_core::{
-    GirgObjective, HyperbolicObjective, KleinbergObjective, Objective, PreparedObjective,
-};
+use smallworld_core::{GirgObjective, HyperbolicObjective, KleinbergObjective, Objective};
 use smallworld_graph::Graph;
 use smallworld_models::{HrgBuilder, KleinbergLatticeBuilder};
 use smallworld_net::{
@@ -191,22 +189,21 @@ fn traffic_rep<O: Objective>(
         return agg;
     }
     let workload = UniformPairs::new(packets, load, split_seed(seed, 1));
-    // prepared-kernel hop scoring: the simulator calls `prepare(target)`
+    // prepared-kernel hop scoring: the policies call `prepare(target)`
     // once per forwarding decision instead of re-deriving the target's
     // geometry for every candidate neighbor
-    let score = PreparedObjective::new(objective);
     let _span = smallworld_obs::Span::enter("traffic_sim");
     // reps already fan out across the pool, so each rep runs serially
     // (run_local also drops the Sync bound the generic objective lacks)
     let report = match policy {
-        Policy::Greedy => SimBuilder::new(graph, GreedyPolicy::new(score))
+        Policy::Greedy => SimBuilder::new(graph, GreedyPolicy::new(objective))
             .faults(plan)
             .config(config)
             .shards(1)
             .build()
             .expect("traffic sim config is valid")
             .run_local(workload.over(&eligible)),
-        Policy::Patching => SimBuilder::new(graph, PatchingPolicy::new(score))
+        Policy::Patching => SimBuilder::new(graph, PatchingPolicy::new(objective))
             .faults(plan)
             .config(config)
             .shards(1)
@@ -537,7 +534,7 @@ fn shard_equivalence(scale: Scale) -> Table {
     .title("E15d: sharded engine invariance — identical results at every shard count");
     let mut baseline: Option<SimSummary> = None;
     for shards in [1usize, 2, 4] {
-        let summary = SimBuilder::new(girg.graph(), GreedyPolicy::new(PreparedObjective::new(&obj)))
+        let summary = SimBuilder::new(girg.graph(), GreedyPolicy::new(&obj))
             .faults(plan)
             .config(sim_cfg)
             .shards(shards)
@@ -607,7 +604,7 @@ mod tests {
         let obj = GirgObjective::new(&girg);
         let eligible: Vec<NodeId> = girg.graph().nodes().collect();
         let injections = UniformPairs::new(60, 1.0, 99).injections(&eligible);
-        let sim = Simulation::new(girg.graph(), GreedyPolicy::new(PreparedObjective::new(&obj)));
+        let sim = Simulation::new(girg.graph(), GreedyPolicy::new(&obj));
         let report = sim.run(SliceWorkload::new(&injections));
         let router = GreedyRouter::new();
         for (inj, packet) in injections.iter().zip(&report.packets) {
@@ -735,7 +732,7 @@ mod tests {
         let latency_at = |load: f64| {
             let workload = UniformPairs::new(400, load, 5);
             let report =
-                Simulation::new(girg.graph(), GreedyPolicy::new(PreparedObjective::new(&obj)))
+                Simulation::new(girg.graph(), GreedyPolicy::new(&obj))
                     .run(workload.over(&eligible));
             report.mean_delivered_latency().unwrap_or(0.0)
         };

@@ -86,19 +86,15 @@ impl RouteRecord {
 /// # Examples
 ///
 /// ```
-/// use smallworld_core::{GreedyRouter, Objective, RouteOutcome, Router};
+/// use smallworld_core::{FnObjective, GreedyRouter, RouteOutcome, Router};
 /// use smallworld_graph::{Graph, NodeId};
 ///
 /// // a path graph with scores increasing towards the target
-/// struct Line;
-/// impl Objective for Line {
-///     fn score(&self, v: NodeId, t: NodeId) -> f64 {
-///         if v == t { f64::INFINITY } else { v.index() as f64 }
-///     }
-///     smallworld_core::impl_naive_kernel!();
-/// }
+/// let line = FnObjective(|v: NodeId, t: NodeId| {
+///     if v == t { f64::INFINITY } else { v.index() as f64 }
+/// });
 /// let g = Graph::from_edges(4, [(0u32, 1u32), (1, 2), (2, 3)])?;
-/// let r = GreedyRouter::new().route_quiet(&g, &Line, NodeId::new(0), NodeId::new(3));
+/// let r = GreedyRouter::new().route_quiet(&g, &line, NodeId::new(0), NodeId::new(3));
 /// assert_eq!(r.outcome, RouteOutcome::Delivered);
 /// assert_eq!(r.hops(), 3);
 /// # Ok::<(), smallworld_graph::GraphError>(())
@@ -291,7 +287,7 @@ impl Router for GreedyRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objective::{GirgObjective, Objective};
+    use crate::objective::{GirgObjective, Objective, BY_ID};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use crate::router::Router;
@@ -299,23 +295,10 @@ mod tests {
     use smallworld_graph::Graph;
     use smallworld_models::girg::GirgBuilder;
 
-    /// Score = vertex id; target is infinite.
-    struct ById;
-    impl Objective for ById {
-        fn score(&self, v: NodeId, t: NodeId) -> f64 {
-            if v == t {
-                f64::INFINITY
-            } else {
-                v.index() as f64
-            }
-        }
-        crate::impl_naive_kernel!();
-    }
-
     #[test]
     fn source_equals_target() {
         let g = Graph::from_edges(2, [(0u32, 1u32)]).unwrap();
-        let r = GreedyRouter::new().route_quiet(&g, &ById, NodeId::new(1), NodeId::new(1));
+        let r = GreedyRouter::new().route_quiet(&g, &BY_ID, NodeId::new(1), NodeId::new(1));
         assert_eq!(r.outcome, RouteOutcome::Delivered);
         assert_eq!(r.hops(), 0);
         assert_eq!(r.path, vec![NodeId::new(1)]);
@@ -327,7 +310,7 @@ mod tests {
     fn direct_edge_to_target_is_taken() {
         // t maximizes the objective, so an adjacent source sends directly
         let g = Graph::from_edges(3, [(0u32, 2u32), (0, 1)]).unwrap();
-        let r = GreedyRouter::new().route_quiet(&g, &ById, NodeId::new(0), NodeId::new(2));
+        let r = GreedyRouter::new().route_quiet(&g, &BY_ID, NodeId::new(0), NodeId::new(2));
         assert_eq!(r.outcome, RouteOutcome::Delivered);
         assert_eq!(r.hops(), 1);
     }
@@ -335,7 +318,7 @@ mod tests {
     #[test]
     fn isolated_source_is_dead_end() {
         let g = Graph::from_edges(3, [(1u32, 2u32)]).unwrap();
-        let r = GreedyRouter::new().route_quiet(&g, &ById, NodeId::new(0), NodeId::new(2));
+        let r = GreedyRouter::new().route_quiet(&g, &BY_ID, NodeId::new(0), NodeId::new(2));
         assert_eq!(r.outcome, RouteOutcome::DeadEnd);
         assert_eq!(r.hops(), 0);
     }
@@ -345,7 +328,7 @@ mod tests {
         // star around 3 (high id), target 4 is not adjacent to 3 via better ids
         // 0-3, 3-1, 1-4: from 0 greedy goes to 3; 3's best neighbor is 1 < 3
         let g = Graph::from_edges(5, [(0u32, 3u32), (3, 1), (1, 4)]).unwrap();
-        let r = GreedyRouter::new().route_quiet(&g, &ById, NodeId::new(0), NodeId::new(4));
+        let r = GreedyRouter::new().route_quiet(&g, &BY_ID, NodeId::new(0), NodeId::new(4));
         assert_eq!(r.outcome, RouteOutcome::DeadEnd);
         assert_eq!(r.last(), NodeId::new(3));
     }
@@ -354,7 +337,8 @@ mod tests {
     fn max_steps_is_respected() {
         // long path, tight budget
         let g = Graph::from_edges(10, (0u32..9).map(|i| (i, i + 1))).unwrap();
-        let r = GreedyRouter::with_max_steps(3).route_quiet(&g, &ById, NodeId::new(0), NodeId::new(9));
+        let r =
+            GreedyRouter::with_max_steps(3).route_quiet(&g, &BY_ID, NodeId::new(0), NodeId::new(9));
         assert_eq!(r.outcome, RouteOutcome::MaxStepsExceeded);
         assert!(r.hops() <= 4);
     }
@@ -404,7 +388,7 @@ mod tests {
         ) {
             let edges: Vec<(u32, u32)> = edges.into_iter().filter(|(u, v)| u != v).collect();
             let g = Graph::from_edges(25, edges).unwrap();
-            let r = GreedyRouter::new().route_quiet(&g, &ById, NodeId::new(s), NodeId::new(t));
+            let r = GreedyRouter::new().route_quiet(&g, &BY_ID, NodeId::new(s), NodeId::new(t));
             // simple & strictly improving
             let mut seen = std::collections::BTreeSet::new();
             for &v in &r.path {
@@ -412,16 +396,16 @@ mod tests {
             }
             for w in r.path.windows(2) {
                 proptest::prop_assert!(g.has_edge(w[0], w[1]));
-                proptest::prop_assert!(ById.score(w[1], NodeId::new(t)) > ById.score(w[0], NodeId::new(t)));
+                proptest::prop_assert!(BY_ID.score(w[1], NodeId::new(t)) > BY_ID.score(w[0], NodeId::new(t)));
             }
             match r.outcome {
                 RouteOutcome::Delivered => proptest::prop_assert_eq!(r.last(), NodeId::new(t)),
                 RouteOutcome::DeadEnd => {
                     // certificate: no neighbor of the last vertex beats it
                     let last = r.last();
-                    let own = ById.score(last, NodeId::new(t));
+                    let own = BY_ID.score(last, NodeId::new(t));
                     for &u in g.neighbors(last) {
-                        proptest::prop_assert!(ById.score(u, NodeId::new(t)) <= own);
+                        proptest::prop_assert!(BY_ID.score(u, NodeId::new(t)) <= own);
                     }
                 }
                 RouteOutcome::MaxStepsExceeded => {
@@ -436,8 +420,14 @@ mod tests {
         use crate::observe::NoopObserver;
         let g = Graph::from_edges(4, [(0u32, 1u32), (1, 2), (2, 3)]).unwrap();
         let router = GreedyRouter::new();
-        let a = router.route(&g, &ById, NodeId::new(0), NodeId::new(3), &mut NoopObserver);
-        let b = router.route_quiet(&g, &ById, NodeId::new(0), NodeId::new(3));
+        let a = router.route(
+            &g,
+            &BY_ID,
+            NodeId::new(0),
+            NodeId::new(3),
+            &mut NoopObserver,
+        );
+        let b = router.route_quiet(&g, &BY_ID, NodeId::new(0), NodeId::new(3));
         assert_eq!(a, b);
         assert_eq!(router.name(), "greedy");
     }

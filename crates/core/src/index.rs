@@ -190,10 +190,6 @@ impl<'a, const D: usize> IndexedGirgObjective<'a, D> {
 }
 
 impl<const D: usize> Objective for IndexedGirgObjective<'_, D> {
-    fn score(&self, v: NodeId, target: NodeId) -> f64 {
-        self.base.score(v, target)
-    }
-
     type Kernel<'k>
         = IndexedGirgHopKernel<'k, D>
     where

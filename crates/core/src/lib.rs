@@ -5,7 +5,10 @@
 //! * [`objective`] — the objective functions greedy routing maximizes: the
 //!   paper's φ (§2.2), the hyperbolic-distance objective of §11, the
 //!   degree-agnostic geometric objective of §4, Kleinberg's lattice
-//!   objective, and the relaxed/approximate objectives of Theorem 3.5.
+//!   objective, and the relaxed/approximate objectives of Theorem 3.5 —
+//!   each written once, as a per-target [`ScoreKernel`] (the
+//!   [`Objective`]/[`ScoreKernel`] traits come from `smallworld-graph`, so
+//!   `smallworld-net`'s forwarding policies score through them too).
 //! * [`greedy`] — Algorithm 1: forward the packet to the neighbor with the
 //!   best objective, fail in local optima. One loop serves a decoded
 //!   [`Graph`](smallworld_graph::Graph) and any adjacency view (e.g. a
@@ -92,9 +95,9 @@ pub use lookahead::LookaheadRouter;
 pub use observe::{NoopObserver, RouteObserver};
 pub use observers::{CountingObserver, MetricsRouteObserver};
 pub use objective::{
-    DistanceHopKernel, DistanceObjective, GirgHopKernel, GirgObjective, HyperbolicHopKernel,
-    HyperbolicObjective, KleinbergHopKernel, KleinbergObjective, NaiveKernel, NaiveObjective,
-    Objective, PhiBounds, PreparedObjective, QuantizedHopKernel, QuantizedObjective,
+    DistanceHopKernel, DistanceObjective, FnObjective, GirgHopKernel, GirgObjective,
+    HyperbolicHopKernel, HyperbolicObjective, KleinbergHopKernel, KleinbergObjective, NaiveKernel,
+    NaiveObjective, Objective, PhiBounds, QuantizedHopKernel, QuantizedObjective,
     RelaxedHopKernel, RelaxedObjective, ScoreKernel,
 };
 pub use packed::PackedGirgObjective;

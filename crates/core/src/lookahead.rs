@@ -29,20 +29,16 @@ use crate::router::{RouteScratch, Router};
 /// # Examples
 ///
 /// ```
-/// use smallworld_core::{LookaheadRouter, Objective, Router};
+/// use smallworld_core::{FnObjective, LookaheadRouter, Router};
 /// use smallworld_graph::{Graph, NodeId};
 ///
 /// // score = id; plain greedy from 0 dies at 5 (its only other neighbor
 /// // is 1 < 5), but lookahead sees 9 behind 1 and routes through it
-/// struct ById;
-/// impl Objective for ById {
-///     fn score(&self, v: NodeId, t: NodeId) -> f64 {
-///         if v == t { f64::INFINITY } else { v.index() as f64 }
-///     }
-///     smallworld_core::impl_naive_kernel!();
-/// }
+/// let by_id = FnObjective(|v: NodeId, t: NodeId| {
+///     if v == t { f64::INFINITY } else { v.index() as f64 }
+/// });
 /// let g = Graph::from_edges(10, [(0u32, 5u32), (0, 1), (1, 9)])?;
-/// let r = LookaheadRouter::new().route_quiet(&g, &ById, NodeId::new(0), NodeId::new(9));
+/// let r = LookaheadRouter::new().route_quiet(&g, &by_id, NodeId::new(0), NodeId::new(9));
 /// assert!(r.is_success());
 /// assert_eq!(r.hops(), 2);
 /// # Ok::<(), smallworld_graph::GraphError>(())
@@ -161,31 +157,19 @@ impl Router for LookaheadRouter {
 mod tests {
     use super::*;
     use crate::greedy::GreedyRouter;
-    use crate::objective::{DistanceObjective, GirgObjective, Objective};
+    use crate::objective::{DistanceObjective, GirgObjective, BY_ID};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use smallworld_graph::Components;
     use smallworld_models::girg::GirgBuilder;
 
-    struct ById;
-    impl Objective for ById {
-        fn score(&self, v: NodeId, t: NodeId) -> f64 {
-            if v == t {
-                f64::INFINITY
-            } else {
-                v.index() as f64
-            }
-        }
-        crate::impl_naive_kernel!();
-    }
-
     #[test]
     fn trivial_cases() {
         let g = Graph::from_edges(3, [(0u32, 1u32)]).unwrap();
         let router = LookaheadRouter::new();
-        let r = router.route_quiet(&g, &ById, NodeId::new(1), NodeId::new(1));
+        let r = router.route_quiet(&g, &BY_ID, NodeId::new(1), NodeId::new(1));
         assert_eq!(r.outcome, RouteOutcome::Delivered);
-        let r = router.route_quiet(&g, &ById, NodeId::new(0), NodeId::new(2));
+        let r = router.route_quiet(&g, &BY_ID, NodeId::new(0), NodeId::new(2));
         assert_eq!(r.outcome, RouteOutcome::DeadEnd);
     }
 
@@ -194,9 +178,9 @@ mod tests {
         // 0 - 3 - 1 - 9: plain greedy stops at 3 (next hop 1 is worse);
         // lookahead sees 9 behind 1
         let g = Graph::from_edges(10, [(0u32, 3u32), (3, 1), (1, 9)]).unwrap();
-        let greedy = GreedyRouter::new().route_quiet(&g, &ById, NodeId::new(0), NodeId::new(9));
+        let greedy = GreedyRouter::new().route_quiet(&g, &BY_ID, NodeId::new(0), NodeId::new(9));
         assert_eq!(greedy.outcome, RouteOutcome::DeadEnd);
-        let r = LookaheadRouter::new().route_quiet(&g, &ById, NodeId::new(0), NodeId::new(9));
+        let r = LookaheadRouter::new().route_quiet(&g, &BY_ID, NodeId::new(0), NodeId::new(9));
         assert_eq!(r.outcome, RouteOutcome::Delivered);
         assert_eq!(r.hops(), 3);
     }
@@ -206,7 +190,7 @@ mod tests {
         // 0 - 5 - 1 - 2 - 9: the target is two bad hops away from 5; one-hop
         // lookahead at 5 sees max(1, 2) < 5 and stops
         let g = Graph::from_edges(10, [(0u32, 5u32), (5, 1), (1, 2), (2, 9)]).unwrap();
-        let r = LookaheadRouter::new().route_quiet(&g, &ById, NodeId::new(0), NodeId::new(9));
+        let r = LookaheadRouter::new().route_quiet(&g, &BY_ID, NodeId::new(0), NodeId::new(9));
         assert_eq!(r.outcome, RouteOutcome::DeadEnd);
     }
 
@@ -304,7 +288,7 @@ mod tests {
     #[test]
     fn respects_step_cap() {
         let g = Graph::from_edges(6, [(0u32, 1u32), (1, 2), (2, 3), (3, 4), (4, 5)]).unwrap();
-        let r = LookaheadRouter::with_max_steps(2).route_quiet(&g, &ById, NodeId::new(0), NodeId::new(5));
+        let r = LookaheadRouter::with_max_steps(2).route_quiet(&g, &BY_ID, NodeId::new(0), NodeId::new(5));
         assert_eq!(r.outcome, RouteOutcome::MaxStepsExceeded);
     }
 }

@@ -15,297 +15,32 @@
 //! hyperbolic objective returns `−d_H` instead of the paper's
 //! `1/√(cosh d_H)` form).
 //!
-//! # Prepared kernels
+//! # One score formula per objective
 //!
 //! Routing scores every neighbor of every hop against a *fixed* target, so
-//! [`Objective::prepare`] compiles a per-target [`ScoreKernel`] with the
-//! target's position (and any normalization) hoisted out of the loop. The
-//! same monotone-transform argument that licenses `−d_H` licenses this
-//! compilation — and the contract here is stronger: a prepared kernel must
-//! return **bitwise-identical** scores to [`Objective::score`], so routers,
-//! which score only through the kernel they are handed
-//! ([`Router::route_prepared`](crate::router::Router::route_prepared)),
-//! produce the `RouteRecord`s the objective's own scores give (enforced by
-//! the `kernel_equivalence` test suite).
+//! each objective writes its score once, in the per-target [`ScoreKernel`]
+//! that [`Objective::prepare`] compiles with the target's position (and any
+//! normalization) hoisted; the same monotone-transform argument that
+//! licenses `−d_H` licenses this compilation. Routers
+//! ([`Router::route_prepared`](crate::router::Router::route_prepared)) and
+//! `smallworld-net`'s forwarding policies both score through these kernels.
+//! The traits live in [`smallworld_graph::score`] and are re-exported here.
 
-use std::fmt;
 use std::hash::{Hash, Hasher};
 
 use smallworld_geometry::point::{axis_distance, max_distance};
 use smallworld_geometry::Point;
 use smallworld_graph::view::{first_best_by_blocks, fold_first_best};
-use smallworld_graph::{Graph, NodeId, RUN_IDS};
+use smallworld_graph::{NodeId, RUN_IDS};
 use smallworld_models::girg::Girg;
 use smallworld_models::hyperbolic::{hyperbolic_distance, Hrg};
 use smallworld_models::kleinberg::{ContinuumKleinberg, KleinbergLattice};
 
+pub use smallworld_graph::score::{
+    FnObjective, NaiveKernel, NaiveObjective, Objective, ScoreKernel,
+};
+
 use crate::block::BLOCK_WIDTH;
-
-/// A routing objective: vertices with larger score are "closer" to `target`.
-///
-/// Implementations must score the target itself strictly above every other
-/// vertex (the paper requires φ to be globally maximized at `t`).
-pub trait Objective {
-    /// Score of vertex `v` when routing towards `target`.
-    fn score(&self, v: NodeId, target: NodeId) -> f64;
-
-    /// The prepared per-target kernel type returned by [`Self::prepare`].
-    type Kernel<'k>: ScoreKernel
-    where
-        Self: 'k;
-
-    /// Compiles a hop kernel for routing towards `target`.
-    ///
-    /// The kernel must satisfy `prepare(t).score(v) == self.score(v, t)`
-    /// *bitwise* for every vertex `v`, and is typically specialized per norm
-    /// and dimension with the target's position, weight, and normalization
-    /// loaded once. Implementations with no precomputation to exploit can
-    /// use [`NaiveKernel`] via [`crate::impl_naive_kernel!`].
-    fn prepare(&self, target: NodeId) -> Self::Kernel<'_>;
-}
-
-/// A routing objective specialized to one target: the hop-loop view of an
-/// [`Objective`] with all per-target state hoisted.
-pub trait ScoreKernel {
-    /// The target this kernel was prepared for.
-    fn target(&self) -> NodeId;
-
-    /// Score of vertex `v`; bitwise-identical to the originating
-    /// [`Objective::score`]`(v, target)`.
-    fn score(&self, v: NodeId) -> f64;
-
-    /// Scores a block of vertices: `out[j] = self.score(vs[j])` for every
-    /// `j < vs.len()`, **bitwise-identical** to calling [`Self::score`]
-    /// slot by slot.
-    ///
-    /// The default is the scalar loop. Kernels whose score is a short
-    /// branch-light f64 chain override it with loops the compiler can
-    /// unroll and vectorize across slots (see [`crate::block`] for the
-    /// SoA-lane variants the indexed kernels use). `out` must be at least
-    /// as long as `vs`; slots past `vs.len()` are left untouched.
-    #[inline]
-    fn score_block(&self, vs: &[NodeId], out: &mut [f64]) {
-        debug_assert!(out.len() >= vs.len());
-        for (o, &v) in out.iter_mut().zip(vs) {
-            *o = self.score(v);
-        }
-    }
-
-    /// The greedy argmax over `v`'s neighborhood: the first neighbor (in
-    /// adjacency order) attaining the strictly largest score, or `None` for
-    /// an isolated vertex.
-    ///
-    /// The default implementation scans [`Graph::neighbors`]; kernels backed
-    /// by an edge-packed index (see `crate::index`) override it with a
-    /// sequential sweep that performs no random gathers. Overrides must
-    /// preserve first-best-in-adjacency-order semantics bitwise.
-    #[inline]
-    fn best_neighbor(&self, graph: &Graph, v: NodeId) -> Option<(f64, NodeId)> {
-        let mut best: Option<(f64, NodeId)> = None;
-        for &u in graph.neighbors(v) {
-            let score = self.score(u);
-            if best.is_none_or(|(b, _)| score > b) {
-                best = Some((score, u));
-            }
-        }
-        best
-    }
-
-    /// The greedy argmax of one hop over a sorted neighbor slice, needed
-    /// only when it beats `floor` (the current vertex's score).
-    ///
-    /// Returns exactly the first-best of `ns` — what
-    /// [`first_best_by_blocks`] over [`Self::score_block`] returns — when
-    /// that score is `> floor`. Otherwise it may return `None` or any pair
-    /// whose score is not `> floor`, so a greedy step that requires a
-    /// strict improvement takes the same hop either way.
-    ///
-    /// The default is the full blocked fold. Kernels that can bound the
-    /// score of whole id blocks override it to skip blocks that cannot beat
-    /// `floor` or the running best (see [`PhiBounds`]).
-    #[inline]
-    fn best_above(&self, ns: &[NodeId], floor: f64) -> Option<(f64, NodeId)> {
-        let _ = floor;
-        first_best_by_blocks(ns, |chunk, out| self.score_block(chunk, out))
-    }
-
-    /// Whether [`Self::run_bound`] bounds anything. When it does,
-    /// [`GreedyRouter::route_view`](crate::GreedyRouter::route_view) folds
-    /// each neighbor list run by run and skips runs that cannot beat the
-    /// hop's bar before the view fetches them; when it does not, every hop
-    /// takes the whole list. The default is `false`.
-    #[inline]
-    fn bounds_runs(&self) -> bool {
-        false
-    }
-
-    /// An upper bound on the score of every vertex in run `run` (the ids
-    /// `run · RUN_IDS ..`, see [`AdjacencyView::fold_runs`]); `+∞` by
-    /// default. It must be `≥` every member's score, or NaN (which never
-    /// skips a run).
-    ///
-    /// [`AdjacencyView::fold_runs`]: smallworld_graph::AdjacencyView::fold_runs
-    #[inline]
-    fn run_bound(&self, run: usize) -> f64 {
-        let _ = run;
-        f64::INFINITY
-    }
-}
-
-/// The trivial [`ScoreKernel`]: defers every call to [`Objective::score`]
-/// with no per-target preparation.
-///
-/// This is both the adapter for objectives with nothing to hoist (see
-/// [`crate::impl_naive_kernel!`]) and — via [`NaiveObjective`] — the
-/// baseline that equivalence tests and the routing benchmark compare
-/// prepared kernels against.
-pub struct NaiveKernel<'k, O: ?Sized> {
-    objective: &'k O,
-    target: NodeId,
-}
-
-impl<'k, O: ?Sized> NaiveKernel<'k, O> {
-    /// Wraps an objective for scoring towards `target`.
-    pub fn new(objective: &'k O, target: NodeId) -> Self {
-        NaiveKernel { objective, target }
-    }
-}
-
-impl<O: ?Sized> Clone for NaiveKernel<'_, O> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<O: ?Sized> Copy for NaiveKernel<'_, O> {}
-
-impl<O: ?Sized> fmt::Debug for NaiveKernel<'_, O> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("NaiveKernel")
-            .field("target", &self.target)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<O: Objective + ?Sized> ScoreKernel for NaiveKernel<'_, O> {
-    fn target(&self) -> NodeId {
-        self.target
-    }
-
-    #[inline]
-    fn score(&self, v: NodeId) -> f64 {
-        self.objective.score(v, self.target)
-    }
-}
-
-/// Implements the kernel items of [`Objective`] with [`NaiveKernel`], for
-/// objectives that have no per-target state worth hoisting (test doubles,
-/// table lookups, …). Expand inside an `impl Objective for …` block, after
-/// defining `score`:
-///
-/// ```
-/// use smallworld_core::{Objective, ScoreKernel};
-/// use smallworld_graph::NodeId;
-///
-/// struct ById;
-/// impl Objective for ById {
-///     fn score(&self, v: NodeId, target: NodeId) -> f64 {
-///         if v == target { f64::INFINITY } else { -f64::from(v.raw()) }
-///     }
-///     smallworld_core::impl_naive_kernel!();
-/// }
-///
-/// let kernel = ById.prepare(NodeId::new(0));
-/// assert!(kernel.score(NodeId::new(0)).is_infinite());
-/// ```
-#[macro_export]
-macro_rules! impl_naive_kernel {
-    () => {
-        type Kernel<'k>
-            = $crate::NaiveKernel<'k, Self>
-        where
-            Self: 'k;
-
-        fn prepare(&self, target: ::smallworld_graph::NodeId) -> Self::Kernel<'_> {
-            $crate::NaiveKernel::new(self, target)
-        }
-    };
-}
-
-/// Forces the unprepared scoring path: `prepare` returns a [`NaiveKernel`]
-/// that re-evaluates [`Objective::score`] per call, exactly as a router
-/// without kernel support would. Equivalence tests and the routing
-/// benchmark use this as the "naive" baseline.
-#[derive(Clone, Copy, Debug)]
-pub struct NaiveObjective<O>(pub O);
-
-impl<O: Objective> Objective for NaiveObjective<O> {
-    fn score(&self, v: NodeId, target: NodeId) -> f64 {
-        self.0.score(v, target)
-    }
-
-    type Kernel<'k>
-        = NaiveKernel<'k, Self>
-    where
-        Self: 'k;
-
-    fn prepare(&self, target: NodeId) -> Self::Kernel<'_> {
-        NaiveKernel::new(self, target)
-    }
-}
-
-/// Adapts any [`Objective`] into `smallworld-net`'s
-/// [`HopScore`](smallworld_net::HopScore), so the network simulator's
-/// forwarding policies score candidates through the prepared kernel
-/// instead of re-resolving the target every call.
-///
-/// Per the `HopScore` contract the prepared closure is bitwise-identical
-/// to the two-argument score, which the kernel contract already
-/// guarantees — traffic simulations produce identical reports whether a
-/// policy is built from a plain closure or from this adapter.
-///
-/// # Examples
-///
-/// ```
-/// use rand::SeedableRng;
-/// use smallworld_core::{GirgObjective, PreparedObjective};
-/// use smallworld_models::girg::GirgBuilder;
-/// use smallworld_net::GreedyPolicy;
-///
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-/// let girg = GirgBuilder::<2>::new(200).sample(&mut rng)?;
-/// let objective = GirgObjective::new(&girg);
-/// let policy = GreedyPolicy::new(PreparedObjective::new(&objective));
-/// # let _ = policy;
-/// # Ok::<(), smallworld_models::ModelError>(())
-/// ```
-#[derive(Clone, Copy, Debug)]
-pub struct PreparedObjective<'a, O>(&'a O);
-
-impl<'a, O: Objective> PreparedObjective<'a, O> {
-    /// Wraps an objective for use as a forwarding-policy score.
-    pub fn new(objective: &'a O) -> Self {
-        PreparedObjective(objective)
-    }
-}
-
-impl<O: Objective> smallworld_net::HopScore for PreparedObjective<'_, O> {
-    #[inline]
-    fn score(&self, candidate: NodeId, target: NodeId) -> f64 {
-        self.0.score(candidate, target)
-    }
-
-    #[inline]
-    fn prepare(&self, target: NodeId) -> impl Fn(NodeId) -> f64 + '_ {
-        let kernel = self.0.prepare(target);
-        move |v| kernel.score(v)
-    }
-
-    #[inline]
-    fn score_block(&self, target: NodeId, candidates: &[NodeId], out: &mut [f64]) {
-        self.0.prepare(target).score_block(candidates, out);
-    }
-}
 
 /// The paper's objective `φ(v) = w_v / (w_min · n · ‖x_v − x_t‖^d)` (§2.2).
 ///
@@ -619,13 +354,6 @@ impl<'a, const D: usize> GirgObjective<'a, D> {
 }
 
 impl<const D: usize> Objective for GirgObjective<'_, D> {
-    fn score(&self, v: NodeId, target: NodeId) -> f64 {
-        if v == target {
-            return f64::INFINITY;
-        }
-        self.phi(v, target)
-    }
-
     type Kernel<'k>
         = GirgHopKernel<'k, D>
     where
@@ -796,13 +524,6 @@ impl<'a> DistanceObjective<'a, 2> {
 }
 
 impl<const D: usize> Objective for DistanceObjective<'_, D> {
-    fn score(&self, v: NodeId, target: NodeId) -> f64 {
-        if v == target {
-            return f64::INFINITY;
-        }
-        -self.positions[v.index()].distance(&self.positions[target.index()])
-    }
-
     type Kernel<'k>
         = DistanceHopKernel<'k, D>
     where
@@ -885,13 +606,6 @@ impl HyperbolicObjective<'_> {
 }
 
 impl Objective for HyperbolicObjective<'_> {
-    fn score(&self, v: NodeId, target: NodeId) -> f64 {
-        if v == target {
-            return f64::INFINITY;
-        }
-        -self.hrg.distance(v, target)
-    }
-
     type Kernel<'k>
         = HyperbolicHopKernel<'k>
     where
@@ -911,7 +625,7 @@ impl Objective for HyperbolicObjective<'_> {
 /// Prepared kernel of [`HyperbolicObjective`]: the target's polar
 /// coordinates are hoisted and the distance computed directly via
 /// [`hyperbolic_distance`] — the same function (and argument order)
-/// `Hrg::distance` uses, so scores agree bitwise.
+/// `Hrg::distance` uses, so a score is bitwise `−Hrg::distance`.
 #[derive(Clone, Copy, Debug)]
 pub struct HyperbolicHopKernel<'k> {
     radii: &'k [f64],
@@ -954,13 +668,6 @@ impl<'a> KleinbergObjective<'a> {
 }
 
 impl Objective for KleinbergObjective<'_> {
-    fn score(&self, v: NodeId, target: NodeId) -> f64 {
-        if v == target {
-            return f64::INFINITY;
-        }
-        -(self.lattice.lattice_distance(v, target) as f64)
-    }
-
     type Kernel<'k>
         = KleinbergHopKernel<'k>
     where
@@ -975,8 +682,7 @@ impl Objective for KleinbergObjective<'_> {
 }
 
 /// Prepared kernel of [`KleinbergObjective`]. Lattice distances are exact
-/// integer arithmetic, so delegation is already bitwise-faithful; the
-/// kernel only fixes the target.
+/// integer arithmetic, so the kernel only fixes the target.
 #[derive(Clone, Copy, Debug)]
 pub struct KleinbergHopKernel<'k> {
     lattice: &'k KleinbergLattice,
@@ -1042,8 +748,8 @@ impl<'a, const D: usize> RelaxedObjective<'a, D> {
     }
 }
 
-/// The deterministic `u_v ∈ [−1, 1]` of [`RelaxedObjective`], shared with
-/// its prepared kernel so both paths hash identically.
+/// The deterministic `u_v ∈ [−1, 1]` of [`RelaxedObjective`], shared by
+/// [`RelaxedObjective::noise_exponent`] and the kernel.
 fn relaxed_noise_exponent(seed: u64, v: NodeId) -> f64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     seed.hash(&mut h);
@@ -1054,19 +760,6 @@ fn relaxed_noise_exponent(seed: u64, v: NodeId) -> f64 {
 }
 
 impl<const D: usize> Objective for RelaxedObjective<'_, D> {
-    fn score(&self, v: NodeId, target: NodeId) -> f64 {
-        if v == target {
-            return f64::INFINITY;
-        }
-        let phi = self.base.phi(v, target);
-        if self.epsilon == 0.0 {
-            return phi;
-        }
-        let w = self.base.weights[v.index()];
-        let m = w.min(phi.recip()).max(std::f64::consts::E);
-        phi * (self.epsilon * self.noise_exponent(v) * m.ln()).exp()
-    }
-
     type Kernel<'k>
         = RelaxedHopKernel<'k, D>
     where
@@ -1161,13 +854,6 @@ impl<'a, const D: usize> QuantizedObjective<'a, D> {
 }
 
 impl<const D: usize> Objective for QuantizedObjective<'_, D> {
-    fn score(&self, v: NodeId, target: NodeId) -> f64 {
-        if v == target {
-            return f64::INFINITY;
-        }
-        (self.levels_per_e_factor * self.base.phi(v, target).ln()).round()
-    }
-
     type Kernel<'k>
         = QuantizedHopKernel<'k, D>
     where
@@ -1202,6 +888,17 @@ impl<const D: usize> ScoreKernel for QuantizedHopKernel<'_, D> {
         (self.levels_per_e_factor * self.base.phi(v).ln()).round()
     }
 }
+
+/// The id-score double shared by the crate's unit tests: score = vertex
+/// id, the target infinitely attractive.
+#[cfg(test)]
+pub(crate) const BY_ID: FnObjective<fn(NodeId, NodeId) -> f64> = FnObjective(|v, t| {
+    if v == t {
+        f64::INFINITY
+    } else {
+        v.index() as f64
+    }
+});
 
 #[cfg(test)]
 mod tests {
@@ -1404,33 +1101,49 @@ mod tests {
         let _ = RelaxedObjective::new(GirgObjective::new(&g), -0.1, 0);
     }
 
-    /// Every specialized kernel scores bitwise-identically to its
-    /// objective's naive path, across all vertices of the fixture.
+    /// Every kernel's blocked scores are its scalar scores, slot by slot
+    /// and bitwise, the target's own slot included, and every kernel
+    /// reports the target it was prepared for.
     #[test]
-    fn prepared_kernels_match_naive_scores_bitwise() {
+    fn score_block_matches_scalar_score_bitwise() {
         fn check<O: Objective>(obj: &O, n: usize, label: &str) {
-            for t in 0..n as u32 {
-                let t = NodeId::new(t);
+            let all: Vec<NodeId> = (0..n as u32).map(NodeId::new).collect();
+            let mut block = vec![f64::NAN; n];
+            for t in (0..n).step_by(7).chain([n - 1]) {
+                let t = NodeId::from_index(t);
                 let kernel = obj.prepare(t);
-                assert_eq!(kernel.target(), t);
-                for v in 0..n as u32 {
-                    let v = NodeId::new(v);
+                assert_eq!(kernel.target(), t, "{label}");
+                kernel.score_block(&all, &mut block);
+                for (&v, got) in all.iter().zip(&block) {
                     assert_eq!(
+                        got.to_bits(),
                         kernel.score(v).to_bits(),
-                        obj.score(v, t).to_bits(),
-                        "{label}: kernel diverges at v={v}, t={t}"
+                        "{label}: block diverges at v={v}, t={t}"
                     );
                 }
             }
         }
         let g = girg();
-        let n = 40.min(g.node_count());
+        let n = g.node_count();
         check(&GirgObjective::new(&g), n, "girg");
         check(&DistanceObjective::for_girg(&g), n, "distance");
         check(&RelaxedObjective::new(GirgObjective::new(&g), 0.3, 7), n, "relaxed");
         check(&RelaxedObjective::new(GirgObjective::new(&g), 0.0, 7), n, "relaxed-eps0");
         check(&QuantizedObjective::new(GirgObjective::new(&g), 2.0), n, "quantized");
+        let index = crate::RoutingIndex::build(g.graph(), g.positions(), g.weights());
+        let indexed = crate::IndexedGirgObjective::new(GirgObjective::new(&g), &index);
+        check(&indexed, n, "indexed");
         let mut rng = StdRng::seed_from_u64(4);
+        let unplanted = GirgBuilder::<2>::new(3_000).sample(&mut rng).unwrap();
+        let sorted = unplanted.relabel(&unplanted.morton_permutation());
+        let p = sorted.params();
+        let packed = crate::PackedGirgObjective::<2>::new(
+            Point::flatten(sorted.positions()),
+            sorted.weights(),
+            p.wmin * p.intensity,
+        );
+        assert!(packed.bounds().is_some(), "Morton ids build bounds");
+        check(&packed, sorted.node_count(), "packed");
         let hrg = HrgBuilder::new(60).sample(&mut rng).unwrap();
         check(&HyperbolicObjective::new(&hrg), 60, "hyperbolic");
         let kl = KleinbergLattice::sample(6, 2.0, 0, &mut rng).unwrap();

@@ -165,30 +165,17 @@ impl RouteObserver for CountingObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objective::Objective;
+    use crate::objective::BY_ID;
     use crate::patching::PhiDfsRouter;
     use crate::router::Router;
     use crate::GreedyRouter;
     use smallworld_graph::Graph;
 
-    /// Score = vertex id; the target is infinitely attractive.
-    struct ById;
-    impl Objective for ById {
-        fn score(&self, v: NodeId, t: NodeId) -> f64 {
-            if v == t {
-                f64::INFINITY
-            } else {
-                v.index() as f64
-            }
-        }
-        crate::impl_naive_kernel!();
-    }
-
     #[test]
     fn counting_observer_sees_greedy_hops() {
         let g = Graph::from_edges(4, [(0u32, 1u32), (1, 2), (2, 3)]).unwrap();
         let mut obs = CountingObserver::new();
-        let r = GreedyRouter::new().route(&g, &ById, NodeId::new(0), NodeId::new(3), &mut obs);
+        let r = GreedyRouter::new().route(&g, &BY_ID, NodeId::new(0), NodeId::new(3), &mut obs);
         assert!(r.is_success());
         assert_eq!(obs.started, 1);
         assert_eq!(obs.hops, 3);
@@ -203,7 +190,7 @@ mod tests {
         // neighbor 1 is worse -> dead end at 3 after one hop
         let g = Graph::from_edges(5, [(0u32, 3u32), (3, 1)]).unwrap();
         let mut obs = CountingObserver::new();
-        let r = GreedyRouter::new().route(&g, &ById, NodeId::new(0), NodeId::new(4), &mut obs);
+        let r = GreedyRouter::new().route(&g, &BY_ID, NodeId::new(0), NodeId::new(4), &mut obs);
         assert!(!r.is_success());
         assert_eq!(obs.hops, 1);
         assert_eq!(obs.dead_ends, 1);
@@ -217,7 +204,7 @@ mod tests {
         let g =
             Graph::from_edges(8, [(0u32, 6u32), (6, 1), (1, 2), (6, 3), (3, 4), (4, 7)]).unwrap();
         let mut obs = CountingObserver::new();
-        let r = PhiDfsRouter::new().route(&g, &ById, NodeId::new(0), NodeId::new(7), &mut obs);
+        let r = PhiDfsRouter::new().route(&g, &BY_ID, NodeId::new(0), NodeId::new(7), &mut obs);
         assert!(r.is_success());
         assert!(obs.backtracks > 0, "this instance requires backtracking");
         // every traversed edge is either a hop or a backtrack
@@ -230,7 +217,7 @@ mod tests {
         let before = registry.snapshot();
         let g = Graph::from_edges(4, [(0u32, 1u32), (1, 2), (2, 3)]).unwrap();
         let mut obs = MetricsRouteObserver::new();
-        let r = GreedyRouter::new().route(&g, &ById, NodeId::new(0), NodeId::new(3), &mut obs);
+        let r = GreedyRouter::new().route(&g, &BY_ID, NodeId::new(0), NodeId::new(3), &mut obs);
         assert!(r.is_success());
         let delta = registry.snapshot().since(&before);
         assert!(delta.counters.get(names::HOPS).copied().unwrap_or(0) >= 3);

@@ -64,10 +64,6 @@ impl<'a, const D: usize> PackedGirgObjective<'a, D> {
 }
 
 impl<const D: usize> Objective for PackedGirgObjective<'_, D> {
-    fn score(&self, v: NodeId, target: NodeId) -> f64 {
-        self.objective.score(v, target)
-    }
-
     type Kernel<'k>
         = GirgHopKernel<'k, D>
     where

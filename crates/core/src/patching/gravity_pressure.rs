@@ -153,7 +153,7 @@ mod tests {
     use super::*;
     use crate::greedy::GreedyRouter;
     use crate::objective::GirgObjective;
-    use crate::patching::test_support::IdObjective;
+    use crate::patching::test_support::ID_DISTANCE;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use smallworld_graph::{Components, Graph};
@@ -163,10 +163,10 @@ mod tests {
     fn trivial_cases() {
         let g = Graph::from_edges(3, [(0u32, 1u32)]).unwrap();
         let router = GravityPressureRouter::new();
-        let r = router.route_quiet(&g, &IdObjective, NodeId::new(2), NodeId::new(2));
+        let r = router.route_quiet(&g, &ID_DISTANCE, NodeId::new(2), NodeId::new(2));
         assert_eq!(r.outcome, RouteOutcome::Delivered);
         // isolated source: no neighbor to move to at all
-        let r = router.route_quiet(&g, &IdObjective, NodeId::new(2), NodeId::new(0));
+        let r = router.route_quiet(&g, &ID_DISTANCE, NodeId::new(2), NodeId::new(0));
         assert_eq!(r.outcome, RouteOutcome::DeadEnd);
     }
 
@@ -176,17 +176,17 @@ mod tests {
         // until the budget runs out (exactly the (P3) violation)
         let g = Graph::from_edges(4, [(0u32, 1u32), (2, 3)]).unwrap();
         let router = GravityPressureRouter::with_max_steps(100);
-        let r = router.route_quiet(&g, &IdObjective, NodeId::new(0), NodeId::new(3));
+        let r = router.route_quiet(&g, &ID_DISTANCE, NodeId::new(0), NodeId::new(3));
         assert_eq!(r.outcome, RouteOutcome::MaxStepsExceeded);
     }
 
     #[test]
     fn escapes_local_optimum() {
         let g = Graph::from_edges(10, [(0u32, 5u32), (5, 1), (1, 2), (2, 9)]).unwrap();
-        let greedy = GreedyRouter::new().route_quiet(&g, &IdObjective, NodeId::new(0), NodeId::new(9));
+        let greedy = GreedyRouter::new().route_quiet(&g, &ID_DISTANCE, NodeId::new(0), NodeId::new(9));
         assert_eq!(greedy.outcome, RouteOutcome::DeadEnd);
         let r =
-            GravityPressureRouter::new().route_quiet(&g, &IdObjective, NodeId::new(0), NodeId::new(9));
+            GravityPressureRouter::new().route_quiet(&g, &ID_DISTANCE, NodeId::new(0), NodeId::new(9));
         assert_eq!(r.outcome, RouteOutcome::Delivered);
     }
 
@@ -238,7 +238,7 @@ mod tests {
     fn path_is_a_walk() {
         let g = Graph::from_edges(8, [(0u32, 6u32), (6, 1), (1, 2), (6, 3), (3, 4), (4, 7)])
             .unwrap();
-        let r = GravityPressureRouter::new().route_quiet(&g, &IdObjective, NodeId::new(0), NodeId::new(7));
+        let r = GravityPressureRouter::new().route_quiet(&g, &ID_DISTANCE, NodeId::new(0), NodeId::new(7));
         assert_eq!(r.outcome, RouteOutcome::Delivered);
         for w in r.path.windows(2) {
             assert!(g.has_edge(w[0], w[1]));

@@ -232,7 +232,7 @@ mod tests {
     use super::*;
     use crate::greedy::GreedyRouter;
     use crate::objective::GirgObjective;
-    use crate::patching::test_support::{check_delivery_iff_connected, IdObjective};
+    use crate::patching::test_support::{check_delivery_iff_connected, ID_DISTANCE};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use smallworld_graph::{Components, Graph};
@@ -242,9 +242,9 @@ mod tests {
     fn trivial_cases() {
         let g = Graph::from_edges(3, [(0u32, 1u32)]).unwrap();
         let router = HistoryRouter::new();
-        let r = router.route_quiet(&g, &IdObjective, NodeId::new(0), NodeId::new(0));
+        let r = router.route_quiet(&g, &ID_DISTANCE, NodeId::new(0), NodeId::new(0));
         assert_eq!(r.outcome, RouteOutcome::Delivered);
-        let r = router.route_quiet(&g, &IdObjective, NodeId::new(0), NodeId::new(2));
+        let r = router.route_quiet(&g, &ID_DISTANCE, NodeId::new(0), NodeId::new(2));
         assert_eq!(r.outcome, RouteOutcome::DeadEnd);
     }
 
@@ -287,13 +287,13 @@ mod tests {
 
     #[test]
     fn walk_costs_are_counted() {
-        // 0-1, 1-2 (dead end detour), 1-3, 3-9: with IdObjective towards 9,
+        // 0-1, 1-2 (dead end detour), 1-3, 3-9: with ID_DISTANCE towards 9,
         // greedy from 0 goes 1 -> 3 -> 9 directly; make 3 a trap instead:
         // 0-4, 4-2, 2-1, 4-5, 5-9 with target 9: from 0 -> 4 (score -5);
         // best neighbor of 4 is 5 (-4): 5's only other neighbor is 9: deliver.
         // Construct a forced backtrack: 0-6, 6-7, 0-2, 2-9; target 9.
         let g = Graph::from_edges(10, [(0u32, 6u32), (6, 7), (0, 2), (2, 9)]).unwrap();
-        let r = HistoryRouter::new().route_quiet(&g, &IdObjective, NodeId::new(0), NodeId::new(9));
+        let r = HistoryRouter::new().route_quiet(&g, &ID_DISTANCE, NodeId::new(0), NodeId::new(9));
         assert_eq!(r.outcome, RouteOutcome::Delivered);
         // path must be a contiguous walk
         for w in r.path.windows(2) {

@@ -30,26 +30,22 @@ pub use phi_dfs::PhiDfsRouter;
 
 #[cfg(test)]
 mod tests {
-    use super::test_support::IdObjective;
+    use super::test_support::ID_DISTANCE;
     use super::*;
-    use crate::objective::Objective;
+    use crate::objective::FnObjective;
     use crate::router::{Router, RouterKind};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use smallworld_graph::{Components, Graph, NodeId};
 
     /// An adversarial objective full of ties and non-monotone structure.
-    struct ScrambledObjective;
-    impl Objective for ScrambledObjective {
-        fn score(&self, v: NodeId, t: NodeId) -> f64 {
-            if v == t {
-                f64::INFINITY
-            } else {
-                ((v.raw().wrapping_mul(2_654_435_761) ^ t.raw()) % 7) as f64
-            }
+    const SCRAMBLED: FnObjective<fn(NodeId, NodeId) -> f64> = FnObjective(|v, t| {
+        if v == t {
+            f64::INFINITY
+        } else {
+            ((v.raw().wrapping_mul(2_654_435_761) ^ t.raw()) % 7) as f64
         }
-        crate::impl_naive_kernel!();
-    }
+    });
 
     fn random_graph(rng: &mut StdRng, n: usize, p: f64) -> Graph {
         let mut edges = Vec::new();
@@ -85,8 +81,8 @@ mod tests {
                     let should = comps.same_component(s, t);
                     for router in &routers {
                         for record in [
-                            router.route_quiet(&graph, &IdObjective, s, t),
-                            router.route_quiet(&graph, &ScrambledObjective, s, t),
+                            router.route_quiet(&graph, &ID_DISTANCE, s, t),
+                            router.route_quiet(&graph, &SCRAMBLED, s, t),
                         ] {
                             assert_eq!(
                                 record.is_success(),
@@ -112,24 +108,20 @@ mod tests {
 #[cfg(test)]
 pub(crate) mod test_support {
     use crate::greedy::RouteOutcome;
-    use crate::objective::Objective;
+    use crate::objective::FnObjective;
     use crate::router::Router;
     use smallworld_graph::{Graph, NodeId};
     use smallworld_graph::Components;
 
-    /// Score = φ-like: inverse id-distance to the target with a weight twist;
-    /// any strictly-monotone-to-target objective works for these graph tests.
-    pub struct IdObjective;
-    impl Objective for IdObjective {
-        fn score(&self, v: NodeId, t: NodeId) -> f64 {
-            if v == t {
-                f64::INFINITY
-            } else {
-                -((v.raw() as f64) - (t.raw() as f64)).abs()
-            }
+    /// Score = negated id distance to the target; any
+    /// strictly-monotone-to-target objective works for these graph tests.
+    pub const ID_DISTANCE: FnObjective<fn(NodeId, NodeId) -> f64> = FnObjective(|v, t| {
+        if v == t {
+            f64::INFINITY
+        } else {
+            -((v.raw() as f64) - (t.raw() as f64)).abs()
         }
-        crate::impl_naive_kernel!();
-    }
+    });
 
     /// Checks the Theorem 3.4 contract on an arbitrary graph: delivery
     /// succeeds iff `s` and `t` share a component.
@@ -139,7 +131,7 @@ pub(crate) mod test_support {
         for s in 0..n {
             for t in 0..n {
                 let (s, t) = (NodeId::new(s), NodeId::new(t));
-                let r = router.route_quiet(graph, &IdObjective, s, t);
+                let r = router.route_quiet(graph, &ID_DISTANCE, s, t);
                 if comps.same_component(s, t) {
                     assert_eq!(
                         r.outcome,

@@ -286,7 +286,7 @@ mod tests {
     use super::*;
     use crate::greedy::GreedyRouter;
     use crate::objective::GirgObjective;
-    use crate::patching::test_support::{check_delivery_iff_connected, IdObjective};
+    use crate::patching::test_support::{check_delivery_iff_connected, ID_DISTANCE};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use smallworld_graph::{Components, Graph};
@@ -297,26 +297,26 @@ mod tests {
         let g = Graph::from_edges(3, [(0u32, 1u32)]).unwrap();
         let router = PhiDfsRouter::new();
         // s == t
-        let r = router.route_quiet(&g, &IdObjective, NodeId::new(1), NodeId::new(1));
+        let r = router.route_quiet(&g, &ID_DISTANCE, NodeId::new(1), NodeId::new(1));
         assert_eq!(r.outcome, RouteOutcome::Delivered);
         assert_eq!(r.hops(), 0);
         // isolated target
-        let r = router.route_quiet(&g, &IdObjective, NodeId::new(0), NodeId::new(2));
+        let r = router.route_quiet(&g, &ID_DISTANCE, NodeId::new(0), NodeId::new(2));
         assert_eq!(r.outcome, RouteOutcome::DeadEnd);
         // isolated source
-        let r = router.route_quiet(&g, &IdObjective, NodeId::new(2), NodeId::new(0));
+        let r = router.route_quiet(&g, &ID_DISTANCE, NodeId::new(2), NodeId::new(0));
         assert_eq!(r.outcome, RouteOutcome::DeadEnd);
     }
 
     #[test]
     fn escapes_a_local_optimum() {
-        // 0 -- 5 -- 1 -- 2 -- 9, target 9 with IdObjective (score = -|v - 9|)
+        // 0 -- 5 -- 1 -- 2 -- 9, target 9 with ID_DISTANCE (score = -|v - 9|)
         // from 0, greedy goes to 5 (score -4); 5's other neighbor is 1
         // (score -8 < -4): plain greedy dies, Φ-DFS must deliver
         let g = Graph::from_edges(10, [(0u32, 5u32), (5, 1), (1, 2), (2, 9)]).unwrap();
-        let greedy = GreedyRouter::new().route_quiet(&g, &IdObjective, NodeId::new(0), NodeId::new(9));
+        let greedy = GreedyRouter::new().route_quiet(&g, &ID_DISTANCE, NodeId::new(0), NodeId::new(9));
         assert_eq!(greedy.outcome, RouteOutcome::DeadEnd);
-        let r = PhiDfsRouter::new().route_quiet(&g, &IdObjective, NodeId::new(0), NodeId::new(9));
+        let r = PhiDfsRouter::new().route_quiet(&g, &ID_DISTANCE, NodeId::new(0), NodeId::new(9));
         assert_eq!(r.outcome, RouteOutcome::Delivered);
         assert_eq!(r.last(), NodeId::new(9));
     }
@@ -388,7 +388,7 @@ mod tests {
     fn max_steps_respected() {
         let g = Graph::from_edges(6, [(0u32, 1u32), (1, 2), (2, 3), (3, 4), (4, 5)]).unwrap();
         let router = PhiDfsRouter::with_max_steps(2);
-        let r = router.route_quiet(&g, &IdObjective, NodeId::new(0), NodeId::new(5));
+        let r = router.route_quiet(&g, &ID_DISTANCE, NodeId::new(0), NodeId::new(5));
         assert_eq!(r.outcome, RouteOutcome::MaxStepsExceeded);
     }
 
@@ -401,7 +401,7 @@ mod tests {
             [(0u32, 6u32), (6, 1), (1, 2), (6, 3), (3, 4), (4, 7)],
         )
         .unwrap();
-        let r = PhiDfsRouter::new().route_quiet(&g, &IdObjective, NodeId::new(0), NodeId::new(7));
+        let r = PhiDfsRouter::new().route_quiet(&g, &ID_DISTANCE, NodeId::new(0), NodeId::new(7));
         assert_eq!(r.outcome, RouteOutcome::Delivered);
         for w in r.path.windows(2) {
             assert!(g.has_edge(w[0], w[1]), "non-edge {} {}", w[0], w[1]);

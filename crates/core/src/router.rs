@@ -224,7 +224,7 @@ impl Router for RouterKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::patching::test_support::IdObjective;
+    use crate::patching::test_support::ID_DISTANCE;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -265,8 +265,8 @@ mod tests {
             for t in 0..14u32 {
                 let (s, t) = (NodeId::new(s), NodeId::new(t));
                 assert_eq!(
-                    kind.route_quiet(&graph, &IdObjective, s, t),
-                    inner.route_quiet(&graph, &IdObjective, s, t)
+                    kind.route_quiet(&graph, &ID_DISTANCE, s, t),
+                    inner.route_quiet(&graph, &ID_DISTANCE, s, t)
                 );
             }
         }
@@ -289,10 +289,10 @@ mod tests {
             for s in 0..12u32 {
                 for t in 0..12u32 {
                     let (s, t) = (NodeId::new(s), NodeId::new(t));
-                    let fresh = kind.route_quiet(&graph, &IdObjective, s, t);
+                    let fresh = kind.route_quiet(&graph, &ID_DISTANCE, s, t);
                     let reused = kind.route_with(
                         &graph,
-                        &IdObjective,
+                        &ID_DISTANCE,
                         s,
                         t,
                         &mut NoopObserver,
@@ -319,8 +319,8 @@ mod tests {
             for s in 0..12u32 {
                 for t in 0..12u32 {
                     let (s, t) = (NodeId::new(s), NodeId::new(t));
-                    let quiet = kind.route_quiet(&graph, &IdObjective, s, t);
-                    let observed = kind.route(&graph, &IdObjective, s, t, &mut NoopObserver);
+                    let quiet = kind.route_quiet(&graph, &ID_DISTANCE, s, t);
+                    let observed = kind.route(&graph, &ID_DISTANCE, s, t, &mut NoopObserver);
                     assert_eq!(quiet, observed, "{}: {s}->{t}", kind.name());
                 }
             }

@@ -21,20 +21,16 @@ use crate::greedy::RouteRecord;
 /// # Examples
 ///
 /// ```
-/// use smallworld_core::{stretch, GreedyRouter, Objective, Router};
+/// use smallworld_core::{stretch, FnObjective, GreedyRouter, Router};
 /// use smallworld_graph::{Graph, NodeId};
 ///
-/// struct ById;
-/// impl Objective for ById {
-///     fn score(&self, v: NodeId, t: NodeId) -> f64 {
-///         if v == t { f64::INFINITY } else { v.index() as f64 }
-///     }
-///     smallworld_core::impl_naive_kernel!();
-/// }
+/// let by_id = FnObjective(|v: NodeId, t: NodeId| {
+///     if v == t { f64::INFINITY } else { v.index() as f64 }
+/// });
 /// // greedy prefers the high-id corridor 0→2→3→4 (3 hops) over the
 /// // shortest path 0→1→4 (2 hops): stretch 1.5
 /// let g = Graph::from_edges(5, [(0u32, 2u32), (2, 3), (3, 4), (0, 1), (1, 4)])?;
-/// let r = GreedyRouter::new().route_quiet(&g, &ById, NodeId::new(0), NodeId::new(4));
+/// let r = GreedyRouter::new().route_quiet(&g, &by_id, NodeId::new(0), NodeId::new(4));
 /// assert_eq!(stretch(&g, &r), Some(1.5));
 /// # Ok::<(), smallworld_graph::GraphError>(())
 /// ```
@@ -84,28 +80,16 @@ mod tests {
     use super::*;
     use crate::greedy::{GreedyRouter, RouteOutcome};
     use crate::router::Router;
-    use crate::objective::{GirgObjective, Objective};
+    use crate::objective::{GirgObjective, BY_ID};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use smallworld_graph::NodeId;
     use smallworld_models::girg::GirgBuilder;
 
-    struct ById;
-    impl Objective for ById {
-        fn score(&self, v: NodeId, t: NodeId) -> f64 {
-            if v == t {
-                f64::INFINITY
-            } else {
-                v.index() as f64
-            }
-        }
-        crate::impl_naive_kernel!();
-    }
-
     #[test]
     fn failed_route_has_no_stretch() {
         let g = Graph::from_edges(3, [(1u32, 2u32)]).unwrap();
-        let r = GreedyRouter::new().route_quiet(&g, &ById, NodeId::new(0), NodeId::new(2));
+        let r = GreedyRouter::new().route_quiet(&g, &BY_ID, NodeId::new(0), NodeId::new(2));
         assert_eq!(r.outcome, RouteOutcome::DeadEnd);
         assert_eq!(stretch(&g, &r), None);
     }
@@ -113,14 +97,14 @@ mod tests {
     #[test]
     fn zero_hop_route_has_no_stretch() {
         let g = Graph::from_edges(1, Vec::<(u32, u32)>::new()).unwrap();
-        let r = GreedyRouter::new().route_quiet(&g, &ById, NodeId::new(0), NodeId::new(0));
+        let r = GreedyRouter::new().route_quiet(&g, &BY_ID, NodeId::new(0), NodeId::new(0));
         assert_eq!(stretch(&g, &r), None);
     }
 
     #[test]
     fn optimal_route_has_stretch_one() {
         let g = Graph::from_edges(3, [(0u32, 1u32), (1, 2)]).unwrap();
-        let r = GreedyRouter::new().route_quiet(&g, &ById, NodeId::new(0), NodeId::new(2));
+        let r = GreedyRouter::new().route_quiet(&g, &BY_ID, NodeId::new(0), NodeId::new(2));
         assert_eq!(stretch(&g, &r), Some(1.0));
     }
 

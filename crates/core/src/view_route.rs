@@ -138,7 +138,7 @@ where
 mod tests {
     use super::*;
     use crate::greedy::RouteOutcome;
-    use crate::objective::{GirgObjective, Objective};
+    use crate::objective::{GirgObjective, Objective, BY_ID};
     use crate::router::Router;
     use crate::GreedyRouter;
     use rand::rngs::StdRng;
@@ -165,19 +165,8 @@ mod tests {
 
     #[test]
     fn view_router_respects_step_cap() {
-        struct ById;
-        impl Objective for ById {
-            fn score(&self, v: NodeId, t: NodeId) -> f64 {
-                if v == t {
-                    f64::INFINITY
-                } else {
-                    v.index() as f64
-                }
-            }
-            crate::impl_naive_kernel!();
-        }
         let g = Graph::from_edges(10, (0u32..9).map(|i| (i, i + 1))).unwrap();
-        let kernel = ById.prepare(NodeId::new(9));
+        let kernel = BY_ID.prepare(NodeId::new(9));
         let r = ViewRouter::with_max_steps(3).route_view_quiet(&mut (&g), &kernel, NodeId::new(0));
         assert_eq!(r.outcome, RouteOutcome::MaxStepsExceeded);
     }
@@ -298,17 +287,6 @@ mod tests {
     #[test]
     fn random_graph_sharded_equivalence_fuzz() {
         // arbitrary (non-geometric) graphs with an id objective
-        struct ById;
-        impl Objective for ById {
-            fn score(&self, v: NodeId, t: NodeId) -> f64 {
-                if v == t {
-                    f64::INFINITY
-                } else {
-                    v.index() as f64
-                }
-            }
-            crate::impl_naive_kernel!();
-        }
         let mut rng = StdRng::seed_from_u64(8);
         for trial in 0..30 {
             let n = rng.gen_range(2..40usize);
@@ -334,8 +312,8 @@ mod tests {
                 .collect();
             let s = NodeId::new(rng.gen_range(0..n as u32));
             let t = NodeId::new(rng.gen_range(0..n as u32));
-            let expect = GreedyRouter::new().route_quiet(&g, &ById, s, t);
-            let kernel = ById.prepare(t);
+            let expect = GreedyRouter::new().route_quiet(&g, &BY_ID, s, t);
+            let kernel = BY_ID.prepare(t);
             let got = route_sharded(&mut shards, &kernel, s, crate::greedy::DEFAULT_MAX_STEPS);
             assert_eq!(got.record, expect, "trial {trial} n={n} k={k}");
         }

@@ -1,13 +1,15 @@
 //! Cross-cutting equivalence suite for the routing hot path.
 //!
-//! The prepared score kernels, the edge-packed [`RoutingIndex`], and
-//! Morton-order relabeling are all *mechanism*, never policy: each must
-//! produce `RouteRecord`s bitwise-identical to the naive per-candidate
-//! [`Objective::score`] path. These properties hold by construction —
-//! kernels hoist exactly the target-dependent factors, the index stores
-//! bit-copies of positions and weights in `Graph::neighbors` order — and
-//! this suite enforces them over randomized graphs, objectives, routers,
-//! and source/target pairs.
+//! Prepared kernels reused across a route, their blocked scores and
+//! pruned argmaxes, the edge-packed [`RoutingIndex`], and Morton-order
+//! relabeling are all *mechanism*, never policy: each must produce
+//! `RouteRecord`s bitwise-identical to the naive per-candidate
+//! [`Objective::score`] path ([`NaiveObjective`]: the kernel re-prepared
+//! for every score, folded by the default scalar argmax). These properties
+//! hold by construction — each objective's score formula lives once, in
+//! its kernel, and the index stores bit-copies of positions and weights in
+//! `Graph::neighbors` order — and this suite enforces them over randomized
+//! graphs, objectives, routers, and source/target pairs.
 
 use proptest::prelude::ProptestConfig;
 use proptest::proptest;

@@ -1,7 +1,7 @@
 //! Compact graph substrate for the small-world reproduction.
 //!
-//! The paper's experiments need exactly four graph facilities, all provided
-//! here with no external dependencies:
+//! The paper's experiments need these graph facilities, all provided here
+//! with no external dependencies:
 //!
 //! * a memory-compact, cache-friendly adjacency structure ([`Graph`], CSR
 //!   with sorted neighbor lists),
@@ -13,7 +13,11 @@
 //!   model's known structural properties ([`stats`]),
 //! * a parallel analytics engine — direction-optimizing BFS, bit-parallel
 //!   multi-source pair distances, deterministic parallel components — for
-//!   the experiment battery's hot paths ([`analytics`]).
+//!   the experiment battery's hot paths ([`analytics`]),
+//! * the scoring interface greedy routing and forwarding share
+//!   ([`Objective`] and its per-target [`ScoreKernel`], in [`score`]),
+//!   next to the adjacency views and first-best fold it is used with
+//!   ([`view`]).
 //!
 //! # Examples
 //!
@@ -36,6 +40,7 @@
 pub mod analytics;
 pub mod csr;
 pub mod permute;
+pub mod score;
 pub mod stats;
 pub mod traversal;
 pub mod union_find;
@@ -43,6 +48,7 @@ pub mod view;
 
 pub use csr::{percolate, percolate_vertices, Graph, GraphBuilder, GraphError, NodeId};
 pub use permute::Permutation;
+pub use score::{FnObjective, NaiveKernel, NaiveObjective, Objective, ScoreKernel};
 pub use traversal::{bfs_distance, bfs_distances, double_sweep_diameter, Components};
 pub use union_find::UnionFind;
 pub use view::{AdjacencyView, RunFold, RUN_IDS};

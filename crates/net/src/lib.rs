@@ -21,23 +21,26 @@
 //!   `SMALLWORLD_THREADS`;
 //! * protocols are [`policy::HopPolicy`] implementations that see only a
 //!   local [`policy::HopView`] (their live neighbors plus the packet's
-//!   target) — the simulator panics on any locality violation;
+//!   target) — the simulator panics on any locality violation; the
+//!   greedy and patching policies score through `smallworld-graph`'s
+//!   [`Objective`](smallworld_graph::Objective), the interface
+//!   `smallworld-core`'s routers use;
 //! * delivery/drop/expiry counters and queue-depth / hop-latency
 //!   histograms flow into `smallworld-obs`'s global metrics registry.
 //!
 //! # Example
 //!
 //! ```
-//! use smallworld_graph::{Graph, NodeId};
+//! use smallworld_graph::{FnObjective, Graph, NodeId};
 //! use smallworld_net::{
 //!     GreedyPolicy, Injection, PacketOutcome, SimBuilder, SliceWorkload,
 //! };
 //!
 //! let g = Graph::from_edges(4, [(0u32, 1u32), (1, 2), (2, 3)])?;
 //! // score: prefer larger ids, target is infinitely attractive
-//! let policy = GreedyPolicy::new(|v: NodeId, t: NodeId| {
+//! let policy = GreedyPolicy::new(FnObjective(|v: NodeId, t: NodeId| {
 //!     if v == t { f64::INFINITY } else { v.index() as f64 }
-//! });
+//! }));
 //! let sim = SimBuilder::new(&g, policy).build().expect("valid sim");
 //! let report = sim.run(SliceWorkload::new(&[Injection {
 //!     source: NodeId::new(0),
@@ -66,9 +69,7 @@ pub mod workload;
 pub use event::{EventQueue, Time};
 pub use fault::{FaultPlan, FaultSpec, Outage};
 pub use link::{LatencyModel, SeededLatency, UnitLatency};
-pub use policy::{
-    GreedyPolicy, HopChoice, HopPolicy, HopScore, HopView, PatchState, PatchingPolicy,
-};
+pub use policy::{GreedyPolicy, HopChoice, HopPolicy, HopView, PatchState, PatchingPolicy};
 pub use sim::{
     Injection, PacketOutcome, PacketRecord, SimBuildError, SimBuilder, SimConfig, SimReport,
     SimSummary, Simulation, TimelineSample, DEFAULT_TTL,

@@ -7,70 +7,17 @@
 //! one fresh `State` per packet, so policies stay shareable across the
 //! whole run and across threads.
 //!
-//! Scoring goes through the [`HopScore`] trait: `(candidate, target)` to a
-//! comparable score (larger = closer), plus a per-target prepared form the
-//! policies invoke once per hop. Any plain closure
-//! `Fn(NodeId, NodeId) -> f64` is a `HopScore` via the blanket impl, so the
-//! crate does not depend on any particular objective type; callers pass
-//! e.g. `|v, t| objective.score(v, t)` from `smallworld-core`, or that
-//! crate's kernel-backed `PreparedObjective` adapter for the fast path.
+//! Both policies score through `smallworld-graph`'s [`Objective`]: at each
+//! hop they prepare the objective's [`ScoreKernel`] for the packet's target
+//! once and score every candidate through it — the same kernels
+//! `smallworld-core`'s routers use, so an objective written once serves
+//! routing and forwarding alike. Callers pass e.g. `&objective` for any
+//! `smallworld-core` objective, or a
+//! [`FnObjective`](smallworld_graph::FnObjective) wrapping a plain function.
 
-use smallworld_graph::view::first_best_by_blocks;
-use smallworld_graph::NodeId;
+use smallworld_graph::{NodeId, Objective, ScoreKernel};
 
 use crate::event::Time;
-
-/// A routing score over `(candidate, target)` pairs, with a per-target
-/// prepared form.
-///
-/// Policies call [`HopScore::prepare`] once per hop and score every
-/// candidate through the returned closure, so implementations backed by a
-/// per-target kernel (hoisted target position, packed neighborhoods, …)
-/// pay their preparation once instead of per candidate. The prepared
-/// closure must return values **bitwise-identical** to
-/// [`HopScore::score`]`(v, target)` — simulations must be unable to tell
-/// the two paths apart.
-///
-/// Every `Fn(NodeId, NodeId) -> f64` closure is a `HopScore` whose
-/// prepared form simply captures the target.
-pub trait HopScore {
-    /// Score of `candidate` when routing towards `target`; larger is
-    /// closer.
-    fn score(&self, candidate: NodeId, target: NodeId) -> f64;
-
-    /// The single-target view used inside one hop's candidate scan.
-    fn prepare(&self, target: NodeId) -> impl Fn(NodeId) -> f64 + '_;
-
-    /// Scores a block of candidates against one target:
-    /// `out[j] = self.score(candidates[j], target)` for every
-    /// `j < candidates.len()`, **bitwise-identical** to the scalar calls.
-    ///
-    /// The default prepares once and loops. Implementations backed by a
-    /// batched kernel (e.g. `smallworld-core`'s `PreparedObjective`)
-    /// forward to their `ScoreKernel::score_block`, so policies scanning
-    /// candidates in blocks inherit the vectorized scoring loops. `out`
-    /// must be at least as long as `candidates`.
-    #[inline]
-    fn score_block(&self, target: NodeId, candidates: &[NodeId], out: &mut [f64]) {
-        debug_assert!(out.len() >= candidates.len());
-        let score = self.prepare(target);
-        for (o, &v) in out.iter_mut().zip(candidates) {
-            *o = score(v);
-        }
-    }
-}
-
-impl<S: Fn(NodeId, NodeId) -> f64> HopScore for S {
-    #[inline]
-    fn score(&self, candidate: NodeId, target: NodeId) -> f64 {
-        self(candidate, target)
-    }
-
-    #[inline]
-    fn prepare(&self, target: NodeId) -> impl Fn(NodeId) -> f64 + '_ {
-        move |v| self(v, target)
-    }
-}
 
 /// Everything a node is allowed to see when forwarding a packet: itself,
 /// the packet's target, its live neighbors, the virtual clock, and the
@@ -83,7 +30,8 @@ pub struct HopView<'a> {
     /// The packet's destination.
     pub target: NodeId,
     /// Neighbors of `current` whose node and connecting link are up at
-    /// `now`, in graph adjacency order.
+    /// `now`, in graph adjacency order, which is ascending id order (a
+    /// pruning [`ScoreKernel::best_above`] relies on it).
     pub candidates: &'a [NodeId],
     /// The virtual clock.
     pub now: Time,
@@ -131,24 +79,24 @@ impl<P: HopPolicy + ?Sized> HopPolicy for &P {
 /// closer to the target than the current node, else drop. Matches
 /// `smallworld-core`'s `GreedyRouter` tie-breaking (first best in
 /// adjacency order, strict improvement required).
-pub struct GreedyPolicy<S> {
-    score: S,
+pub struct GreedyPolicy<O> {
+    objective: O,
 }
 
-impl<S> std::fmt::Debug for GreedyPolicy<S> {
+impl<O> std::fmt::Debug for GreedyPolicy<O> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GreedyPolicy").finish_non_exhaustive()
     }
 }
 
-impl<S: HopScore> GreedyPolicy<S> {
-    /// A greedy policy under `score(candidate, target)`; larger is closer.
-    pub fn new(score: S) -> Self {
-        GreedyPolicy { score }
+impl<O: Objective> GreedyPolicy<O> {
+    /// A greedy policy under `objective`; larger scores are closer.
+    pub fn new(objective: O) -> Self {
+        GreedyPolicy { objective }
     }
 }
 
-impl<S: HopScore> HopPolicy for GreedyPolicy<S> {
+impl<O: Objective> HopPolicy for GreedyPolicy<O> {
     type State = ();
 
     fn name(&self) -> &'static str {
@@ -159,17 +107,13 @@ impl<S: HopScore> HopPolicy for GreedyPolicy<S> {
         // deliberately no special case for a candidate equal to the
         // target: like `GreedyRouter`, we rely on the score function
         // ranking the target itself maximally, so the two stay hop-for-hop
-        // identical under the same objective
-        //
-        // candidates are scanned in blocks through HopScore::score_block so
-        // kernel-backed scores batch their gathers and divides; the fold
-        // stays first-best-in-adjacency-order, matching the scalar scan
-        // bitwise
-        let best = first_best_by_blocks(view.candidates, |chunk, out| {
-            self.score.score_block(view.target, chunk, out)
-        });
-        let here = self.score.score(view.current, view.target);
-        match best {
+        // identical under the same objective. `best_above` returns the
+        // first-best candidate whenever it beats `here`, which is the only
+        // case that forwards.
+        debug_assert!(view.candidates.is_sorted());
+        let kernel = self.objective.prepare(view.target);
+        let here = kernel.score(view.current);
+        match kernel.best_above(view.candidates, here) {
             Some((s, v)) if s > here => HopChoice::Forward(v),
             _ => HopChoice::Drop,
         }
@@ -203,25 +147,24 @@ impl PatchState {
 /// when the node is fully explored, backtrack along the packet's own
 /// trail. Only drops when the trail is exhausted or the backtrack link is
 /// itself down.
-pub struct PatchingPolicy<S> {
-    score: S,
+pub struct PatchingPolicy<O> {
+    objective: O,
 }
 
-impl<S> std::fmt::Debug for PatchingPolicy<S> {
+impl<O> std::fmt::Debug for PatchingPolicy<O> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PatchingPolicy").finish_non_exhaustive()
     }
 }
 
-impl<S: HopScore> PatchingPolicy<S> {
-    /// A patching policy under `score(candidate, target)`; larger is
-    /// closer.
-    pub fn new(score: S) -> Self {
-        PatchingPolicy { score }
+impl<O: Objective> PatchingPolicy<O> {
+    /// A patching policy under `objective`; larger scores are closer.
+    pub fn new(objective: O) -> Self {
+        PatchingPolicy { objective }
     }
 }
 
-impl<S: HopScore> HopPolicy for PatchingPolicy<S> {
+impl<O: Objective> HopPolicy for PatchingPolicy<O> {
     type State = PatchState;
 
     fn name(&self) -> &'static str {
@@ -237,7 +180,7 @@ impl<S: HopScore> HopPolicy for PatchingPolicy<S> {
             }
             state.trail.push(u);
         }
-        let score = self.score.prepare(view.target);
+        let kernel = self.objective.prepare(view.target);
         let mut best: Option<(f64, NodeId)> = None;
         for &v in view.candidates {
             if v == view.target {
@@ -246,7 +189,7 @@ impl<S: HopScore> HopPolicy for PatchingPolicy<S> {
             if state.visited(v) {
                 continue;
             }
-            let s = score(v);
+            let s = kernel.score(v);
             if best.is_none_or(|(b, _)| s > b) {
                 best = Some((s, v));
             }
@@ -268,6 +211,7 @@ impl<S: HopScore> HopPolicy for PatchingPolicy<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smallworld_graph::FnObjective;
 
     fn view<'a>(current: u32, target: u32, candidates: &'a [NodeId]) -> HopView<'a> {
         HopView {
@@ -284,9 +228,11 @@ mod tests {
         -((v.raw() as f64) - (t.raw() as f64)).abs()
     }
 
+    const ID_SCORE: FnObjective<fn(NodeId, NodeId) -> f64> = FnObjective(id_score);
+
     #[test]
     fn greedy_forwards_to_strict_improvement() {
-        let p = GreedyPolicy::new(id_score);
+        let p = GreedyPolicy::new(ID_SCORE);
         let cands = [NodeId::new(3), NodeId::new(7)];
         // current 2, target 10: 7 is the improvement
         assert_eq!(
@@ -297,7 +243,7 @@ mod tests {
 
     #[test]
     fn greedy_drops_without_improvement() {
-        let p = GreedyPolicy::new(id_score);
+        let p = GreedyPolicy::new(ID_SCORE);
         let cands = [NodeId::new(0), NodeId::new(1)];
         // current 5, target 10: both candidates are farther
         assert_eq!(p.next_hop(&view(5, 10, &cands), &mut ()), HopChoice::Drop);
@@ -305,7 +251,7 @@ mod tests {
 
     #[test]
     fn greedy_delivers_to_adjacent_target() {
-        let p = GreedyPolicy::new(id_score);
+        let p = GreedyPolicy::new(ID_SCORE);
         let cands = [NodeId::new(0), NodeId::new(10)];
         assert_eq!(
             p.next_hop(&view(5, 10, &cands), &mut ()),
@@ -315,23 +261,19 @@ mod tests {
 
     #[test]
     fn greedy_breaks_ties_first_best() {
-        // candidates 8 and 12 score equally for target 10: first wins
-        let p = GreedyPolicy::new(id_score);
-        let cands = [NodeId::new(8), NodeId::new(12)];
+        // candidates 8 and 12 score equally for target 10: the first in
+        // (ascending) candidate order wins
+        let p = GreedyPolicy::new(ID_SCORE);
+        let cands = [NodeId::new(6), NodeId::new(8), NodeId::new(12)];
         assert_eq!(
             p.next_hop(&view(5, 10, &cands), &mut ()),
             HopChoice::Forward(NodeId::new(8))
-        );
-        let cands = [NodeId::new(12), NodeId::new(8)];
-        assert_eq!(
-            p.next_hop(&view(5, 10, &cands), &mut ()),
-            HopChoice::Forward(NodeId::new(12))
         );
     }
 
     #[test]
     fn patching_detours_when_greedy_is_stuck() {
-        let p = PatchingPolicy::new(id_score);
+        let p = PatchingPolicy::new(ID_SCORE);
         let mut st = PatchState::default();
         // current 5, target 10, only candidate is 4 (worse): greedy would
         // drop, patching detours
@@ -344,7 +286,7 @@ mod tests {
 
     #[test]
     fn patching_never_revisits_and_backtracks() {
-        let p = PatchingPolicy::new(id_score);
+        let p = PatchingPolicy::new(ID_SCORE);
         let mut st = PatchState::default();
         // hop 1: at 5, forward to 4 (only option)
         let c5 = [NodeId::new(4)];
@@ -353,7 +295,7 @@ mod tests {
             HopChoice::Forward(NodeId::new(4))
         );
         // hop 2: at 4, neighbors are 5 (visited) and 3
-        let c4 = [NodeId::new(5), NodeId::new(3)];
+        let c4 = [NodeId::new(3), NodeId::new(5)];
         assert_eq!(
             p.next_hop(&view(4, 10, &c4), &mut st),
             HopChoice::Forward(NodeId::new(3))
@@ -373,41 +315,13 @@ mod tests {
         assert_eq!(p.next_hop(&view(5, 10, &c5), &mut st), HopChoice::Drop);
     }
 
-    /// A hand-rolled `HopScore` with a cheap prepared form must be
-    /// indistinguishable from the equivalent closure.
-    #[test]
-    fn manual_hop_score_matches_closure() {
-        struct IdScore;
-        impl HopScore for IdScore {
-            fn score(&self, v: NodeId, t: NodeId) -> f64 {
-                id_score(v, t)
-            }
-            fn prepare(&self, target: NodeId) -> impl Fn(NodeId) -> f64 + '_ {
-                move |v| id_score(v, target)
-            }
-        }
-        let manual = GreedyPolicy::new(IdScore);
-        let closure = GreedyPolicy::new(id_score);
-        let cands = [NodeId::new(3), NodeId::new(7), NodeId::new(12)];
-        for target in 0..15u32 {
-            let v = view(2, target, &cands);
-            assert_eq!(manual.next_hop(&v, &mut ()), closure.next_hop(&v, &mut ()));
-        }
-        let manual = PatchingPolicy::new(IdScore);
-        let closure = PatchingPolicy::new(id_score);
-        let mut st_m = PatchState::default();
-        let mut st_c = PatchState::default();
-        let v = view(5, 10, &cands);
-        assert_eq!(manual.next_hop(&v, &mut st_m), closure.next_hop(&v, &mut st_c));
-    }
-
     #[test]
     fn policy_is_usable_by_reference() {
         fn takes_policy<P: HopPolicy>(p: P, v: &HopView<'_>) -> HopChoice {
             let mut st = P::State::default();
             p.next_hop(v, &mut st)
         }
-        let p = GreedyPolicy::new(id_score);
+        let p = GreedyPolicy::new(ID_SCORE);
         let cands = [NodeId::new(10)];
         let v = view(5, 10, &cands);
         assert_eq!(takes_policy(&p, &v), HopChoice::Forward(NodeId::new(10)));

@@ -408,13 +408,13 @@ impl std::error::Error for SimBuildError {}
 /// instead of panicking mid-run:
 ///
 /// ```
-/// use smallworld_graph::{Graph, NodeId};
+/// use smallworld_graph::{FnObjective, Graph, NodeId};
 /// use smallworld_net::{GreedyPolicy, SimBuilder, SimConfig};
 ///
 /// let g = Graph::from_edges(3, [(0u32, 1u32), (1, 2)])?;
-/// let policy = GreedyPolicy::new(|v: NodeId, t: NodeId| {
+/// let policy = GreedyPolicy::new(FnObjective(|v: NodeId, t: NodeId| {
 ///     if v == t { f64::INFINITY } else { v.index() as f64 }
-/// });
+/// }));
 /// let sim = SimBuilder::new(&g, policy)
 ///     .config(SimConfig { max_retries: 2, ..SimConfig::default() })
 ///     .shards(2)
@@ -679,15 +679,16 @@ mod tests {
     use crate::link::SeededLatency;
     use crate::policy::{GreedyPolicy, HopChoice, HopView, PatchingPolicy};
     use crate::workload::SliceWorkload;
+    use smallworld_graph::FnObjective;
 
     /// Score towards larger ids; the target is infinitely attractive.
-    fn id_score(v: NodeId, t: NodeId) -> f64 {
+    const ID_SCORE: FnObjective<fn(NodeId, NodeId) -> f64> = FnObjective(|v, t| {
         if v == t {
             f64::INFINITY
         } else {
             v.index() as f64
         }
-    }
+    });
 
     fn path_graph(n: usize) -> Graph {
         Graph::from_edges(n, (0..n as u32 - 1).map(|i| (i, i + 1))).unwrap()
@@ -704,7 +705,7 @@ mod tests {
     #[test]
     fn single_packet_walks_the_path() {
         let g = path_graph(5);
-        let sim = Simulation::new(&g, GreedyPolicy::new(id_score));
+        let sim = Simulation::new(&g, GreedyPolicy::new(ID_SCORE));
         let report = sim.run(SliceWorkload::new(&[inject(0, 4, 0)]));
         let p = &report.packets[0];
         assert_eq!(p.outcome, PacketOutcome::Delivered);
@@ -722,7 +723,7 @@ mod tests {
     #[test]
     fn source_equals_target_is_immediate_delivery() {
         let g = path_graph(3);
-        let sim = Simulation::new(&g, GreedyPolicy::new(id_score));
+        let sim = Simulation::new(&g, GreedyPolicy::new(ID_SCORE));
         let report = sim.run(SliceWorkload::new(&[inject(1, 1, 7)]));
         let p = &report.packets[0];
         assert_eq!(p.outcome, PacketOutcome::Delivered);
@@ -735,7 +736,7 @@ mod tests {
     fn greedy_dead_end_is_recorded() {
         // from 2, target 0: id-score only increases, so greedy is stuck
         let g = path_graph(5);
-        let sim = Simulation::new(&g, GreedyPolicy::new(id_score));
+        let sim = Simulation::new(&g, GreedyPolicy::new(ID_SCORE));
         let report = sim.run(SliceWorkload::new(&[inject(2, 0, 0)]));
         assert_eq!(report.packets[0].outcome, PacketOutcome::DeadEnd);
         assert_eq!(report.count(PacketOutcome::DeadEnd), 1);
@@ -748,7 +749,7 @@ mod tests {
             ttl: 3,
             ..SimConfig::default()
         };
-        let sim = SimBuilder::new(&g, GreedyPolicy::new(id_score))
+        let sim = SimBuilder::new(&g, GreedyPolicy::new(ID_SCORE))
             .config(cfg)
             .shards(1)
             .build()
@@ -767,7 +768,7 @@ mod tests {
             queue_capacity: Some(1),
             ..SimConfig::default()
         };
-        let sim = SimBuilder::new(&g, GreedyPolicy::new(id_score))
+        let sim = SimBuilder::new(&g, GreedyPolicy::new(ID_SCORE))
             .config(cfg)
             .shards(1)
             .build()
@@ -784,7 +785,7 @@ mod tests {
     fn unbounded_queue_delivers_everything() {
         let g = path_graph(4);
         let inj: Vec<Injection> = (0..50).map(|_| inject(0, 3, 0)).collect();
-        let sim = Simulation::new(&g, GreedyPolicy::new(id_score));
+        let sim = Simulation::new(&g, GreedyPolicy::new(ID_SCORE));
         let report = sim.run(SliceWorkload::new(&inj));
         assert_eq!(report.delivered(), 50);
         // congestion is visible in latency: later packets wait for service
@@ -797,7 +798,7 @@ mod tests {
         // SliceWorkload sorts by time; packet ids follow *stream* order,
         // so the report comes back time-sorted, not slice-sorted
         let g = path_graph(4);
-        let sim = Simulation::new(&g, GreedyPolicy::new(id_score));
+        let sim = Simulation::new(&g, GreedyPolicy::new(ID_SCORE));
         let inj = [inject(0, 3, 5), inject(1, 3, 0), inject(2, 3, 9)];
         let report = sim.run(SliceWorkload::new(&inj));
         assert_eq!(report.packets.len(), 3);
@@ -816,7 +817,7 @@ mod tests {
             loss_rate: 1.0,
             ..FaultSpec::none()
         };
-        let sim = SimBuilder::new(&g, GreedyPolicy::new(id_score))
+        let sim = SimBuilder::new(&g, GreedyPolicy::new(ID_SCORE))
             .faults(FaultPlan::new(spec, 1))
             .shards(1)
             .build()
@@ -836,7 +837,7 @@ mod tests {
             max_retries: 20,
             ..SimConfig::default()
         };
-        let sim = SimBuilder::new(&g, GreedyPolicy::new(id_score))
+        let sim = SimBuilder::new(&g, GreedyPolicy::new(ID_SCORE))
             .faults(FaultPlan::new(spec, 1))
             .config(cfg)
             .shards(1)
@@ -857,7 +858,7 @@ mod tests {
             repair_after: None,
             ..FaultSpec::none()
         };
-        let sim = SimBuilder::new(&g, GreedyPolicy::new(id_score))
+        let sim = SimBuilder::new(&g, GreedyPolicy::new(ID_SCORE))
             .faults(FaultPlan::new(spec, 1))
             .shards(1)
             .build()
@@ -876,7 +877,7 @@ mod tests {
             repair_after: Some(50),
             ..FaultSpec::none()
         };
-        let sim = SimBuilder::new(&g, GreedyPolicy::new(id_score))
+        let sim = SimBuilder::new(&g, GreedyPolicy::new(ID_SCORE))
             .faults(FaultPlan::new(spec, 1))
             .shards(1)
             .build()
@@ -896,8 +897,8 @@ mod tests {
         // greedy trap: 0-3-2-4 requires going *down* from 3 to 2 —
         // greedy refuses, patching detours
         let g = Graph::from_edges(5, [(0u32, 3u32), (3, 2), (2, 4)]).unwrap();
-        let greedy = Simulation::new(&g, GreedyPolicy::new(id_score));
-        let patching = Simulation::new(&g, PatchingPolicy::new(id_score));
+        let greedy = Simulation::new(&g, GreedyPolicy::new(ID_SCORE));
+        let patching = Simulation::new(&g, PatchingPolicy::new(ID_SCORE));
         let inj = [inject(0, 4, 0)];
         assert_eq!(
             greedy.run(SliceWorkload::new(&inj)).packets[0].outcome,
@@ -910,7 +911,7 @@ mod tests {
     #[test]
     fn seeded_latency_shows_up_in_virtual_time() {
         let g = path_graph(3);
-        let sim = SimBuilder::new(&g, GreedyPolicy::new(id_score))
+        let sim = SimBuilder::new(&g, GreedyPolicy::new(ID_SCORE))
             .latency(SeededLatency::new(10, 0, 0))
             .shards(1)
             .build()
@@ -941,7 +942,7 @@ mod tests {
             .map(|i| inject(i % 20, (i * 7 + 3) % 20, (i / 4) as Time))
             .collect();
         let run = || {
-            SimBuilder::new(&g, PatchingPolicy::new(id_score))
+            SimBuilder::new(&g, PatchingPolicy::new(ID_SCORE))
                 .faults(FaultPlan::new(spec, 11))
                 .config(cfg)
                 .shards(1)
@@ -964,7 +965,7 @@ mod tests {
             ..SimConfig::default()
         };
         let inj: Vec<Injection> = (0..20).map(|_| inject(0, 3, 0)).collect();
-        let sim = SimBuilder::new(&g, GreedyPolicy::new(id_score))
+        let sim = SimBuilder::new(&g, GreedyPolicy::new(ID_SCORE))
             .config(cfg)
             .shards(1)
             .build()
@@ -1003,7 +1004,7 @@ mod tests {
         let inj: Vec<Injection> = (0..30)
             .map(|i| inject(i % 7, 7, (i % 5) as Time))
             .collect();
-        let base = Simulation::new(&g, GreedyPolicy::new(id_score));
+        let base = Simulation::new(&g, GreedyPolicy::new(ID_SCORE));
         assert!(base.run(SliceWorkload::new(&inj)).timeline.is_empty());
         let cfg = SimConfig {
             timeline_interval: Some(3),
@@ -1011,7 +1012,7 @@ mod tests {
             ..SimConfig::default()
         };
         let run = || {
-            SimBuilder::new(&g, GreedyPolicy::new(id_score))
+            SimBuilder::new(&g, GreedyPolicy::new(ID_SCORE))
                 .config(cfg)
                 .shards(1)
                 .build()
@@ -1022,7 +1023,7 @@ mod tests {
         assert_eq!(a.timeline, b.timeline);
         assert!(!a.timeline.is_empty());
         // the timeline does not perturb packet outcomes
-        let plain = SimBuilder::new(&g, GreedyPolicy::new(id_score))
+        let plain = SimBuilder::new(&g, GreedyPolicy::new(ID_SCORE))
             .config(SimConfig {
                 timeline_interval: None,
                 ..cfg
@@ -1057,13 +1058,13 @@ mod tests {
         let g = path_graph(3);
         // bypass SliceWorkload's sort with a raw iterator workload
         let inj = [inject(0, 2, 9), inject(0, 2, 0)];
-        Simulation::new(&g, GreedyPolicy::new(id_score)).run(inj.into_iter());
+        Simulation::new(&g, GreedyPolicy::new(ID_SCORE)).run(inj.into_iter());
     }
 
     #[test]
     fn builder_rejects_bad_configurations() {
         let g = path_graph(3);
-        let mk = || SimBuilder::new(&g, GreedyPolicy::new(id_score));
+        let mk = || SimBuilder::new(&g, GreedyPolicy::new(ID_SCORE));
         assert_eq!(
             mk().config(SimConfig {
                 timeline_interval: Some(0),
@@ -1129,7 +1130,7 @@ mod tests {
             .map(|i| inject(i % 12, (i * 5 + 1) % 12, (i / 3) as Time))
             .collect();
         let build = |shards| {
-            SimBuilder::new(&g, PatchingPolicy::new(id_score))
+            SimBuilder::new(&g, PatchingPolicy::new(ID_SCORE))
                 .faults(FaultPlan::new(spec, 3))
                 .config(SimConfig {
                     max_retries: 2,
@@ -1160,7 +1161,7 @@ mod tests {
             .map(|i| inject(i % 10, (i * 3 + 1) % 10, (i / 6) as Time))
             .collect();
         let build = |shards| {
-            SimBuilder::new(&g, GreedyPolicy::new(id_score))
+            SimBuilder::new(&g, GreedyPolicy::new(ID_SCORE))
                 .faults(FaultPlan::new(spec, 9))
                 .config(SimConfig {
                     max_retries: 1,
@@ -1218,7 +1219,7 @@ mod tests {
             .map(|i| inject(i % 16, (i * 7 + 2) % 16, (i / 5) as Time))
             .collect();
         let run = |shards| {
-            SimBuilder::new(&g, PatchingPolicy::new(id_score))
+            SimBuilder::new(&g, PatchingPolicy::new(ID_SCORE))
                 .faults(FaultPlan::new(spec, 21))
                 .config(SimConfig {
                     max_retries: 2,

@@ -17,20 +17,20 @@ use proptest::collection::vec;
 use proptest::prelude::{ProptestConfig, Strategy};
 use proptest::proptest;
 
-use smallworld_graph::{Graph, NodeId};
+use smallworld_graph::{FnObjective, Graph, NodeId};
 use smallworld_net::{
     FaultPlan, FaultSpec, GreedyPolicy, Injection, PatchingPolicy, SeededLatency, SimBuilder,
     SimConfig, SimReport, SliceWorkload, Time, UniformPairs,
 };
 
 /// Score towards larger ids; the target is infinitely attractive.
-fn id_score(v: NodeId, t: NodeId) -> f64 {
+const ID_SCORE: FnObjective<fn(NodeId, NodeId) -> f64> = FnObjective(|v, t| {
     if v == t {
         f64::INFINITY
     } else {
         v.index() as f64
     }
-}
+});
 
 /// A connected-backbone graph: a path over all nodes plus arbitrary
 /// extra edges (mapped into range, self-loops skipped).
@@ -156,12 +156,12 @@ fn assert_reports_equal(serial: &SimReport, sharded: &SimReport, label: &str) {
 /// one generated scenario.
 fn check_shards_are_invisible(sc: &Scenario) {
     let graph = build_graph(sc.n, &sc.extra_edges);
-    let serial_greedy = run_at(sc, &graph, GreedyPolicy::new(id_score), 1);
-    let serial_patching = run_at(sc, &graph, PatchingPolicy::new(id_score), 1);
+    let serial_greedy = run_at(sc, &graph, GreedyPolicy::new(ID_SCORE), 1);
+    let serial_patching = run_at(sc, &graph, PatchingPolicy::new(ID_SCORE), 1);
     for shards in [2usize, 3, 4] {
-        let g = run_at(sc, &graph, GreedyPolicy::new(id_score), shards);
+        let g = run_at(sc, &graph, GreedyPolicy::new(ID_SCORE), shards);
         assert_reports_equal(&serial_greedy, &g, &format!("greedy x{shards}"));
-        let p = run_at(sc, &graph, PatchingPolicy::new(id_score), shards);
+        let p = run_at(sc, &graph, PatchingPolicy::new(ID_SCORE), shards);
         assert_reports_equal(&serial_patching, &p, &format!("patching x{shards}"));
     }
 }
@@ -176,7 +176,7 @@ fn check_streaming_equals_batch(nodes: u16, count: u8, rate_q: u8, seed: u64) {
     let pairs = UniformPairs::new(usize::from(count) % 50 + 1, rate, seed);
     let batch = pairs.injections(&eligible);
     for shards in [1usize, 3] {
-        let sim = SimBuilder::new(&graph, GreedyPolicy::new(id_score))
+        let sim = SimBuilder::new(&graph, GreedyPolicy::new(ID_SCORE))
             .shards(shards)
             .build()
             .expect("valid");

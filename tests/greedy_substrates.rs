@@ -1,8 +1,9 @@
-//! One greedy loop, six substrates: Algorithm 1 must take bitwise the same
-//! route whether it reads a decoded CSR, the in-RAM SoA index, a
+//! One greedy loop, seven substrates: Algorithm 1 must take bitwise the
+//! same route whether it reads a decoded CSR, the in-RAM SoA index, a
 //! memory-mapped store decoded on demand, a shard partition with handoff,
-//! the traffic simulator's forwarding policy, or the locality-enforcing
-//! node-program simulator.
+//! the traffic simulator's forwarding policy (over the plain objective and
+//! over the store-path objective whose bounds prune each hop's scan), or
+//! the locality-enforcing node-program simulator.
 //!
 //! Inputs are a small Morton-relabelled GIRG saved with four shards, and
 //! two four-vertex graphs: one on which two neighbors tie for the best φ —
@@ -20,8 +21,7 @@ use smallworld::core::distributed::GirgAddressing;
 use smallworld::core::greedy::DEFAULT_MAX_STEPS;
 use smallworld::core::{
     route_sharded, DistributedGreedy, GirgObjective, GreedyRouter, IndexedGirgObjective, Objective,
-    PackedGirgObjective, PreparedObjective, RouteOutcome, RouteRecord, Router, RoutingIndex,
-    ShardSlice, Simulator,
+    PackedGirgObjective, RouteOutcome, RouteRecord, Router, RoutingIndex, ShardSlice, Simulator,
 };
 use smallworld::geometry::Point;
 use smallworld::graph::{Components, Graph, NodeId};
@@ -43,7 +43,12 @@ struct Substrates {
     mapped: Vec<RouteRecord>,
     sharded: Vec<RouteRecord>,
     net_policy: Vec<RouteRecord>,
+    /// The traffic policy over the store-path objective, whose kernels
+    /// prune hop scans with id-block bounds when it has them.
+    net_policy_bounded: Vec<RouteRecord>,
     node_program: Vec<RouteRecord>,
+    /// Whether the store-path objective built its bounds.
+    bounded: bool,
 }
 
 /// Routes every pair through each substrate. `girg` is written to `path`
@@ -102,29 +107,8 @@ fn route_everywhere(
         .map(|&(s, t)| route_sharded(&mut slices, &packed.prepare(t), s, DEFAULT_MAX_STEPS).record)
         .collect();
 
-    let injections: Vec<Injection> = pairs
-        .iter()
-        .map(|&(source, target)| Injection {
-            source,
-            target,
-            at: 0,
-        })
-        .collect();
-    let report = Simulation::new(graph, GreedyPolicy::new(PreparedObjective::new(&objective)))
-        .run(SliceWorkload::new(&injections));
-    let net_policy = report
-        .packets
-        .into_iter()
-        .map(|packet| RouteRecord {
-            outcome: match packet.outcome {
-                PacketOutcome::Delivered => RouteOutcome::Delivered,
-                PacketOutcome::DeadEnd => RouteOutcome::DeadEnd,
-                PacketOutcome::Expired => RouteOutcome::MaxStepsExceeded,
-                other => panic!("fault-free simulation ended a packet as {other:?}"),
-            },
-            path: packet.path,
-        })
-        .collect();
+    let net_policy = forward_everywhere(graph, objective, pairs);
+    let net_policy_bounded = forward_everywhere(graph, &packed, pairs);
 
     let addressing = GirgAddressing::new(girg);
     let program = DistributedGreedy::for_girg(girg);
@@ -139,8 +123,42 @@ fn route_everywhere(
         mapped,
         sharded,
         net_policy,
+        net_policy_bounded,
         node_program,
+        bounded: packed.bounds().is_some(),
     }
+}
+
+/// Forwards every pair as one packet of a fault-free traffic simulation
+/// under [`GreedyPolicy`] and reads the packets back as routes.
+fn forward_everywhere<O: Objective + Sync>(
+    graph: &Graph,
+    objective: O,
+    pairs: &[(NodeId, NodeId)],
+) -> Vec<RouteRecord> {
+    let injections: Vec<Injection> = pairs
+        .iter()
+        .map(|&(source, target)| Injection {
+            source,
+            target,
+            at: 0,
+        })
+        .collect();
+    let report =
+        Simulation::new(graph, GreedyPolicy::new(objective)).run(SliceWorkload::new(&injections));
+    report
+        .packets
+        .into_iter()
+        .map(|packet| RouteRecord {
+            outcome: match packet.outcome {
+                PacketOutcome::Delivered => RouteOutcome::Delivered,
+                PacketOutcome::DeadEnd => RouteOutcome::DeadEnd,
+                PacketOutcome::Expired => RouteOutcome::MaxStepsExceeded,
+                other => panic!("fault-free simulation ended a packet as {other:?}"),
+            },
+            path: packet.path,
+        })
+        .collect()
 }
 
 fn assert_all_equal(reference: &[RouteRecord], got: &Substrates) {
@@ -149,6 +167,7 @@ fn assert_all_equal(reference: &[RouteRecord], got: &Substrates) {
         ("mapped", &got.mapped),
         ("sharded", &got.sharded),
         ("net policy", &got.net_policy),
+        ("bounded net policy", &got.net_policy_bounded),
         ("node program", &got.node_program),
     ] {
         assert_eq!(routes.len(), reference.len(), "{name}: route count");
@@ -193,6 +212,10 @@ fn every_substrate_routes_a_sharded_girg_identically() {
     );
 
     let got = route_everywhere(&girg, &temp_path("girg"), 4, &pairs);
+    assert!(
+        got.bounded,
+        "Morton ids build bounds, so the pruned scans run"
+    );
     assert_all_equal(&reference, &got);
 }
 
