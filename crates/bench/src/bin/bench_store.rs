@@ -36,7 +36,8 @@
 //!    byte-identical stores; the parent asserts the file sizes and edge
 //!    counts agree, and reports the RSS ratio, the streamed peak in bytes
 //!    per vertex, and the streamed child's sampler account (pairs examined
-//!    per edge, exact-probability fallbacks, spill sort and write seconds).
+//!    per edge, exact-probability fallbacks, and its seconds in the cell
+//!    sampler, the spill sort and the spill write).
 //!    Full scale climbs
 //!    10⁶ → 10⁷, and `SMALLWORLD_FULLSCALE=1` adds the 10⁸ rung (streamed
 //!    only — the in-RAM comparison would not fit the point of the
@@ -338,6 +339,8 @@ struct ChildStats {
     /// Pairs the edge sampler examined (type-I pairs + type-II candidates).
     examined: u64,
     exact_fallbacks: u64,
+    /// Time in the edge sampler (cell batches), without the spill.
+    cell_secs: f64,
     spill_sort_secs: f64,
     spill_write_secs: f64,
 }
@@ -371,6 +374,7 @@ fn run_ladder_child(mode: &str, n: u64) -> ChildStats {
         edges: field("edges") as u64,
         examined: field("examined") as u64,
         exact_fallbacks: field("exact_fallbacks") as u64,
+        cell_secs: field("cell_secs"),
         spill_sort_secs: field("spill_sort_secs"),
         spill_write_secs: field("spill_write_secs"),
     }
@@ -401,6 +405,7 @@ fn ladder_child(args: &[String]) -> ! {
     let start = Instant::now();
     // the in-RAM child has no spill to time
     let mut spill_secs = (0.0, 0.0);
+    let cell_secs;
     let (file_bytes, spill_bytes, edges, counts) = match mode {
         "streamed" => {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -415,17 +420,19 @@ fn ladder_child(args: &[String]) -> ! {
                 sample.spill_sort_time().as_secs_f64(),
                 sample.spill_write_time().as_secs_f64(),
             );
+            cell_secs = sample.cell_time().as_secs_f64();
             let stats = smallworld_store::write_girg_swg_streamed(&sample, &path)
                 .expect("writable temp dir");
             (stats.file_bytes, spill_bytes, edges, sample.sampler_counts())
         }
         "inram" => {
             let mut rng = StdRng::seed_from_u64(seed);
-            let (girg, counts) = GirgBuilder::<2>::new(n)
+            let (girg, counts, edge_time) = GirgBuilder::<2>::new(n)
                 .beta(2.5)
                 .alpha(2.0)
                 .sample_counted(&mut rng)
                 .expect("valid ladder configuration");
+            cell_secs = edge_time.as_secs_f64();
             let girg = girg.relabel(&girg.morton_permutation());
             let stats = smallworld_store::save_girg(&girg, &path, 1)
                 .expect("writable temp dir")
@@ -456,6 +463,7 @@ fn ladder_child(args: &[String]) -> ! {
                 JsonValue::from(counts.type_one_pairs + counts.type_two_candidates),
             ),
             ("exact_fallbacks", JsonValue::from(counts.exact_fallbacks)),
+            ("cell_secs", JsonValue::from(cell_secs)),
             ("spill_sort_secs", JsonValue::from(spill_secs.0)),
             ("spill_write_secs", JsonValue::from(spill_secs.1)),
         ])
@@ -490,6 +498,7 @@ fn ladder_table(scale: Scale) -> Table {
         "streamed B/vertex",
         "examined/edge",
         "exact fallbacks",
+        "cell secs",
         "spill sort secs",
         "spill write secs",
     ])
@@ -555,6 +564,7 @@ fn ladder_table(scale: Scale) -> Table {
             format!("{:.1}", streamed.peak_rss as f64 / n as f64),
             format!("{:.2}", streamed.examined as f64 / streamed.edges.max(1) as f64),
             streamed.exact_fallbacks.to_string(),
+            format!("{:.3}", streamed.cell_secs),
             format!("{:.3}", streamed.spill_sort_secs),
             format!("{:.3}", streamed.spill_write_secs),
         ]);

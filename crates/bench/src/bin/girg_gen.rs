@@ -14,7 +14,7 @@
 //! point, so adding a model here is one match arm. A GIRG is sampled with
 //! the same seeding through `GirgBuilder::sample_counted`, and the edge
 //! sampler's work counters (pairs examined per edge, exact-probability
-//! fallbacks) go to stderr. `--route <pairs>` runs
+//! fallbacks) and time go to stderr. `--route <pairs>` runs
 //! that many greedy Monte-Carlo trials on the shared thread pool
 //! (`SMALLWORLD_THREADS` workers) — deterministic in `--seed` at any thread
 //! count. Omit `--out` to print statistics only. `--degree` calibrates λ via
@@ -40,6 +40,7 @@
 
 use std::path::Path;
 use std::process::ExitCode;
+use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -523,15 +524,19 @@ fn main() -> ExitCode {
                     let params =
                         girg_params_label(opts.n as f64, opts.beta, opts.alpha, lambda);
                     let mut counts = SamplerCounts::default();
+                    let mut edge_time = Duration::ZERO;
                     let parts = try_sample!(model, params, || {
                         // the draws of `GraphModel::sample_seeded`, plus the
-                        // edge sampler's work counters
+                        // edge sampler's work counters and time
                         let mut rng = StdRng::seed_from_u64(opts.seed);
-                        let (girg, sampled) = model.sample_counted(&mut rng)?;
-                        counts = sampled;
+                        let (girg, sampled, took) = model.sample_counted(&mut rng)?;
+                        (counts, edge_time) = (sampled, took);
                         Ok(girg)
                     });
-                    eprintln!("sampler: {counts}");
+                    eprintln!(
+                        "sampler: {counts}; edge sampling {:.3} s",
+                        edge_time.as_secs_f64()
+                    );
                     parts
                 };
                 let mut tables = vec![table];

@@ -26,16 +26,19 @@
 //! does); correctness *does* depend on `upper_bound` dominating the
 //! probability on each box, which the kernel tests verify.
 //!
-//! Two things keep the pair tests cheap without changing an edge. The
+//! Several things keep the pair tests cheap without changing an edge. The
 //! sampler copies the vertices' positions and weights into lanes grouped
 //! by layer and Morton-sorted within it, so the type-I loops and type-II
 //! candidates read contiguous memory instead of gathering by vertex id
 //! (+24 B per vertex at d = 2).
-//! And every accept test first asks the kernel's
+//! Every accept test first asks the kernel's
 //! [`bracket`](ConnectionKernel::bracket): the exact probability is
 //! evaluated only when the uniform draw lands inside the bracket's band,
 //! so each decision — and every RNG draw — is the one the exact test
-//! would have made.
+//! would have made. A cell pair looks up each layer's lane range once
+//! (`PairLanes`), however many layer pairs use it. And a type-II jump
+//! draws a chunk of candidates before it tests them, since a candidate's
+//! draws never depend on a decision.
 
 use std::fmt;
 use std::ops::{AddAssign, Range};
@@ -57,6 +60,10 @@ const MAX_DEPTH: u32 = 31;
 /// must NOT depend on the thread count, or per-task seeds (and therefore
 /// the sampled edges) would differ between pool sizes.
 const SPLIT_TARGET_CELLS_LOG2: u32 = 6;
+
+/// Type-II candidates drawn ahead of their accept tests (see
+/// [`CellSampler::jump_sample`]).
+const JUMP_CHUNK: usize = 64;
 
 /// Work counters of one sampling run: how many vertex pairs the sampler
 /// examined to emit its edges.
@@ -266,6 +273,37 @@ struct Lanes<const D: usize> {
     weights: Vec<f64>,
 }
 
+/// Each layer's lane range inside the two cells of one cell pair, looked
+/// up by [`CellSampler::range`] on first use and kept for the pair.
+///
+/// A pair's type-I or type-II pass asks for a layer's range in a cell once
+/// for every layer pair that layer belongs to; the memo makes that one
+/// lookup. One memo serves a whole task: a pair makes all its lookups
+/// before its recursion resets the memo for a child pair.
+struct PairLanes {
+    /// The pair `(a, b)`; side 0 is `a`, side 1 is `b`.
+    cells: [MortonCell; 2],
+    /// `ranges[side][i]`: layer `i` inside `cells[side]`, once looked up.
+    ranges: [Vec<Option<Range<usize>>>; 2],
+}
+
+impl PairLanes {
+    fn new(layers: usize) -> Self {
+        PairLanes {
+            cells: [MortonCell::root(); 2],
+            ranges: [vec![None; layers], vec![None; layers]],
+        }
+    }
+
+    /// Forgets every range and takes the pair `(a, b)`.
+    fn reset(&mut self, a: MortonCell, b: MortonCell) {
+        self.cells = [a, b];
+        for side in &mut self.ranges {
+            side.fill(None);
+        }
+    }
+}
+
 /// One weight layer: its index range in the [`Lanes`].
 struct Layer {
     span: Range<usize>,
@@ -387,6 +425,14 @@ impl<'a, const D: usize, K: ConnectionKernel> CellSampler<'a, D, K> {
         span.start + lo..span.start + hi
     }
 
+    /// The lane indices of layer `i`'s vertices inside the memo's cell
+    /// `side` (0 for `a`, 1 for `b`): [`range`](Self::range), looked up once
+    /// per cell pair.
+    fn lane_range(&self, memo: &mut PairLanes, side: usize, i: usize) -> Range<usize> {
+        let cell = memo.cells[side];
+        memo.ranges[side][i].get_or_insert_with(|| self.range(i, &cell)).clone()
+    }
+
     fn cell_occupied(&self, cell: &MortonCell) -> bool {
         let range = cell.descendant_range::<D>(self.max_level);
         let lo = self.all_codes.partition_point(|&c| c < range.start);
@@ -457,21 +503,25 @@ impl<'a, const D: usize, K: ConnectionKernel> CellSampler<'a, D, K> {
         edges: &mut Vec<(u32, u32)>,
         counts: &mut SamplerCounts,
     ) {
+        let mut memo = PairLanes::new(self.layers.len());
         match task.kind {
-            TaskKind::Full => self.process_pair(task.a, task.b, rng, edges, counts),
+            TaskKind::Full => self.process_pair(task.a, task.b, &mut memo, rng, edges, counts),
             TaskKind::Local => {
+                memo.reset(task.a, task.b);
                 for &(i, j) in &self.pairs_at_level[task.a.level() as usize] {
-                    self.type_one(task.a, task.b, i, j, rng, edges, counts);
+                    self.type_one(&mut memo, i, j, rng, edges, counts);
                 }
             }
         }
     }
 
-    /// Recursion over unordered cell pairs (including `a == b`).
+    /// Recursion over unordered cell pairs (including `a == b`); `memo`
+    /// is the task's range memo, reset here for each pair.
     fn process_pair<R: Rng + ?Sized>(
         &self,
         a: MortonCell,
         b: MortonCell,
+        memo: &mut PairLanes,
         rng: &mut R,
         edges: &mut Vec<(u32, u32)>,
         counts: &mut SamplerCounts,
@@ -480,22 +530,23 @@ impl<'a, const D: usize, K: ConnectionKernel> CellSampler<'a, D, K> {
             return;
         }
         let level = a.level();
+        memo.reset(a, b);
         if a.is_adjacent::<D>(&b) {
             for &(i, j) in &self.pairs_at_level[level as usize] {
-                self.type_one(a, b, i, j, rng, edges, counts);
+                self.type_one(memo, i, j, rng, edges, counts);
             }
             if level < self.max_level && !self.pairs_from_level[level as usize + 1].is_empty() {
                 if a == b {
                     let children: Vec<MortonCell> = a.children::<D>().collect();
                     for (ci, &ca) in children.iter().enumerate() {
                         for &cb in &children[ci..] {
-                            self.process_pair(ca, cb, rng, edges, counts);
+                            self.process_pair(ca, cb, memo, rng, edges, counts);
                         }
                     }
                 } else {
                     for ca in a.children::<D>() {
                         for cb in b.children::<D>() {
-                            self.process_pair(ca, cb, rng, edges, counts);
+                            self.process_pair(ca, cb, memo, rng, edges, counts);
                         }
                     }
                 }
@@ -503,26 +554,24 @@ impl<'a, const D: usize, K: ConnectionKernel> CellSampler<'a, D, K> {
         } else {
             let min_dist = a.min_distance::<D>(&b);
             for &(i, j) in &self.pairs_from_level[level as usize] {
-                self.type_two(a, b, i, j, min_dist, rng, edges, counts);
+                self.type_two(memo, i, j, min_dist, rng, edges, counts);
             }
         }
     }
 
-    /// Exact examination of all pairs between adjacent cells for layer pair
-    /// `(i, j)`.
-    #[allow(clippy::too_many_arguments)]
+    /// Exact examination of all pairs between the adjacent cells of
+    /// `memo` for layer pair `(i, j)`.
     fn type_one<R: Rng + ?Sized>(
         &self,
-        a: MortonCell,
-        b: MortonCell,
+        memo: &mut PairLanes,
         i: usize,
         j: usize,
         rng: &mut R,
         edges: &mut Vec<(u32, u32)>,
         counts: &mut SamplerCounts,
     ) {
-        if a == b {
-            let ai = self.range(i, &a);
+        if memo.cells[0] == memo.cells[1] {
+            let ai = self.lane_range(memo, 0, i);
             if i == j {
                 let len = ai.len() as u64;
                 counts.type_one_pairs += len * len.saturating_sub(1) / 2;
@@ -530,43 +579,41 @@ impl<'a, const D: usize, K: ConnectionKernel> CellSampler<'a, D, K> {
                     self.row(k, k + 1..ai.end, rng, edges, &mut counts.exact_fallbacks);
                 }
             } else {
-                let aj = self.range(j, &a);
+                let aj = self.lane_range(memo, 0, j);
                 counts.type_one_pairs += ai.len() as u64 * aj.len() as u64;
                 self.all_pairs(ai, aj, rng, edges, &mut counts.exact_fallbacks);
             }
         } else {
-            self.cross_exact(&a, &b, i, j, rng, edges, counts);
+            self.cross_exact(memo, i, j, rng, edges, counts);
             if i != j {
-                self.cross_exact(&a, &b, j, i, rng, edges, counts);
+                self.cross_exact(memo, j, i, rng, edges, counts);
             }
         }
     }
 
     /// All pairs between layer `i` of cell `a` and layer `j` of cell `b`
     /// (disjoint vertex sets), exact probabilities.
-    #[allow(clippy::too_many_arguments)]
     fn cross_exact<R: Rng + ?Sized>(
         &self,
-        a: &MortonCell,
-        b: &MortonCell,
+        memo: &mut PairLanes,
         i: usize,
         j: usize,
         rng: &mut R,
         edges: &mut Vec<(u32, u32)>,
         counts: &mut SamplerCounts,
     ) {
-        let (ai, bj) = (self.range(i, a), self.range(j, b));
+        let (ai, bj) = (self.lane_range(memo, 0, i), self.lane_range(memo, 1, j));
         counts.type_one_pairs += ai.len() as u64 * bj.len() as u64;
         self.all_pairs(ai, bj, rng, edges, &mut counts.exact_fallbacks);
     }
 
-    /// Geometric-jump sampling between non-adjacent cells for layer pair
-    /// `(i, j)`: candidates under the upper bound, thinned to exact.
+    /// Geometric-jump sampling between the non-adjacent cells of `memo`
+    /// for layer pair `(i, j)`: candidates under the upper bound, thinned
+    /// to exact.
     #[allow(clippy::too_many_arguments)]
     fn type_two<R: Rng + ?Sized>(
         &self,
-        a: MortonCell,
-        b: MortonCell,
+        memo: &mut PairLanes,
         i: usize,
         j: usize,
         min_dist: f64,
@@ -574,18 +621,19 @@ impl<'a, const D: usize, K: ConnectionKernel> CellSampler<'a, D, K> {
         edges: &mut Vec<(u32, u32)>,
         counts: &mut SamplerCounts,
     ) {
-        debug_assert!(a != b);
-        self.jump_sample(&a, &b, i, j, min_dist, rng, edges, counts);
+        debug_assert!(memo.cells[0] != memo.cells[1]);
+        self.jump_sample(memo, i, j, min_dist, rng, edges, counts);
         if i != j {
-            self.jump_sample(&a, &b, j, i, min_dist, rng, edges, counts);
+            self.jump_sample(memo, j, i, min_dist, rng, edges, counts);
         }
     }
 
+    /// Type-II candidates between layer `i` of cell `a` and layer `j` of
+    /// cell `b`.
     #[allow(clippy::too_many_arguments)]
     fn jump_sample<R: Rng + ?Sized>(
         &self,
-        a: &MortonCell,
-        b: &MortonCell,
+        memo: &mut PairLanes,
         i: usize,
         j: usize,
         min_dist: f64,
@@ -598,7 +646,7 @@ impl<'a, const D: usize, K: ConnectionKernel> CellSampler<'a, D, K> {
         if bound <= 0.0 {
             return;
         }
-        let (ai, bj) = (self.range(i, a), self.range(j, b));
+        let (ai, bj) = (self.lane_range(memo, 0, i), self.lane_range(memo, 1, j));
         if ai.is_empty() || bj.is_empty() {
             return;
         }
@@ -612,32 +660,49 @@ impl<'a, const D: usize, K: ConnectionKernel> CellSampler<'a, D, K> {
         // (k / len, k % len), carried across skips without dividing
         let (rows, len) = (ai.len() as u64, bj.len() as u64);
         let lanes = &self.lanes;
-        let log_one_minus = (1.0 - bound).ln();
+        // below about 2⁻⁵⁴, `1 − bound` rounds to 1 and its `ln` to 0, which
+        // would make every skip 0 and every pair a candidate thinned by
+        // `p / bound` instead of `p`: take the logarithm from `ln_1p` there
+        let log_one_minus = if 1.0 - bound == 1.0 {
+            (-bound).ln_1p()
+        } else {
+            (1.0 - bound).ln()
+        };
         let first = geometric_skip(rng, log_one_minus);
         let (mut row, mut col) = (first / len, first % len);
+        // a candidate's draws do not depend on its decision: draw and
+        // advance over a chunk of candidates first, then decide them, so
+        // the skip's `ln` chain and the accept tests overlap
+        let mut chunk = [(0usize, 0usize, 0.0f64); JUMP_CHUNK];
         while row < rows {
-            counts.type_two_candidates += 1;
-            let (u, v) = (ai.start + row as usize, bj.start + col as usize);
-            let (wu, wv) = (lanes.weights[u], lanes.weights[v]);
-            let dist = lanes.positions[u].distance(&lanes.positions[v]);
-            let exact = || self.kernel.probability(wu, wv, dist);
-            #[cfg(debug_assertions)]
-            {
-                let p = exact();
-                debug_assert!(
-                    p <= bound + 1e-9,
-                    "kernel upper bound violated: p={p} bound={bound}"
-                );
+            let mut drawn = 0;
+            while row < rows && drawn < JUMP_CHUNK {
+                let x = rng.gen::<f64>() * bound;
+                chunk[drawn] = (ai.start + row as usize, bj.start + col as usize, x);
+                drawn += 1;
+                // saturating: a skip of u64::MAX (possible for tiny bounds)
+                // must terminate the loop, not wrap around
+                let step = geometric_skip(rng, log_one_minus).saturating_add(1);
+                (row, col) = advance(row, col, len, step);
             }
-            let x = rng.gen::<f64>() * bound;
-            let bracket = self.kernel.bracket(wu, wv, dist);
-            if below(x, bracket, exact, &mut counts.exact_fallbacks) {
-                edges.push(ordered(lanes.ids[u], lanes.ids[v]));
+            counts.type_two_candidates += drawn as u64;
+            for &(u, v, x) in &chunk[..drawn] {
+                let (wu, wv) = (lanes.weights[u], lanes.weights[v]);
+                let dist = lanes.positions[u].distance(&lanes.positions[v]);
+                let exact = || self.kernel.probability(wu, wv, dist);
+                #[cfg(debug_assertions)]
+                {
+                    let p = exact();
+                    debug_assert!(
+                        p <= bound + 1e-9,
+                        "kernel upper bound violated: p={p} bound={bound}"
+                    );
+                }
+                let bracket = self.kernel.bracket(wu, wv, dist);
+                if below(x, bracket, exact, &mut counts.exact_fallbacks) {
+                    edges.push(ordered(lanes.ids[u], lanes.ids[v]));
+                }
             }
-            // saturating: a skip of u64::MAX (possible for tiny bounds)
-            // must terminate the loop, not wrap around
-            let step = geometric_skip(rng, log_one_minus).saturating_add(1);
-            (row, col) = advance(row, col, len, step);
         }
     }
 
@@ -757,12 +822,16 @@ fn ordered(u: u32, v: u32) -> (u32, u32) {
 fn geometric_skip<R: Rng + ?Sized>(rng: &mut R, log_one_minus: f64) -> u64 {
     // U ∈ (0, 1]; skip = floor(ln U / ln(1−p))
     let u = 1.0 - rng.gen::<f64>();
-    let skip = (u.ln() / log_one_minus).floor();
-    if skip >= u64::MAX as f64 {
-        u64::MAX
-    } else {
-        skip as u64
-    }
+    skip_of(u.ln() / log_one_minus)
+}
+
+/// `floor(x)` as a `u64`, saturating at `u64::MAX` (and 0 for NaN or
+/// negatives): Rust's float-to-int cast, which truncates and saturates.
+/// Equal to `floor` followed by a `>= u64::MAX as f64` test for every
+/// `f64`, without `floor`'s library call on baseline x86-64.
+#[inline]
+fn skip_of(x: f64) -> u64 {
+    x as u64
 }
 
 #[cfg(test)]
@@ -1187,6 +1256,108 @@ mod tests {
                 assert!(past >= u64::MAX / len, "len={len} k={k}");
             }
         }
+    }
+
+    /// The cast in `skip_of` equals the `floor`-then-saturate expression
+    /// it replaced, for every class of `f64`.
+    #[test]
+    fn skip_cast_equals_floor_then_saturate() {
+        let reference = |x: f64| {
+            let skip = x.floor();
+            if skip >= u64::MAX as f64 {
+                u64::MAX
+            } else {
+                skip as u64
+            }
+        };
+        let max = u64::MAX as f64;
+        for x in [
+            f64::NAN,
+            -f64::NAN,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.5,
+            -1.0,
+            -1e300,
+            f64::MIN_POSITIVE,
+            0.999_999,
+            1.0,
+            1.5,
+            4_503_599_627_370_495.5,
+            max.next_down(),
+            max,
+            max.next_up(),
+            f64::MAX,
+        ] {
+            assert_eq!(skip_of(x), reference(x), "x = {x:e}");
+        }
+    }
+
+    /// The per-pair memo hands out exactly [`CellSampler::range`]'s lane
+    /// ranges for every cell pair of every level, whatever the lookup
+    /// order and however often a range is asked for.
+    #[test]
+    fn memoized_lane_ranges_equal_range() {
+        fn check<const D: usize>(n: usize, seed: u64) {
+            let (pos, w) = random_instance::<D>(n, 2.5, seed);
+            let k = GirgKernel::new(Alpha::Finite(2.0), 1.0, 1.0, n as f64, D as u32).unwrap();
+            let sampler = CellSampler::new(&pos, &w, &k);
+            let layers = sampler.layers.len();
+            assert!(layers > 2, "d={D}: a few layers");
+            let mut memo = PairLanes::new(layers);
+            let mut cells = vec![MortonCell::root()];
+            for _ in 0..=sampler.max_level {
+                for (x, &a) in cells.iter().enumerate() {
+                    for &b in &cells[x..] {
+                        memo.reset(a, b);
+                        for i in (0..layers).rev().chain(0..layers) {
+                            for (side, cell) in [(0, a), (1, b)] {
+                                let got = sampler.lane_range(&mut memo, side, i);
+                                assert_eq!(got, sampler.range(i, &cell), "d={D} {a:?} {b:?}");
+                            }
+                        }
+                    }
+                }
+                cells = cells.iter().flat_map(|c| c.children::<D>()).collect();
+            }
+        }
+        check::<1>(100, 1);
+        check::<2>(300, 2);
+        check::<3>(400, 3);
+    }
+
+    /// At λ = 10⁻²⁰ most type-II bounds lie below 2⁻⁵⁴, where `1 − bound`
+    /// rounds to 1: the skips must still come from `ln(1 − bound)`, or
+    /// every pair becomes a candidate accepted with probability
+    /// `p / bound`. Both samplers must match the exact expected edge
+    /// count (about 0), in each dimension.
+    #[test]
+    fn vanishing_bounds_sample_like_naive() {
+        fn check<const D: usize>() {
+            let n = 2_000;
+            let (pos, w) = random_instance::<D>(n, 2.5, 7);
+            let k = GirgKernel::new(Alpha::Finite(2.0), 1e-20, 1.0, n as f64, D as u32).unwrap();
+            let mut expected = 0.0;
+            for u in 0..n {
+                for v in u + 1..n {
+                    expected += k.probability(w[u], w[v], pos[u].distance(&pos[v]));
+                }
+            }
+            let cells = sample_edges_pooled(&pos, &w, &k, 7, &Pool::with_threads(1)).0.len();
+            let slow = naive::sample_edges(&pos, &w, &k, &mut StdRng::seed_from_u64(7)).0.len();
+            let tol = 6.0 * expected.sqrt() + 3.0;
+            for (name, count) in [("cells", cells), ("naive", slow)] {
+                assert!(
+                    (count as f64 - expected).abs() <= tol,
+                    "d={D} {name}: {count} edges, expected {expected:.3e}"
+                );
+            }
+        }
+        check::<1>();
+        check::<2>();
+        check::<3>();
     }
 
     #[test]

@@ -23,6 +23,8 @@ mod stream;
 pub use cells::SamplerCounts;
 pub use stream::{HalfEdges, StreamError, StreamedGirg};
 
+use std::time::{Duration, Instant};
+
 use rand::Rng;
 
 use smallworld_geometry::Point;
@@ -332,12 +334,14 @@ impl<const D: usize> GirgBuilder<D> {
     /// `w_min ≤ 0`, `λ ≤ 0`, the intensity is zero, or a planted weight is
     /// below `w_min`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<Girg<D>, ModelError> {
-        self.sample_counted(rng).map(|(girg, _)| girg)
+        self.sample_counted(rng).map(|(girg, ..)| girg)
     }
 
     /// [`sample`](Self::sample), also returning the edge sampler's work
     /// counters (pairs examined per emitted edge, exact-probability
-    /// fallbacks). Same draws, same graph.
+    /// fallbacks) and the time the edge sampler took (the cell sampler, or
+    /// the naive one below its size threshold; without the vertex draw
+    /// and the CSR build). Same draws, same graph.
     ///
     /// # Errors
     ///
@@ -345,7 +349,7 @@ impl<const D: usize> GirgBuilder<D> {
     pub fn sample_counted<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
-    ) -> Result<(Girg<D>, SamplerCounts), ModelError> {
+    ) -> Result<(Girg<D>, SamplerCounts, Duration), ModelError> {
         check_param(
             "beta",
             self.beta,
@@ -382,8 +386,10 @@ impl<const D: usize> GirgBuilder<D> {
         }
 
         let pool = smallworld_par::Pool::from_env();
+        let edge_start = Instant::now();
         let (edges, counts) =
             sample_edges_counted(&positions, &weights, &kernel, self.algorithm, rng);
+        let edge_time = edge_start.elapsed();
         let graph = Graph::from_edges_parallel(total, &edges, &pool)
             .expect("sampler produces valid simple edges");
 
@@ -400,7 +406,7 @@ impl<const D: usize> GirgBuilder<D> {
             },
             planted: self.planted.len(),
         };
-        Ok((girg, counts))
+        Ok((girg, counts, edge_time))
     }
 }
 

@@ -162,11 +162,62 @@ fn read_var<R: BufRead>(r: &mut R) -> io::Result<u64> {
     }
 }
 
+/// Bits per digit of [`radix_sort`]: 2¹¹ counters fit in L1 next to the
+/// keys being scattered.
+const RADIX_BITS: u32 = 11;
+
+/// Sorts `keys` ascending: an LSD radix sort over the bits of each 32-bit
+/// half that some key sets, with `scratch` as the second buffer (resized
+/// to `keys.len()` and kept for the next call).
+///
+/// A half-edge key `(src << 32) | tgt` has about `⌈log₂ n⌉` significant
+/// bits per half, so a run of a 2·10⁵-vertex graph takes 4 passes where a
+/// comparison sort takes ~17 compare levels. Each half is split into
+/// equal digits of at most [`RADIX_BITS`] bits; a digit on which every
+/// key agrees is skipped. The result equals `sort_unstable`'s.
+fn radix_sort(keys: &mut Vec<u64>, scratch: &mut Vec<u64>) {
+    let set = keys.iter().fold(0u64, |acc, &k| acc | k);
+    let mut digits = Vec::new();
+    for half in [0u32, 32] {
+        let bits = 32 - ((set >> half) as u32).leading_zeros();
+        let passes = bits.div_ceil(RADIX_BITS);
+        if passes > 0 {
+            let width = bits.div_ceil(passes);
+            digits.extend((0..passes).map(|p| (half + p * width, width)));
+        }
+    }
+    // one pass over the keys counts every digit
+    let mut counts = vec![[0usize; 1 << RADIX_BITS]; digits.len()];
+    for &k in keys.iter() {
+        for (count, &(shift, width)) in counts.iter_mut().zip(&digits) {
+            count[((k >> shift) & ((1 << width) - 1)) as usize] += 1;
+        }
+    }
+    scratch.resize(keys.len(), 0);
+    for (count, &(shift, width)) in counts.iter_mut().zip(&digits) {
+        if count.contains(&keys.len()) {
+            continue;
+        }
+        let mut start = 0;
+        for c in count.iter_mut() {
+            (*c, start) = (start, start + *c);
+        }
+        for &k in keys.iter() {
+            let slot = &mut count[((k >> shift) & ((1 << width) - 1)) as usize];
+            scratch[*slot] = k;
+            *slot += 1;
+        }
+        std::mem::swap(keys, scratch);
+    }
+}
+
 /// The spill-side of the pipeline: buffers half-edge keys, sorts full
 /// buffers, and appends them to the spill file as delta-varint runs.
 struct SpillWriter {
     writer: BufWriter<File>,
     buf: Vec<u64>,
+    /// The radix sort's second buffer, kept across runs.
+    sort_scratch: Vec<u64>,
     capacity: usize,
     runs: Vec<RunMeta>,
     offset: u64,
@@ -182,6 +233,7 @@ impl SpillWriter {
         Ok(SpillWriter {
             writer: BufWriter::new(File::create(path)?),
             buf: Vec::with_capacity(capacity),
+            sort_scratch: Vec::new(),
             capacity,
             runs: Vec::new(),
             offset: 0,
@@ -204,7 +256,7 @@ impl SpillWriter {
             return Ok(());
         }
         let start = Instant::now();
-        self.buf.sort_unstable();
+        radix_sort(&mut self.buf, &mut self.sort_scratch);
         let sorted = Instant::now();
         self.sort_time += sorted - start;
         self.scratch.clear();
@@ -363,6 +415,7 @@ pub struct StreamedGirg<const D: usize> {
     spill_bytes: u64,
     edge_count: usize,
     counts: SamplerCounts,
+    cell_time: Duration,
     spill_sort: Duration,
     spill_write: Duration,
 }
@@ -411,6 +464,17 @@ impl<const D: usize> StreamedGirg<D> {
     /// The edge sampler's work counters, summed over every batch.
     pub fn sampler_counts(&self) -> SamplerCounts {
         self.counts
+    }
+
+    /// Time spent sampling edges: the cell sampler's task batches (or the
+    /// naive sampler below its size threshold), without the spill.
+    ///
+    /// With [`spill_sort_time`](Self::spill_sort_time) and
+    /// [`spill_write_time`](Self::spill_write_time) it splits the streamed
+    /// sample; the rest is the vertex draw, the relabeling and the
+    /// half-edge keying.
+    pub fn cell_time(&self) -> Duration {
+        self.cell_time
     }
 
     /// Time spent sorting run buffers before they were spilled.
@@ -516,6 +580,7 @@ impl<const D: usize> GirgBuilder<D> {
         let mut spill = SpillWriter::create(&spill_path, capacity)?;
         let mut edge_count = 0usize;
         let mut counts = SamplerCounts::default();
+        let mut cell_time = Duration::ZERO;
 
         let spill_edges = |edges: &[(u32, u32)], spill: &mut SpillWriter| -> io::Result<()> {
             for &(u, v) in edges {
@@ -535,14 +600,18 @@ impl<const D: usize> GirgBuilder<D> {
             let mut start = 0;
             while start < plan.task_count() {
                 let end = (start + batch_len).min(plan.task_count());
+                let batch_start = Instant::now();
                 let (edges, batch_counts) = plan.run_batch(start..end, master_seed, &pool);
+                cell_time += batch_start.elapsed();
                 edge_count += edges.len();
                 counts += batch_counts;
                 spill_edges(&edges, &mut spill)?;
                 start = end;
             }
         } else {
+            let naive_start = Instant::now();
             let (edges, naive_counts) = naive::sample_edges(&positions, &weights, &kernel, rng);
+            cell_time = naive_start.elapsed();
             edge_count += edges.len();
             counts = naive_counts;
             spill_edges(&edges, &mut spill)?;
@@ -564,6 +633,7 @@ impl<const D: usize> GirgBuilder<D> {
             spill_bytes,
             edge_count,
             counts,
+            cell_time,
             spill_sort,
             spill_write,
         })
@@ -646,6 +716,65 @@ mod tests {
             count += 1;
         }
         assert_eq!(count, streamed.target_count());
+    }
+
+    fn assert_radix_sorts(keys: &[u64], scratch: &mut Vec<u64>) {
+        let mut radix = keys.to_vec();
+        radix_sort(&mut radix, scratch);
+        let mut reference = keys.to_vec();
+        reference.sort_unstable();
+        assert_eq!(radix, reference, "{} keys", keys.len());
+    }
+
+    proptest::proptest! {
+        /// The radix sort equals `sort_unstable` on keys that set bits
+        /// anywhere in the word, only in one half, or only a few low bits
+        /// per half (the half-edge shape), at lengths around the edges.
+        #[test]
+        fn prop_radix_sort_equals_sort_unstable(
+            keys in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..300usize),
+            shape in 0u32..4,
+        ) {
+            let mask = match shape {
+                0 => u64::MAX,
+                1 => u64::from(u32::MAX),
+                2 => u64::from(u32::MAX) << 32,
+                _ => 0x3_ffff_0003_ffff,
+            };
+            let keys: Vec<u64> = keys.iter().map(|&k| k & mask).collect();
+            assert_radix_sorts(&keys, &mut Vec::new());
+        }
+    }
+
+    #[test]
+    fn radix_sort_handles_short_and_degenerate_runs() {
+        // one scratch buffer across calls of every length, as the spill
+        // writer keeps it
+        let mut scratch = Vec::new();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for len in [0usize, 1, 2, 63, 64, 1_000, 5] {
+            let full: Vec<u64> = (0..len).map(|_| next()).collect();
+            assert_radix_sorts(&full, &mut scratch);
+            let low: Vec<u64> = full.iter().map(|&k| k & u64::from(u32::MAX)).collect();
+            assert_radix_sorts(&low, &mut scratch);
+            let high: Vec<u64> = full.iter().map(|&k| k << 32).collect();
+            assert_radix_sorts(&high, &mut scratch);
+        }
+        // equal keys, all-zero keys, the extremes, and already sorted or
+        // reversed input
+        assert_radix_sorts(&[7; 40], &mut scratch);
+        assert_radix_sorts(&[0; 3], &mut scratch);
+        assert_radix_sorts(&[u64::MAX, 0, u64::MAX, 1 << 63, 1], &mut scratch);
+        let ascending: Vec<u64> = (0..500).map(|i| i * 0x1_0000_0001).collect();
+        assert_radix_sorts(&ascending, &mut scratch);
+        let descending: Vec<u64> = ascending.iter().rev().copied().collect();
+        assert_radix_sorts(&descending, &mut scratch);
     }
 
     #[test]

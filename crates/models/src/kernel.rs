@@ -103,7 +103,29 @@ const BRACKET_EPS: f64 = 1.0 / (1u64 << 40) as f64;
 /// Largest integer α the bracket evaluates by `powi`: its error grows with
 /// the number of multiplications, so larger exponents keep the exact
 /// default.
-const BRACKET_MAX_POWI: f64 = 64.0;
+const BRACKET_MAX_POWI: u32 = 64;
+
+/// `x.powi(n)` without the library call: compiler-builtins' `__powidf2`
+/// square-and-multiply, written out so it inlines.
+///
+/// It makes the same multiplications in the same order, so the result is
+/// bitwise `f64::powi`'s. With a runtime exponent, `f64::powi` compiles to
+/// a call of `__powidf2`, which the cell sampler made twice per examined
+/// pair (`dist^d` and `x^α`).
+#[inline]
+fn powi(mut x: f64, mut n: u32) -> f64 {
+    let mut acc = 1.0;
+    loop {
+        if n & 1 != 0 {
+            acc *= x;
+        }
+        n >>= 1;
+        if n == 0 {
+            return acc;
+        }
+        x *= x;
+    }
+}
 
 /// The GIRG kernel: condition (EP1) for finite `α`, (EP2) for `α = ∞`.
 ///
@@ -135,6 +157,9 @@ pub struct GirgKernel {
     wmin: f64,
     intensity: f64,
     dim: u32,
+    /// α when it is an integer ≤ [`BRACKET_MAX_POWI`]: the exponent of the
+    /// `powi` bracket.
+    powi_alpha: Option<u32>,
 }
 
 impl GirgKernel {
@@ -164,12 +189,19 @@ impl GirgKernel {
             "must be > 0",
         )?;
         check_param("dim", dim as f64, dim > 0, "must be >= 1")?;
+        let powi_alpha = match alpha {
+            Alpha::Finite(a) if a.fract() == 0.0 && a <= f64::from(BRACKET_MAX_POWI) => {
+                Some(a as u32)
+            }
+            _ => None,
+        };
         Ok(GirgKernel {
             alpha,
             lambda,
             wmin,
             intensity,
             dim,
+            powi_alpha,
         })
     }
 
@@ -186,7 +218,7 @@ impl GirgKernel {
     /// The ratio `x = w_u w_v / (w_min n dist^d)` at the heart of (EP1).
     #[inline]
     fn ratio(&self, wu: f64, wv: f64, dist: f64) -> f64 {
-        let dist_pow_d = dist.powi(self.dim as i32);
+        let dist_pow_d = powi(dist, self.dim);
         if dist_pow_d == 0.0 {
             return f64::INFINITY;
         }
@@ -231,17 +263,15 @@ impl ConnectionKernel for GirgKernel {
     /// `(p, p)`.
     #[inline]
     fn bracket(&self, wu: f64, wv: f64, dist: f64) -> (f64, f64) {
-        if let Alpha::Finite(a) = self.alpha {
-            if a.fract() == 0.0 && a <= BRACKET_MAX_POWI {
-                let x = self.ratio(wu, wv, dist);
-                let x_pow = x.powi(a as i32);
-                let q = self.lambda * x_pow;
-                if x.is_normal() && x_pow.is_normal() && q.is_normal() {
-                    return (
-                        (q * (1.0 - BRACKET_EPS)).min(1.0),
-                        (q * (1.0 + BRACKET_EPS)).min(1.0),
-                    );
-                }
+        if let Some(a) = self.powi_alpha {
+            let x = self.ratio(wu, wv, dist);
+            let x_pow = powi(x, a);
+            let q = self.lambda * x_pow;
+            if x.is_normal() && x_pow.is_normal() && q.is_normal() {
+                return (
+                    (q * (1.0 - BRACKET_EPS)).min(1.0),
+                    (q * (1.0 + BRACKET_EPS)).min(1.0),
+                );
             }
         }
         let p = self.probability(wu, wv, dist);
@@ -372,6 +402,64 @@ mod tests {
                     prop_assert_eq!((lo, hi), (p, p));
                 }
             }
+        }
+    }
+
+    /// `f64::powi` with its operands hidden from the optimizer, so it runs
+    /// the library routine rather than a constant-folded expansion.
+    fn library_powi(x: f64, n: u32) -> f64 {
+        std::hint::black_box(x).powi(std::hint::black_box(n as i32))
+    }
+
+    fn assert_powi_bitwise(x: f64) {
+        for n in 1..=BRACKET_MAX_POWI {
+            assert_eq!(
+                powi(x, n).to_bits(),
+                library_powi(x, n).to_bits(),
+                "{x:e}^{n}"
+            );
+        }
+    }
+
+    proptest! {
+        /// The inlined power is bitwise `f64::powi` for every exponent the
+        /// kernel uses: random bit patterns (any class, mostly extreme
+        /// exponents) and values of either sign whose powers stay finite
+        /// for a while.
+        #[test]
+        fn prop_powi_is_bitwise_f64_powi(
+            bits in any::<u64>(), mantissa in 0.5..2.0f64, exp in -80i32..80,
+        ) {
+            let scaled = mantissa * 2f64.powi(exp);
+            for x in [f64::from_bits(bits), scaled, -scaled] {
+                assert_powi_bitwise(x);
+            }
+        }
+    }
+
+    #[test]
+    fn powi_is_bitwise_f64_powi_at_special_values() {
+        let subnormal = f64::MIN_POSITIVE / 3.0;
+        assert!(subnormal.is_subnormal());
+        for x in [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            1.0 + f64::EPSILON,
+            1.0 - f64::EPSILON / 2.0,
+            f64::MIN_POSITIVE,
+            subnormal,
+            -subnormal,
+            f64::from_bits(1),
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ] {
+            assert_powi_bitwise(x);
         }
     }
 
