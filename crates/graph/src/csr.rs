@@ -22,6 +22,7 @@ use smallworld_par::{chunk_ranges, Pool};
 /// assert_eq!(format!("{v}"), "v7");
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
+#[repr(transparent)]
 pub struct NodeId(u32);
 
 impl NodeId {
@@ -47,6 +48,37 @@ impl NodeId {
     /// The raw index as `u32`.
     pub const fn raw(self) -> u32 {
         self.0
+    }
+
+    /// Lends `ids` to `f` as a buffer of raw `u32` indices, in place:
+    /// `NodeId` is `#[repr(transparent)]` over `u32`, so the allocation is
+    /// reused as it is, with no copy. What `f` leaves in the buffer
+    /// (values, length, capacity) is what `ids` holds afterwards; if `f`
+    /// panics, `ids` is left empty. Decoders that produce raw ids fill
+    /// node-id buffers through it.
+    ///
+    /// ```
+    /// use smallworld_graph::NodeId;
+    ///
+    /// let mut ids = vec![NodeId::new(3)];
+    /// NodeId::with_raw_ids(&mut ids, |raw| raw.push(raw[0] + 4));
+    /// assert_eq!(ids, [NodeId::new(3), NodeId::new(7)]);
+    /// ```
+    pub fn with_raw_ids<R>(ids: &mut Vec<NodeId>, f: impl FnOnce(&mut Vec<u32>) -> R) -> R {
+        let mut taken = std::mem::ManuallyDrop::new(std::mem::take(ids));
+        let (ptr, len, cap) = (taken.as_mut_ptr(), taken.len(), taken.capacity());
+        // SAFETY: `NodeId` is `#[repr(transparent)]` over `u32`, so both
+        // element types have one size, alignment and set of valid values:
+        // the allocation, its length and its capacity describe a valid
+        // `Vec<u32>`, and `taken` is never used or dropped again.
+        let mut raw = unsafe { Vec::from_raw_parts(ptr.cast::<u32>(), len, cap) };
+        let result = f(&mut raw);
+        let mut raw = std::mem::ManuallyDrop::new(raw);
+        let (ptr, len, cap) = (raw.as_mut_ptr(), raw.len(), raw.capacity());
+        // SAFETY: as above, in the other direction; `raw` is never used or
+        // dropped again.
+        *ids = unsafe { Vec::from_raw_parts(ptr.cast::<NodeId>(), len, cap) };
+        result
     }
 }
 
@@ -810,6 +842,33 @@ mod tests {
         let g = Graph::from_edges(2, [(0u32, 1u32)]).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
         let _ = percolate(&g, 1.5, &mut rng);
+    }
+
+    #[test]
+    fn node_id_buffers_cast_to_raw_ids_in_place() {
+        assert_eq!(std::mem::size_of::<NodeId>(), std::mem::size_of::<u32>());
+        assert_eq!(std::mem::align_of::<NodeId>(), std::mem::align_of::<u32>());
+        let mut ids: Vec<NodeId> = Vec::with_capacity(16);
+        ids.extend([NodeId::new(1), NodeId::new(u32::MAX)]);
+        let before = ids.as_ptr();
+        let len = NodeId::with_raw_ids(&mut ids, |raw| {
+            assert_eq!(raw, &[1, u32::MAX]);
+            raw.push(5);
+            raw.len()
+        });
+        assert_eq!(len, 3);
+        assert_eq!(ids, [NodeId::new(1), NodeId::new(u32::MAX), NodeId::new(5)]);
+        assert_eq!(ids.as_ptr(), before, "no reallocation, no copy");
+        // growth inside the closure carries over
+        NodeId::with_raw_ids(&mut ids, |raw| raw.extend(0..100));
+        assert_eq!(ids.len(), 103);
+        assert_eq!(ids[102], NodeId::new(99));
+        // a panic leaves the buffer empty, never half-cast
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            NodeId::with_raw_ids(&mut ids, |_| panic!("decoder failed"))
+        }));
+        assert!(caught.is_err());
+        assert!(ids.is_empty());
     }
 
     #[test]

@@ -181,7 +181,9 @@ impl<'a> CompressedCsr<'a> {
         &self.data[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }
 
-    /// Decodes vertex `v`'s sorted neighbor list, appending to `out`.
+    /// Decodes vertex `v`'s sorted neighbor list, appending to `out`
+    /// (through [`varint::decode_sorted`]'s window decoder where the CPU
+    /// has one).
     ///
     /// # Errors
     ///
@@ -210,12 +212,15 @@ impl<'a> CompressedCsr<'a> {
     pub fn decode(&self) -> Result<Graph, StoreError> {
         let n = self.node_count();
         let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets: Vec<u32> = Vec::with_capacity(self.target_count);
+        let mut targets: Vec<NodeId> = Vec::with_capacity(self.target_count + varint::DECODE_SLACK);
         offsets.push(0usize);
-        for v in 0..n {
-            self.decode_into(v, &mut targets)?;
-            offsets.push(targets.len());
-        }
+        NodeId::with_raw_ids(&mut targets, |raw| {
+            for v in 0..n {
+                self.decode_into(v, raw)?;
+                offsets.push(raw.len());
+            }
+            Ok::<_, StoreError>(())
+        })?;
         if targets.len() != self.target_count {
             return Err(StoreError::Corrupt(format!(
                 "decoded {} adjacency entries, header claims {}",
@@ -223,7 +228,6 @@ impl<'a> CompressedCsr<'a> {
                 self.target_count
             )));
         }
-        let targets: Vec<NodeId> = targets.into_iter().map(NodeId::new).collect();
         Ok(Graph::from_sorted_csr(offsets, targets)?)
     }
 }

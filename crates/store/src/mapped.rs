@@ -20,6 +20,14 @@
 //! directory* — where each aligned run of `RUN_IDS` ids starts in the
 //! stream — so [`AdjacencyView::fold_runs`] decodes only the runs the fold
 //! wants.
+//!
+//! Whole lists and wanted runs decode through
+//! [`varint::decode_sorted_after`], which takes eight stream bytes per step
+//! on CPUs with AVX2 and returns exactly what the checked scalar decoder
+//! does (DESIGN.md §4h), straight into the cursor's `NodeId` buffers
+//! ([`NodeId::with_raw_ids`]). Only a directory build keeps the scalar
+//! decoder: it needs each varint's byte offset, and it runs once per
+//! cached hub.
 
 use smallworld_graph::view::fold_sorted_runs;
 use smallworld_graph::{AdjacencyView, NodeId, RunFold, RUN_IDS};
@@ -32,12 +40,22 @@ use crate::varint;
 /// lists evicted least-recently-used.
 ///
 /// It serves [`AdjacencyView::with_neighbors`], which unbounded kernels and
-/// short lists use. Swept with `girg_gen --mapped` (3000 routes on one
-/// thread over a 2·10⁵-vertex λ = 1 store in sampling order, where no
-/// kernel bounds runs; three runs each on a shared 2-core x86-64 host):
-/// 16 × 4 and 64 × 4 took 1.27–1.35 s, 256 × 4 and 64 × 16 1.26–1.78 s
-/// with 4.5 MiB more peak RSS, and no cache 1.65–2.90 s (59.6k decoded ids
-/// per route against 2.6k at 64 × 4).
+/// short lists use. First swept at about 2.7 ns per decoded id with
+/// `girg_gen --mapped` (3000 routes on one thread over a 2·10⁵-vertex
+/// λ = 1 store in sampling order, where no kernel bounds runs): 16 × 4 and
+/// 64 × 4 took 1.27–1.35 s, 256 × 4 and 64 × 16 1.26–1.78 s with 4.5 MiB
+/// more peak RSS, and no cache 1.65–2.90 s (59.6k decoded ids per route
+/// against 2.6k at 64 × 4).
+///
+/// Re-swept with the window decoder (shared 2-core x86-64 host, one
+/// thread). The same kind of store routing 20,000 distinct pairs, three
+/// runs each: 4 × 1 took 2.47–2.57 s (29.1k decoded ids per route, 41 MB
+/// peak RSS), 16 × 4 2.18–2.27 s (5.8k, 60 MB), 64 × 4 2.20–2.50 s (2.4k,
+/// 76 MB), 256 × 4 2.33–2.36 s (0.9k, 88 MB), 64 × 8 2.28–2.31 s (1.3k,
+/// 89 MB). perfbench mapped-1m (seed 1, 10 s runs, six each): 16 × 4 ran
+/// 57.0–62.8k routes/s at 116.2 MiB, 64 × 4 59.2–63.8k at 118.6 MiB, 64 × 8
+/// 56.4–65.1k at 121.8 MiB (256 × 4: 58.0k, 63.2k at 121.9 MiB). No
+/// geometry won on throughput beyond noise, so 64 × 4 stays.
 const LRU_SETS: usize = 64;
 /// Associativity of the decoded-list cache (see [`LRU_SETS`]).
 const LRU_WAYS: usize = 4;
@@ -47,17 +65,21 @@ const LRU_WAYS: usize = 4;
 /// decoded-list cache.
 ///
 /// Swept on perfbench mapped-1m (10⁶ vertices, λ = 1, seed 1, 10 s runs on
-/// a shared 2-core x86-64 host; whole-list decode through the list cache
-/// alone ran 12–15k routes/s): 1, 2 and 4 KiB all ran 25–29k routes/s,
-/// 16 KiB 21k. At 4 KiB, 529 of the 10⁶ lists get a directory, 1.2 MiB for
-/// all of them.
+/// a shared 2-core x86-64 host) at about 2.7 ns per decoded id, when
+/// whole-list decode through the list cache alone ran 12–15k routes/s: 1,
+/// 2 and 4 KiB all ran 25–29k routes/s, 16 KiB 21k. Re-swept with the
+/// window decoder: 1 KiB ran 55.2k and 57.7k routes/s, 2 KiB 56.9k and
+/// 60.1k, 4 KiB 59.2–63.8k (six runs), 8 KiB 54.2k and 55.7k, 16 KiB 47.9k
+/// and 51.6k, with peak RSS from 116.4 MiB at 1 KiB through 118.6 at 4 KiB
+/// to 124.7 at 16 KiB; 4 KiB stays. At 4 KiB, 529 of the 10⁶ lists get a
+/// directory, 1.2 MiB for all of them.
 const DIRECTORY_MIN_BYTES: usize = 4096;
 
 /// Run-directory cache geometry: vertices map to one of [`DIR_SETS`] sets
 /// by `v % DIR_SETS`, each holding [`DIR_WAYS`] directories evicted
 /// least-recently-used.
 ///
-/// In the sweep above, 64 × 4 ran 22–24k routes/s, 256 × 4 25–28k, and
+/// In the first sweep above, 64 × 4 ran 22–24k routes/s, 256 × 4 25–28k, and
 /// neither 256 × 8 nor 1024 × 4 did better. A directory holds at most
 /// `⌈n / RUN_IDS⌉` runs of 12 bytes, so the cache holds at most
 /// 1024 × 12 B × `⌈n / RUN_IDS⌉`: 2.9 MiB at 10⁶ vertices, 286 MiB at 10⁸.
@@ -158,11 +180,18 @@ fn lookup<T>(
     }
 }
 
-/// Decodes `stream` (after `after`, see [`varint::decode_sorted_from`]),
-/// panicking as [`MappedCursor`] documents on a malformed stream.
-fn decode(stream: &[u8], after: Option<u32>, push: impl FnMut(usize, u32)) {
-    varint::decode_sorted_from(stream, after, push)
-        .expect("validated store has decodable neighbor streams");
+/// What a malformed stream panics with (see [`MappedCursor`]).
+const UNDECODABLE: &str = "validated store has decodable neighbor streams";
+
+/// Decodes `stream` (after `after`, see [`varint::decode_sorted_after`])
+/// into `ids` in place of its contents, panicking as [`MappedCursor`]
+/// documents on a malformed stream.
+fn decode(stream: &[u8], after: Option<u32>, ids: &mut Vec<NodeId>) {
+    NodeId::with_raw_ids(ids, |raw| {
+        raw.clear();
+        varint::decode_sorted_after(stream, after, raw)
+    })
+    .expect(UNDECODABLE);
 }
 
 /// A stateful adjacency reader over a [`CompressedCsr`] that decodes on
@@ -176,8 +205,8 @@ fn decode(stream: &[u8], after: Option<u32>, push: impl FnMut(usize, u32)) {
 /// first visit, built during that visit's one checked decode: the run
 /// number, byte offset and preceding id of each non-empty run. Directories
 /// live in an LRU of their own, and a later visit decodes only the runs the
-/// fold wants, each through the same checked decoder, so the fold sees
-/// exactly the runs and ids of the whole list.
+/// fold wants, each with the same checks as the whole list, so the fold
+/// sees exactly the runs and ids of the whole list.
 ///
 /// Cursors are cheap and thread-confined; parallel harnesses create one
 /// per worker over the same shared [`CompressedCsr`].
@@ -248,12 +277,8 @@ impl AdjacencyView for MappedCursor<'_> {
             }
             Err(victim) => {
                 self.misses += 1;
-                let list = &mut victim.value;
-                list.clear();
-                decode(self.graph.stream(v.index()), None, |_, id| {
-                    list.push(NodeId::new(id))
-                });
-                self.decoded_ids += list.len() as u64;
+                decode(self.graph.stream(v.index()), None, &mut victim.value);
+                self.decoded_ids += victim.value.len() as u64;
                 victim.vertex = v.raw();
                 victim
             }
@@ -282,10 +307,7 @@ impl AdjacencyView for MappedCursor<'_> {
                         .get(i + 1)
                         .map_or(stream.len(), |next| next.offset as usize);
                     let after = (start.offset != 0).then_some(start.prev);
-                    ids.clear();
-                    decode(&stream[start.offset as usize..end], after, |_, id| {
-                        ids.push(NodeId::new(id))
-                    });
+                    decode(&stream[start.offset as usize..end], after, ids);
                     self.decoded_ids += ids.len() as u64;
                     fold.fold(ids);
                 }
@@ -295,7 +317,8 @@ impl AdjacencyView for MappedCursor<'_> {
                 let runs = &mut victim.value;
                 runs.clear();
                 ids.clear();
-                decode(stream, None, |offset, id| {
+                // the build needs each varint's offset: the scalar decoder
+                varint::decode_sorted_from(stream, None, |offset, id| {
                     let run = id / RUN_IDS as u32;
                     if runs.last().is_none_or(|r| r.run != run) {
                         runs.push(RunStart {
@@ -306,7 +329,8 @@ impl AdjacencyView for MappedCursor<'_> {
                         });
                     }
                     ids.push(NodeId::new(id));
-                });
+                })
+                .expect(UNDECODABLE);
                 victim.vertex = v.raw();
                 self.decoded_ids += ids.len() as u64;
                 fold_sorted_runs(ids, fold);
@@ -425,7 +449,7 @@ mod tests {
         let csr = CompressedCsr::from_parts(offsets, data, n, hub.len()).unwrap();
         assert!(takes_directory(csr.stream(0).len()));
         let mut cursor = csr.cursor();
-        let expect = "validated store has decodable neighbor streams";
+        let expect = UNDECODABLE;
         for visit in 0..3 {
             let folded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 cursor.fold_runs(NodeId::new(0), &mut KeepAll(Vec::new()))
