@@ -5,7 +5,6 @@
 //!
 //! * [`Summary`] — mean / variance / standard error / 95% CI of a sample,
 //! * [`Proportion`] — success rates with Wilson confidence intervals,
-//! * [`Histogram`] — linear and logarithmic binning,
 //! * [`LinearFit`] — least-squares fits (e.g. slope of failure-rate decay),
 //! * [`hill_estimator`] — maximum-likelihood power-law exponents,
 //! * [`Table`] — aligned plain-text table rendering.
@@ -13,13 +12,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod histogram;
 pub mod powerlaw;
 pub mod regression;
 pub mod summary;
 pub mod table;
 
-pub use histogram::Histogram;
 pub use powerlaw::hill_estimator;
 pub use regression::LinearFit;
 pub use summary::{quantile, Proportion, Summary};

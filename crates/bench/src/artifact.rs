@@ -4,8 +4,9 @@
 //! sink selected by `--json <path>` / `SMALLWORLD_JSON` (doing nothing at
 //! all when neither is given), stamps a `meta` record, and then records
 //! each experiment suite — its tables, wall-clock time, and the metrics
-//! and span deltas it produced — followed by a final `summary` with total
-//! runtime and peak RSS. The schema is documented in `EXPERIMENTS.md` and
+//! and span deltas it produced — followed by a `report` with the phase
+//! tree and a final `summary` with total runtime, peak RSS and the final
+//! metrics snapshot. The schema is documented in `EXPERIMENTS.md` and
 //! validated by the `artifact_check` binary.
 
 use std::collections::BTreeMap;
@@ -162,16 +163,16 @@ impl Artifact {
         (tables, wall_secs)
     }
 
-    /// Writes the final `report` record (phase tree, metric snapshot with
-    /// HDR quantiles, peak RSS + source) and the `summary` record (total
-    /// wall-clock, peak RSS, merged registry). When `--profile <path>` /
+    /// Writes the final `report` record (phase tree, peak-RSS source) and
+    /// the `summary` record (total wall-clock, peak RSS, merged registry
+    /// with HDR quantiles). When `--profile <path>` /
     /// `SMALLWORLD_PROFILE` is set, also writes the accumulated span table
     /// in folded-stack format to that path.
     pub fn finish(self) {
         let wall_secs = self.started.elapsed().as_secs_f64();
         let metrics = Registry::global().snapshot();
         let spans = std::mem::take(&mut *self.spans.lock().expect("span accumulator poisoned"));
-        self.write(&report_record(&metrics, &spans));
+        self.write(&report_record(&spans));
         self.write(&summary_record(wall_secs, peak_rss_bytes(), &metrics));
         if let Some(path) = resolve_profile_target(std::env::args().skip(1)) {
             let folded = smallworld_obs::span::to_folded(&spans);
@@ -260,6 +261,15 @@ mod tests {
             .map(|r| r.get("type").and_then(JsonValue::as_str).unwrap())
             .collect();
         assert_eq!(types, ["meta", "table", "suite", "report", "summary"]);
+        // the final snapshot and peak RSS are written once, in the summary
+        assert!(records[3].get("metrics").is_none());
+        assert!(records[3].get("peak_rss_bytes").is_none());
+        for record in [&records[2], &records[4]] {
+            let JsonValue::Object(metrics) = record.get("metrics").expect("metrics") else {
+                panic!("metrics is not an object");
+            };
+            assert_eq!(metrics.keys().collect::<Vec<_>>(), ["counters", "hdr"]);
+        }
         // the suite delta picked up the counter bumped inside the suite
         let suite_counters = records[2]
             .get("metrics")

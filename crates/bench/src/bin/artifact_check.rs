@@ -12,12 +12,13 @@
 //!
 //! Artifacts whose `meta` record carries `rss_source` are **v2** and are
 //! held to the stricter telemetry schema additionally: exactly one
-//! `report` record (phase tree + HDR quantiles + RSS source) immediately
-//! before the summary, well-formed `net.timeline` records (strictly
-//! increasing sample times), and internally consistent HDR quantile
-//! objects wherever a metrics snapshot carries them. Artifacts from
-//! before the telemetry schema (e.g. committed `BENCH_*.json` baselines)
-//! have no `rss_source` and skip only those v2 checks.
+//! `report` record (phase tree + RSS source) immediately before the
+//! summary, and well-formed `net.timeline` records (strictly increasing
+//! sample times). Artifacts from before the telemetry schema have no
+//! `rss_source` and skip only those v2 checks. Every HDR quantile object
+//! a metrics snapshot carries must be internally consistent; older v2
+//! artifacts that also wrote the final snapshot into `report.metrics`
+//! have it checked there too.
 
 use std::process::ExitCode;
 
@@ -280,7 +281,7 @@ fn check(contents: &str) -> Result<String, String> {
             }
             "report" => {
                 reports += 1;
-                for key in ["phases", "metrics", "rss_source"] {
+                for key in ["phases", "rss_source"] {
                     if record.get(key).is_none() {
                         return Err(format!("line {line}: report record missing {key:?}"));
                     }
@@ -926,5 +927,106 @@ fn main() -> ExitCode {
             eprintln!("error: {path}: {msg}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::check;
+
+    const META_V1: &str = r#"{"type":"meta","binary":"exp_success","scale":"quick","threads":1}"#;
+    const META_V2: &str = r#"{"type":"meta","binary":"exp_success","scale":"quick","threads":1,"rss_source":"procfs"}"#;
+    const TABLE: &str =
+        r#"{"type":"table","suite":"E1","title":"T","headers":["n"],"rows":[["1"]]}"#;
+    const HDR: &str = r#"{"route.hops":{"count":2,"sum":10,"min":4,"max":6,"mean":5.0,"quantiles":{"p50":4,"p90":6,"p99":6,"p999":6},"buckets":[[4,1],[6,1]]}}"#;
+    const LOG2: &str = r#"{"route.hops_per_route":{"count":2,"sum":5,"max":4,"mean":2.5,"buckets":[[1,1],[4,1]]}}"#;
+
+    fn suite(metrics: &str) -> String {
+        format!(
+            r#"{{"type":"suite","suite":"E1","wall_secs":0.1,"metrics":{metrics},"spans":{{}}}}"#
+        )
+    }
+
+    fn summary(metrics: &str) -> String {
+        format!(
+            r#"{{"type":"summary","wall_secs":0.2,"peak_rss_bytes":1048576,"metrics":{metrics}}}"#
+        )
+    }
+
+    fn report(extra: &str) -> String {
+        format!(r#"{{"type":"report","phases":[],{extra}"rss_source":"procfs"}}"#)
+    }
+
+    fn artifact(lines: &[&str]) -> String {
+        lines.join("\n")
+    }
+
+    #[test]
+    fn new_schema_v2_artifact_passes() {
+        let metrics = format!(r#"{{"counters":{{"route.started":1}},"hdr":{HDR}}}"#);
+        let text = artifact(&[
+            META_V2,
+            TABLE,
+            &suite(&metrics),
+            &report(""),
+            &summary(&metrics),
+        ]);
+        check(&text).expect("report without metrics, summary with {counters, hdr}");
+    }
+
+    #[test]
+    fn committed_baseline_shapes_pass() {
+        // v1: a log2 histograms block and no report record
+        let v1 = format!(r#"{{"counters":{{"route.started":1}},"histograms":{LOG2}}}"#);
+        let text = artifact(&[META_V1, TABLE, &suite(&v1), &summary(&v1)]);
+        check(&text).expect("v1 baseline shape");
+        // v2 before the final snapshot moved out of the report record
+        let v2 = format!(r#"{{"counters":{{"route.started":1}},"histograms":{LOG2},"hdr":{HDR}}}"#);
+        let old_report = report(&format!(r#""metrics":{v2},"peak_rss_bytes":1048576,"#));
+        let text = artifact(&[META_V2, TABLE, &suite(&v2), &old_report, &summary(&v2)]);
+        check(&text).expect("v2 baseline shape with report.metrics");
+    }
+
+    #[test]
+    fn summary_without_counters_fails() {
+        let metrics = r#"{"counters":{},"hdr":{}}"#;
+        let text = artifact(&[
+            META_V2,
+            TABLE,
+            &suite(metrics),
+            &report(""),
+            &summary(r#"{"hdr":{}}"#),
+        ]);
+        let err = check(&text).unwrap_err();
+        assert!(err.contains("metrics.counters"), "{err}");
+    }
+
+    #[test]
+    fn v2_report_must_precede_summary() {
+        let metrics = r#"{"counters":{},"hdr":{}}"#;
+        let text = artifact(&[
+            META_V2,
+            TABLE,
+            &report(""),
+            &suite(metrics),
+            &summary(metrics),
+        ]);
+        let err = check(&text).unwrap_err();
+        assert!(err.contains("immediately precede"), "{err}");
+    }
+
+    #[test]
+    fn non_monotone_hdr_quantiles_fail() {
+        let bad = HDR.replace(r#""p90":6"#, r#""p90":3"#);
+        let metrics = format!(r#"{{"counters":{{}},"hdr":{bad}}}"#);
+        let text = artifact(&[
+            META_V2,
+            TABLE,
+            &suite(r#"{"counters":{},"hdr":{}}"#),
+            &report(""),
+            &summary(&metrics),
+        ]);
+        let err = check(&text).unwrap_err();
+        assert!(err.contains("not monotone"), "{err}");
     }
 }

@@ -27,6 +27,7 @@ use smallworld_graph::{
     bfs_distance, bfs_distances, double_sweep_diameter, Components, Graph, NodeId,
 };
 use smallworld_models::girg::GirgBuilder;
+use smallworld_obs::Span;
 use smallworld_par::Pool;
 
 /// Times `run` after one warmup pass, returning (result, wall seconds).
@@ -213,23 +214,35 @@ fn main() {
     let (n, pairs, sources) = scale.pick((20_000, 1_024, 4), (100_000, 8_192, 16));
     let artifact = Artifact::open("bench_analytics", scale);
     let (_, _) = artifact.run_suite("bench_analytics", scale, |_| {
-        let mut rng = StdRng::seed_from_u64(1);
-        let girg = GirgBuilder::<2>::new(n)
-            .beta(2.5)
-            .alpha(2.0)
-            .lambda(0.02)
-            .sample(&mut rng)
-            .expect("valid benchmark configuration");
+        let girg = {
+            let _span = Span::enter("sample_girg");
+            let mut rng = StdRng::seed_from_u64(1);
+            GirgBuilder::<2>::new(n)
+                .beta(2.5)
+                .alpha(2.0)
+                .lambda(0.02)
+                .sample(&mut rng)
+                .expect("valid benchmark configuration")
+        };
         let graph = girg.graph();
         eprintln!(
             "sampled GIRG: {} vertices, {} edges",
             graph.node_count(),
             graph.edge_count()
         );
-        let comps = Components::compute(graph);
+        let comps = {
+            let _span = Span::enter("components");
+            Components::compute(graph)
+        };
         let tables = vec![
-            pair_distance_table(graph, &comps, pairs, scale),
-            kernel_table(graph, &comps, sources),
+            {
+                let _span = Span::enter("pair_distances");
+                pair_distance_table(graph, &comps, pairs, scale)
+            },
+            {
+                let _span = Span::enter("kernels");
+                kernel_table(graph, &comps, sources)
+            },
         ];
         for t in &tables {
             println!("{t}");

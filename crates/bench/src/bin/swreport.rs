@@ -4,7 +4,7 @@
 //!
 //! * `swreport <artifact.jsonl>` — write a markdown run report to stdout:
 //!   the run header, every results table, timeline excerpts, the phase
-//!   tree with wall-clock timings, HDR quantiles, and the summary.
+//!   tree with wall-clock timings, and the summary with its HDR quantiles.
 //! * `swreport --diff <a.jsonl> <b.jsonl> [--ignore "col1,col2"]` —
 //!   compare two artifacts structurally (tables by suite/title, cell by
 //!   cell; summary counters key by key) and print the differences.
@@ -253,19 +253,7 @@ fn render_report(out: &mut String, record: &JsonValue) {
             let _ = writeln!(out);
         }
     }
-    if let Some(hdr) = record.get("metrics").and_then(|m| m.get("hdr")) {
-        render_hdr_metrics(out, hdr);
-    }
-    let rss = record
-        .get("peak_rss_bytes")
-        .and_then(JsonValue::as_f64)
-        .map(fmt_bytes)
-        .unwrap_or_else(|| "unavailable".into());
-    let _ = writeln!(
-        out,
-        "Peak RSS: {rss} (source: {})\n",
-        str_of(record, "rss_source")
-    );
+    let _ = writeln!(out, "Peak RSS source: {}\n", str_of(record, "rss_source"));
 }
 
 fn render_summary(out: &mut String, record: &JsonValue) {
@@ -285,6 +273,9 @@ fn render_summary(out: &mut String, record: &JsonValue) {
         })
         .unwrap_or(0);
     let _ = writeln!(out, "- metrics: {counters} counters\n");
+    if let Some(hdr) = record.get("metrics").and_then(|m| m.get("hdr")) {
+        render_hdr_metrics(out, hdr);
+    }
 }
 
 fn render(records: &[JsonValue]) -> String {
@@ -510,8 +501,8 @@ mod tests {
             ),
             r#"{"type":"net.timeline","suite":"E15 traffic","label":"load=0.50","interval":16,"headers":["at","queued","in_flight","delivered","dropped"],"samples":[[16,1,2,0,0],[32,0,0,3,0]]}"#.to_string(),
             r#"{"type":"suite","suite":"E15 traffic","wall_secs":0.5,"metrics":{"counters":{}},"spans":{}}"#.to_string(),
-            r#"{"type":"report","phases":[{"name":"run","path":"run","count":1,"total_ns":5000000,"self_ns":1000000,"children":[]}],"metrics":{"counters":{},"histograms":{},"hdr":{"route.hops":{"count":2,"sum":10,"min":4,"max":6,"mean":5.0,"quantiles":{"p50":4,"p90":6,"p99":6,"p999":6},"buckets":[[4,1],[6,1]]}}},"peak_rss_bytes":1048576,"rss_source":"procfs"}"#.to_string(),
-            r#"{"type":"summary","wall_secs":0.6,"peak_rss_bytes":1048576,"metrics":{"counters":{"net.injected":6}}}"#.to_string(),
+            r#"{"type":"report","phases":[{"name":"run","path":"run","count":1,"total_ns":5000000,"self_ns":1000000,"children":[]}],"rss_source":"procfs"}"#.to_string(),
+            r#"{"type":"summary","wall_secs":0.6,"peak_rss_bytes":1048576,"metrics":{"counters":{"net.injected":6},"hdr":{"route.hops":{"count":2,"sum":10,"min":4,"max":6,"mean":5.0,"quantiles":{"p50":4,"p90":6,"p99":6,"p999":6},"buckets":[[4,1],[6,1]]}}}}"#.to_string(),
         ];
         lines
             .iter()
@@ -529,8 +520,9 @@ mod tests {
         assert!(md.contains("| 16 | 1 | 2 | 0 | 0 |"));
         assert!(md.contains("### Phases"));
         assert!(md.contains("**run** ×1 — total 5.0ms, self 1.0ms"));
-        assert!(md.contains("| route.hops | 2 |"));
-        assert!(md.contains("Peak RSS: 1.0 MiB (source: procfs)"));
+        assert!(md.contains("| route.hops | 2 | 5.0 | 4 | 6 | 6 | 6 | 6 |"));
+        assert!(md.contains("Peak RSS source: procfs"));
+        assert!(md.contains("- peak RSS: 1.0 MiB"));
         assert!(md.contains("## Summary"));
     }
 

@@ -94,7 +94,7 @@ where
     F: Fn(usize, u64) -> T + Sync,
 {
     let task_counter = smallworld_obs::metrics::counter("harness.tasks");
-    let task_timings = smallworld_obs::metrics::histogram("harness.task_ns");
+    let task_timings = smallworld_obs::metrics::hdr("harness.task_ns");
     Pool::from_env().map_seeded(tasks, master_seed, |i, seed| {
         let started = std::time::Instant::now();
         let out = f(i, seed);

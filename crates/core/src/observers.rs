@@ -7,7 +7,7 @@
 //!
 //! * [`MetricsRouteObserver`] — folds every event into the global
 //!   [registry](smallworld_obs::metrics): the `route.*` counters and the
-//!   `route.hops_per_route` histogram that end up in JSONL artifacts.
+//!   `route.hops_per_route` HDR histogram that end up in JSONL artifacts.
 //! * [`CountingObserver`] — a plain local tally, mainly for tests that
 //!   assert routers emit the events they should without touching global
 //!   state.
@@ -15,7 +15,8 @@
 use std::sync::Arc;
 
 use smallworld_graph::NodeId;
-use smallworld_obs::metrics::{counter, histogram, Counter, Histogram};
+use smallworld_obs::metrics::{counter, hdr, Counter};
+use smallworld_obs::HdrHistogram;
 
 use crate::greedy::RouteOutcome;
 use crate::observe::RouteObserver;
@@ -35,15 +36,21 @@ pub mod names {
     pub const DELIVERED: &str = "route.delivered";
     /// Routes that ran out of step budget.
     pub const MAX_STEPS: &str = "route.max_steps_exceeded";
-    /// Histogram of total hops (forward + backtrack) per finished route.
+    /// HDR histogram of total moves (forward hops + backtracks) per
+    /// finished route, whatever its outcome.
     pub const HOPS_PER_ROUTE: &str = "route.hops_per_route";
 }
 
 /// Streams routing events into the global metrics registry.
 ///
-/// Counter handles are interned once at construction, so per-event cost is
-/// a single relaxed atomic add; the observer can be created per route or
-/// reused, and is cheap either way.
+/// Counter and histogram handles are interned once at construction, so a
+/// hop or backtrack costs a single relaxed atomic add. `on_finish` also
+/// records the route's total moves in the `route.hops_per_route` HDR
+/// histogram (a few relaxed atomics; the first record on a thread's shard
+/// allocates that shard's buckets). Every finished route lands there,
+/// delivered or not, backtracks included, so its quantiles describe the
+/// observed routes, not only the delivered ones. The observer can be
+/// created per route or reused, and is cheap either way.
 #[derive(Clone, Debug)]
 pub struct MetricsRouteObserver {
     started: Arc<Counter>,
@@ -52,7 +59,7 @@ pub struct MetricsRouteObserver {
     dead_ends: Arc<Counter>,
     delivered: Arc<Counter>,
     max_steps: Arc<Counter>,
-    hops_per_route: Arc<Histogram>,
+    hops_per_route: Arc<HdrHistogram>,
 }
 
 impl MetricsRouteObserver {
@@ -65,7 +72,7 @@ impl MetricsRouteObserver {
             dead_ends: counter(names::DEAD_ENDS),
             delivered: counter(names::DELIVERED),
             max_steps: counter(names::MAX_STEPS),
-            hops_per_route: histogram(names::HOPS_PER_ROUTE),
+            hops_per_route: hdr(names::HOPS_PER_ROUTE),
         }
     }
 }
@@ -223,7 +230,7 @@ mod tests {
         assert!(delta.counters.get(names::HOPS).copied().unwrap_or(0) >= 3);
         assert!(delta.counters.get(names::DELIVERED).copied().unwrap_or(0) >= 1);
         let h = delta
-            .histograms
+            .hdr
             .get(names::HOPS_PER_ROUTE)
             .expect("hops histogram moved");
         assert!(h.count >= 1);

@@ -190,14 +190,14 @@ pub(crate) struct EngineOutput {
 
 /// Shared global-metric handles, interned once per run.
 struct MetricHandles {
-    queue_depth: std::sync::Arc<smallworld_obs::Histogram>,
-    hop_latency: std::sync::Arc<smallworld_obs::Histogram>,
+    queue_depth: std::sync::Arc<smallworld_obs::HdrHistogram>,
+    hop_latency: std::sync::Arc<smallworld_obs::HdrHistogram>,
     delivered: std::sync::Arc<smallworld_obs::Counter>,
     dead_end: std::sync::Arc<smallworld_obs::Counter>,
     expired: std::sync::Arc<smallworld_obs::Counter>,
     lost: std::sync::Arc<smallworld_obs::Counter>,
     overflow: std::sync::Arc<smallworld_obs::Counter>,
-    packet_latency: std::sync::Arc<smallworld_obs::Histogram>,
+    packet_latency: std::sync::Arc<smallworld_obs::HdrHistogram>,
 }
 
 impl MetricHandles {
@@ -205,14 +205,14 @@ impl MetricHandles {
     /// `net.*` schema, even when a run has no drops.
     fn intern() -> MetricHandles {
         MetricHandles {
-            queue_depth: metrics::histogram("net.queue_depth"),
-            hop_latency: metrics::histogram("net.hop_latency"),
+            queue_depth: metrics::hdr("net.queue_depth"),
+            hop_latency: metrics::hdr("net.hop_latency"),
             delivered: metrics::counter("net.delivered"),
             dead_end: metrics::counter("net.dead_end"),
             expired: metrics::counter("net.expired"),
             lost: metrics::counter("net.lost"),
             overflow: metrics::counter("net.overflow"),
-            packet_latency: metrics::histogram("net.packet_latency"),
+            packet_latency: metrics::hdr("net.packet_latency"),
         }
     }
 }

@@ -1,7 +1,7 @@
-//! HDR-style log-linear histograms with bounded relative error.
+//! HDR-style log-linear histograms with bounded relative error: the one
+//! histogram type of the [`crate::metrics`] registry.
 //!
-//! The fixed log₂ histograms in [`crate::metrics`] answer "what order of
-//! magnitude" questions; they cannot answer "what is p999" — a bucket
+//! Plain power-of-two buckets cannot answer "what is p999": a bucket
 //! spanning `[2^20, 2^21)` is a 100% error bar at the tail. An
 //! [`HdrHistogram`] subdivides every power-of-two range into
 //! [`SUB_BUCKETS`] linear sub-buckets, so any recorded `u64` lands in a

@@ -5,11 +5,10 @@
 //! lean on. Four pieces:
 //!
 //! * [`metrics`] — a global, thread-sharded registry of atomic counters
-//!   and fixed-bucket log₂ histograms, merged only at report time.
-//! * [`hdr`] — log-linear (HDR-style) histograms with ~1% relative-error
-//!   quantiles (p50/p90/p99/p999), sharded recording, and a
-//!   deterministic merge; registered through the same [`metrics`]
-//!   registry.
+//!   and HDR histograms, merged only at report time.
+//! * [`hdr`] — the registry's histogram type: log-linear (HDR-style)
+//!   buckets with ~1% relative-error quantiles (p50/p90/p99/p999),
+//!   sharded recording, and a deterministic merge.
 //! * [`span`] — scoped [`Span`] guards with monotonic timing,
 //!   hierarchical (path-keyed) aggregation, cross-thread context
 //!   adoption ([`span::adopt_parent`]), a tree view ([`span::tree`]),
@@ -44,7 +43,7 @@ pub mod span;
 
 pub use hdr::{HdrHistogram, HdrSnapshot};
 pub use json::JsonValue;
-pub use metrics::{Counter, Histogram, MetricsSnapshot, Registry};
+pub use metrics::{Counter, MetricsSnapshot, Registry};
 pub use rss::{peak_rss, peak_rss_bytes, RssSource};
 pub use sink::JsonlSink;
 pub use span::{Span, SpanNode, SpanStats};

@@ -1,10 +1,10 @@
 //! A global, thread-sharded metrics registry: atomic counters and
-//! fixed-bucket log₂ histograms.
+//! HDR histograms ([`crate::hdr`]).
 //!
-//! Hot-path cost is one relaxed `fetch_add` on a shard picked by a cached
-//! per-thread index, so concurrent workers (e.g. the bench harness's
-//! `parallel_map` threads) do not contend on one cache line. Shards are
-//! merged only at snapshot time. Handles are interned: looking a metric up
+//! A counter's hot-path cost is one relaxed `fetch_add` on a shard
+//! picked by a cached per-thread index, so concurrent workers (e.g. the
+//! bench harness's `parallel_map` threads) do not contend on one cache
+//! line. Shards are merged only at snapshot time. Handles are interned: looking a metric up
 //! by name takes a lock once, after which the returned handle is a plain
 //! `Arc` that can be cached and cloned freely.
 
@@ -79,132 +79,9 @@ impl Counter {
     }
 }
 
-/// Number of histogram buckets: bucket `i` holds values `v` with
-/// `floor(log2(v)) == i - 1`, i.e. bucket 0 is exactly `{0}`, bucket 1 is
-/// `{1}`, bucket 2 is `{2, 3}`, bucket 3 is `{4..8}`, and so on up to
-/// `u64::MAX`.
-pub const HISTOGRAM_BUCKETS: usize = 65;
-
-/// A fixed-bucket log₂-scale histogram of `u64` samples.
-///
-/// Recording is two relaxed `fetch_add`s (bucket + sum) plus one for the
-/// count; all state is atomic so histograms are freely shared.
-pub struct Histogram {
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-impl std::fmt::Debug for Histogram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = self.snapshot();
-        write!(f, "Histogram(count={}, sum={})", s.count, s.sum)
-    }
-}
-
-/// Index of the bucket holding `value`: 0 for 0, else `ilog2(value) + 1`.
-pub fn bucket_index(value: u64) -> usize {
-    if value == 0 {
-        0
-    } else {
-        (64 - value.leading_zeros()) as usize
-    }
-}
-
-/// Inclusive lower bound of bucket `i`.
-pub fn bucket_lo(i: usize) -> u64 {
-    match i {
-        0 => 0,
-        _ => 1u64 << (i - 1),
-    }
-}
-
-impl Histogram {
-    fn new() -> Self {
-        Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-
-    /// Records one sample.
-    #[inline]
-    pub fn record(&self, value: u64) {
-        self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
-    }
-
-    /// Records a `Duration` in nanoseconds (saturating).
-    #[inline]
-    pub fn record_duration(&self, d: std::time::Duration) {
-        self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-    }
-
-    /// A consistent-enough copy for reporting (individual loads are
-    /// relaxed; exactness across concurrent writers is not needed at
-    /// report time).
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
-        }
-    }
-
-    fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
-    }
-}
-
-/// A point-in-time copy of a [`Histogram`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    /// Per-bucket sample counts; see [`bucket_index`].
-    pub buckets: [u64; HISTOGRAM_BUCKETS],
-    /// Total samples recorded.
-    pub count: u64,
-    /// Sum of all samples.
-    pub sum: u64,
-    /// Largest sample recorded.
-    pub max: u64,
-}
-
-impl HistogramSnapshot {
-    /// Mean sample value, `NaN` when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// The non-empty buckets as `(bucket_lo, count)` pairs.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_lo(i), c))
-            .collect()
-    }
-}
-
 #[derive(Default)]
 struct RegistryInner {
     counters: BTreeMap<&'static str, Arc<Counter>>,
-    histograms: BTreeMap<&'static str, Arc<Histogram>>,
     hdr: BTreeMap<&'static str, Arc<HdrHistogram>>,
 }
 
@@ -242,16 +119,6 @@ impl Registry {
             .clone()
     }
 
-    /// Interns and returns the histogram named `name`.
-    pub fn histogram(&self, name: &'static str) -> Arc<Histogram> {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        inner
-            .histograms
-            .entry(name)
-            .or_insert_with(|| Arc::new(Histogram::new()))
-            .clone()
-    }
-
     /// Interns and returns the HDR histogram named `name` (log-linear
     /// buckets, ~1% relative-error quantiles; see [`crate::hdr`]).
     pub fn hdr(&self, name: &'static str) -> Arc<HdrHistogram> {
@@ -272,11 +139,6 @@ impl Registry {
                 .iter()
                 .map(|(&k, v)| (k.to_string(), v.value()))
                 .collect(),
-            histograms: inner
-                .histograms
-                .iter()
-                .map(|(&k, v)| (k.to_string(), v.snapshot()))
-                .collect(),
             hdr: inner
                 .hdr
                 .iter()
@@ -292,9 +154,6 @@ impl Registry {
         for c in inner.counters.values() {
             c.reset();
         }
-        for h in inner.histograms.values() {
-            h.reset();
-        }
         for h in inner.hdr.values() {
             h.reset();
         }
@@ -304,11 +163,6 @@ impl Registry {
 /// Shorthand for `Registry::global().counter(name)`.
 pub fn counter(name: &'static str) -> Arc<Counter> {
     global().counter(name)
-}
-
-/// Shorthand for `Registry::global().histogram(name)`.
-pub fn histogram(name: &'static str) -> Arc<Histogram> {
-    global().histogram(name)
 }
 
 /// Shorthand for `Registry::global().hdr(name)`.
@@ -321,16 +175,14 @@ pub fn hdr(name: &'static str) -> Arc<HdrHistogram> {
 pub struct MetricsSnapshot {
     /// Counter values by name.
     pub counters: BTreeMap<String, u64>,
-    /// Histogram snapshots by name.
-    pub histograms: BTreeMap<String, HistogramSnapshot>,
     /// HDR histogram snapshots by name.
     pub hdr: BTreeMap<String, HdrSnapshot>,
 }
 
 impl MetricsSnapshot {
     /// The change from `earlier` to `self`, dropping metrics that did not
-    /// move. Histogram deltas subtract bucket-wise (`max` is carried from
-    /// `self`, as maxima do not subtract).
+    /// move. Histogram deltas subtract bucket-wise (see
+    /// [`HdrSnapshot::since`]).
     pub fn since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
         let counters = self
             .counters
@@ -338,23 +190,6 @@ impl MetricsSnapshot {
             .filter_map(|(k, &v)| {
                 let delta = v.saturating_sub(earlier.counters.get(k).copied().unwrap_or(0));
                 (delta > 0).then(|| (k.clone(), delta))
-            })
-            .collect();
-        let histograms = self
-            .histograms
-            .iter()
-            .filter_map(|(k, h)| {
-                let base = earlier.histograms.get(k);
-                let delta = HistogramSnapshot {
-                    buckets: std::array::from_fn(|i| {
-                        h.buckets[i]
-                            .saturating_sub(base.map_or(0, |b| b.buckets[i]))
-                    }),
-                    count: h.count.saturating_sub(base.map_or(0, |b| b.count)),
-                    sum: h.sum.saturating_sub(base.map_or(0, |b| b.sum)),
-                    max: h.max,
-                };
-                (delta.count > 0).then(|| (k.clone(), delta))
             })
             .collect();
         let hdr = self
@@ -368,58 +203,13 @@ impl MetricsSnapshot {
                 (!delta.is_empty()).then(|| (k.clone(), delta))
             })
             .collect();
-        MetricsSnapshot {
-            counters,
-            histograms,
-            hdr,
-        }
+        MetricsSnapshot { counters, hdr }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bucket_boundaries_are_exact_powers_of_two() {
-        // bucket 0 = {0}, bucket 1 = {1}, bucket i = [2^(i-1), 2^i)
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 1);
-        assert_eq!(bucket_index(2), 2);
-        assert_eq!(bucket_index(3), 2);
-        assert_eq!(bucket_index(4), 3);
-        assert_eq!(bucket_index(7), 3);
-        assert_eq!(bucket_index(8), 4);
-        for i in 1..=63 {
-            let lo = 1u64 << (i - 1);
-            assert_eq!(bucket_index(lo), i, "lower edge of bucket {i}");
-            assert_eq!(bucket_index(2 * lo - 1), i, "upper edge of bucket {i}");
-            if i < 63 {
-                assert_eq!(bucket_index(2 * lo), i + 1, "first value past bucket {i}");
-            }
-            assert_eq!(bucket_lo(i), lo);
-        }
-        assert_eq!(bucket_index(u64::MAX), 64);
-        assert!(bucket_index(u64::MAX) < HISTOGRAM_BUCKETS);
-    }
-
-    #[test]
-    fn histogram_accumulates_and_snapshots() {
-        let h = Histogram::new();
-        for v in [0, 1, 1, 2, 3, 4, 1000, u64::MAX] {
-            h.record(v);
-        }
-        let s = h.snapshot();
-        assert_eq!(s.count, 8);
-        assert_eq!(s.max, u64::MAX);
-        assert_eq!(s.buckets[0], 1); // {0}
-        assert_eq!(s.buckets[1], 2); // {1, 1}
-        assert_eq!(s.buckets[2], 2); // {2, 3}
-        assert_eq!(s.buckets[3], 1); // {4}
-        assert_eq!(s.buckets[10], 1); // 1000 in [512, 1024)
-        assert_eq!(s.buckets[64], 1); // u64::MAX
-        assert_eq!(s.nonzero_buckets().len(), 6);
-    }
 
     #[test]
     fn counter_merges_across_threads() {
@@ -447,22 +237,13 @@ mod tests {
 
         let before = registry.snapshot();
         a.add(2);
-        registry.histogram("test.registry.h").record(9);
+        registry.hdr("test.registry.h").record(9);
         let delta = registry.snapshot().since(&before);
         assert_eq!(delta.counters.get("test.registry.a"), Some(&2));
-        let h = delta.histograms.get("test.registry.h").expect("histogram moved");
+        let h = delta.hdr.get("test.registry.h").expect("histogram moved");
         assert_eq!(h.count, 1);
         assert_eq!(h.sum, 9);
         // unrelated metrics that did not move are dropped from the delta
         assert!(!delta.counters.keys().any(|k| k == "test.registry.unrelated"));
-    }
-
-    #[test]
-    fn snapshot_mean() {
-        let h = Histogram::new();
-        assert!(h.snapshot().mean().is_nan());
-        h.record(2);
-        h.record(4);
-        assert_eq!(h.snapshot().mean(), 3.0);
     }
 }

@@ -12,6 +12,8 @@
 //! * `table` — one per results table: suite, title, headers, rows.
 //! * `suite` — one per experiment suite: wall-clock seconds plus the
 //!   metrics and span deltas attributable to the suite.
+//! * `report` — one per run, just before `summary`: the phase tree and
+//!   the peak-RSS source.
 //! * `summary` — one per run, last: total wall-clock, peak RSS, and the
 //!   final merged registry snapshot.
 
@@ -191,14 +193,10 @@ pub fn summary_record(
     ])
 }
 
-/// Renders a metrics snapshot as
-/// `{"counters": {...}, "histograms": {...}, "hdr": {...}}`.
+/// Renders a metrics snapshot as `{"counters": {...}, "hdr": {...}}`.
 ///
-/// Histograms keep only their non-empty buckets, as `[bucket_lo, count]`
-/// pairs, next to `count`/`sum`/`max`/`mean`. HDR histograms additionally
-/// carry a `quantiles` object (see [`hdr_to_json`]); the `hdr` key is
-/// omitted entirely when no HDR metric was recorded, keeping pre-v2
-/// artifacts byte-identical.
+/// Both keys are always present, even when empty. Each HDR histogram is
+/// rendered by [`hdr_to_json`].
 pub fn metrics_to_json(snapshot: &MetricsSnapshot) -> JsonValue {
     let counters = JsonValue::Object(
         snapshot
@@ -207,37 +205,14 @@ pub fn metrics_to_json(snapshot: &MetricsSnapshot) -> JsonValue {
             .map(|(k, &v)| (k.clone(), JsonValue::from(v)))
             .collect(),
     );
-    let histograms = JsonValue::Object(
+    let hdr = JsonValue::Object(
         snapshot
-            .histograms
+            .hdr
             .iter()
-            .map(|(k, h)| {
-                let buckets = JsonValue::array(h.nonzero_buckets().into_iter().map(|(lo, c)| {
-                    JsonValue::array([JsonValue::from(lo), JsonValue::from(c)])
-                }));
-                let value = JsonValue::object([
-                    ("count", JsonValue::from(h.count)),
-                    ("sum", JsonValue::from(h.sum)),
-                    ("max", JsonValue::from(h.max)),
-                    ("mean", JsonValue::from(h.mean())),
-                    ("buckets", buckets),
-                ]);
-                (k.clone(), value)
-            })
+            .map(|(k, h)| (k.clone(), hdr_to_json(h)))
             .collect(),
     );
-    let mut fields = vec![("counters", counters), ("histograms", histograms)];
-    if !snapshot.hdr.is_empty() {
-        let hdr = JsonValue::Object(
-            snapshot
-                .hdr
-                .iter()
-                .map(|(k, h)| (k.clone(), hdr_to_json(h)))
-                .collect(),
-        );
-        fields.push(("hdr", hdr));
-    }
-    JsonValue::object(fields)
+    JsonValue::object([("counters", counters), ("hdr", hdr)])
 }
 
 /// Renders one HDR snapshot: `count`/`sum`/`min`/`max`/`mean`, a
@@ -282,23 +257,17 @@ pub fn hdr_to_json(snapshot: &HdrSnapshot) -> JsonValue {
     ])
 }
 
-/// A `report` record: the standard run-report — hierarchical phase tree,
-/// final metric snapshot (with HDR quantiles), and peak RSS with its
-/// source. Emitted once per run, just before `summary`.
-pub fn report_record(
-    metrics: &MetricsSnapshot,
-    spans: &BTreeMap<String, SpanStats>,
-) -> JsonValue {
-    let (rss, source) = crate::rss::peak_rss();
+/// A `report` record: the run's hierarchical phase tree and the source
+/// its peak RSS is read from. Emitted once per run, just before
+/// `summary`, which carries the final metric snapshot and the peak RSS.
+pub fn report_record(spans: &BTreeMap<String, SpanStats>) -> JsonValue {
     JsonValue::object([
         ("type", JsonValue::from("report")),
         ("phases", span_tree_to_json(&crate::span::tree(spans))),
-        ("metrics", metrics_to_json(metrics)),
         (
-            "peak_rss_bytes",
-            rss.map_or(JsonValue::Null, JsonValue::from),
+            "rss_source",
+            JsonValue::from(crate::rss::peak_rss().1.as_str()),
         ),
-        ("rss_source", JsonValue::from(source.as_str())),
     ])
 }
 
@@ -337,7 +306,6 @@ pub fn spans_to_json(spans: &BTreeMap<String, SpanStats>) -> JsonValue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::HistogramSnapshot;
 
     #[test]
     fn resolve_prefers_flag_over_env() {
@@ -386,24 +354,25 @@ mod tests {
 
     #[test]
     fn metrics_json_keeps_nonzero_buckets_only() {
+        let empty = metrics_to_json(&MetricsSnapshot::default());
+        assert!(
+            matches!(empty.get("hdr"), Some(JsonValue::Object(m)) if m.is_empty()),
+            "hdr present when empty"
+        );
         let mut snapshot = MetricsSnapshot::default();
         snapshot.counters.insert("c".into(), 7);
-        let mut h = HistogramSnapshot {
-            buckets: [0; crate::metrics::HISTOGRAM_BUCKETS],
-            count: 2,
-            sum: 5,
-            max: 4,
-        };
-        h.buckets[1] = 1;
-        h.buckets[3] = 1;
-        snapshot.histograms.insert("h".into(), h);
+        let h = crate::hdr::HdrHistogram::new();
+        for v in [1, 4, 4] {
+            h.record(v);
+        }
+        snapshot.hdr.insert("h".into(), h.snapshot());
         let v = metrics_to_json(&snapshot);
         assert_eq!(
             v.get("counters").and_then(|c| c.get("c")).and_then(JsonValue::as_f64),
             Some(7.0)
         );
         let buckets = v
-            .get("histograms")
+            .get("hdr")
             .and_then(|h| h.get("h"))
             .and_then(|h| h.get("buckets"))
             .and_then(JsonValue::as_array)
