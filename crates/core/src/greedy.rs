@@ -8,7 +8,7 @@
 //! address carried by the message, exactly the locality the paper insists
 //! on.
 
-use smallworld_graph::{AdjacencyView, Graph, NodeId, RunFold};
+use smallworld_graph::{AdjacencyView, Graph, NodeId, RunFold, RUN_IDS};
 
 use crate::objective::ScoreKernel;
 use crate::observe::{NoopObserver, RouteObserver};
@@ -186,14 +186,19 @@ impl GreedyRouter {
     /// the same adjacency the record equals [`Router::route_prepared`]'s.
     ///
     /// A kernel that [bounds runs](ScoreKernel::bounds_runs) folds each
-    /// list through [`AdjacencyView::fold_runs`] instead: with `bar =
-    /// max(floor, incumbent)`, a run is wanted only if its
+    /// list through [`AdjacencyView::fold_runs`] instead, the target's run
+    /// first, where φ peaks, then the others in ascending order. A run's
+    /// bar is `max(floor, incumbent)` when the incumbent lies in an earlier
+    /// run and `max(floor, incumbent.next_down())` when it lies in a later
+    /// one; a run is wanted only if its
     /// [`run_bound`](ScoreKernel::run_bound) is not `≤ bar`, a wanted run's
-    /// [`best_above`](ScoreKernel::best_above) against `bar` replaces the
+    /// [`best_above`](ScoreKernel::best_above) against its bar replaces the
     /// incumbent only under strict `>`, and a view that fetches runs alone
-    /// never decodes the unwanted ones. Runs before the first-best hold
-    /// only lower scores, so it is wanted and wins its run; no later run
-    /// can replace it. The hop is the same.
+    /// never decodes the unwanted ones. After each run the incumbent is the
+    /// first-best of the runs folded so far: a run's first-best replaces it
+    /// exactly when it scores higher, or equal at a smaller id. So after
+    /// the last run it is the whole list's first-best, in any run order,
+    /// and the hop is the same.
     ///
     /// [`first_best_by_blocks`]: smallworld_graph::view::first_best_by_blocks
     pub fn route_view<V, K, Obs>(
@@ -234,7 +239,7 @@ impl GreedyRouter {
 }
 
 /// One hop of [`GreedyRouter::route_view`] as a [`RunFold`]: the first-best
-/// above `floor`, run by run.
+/// above `floor`, run by run, the target's run first.
 struct HopFold<'k, K> {
     kernel: &'k K,
     floor: f64,
@@ -242,21 +247,37 @@ struct HopFold<'k, K> {
 }
 
 impl<K> HopFold<'_, K> {
-    /// `max(floor, incumbent)`: what a run must beat to change the hop.
-    fn bar(&self) -> f64 {
-        self.best.map_or(self.floor, |(b, _)| b.max(self.floor))
+    /// What a score in run `run` must beat to change the hop: `max(floor,
+    /// incumbent)` when the incumbent lies in an earlier run, and just
+    /// below the incumbent when it lies in a later one (the lead), whose
+    /// ids an equal score at a smaller id precedes.
+    fn bar(&self, run: usize) -> f64 {
+        self.best.map_or(self.floor, |(b, u)| {
+            let b = if u.index() / RUN_IDS > run {
+                b.next_down()
+            } else {
+                b
+            };
+            b.max(self.floor)
+        })
     }
 }
 
 impl<K: ScoreKernel> RunFold for HopFold<'_, K> {
+    /// The target's run: its bound box holds the target, so the bound is
+    /// `+∞` and the run is always wanted, and φ peaks near the target.
+    fn lead(&self) -> Option<usize> {
+        Some(self.kernel.target().index() / RUN_IDS)
+    }
+
     fn wants(&mut self, run: usize) -> bool {
         // a NaN bound compares neither way and is never skipped
-        let beaten = self.kernel.run_bound(run) <= self.bar();
+        let beaten = self.kernel.run_bound(run) <= self.bar(run);
         !beaten
     }
 
     fn fold(&mut self, ids: &[NodeId]) {
-        let bar = self.bar();
+        let bar = self.bar(ids[0].index() / RUN_IDS);
         if let Some((score, u)) = self.kernel.best_above(ids, bar) {
             if score > bar {
                 self.best = Some((score, u));

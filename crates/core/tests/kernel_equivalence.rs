@@ -438,12 +438,22 @@ fn best_above_matches_first_best_fold() {
 
 /// Two vertices with bitwise-equal φ in different id blocks (and
 /// superblocks): the first one in slice order wins, whatever the floor.
-fn check_equal_phi_twins<const D: usize>(seed: u64) {
+/// With `in_lead`, the later twin sits in the target's superblock, the run
+/// `route_view` folds first, and the earlier twin in an earlier one.
+fn check_equal_phi_twins<const D: usize>(seed: u64, in_lead: bool) {
     let mut rng = StdRng::seed_from_u64(seed);
     let (mut positions, mut weights) = morton_lanes::<D>(&mut rng, false);
     let norm = LANE_VERTICES as f64;
-    let t = NodeId::new(rng.gen_range(0..LANE_VERTICES as u32));
-    let twins = [LANE_VERTICES / 3, 2 * LANE_VERTICES / 3];
+    let superblock = PhiBounds::<D>::SUPERBLOCK_IDS;
+    let lowest = if in_lead { superblock as u32 } else { 0 };
+    let t = NodeId::new(rng.gen_range(lowest..LANE_VERTICES as u32));
+    let twins = if in_lead {
+        let base = t.index() / superblock * superblock;
+        let later = if t.index() == base { base + 1 } else { base };
+        [base - superblock / 2, later]
+    } else {
+        [LANE_VERTICES / 3, 2 * LANE_VERTICES / 3]
+    };
     let twin_pos: [f64; D] = std::array::from_fn(|k| {
         let c = positions[t.index() * D + k] + 0.01;
         if c >= 1.0 {
@@ -464,10 +474,10 @@ fn check_equal_phi_twins<const D: usize>(seed: u64) {
     let kernel = objective.prepare(t);
     let (a, b) = (NodeId::new(twins[0] as u32), NodeId::new(twins[1] as u32));
     assert_eq!(kernel.score(a).to_bits(), kernel.score(b).to_bits());
-    assert_ne!(
-        twins[0] / PhiBounds::<D>::SUPERBLOCK_IDS,
-        twins[1] / PhiBounds::<D>::SUPERBLOCK_IDS
-    );
+    assert_ne!(twins[0] / superblock, twins[1] / superblock);
+    if in_lead {
+        assert_eq!(twins[1] / superblock, t.index() / superblock);
+    }
     let ns: Vec<NodeId> = (0..LANE_VERTICES as u32)
         .filter(|&v| {
             v != t.raw() && (v % 7 == 0 || v as usize == twins[0] || v as usize == twins[1])
@@ -501,7 +511,16 @@ fn check_equal_phi_twins<const D: usize>(seed: u64) {
 
 #[test]
 fn equal_phi_twins_keep_first_best_order() {
-    check_equal_phi_twins::<1>(81);
-    check_equal_phi_twins::<2>(82);
-    check_equal_phi_twins::<3>(83);
+    check_equal_phi_twins::<1>(81, false);
+    check_equal_phi_twins::<2>(82, false);
+    check_equal_phi_twins::<3>(83, false);
+}
+
+#[test]
+fn equal_phi_twins_keep_first_best_order_when_the_later_leads() {
+    for seed in 0..4 {
+        check_equal_phi_twins::<1>(91 + seed, true);
+        check_equal_phi_twins::<2>(95 + seed, true);
+        check_equal_phi_twins::<3>(99 + seed, true);
+    }
 }

@@ -48,7 +48,8 @@ pub trait AdjacencyView {
     fn with_neighbors<R>(&mut self, v: NodeId, f: impl FnOnce(&[NodeId]) -> R) -> R;
 
     /// Folds the sorted neighbor list of `v` run by run: for each non-empty
-    /// aligned run of [`RUN_IDS`] ids, in ascending order, asks
+    /// aligned run of [`RUN_IDS`] ids — the fold's [lead](RunFold::lead)
+    /// first, if the list has it, then the others in ascending order — asks
     /// [`RunFold::wants`] and hands the run's ids to [`RunFold::fold`] only
     /// if it does.
     ///
@@ -72,8 +73,16 @@ pub const RUN_IDS: usize = 4096;
 /// A fold over one vertex's sorted neighbor list, run by run (see
 /// [`AdjacencyView::fold_runs`]).
 pub trait RunFold {
+    /// The run to offer first, if the list has it; `None` (the default)
+    /// offers every run in ascending order. Asked before the first run.
+    fn lead(&self) -> Option<usize> {
+        None
+    }
+
     /// Whether the fold needs the ids of run `run`. Asked once per
-    /// non-empty run, in ascending order, before its ids are fetched.
+    /// non-empty run before its ids are fetched: first the
+    /// [lead](Self::lead), if the list has it, then the other runs in
+    /// ascending order.
     fn wants(&mut self, run: usize) -> bool;
 
     /// Folds the ids of the last run [`Self::wants`] accepted: a
@@ -82,9 +91,25 @@ pub trait RunFold {
 }
 
 /// Splits a sorted neighbor list into its aligned runs of [`RUN_IDS`] ids
-/// and hands each run the fold wants to [`RunFold::fold`], in order — the
-/// default [`AdjacencyView::fold_runs`] over an in-memory list.
+/// and hands each run the fold wants to [`RunFold::fold`]: the
+/// [lead](RunFold::lead) first, if the list has it, then the others in
+/// ascending order — the default [`AdjacencyView::fold_runs`] over an
+/// in-memory list.
 pub fn fold_sorted_runs(ns: &[NodeId], fold: &mut impl RunFold) {
+    let Some(lead) = fold.lead() else {
+        return fold_ascending(ns, fold);
+    };
+    let from = ns.partition_point(|v| v.index() / RUN_IDS < lead);
+    let to = from + ns[from..].partition_point(|v| v.index() / RUN_IDS == lead);
+    if from < to && fold.wants(lead) {
+        fold.fold(&ns[from..to]);
+    }
+    fold_ascending(&ns[..from], fold);
+    fold_ascending(&ns[to..], fold);
+}
+
+/// [`fold_sorted_runs`] with no lead: every run in ascending order.
+fn fold_ascending(ns: &[NodeId], fold: &mut impl RunFold) {
     let mut rest = ns;
     while let Some(first) = rest.first() {
         let run = first.index() / RUN_IDS;
@@ -214,12 +239,17 @@ mod tests {
     /// Records every run it is asked about and keeps the ids of the runs
     /// it accepts, rejecting the runs in `reject`.
     struct Recorder {
+        lead: Option<usize>,
         reject: Vec<usize>,
         asked: Vec<usize>,
         kept: Vec<NodeId>,
     }
 
     impl RunFold for Recorder {
+        fn lead(&self) -> Option<usize> {
+            self.lead
+        }
+
         fn wants(&mut self, run: usize) -> bool {
             self.asked.push(run);
             !self.reject.contains(&run)
@@ -239,20 +269,34 @@ mod tests {
         let n = hub as usize + 1;
         let g = Graph::from_edges(n, spokes.iter().map(|&u| (u, hub))).unwrap();
         let mut view = &g;
-        for reject in [vec![], vec![0], vec![1], vec![0, 3], vec![0, 1, 3]] {
-            let mut fold = Recorder {
-                reject: reject.clone(),
-                asked: Vec::new(),
-                kept: Vec::new(),
-            };
-            view.fold_runs(NodeId::new(hub), &mut fold);
-            assert_eq!(fold.asked, [0, 1, 3], "reject {reject:?}");
-            let expect: Vec<NodeId> = spokes
-                .iter()
-                .filter(|&&u| !reject.contains(&(u as usize / RUN_IDS)))
-                .map(|&u| NodeId::new(u))
-                .collect();
-            assert_eq!(fold.kept, expect, "reject {reject:?}");
+        // the lead is asked first when the list has it; run 2 and run 9
+        // are absent, so they change nothing
+        let leads: [(Option<usize>, [usize; 3]); 6] = [
+            (None, [0, 1, 3]),
+            (Some(0), [0, 1, 3]),
+            (Some(1), [1, 0, 3]),
+            (Some(3), [3, 0, 1]),
+            (Some(2), [0, 1, 3]),
+            (Some(9), [0, 1, 3]),
+        ];
+        for (lead, order) in leads {
+            for reject in [vec![], vec![0], vec![1], vec![0, 3], vec![0, 1, 3]] {
+                let mut fold = Recorder {
+                    lead,
+                    reject: reject.clone(),
+                    asked: Vec::new(),
+                    kept: Vec::new(),
+                };
+                view.fold_runs(NodeId::new(hub), &mut fold);
+                assert_eq!(fold.asked, order, "lead {lead:?} reject {reject:?}");
+                let expect: Vec<NodeId> = order
+                    .iter()
+                    .flat_map(|&run| spokes.iter().filter(move |&&u| u as usize / RUN_IDS == run))
+                    .filter(|&&u| !reject.contains(&(u as usize / RUN_IDS)))
+                    .map(|&u| NodeId::new(u))
+                    .collect();
+                assert_eq!(fold.kept, expect, "lead {lead:?} reject {reject:?}");
+            }
         }
     }
 }

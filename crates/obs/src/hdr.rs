@@ -329,8 +329,10 @@ impl HdrSnapshot {
     }
 
     /// The change from `earlier` to `self`: bucket-wise saturating
-    /// subtraction (`min`/`max` are carried from `self`, as extrema do not
-    /// subtract). Used for per-suite artifact deltas.
+    /// subtraction. Extrema do not subtract, so `min`/`max` are the edges of
+    /// the delta's own lowest and highest buckets, clamped to `self`'s
+    /// `min`/`max` (an empty delta has the empty snapshot's). Used for
+    /// per-suite artifact deltas.
     pub fn since(&self, earlier: &HdrSnapshot) -> HdrSnapshot {
         let base: std::collections::BTreeMap<u32, u64> = earlier.counts.iter().copied().collect();
         let counts: Vec<(u32, u64)> = self
@@ -341,12 +343,19 @@ impl HdrSnapshot {
                 (delta > 0).then_some((i, delta))
             })
             .collect();
+        let (min, max) = match (counts.first(), counts.last()) {
+            (Some(&(lo, _)), Some(&(hi, _))) => (
+                bucket_lo(lo as usize).max(self.min),
+                bucket_hi(hi as usize).min(self.max),
+            ),
+            _ => (u64::MAX, 0),
+        };
         HdrSnapshot {
             counts,
             count: self.count.saturating_sub(earlier.count),
             sum: self.sum.wrapping_sub(earlier.sum),
-            min: self.min,
-            max: self.max,
+            min,
+            max,
         }
     }
 }
@@ -460,6 +469,19 @@ mod tests {
             delta.counts,
             vec![(bucket_index(5) as u32, 1), (bucket_index(77) as u32, 1)]
         );
+        // the delta's extrema are its own, not the earlier 5000's
+        assert_eq!((delta.min, delta.max), (5, 77));
+        assert_eq!(delta.quantile(1.0), Some(77));
+        // inexact buckets clamp to the whole run's extrema
+        h.record(100_003);
+        let later = h.snapshot();
+        h.record(100_001);
+        let delta = h.snapshot().since(&later);
+        let edge = bucket_lo(bucket_index(100_001));
+        assert!(edge < 100_001 && bucket_hi(bucket_index(100_001)) > 100_003);
+        assert_eq!((delta.min, delta.max), (edge, 100_003));
+        let empty = h.snapshot().since(&h.snapshot());
+        assert_eq!((empty.min, empty.max), (u64::MAX, 0));
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //! list whose φ bound can beat it: for a long list the cursor keeps a *run
 //! directory* — where each aligned run of `RUN_IDS` ids starts in the
 //! stream — so [`AdjacencyView::fold_runs`] decodes only the runs the fold
-//! wants.
+//! wants. It finds the fold's [lead](RunFold::lead) run (the target's, for
+//! a greedy hop) in the directory by binary search and decodes it first,
+//! so the fold's bar is high before it weighs the other runs.
 //!
 //! Whole lists and wanted runs decode through
 //! [`varint::decode_sorted_after`], which takes eight stream bytes per step
@@ -60,6 +62,16 @@ const LRU_SETS: usize = 64;
 /// Associativity of the decoded-list cache (see [`LRU_SETS`]).
 const LRU_WAYS: usize = 4;
 
+/// A decoded-list way keeps its buffer for the next list only while the
+/// buffer holds at most `LIST_SLACK` times the ids the next stream can
+/// hold (one per byte, at least [`LIST_KEEP_IDS`]); a larger one is freed,
+/// so the cache's memory follows the lists it holds, not the longest hub
+/// each way ever held.
+const LIST_SLACK: usize = 4;
+/// The stream length below which [`LIST_SLACK`] counts as this many ids, so
+/// that short lists reuse small buffers instead of reallocating them.
+const LIST_KEEP_IDS: usize = 1024;
+
 /// Lists of at least this many bytes get a run directory in
 /// [`AdjacencyView::fold_runs`]; shorter ones are folded from the
 /// decoded-list cache.
@@ -73,6 +85,15 @@ const LRU_WAYS: usize = 4;
 /// and 51.6k, with peak RSS from 116.4 MiB at 1 KiB through 118.6 at 4 KiB
 /// to 124.7 at 16 KiB; 4 KiB stays. At 4 KiB, 529 of the 10⁶ lists get a
 /// directory, 1.2 MiB for all of them.
+///
+/// Re-swept once the hop fold took the target's run first (shared 2-core
+/// x86-64 host, four rounds of alternating 10 s runs per seed, seeds 1
+/// and 2): 2 KiB ran 46.3–49.2k
+/// routes/s, 4 KiB 45.4–49.4k and 8 KiB 41.7–42.5k (seed 1 only). 2 KiB
+/// led in 7 of 8 pairs by 1–8%, within the runs' spread across seeds, and
+/// its p99 was higher in all 8, by 0.3–2.9 µs (38.3–41.8 µs against
+/// 36.1–39.2); peak RSS was 117.1–117.6 MiB throughout. No gain beyond
+/// noise, so 4 KiB stays.
 const DIRECTORY_MIN_BYTES: usize = 4096;
 
 /// Run-directory cache geometry: vertices map to one of [`DIR_SETS`] sets
@@ -205,8 +226,10 @@ fn decode(stream: &[u8], after: Option<u32>, ids: &mut Vec<NodeId>) {
 /// first visit, built during that visit's one checked decode: the run
 /// number, byte offset and preceding id of each non-empty run. Directories
 /// live in an LRU of their own, and a later visit decodes only the runs the
-/// fold wants, each with the same checks as the whole list, so the fold
-/// sees exactly the runs and ids of the whole list.
+/// fold wants — the [lead](RunFold::lead) first, then the others in
+/// ascending order — each with the same checks as the whole list, so the
+/// fold sees exactly the runs and ids, in the same order, that
+/// `fold_sorted_runs` hands it from the whole list.
 ///
 /// Cursors are cheap and thread-confined; parallel harnesses create one
 /// per worker over the same shared [`CompressedCsr`].
@@ -277,7 +300,13 @@ impl AdjacencyView for MappedCursor<'_> {
             }
             Err(victim) => {
                 self.misses += 1;
-                decode(self.graph.stream(v.index()), None, &mut victim.value);
+                let stream = self.graph.stream(v.index());
+                // a stream holds at most one id per byte: a hub's buffer
+                // is given back rather than kept by a short list's way
+                if victim.value.capacity() > LIST_SLACK * stream.len().max(LIST_KEEP_IDS) {
+                    victim.value = Vec::new();
+                }
+                decode(stream, None, &mut victim.value);
                 self.decoded_ids += victim.value.len() as u64;
                 victim.vertex = v.raw();
                 victim
@@ -298,7 +327,12 @@ impl AdjacencyView for MappedCursor<'_> {
             Ok(dir) => {
                 self.hits += 1;
                 let runs = &dir.value;
-                for (i, start) in runs.iter().enumerate() {
+                let lead = fold
+                    .lead()
+                    .and_then(|lead| runs.binary_search_by_key(&lead, |r| r.run as usize).ok());
+                let rest = (0..runs.len()).filter(|&i| Some(i) != lead);
+                for i in lead.into_iter().chain(rest) {
+                    let start = runs[i];
                     if !fold.wants(start.run as usize) {
                         self.skipped_runs += 1;
                         continue;
@@ -417,6 +451,126 @@ mod tests {
         fn fold(&mut self, ids: &[NodeId]) {
             self.0.extend_from_slice(ids);
         }
+    }
+
+    /// Records the runs a fold is asked about, in order, and the ids of
+    /// the runs it accepts, rejecting the runs in `reject`.
+    struct Recorder {
+        lead: Option<usize>,
+        reject: Vec<usize>,
+        asked: Vec<usize>,
+        kept: Vec<(usize, Vec<NodeId>)>,
+    }
+
+    impl Recorder {
+        fn new(lead: Option<usize>, reject: &[usize]) -> Self {
+            Recorder {
+                lead,
+                reject: reject.to_vec(),
+                asked: Vec::new(),
+                kept: Vec::new(),
+            }
+        }
+    }
+
+    impl RunFold for Recorder {
+        fn lead(&self) -> Option<usize> {
+            self.lead
+        }
+
+        fn wants(&mut self, run: usize) -> bool {
+            self.asked.push(run);
+            !self.reject.contains(&run)
+        }
+
+        fn fold(&mut self, ids: &[NodeId]) {
+            self.kept.push((*self.asked.last().unwrap(), ids.to_vec()));
+        }
+    }
+
+    /// A hub list long enough for a run directory is folded lead first,
+    /// then every other run once in ascending order — on the visit that
+    /// builds the directory and on the ones that reuse it — exactly as
+    /// `fold_sorted_runs` folds the decoded list; an absent lead changes
+    /// nothing.
+    #[test]
+    fn directory_folds_the_lead_run_first() {
+        let n = 6 * RUN_IDS;
+        // runs 0, 1, 3, 4 and 5; run 2 is empty
+        let hub: Vec<u32> = (1..n as u32)
+            .filter(|&u| u % 3 == 0 && u as usize / RUN_IDS != 2)
+            .collect();
+        let csr = CompressedCsr::encode(n, 2 * hub.len(), |v, list| {
+            if v == 0 {
+                list.extend_from_slice(&hub);
+            }
+        });
+        assert!(takes_directory(csr.stream(0).len()));
+        let mut decoded = Vec::new();
+        csr.decode_into(0, &mut decoded).unwrap();
+        let list: Vec<NodeId> = decoded.into_iter().map(NodeId::new).collect();
+        let present = [0, 1, 3, 4, 5];
+        for lead in [None, Some(0), Some(3), Some(5), Some(2), Some(100)] {
+            let order: Vec<usize> = lead
+                .filter(|l| present.contains(l))
+                .into_iter()
+                .chain(present.iter().copied().filter(|&r| Some(r) != lead))
+                .collect();
+            let mut cursor = csr.cursor();
+            for reject in [&[][..], &[0, 4], &[1, 3, 5]] {
+                let mut expect = Recorder::new(lead, reject);
+                fold_sorted_runs(&list, &mut expect);
+                assert_eq!(expect.asked, order, "lead {lead:?}");
+                for visit in ["miss", "hit"] {
+                    let mut fold = Recorder::new(lead, reject);
+                    let (hits, skipped) = (cursor.hits(), cursor.skipped_runs());
+                    cursor.fold_runs(NodeId::new(0), &mut fold);
+                    let context = format!("lead {lead:?} reject {reject:?} {visit}");
+                    assert_eq!(fold.asked, order, "{context}");
+                    assert_eq!(fold.kept, expect.kept, "{context}");
+                    if cursor.hits() > hits {
+                        assert_eq!(cursor.skipped_runs() - skipped, reject.len() as u64);
+                    }
+                }
+            }
+            assert_eq!(cursor.misses(), 1, "lead {lead:?}: one directory build");
+        }
+    }
+
+    /// A way that held a hub's list does not keep its buffer for the short
+    /// list that evicts it.
+    #[test]
+    fn evicting_a_hub_frees_its_buffer() {
+        let n = 40_000;
+        let hub_len = 20_000u32;
+        // the hub and four leaves in cache set 0
+        let leaves = (1..=LRU_WAYS).map(|k| k * LRU_SETS);
+        let csr = CompressedCsr::encode(n, 2 * hub_len as usize, |v, list| {
+            if v == 0 {
+                list.extend(1..=hub_len);
+            } else if v % LRU_SETS == 0 && v <= LRU_WAYS * LRU_SETS {
+                list.push(v as u32 + 1);
+            }
+        });
+        let mut cursor = csr.cursor();
+        cursor.with_neighbors(NodeId::new(0), |ns| assert_eq!(ns.len(), hub_len as usize));
+        for leaf in leaves {
+            cursor.with_neighbors(NodeId::from_index(leaf), |ns| assert_eq!(ns.len(), 1));
+        }
+        assert!(
+            cursor.lists[..LRU_WAYS].iter().all(|w| w.vertex != 0),
+            "hub evicted"
+        );
+        let largest = cursor
+            .lists
+            .iter()
+            .map(|w| w.value.capacity())
+            .max()
+            .unwrap();
+        assert!(
+            largest <= LIST_SLACK * LIST_KEEP_IDS,
+            "a way kept {largest} ids of capacity"
+        );
     }
 
     #[test]
