@@ -32,6 +32,7 @@ use smallworld_core::{
 };
 use smallworld_graph::Components;
 use smallworld_models::girg::{Girg, GirgBuilder};
+use smallworld_obs::Span;
 use smallworld_par::Pool;
 
 /// One measured variant: total hops routed and the wall-clock they took.
@@ -56,6 +57,7 @@ fn measure<O: Objective + Sync>(
     seed: u64,
     pool: &Pool,
 ) -> Measurement {
+    let _span = Span::enter(variant);
     let router = GreedyRouter::new();
     let warmup = batch.run(&router, objective, seed, pool);
     std::hint::black_box(&warmup);
@@ -141,6 +143,7 @@ fn throughput_table(girg: &Girg<2>, pairs: usize, seed: u64) -> Vec<Table> {
         .unwrap_or(1);
     let objective = IndexedGirgObjective::new(GirgObjective::new(girg), &index);
     let mut scaled = Vec::new();
+    let scaling_span = Span::enter("scaling");
     for threads in [1usize, 2, 4, 8] {
         let pool = Pool::with_threads(threads);
         let m = measure("kernel+soa-index", &batch, &objective, seed, &pool);
@@ -150,6 +153,7 @@ fn throughput_table(girg: &Girg<2>, pairs: usize, seed: u64) -> Vec<Table> {
         );
         scaled.push((threads, m));
     }
+    drop(scaling_span);
     let base_rate = scaled[0].1.hops_per_sec();
     let mut scaling = Table::new([
         "threads",
@@ -194,13 +198,16 @@ fn main() {
     let (n, pairs) = scale.pick((20_000, 2_000), (100_000, 20_000));
     let artifact = Artifact::open("bench_routing", scale);
     let (_, _) = artifact.run_suite("bench_routing", scale, |_| {
-        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
-        let girg = GirgBuilder::<2>::new(n)
-            .beta(2.5)
-            .alpha(2.0)
-            .lambda(0.02)
-            .sample(&mut rng)
-            .expect("valid benchmark configuration");
+        let girg = {
+            let _span = Span::enter("sample_girg");
+            let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
+            GirgBuilder::<2>::new(n)
+                .beta(2.5)
+                .alpha(2.0)
+                .lambda(0.02)
+                .sample(&mut rng)
+                .expect("valid benchmark configuration")
+        };
         eprintln!(
             "sampled GIRG: {} vertices, {} edges",
             girg.node_count(),

@@ -8,7 +8,7 @@
 //! address carried by the message, exactly the locality the paper insists
 //! on.
 
-use smallworld_graph::{AdjacencyView, Graph, NodeId, RunFold, RUN_IDS};
+use smallworld_graph::{AdjacencyView, Graph, NodeId, RunFold, GROUP_RUNS, RUN_IDS};
 
 use crate::objective::ScoreKernel;
 use crate::observe::{NoopObserver, RouteObserver};
@@ -200,6 +200,15 @@ impl GreedyRouter {
     /// the last run it is the whole list's first-best, in any run order,
     /// and the hop is the same.
     ///
+    /// Above runs, the ascending pass checks each run group once: when the
+    /// asked run enters a new group of [`GROUP_RUNS`] runs, the
+    /// [`group_bound`](ScoreKernel::group_bound) is tested against the bar
+    /// of the group's first run, the lowest bar of any run in it. A group
+    /// found beaten skips the rest of its runs unasked. A run's bar only
+    /// rises within a hop (the incumbent's score never falls, and it moves
+    /// to an earlier run only at an equal score), so the verdict still
+    /// holds for the group's later runs.
+    ///
     /// [`first_best_by_blocks`]: smallworld_graph::view::first_best_by_blocks
     pub fn route_view<V, K, Obs>(
         &self,
@@ -218,11 +227,7 @@ impl GreedyRouter {
             if !kernel.bounds_runs() {
                 return view.with_neighbors(v, |ns| kernel.best_above(ns, floor));
             }
-            let mut hop = HopFold {
-                kernel,
-                floor,
-                best: None,
-            };
+            let mut hop = HopFold::new(kernel, floor);
             view.fold_runs(v, &mut hop);
             hop.best
         })
@@ -244,6 +249,23 @@ struct HopFold<'k, K> {
     kernel: &'k K,
     floor: f64,
     best: Option<(f64, NodeId)>,
+    /// The target's run, offered before any other.
+    lead: usize,
+    /// The group of the ascending pass's last asked run, and whether its
+    /// bound was `≤` the bar of its first run.
+    group: Option<(usize, bool)>,
+}
+
+impl<'k, K: ScoreKernel> HopFold<'k, K> {
+    fn new(kernel: &'k K, floor: f64) -> Self {
+        HopFold {
+            kernel,
+            floor,
+            best: None,
+            lead: kernel.target().index() / RUN_IDS,
+            group: None,
+        }
+    }
 }
 
 impl<K> HopFold<'_, K> {
@@ -267,11 +289,23 @@ impl<K: ScoreKernel> RunFold for HopFold<'_, K> {
     /// The target's run: its bound box holds the target, so the bound is
     /// `+∞` and the run is always wanted, and φ peaks near the target.
     fn lead(&self) -> Option<usize> {
-        Some(self.kernel.target().index() / RUN_IDS)
+        Some(self.lead)
     }
 
     fn wants(&mut self, run: usize) -> bool {
-        // a NaN bound compares neither way and is never skipped
+        // The lead is asked first, before any incumbent, and leaves no
+        // verdict: the ascending pass checks its group afresh.
+        if run != self.lead {
+            let group = run / GROUP_RUNS;
+            if self.group.is_none_or(|(g, _)| g != group) {
+                // a NaN bound compares neither way and is never beaten
+                let beaten = self.kernel.group_bound(group) <= self.bar(group * GROUP_RUNS);
+                self.group = Some((group, beaten));
+            }
+            if self.group.is_some_and(|(_, beaten)| beaten) {
+                return false;
+            }
+        }
         let beaten = self.kernel.run_bound(run) <= self.bar(run);
         !beaten
     }
@@ -434,6 +468,142 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A kernel over a score table whose run and group bounds are set per
+    /// test (each `≥` its members' scores), logging what the fold asks.
+    struct LadderKernel {
+        target: NodeId,
+        scores: Vec<f64>,
+        run_bounds: Vec<f64>,
+        group_bounds: Vec<f64>,
+        groups_asked: std::cell::RefCell<Vec<usize>>,
+        runs_folded: std::cell::RefCell<Vec<usize>>,
+    }
+
+    impl LadderKernel {
+        /// Scores `0.0` everywhere but at `scored`, tight run and group
+        /// bounds, and `+∞` at the target.
+        fn new(groups: usize, target: usize, scored: &[(usize, f64)]) -> Self {
+            let mut scores = vec![0.0; groups * GROUP_RUNS * RUN_IDS];
+            for &(v, score) in scored {
+                scores[v] = score;
+            }
+            scores[target] = f64::INFINITY;
+            let max_of = |ids: usize| -> Vec<f64> {
+                scores
+                    .chunks(ids)
+                    .map(|c| c.iter().copied().fold(0.0, f64::max))
+                    .collect()
+            };
+            LadderKernel {
+                target: NodeId::new(target as u32),
+                run_bounds: max_of(RUN_IDS),
+                group_bounds: max_of(GROUP_RUNS * RUN_IDS),
+                scores,
+                groups_asked: Default::default(),
+                runs_folded: Default::default(),
+            }
+        }
+
+        /// One hop out of a vertex adjacent to `ns` (sorted), the way
+        /// `route_view` folds it.
+        fn hop(&self, ns: &[usize], floor: f64) -> Option<(f64, NodeId)> {
+            let ns: Vec<NodeId> = ns.iter().map(|&v| NodeId::new(v as u32)).collect();
+            let mut fold = HopFold::new(self, floor);
+            smallworld_graph::view::fold_sorted_runs(&ns, &mut fold);
+            fold.best
+        }
+    }
+
+    impl ScoreKernel for LadderKernel {
+        fn target(&self) -> NodeId {
+            self.target
+        }
+
+        fn score(&self, v: NodeId) -> f64 {
+            self.scores[v.index()]
+        }
+
+        fn best_above(&self, ns: &[NodeId], _floor: f64) -> Option<(f64, NodeId)> {
+            self.runs_folded.borrow_mut().push(ns[0].index() / RUN_IDS);
+            smallworld_graph::view::first_best_by_blocks(ns, |c, out| self.score_block(c, out))
+        }
+
+        fn bounds_runs(&self) -> bool {
+            true
+        }
+
+        fn run_bound(&self, run: usize) -> f64 {
+            self.run_bounds[run]
+        }
+
+        fn group_bound(&self, group: usize) -> f64 {
+            self.groups_asked.borrow_mut().push(group);
+            self.group_bounds[group]
+        }
+    }
+
+    const GROUP_IDS: usize = GROUP_RUNS * RUN_IDS;
+
+    #[test]
+    fn group_verdict_is_recomputed_on_entering_each_group() {
+        // the target's run (the lead) is the third run of group 1; the
+        // list has two runs before it in that group and runs in groups 0
+        // and 2, so the ascending pass enters group 0, then the lead's
+        // group afresh, then group 2
+        let lead = GROUP_IDS + 2 * RUN_IDS;
+        let kernel = LadderKernel::new(3, lead + 9, &[(7, 5.0), (GROUP_IDS + 3, 2.0)]);
+        let ns = [
+            7,
+            RUN_IDS + 1,
+            GROUP_IDS + 3,
+            GROUP_IDS + RUN_IDS,
+            lead + 4,
+            lead + RUN_IDS,
+            2 * GROUP_IDS + 5,
+            2 * GROUP_IDS + 3 * RUN_IDS,
+        ];
+        let best = kernel.hop(&ns, 1.0);
+        assert_eq!(best, Some((5.0, NodeId::new(7))));
+        assert_eq!(*kernel.groups_asked.borrow(), [0, 1, 2]);
+        // the lead scores 0.0 at floor 1.0 and run 0 sets the incumbent 5.0;
+        // group 1 holds the target, so it is not beaten, but each of its
+        // runs is, and group 2 (bound 0.0) is beaten whole
+        assert_eq!(*kernel.runs_folded.borrow(), [lead / RUN_IDS, 0]);
+    }
+
+    #[test]
+    fn group_verdict_keeps_an_equal_score_at_a_smaller_id() {
+        // equal twins: the later one in the lead run, the earlier one in
+        // group 0, whose bound is exactly their score; the group is tested
+        // against the float just below the incumbent, so it is not beaten
+        let lead_twin = GROUP_IDS + 5;
+        let kernel = LadderKernel::new(2, GROUP_IDS + 9, &[(100, 3.0), (lead_twin, 3.0)]);
+        assert_eq!(kernel.group_bounds[0], 3.0);
+        let best = kernel.hop(&[100, 200, lead_twin], 0.5);
+        assert_eq!(best, Some((3.0, NodeId::new(100))));
+    }
+
+    #[test]
+    fn group_verdict_holds_for_every_run_of_the_group() {
+        // the incumbent is the target, in the lead run, which is not the
+        // first run of its group; the ascending pass enters that group at a
+        // later run. The group is tested against the bar of its first run
+        // (just below the incumbent), not of the asked run (the incumbent
+        // itself), so it is not beaten and the later run, whose NaN bound
+        // never skips, is folded.
+        let lead = GROUP_IDS + 3 * RUN_IDS;
+        let mut kernel = LadderKernel::new(2, lead + 1, &[]);
+        let later = lead + RUN_IDS;
+        kernel.run_bounds[later / RUN_IDS] = f64::NAN;
+        let best = kernel.hop(&[lead + 1, later], 1.0);
+        assert_eq!(best, Some((f64::INFINITY, NodeId::new((lead + 1) as u32))));
+        assert_eq!(*kernel.groups_asked.borrow(), [1]);
+        assert_eq!(
+            *kernel.runs_folded.borrow(),
+            [lead / RUN_IDS, later / RUN_IDS]
+        );
     }
 
     #[test]

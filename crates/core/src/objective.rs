@@ -30,8 +30,8 @@ use std::hash::{Hash, Hasher};
 
 use smallworld_geometry::point::{axis_distance, max_distance};
 use smallworld_geometry::Point;
-use smallworld_graph::view::{first_best_by_blocks, fold_first_best};
-use smallworld_graph::{NodeId, RUN_IDS};
+use smallworld_graph::view::{aligned_ranges, first_best_by_blocks, fold_first_best};
+use smallworld_graph::{NodeId, GROUP_RUNS, RUN_IDS};
 use smallworld_models::girg::Girg;
 use smallworld_models::hyperbolic::{hyperbolic_distance, Hrg};
 use smallworld_models::kleinberg::{ContinuumKleinberg, KleinbergLattice};
@@ -190,10 +190,11 @@ impl<const D: usize> IdBox<D> {
     }
 }
 
-/// Upper bounds on φ over aligned id ranges: for every block of
-/// [`PhiBounds::BLOCK_IDS`] consecutive ids and every superblock of
-/// [`PhiBounds::SUPERBLOCK_IDS`], the per-axis coordinate box and the
-/// largest weight of its vertices, rounded outward to `f32`.
+/// Upper bounds on φ over aligned id ranges, as a ladder of four levels:
+/// 64-id blocks, 512-id tiles, runs of [`RUN_IDS`] ids and groups of
+/// [`GROUP_RUNS`] runs (65,536 ids). For each range it keeps the per-axis
+/// coordinate box and the largest weight of its vertices, rounded outward
+/// to `f32`; each level's box is the union of the boxes below it.
 ///
 /// A range's bound runs the op chain of [`GirgObjective::phi`] on `w_max`
 /// and a lower bound of the distance, and is **bitwise ≥** the φ of every member — no
@@ -211,15 +212,16 @@ impl<const D: usize> IdBox<D> {
 ///   inputs, with `w_max ≥ w ≥ 0`. A zero bound distance gives `+∞`.
 ///
 /// The argument only uses `lo ≤ x ≤ hi` and `w ≤ w_max` for the members,
-/// which the outward `f32` rounding keeps (0.3 MiB per 10⁶ vertices at
-/// d = 2).
+/// which the outward `f32` rounding and the unions keep. At d = 2 a box
+/// takes 20 B: 0.31 MiB of blocks per 10⁶ vertices, and 39 KB of tiles,
+/// 4.9 KB of runs and 320 B of groups above them.
 ///
-/// So a run whose bound is `≤` the incumbent score holds no vertex that
-/// could replace it under the strict `>` of the first-best fold, and
-/// [`GirgHopKernel::best_above`] (blocks) and the run fold of
-/// [`GreedyRouter::route_view`](crate::GreedyRouter::route_view)
-/// (superblocks, through [`ScoreKernel::run_bound`]) can skip it with
-/// routes unchanged.
+/// So a range whose bound is `≤` the incumbent score holds no vertex that
+/// could replace it under the strict `>` of the first-best fold. The run
+/// fold of [`GreedyRouter::route_view`](crate::GreedyRouter::route_view)
+/// skips groups and runs (through [`ScoreKernel::group_bound`] and
+/// [`ScoreKernel::run_bound`]) and [`GirgHopKernel::best_above`] tiles and
+/// blocks, with routes unchanged; a NaN bound never skips.
 ///
 /// Bounds only pay when consecutive ids are spatially close, as after a
 /// Morton relabeling. [`PhiBounds::new`] decides from the data: it builds
@@ -228,19 +230,27 @@ impl<const D: usize> IdBox<D> {
 /// does not cover (non-finite coordinates, negative or NaN weights).
 #[derive(Clone, Debug)]
 pub struct PhiBounds<const D: usize> {
-    blocks: Vec<IdBox<D>>,
-    superblocks: Vec<IdBox<D>>,
+    /// `levels[l][i]` is the box of the ids `i · LEVEL_IDS[l] ..`.
+    levels: [Vec<IdBox<D>>; 4],
 }
 
 impl<const D: usize> PhiBounds<D> {
-    /// Ids per block; block `b` holds ids `b · BLOCK_IDS ..`.
-    pub const BLOCK_IDS: usize = 64;
-    /// Ids per superblock; superblock `s` holds blocks
-    /// `s · SUPERBLOCK_IDS / BLOCK_IDS ..`. A superblock is a run of
-    /// [`AdjacencyView::fold_runs`](smallworld_graph::AdjacencyView::fold_runs),
-    /// so [`GirgHopKernel`]'s superblock bound is its
-    /// [`run_bound`](ScoreKernel::run_bound).
-    pub const SUPERBLOCK_IDS: usize = RUN_IDS;
+    /// Ids per range of each level, finest first; range `i` of level `l`
+    /// holds the ids `i · LEVEL_IDS[l] .. (i + 1) · LEVEL_IDS[l]`.
+    pub const LEVEL_IDS: [usize; 4] = [64, 512, RUN_IDS, GROUP_RUNS * RUN_IDS];
+    /// The level of 64-id blocks, [`GirgHopKernel::best_above`]'s unit of
+    /// scoring.
+    pub const BLOCK: usize = 0;
+    /// The level of 512-id tiles, which `best_above` checks before their
+    /// blocks.
+    pub const TILE: usize = 1;
+    /// The level of runs of
+    /// [`AdjacencyView::fold_runs`](smallworld_graph::AdjacencyView::fold_runs):
+    /// [`GirgHopKernel`]'s [`run_bound`](ScoreKernel::run_bound).
+    pub const RUN: usize = 2;
+    /// The level of run groups: [`GirgHopKernel`]'s
+    /// [`group_bound`](ScoreKernel::group_bound).
+    pub const GROUP: usize = 3;
 
     /// Builds the bounds from flat vertex-major lanes (the layout of
     /// [`GirgObjective::from_lanes`]) in one pass, or `None` when the id
@@ -257,46 +267,34 @@ impl<const D: usize> PhiBounds<D> {
             "positions must hold D coordinates per vertex"
         );
         let points = positions.as_chunks::<D>().0;
+        let block_ids = Self::LEVEL_IDS[Self::BLOCK];
         let blocks: Vec<IdBox<D>> = points
-            .chunks(Self::BLOCK_IDS)
-            .zip(weights.chunks(Self::BLOCK_IDS))
+            .chunks(block_ids)
+            .zip(weights.chunks(block_ids))
             .map(|(xs, ws)| IdBox::of(xs, ws))
             .collect::<Option<_>>()?;
-        let full = weights.len() / Self::BLOCK_IDS;
+        let full = weights.len() / block_ids;
         let narrow = blocks[..full].iter().filter(|b| b.extent() < 0.5).count();
         if 2 * narrow <= full {
             return None;
         }
-        let superblocks = blocks
-            .chunks(Self::SUPERBLOCK_IDS / Self::BLOCK_IDS)
-            .map(IdBox::union)
-            .collect();
-        Some(PhiBounds {
-            blocks,
-            superblocks,
-        })
+        let mut levels = [blocks, Vec::new(), Vec::new(), Vec::new()];
+        for l in 1..levels.len() {
+            let per = Self::LEVEL_IDS[l] / Self::LEVEL_IDS[l - 1];
+            levels[l] = levels[l - 1].chunks(per).map(IdBox::union).collect();
+        }
+        Some(PhiBounds { levels })
     }
 
     /// Upper bound on φ, towards a target at `target` with normalization
-    /// `norm`, of every vertex in block `block`.
+    /// `norm`, of every vertex in range `range` of level `level`.
     ///
     /// # Panics
     ///
-    /// Panics if the block holds no id.
+    /// Panics if the level does not exist or the range holds no id.
     #[inline]
-    pub fn block_bound(&self, block: usize, target: &[f64; D], norm: f64) -> f64 {
-        self.blocks[block].phi_bound(target, norm)
-    }
-
-    /// Upper bound on φ of every vertex in superblock `superblock`, as
-    /// [`Self::block_bound`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the superblock holds no id.
-    #[inline]
-    pub fn superblock_bound(&self, superblock: usize, target: &[f64; D], norm: f64) -> f64 {
-        self.superblocks[superblock].phi_bound(target, norm)
+    pub fn bound(&self, level: usize, range: usize, target: &[f64; D], norm: f64) -> f64 {
+        self.levels[level][range].phi_bound(target, norm)
     }
 }
 
@@ -376,10 +374,11 @@ impl<const D: usize> Objective for GirgObjective<'_, D> {
 /// neighbor instead of reloading the target every call.
 ///
 /// A kernel handed out by [`PackedGirgObjective`](crate::PackedGirgObjective)
-/// also carries its [`PhiBounds`]: its [`run_bound`](ScoreKernel::run_bound)
-/// bounds superblocks and its [`best_above`](ScoreKernel::best_above) skips
-/// blocks, so neither a run nor a block that cannot beat the incumbent is
-/// scored; one from [`GirgObjective`] scans every neighbor.
+/// also carries its [`PhiBounds`]: its [`group_bound`](ScoreKernel::group_bound)
+/// and [`run_bound`](ScoreKernel::run_bound) bound run groups and runs, and
+/// its [`best_above`](ScoreKernel::best_above) skips tiles and blocks, so
+/// no range that cannot beat the incumbent is scored; one from
+/// [`GirgObjective`] scans every neighbor.
 ///
 /// (`*HopKernel`, to avoid colliding with the models' edge-probability
 /// kernels such as `smallworld_models::GirgKernel`.)
@@ -438,34 +437,38 @@ impl<const D: usize> ScoreKernel for GirgHopKernel<'_, D> {
         }
     }
 
-    /// Branch-and-bound over the sorted slice: a block run whose
-    /// [`PhiBounds`] bound is `≤ max(floor, incumbent)` is skipped whole,
-    /// every other run is scored and folded in order, so the first-best is
-    /// the full fold's (see [`PhiBounds`]). Superblocks are skipped one
-    /// level up, by the run fold of
-    /// [`GreedyRouter::route_view`](crate::GreedyRouter::route_view)
-    /// through [`ScoreKernel::run_bound`].
+    /// Branch-and-bound over the sorted slice, tile by tile: a tile whose
+    /// [`PhiBounds`] bound is `≤ max(floor, incumbent)` is skipped whole;
+    /// inside every other tile, so is each such block, and the remaining
+    /// blocks are scored and folded in order. Every member of a skipped
+    /// range scores `≤` that bar and comes after the incumbent, so the
+    /// first-best is the full fold's (see [`PhiBounds`]). Run groups and
+    /// runs are skipped above this, by the run fold of
+    /// [`GreedyRouter::route_view`](crate::GreedyRouter::route_view).
     fn best_above(&self, ns: &[NodeId], floor: f64) -> Option<(f64, NodeId)> {
         let Some(bounds) = self.bounds else {
             return first_best_by_blocks(ns, |chunk, out| self.score_block(chunk, out));
         };
-        let block_ids = PhiBounds::<D>::BLOCK_IDS;
+        let ids = PhiBounds::<D>::LEVEL_IDS;
+        let beaten = |level, range, best: Option<(f64, NodeId)>| {
+            let bar = best.map_or(floor, |(b, _)| b.max(floor));
+            // a NaN bound compares neither way and is never skipped
+            bounds.bound(level, range, &self.target_pos, self.norm) <= bar
+        };
         let mut best: Option<(f64, NodeId)> = None;
         let mut scores = [0.0; BLOCK_WIDTH];
-        let mut i = 0;
-        while i < ns.len() {
-            let bar = best.map_or(floor, |(b, _)| b.max(floor));
-            let blk = ns[i].index() / block_ids;
-            // distinct sorted ids: a block's run is at most `block_ids` long
-            let window = &ns[i..ns.len().min(i + block_ids)];
-            let run = &window[..window.partition_point(|v| v.index() / block_ids == blk)];
-            i += run.len();
-            if bounds.block_bound(blk, &self.target_pos, self.norm) <= bar {
+        for (tile, members) in aligned_ranges(ns, ids[PhiBounds::<D>::TILE]) {
+            if beaten(PhiBounds::<D>::TILE, tile, best) {
                 continue;
             }
-            for chunk in run.chunks(scores.len()) {
-                self.score_block(chunk, &mut scores);
-                fold_first_best(&mut best, &scores[..chunk.len()], chunk);
+            for (blk, members) in aligned_ranges(members, ids[PhiBounds::<D>::BLOCK]) {
+                if beaten(PhiBounds::<D>::BLOCK, blk, best) {
+                    continue;
+                }
+                for chunk in members.chunks(scores.len()) {
+                    self.score_block(chunk, &mut scores);
+                    fold_first_best(&mut best, &scores[..chunk.len()], chunk);
+                }
             }
         }
         best
@@ -475,10 +478,17 @@ impl<const D: usize> ScoreKernel for GirgHopKernel<'_, D> {
         self.bounds.is_some()
     }
 
-    /// [`PhiBounds::superblock_bound`]: a run is a superblock.
+    /// [`PhiBounds::bound`] at the [run](PhiBounds::RUN) level.
     fn run_bound(&self, run: usize) -> f64 {
         self.bounds.map_or(f64::INFINITY, |b| {
-            b.superblock_bound(run, &self.target_pos, self.norm)
+            b.bound(PhiBounds::<D>::RUN, run, &self.target_pos, self.norm)
+        })
+    }
+
+    /// [`PhiBounds::bound`] at the [group](PhiBounds::GROUP) level.
+    fn group_bound(&self, group: usize) -> f64 {
+        self.bounds.map_or(f64::INFINITY, |b| {
+            b.bound(PhiBounds::<D>::GROUP, group, &self.target_pos, self.norm)
         })
     }
 }

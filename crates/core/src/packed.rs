@@ -5,8 +5,8 @@
 //! little-endian `f64` array of length `n · d` and weights as a plain `f64`
 //! array — the natural zero-copy view of a memory-mapped file — with ids in
 //! Morton order. [`PackedGirgObjective::new`] borrows those sections through
-//! [`GirgObjective::from_lanes`] and builds the per-id-block φ upper bounds
-//! in one O(n) pass (or none, when the ids are not spatially ordered), so
+//! [`GirgObjective::from_lanes`] and builds the ladder of φ upper bounds
+//! over aligned id ranges in one O(n) pass (or none, when the ids are not spatially ordered), so
 //! the kernels it hands out skip hub-neighbor runs that cannot beat the
 //! current vertex. Scores and routes are bitwise those of [`GirgObjective`];
 //! the bounds live in memory only, so the `.swg` format is unchanged.
@@ -17,8 +17,8 @@ use crate::objective::{GirgHopKernel, GirgObjective, Objective, PhiBounds};
 
 /// [`GirgObjective`] over a mapped `.swg` store's packed position and
 /// weight sections — a flat `f64` position array (`n · d` entries,
-/// vertex-major) and a weight array — with [`PhiBounds`] over its id
-/// blocks, so [`GreedyRouter::route_view`](crate::GreedyRouter::route_view)
+/// vertex-major) and a weight array — with [`PhiBounds`] over its aligned
+/// id ranges, so [`GreedyRouter::route_view`](crate::GreedyRouter::route_view)
 /// prunes hub scans.
 ///
 /// # Examples

@@ -238,9 +238,10 @@ proptest! {
     }
 }
 
-/// Vertices in the synthetic bounded-scan lanes: five superblocks, so
-/// superblock skips fire.
-const LANE_VERTICES: usize = 20_000;
+/// Vertices in the synthetic bounded-scan lanes: a multiple of no level
+/// of [`PhiBounds`], so every level ends in a partial range — 1,094 blocks,
+/// 137 tiles, 18 runs and 2 groups — and skips fire at each.
+const LANE_VERTICES: usize = 70_000;
 
 /// Synthetic store-like lanes: [`LANE_VERTICES`] uniform points in Morton
 /// order with Pareto(β = 2.5) weights, plus the seam corners — all-`0.0`,
@@ -300,9 +301,9 @@ fn lane_targets(positions: &[f64], rng: &mut StdRng, d: usize) -> Vec<NodeId> {
     targets.into_iter().map(|t| NodeId::new(t as u32)).collect()
 }
 
-/// Every block and superblock bound is `>=` the φ of each of its members,
-/// compared as floats with no margin, and `+∞` for the range holding the
-/// target.
+/// Every bound of every level of the ladder is `>=` the φ of each of its
+/// members, compared as floats with no margin, and `+∞` for the range
+/// holding the target. Each level's last range is partial.
 fn check_bounds_dominate<const D: usize>(seed: u64, f32_exact: bool) {
     let mut rng = StdRng::seed_from_u64(seed);
     let (positions, weights) = morton_lanes::<D>(&mut rng, f32_exact);
@@ -310,20 +311,14 @@ fn check_bounds_dominate<const D: usize>(seed: u64, f32_exact: bool) {
     let bounds = PhiBounds::<D>::new(&positions, &weights).expect("Morton lanes get bounds");
     let objective = GirgObjective::<D>::from_lanes(&positions, &weights, norm);
     let n = weights.len();
+    for ids in PhiBounds::<D>::LEVEL_IDS {
+        assert_ne!(n % ids, 0, "the last {ids}-id range must be partial");
+    }
     for t in lane_targets(&positions, &mut rng, D) {
         let target: [f64; D] = std::array::from_fn(|k| positions[t.index() * D + k]);
-        for (ids, bound) in [
-            (
-                PhiBounds::<D>::BLOCK_IDS,
-                PhiBounds::<D>::block_bound as fn(&PhiBounds<D>, usize, &[f64; D], f64) -> f64,
-            ),
-            (
-                PhiBounds::<D>::SUPERBLOCK_IDS,
-                PhiBounds::<D>::superblock_bound,
-            ),
-        ] {
+        for (level, ids) in PhiBounds::<D>::LEVEL_IDS.into_iter().enumerate() {
             for range in 0..n.div_ceil(ids) {
-                let b = bound(&bounds, range, &target, norm);
+                let b = bounds.bound(level, range, &target, norm);
                 for v in range * ids..n.min((range + 1) * ids) {
                     let phi = objective.phi(NodeId::new(v as u32), t);
                     assert!(
@@ -353,8 +348,9 @@ fn phi_bounds_dominate_every_member_bitwise() {
 }
 
 /// Sorted neighbor-like id slices over `0..n`: the whole range (a hub
-/// adjacent to everything), dense and sparse random subsets, and short
-/// lists around one id.
+/// adjacent to everything), dense and sparse random subsets, short lists
+/// around one id, and lists that cross a tile boundary — dense, or one id
+/// on each side — including the group boundary at 65,536.
 fn id_slices(n: usize, rng: &mut StdRng) -> Vec<Vec<NodeId>> {
     let mut slices = vec![(0..n).collect::<Vec<_>>()];
     for p in [0.5, 0.05, 0.002] {
@@ -369,6 +365,15 @@ fn id_slices(n: usize, rng: &mut StdRng) -> Vec<Vec<NodeId>> {
                 .collect(),
         );
     }
+    let tile = PhiBounds::<1>::LEVEL_IDS[PhiBounds::<1>::TILE];
+    let group = PhiBounds::<1>::LEVEL_IDS[PhiBounds::<1>::GROUP];
+    let mut edges: Vec<usize> = (0..4).map(|_| rng.gen_range(1..n / tile) * tile).collect();
+    edges.push(group);
+    for edge in edges {
+        slices.push((edge - 100..edge + 100).collect());
+        slices.push(vec![edge - 1, edge]);
+        slices.push(vec![edge - tile + 7, edge + 3, edge + tile + 1]);
+    }
     slices
         .into_iter()
         .map(|s| s.into_iter().map(|v| NodeId::new(v as u32)).collect())
@@ -378,17 +383,16 @@ fn id_slices(n: usize, rng: &mut StdRng) -> Vec<Vec<NodeId>> {
 /// `best_above` against the full first-best fold for floors `−∞`,
 /// mid-range (the slice's median score) and above every finite score:
 /// equal whenever the fold's score beats the floor, never beating the
-/// floor otherwise. Also checks that some superblock bound falls to the
-/// fold's score, i.e. that superblock skips fire on these inputs.
+/// floor otherwise. Also checks that at every level some bound falls to
+/// the fold's score, i.e. that skips fire on these inputs.
 fn check_best_above<const D: usize>(seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let (positions, weights) = morton_lanes::<D>(&mut rng, false);
     let norm = LANE_VERTICES as f64;
     let objective = PackedGirgObjective::<D>::new(&positions, &weights, norm);
     let bounds = objective.bounds().expect("Morton lanes get bounds");
-    let superblocks = LANE_VERTICES.div_ceil(PhiBounds::<D>::SUPERBLOCK_IDS);
     let slices = id_slices(LANE_VERTICES, &mut rng);
-    let mut skippable = 0;
+    let mut skippable = [0; 4];
     for t in lane_targets(&positions, &mut rng, D) {
         let target: [f64; D] = std::array::from_fn(|k| positions[t.index() * D + k]);
         let kernel = objective.prepare(t);
@@ -420,13 +424,18 @@ fn check_best_above<const D: usize>(seed: u64) {
                 }
             }
             if let Some((s, _)) = full {
-                skippable += (0..superblocks)
-                    .filter(|&sb| bounds.superblock_bound(sb, &target, norm) <= s)
-                    .count();
+                for (level, ids) in PhiBounds::<D>::LEVEL_IDS.into_iter().enumerate() {
+                    skippable[level] += (0..LANE_VERTICES.div_ceil(ids))
+                        .filter(|&r| bounds.bound(level, r, &target, norm) <= s)
+                        .count();
+                }
             }
         }
     }
-    assert!(skippable > 0, "D={D}: no superblock skip fired");
+    assert!(
+        skippable.iter().all(|&k| k > 0),
+        "D={D}: skips per level {skippable:?}"
+    );
 }
 
 #[test]
@@ -436,47 +445,97 @@ fn best_above_matches_first_best_fold() {
     check_best_above::<3>(73);
 }
 
-/// Two vertices with bitwise-equal φ in different id blocks (and
-/// superblocks): the first one in slice order wins, whatever the floor.
-/// With `in_lead`, the later twin sits in the target's superblock, the run
-/// `route_view` folds first, and the earlier twin in an earlier one.
-fn check_equal_phi_twins<const D: usize>(seed: u64, in_lead: bool) {
+/// Where [`check_equal_phi_twins`] plants its two equal-φ twins.
+#[derive(Clone, Copy, Debug)]
+enum Twins {
+    /// A third and two thirds into the ids, the target anywhere.
+    Apart,
+    /// The later twin in the target's run, the run `route_view` folds
+    /// first, and the earlier one half a run before that run.
+    InLead,
+    /// On either side of a tile boundary inside the target's run.
+    AcrossTile,
+    /// On either side of the first group boundary (and so of a tile and a
+    /// run boundary), the later one in the target's run.
+    AcrossGroup,
+}
+
+/// Two vertices with bitwise-equal φ in different id blocks: the first one
+/// in slice order wins, whatever the floor, through `best_above` and
+/// through `route_view`'s run fold.
+///
+/// [`Twins::AcrossGroup`] uses `f32`-exact lanes and puts the twins just
+/// below the target on every axis. At D = 1 every range holding the
+/// earlier twin then lies wholly between the id-0 corner and the twin, so
+/// their bounds equal its φ bitwise: a skip against the incumbent's score
+/// itself, rather than the float just below it, would lose it.
+fn check_equal_phi_twins<const D: usize>(seed: u64, kind: Twins) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let (mut positions, mut weights) = morton_lanes::<D>(&mut rng, false);
+    let f32_exact = matches!(kind, Twins::AcrossGroup);
+    let (mut positions, mut weights) = morton_lanes::<D>(&mut rng, f32_exact);
     let norm = LANE_VERTICES as f64;
-    let superblock = PhiBounds::<D>::SUPERBLOCK_IDS;
-    let lowest = if in_lead { superblock as u32 } else { 0 };
-    let t = NodeId::new(rng.gen_range(lowest..LANE_VERTICES as u32));
-    let twins = if in_lead {
-        let base = t.index() / superblock * superblock;
-        let later = if t.index() == base { base + 1 } else { base };
-        [base - superblock / 2, later]
-    } else {
-        [LANE_VERTICES / 3, 2 * LANE_VERTICES / 3]
+    let [tile, run, group] = [
+        PhiBounds::<D>::TILE,
+        PhiBounds::<D>::RUN,
+        PhiBounds::<D>::GROUP,
+    ]
+    .map(|level| PhiBounds::<D>::LEVEL_IDS[level]);
+    let t = match kind {
+        Twins::Apart => rng.gen_range(0..LANE_VERTICES),
+        Twins::InLead => rng.gen_range(run..LANE_VERTICES),
+        // a full run, so that it holds tile boundaries
+        Twins::AcrossTile => rng.gen_range(run..LANE_VERTICES / run * run),
+        // far enough into the run that at D = 1 the twins, 2⁻⁷ below the
+        // target, lie above every id before the group boundary
+        Twins::AcrossGroup => rng.gen_range(group + 1024..group + 3072),
     };
-    let twin_pos: [f64; D] = std::array::from_fn(|k| {
-        let c = positions[t.index() * D + k] + 0.01;
-        if c >= 1.0 {
-            c - 1.0
-        } else {
-            c
+    let base = t / run * run;
+    let twins = match kind {
+        Twins::Apart => [LANE_VERTICES / 3, 2 * LANE_VERTICES / 3],
+        Twins::InLead => {
+            let later = if t == base { base + 1 } else { base };
+            [base - run / 2, later]
         }
+        Twins::AcrossTile => {
+            // a tile boundary inside the run, with neither twin the target
+            let edge = (base + tile..base + run)
+                .step_by(tile)
+                .filter(|&e| e != t && e - 1 != t)
+                .nth(rng.gen_range(0..3))
+                .expect("the run holds tile boundaries");
+            [edge - 1, edge]
+        }
+        Twins::AcrossGroup => [group - 1, group],
+    };
+    let t = NodeId::new(t as u32);
+    let twin_pos: [f64; D] = std::array::from_fn(|k| {
+        let c = positions[t.index() * D + k];
+        let c = if f32_exact { c - 1.0 / 128.0 } else { c + 0.01 };
+        c - c.floor()
     });
     for twin in twins {
         positions[twin * D..(twin + 1) * D].copy_from_slice(&twin_pos);
         weights[twin] = 1e9;
     }
     let objective = PackedGirgObjective::<D>::new(&positions, &weights, norm);
-    assert!(
-        objective.bounds().is_some(),
-        "D={D}: twins must not break the guard"
-    );
+    let bounds = objective.bounds().expect("twins must not break the guard");
     let kernel = objective.prepare(t);
     let (a, b) = (NodeId::new(twins[0] as u32), NodeId::new(twins[1] as u32));
     assert_eq!(kernel.score(a).to_bits(), kernel.score(b).to_bits());
-    assert_ne!(twins[0] / superblock, twins[1] / superblock);
-    if in_lead {
-        assert_eq!(twins[1] / superblock, t.index() / superblock);
+    let block = PhiBounds::<D>::LEVEL_IDS[PhiBounds::<D>::BLOCK];
+    assert_ne!(twins[0] / block, twins[1] / block);
+    if !matches!(kind, Twins::Apart) {
+        assert_eq!(twins[1] / run, t.index() / run, "the later twin leads");
+    }
+    if f32_exact && D == 1 {
+        let target: [f64; D] = std::array::from_fn(|k| positions[t.index() * D + k]);
+        for (level, ids) in PhiBounds::<D>::LEVEL_IDS.into_iter().enumerate() {
+            assert_eq!(
+                bounds.bound(level, twins[0] / ids, &target, norm).to_bits(),
+                kernel.score(a).to_bits(),
+                "level {level}: the earlier twin's bound is its φ"
+            );
+        }
     }
     let ns: Vec<NodeId> = (0..LANE_VERTICES as u32)
         .filter(|&v| {
@@ -497,8 +556,8 @@ fn check_equal_phi_twins<const D: usize>(seed: u64, in_lead: bool) {
             "D={D} floor {floor}"
         );
     }
-    // the view router's run fold, which skips whole superblocks, takes the
-    // first twin too: one hop out of a star centred on a vertex off `ns`
+    // the view router's run fold, which skips whole groups and runs, takes
+    // the first twin too: one hop out of a star centred on a vertex off `ns`
     let centre = (0..LANE_VERTICES as u32)
         .map(NodeId::new)
         .find(|&c| c != t && ns.binary_search(&c).is_err())
@@ -511,16 +570,27 @@ fn check_equal_phi_twins<const D: usize>(seed: u64, in_lead: bool) {
 
 #[test]
 fn equal_phi_twins_keep_first_best_order() {
-    check_equal_phi_twins::<1>(81, false);
-    check_equal_phi_twins::<2>(82, false);
-    check_equal_phi_twins::<3>(83, false);
+    check_equal_phi_twins::<1>(81, Twins::Apart);
+    check_equal_phi_twins::<2>(82, Twins::Apart);
+    check_equal_phi_twins::<3>(83, Twins::Apart);
 }
 
 #[test]
 fn equal_phi_twins_keep_first_best_order_when_the_later_leads() {
     for seed in 0..4 {
-        check_equal_phi_twins::<1>(91 + seed, true);
-        check_equal_phi_twins::<2>(95 + seed, true);
-        check_equal_phi_twins::<3>(99 + seed, true);
+        check_equal_phi_twins::<1>(91 + seed, Twins::InLead);
+        check_equal_phi_twins::<2>(95 + seed, Twins::InLead);
+        check_equal_phi_twins::<3>(99 + seed, Twins::InLead);
+    }
+}
+
+#[test]
+fn equal_phi_twins_keep_first_best_order_across_tile_and_group_boundaries() {
+    for seed in 0..3 {
+        for twins in [Twins::AcrossTile, Twins::AcrossGroup] {
+            check_equal_phi_twins::<1>(111 + seed, twins);
+            check_equal_phi_twins::<2>(114 + seed, twins);
+            check_equal_phi_twins::<3>(117 + seed, twins);
+        }
     }
 }

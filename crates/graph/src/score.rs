@@ -126,11 +126,12 @@ pub trait ScoreKernel {
         first_best_by_blocks(ns, |chunk, out| self.score_block(chunk, out))
     }
 
-    /// Whether [`Self::run_bound`] bounds anything. When it does, a router
-    /// over an [`AdjacencyView`](crate::AdjacencyView) folds each neighbor
-    /// list run by run and skips runs that cannot beat the hop's bar before
-    /// the view fetches them; when it does not, every hop takes the whole
-    /// list. The default is `false`.
+    /// Whether [`Self::run_bound`] and [`Self::group_bound`] bound
+    /// anything. When they do, a router over an
+    /// [`AdjacencyView`](crate::AdjacencyView) folds each neighbor list run
+    /// by run and skips groups and runs that cannot beat the hop's bar
+    /// before the view fetches them; when they do not, every hop takes the
+    /// whole list. The default is `false`.
     #[inline]
     fn bounds_runs(&self) -> bool {
         false
@@ -146,7 +147,22 @@ pub trait ScoreKernel {
         let _ = run;
         f64::INFINITY
     }
+
+    /// An upper bound on the score of every vertex in run group `group`
+    /// (the runs `group · GROUP_RUNS ..`, see [`GROUP_RUNS`]); `+∞` by
+    /// default. As [`Self::run_bound`], it must be `≥` every member's
+    /// score, or NaN.
+    #[inline]
+    fn group_bound(&self, group: usize) -> f64 {
+        let _ = group;
+        f64::INFINITY
+    }
 }
+
+/// Runs per run group of [`ScoreKernel::group_bound`]: group `g` holds the
+/// runs `g · GROUP_RUNS .. (g + 1) · GROUP_RUNS` of
+/// [`RUN_IDS`](crate::RUN_IDS) ids each, 65,536 ids in all.
+pub const GROUP_RUNS: usize = 16;
 
 /// The trivial [`ScoreKernel`]: defers every call to the two-argument
 /// [`Objective::score`] with no per-target preparation.

@@ -110,17 +110,26 @@ pub fn fold_sorted_runs(ns: &[NodeId], fold: &mut impl RunFold) {
 
 /// [`fold_sorted_runs`] with no lead: every run in ascending order.
 fn fold_ascending(ns: &[NodeId], fold: &mut impl RunFold) {
-    let mut rest = ns;
-    while let Some(first) = rest.first() {
-        let run = first.index() / RUN_IDS;
-        // distinct sorted ids: a run is at most `RUN_IDS` long
-        let window = &rest[..rest.len().min(RUN_IDS)];
-        let len = window.partition_point(|v| v.index() / RUN_IDS == run);
+    for (run, ids) in aligned_ranges(ns, RUN_IDS) {
         if fold.wants(run) {
-            fold.fold(&rest[..len]);
+            fold.fold(ids);
         }
-        rest = &rest[len..];
     }
+}
+
+/// Splits a slice of distinct ascending ids into its non-empty aligned
+/// ranges of `ids` ids, as `(range, members)` pairs in ascending order:
+/// range `r` holds the ids `r · ids .. (r + 1) · ids`.
+pub fn aligned_ranges(ns: &[NodeId], ids: usize) -> impl Iterator<Item = (usize, &[NodeId])> {
+    let mut rest = ns;
+    std::iter::from_fn(move || {
+        let range = rest.first()?.index() / ids;
+        // distinct sorted ids: a range holds at most `ids` of them
+        let window = &rest[..rest.len().min(ids)];
+        let (members, tail) = rest.split_at(window.partition_point(|v| v.index() / ids == range));
+        rest = tail;
+        Some((range, members))
+    })
 }
 
 impl AdjacencyView for &Graph {
