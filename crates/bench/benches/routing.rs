@@ -1,7 +1,7 @@
 //! Per-query routing latency on a pre-sampled 100k-vertex GIRG: greedy
 //! routing under the three objectives — through the naive score path, the
-//! prepared kernel, and the edge-packed routing index — and the BFS used
-//! for stretch.
+//! prepared kernel, and the φ-bound routing index over Morton ids — and the
+//! BFS used for stretch.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -57,17 +57,7 @@ fn bench_routing(c: &mut Criterion) {
     });
 
     group.bench_function("greedy_phi_indexed", |b| {
-        let index = RoutingIndex::for_girg(&girg);
-        let obj = IndexedGirgObjective::new(GirgObjective::new(&girg), &index);
-        let mut i = 0;
-        b.iter(|| {
-            let (s, t) = queries[i % queries.len()];
-            i += 1;
-            GreedyRouter::new().route_quiet(girg.graph(), &obj, s, t)
-        });
-    });
-
-    group.bench_function("greedy_phi_indexed_morton", |b| {
+        // the routing index bounds Morton-ordered ids only
         let perm = girg.morton_permutation();
         let relabeled = girg.relabel(&perm);
         let index = RoutingIndex::for_girg(&relabeled);

@@ -27,6 +27,8 @@
 //! geometry, params, and greedy routes are bitwise those of the generating
 //! run, so the report tables match modulo the wall-clock columns (`swreport
 //! --diff --ignore "sample secs,route secs"` verifies this in CI).
+//! GIRG trials score through `PackedGirgObjective` over the decoded lanes,
+//! so a loaded Morton-ordered store prunes hub scans with φ bounds.
 //! `--mapped` goes one step further: it routes and analyzes **without
 //! decoding the adjacency at all** — components and greedy trials stream
 //! per-vertex neighbor lists on demand through the mapped store's LRU
@@ -49,9 +51,9 @@ use smallworld_analysis::Table;
 use smallworld_bench::{Artifact, RoutingAggregate, Scale, TrialBatch, TrialOutcome};
 use smallworld_core::theory::lambda_for_average_degree;
 use smallworld_core::{
-    GirgObjective, GreedyRouter, HyperbolicObjective, KleinbergObjective, Objective,
-    PackedGirgObjective,
+    GreedyRouter, HyperbolicObjective, KleinbergObjective, Objective, PackedGirgObjective,
 };
+use smallworld_geometry::Point;
 use smallworld_graph::analytics::par_components;
 use smallworld_graph::{Components, Graph};
 use smallworld_models::girg::{Girg, GirgBuilder, SamplerCounts};
@@ -541,7 +543,15 @@ fn main() -> ExitCode {
                 };
                 let mut tables = vec![table];
                 if opts.route > 0 {
-                    let obj = GirgObjective::new(&girg);
+                    // the store-path objective over the decoded lanes: a
+                    // loaded (Morton-ordered) store prunes hub scans as
+                    // `--mapped` does; sampled ids get no bounds
+                    let p = girg.params();
+                    let obj = PackedGirgObjective::<2>::new(
+                        Point::flatten(girg.positions()),
+                        girg.weights(),
+                        p.wmin * p.intensity,
+                    );
                     tables.push(route_decoded(
                         girg.graph(),
                         &comps,

@@ -794,8 +794,9 @@ mod tests {
         assert_eq!(plain, mapped);
     }
 
-    /// The routing index is pure mechanism: identical records with the
-    /// index on or off, at any thread count.
+    /// The routing index is pure mechanism: over the Morton copy, the only
+    /// order it bounds, routing through `with_id_map` gives the plain
+    /// objective's records on the original graph, at any thread count.
     #[test]
     fn trial_batch_with_index_is_invariant() {
         use smallworld_core::{IndexedGirgObjective, RoutingIndex};
@@ -803,35 +804,52 @@ mod tests {
         let girg = GirgBuilder::<2>::new(800).sample(&mut rng).unwrap();
         let comps = Components::compute(girg.graph());
         let obj = GirgObjective::new(&girg);
-        let index = RoutingIndex::for_girg(&girg);
-        let indexed = IndexedGirgObjective::new(GirgObjective::new(&girg), &index);
-        let batch = TrialBatch::new(girg.graph(), &comps, 80).connected_only(true);
+        let perm = girg.morton_permutation();
+        let relabeled = girg.relabel(&perm);
+        let comps_re = Components::compute(relabeled.graph());
+        let index = RoutingIndex::for_girg(&relabeled);
+        assert!(index.bounds().is_some(), "Morton ids build bounds");
+        let indexed = IndexedGirgObjective::new(GirgObjective::new(&relabeled), &index);
         let router = GreedyRouter::new();
-        let plain = batch.run_recorded(&router, &obj, 0x1D5, &Pool::with_threads(1));
-        let fast = batch.run_recorded(&router, &indexed, 0x1D5, &Pool::with_threads(4));
+        let plain = TrialBatch::new(girg.graph(), &comps, 80)
+            .connected_only(true)
+            .run_recorded(&router, &obj, 0x1D5, &Pool::with_threads(1));
+        let fast = TrialBatch::new(relabeled.graph(), &comps_re, 80)
+            .connected_only(true)
+            .with_id_map(&perm)
+            .run_recorded(&router, &indexed, 0x1D5, &Pool::with_threads(4));
         assert_eq!(plain, fast);
     }
 
     /// The batched prepare-then-route path is thread-count invariant over
-    /// the blocked SoA sweep: 1, 2, and 8 worker threads must produce
+    /// the bounded scans: 1, 2, and 8 worker threads must produce
     /// bitwise-identical records (the per-trial RNG seeding makes the pair
-    /// sequence independent of chunking).
+    /// sequence independent of chunking), those of the plain objective.
     #[test]
     fn trial_batch_batched_path_is_invariant_at_1_2_and_8_threads() {
         use smallworld_core::{IndexedGirgObjective, RoutingIndex};
         let mut rng = StdRng::seed_from_u64(29);
         let girg = GirgBuilder::<2>::new(900).sample(&mut rng).unwrap();
+        let girg = girg.relabel(&girg.morton_permutation());
         let comps = Components::compute(girg.graph());
         let index = RoutingIndex::for_girg(&girg);
+        assert!(index.bounds().is_some(), "Morton ids build bounds");
         let indexed = IndexedGirgObjective::new(GirgObjective::new(&girg), &index);
         let batch = TrialBatch::new(girg.graph(), &comps, 96)
             .measure_stretch(true)
             .connected_only(true);
         let router = GreedyRouter::new();
+        let plain = batch.run_recorded(
+            &router,
+            &GirgObjective::new(&girg),
+            0xBA7C,
+            &Pool::with_threads(1),
+        );
         let one = batch.run_recorded(&router, &indexed, 0xBA7C, &Pool::with_threads(1));
         let two = batch.run_recorded(&router, &indexed, 0xBA7C, &Pool::with_threads(2));
         let eight = batch.run_recorded(&router, &indexed, 0xBA7C, &Pool::with_threads(8));
         assert_eq!(one.len(), 96);
+        assert_eq!(one, plain);
         assert_eq!(one, two);
         assert_eq!(one, eight);
     }

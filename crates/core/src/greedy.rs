@@ -125,65 +125,20 @@ impl Default for GreedyRouter {
 }
 
 impl GreedyRouter {
-    /// Algorithm 1, written once: from `s`, hop to
-    /// `best_neighbor(current, current_score)` while it strictly improves
-    /// on the current score, until the kernel's target is reached, the step
-    /// cap is hit, or a local optimum drops the packet.
-    ///
-    /// Every entry point — decoded CSR, adjacency view, shard partition —
-    /// differs only in how it computes the first-best neighbor, so all of
-    /// them share this loop's records and observer events bitwise. The
-    /// closure must return the first-best neighbor whenever its score beats
-    /// `current_score`, and anything not beating it otherwise
-    /// ([`ScoreKernel::best_above`]'s contract).
-    fn walk<K: ScoreKernel, Obs: RouteObserver>(
-        &self,
-        kernel: &K,
-        s: NodeId,
-        obs: &mut Obs,
-        scratch: &mut RouteScratch,
-        mut best_neighbor: impl FnMut(NodeId, f64) -> Option<(f64, NodeId)>,
-    ) -> RouteRecord {
-        let t = kernel.target();
-        obs.on_start(s, t);
-        let mut path = scratch.take_path();
-        path.push(s);
-        let mut current = s;
-        let mut current_score = kernel.score(s);
-        let outcome = loop {
-            if current == t {
-                break RouteOutcome::Delivered;
-            }
-            if path.len() > self.max_steps {
-                break RouteOutcome::MaxStepsExceeded;
-            }
-            match best_neighbor(current, current_score) {
-                Some((score, u)) if score > current_score => {
-                    obs.on_hop(u, score);
-                    path.push(u);
-                    current = u;
-                    current_score = score;
-                }
-                _ => {
-                    obs.on_dead_end(current);
-                    break RouteOutcome::DeadEnd;
-                }
-            }
-        };
-        obs.on_finish(outcome, path.len() - 1);
-        RouteRecord { outcome, path }
-    }
-
-    /// Routes from `s` towards the kernel's target over any
-    /// [`AdjacencyView`] — e.g. a cursor decoding neighbor lists on demand
-    /// from a memory-mapped store, so no CSR is ever materialized.
+    /// Algorithm 1, written once: from `s`, hop to the first-best neighbor
+    /// while its score strictly beats the current vertex's, until the
+    /// kernel's target is reached, the step cap is hit, or a local optimum
+    /// drops the packet. It reads any [`AdjacencyView`]: a decoded
+    /// [`Graph`] ([`Router::route_prepared`] is this over `&Graph`), a
+    /// shard partition, or a cursor decoding neighbor lists on demand from a
+    /// memory-mapped store, so no CSR is ever materialized.
     ///
     /// The per-hop argmax is [`ScoreKernel::best_above`] with the current
     /// score as floor: by default the blocked fold [`first_best_by_blocks`]
-    /// over [`ScoreKernel::score_block`], which is bitwise the scalar fold
-    /// of [`ScoreKernel::best_neighbor`], and for bounded kernels a pruned
-    /// scan with the same result whenever a hop is taken. Over a view of
-    /// the same adjacency the record equals [`Router::route_prepared`]'s.
+    /// over [`ScoreKernel::score_block`], which is bitwise the scalar
+    /// first-best fold, and for bounded kernels a pruned scan with the same
+    /// result whenever a hop is taken. Over any view of the same adjacency
+    /// the record is the same.
     ///
     /// A kernel that [bounds runs](ScoreKernel::bounds_runs) folds each
     /// list through [`AdjacencyView::fold_runs`] instead, the target's run
@@ -200,14 +155,19 @@ impl GreedyRouter {
     /// the last run it is the whole list's first-best, in any run order,
     /// and the hop is the same.
     ///
-    /// Above runs, the ascending pass checks each run group once: when the
-    /// asked run enters a new group of [`GROUP_RUNS`] runs, the
-    /// [`group_bound`](ScoreKernel::group_bound) is tested against the bar
-    /// of the group's first run, the lowest bar of any run in it. A group
-    /// found beaten skips the rest of its runs unasked. A run's bar only
-    /// rises within a hop (the incumbent's score never falls, and it moves
-    /// to an earlier run only at an equal score), so the verdict still
-    /// holds for the group's later runs.
+    /// Above runs, the ascending pass asks each run group once, before its
+    /// runs: the [`group_bound`](ScoreKernel::group_bound) of a group of
+    /// [`GROUP_RUNS`] runs is tested against the bar of the group's first
+    /// run, the lowest bar of any run in it, and a group found beaten is
+    /// passed over, none of its runs asked. A run's bar only rises within a
+    /// hop (the incumbent's score never falls, and it moves to an earlier
+    /// run only at an equal score), so the verdict holds for every run of
+    /// the group.
+    ///
+    /// Bounds exist only over spatially ordered ids (see
+    /// [`PhiBounds`](crate::PhiBounds)): over a decoded GIRG in sampling
+    /// order, a bounded objective builds none and every hop takes the
+    /// unbounded blocked fold.
     ///
     /// [`first_best_by_blocks`]: smallworld_graph::view::first_best_by_blocks
     pub fn route_view<V, K, Obs>(
@@ -223,14 +183,34 @@ impl GreedyRouter {
         K: ScoreKernel,
         Obs: RouteObserver,
     {
-        self.walk(kernel, s, obs, scratch, |v, floor| {
-            if !kernel.bounds_runs() {
-                return view.with_neighbors(v, |ns| kernel.best_above(ns, floor));
+        let t = kernel.target();
+        obs.on_start(s, t);
+        let mut path = scratch.take_path();
+        path.push(s);
+        let mut current = s;
+        let mut current_score = kernel.score(s);
+        let outcome = loop {
+            if current == t {
+                break RouteOutcome::Delivered;
             }
-            let mut hop = HopFold::new(kernel, floor);
-            view.fold_runs(v, &mut hop);
-            hop.best
-        })
+            if path.len() > self.max_steps {
+                break RouteOutcome::MaxStepsExceeded;
+            }
+            match hop(view, kernel, current, current_score) {
+                Some((score, u)) if score > current_score => {
+                    obs.on_hop(u, score);
+                    path.push(u);
+                    current = u;
+                    current_score = score;
+                }
+                _ => {
+                    obs.on_dead_end(current);
+                    break RouteOutcome::DeadEnd;
+                }
+            }
+        };
+        obs.on_finish(outcome, path.len() - 1);
+        RouteRecord { outcome, path }
     }
 
     /// [`GreedyRouter::route_view`] with no observer and fresh scratch.
@@ -243,6 +223,23 @@ impl GreedyRouter {
     }
 }
 
+/// One hop of [`GreedyRouter::route_view`] out of `v`: the first-best
+/// neighbor whenever its score beats `floor`, and anything not beating it
+/// otherwise ([`ScoreKernel::best_above`]'s contract).
+fn hop<V: AdjacencyView, K: ScoreKernel>(
+    view: &mut V,
+    kernel: &K,
+    v: NodeId,
+    floor: f64,
+) -> Option<(f64, NodeId)> {
+    if !kernel.bounds_runs() {
+        return view.with_neighbors(v, |ns| kernel.best_above(ns, floor));
+    }
+    let mut fold = HopFold::new(kernel, floor);
+    view.fold_runs(v, &mut fold);
+    fold.best
+}
+
 /// One hop of [`GreedyRouter::route_view`] as a [`RunFold`]: the first-best
 /// above `floor`, run by run, the target's run first.
 struct HopFold<'k, K> {
@@ -251,9 +248,6 @@ struct HopFold<'k, K> {
     best: Option<(f64, NodeId)>,
     /// The target's run, offered before any other.
     lead: usize,
-    /// The group of the ascending pass's last asked run, and whether its
-    /// bound was `≤` the bar of its first run.
-    group: Option<(usize, bool)>,
 }
 
 impl<'k, K: ScoreKernel> HopFold<'k, K> {
@@ -263,7 +257,6 @@ impl<'k, K: ScoreKernel> HopFold<'k, K> {
             floor,
             best: None,
             lead: kernel.target().index() / RUN_IDS,
-            group: None,
         }
     }
 }
@@ -292,20 +285,15 @@ impl<K: ScoreKernel> RunFold for HopFold<'_, K> {
         Some(self.lead)
     }
 
+    /// Tested against the bar of the group's first run, the lowest bar of
+    /// any of its runs.
+    fn wants_group(&mut self, group: usize) -> bool {
+        // a NaN bound compares neither way and is never beaten
+        let beaten = self.kernel.group_bound(group) <= self.bar(group * GROUP_RUNS);
+        !beaten
+    }
+
     fn wants(&mut self, run: usize) -> bool {
-        // The lead is asked first, before any incumbent, and leaves no
-        // verdict: the ascending pass checks its group afresh.
-        if run != self.lead {
-            let group = run / GROUP_RUNS;
-            if self.group.is_none_or(|(g, _)| g != group) {
-                // a NaN bound compares neither way and is never beaten
-                let beaten = self.kernel.group_bound(group) <= self.bar(group * GROUP_RUNS);
-                self.group = Some((group, beaten));
-            }
-            if self.group.is_some_and(|(_, beaten)| beaten) {
-                return false;
-            }
-        }
         let beaten = self.kernel.run_bound(run) <= self.bar(run);
         !beaten
     }
@@ -333,9 +321,7 @@ impl Router for GreedyRouter {
         obs: &mut Obs,
         scratch: &mut RouteScratch,
     ) -> RouteRecord {
-        self.walk(kernel, s, obs, scratch, |v, _| {
-            kernel.best_neighbor(graph, v)
-        })
+        self.route_view(&mut &*graph, kernel, s, obs, scratch)
     }
 }
 

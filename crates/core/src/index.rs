@@ -1,98 +1,61 @@
-//! An opt-in structure-of-arrays routing index: the hot-path layout for
-//! greedy hops.
+//! An opt-in routing index for decoded GIRGs: the [`PhiBounds`] ladder
+//! over the graph's own position and weight lanes.
 //!
-//! Greedy routing spends essentially all of its time in one loop: scan the
-//! neighbors of the current vertex and score each against the target. With
-//! the columnar layout ([`Graph`] adjacency + separate position/weight
-//! arrays) every neighbor costs *two random gathers* — `positions[u]` and
-//! `weights[u]` — whose addresses depend on the adjacency list, so the
-//! prefetcher cannot help and most of the hop is spent waiting on cache
-//! misses.
+//! Greedy paths climb through hubs, so most of a route's time goes into
+//! scanning a few long neighbor lists. [`RoutingIndex`] holds the φ upper
+//! bounds over aligned id ranges that let a hop skip whole groups, runs,
+//! tiles and blocks of such a list that cannot beat the current vertex —
+//! the same ladder [`PackedGirgObjective`](crate::PackedGirgObjective)
+//! builds over a store's lanes — so [`IndexedGirgObjective`] hands out the
+//! bounded [`GirgHopKernel`] and every router over the decoded [`Graph`]
+//! takes the pruned scan of
+//! [`GreedyRouter::route_view`](crate::GreedyRouter::route_view). Routes
+//! are bitwise those of [`GirgObjective`] (enforced by the
+//! `kernel_equivalence` suite).
 //!
-//! [`RoutingIndex`] trades memory for locality *and* vectorizability: it is
-//! built once per graph and stores, in CSR slot order, one contiguous f64
-//! lane per position dimension, a weight lane, and a neighbor-id lane. The
-//! per-hop scan then sweeps [`BLOCK_WIDTH`](crate::block)-slot blocks of
-//! each lane with the straight-line kernels of [`crate::block`] —
-//! sequential loads LLVM auto-vectorizes, plus software prefetch of the
-//! next block. Cost: 28 bytes per *directed* edge slot for `D = 2`,
-//! reported exactly by [`RoutingIndex::bytes`].
-//!
-//! The index plugs in through the same [`Objective`]/[`ScoreKernel`] pair as
-//! everything else: [`IndexedGirgObjective`] wraps [`GirgObjective`] and
-//! returns a kernel whose [`ScoreKernel::best_neighbor`] override sweeps the
-//! packed lanes. Because each slot holds bit-copies of the same coordinates
-//! and weights the base objective reads, the blocked kernels perform the
-//! identical per-slot φ chain (see [`crate::block`]), and the argmax fold
-//! preserves the first-best-in-adjacency-order tie-break, the override is
-//! bitwise-faithful: routers produce byte-identical `RouteRecord`s with the
-//! index on or off (enforced by the `kernel_equivalence` suite).
-
-use std::ops::Range;
+//! The ladder takes about 20 B per 64 vertices, nothing per edge slot. It
+//! only pays when consecutive ids are spatially close: over Morton-ordered
+//! ids — what every `.swg` writer produces, and what
+//! `Girg::morton_permutation` gives — it prunes; over ids in sampling order
+//! the guard of [`PhiBounds::new`] builds no bounds, and routes take the
+//! unbounded blocked scan.
 
 use smallworld_geometry::Point;
 use smallworld_graph::{Graph, NodeId};
 use smallworld_models::girg::Girg;
 
-use crate::block;
-use crate::objective::{GirgHopKernel, GirgObjective, Objective, ScoreKernel};
+use crate::objective::{GirgHopKernel, GirgObjective, Objective, PhiBounds};
 
-/// The structure-of-arrays routing index; see the [module docs](self).
+/// The φ-bound routing index; see the [module docs](self).
 ///
 /// Built once per graph with [`RoutingIndex::build`] (or
 /// [`RoutingIndex::for_girg`]) and shared immutably by any number of
 /// concurrent routing workers.
 #[derive(Clone, Debug)]
 pub struct RoutingIndex<const D: usize> {
-    /// CSR offsets: slots of vertex `v` are `offsets[v]..offsets[v + 1]`.
-    offsets: Vec<usize>,
-    /// One lane per position dimension; `lanes[k][s]` is coordinate `k` of
-    /// the neighbor in slot `s`.
-    lanes: [Vec<f64>; D],
-    /// Neighbor weights.
-    weights: Vec<f64>,
-    /// Neighbor ids, for reporting the argmax.
-    nodes: Vec<NodeId>,
+    /// The bound ladder, or `None` when the guard declined to build it.
+    bounds: Option<PhiBounds<D>>,
+    node_count: usize,
+    /// Directed edge slots of the graph, `2 · edges`.
+    entry_count: usize,
 }
 
 impl<const D: usize> RoutingIndex<D> {
-    /// Packs `graph`'s adjacency into per-axis coordinate lanes, a weight
-    /// lane, and an id lane.
-    ///
-    /// Slots for each vertex appear in the same order as
-    /// [`Graph::neighbors`], which is what keeps the sweep's first-best
-    /// argmax identical to the unindexed scan.
+    /// Builds the [`PhiBounds`] ladder over `positions` and `weights` for
+    /// routing over `graph`.
     ///
     /// # Panics
     ///
     /// Panics if `positions` or `weights` does not have exactly one entry
     /// per graph vertex.
     pub fn build(graph: &Graph, positions: &[Point<D>], weights: &[f64]) -> Self {
-        let n = graph.node_count();
-        assert_eq!(positions.len(), n, "one position per vertex");
-        assert_eq!(weights.len(), n, "one weight per vertex");
-        let slot_count = graph.edge_count() * 2;
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        let mut lanes: [Vec<f64>; D] = std::array::from_fn(|_| Vec::with_capacity(slot_count));
-        let mut weight_lane = Vec::with_capacity(slot_count);
-        let mut nodes = Vec::with_capacity(slot_count);
-        for v in graph.nodes() {
-            for &u in graph.neighbors(v) {
-                let coords = positions[u.index()].coords();
-                for (k, lane) in lanes.iter_mut().enumerate() {
-                    lane.push(coords[k]);
-                }
-                weight_lane.push(weights[u.index()]);
-                nodes.push(u);
-            }
-            offsets.push(nodes.len());
-        }
+        let node_count = graph.node_count();
+        assert_eq!(positions.len(), node_count, "one position per vertex");
+        assert_eq!(weights.len(), node_count, "one weight per vertex");
         RoutingIndex {
-            offsets,
-            lanes,
-            weights: weight_lane,
-            nodes,
+            bounds: PhiBounds::new(Point::flatten(positions), weights),
+            node_count,
+            entry_count: graph.edge_count() * 2,
         }
     }
 
@@ -103,47 +66,32 @@ impl<const D: usize> RoutingIndex<D> {
 
     /// Number of vertices the index covers.
     pub fn node_count(&self) -> usize {
-        self.offsets.len() - 1
+        self.node_count
     }
 
-    /// Number of packed directed edge slots.
+    /// Number of directed edge slots of the graph the index serves.
     pub fn entry_count(&self) -> usize {
-        self.nodes.len()
+        self.entry_count
     }
 
-    /// Heap memory held by the index, in bytes — the figure to quote when
-    /// deciding whether the opt-in is worth it for a given graph.
+    /// Heap memory held by the index, in bytes: the bound ladder, 0 when
+    /// the guard built none.
     pub fn bytes(&self) -> usize {
-        let slots = self.nodes.len();
-        slots * (D + 1) * std::mem::size_of::<f64>()
-            + slots * std::mem::size_of::<NodeId>()
-            + self.offsets.len() * std::mem::size_of::<usize>()
+        self.bounds.as_ref().map_or(0, PhiBounds::bytes)
     }
 
-    /// The slot range of `v`'s packed neighborhood, in adjacency order.
-    #[inline]
-    fn slot_range(&self, v: NodeId) -> Range<usize> {
-        self.offsets[v.index()]..self.offsets[v.index() + 1]
-    }
-
-    /// Per-axis views of the given slot range.
-    #[inline]
-    fn lane_views(&self, range: Range<usize>) -> [&[f64]; D] {
-        std::array::from_fn(|k| &self.lanes[k][range.clone()])
-    }
-
-    /// The neighbor ids packed for `v`, in adjacency order.
-    #[cfg(test)]
-    fn nodes_of(&self, v: NodeId) -> &[NodeId] {
-        &self.nodes[self.slot_range(v)]
+    /// The hop-scan bounds, or `None` when the guard declined to build them
+    /// (ids not spatially ordered).
+    pub fn bounds(&self) -> Option<&PhiBounds<D>> {
+        self.bounds.as_ref()
     }
 }
 
-/// [`GirgObjective`] accelerated by a [`RoutingIndex`].
+/// [`GirgObjective`] with the bounds of a [`RoutingIndex`].
 ///
-/// Scores are bitwise-identical to the base objective; only
-/// [`ScoreKernel::best_neighbor`] changes, from a gather-per-neighbor scan
-/// to a blocked sweep of the SoA lanes.
+/// Scores are bitwise the base objective's; its kernels are the base's
+/// [`GirgHopKernel`] carrying the index's bounds, so hop scans skip what
+/// cannot beat the current vertex.
 ///
 /// # Examples
 ///
@@ -154,8 +102,11 @@ impl<const D: usize> RoutingIndex<D> {
 /// use smallworld_models::girg::GirgBuilder;
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-/// let girg = GirgBuilder::<2>::new(500).sample(&mut rng)?;
+/// let girg = GirgBuilder::<2>::new(2_000).sample(&mut rng)?;
+/// // the bounds prune only over spatially ordered ids
+/// let girg = girg.relabel(&girg.morton_permutation());
 /// let index = RoutingIndex::for_girg(&girg);
+/// assert!(index.bounds().is_some());
 /// let plain = GirgObjective::new(&girg);
 /// let fast = IndexedGirgObjective::new(plain, &index);
 /// let (s, t) = (girg.random_vertex(&mut rng), girg.random_vertex(&mut rng));
@@ -191,58 +142,12 @@ impl<'a, const D: usize> IndexedGirgObjective<'a, D> {
 
 impl<const D: usize> Objective for IndexedGirgObjective<'_, D> {
     type Kernel<'k>
-        = IndexedGirgHopKernel<'k, D>
+        = GirgHopKernel<'k, D>
     where
         Self: 'k;
 
     fn prepare(&self, target: NodeId) -> Self::Kernel<'_> {
-        IndexedGirgHopKernel {
-            base: self.base.prepare(target),
-            index: self.index,
-        }
-    }
-}
-
-/// Prepared kernel of [`IndexedGirgObjective`]: scores via the base
-/// [`GirgHopKernel`], block-sweeps the SoA lanes for the argmax.
-#[derive(Clone, Copy, Debug)]
-pub struct IndexedGirgHopKernel<'k, const D: usize> {
-    base: GirgHopKernel<'k, D>,
-    index: &'k RoutingIndex<D>,
-}
-
-impl<const D: usize> ScoreKernel for IndexedGirgHopKernel<'_, D> {
-    fn target(&self) -> NodeId {
-        self.base.target()
-    }
-
-    #[inline]
-    fn score(&self, v: NodeId) -> f64 {
-        self.base.score(v)
-    }
-
-    #[inline]
-    fn score_block(&self, vs: &[NodeId], out: &mut [f64]) {
-        self.base.score_block(vs, out);
-    }
-
-    #[inline]
-    fn best_neighbor(&self, graph: &Graph, v: NodeId) -> Option<(f64, NodeId)> {
-        debug_assert_eq!(graph.node_count(), self.index.node_count());
-        let range = self.index.slot_range(v);
-        let lanes = self.index.lane_views(range.clone());
-        let weights = &self.index.weights[range.clone()];
-        let nodes = &self.index.nodes[range];
-        // No target branch needed: the target's slot bit-copies its own
-        // position, the torus distance of a point to itself is exactly 0,
-        // and φ at distance 0 is +∞, matching ScoreKernel::score.
-        block::girg_best_neighbor::<D>(
-            &lanes,
-            weights,
-            nodes,
-            &self.base.target_pos,
-            self.base.norm,
-        )
+        self.base.prepare(target).with_bounds(self.index.bounds())
     }
 }
 
@@ -252,35 +157,43 @@ mod tests {
     use crate::greedy::GreedyRouter;
     use crate::lookahead::LookaheadRouter;
     use crate::router::Router;
+    use crate::ScoreKernel;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use smallworld_models::girg::GirgBuilder;
 
     fn girg() -> Girg<2> {
         let mut rng = StdRng::seed_from_u64(11);
-        GirgBuilder::<2>::new(600)
+        GirgBuilder::<2>::new(2_000)
             .beta(2.5)
             .lambda(0.05)
             .sample(&mut rng)
             .unwrap()
     }
 
+    /// The index covers the graph, bounds Morton-ordered ids, and holds
+    /// nothing for ids in sampling order.
     #[test]
     fn index_shape_matches_graph() {
         let g = girg();
-        let index = RoutingIndex::for_girg(&g);
-        assert_eq!(index.node_count(), g.graph().node_count());
-        assert_eq!(index.entry_count(), g.graph().edge_count() * 2);
-        // weighted D=2: two coordinate lanes + weight lane + id lane = 28 B/slot
-        assert!(index.bytes() >= index.entry_count() * 28);
-        for v in g.graph().nodes() {
-            assert_eq!(index.nodes_of(v), g.graph().neighbors(v));
-        }
+        let plain = RoutingIndex::for_girg(&g);
+        assert_eq!(plain.node_count(), g.graph().node_count());
+        assert_eq!(plain.entry_count(), g.graph().edge_count() * 2);
+        assert!(plain.bounds().is_none());
+        assert_eq!(plain.bytes(), 0);
+        let sorted = g.relabel(&g.morton_permutation());
+        let index = RoutingIndex::for_girg(&sorted);
+        assert!(index.bounds().is_some());
+        // a 20 B box per 64 ids, and the coarser levels above them
+        assert!(index.bytes() >= g.node_count().div_ceil(64) * 20);
     }
 
+    /// The bounded scan of every neighborhood is bitwise the scalar
+    /// first-best fold, towards targets all over the id range.
     #[test]
     fn indexed_sweeps_match_default_scan_bitwise() {
         let g = girg();
+        let g = g.relabel(&g.morton_permutation());
         let index = RoutingIndex::for_girg(&g);
         let girg_obj = GirgObjective::new(&g);
         let idx_girg = IndexedGirgObjective::new(girg_obj, &index);
@@ -289,10 +202,16 @@ mod tests {
             let t = NodeId::new(t);
             let base_g = girg_obj.prepare(t);
             let fast_g = idx_girg.prepare(t);
+            assert!(fast_g.bounds_runs());
             for v in g.graph().nodes() {
+                let ns = g.graph().neighbors(v);
                 assert_eq!(
-                    fast_g.best_neighbor(g.graph(), v).map(|(s, u)| (s.to_bits(), u)),
-                    base_g.best_neighbor(g.graph(), v).map(|(s, u)| (s.to_bits(), u)),
+                    fast_g
+                        .best_above(ns, f64::NEG_INFINITY)
+                        .map(|(s, u)| (s.to_bits(), u)),
+                    base_g
+                        .best_neighbor(g.graph(), v)
+                        .map(|(s, u)| (s.to_bits(), u)),
                     "girg sweep diverges at v={v}, t={t}"
                 );
             }
@@ -302,9 +221,11 @@ mod tests {
     #[test]
     fn indexed_routes_are_identical_records() {
         let g = girg();
+        let g = g.relabel(&g.morton_permutation());
         let index = RoutingIndex::for_girg(&g);
         let plain = GirgObjective::new(&g);
         let fast = IndexedGirgObjective::new(plain, &index);
+        assert!(fast.prepare(NodeId::new(0)).bounds_runs());
         let mut rng = StdRng::seed_from_u64(12);
         let greedy = GreedyRouter::new();
         let lookahead = LookaheadRouter::new();

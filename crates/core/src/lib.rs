@@ -12,7 +12,9 @@
 //! * [`greedy`] — Algorithm 1: forward the packet to the neighbor with the
 //!   best objective, fail in local optima. One loop serves a decoded
 //!   [`Graph`](smallworld_graph::Graph) and any adjacency view (e.g. a
-//!   memory-mapped store decoded on demand).
+//!   memory-mapped store decoded on demand), and one hop rule: the run
+//!   fold, which skips id groups, runs, tiles and blocks that a bounded
+//!   kernel proves cannot beat the current vertex.
 //! * [`router`] — the [`Router`] trait every protocol implements through
 //!   one routing method, [`Router::route_prepared`] over a prepared
 //!   [`ScoreKernel`], plus [`RouterKind`] for heterogeneous harnesses.
@@ -22,13 +24,10 @@
 //!   through φ's one scalar chain, so its routes are bitwise Algorithm 1's.
 //! * [`lookahead`] — the one-hop "know thy neighbor's neighbor" variant
 //!   cited among the Kleinberg-model refinements.
-//! * [`index`] — the opt-in structure-of-arrays routing index: per-axis
-//!   coordinate lanes plus a weight lane in CSR slot order, so the φ hop
-//!   scan is a blocked, auto-vectorizable sweep with no random gathers
-//!   (bitwise-identical routes, enforced).
-//! * [`block`] — the blocked φ primitives behind it: fixed-width max-norm
-//!   distance/φ loops per dimension, software prefetch, and the
-//!   tie-break-preserving argmax fold.
+//! * [`index`] — the opt-in routing index for decoded GIRGs: the
+//!   [`PhiBounds`] ladder over the graph's own lanes, so in-RAM hops prune
+//!   like the store path's (over Morton-ordered ids; bitwise-identical
+//!   routes, enforced).
 //! * [`packed`] — [`PackedGirgObjective`], the store-path objective:
 //!   [`GirgObjective`] over flat lanes borrowed from a memory-mapped
 //!   `smallworld-store` file ([`GirgObjective::from_lanes`]) plus the
@@ -72,7 +71,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod block;
 pub mod distributed;
 pub mod greedy;
 pub mod index;

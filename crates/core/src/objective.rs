@@ -30,7 +30,7 @@ use std::hash::{Hash, Hasher};
 
 use smallworld_geometry::point::{axis_distance, max_distance};
 use smallworld_geometry::Point;
-use smallworld_graph::view::{aligned_ranges, first_best_by_blocks, fold_first_best};
+use smallworld_graph::view::{aligned_ranges, first_best_by_blocks, fold_first_best, BLOCK_WIDTH};
 use smallworld_graph::{NodeId, GROUP_RUNS, RUN_IDS};
 use smallworld_models::girg::Girg;
 use smallworld_models::hyperbolic::{hyperbolic_distance, Hrg};
@@ -39,8 +39,6 @@ use smallworld_models::kleinberg::{ContinuumKleinberg, KleinbergLattice};
 pub use smallworld_graph::score::{
     FnObjective, NaiveKernel, NaiveObjective, Objective, ScoreKernel,
 };
-
-use crate::block::BLOCK_WIDTH;
 
 /// The paper's objective `φ(v) = w_v / (w_min · n · ‖x_v − x_t‖^d)` (§2.2).
 ///
@@ -77,9 +75,8 @@ pub struct GirgObjective<'a, const D: usize> {
 
 /// φ for one vertex against a target position: the max-norm torus distance
 /// ([`max_distance`], the fold of [`Point::distance`]), `powi(D)`, the
-/// zero-distance guard, and one divide. Every scalar GIRG score in the
-/// crate runs this chain; the blocked lanes of [`crate::block`] replay it
-/// slot by slot.
+/// zero-distance guard, and one divide. Every GIRG score in the crate runs
+/// this chain.
 #[inline]
 pub(crate) fn phi_chain<const D: usize>(x: &[f64; D], target: &[f64; D], w: f64, norm: f64) -> f64 {
     phi_at_distance::<D>(max_distance(x, target), w, norm)
@@ -296,6 +293,11 @@ impl<const D: usize> PhiBounds<D> {
     pub fn bound(&self, level: usize, range: usize, target: &[f64; D], norm: f64) -> f64 {
         self.levels[level][range].phi_bound(target, norm)
     }
+
+    /// Heap memory held by the ladder, in bytes.
+    pub fn bytes(&self) -> usize {
+        self.levels.iter().map(Vec::len).sum::<usize>() * std::mem::size_of::<IdBox<D>>()
+    }
 }
 
 impl<'a, const D: usize> GirgObjective<'a, D> {
@@ -374,7 +376,8 @@ impl<const D: usize> Objective for GirgObjective<'_, D> {
 /// neighbor instead of reloading the target every call.
 ///
 /// A kernel handed out by [`PackedGirgObjective`](crate::PackedGirgObjective)
-/// also carries its [`PhiBounds`]: its [`group_bound`](ScoreKernel::group_bound)
+/// or [`IndexedGirgObjective`](crate::IndexedGirgObjective) also carries
+/// their [`PhiBounds`]: its [`group_bound`](ScoreKernel::group_bound)
 /// and [`run_bound`](ScoreKernel::run_bound) bound run groups and runs, and
 /// its [`best_above`](ScoreKernel::best_above) skips tiles and blocks, so
 /// no range that cannot beat the incumbent is scored; one from
@@ -386,9 +389,9 @@ impl<const D: usize> Objective for GirgObjective<'_, D> {
 pub struct GirgHopKernel<'k, const D: usize> {
     positions: &'k [[f64; D]],
     weights: &'k [f64],
-    pub(crate) norm: f64,
+    norm: f64,
     target: NodeId,
-    pub(crate) target_pos: [f64; D],
+    target_pos: [f64; D],
     bounds: Option<&'k PhiBounds<D>>,
 }
 

@@ -1,21 +1,19 @@
 //! Cross-cutting equivalence suite for the routing hot path.
 //!
 //! Prepared kernels reused across a route, their blocked scores and
-//! pruned argmaxes, the edge-packed [`RoutingIndex`], and Morton-order
+//! pruned argmaxes, the φ-bound [`RoutingIndex`], and Morton-order
 //! relabeling are all *mechanism*, never policy: each must produce
 //! `RouteRecord`s bitwise-identical to the naive per-candidate
 //! [`Objective::score`] path ([`NaiveObjective`]: the kernel re-prepared
-//! for every score, folded by the default scalar argmax). These properties
-//! hold by construction — each objective's score formula lives once, in
-//! its kernel, and the index stores bit-copies of positions and weights in
-//! `Graph::neighbors` order — and this suite enforces them over randomized
-//! graphs, objectives, routers, and source/target pairs.
+//! for every score). These properties hold by construction — each
+//! objective's score formula lives once, in its kernel, and a bound is
+//! `≥` every score it covers — and this suite enforces them over
+//! randomized graphs, objectives, routers, and source/target pairs.
 
 use proptest::prelude::ProptestConfig;
 use proptest::proptest;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use smallworld_core::block::{girg_phi_block, BLOCK_WIDTH};
 use smallworld_core::{
     DistanceObjective, GirgObjective, GravityPressureRouter, GreedyRouter, HistoryRouter,
     HyperbolicObjective, IndexedGirgObjective, KleinbergObjective, LookaheadRouter, NaiveObjective,
@@ -27,64 +25,6 @@ use smallworld_graph::view::first_best_by_blocks;
 use smallworld_graph::{Graph, NodeId};
 use smallworld_models::girg::GirgBuilder;
 use smallworld_models::{HrgBuilder, KleinbergLattice};
-
-/// Random canonical (`[0, 1)`) points, their SoA lanes, and a target.
-fn random_soa<const D: usize>(rng: &mut StdRng, count: usize) -> (Vec<Point<D>>, Vec<Vec<f64>>, Point<D>) {
-    let points: Vec<Point<D>> = (0..count)
-        .map(|_| Point::new(std::array::from_fn(|_| rng.gen_range(0.0..1.0))))
-        .collect();
-    let lanes: Vec<Vec<f64>> = (0..D)
-        .map(|k| points.iter().map(|p| p.coords()[k]).collect())
-        .collect();
-    let target = Point::new(std::array::from_fn(|_| rng.gen_range(0.0..1.0)));
-    (points, lanes, target)
-}
-
-/// Pins [`girg_phi_block`] bitwise to the scalar φ chain
-/// (`w / (norm_const · dist^D)` with the zero-distance guard) for edge
-/// weights `±0.0` and `+∞` and a zero-distance slot.
-fn check_phi_blocks<const D: usize>(rng: &mut StdRng) {
-    let count = BLOCK_WIDTH + rng.gen_range(1..BLOCK_WIDTH);
-    let (mut points, mut lanes, target) = random_soa::<D>(rng, count);
-    // force one slot onto the target: distance exactly 0, φ exactly +∞
-    let zero_slot = rng.gen_range(0..count);
-    points[zero_slot] = target;
-    for (k, lane) in lanes.iter_mut().enumerate() {
-        lane[zero_slot] = target.coords()[k];
-    }
-    let weights: Vec<f64> = (0..count)
-        .map(|_| match rng.gen_range(0..5) {
-            0 => 0.0,
-            1 => -0.0,
-            2 => f64::INFINITY,
-            _ => rng.gen_range(0.5..50.0),
-        })
-        .collect();
-    let norm_const = rng.gen_range(0.1..1e6);
-    let views: [&[f64]; D] = std::array::from_fn(|k| lanes[k].as_slice());
-    let mut out = [0.0; BLOCK_WIDTH];
-    let mut base = 0;
-    while base < count {
-        let len = (count - base).min(BLOCK_WIDTH);
-        girg_phi_block::<D>(&views, &weights, target.coords(), norm_const, base, &mut out[..len]);
-        for (j, o) in out[..len].iter().enumerate() {
-            let slot = base + j;
-            let dist_pow_d = points[slot].distance_pow_d(&target);
-            let scalar = if dist_pow_d == 0.0 {
-                f64::INFINITY
-            } else {
-                weights[slot] / (norm_const * dist_pow_d)
-            };
-            assert_eq!(
-                o.to_bits(),
-                scalar.to_bits(),
-                "φ D={D} slot {slot} w={}: {o} vs {scalar}",
-                weights[slot]
-            );
-        }
-        base += len;
-    }
-}
 
 fn routers() -> [RouterKind; 5] {
     [
@@ -175,14 +115,19 @@ proptest! {
         );
     }
 
-    /// The edge-packed index is pure mechanism: indexed sweeps route
-    /// identically to the default gather scan.
+    /// The routing index is pure mechanism: over Morton ids, where it
+    /// holds bounds, its pruned scans route identically to the plain
+    /// objective under every router; over ids in sampling order it holds
+    /// none.
     #[test]
     fn prop_indexed_routes_match_unindexed(seed in 0u64..1 << 32) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let girg = GirgBuilder::<2>::new(400).beta(2.5).sample(&mut rng).unwrap();
+        let girg = GirgBuilder::<2>::new(2_000).beta(2.5).sample(&mut rng).unwrap();
         if girg.node_count() >= 2 {
+            assert!(RoutingIndex::for_girg(&girg).bounds().is_none());
+            let girg = girg.relabel(&girg.morton_permutation());
             let index = RoutingIndex::for_girg(&girg);
+            assert!(index.bounds().is_some(), "Morton ids build bounds");
             assert_identical_records(
                 girg.graph(),
                 &IndexedGirgObjective::new(GirgObjective::new(&girg), &index),
@@ -191,16 +136,6 @@ proptest! {
                 seed ^ 0x1111,
             );
         }
-    }
-
-    /// The blocked φ kernel is bitwise the scalar φ chain even for ±0.0
-    /// and infinite edge weights and a zero-distance (target) slot.
-    #[test]
-    fn prop_phi_block_matches_scalar_with_edge_weights(seed in 0u64..1 << 32) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        check_phi_blocks::<1>(&mut rng);
-        check_phi_blocks::<2>(&mut rng);
-        check_phi_blocks::<3>(&mut rng);
     }
 
     /// Morton relabeling is invisible through the permutation: routing the

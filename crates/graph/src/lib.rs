@@ -48,7 +48,7 @@ pub mod view;
 
 pub use csr::{percolate, percolate_vertices, Graph, GraphBuilder, GraphError, NodeId};
 pub use permute::Permutation;
-pub use score::{FnObjective, NaiveKernel, NaiveObjective, Objective, ScoreKernel, GROUP_RUNS};
+pub use score::{FnObjective, NaiveKernel, NaiveObjective, Objective, ScoreKernel};
 pub use traversal::{bfs_distance, bfs_distances, double_sweep_diameter, Components};
 pub use union_find::UnionFind;
-pub use view::{AdjacencyView, RunFold, RUN_IDS};
+pub use view::{AdjacencyView, RunFold, GROUP_RUNS, RUN_IDS};

@@ -90,12 +90,12 @@ pub trait ScoreKernel {
 
     /// The greedy argmax over `v`'s neighborhood: the first neighbor (in
     /// adjacency order) attaining the strictly largest score, or `None` for
-    /// an isolated vertex.
+    /// an isolated vertex — the plain scalar fold over [`Graph::neighbors`].
     ///
-    /// The default implementation scans [`Graph::neighbors`]; kernels
-    /// backed by an edge-packed index override it with a sequential sweep
-    /// that performs no random gathers. Overrides must preserve
-    /// first-best-in-adjacency-order semantics bitwise.
+    /// No router calls it: every greedy hop, over a decoded graph or any
+    /// [`AdjacencyView`](crate::AdjacencyView), takes [`Self::best_above`],
+    /// run by run for kernels that [bound runs](Self::bounds_runs). It
+    /// stays as the scalar reference those scans are tested against.
     #[inline]
     fn best_neighbor(&self, graph: &Graph, v: NodeId) -> Option<(f64, NodeId)> {
         let mut best: Option<(f64, NodeId)> = None;
@@ -149,20 +149,15 @@ pub trait ScoreKernel {
     }
 
     /// An upper bound on the score of every vertex in run group `group`
-    /// (the runs `group · GROUP_RUNS ..`, see [`GROUP_RUNS`]); `+∞` by
-    /// default. As [`Self::run_bound`], it must be `≥` every member's
-    /// score, or NaN.
+    /// (the runs `group · GROUP_RUNS ..`, see
+    /// [`GROUP_RUNS`](crate::GROUP_RUNS)); `+∞` by default. As
+    /// [`Self::run_bound`], it must be `≥` every member's score, or NaN.
     #[inline]
     fn group_bound(&self, group: usize) -> f64 {
         let _ = group;
         f64::INFINITY
     }
 }
-
-/// Runs per run group of [`ScoreKernel::group_bound`]: group `g` holds the
-/// runs `g · GROUP_RUNS .. (g + 1) · GROUP_RUNS` of
-/// [`RUN_IDS`](crate::RUN_IDS) ids each, 65,536 ids in all.
-pub const GROUP_RUNS: usize = 16;
 
 /// The trivial [`ScoreKernel`]: defers every call to the two-argument
 /// [`Objective::score`] with no per-target preparation.

@@ -13,9 +13,9 @@
 //! outlive the call.
 //!
 //! A view may also hand a list over run by run ([`AdjacencyView::fold_runs`]):
-//! a fold that can bound a whole aligned run of [`RUN_IDS`] ids says which
-//! runs it wants before their ids are fetched, so a view that can fetch one
-//! run alone never decodes the others.
+//! a fold that can bound a whole aligned run of [`RUN_IDS`] ids, or a group
+//! of [`GROUP_RUNS`] runs, says which it wants before their ids are fetched,
+//! so a view that can fetch one run alone never decodes the others.
 //!
 //! The tie order that makes routes comparable across substrates lives here
 //! too: [`fold_first_best`] and [`first_best_by_blocks`] are the one greedy
@@ -51,12 +51,15 @@ pub trait AdjacencyView {
     /// aligned run of [`RUN_IDS`] ids — the fold's [lead](RunFold::lead)
     /// first, if the list has it, then the others in ascending order — asks
     /// [`RunFold::wants`] and hands the run's ids to [`RunFold::fold`] only
-    /// if it does.
+    /// if it does. The ascending pass goes group by group: it asks
+    /// [`RunFold::wants_group`] once for each group of [`GROUP_RUNS`] runs
+    /// that holds a run besides the lead, and asks none of a declined
+    /// group's runs.
     ///
     /// The default fetches the whole list through [`Self::with_neighbors`]
     /// and splits it with [`fold_sorted_runs`]. Views that can fetch one
     /// run alone override it so that unwanted runs are never fetched; the
-    /// fold sees the same runs either way.
+    /// fold sees the same questions and runs either way.
     ///
     /// # Panics
     ///
@@ -70,6 +73,10 @@ pub trait AdjacencyView {
 /// `r · RUN_IDS .. (r + 1) · RUN_IDS`.
 pub const RUN_IDS: usize = 4096;
 
+/// Runs per run group of [`AdjacencyView::fold_runs`]: group `g` holds the
+/// runs `g · GROUP_RUNS .. (g + 1) · GROUP_RUNS`, 65,536 ids in all.
+pub const GROUP_RUNS: usize = 16;
+
 /// A fold over one vertex's sorted neighbor list, run by run (see
 /// [`AdjacencyView::fold_runs`]).
 pub trait RunFold {
@@ -79,10 +86,21 @@ pub trait RunFold {
         None
     }
 
+    /// Whether the fold may need any run of group `group` (the runs
+    /// `group · GROUP_RUNS ..`). Asked once per list for each group that
+    /// holds a non-empty run besides the [lead](Self::lead), in ascending
+    /// order after the lead is folded, before any of the group's runs; if
+    /// it declines, none of them is asked or fetched. The default wants
+    /// every group.
+    fn wants_group(&mut self, group: usize) -> bool {
+        let _ = group;
+        true
+    }
+
     /// Whether the fold needs the ids of run `run`. Asked once per
     /// non-empty run before its ids are fetched: first the
-    /// [lead](Self::lead), if the list has it, then the other runs in
-    /// ascending order.
+    /// [lead](Self::lead), if the list has it, then the runs of each
+    /// wanted group in ascending order.
     fn wants(&mut self, run: usize) -> bool;
 
     /// Folds the ids of the last run [`Self::wants`] accepted: a
@@ -92,23 +110,47 @@ pub trait RunFold {
 
 /// Splits a sorted neighbor list into its aligned runs of [`RUN_IDS`] ids
 /// and hands each run the fold wants to [`RunFold::fold`]: the
-/// [lead](RunFold::lead) first, if the list has it, then the others in
-/// ascending order — the default [`AdjacencyView::fold_runs`] over an
-/// in-memory list.
+/// [lead](RunFold::lead) first, if the list has it, then the others group
+/// by group in ascending order, a group declined by
+/// [`RunFold::wants_group`] passed over with one search — the default
+/// [`AdjacencyView::fold_runs`] over an in-memory list.
 pub fn fold_sorted_runs(ns: &[NodeId], fold: &mut impl RunFold) {
     let Some(lead) = fold.lead() else {
-        return fold_ascending(ns, fold);
+        return fold_groups(ns, &[], fold);
     };
     let from = ns.partition_point(|v| v.index() / RUN_IDS < lead);
     let to = from + ns[from..].partition_point(|v| v.index() / RUN_IDS == lead);
     if from < to && fold.wants(lead) {
         fold.fold(&ns[from..to]);
     }
-    fold_ascending(&ns[..from], fold);
-    fold_ascending(&ns[to..], fold);
+    fold_groups(&ns[..from], &ns[to..], fold);
 }
 
-/// [`fold_sorted_runs`] with no lead: every run in ascending order.
+/// The ascending pass of [`fold_sorted_runs`] over a list whose lead run is
+/// cut out: `before` and `after` hold the ids below and above it. Each
+/// group is asked once, the lead's group too, although its ids may lie on
+/// both sides of the cut.
+fn fold_groups(mut before: &[NodeId], mut after: &[NodeId], fold: &mut impl RunFold) {
+    const GROUP_IDS: usize = GROUP_RUNS * RUN_IDS;
+    while let Some(first) = before.first().or(after.first()) {
+        let group = first.index() / GROUP_IDS;
+        let (low, rest) = split_range(before, group, GROUP_IDS);
+        // every id of `after` lies above `before`, so `after` starts in
+        // this group only once `before` is used up
+        let (high, rest_after) = if rest.is_empty() {
+            split_range(after, group, GROUP_IDS)
+        } else {
+            (&[][..], after)
+        };
+        if fold.wants_group(group) {
+            fold_ascending(low, fold);
+            fold_ascending(high, fold);
+        }
+        (before, after) = (rest, rest_after);
+    }
+}
+
+/// Every run of `ns` in ascending order.
 fn fold_ascending(ns: &[NodeId], fold: &mut impl RunFold) {
     for (run, ids) in aligned_ranges(ns, RUN_IDS) {
         if fold.wants(run) {
@@ -120,16 +162,25 @@ fn fold_ascending(ns: &[NodeId], fold: &mut impl RunFold) {
 /// Splits a slice of distinct ascending ids into its non-empty aligned
 /// ranges of `ids` ids, as `(range, members)` pairs in ascending order:
 /// range `r` holds the ids `r · ids .. (r + 1) · ids`.
+#[inline]
 pub fn aligned_ranges(ns: &[NodeId], ids: usize) -> impl Iterator<Item = (usize, &[NodeId])> {
     let mut rest = ns;
     std::iter::from_fn(move || {
         let range = rest.first()?.index() / ids;
-        // distinct sorted ids: a range holds at most `ids` of them
-        let window = &rest[..rest.len().min(ids)];
-        let (members, tail) = rest.split_at(window.partition_point(|v| v.index() / ids == range));
-        rest = tail;
+        let members;
+        (members, rest) = split_range(rest, range, ids);
         Some((range, members))
     })
+}
+
+/// Splits distinct ascending ids, none below range `range` of `ids` ids,
+/// into the range's members and the ids above it.
+#[inline]
+fn split_range(ns: &[NodeId], range: usize, ids: usize) -> (&[NodeId], &[NodeId]) {
+    let end = (range + 1) * ids;
+    // distinct ids from the range's start on: at most `ids` of them are in it
+    let window = &ns[..ns.len().min(ids)];
+    ns.split_at(window.partition_point(|v| v.index() < end))
 }
 
 impl AdjacencyView for &Graph {
@@ -171,8 +222,13 @@ pub fn fold_first_best(best: &mut Option<(f64, NodeId)>, scores: &[f64], nodes: 
     }
 }
 
-/// Slots per [`first_best_by_blocks`] scorer call.
-const SCORE_BLOCK: usize = 8;
+/// Slots per [`first_best_by_blocks`] scorer call, and per
+/// [`ScoreKernel::score_block`](crate::ScoreKernel::score_block) call of the
+/// bounded scans built on it.
+///
+/// Eight f64 lanes fill one AVX-512 register (two AVX2 or four SSE2 ones)
+/// and keep the remainder short.
+pub const BLOCK_WIDTH: usize = 8;
 
 /// The first-best argmax of `nodes`: scores them in order, in blocks of up
 /// to eight, and folds each block through [`fold_first_best`].
@@ -186,8 +242,8 @@ pub fn first_best_by_blocks(
     mut score_block: impl FnMut(&[NodeId], &mut [f64]),
 ) -> Option<(f64, NodeId)> {
     let mut best = None;
-    let mut scores = [0.0f64; SCORE_BLOCK];
-    for chunk in nodes.chunks(SCORE_BLOCK) {
+    let mut scores = [0.0f64; BLOCK_WIDTH];
+    for chunk in nodes.chunks(BLOCK_WIDTH) {
         score_block(chunk, &mut scores);
         fold_first_best(&mut best, &scores[..chunk.len()], chunk);
     }
@@ -245,11 +301,37 @@ mod tests {
         }
     }
 
-    /// Records every run it is asked about and keeps the ids of the runs
-    /// it accepts, rejecting the runs in `reject`.
+    #[test]
+    fn fold_first_best_keeps_first_winner() {
+        let nodes: Vec<NodeId> = (0..6).map(NodeId::new).collect();
+        let scores = [1.0, 3.0, 3.0, 2.0, 3.0, 0.5];
+        let mut best = None;
+        fold_first_best(&mut best, &scores[..3], &nodes[..3]);
+        fold_first_best(&mut best, &scores[3..], &nodes[3..]);
+        assert_eq!(best, Some((3.0, NodeId::new(1))));
+    }
+
+    #[test]
+    fn fold_first_best_rejects_unbeatable_blocks() {
+        let nodes: Vec<NodeId> = (0..4).map(NodeId::new).collect();
+        let mut best = Some((5.0, NodeId::new(9)));
+        fold_first_best(&mut best, &[4.0, 5.0, f64::NAN, 1.0], &nodes);
+        assert_eq!(best, Some((5.0, NodeId::new(9))));
+        // beatable block: the in-order scan runs and lands on the last
+        // strict improvement, just like the scalar sweep would
+        fold_first_best(&mut best, &[4.0, 5.5, 6.0, 1.0], &nodes);
+        assert_eq!(best, Some((6.0, NodeId::new(2))));
+    }
+
+    /// Records every group and run it is asked about and keeps the ids of
+    /// the runs it accepts, declining the groups in `reject_groups` and the
+    /// runs in `reject`.
+    #[derive(Default)]
     struct Recorder {
         lead: Option<usize>,
+        reject_groups: Vec<usize>,
         reject: Vec<usize>,
+        groups: Vec<usize>,
         asked: Vec<usize>,
         kept: Vec<NodeId>,
     }
@@ -257,6 +339,11 @@ mod tests {
     impl RunFold for Recorder {
         fn lead(&self) -> Option<usize> {
             self.lead
+        }
+
+        fn wants_group(&mut self, group: usize) -> bool {
+            self.groups.push(group);
+            !self.reject_groups.contains(&group)
         }
 
         fn wants(&mut self, run: usize) -> bool {
@@ -293,10 +380,10 @@ mod tests {
                 let mut fold = Recorder {
                     lead,
                     reject: reject.clone(),
-                    asked: Vec::new(),
-                    kept: Vec::new(),
+                    ..Recorder::default()
                 };
                 view.fold_runs(NodeId::new(hub), &mut fold);
+                assert_eq!(fold.groups, [0], "lead {lead:?} reject {reject:?}");
                 assert_eq!(fold.asked, order, "lead {lead:?} reject {reject:?}");
                 let expect: Vec<NodeId> = order
                     .iter()
@@ -305,6 +392,74 @@ mod tests {
                     .map(|&u| NodeId::new(u))
                     .collect();
                 assert_eq!(fold.kept, expect, "lead {lead:?} reject {reject:?}");
+            }
+        }
+    }
+
+    /// Each group holding a run besides the lead is asked once, in
+    /// ascending order after the lead, the lead's group included when its
+    /// runs lie on both sides of the lead; no run of a declined group is
+    /// asked, and the runs folded are the list's, filtered by group and
+    /// run.
+    #[test]
+    fn default_fold_runs_asks_each_group_once() {
+        const G: u32 = (GROUP_RUNS * RUN_IDS) as u32;
+        const R: u32 = RUN_IDS as u32;
+        // runs 0 and 1 in group 0, 16, 18 and 21 in group 1, 32 in group
+        // 2 and 48 in group 3
+        let spokes = [
+            0,
+            5,
+            R + 1,
+            G + 3,
+            G + 2 * R,
+            G + 5 * R + 7,
+            2 * G + 1,
+            3 * G + 4,
+        ];
+        let hub = 3 * G + R;
+        let g = Graph::from_edges(hub as usize + 1, spokes.iter().map(|&u| (u, hub))).unwrap();
+        let mut view = &g;
+        let run_of = |u: u32| u as usize / RUN_IDS;
+        let group_of = |run: usize| run / GROUP_RUNS;
+        let runs: Vec<usize> = spokes.iter().map(|&u| run_of(u)).collect();
+        // leads in a group with runs on both sides, first in a group,
+        // alone in its group, and absent from the list
+        for lead in [None, Some(18), Some(0), Some(48), Some(2)] {
+            let present = lead.filter(|l| runs.contains(l));
+            for reject_groups in [vec![], vec![1], vec![0, 2], vec![1, 3]] {
+                for reject in [vec![], vec![18], vec![1, 21, 32]] {
+                    let mut fold = Recorder {
+                        lead,
+                        reject_groups: reject_groups.clone(),
+                        reject: reject.clone(),
+                        ..Recorder::default()
+                    };
+                    view.fold_runs(NodeId::new(hub), &mut fold);
+                    let context = format!("lead {lead:?} groups {reject_groups:?} runs {reject:?}");
+                    let mut groups: Vec<usize> = runs
+                        .iter()
+                        .filter(|&&r| Some(r) != present)
+                        .map(|&r| group_of(r))
+                        .collect();
+                    groups.dedup();
+                    assert_eq!(fold.groups, groups, "{context}");
+                    let mut asked: Vec<usize> = present.into_iter().collect();
+                    asked.extend(
+                        runs.iter()
+                            .filter(|&&r| Some(r) != present)
+                            .filter(|&&r| !reject_groups.contains(&group_of(r))),
+                    );
+                    asked.dedup();
+                    assert_eq!(fold.asked, asked, "{context}");
+                    let kept: Vec<NodeId> = asked
+                        .iter()
+                        .filter(|r| !reject.contains(r))
+                        .flat_map(|&r| spokes.iter().filter(move |&&u| run_of(u) == r))
+                        .map(|&u| NodeId::new(u))
+                        .collect();
+                    assert_eq!(fold.kept, kept, "{context}");
+                }
             }
         }
     }

@@ -21,7 +21,9 @@
 //! stream — so [`AdjacencyView::fold_runs`] decodes only the runs the fold
 //! wants. It finds the fold's [lead](RunFold::lead) run (the target's, for
 //! a greedy hop) in the directory by binary search and decodes it first,
-//! so the fold's bar is high before it weighs the other runs.
+//! so the fold's bar is high before it weighs the other runs, then asks
+//! about each group of `GROUP_RUNS` runs once and passes over a declined
+//! group's directory entries without a question.
 //!
 //! Whole lists and wanted runs decode through
 //! [`varint::decode_sorted_after`], which takes eight stream bytes per step
@@ -32,7 +34,7 @@
 //! cached hub.
 
 use smallworld_graph::view::fold_sorted_runs;
-use smallworld_graph::{AdjacencyView, NodeId, RunFold, RUN_IDS};
+use smallworld_graph::{AdjacencyView, NodeId, RunFold, GROUP_RUNS, RUN_IDS};
 
 use crate::csr::CompressedCsr;
 use crate::varint;
@@ -215,6 +217,29 @@ fn decode(stream: &[u8], after: Option<u32>, ids: &mut Vec<NodeId>) {
     .expect(UNDECODABLE);
 }
 
+/// Hands run `i` of directory `runs` over list `stream` to `fold` if it
+/// wants it, decoding it into `ids`: the run's id count, or `None` for a
+/// run the fold skipped.
+fn fold_run(
+    stream: &[u8],
+    runs: &[RunStart],
+    i: usize,
+    ids: &mut Vec<NodeId>,
+    fold: &mut impl RunFold,
+) -> Option<usize> {
+    let start = runs[i];
+    if !fold.wants(start.run as usize) {
+        return None;
+    }
+    let end = runs
+        .get(i + 1)
+        .map_or(stream.len(), |next| next.offset as usize);
+    let after = (start.offset != 0).then_some(start.prev);
+    decode(&stream[start.offset as usize..end], after, ids);
+    fold.fold(ids);
+    Some(ids.len())
+}
+
 /// A stateful adjacency reader over a [`CompressedCsr`] that decodes on
 /// demand. Implements [`AdjacencyView`], so routing loops are generic over
 /// it.
@@ -226,9 +251,11 @@ fn decode(stream: &[u8], after: Option<u32>, ids: &mut Vec<NodeId>) {
 /// first visit, built during that visit's one checked decode: the run
 /// number, byte offset and preceding id of each non-empty run. Directories
 /// live in an LRU of their own, and a later visit decodes only the runs the
-/// fold wants — the [lead](RunFold::lead) first, then the others in
-/// ascending order — each with the same checks as the whole list, so the
-/// fold sees exactly the runs and ids, in the same order, that
+/// fold wants — the [lead](RunFold::lead) first, then the others group by
+/// group in ascending order, each group asked once through
+/// [`RunFold::wants_group`] and a declined one's runs neither asked nor
+/// decoded — each with the same checks as the whole list, so the fold
+/// sees exactly the questions, runs and ids, in the same order, that
 /// `fold_sorted_runs` hands it from the whole list.
 ///
 /// Cursors are cheap and thread-confined; parallel harnesses create one
@@ -279,8 +306,8 @@ impl<'a> MappedCursor<'a> {
         self.decoded_ids
     }
 
-    /// Runs a fold did not want and a cached directory let the cursor skip
-    /// without decoding them.
+    /// Runs a fold did not want, one by one or with their whole group, and
+    /// a cached directory let the cursor skip without decoding them.
     pub fn skipped_runs(&self) -> u64 {
         self.skipped_runs
     }
@@ -327,24 +354,34 @@ impl AdjacencyView for MappedCursor<'_> {
             Ok(dir) => {
                 self.hits += 1;
                 let runs = &dir.value;
+                let (mut folded, mut decoded) = (0, 0);
+                let mut visit = |i, fold: &mut _| {
+                    if let Some(len) = fold_run(stream, runs, i, ids, fold) {
+                        folded += 1;
+                        decoded += len;
+                    }
+                };
                 let lead = fold
                     .lead()
                     .and_then(|lead| runs.binary_search_by_key(&lead, |r| r.run as usize).ok());
-                let rest = (0..runs.len()).filter(|&i| Some(i) != lead);
-                for i in lead.into_iter().chain(rest) {
-                    let start = runs[i];
-                    if !fold.wants(start.run as usize) {
-                        self.skipped_runs += 1;
-                        continue;
-                    }
-                    let end = runs
-                        .get(i + 1)
-                        .map_or(stream.len(), |next| next.offset as usize);
-                    let after = (start.offset != 0).then_some(start.prev);
-                    decode(&stream[start.offset as usize..end], after, ids);
-                    self.decoded_ids += ids.len() as u64;
-                    fold.fold(ids);
+                if let Some(i) = lead {
+                    visit(i, fold);
                 }
+                // the ascending pass, group by group, the lead left out
+                let mut i = 0;
+                while i < runs.len() {
+                    let group = runs[i].run as usize / GROUP_RUNS;
+                    let end = (group + 1) * GROUP_RUNS;
+                    let to = i + runs[i..].partition_point(|r| (r.run as usize) < end);
+                    let mut members = (i..to).filter(|&k| Some(k) != lead).peekable();
+                    if members.peek().is_some() && fold.wants_group(group) {
+                        members.for_each(|k| visit(k, fold));
+                    }
+                    i = to;
+                }
+                // every run not folded was skipped, alone or with its group
+                self.decoded_ids += decoded as u64;
+                self.skipped_runs += (runs.len() - folded) as u64;
             }
             Err(victim) => {
                 self.misses += 1;
@@ -453,11 +490,14 @@ mod tests {
         }
     }
 
-    /// Records the runs a fold is asked about, in order, and the ids of
-    /// the runs it accepts, rejecting the runs in `reject`.
+    /// Records the groups and runs a fold is asked about, in order, and the
+    /// ids of the runs it accepts, declining the groups in `reject_groups`
+    /// and the runs in `reject`.
     struct Recorder {
         lead: Option<usize>,
+        reject_groups: Vec<usize>,
         reject: Vec<usize>,
+        groups: Vec<usize>,
         asked: Vec<usize>,
         kept: Vec<(usize, Vec<NodeId>)>,
     }
@@ -466,7 +506,9 @@ mod tests {
         fn new(lead: Option<usize>, reject: &[usize]) -> Self {
             Recorder {
                 lead,
+                reject_groups: Vec::new(),
                 reject: reject.to_vec(),
+                groups: Vec::new(),
                 asked: Vec::new(),
                 kept: Vec::new(),
             }
@@ -476,6 +518,11 @@ mod tests {
     impl RunFold for Recorder {
         fn lead(&self) -> Option<usize> {
             self.lead
+        }
+
+        fn wants_group(&mut self, group: usize) -> bool {
+            self.groups.push(group);
+            !self.reject_groups.contains(&group)
         }
 
         fn wants(&mut self, run: usize) -> bool {
@@ -534,6 +581,70 @@ mod tests {
                 }
             }
             assert_eq!(cursor.misses(), 1, "lead {lead:?}: one directory build");
+        }
+    }
+
+    /// On a directory hit, a group the fold declines is passed over whole:
+    /// none of its runs is asked or decoded, each counts in
+    /// `skipped_runs`, and the fold sees the questions and ids that
+    /// `fold_sorted_runs` gives it from the decoded list — also when the
+    /// lead is alone in its group, which is then not asked.
+    #[test]
+    fn directory_skips_declined_groups_unasked() {
+        let full_groups = 3;
+        // groups 0–2 hold every run; group 3 holds only run `lone`
+        let lone = full_groups * GROUP_RUNS + 2;
+        let hub: Vec<u32> = (1..(full_groups * GROUP_RUNS * RUN_IDS) as u32)
+            .filter(|&u| u % 3 == 0)
+            .chain([1, 5, 9].map(|k| (lone * RUN_IDS + k) as u32))
+            .collect();
+        let n = (full_groups + 1) * GROUP_RUNS * RUN_IDS;
+        let csr = CompressedCsr::encode(n, 2 * hub.len(), |v, list| {
+            if v == 0 {
+                list.extend_from_slice(&hub);
+            }
+        });
+        let list: Vec<NodeId> = hub.iter().map(|&u| NodeId::new(u)).collect();
+        let runs = full_groups * GROUP_RUNS + 1;
+        let mut cursor = csr.cursor();
+        cursor.fold_runs(NodeId::new(0), &mut KeepAll(Vec::new()));
+        assert_eq!(cursor.misses(), 1, "the first visit builds the directory");
+        // a lead inside group 1, one alone in its group, and an absent one
+        for lead in [None, Some(GROUP_RUNS + 4), Some(lone), Some(lone + 5)] {
+            for reject_groups in [vec![], vec![1], vec![0, 2], vec![3]] {
+                for reject in [&[][..], &[3, 2 * GROUP_RUNS + 8]] {
+                    let context = format!("lead {lead:?} groups {reject_groups:?} runs {reject:?}");
+                    let mut expect = Recorder::new(lead, reject);
+                    expect.reject_groups = reject_groups.clone();
+                    fold_sorted_runs(&list, &mut expect);
+                    let mut fold = Recorder::new(lead, reject);
+                    fold.reject_groups = reject_groups.clone();
+                    let (hits, decoded, skipped) =
+                        (cursor.hits(), cursor.decoded_ids(), cursor.skipped_runs());
+                    cursor.fold_runs(NodeId::new(0), &mut fold);
+                    assert_eq!(cursor.hits(), hits + 1, "{context}");
+                    assert_eq!(fold.groups, expect.groups, "{context}");
+                    assert_eq!(fold.asked, expect.asked, "{context}");
+                    assert_eq!(fold.kept, expect.kept, "{context}");
+                    assert!(
+                        fold.asked
+                            .iter()
+                            .all(|&r| Some(r) == lead || !reject_groups.contains(&(r / GROUP_RUNS))),
+                        "{context}: a declined group's run was asked"
+                    );
+                    let folded_ids: usize = fold.kept.iter().map(|(_, ids)| ids.len()).sum();
+                    assert_eq!(
+                        cursor.decoded_ids() - decoded,
+                        folded_ids as u64,
+                        "{context}"
+                    );
+                    assert_eq!(
+                        cursor.skipped_runs() - skipped,
+                        (runs - fold.kept.len()) as u64,
+                        "{context}"
+                    );
+                }
+            }
         }
     }
 

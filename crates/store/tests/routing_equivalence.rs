@@ -1,8 +1,9 @@
 //! Greedy routes on a store-loaded graph are bitwise those of the freshly
 //! sampled graph — outcome and full hop path — across every scoring path:
 //! the point-based objective, the packed objective scoring straight off the
-//! store's flat geometry sections, and the edge-packed routing index, on
-//! both the whole loaded graph and the shard-assembled one.
+//! store's flat geometry sections, and the routing index over a
+//! Morton-relabeled copy, on both the whole loaded graph and the
+//! shard-assembled one.
 //!
 //! This is the load-path extension of `smallworld-core`'s
 //! `kernel_equivalence` suite: it pins that persistence is invisible to
@@ -79,10 +80,27 @@ fn store_loaded_routes_are_bitwise_identical() {
         PackedGirgObjective::<2>::new(&positions, &weights, params.wmin * params.intensity);
     assert_eq!(routes(&graph, &packed, &pairs), reference);
 
-    // 3. loaded GIRG behind the edge-packed routing index
-    let index = RoutingIndex::for_girg(&loaded);
-    let indexed = IndexedGirgObjective::new(GirgObjective::new(&loaded), &index);
-    assert_eq!(routes(loaded.graph(), &indexed, &pairs), reference);
+    // 3. the routing index: no bounds over the loaded ids (sampling
+    //    order), and pruned scans over a Morton-relabeled copy, routed
+    //    between mapped endpoints and mapped back
+    assert!(RoutingIndex::for_girg(&loaded).bounds().is_none());
+    let perm = loaded.morton_permutation();
+    let sorted = loaded.relabel(&perm);
+    let index = RoutingIndex::for_girg(&sorted);
+    assert!(index.bounds().is_some(), "Morton ids build bounds");
+    let indexed = IndexedGirgObjective::new(GirgObjective::new(&sorted), &index);
+    let mapped: Vec<(NodeId, NodeId)> = pairs
+        .iter()
+        .map(|&(s, t)| (perm.forward(s), perm.forward(t)))
+        .collect();
+    let through_index: Vec<RouteRecord> = routes(sorted.graph(), &indexed, &mapped)
+        .into_iter()
+        .map(|r| RouteRecord {
+            path: perm.path_to_original(&r.path),
+            ..r
+        })
+        .collect();
+    assert_eq!(through_index, reference);
 
     // 4. shard-assembled graph, both objectives
     let assembled = store.load_shards().unwrap().assemble().unwrap();

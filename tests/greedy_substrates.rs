@@ -1,6 +1,7 @@
 //! One greedy loop, seven substrates: Algorithm 1 must take bitwise the
-//! same route whether it reads a decoded CSR, the in-RAM SoA index, a
-//! memory-mapped store decoded on demand, a shard partition with handoff,
+//! same route whether it reads a decoded CSR (with or without the routing
+//! index's bounds pruning each hop's scan), a memory-mapped store decoded
+//! on demand, a shard partition with handoff,
 //! the traffic simulator's forwarding policy (over the plain objective and
 //! over the store-path objective whose bounds prune each hop's scan), or
 //! the locality-enforcing node-program simulator.
@@ -47,7 +48,8 @@ struct Substrates {
     /// prune hop scans with id-block bounds when it has them.
     net_policy_bounded: Vec<RouteRecord>,
     node_program: Vec<RouteRecord>,
-    /// Whether the store-path objective built its bounds.
+    /// Whether the store-path objective and the routing index built their
+    /// bounds (over the same lanes, they agree).
     bounded: bool,
 }
 
@@ -118,6 +120,7 @@ fn route_everywhere(
         .collect();
 
     std::fs::remove_file(path).ok();
+    assert_eq!(index.bounds().is_some(), packed.bounds().is_some());
     Substrates {
         indexed,
         mapped,
@@ -272,6 +275,7 @@ fn every_substrate_breaks_phi_ties_first_best() {
         assert_eq!(reference[0].path, expect.map(NodeId::new), "{name}");
 
         let got = route_everywhere(&girg, &temp_path(name), 2, &pairs);
+        assert!(!got.bounded, "{name}: four vertices fill no id block");
         assert_all_equal(&reference, &got);
     }
 }
