@@ -38,7 +38,9 @@
 //! tables are cell-for-cell those of `--load` (CI diffs all three runs).
 //! It prints the peak RSS, the decode-free open time and the cursors'
 //! cache hits / misses, skipped hub runs and decoded ids per route to
-//! stderr, and refuses a store whose dimension is not 2.
+//! stderr, and refuses a store whose dimension is not 2. `--load --route`
+//! prints the size of the run directory the decoded graph's routes built
+//! (lists, entries, bytes) to stderr instead.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -365,6 +367,21 @@ fn route_decoded<O: Objective + Sync>(
     })
 }
 
+/// The stderr line on the in-RAM run directory that `--load`'s bounded
+/// routes walk: its list count, entry count and bytes, or that none was
+/// built (no list reached the threshold, or the ids built no bounds).
+fn run_directory_line(graph: &Graph) -> String {
+    match graph.run_directory() {
+        Some(dir) => format!(
+            "in-RAM run directory: {} lists, {} entries, {} bytes",
+            dir.list_count(),
+            dir.entry_count(),
+            dir.bytes()
+        ),
+        None => "in-RAM run directory: none built".into(),
+    }
+}
+
 /// The `--mapped` path: open the store, route and analyze **without
 /// decoding the adjacency** — components stream one vertex at a time
 /// through the mapped cursor, and routing scores straight off the flat
@@ -559,6 +576,9 @@ fn main() -> ExitCode {
                         opts.route,
                         opts.seed,
                     ));
+                    if opts.load.is_some() {
+                        eprintln!("{}", run_directory_line(girg.graph()));
+                    }
                 }
                 if let Some(path) = &opts.out {
                     let _span = Span::enter("write_girg");
@@ -650,5 +670,37 @@ mod tests {
             assert!(err.contains("store has dimension 3, expected 2"), "{err}");
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The `--load` stderr line names the directory's size once a run fold
+    /// over a long list has built it, and says so while none is built.
+    #[test]
+    fn run_directory_line_reports_the_built_directory() {
+        use smallworld_graph::view::DIRECTORY_MIN_IDS;
+        use smallworld_graph::{AdjacencyView, NodeId, RunFold};
+
+        struct Skip;
+        impl RunFold for Skip {
+            fn wants(&mut self, _run: usize) -> bool {
+                false
+            }
+            fn fold(&mut self, _ids: &[NodeId]) {}
+        }
+
+        let hub = DIRECTORY_MIN_IDS as u32;
+        let graph = Graph::from_edges(hub as usize + 1, (0..hub).map(|u| (u, hub))).unwrap();
+        assert_eq!(
+            run_directory_line(&graph),
+            "in-RAM run directory: none built"
+        );
+        (&graph).fold_runs(NodeId::new(hub), &mut Skip);
+        let dir = graph.run_directory().expect("built");
+        assert_eq!(
+            run_directory_line(&graph),
+            format!(
+                "in-RAM run directory: 1 lists, 1 entries, {} bytes",
+                dir.bytes()
+            )
+        );
     }
 }

@@ -149,7 +149,12 @@ impl GreedyRouter {
     /// [`run_bound`](ScoreKernel::run_bound) is not `≤ bar`, a wanted run's
     /// [`best_above`](ScoreKernel::best_above) against its bar replaces the
     /// incumbent only under strict `>`, and a view that fetches runs alone
-    /// never decodes the unwanted ones. After each run the incumbent is the
+    /// never reads the unwanted ones: the store cursor decodes only wanted
+    /// runs, and over `&Graph` a list of at least
+    /// [`DIRECTORY_MIN_IDS`](smallworld_graph::view::DIRECTORY_MIN_IDS) ids
+    /// walks the graph's run directory (built by the first such hop, shared
+    /// by every thread routing over the graph) instead of searching the list
+    /// for its runs. After each run the incumbent is the
     /// first-best of the runs folded so far: a run's first-best replaces it
     /// exactly when it scores higher, or equal at a smaller id. So after
     /// the last run it is the whole list's first-best, in any run order,

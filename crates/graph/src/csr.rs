@@ -4,8 +4,11 @@ use std::error::Error;
 use std::fmt;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use smallworld_par::{chunk_ranges, Pool};
+
+use crate::view::RunDirectory;
 
 /// Identifier of a vertex, a dense index in `0..node_count`.
 ///
@@ -138,15 +141,60 @@ impl Error for GraphError {}
 /// routing's argmax scans are sequential over contiguous memory.
 ///
 /// Build a graph with [`Graph::builder`] or [`Graph::from_edges`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// A graph also owns the [`RunDirectory`] of its long lists, which
+/// `&Graph`'s [`AdjacencyView::fold_runs`](crate::AdjacencyView::fold_runs)
+/// walks. It is built lazily, on the first run fold over a list of at least
+/// [`DIRECTORY_MIN_IDS`](crate::view::DIRECTORY_MIN_IDS) ids (bounded
+/// greedy hops over a spatially ordered graph), once per graph and shared
+/// by every thread routing over it; graphs that are never folded run by run
+/// never build one. It is derived data: [`Clone`] and
+/// [`Graph::relabel`] start without one, and equality and [`Debug`] output
+/// ignore it, so a directory can never go stale or tell two equal graphs
+/// apart.
+#[derive(Default)]
 pub struct Graph {
     /// `offsets[v] .. offsets[v+1]` indexes `targets` for node `v`.
     offsets: Vec<usize>,
     /// Concatenated sorted neighbor lists.
     targets: Vec<NodeId>,
+    /// The long lists' run directory, once a run fold has built it.
+    directory: OnceLock<RunDirectory>,
+}
+
+impl Clone for Graph {
+    fn clone(&self) -> Self {
+        Graph::from_parts(self.offsets.clone(), self.targets.clone())
+    }
+}
+
+impl PartialEq for Graph {
+    fn eq(&self, other: &Self) -> bool {
+        self.offsets == other.offsets && self.targets == other.targets
+    }
+}
+
+impl Eq for Graph {}
+
+impl fmt::Debug for Graph {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Graph")
+            .field("offsets", &self.offsets)
+            .field("targets", &self.targets)
+            .finish()
+    }
 }
 
 impl Graph {
+    /// A graph over valid CSR arrays, with no run directory yet.
+    fn from_parts(offsets: Vec<usize>, targets: Vec<NodeId>) -> Graph {
+        Graph {
+            offsets,
+            targets,
+            directory: OnceLock::new(),
+        }
+    }
+
     /// Starts building a graph with a fixed number of nodes.
     pub fn builder(node_count: usize) -> GraphBuilder {
         GraphBuilder {
@@ -310,10 +358,10 @@ impl Graph {
         }
         new_offsets[n] = write;
         targets.truncate(write);
-        Ok(Graph {
-            offsets: new_offsets,
-            targets: targets.into_iter().map(NodeId::new).collect(),
-        })
+        Ok(Graph::from_parts(
+            new_offsets,
+            targets.into_iter().map(NodeId::new).collect(),
+        ))
     }
 
     /// Builds a graph directly from pre-validated CSR arrays, skipping the
@@ -381,7 +429,7 @@ impl Graph {
                 }
             }
         }
-        Ok(Graph { offsets, targets })
+        Ok(Graph::from_parts(offsets, targets))
     }
 
     /// Number of nodes.
@@ -482,7 +530,19 @@ impl Graph {
             targets.extend(self.neighbors(old).iter().map(|&u| perm.forward(u)));
             targets[start..].sort_unstable();
         }
-        Graph { offsets, targets }
+        Graph::from_parts(offsets, targets)
+    }
+
+    /// The run directory of the graph's long lists, or `None` until a run
+    /// fold has built it (see the type docs).
+    pub fn run_directory(&self) -> Option<&RunDirectory> {
+        self.directory.get()
+    }
+
+    /// The run directory, built by the first caller; concurrent first
+    /// callers wait for that one build.
+    pub(crate) fn directory(&self) -> &RunDirectory {
+        self.directory.get_or_init(|| RunDirectory::build(self))
     }
 
     /// The maximum degree, or 0 for an empty graph.
@@ -686,10 +746,7 @@ fn build_csr(n: usize, edges: &[(u32, u32)]) -> Graph {
     }
     new_offsets[n] = write;
     targets.truncate(write);
-    Graph {
-        offsets: new_offsets,
-        targets,
-    }
+    Graph::from_parts(new_offsets, targets)
 }
 
 /// Splits `0..n` nodes into at most `parts` contiguous ranges whose total

@@ -15,7 +15,10 @@
 //! A view may also hand a list over run by run ([`AdjacencyView::fold_runs`]):
 //! a fold that can bound a whole aligned run of [`RUN_IDS`] ids, or a group
 //! of [`GROUP_RUNS`] runs, says which it wants before their ids are fetched,
-//! so a view that can fetch one run alone never decodes the others.
+//! so a view that can fetch one run alone never reads the others. A *run
+//! directory* — where each non-empty run of a long list starts — lets a
+//! view do that; [`fold_directory`] is the one walk over one, shared by
+//! `&Graph` ([`RunDirectory`]) and the store's cursor.
 //!
 //! The tie order that makes routes comparable across substrates lives here
 //! too: [`fold_first_best`] and [`first_best_by_blocks`] are the one greedy
@@ -57,9 +60,13 @@ pub trait AdjacencyView {
     /// group's runs.
     ///
     /// The default fetches the whole list through [`Self::with_neighbors`]
-    /// and splits it with [`fold_sorted_runs`]. Views that can fetch one
-    /// run alone override it so that unwanted runs are never fetched; the
-    /// fold sees the same questions and runs either way.
+    /// and splits it with [`fold_sorted_runs`], which searches the list for
+    /// the lead run and for each group and run boundary. Views that can
+    /// find a run without searching override it so that unwanted runs are
+    /// never read: `&Graph` walks its [`RunDirectory`] for lists of at least
+    /// [`DIRECTORY_MIN_IDS`] ids, and the store's cursor a directory of its
+    /// own, each through [`fold_directory`]. The fold sees the same
+    /// questions and runs either way.
     ///
     /// # Panics
     ///
@@ -113,7 +120,8 @@ pub trait RunFold {
 /// [lead](RunFold::lead) first, if the list has it, then the others group
 /// by group in ascending order, a group declined by
 /// [`RunFold::wants_group`] passed over with one search — the default
-/// [`AdjacencyView::fold_runs`] over an in-memory list.
+/// [`AdjacencyView::fold_runs`] over an in-memory list, and `&Graph`'s for
+/// lists shorter than [`DIRECTORY_MIN_IDS`].
 pub fn fold_sorted_runs(ns: &[NodeId], fold: &mut impl RunFold) {
     let Some(lead) = fold.lead() else {
         return fold_groups(ns, &[], fold);
@@ -183,6 +191,165 @@ fn split_range(ns: &[NodeId], range: usize, ids: usize) -> (&[NodeId], &[NodeId]
     ns.split_at(window.partition_point(|v| v.index() < end))
 }
 
+/// Folds a list through its *run directory*, `entries`: one entry per
+/// non-empty run of the list, in ascending run order, `run_of` reading an
+/// entry's run number. The fold sees exactly the questions and runs that
+/// [`fold_sorted_runs`] gives it from the whole list, in the same order:
+/// the [lead](RunFold::lead), found by binary search over the directory,
+/// then each group of [`GROUP_RUNS`] runs that holds an entry besides the
+/// lead, asked once through [`RunFold::wants_group`], and the runs of each
+/// wanted group in ascending order. `fold_entry(i, fold)` fetches the ids
+/// of entry `i` and hands them to [`RunFold::fold`]; it is called only for
+/// runs [`RunFold::wants`] accepted, so a declined run is never fetched.
+///
+/// Both run directories walk their lists through it: `&Graph`'s, whose
+/// entries index a slice, and the store cursor's, whose entries point into
+/// a varint stream.
+pub fn fold_directory<E, F: RunFold>(
+    entries: &[E],
+    run_of: impl Fn(&E) -> usize,
+    fold: &mut F,
+    mut fold_entry: impl FnMut(usize, &mut F),
+) {
+    let mut visit = |i: usize, fold: &mut F| {
+        if fold.wants(run_of(&entries[i])) {
+            fold_entry(i, fold);
+        }
+    };
+    let lead = fold
+        .lead()
+        .and_then(|lead| entries.binary_search_by_key(&lead, &run_of).ok());
+    if let Some(i) = lead {
+        visit(i, fold);
+    }
+    // the ascending pass, group by group, the lead left out
+    let mut i = 0;
+    while i < entries.len() {
+        let group = run_of(&entries[i]) / GROUP_RUNS;
+        let end = (group + 1) * GROUP_RUNS;
+        // distinct runs from the group's first on: at most `GROUP_RUNS` in it
+        let window = &entries[i..entries.len().min(i + GROUP_RUNS)];
+        let to = i + window.partition_point(|e| run_of(e) < end);
+        let mut members = (i..to).filter(|&k| Some(k) != lead).peekable();
+        if members.peek().is_some() && fold.wants_group(group) {
+            members.for_each(|k| visit(k, fold));
+        }
+        i = to;
+    }
+}
+
+/// Lists of at least this many ids walk [`Graph`]'s [`RunDirectory`] in
+/// `&Graph`'s [`AdjacencyView::fold_runs`]; shorter ones are split by
+/// [`fold_sorted_runs`].
+///
+/// Swept on perfbench indexed-1m (10⁶ vertices, λ = 0.02, Morton order,
+/// seed 1; three rounds of alternating 10 s runs on a shared 2-core x86-64
+/// host). Searching every list, as [`fold_sorted_runs`] does, ran
+/// 54.1–56.1k routes/s at 115.6–115.8 MiB peak RSS. A directory for lists
+/// of at least 128 ids ran 66.4–80.8k (116.4–116.5 MiB), 256 ids
+/// 69.7–80.8k (116.1–116.2 MiB), 512 ids 69.7–78.3k (116.0–116.1 MiB) and
+/// 1024 ids 68.1–72.4k (115.8–115.9 MiB). No threshold from 128 to 512 won
+/// beyond the runs' spread, and peak RSS grows as the threshold falls, so
+/// 256 it is: 1,542 of the 10⁶ lists, 54,648 entries, 0.43 MiB, built in
+/// 3.7–4.5 ms.
+pub const DIRECTORY_MIN_IDS: usize = 256;
+
+/// Where each non-empty run of a [`Graph`]'s long lists starts: the
+/// *run directory* `&Graph`'s [`AdjacencyView::fold_runs`] walks through
+/// [`fold_directory`], so that a hop over a long list touches only the runs
+/// it folds, not the list lines that searching for the run boundaries
+/// would.
+///
+/// It covers every list of at least [`DIRECTORY_MIN_IDS`] ids, with one
+/// 8-byte entry per non-empty run and 12 bytes per list: a list of `d` ids
+/// in a graph of `n` vertices takes at most `min(d, ⌈n / RUN_IDS⌉)`
+/// entries, so the directory holds at most about twice the bytes of the
+/// ids it indexes, and far less in practice: 0.43 MiB for the 1,542 long
+/// lists (1.07 million ids, 4.1 MiB) of a 10⁶-vertex λ = 0.02 GIRG in
+/// Morton order.
+///
+/// A [`Graph`] builds it on the first run fold over a long list, and
+/// never before: only kernels that bound runs fold lists run by run, and
+/// over ids in sampling order no φ bounds are built, so unbounded routes
+/// and graphs in sampling order never build one. See
+/// [`Graph::run_directory`].
+#[derive(Debug, Default)]
+pub struct RunDirectory {
+    /// The vertices whose lists have a directory, ascending.
+    lists: Vec<u32>,
+    /// `spans[k] .. spans[k + 1]` indexes `entries` for `lists[k]`.
+    spans: Vec<usize>,
+    entries: Vec<RunEntry>,
+}
+
+/// One non-empty run of a list in a [`RunDirectory`].
+#[derive(Clone, Copy, Debug)]
+struct RunEntry {
+    /// The run number: every id of the run is in `run · RUN_IDS ..`.
+    run: u32,
+    /// Index of the run's first id within the list.
+    start: u32,
+}
+
+impl RunDirectory {
+    /// The directory of every list of `graph` with at least
+    /// [`DIRECTORY_MIN_IDS`] ids.
+    pub(crate) fn build(graph: &Graph) -> Self {
+        let mut dir = RunDirectory {
+            spans: vec![0],
+            ..RunDirectory::default()
+        };
+        for v in graph.nodes() {
+            let ns = graph.neighbors(v);
+            if ns.len() < DIRECTORY_MIN_IDS {
+                continue;
+            }
+            let mut start = 0;
+            for (run, ids) in aligned_ranges(ns, RUN_IDS) {
+                dir.entries.push(RunEntry {
+                    run: run as u32,
+                    start: u32::try_from(start).expect("a list holds fewer than n ≤ 2³² ids"),
+                });
+                start += ids.len();
+            }
+            dir.lists.push(v.raw());
+            dir.spans.push(dir.entries.len());
+        }
+        dir
+    }
+
+    /// The entries of `v`'s list.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v`'s list has no directory (it is shorter than
+    /// [`DIRECTORY_MIN_IDS`]).
+    fn entries(&self, v: NodeId) -> &[RunEntry] {
+        let k = self
+            .lists
+            .binary_search(&v.raw())
+            .expect("every list of at least DIRECTORY_MIN_IDS ids has a directory");
+        &self.entries[self.spans[k]..self.spans[k + 1]]
+    }
+
+    /// Lists with a directory.
+    pub fn list_count(&self) -> usize {
+        self.lists.len()
+    }
+
+    /// Directory entries, one per non-empty run of those lists.
+    pub fn entry_count(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Heap bytes of the directory.
+    pub fn bytes(&self) -> usize {
+        self.lists.len() * std::mem::size_of::<u32>()
+            + self.spans.len() * std::mem::size_of::<usize>()
+            + self.entries.len() * std::mem::size_of::<RunEntry>()
+    }
+}
+
 impl AdjacencyView for &Graph {
     fn node_count(&self) -> usize {
         Graph::node_count(self)
@@ -190,6 +357,27 @@ impl AdjacencyView for &Graph {
 
     fn with_neighbors<R>(&mut self, v: NodeId, f: impl FnOnce(&[NodeId]) -> R) -> R {
         f(self.neighbors(v))
+    }
+
+    /// A list shorter than [`DIRECTORY_MIN_IDS`] is split by
+    /// [`fold_sorted_runs`]; a longer one walks the graph's
+    /// [`RunDirectory`] (built on the first such call), so that only the
+    /// runs the fold wants are read.
+    fn fold_runs(&mut self, v: NodeId, fold: &mut impl RunFold) {
+        let ns = self.neighbors(v);
+        if ns.len() < DIRECTORY_MIN_IDS {
+            return fold_sorted_runs(ns, fold);
+        }
+        let entries = self.directory().entries(v);
+        fold_directory(
+            entries,
+            |e| e.run as usize,
+            fold,
+            |i, fold| {
+                let end = entries.get(i + 1).map_or(ns.len(), |e| e.start as usize);
+                fold.fold(&ns[entries[i].start as usize..end]);
+            },
+        );
     }
 }
 
@@ -462,5 +650,145 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One question a fold was asked, or one run it was handed.
+    #[derive(Clone, Debug, PartialEq)]
+    enum Asked {
+        Lead,
+        Group(usize),
+        Run(usize),
+        Fold(Vec<NodeId>),
+    }
+
+    /// Logs every question and run in order, declining the groups and runs
+    /// in its reject sets.
+    struct Log {
+        lead: Option<usize>,
+        reject_groups: Vec<usize>,
+        reject: Vec<usize>,
+        log: std::cell::RefCell<Vec<Asked>>,
+    }
+
+    impl RunFold for Log {
+        fn lead(&self) -> Option<usize> {
+            self.log.borrow_mut().push(Asked::Lead);
+            self.lead
+        }
+
+        fn wants_group(&mut self, group: usize) -> bool {
+            self.log.get_mut().push(Asked::Group(group));
+            !self.reject_groups.contains(&group)
+        }
+
+        fn wants(&mut self, run: usize) -> bool {
+            self.log.get_mut().push(Asked::Run(run));
+            !self.reject.contains(&run)
+        }
+
+        fn fold(&mut self, ids: &[NodeId]) {
+            self.log.get_mut().push(Asked::Fold(ids.to_vec()));
+        }
+    }
+
+    /// `&Graph`'s directory walk asks a fold exactly what `fold_sorted_runs`
+    /// asks it over the whole list, in the same order, and hands it the same
+    /// run slices: on random sorted lists across 65,536-id group boundaries,
+    /// just below and at `DIRECTORY_MIN_IDS` ids (and longer), with the lead
+    /// absent, first, last (also alone in its group) or inside, and random
+    /// reject sets.
+    #[test]
+    fn directory_walk_matches_fold_sorted_runs() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        const GROUP_IDS: usize = GROUP_RUNS * RUN_IDS;
+        let groups = 5;
+        let n = groups * GROUP_IDS;
+        let mut rng = StdRng::seed_from_u64(31);
+        let lengths = [
+            DIRECTORY_MIN_IDS - 1,
+            DIRECTORY_MIN_IDS,
+            3 * DIRECTORY_MIN_IDS,
+        ];
+        // hub `k` gets a list of `lengths[k % 3]` ids, all above the hubs:
+        // spread over the whole range, packed around group boundaries, or
+        // spread below the last group, which holds only one run of it
+        let hubs = 18;
+        let lone_run = (groups - 1) * GROUP_RUNS + 5;
+        let mut lists = Vec::new();
+        for k in 0..hubs {
+            let len = lengths[k % lengths.len()];
+            let mut ids = std::collections::BTreeSet::new();
+            if k / 3 % 3 == 2 {
+                ids.extend((0..3).map(|i| (lone_run * RUN_IDS + 7 * i) as u32));
+            }
+            while ids.len() < len {
+                let u = match k / 3 % 3 {
+                    0 => rng.gen_range(hubs..n),
+                    1 => {
+                        let edge = rng.gen_range(1..groups) * GROUP_IDS;
+                        rng.gen_range(edge - 2 * RUN_IDS..edge + 2 * RUN_IDS)
+                    }
+                    _ => rng.gen_range(hubs..(groups - 1) * GROUP_IDS),
+                };
+                ids.insert(u as u32);
+            }
+            lists.push(ids);
+        }
+        let edges = lists
+            .iter()
+            .enumerate()
+            .flat_map(|(k, ids)| ids.iter().map(move |&u| (k as u32, u)));
+        let g = Graph::from_edges(n, edges).unwrap();
+        assert!(g.run_directory().is_none(), "no fold has run yet");
+        for k in 0..hubs {
+            let hub = NodeId::from_index(k);
+            let ns = g.neighbors(hub);
+            let mut runs: Vec<usize> = ns.iter().map(|u| u.index() / RUN_IDS).collect();
+            runs.dedup();
+            let (first, last) = (runs[0], *runs.last().unwrap());
+            // inside the list's span if a run there is empty
+            let absent = (first..last)
+                .find(|r| !runs.contains(r))
+                .unwrap_or(n / RUN_IDS);
+            let inside = runs[rng.gen_range(0..runs.len())];
+            for lead in [None, Some(absent), Some(first), Some(last), Some(inside)] {
+                for _ in 0..8 {
+                    let reject: Vec<usize> =
+                        runs.iter().copied().filter(|_| rng.gen_bool(0.5)).collect();
+                    let reject_groups: Vec<usize> =
+                        (0..groups).filter(|_| rng.gen_bool(0.3)).collect();
+                    let fold = || Log {
+                        lead,
+                        reject_groups: reject_groups.clone(),
+                        reject: reject.clone(),
+                        log: Default::default(),
+                    };
+                    let mut expect = fold();
+                    fold_sorted_runs(ns, &mut expect);
+                    let mut walked = fold();
+                    (&g).fold_runs(hub, &mut walked);
+                    assert_eq!(
+                        walked.log.into_inner(),
+                        expect.log.into_inner(),
+                        "hub {k} ({} ids), lead {lead:?}, groups {reject_groups:?}, runs {reject:?}",
+                        ns.len()
+                    );
+                }
+            }
+        }
+        let dir = g.run_directory().expect("a long list was folded");
+        let long: Vec<&[NodeId]> = g
+            .nodes()
+            .map(|v| g.neighbors(v))
+            .filter(|ns| ns.len() >= DIRECTORY_MIN_IDS)
+            .collect();
+        assert_eq!(dir.list_count(), long.len());
+        let runs: usize = long
+            .iter()
+            .map(|ns| aligned_ranges(ns, RUN_IDS).count())
+            .sum();
+        assert_eq!(dir.entry_count(), runs);
     }
 }

@@ -19,11 +19,13 @@
 //! list whose φ bound can beat it: for a long list the cursor keeps a *run
 //! directory* — where each aligned run of `RUN_IDS` ids starts in the
 //! stream — so [`AdjacencyView::fold_runs`] decodes only the runs the fold
-//! wants. It finds the fold's [lead](RunFold::lead) run (the target's, for
-//! a greedy hop) in the directory by binary search and decodes it first,
-//! so the fold's bar is high before it weighs the other runs, then asks
-//! about each group of `GROUP_RUNS` runs once and passes over a declined
-//! group's directory entries without a question.
+//! wants. It walks the directory through
+//! [`fold_directory`](smallworld_graph::view::fold_directory), the walk a
+//! decoded `&Graph` uses over its own directory: it finds the fold's
+//! [lead](RunFold::lead) run (the target's, for a greedy hop) by binary
+//! search and decodes it first, so the fold's bar is high before it weighs
+//! the other runs, then asks about each group of `GROUP_RUNS` runs once and
+//! passes over a declined group's directory entries without a question.
 //!
 //! Whole lists and wanted runs decode through
 //! [`varint::decode_sorted_after`], which takes eight stream bytes per step
@@ -33,8 +35,8 @@
 //! decoder: it needs each varint's byte offset, and it runs once per
 //! cached hub.
 
-use smallworld_graph::view::fold_sorted_runs;
-use smallworld_graph::{AdjacencyView, NodeId, RunFold, GROUP_RUNS, RUN_IDS};
+use smallworld_graph::view::{fold_directory, fold_sorted_runs};
+use smallworld_graph::{AdjacencyView, NodeId, RunFold, RUN_IDS};
 
 use crate::csr::CompressedCsr;
 use crate::varint;
@@ -217,29 +219,6 @@ fn decode(stream: &[u8], after: Option<u32>, ids: &mut Vec<NodeId>) {
     .expect(UNDECODABLE);
 }
 
-/// Hands run `i` of directory `runs` over list `stream` to `fold` if it
-/// wants it, decoding it into `ids`: the run's id count, or `None` for a
-/// run the fold skipped.
-fn fold_run(
-    stream: &[u8],
-    runs: &[RunStart],
-    i: usize,
-    ids: &mut Vec<NodeId>,
-    fold: &mut impl RunFold,
-) -> Option<usize> {
-    let start = runs[i];
-    if !fold.wants(start.run as usize) {
-        return None;
-    }
-    let end = runs
-        .get(i + 1)
-        .map_or(stream.len(), |next| next.offset as usize);
-    let after = (start.offset != 0).then_some(start.prev);
-    decode(&stream[start.offset as usize..end], after, ids);
-    fold.fold(ids);
-    Some(ids.len())
-}
-
 /// A stateful adjacency reader over a [`CompressedCsr`] that decodes on
 /// demand. Implements [`AdjacencyView`], so routing loops are generic over
 /// it.
@@ -250,8 +229,9 @@ fn fold_run(
 /// of at least `DIRECTORY_MIN_BYTES` bytes gets a *run directory* on its
 /// first visit, built during that visit's one checked decode: the run
 /// number, byte offset and preceding id of each non-empty run. Directories
-/// live in an LRU of their own, and a later visit decodes only the runs the
-/// fold wants — the [lead](RunFold::lead) first, then the others group by
+/// live in an LRU of their own, and a later visit (walked by
+/// [`fold_directory`]) decodes only the runs the fold wants — the
+/// [lead](RunFold::lead) first, then the others group by
 /// group in ascending order, each group asked once through
 /// [`RunFold::wants_group`] and a declined one's runs neither asked nor
 /// decoded — each with the same checks as the whole list, so the fold
@@ -355,30 +335,22 @@ impl AdjacencyView for MappedCursor<'_> {
                 self.hits += 1;
                 let runs = &dir.value;
                 let (mut folded, mut decoded) = (0, 0);
-                let mut visit = |i, fold: &mut _| {
-                    if let Some(len) = fold_run(stream, runs, i, ids, fold) {
+                fold_directory(
+                    runs,
+                    |r| r.run as usize,
+                    fold,
+                    |i, fold| {
+                        let start = runs[i];
+                        let end = runs
+                            .get(i + 1)
+                            .map_or(stream.len(), |next| next.offset as usize);
+                        let after = (start.offset != 0).then_some(start.prev);
+                        decode(&stream[start.offset as usize..end], after, ids);
+                        fold.fold(ids);
                         folded += 1;
-                        decoded += len;
-                    }
-                };
-                let lead = fold
-                    .lead()
-                    .and_then(|lead| runs.binary_search_by_key(&lead, |r| r.run as usize).ok());
-                if let Some(i) = lead {
-                    visit(i, fold);
-                }
-                // the ascending pass, group by group, the lead left out
-                let mut i = 0;
-                while i < runs.len() {
-                    let group = runs[i].run as usize / GROUP_RUNS;
-                    let end = (group + 1) * GROUP_RUNS;
-                    let to = i + runs[i..].partition_point(|r| (r.run as usize) < end);
-                    let mut members = (i..to).filter(|&k| Some(k) != lead).peekable();
-                    if members.peek().is_some() && fold.wants_group(group) {
-                        members.for_each(|k| visit(k, fold));
-                    }
-                    i = to;
-                }
+                        decoded += ids.len();
+                    },
+                );
                 // every run not folded was skipped, alone or with its group
                 self.decoded_ids += decoded as u64;
                 self.skipped_runs += (runs.len() - folded) as u64;
@@ -416,6 +388,7 @@ mod tests {
     use crate::format::{write_girg_swg, GraphStore};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use smallworld_graph::GROUP_RUNS;
     use smallworld_models::girg::{Girg, GirgBuilder};
 
     fn temp_path(name: &str) -> std::path::PathBuf {

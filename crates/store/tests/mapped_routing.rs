@@ -22,6 +22,7 @@ use smallworld_core::{
     Router, ShardSlice, ViewRouter,
 };
 use smallworld_geometry::Point;
+use smallworld_graph::view::DIRECTORY_MIN_IDS;
 use smallworld_graph::{AdjacencyView, Graph, NodeId, RunFold, RUN_IDS};
 use smallworld_models::girg::{Girg, GirgBuilder};
 use smallworld_store::{write_graph_swg, GraphStore, MappedGraph};
@@ -316,6 +317,52 @@ fn hub_routes_are_bitwise_identical_through_the_run_directory() {
     assert!(skipped > 0, "the hub's runs were never skipped");
     let skipped = check_mapped_routes("hub-routes-as-sampled", &sampled, false);
     assert_eq!(skipped, 0);
+}
+
+/// A loaded graph's run directory is derived data: building it changes
+/// neither equality with a fresh load of the same store nor the `Debug`
+/// output, and neither a clone nor a relabeled copy inherits it.
+#[test]
+fn a_built_run_directory_leaves_the_graph_unchanged() {
+    let (girg, hub, _) = hub_store_girgs();
+    let path = temp_path("directory-identity");
+    smallworld_store::save_girg(&girg, &path, 1).unwrap();
+    let store = GraphStore::open(&path).unwrap();
+    let graph = store.load_graph().unwrap();
+    let before = format!("{graph:?}");
+    assert!(
+        graph.run_directory().is_none(),
+        "loading builds no directory"
+    );
+    assert!(graph.degree(hub) >= DIRECTORY_MIN_IDS);
+    let mut fold = SeededFold {
+        rng: StdRng::seed_from_u64(5),
+        asked: Vec::new(),
+        wanted: Vec::new(),
+        kept: Vec::new(),
+    };
+    (&graph).fold_runs(hub, &mut fold);
+    let dir = graph
+        .run_directory()
+        .expect("a long list's run fold builds it");
+    assert!(dir.list_count() > 0 && dir.entry_count() >= dir.list_count());
+    assert!(dir.bytes() > 0);
+
+    let fresh = store.load_graph().unwrap();
+    assert!(fresh.run_directory().is_none());
+    assert_eq!(graph, fresh);
+    assert_eq!(format!("{graph:?}"), before);
+    assert_eq!(format!("{fresh:?}"), before);
+    assert!(
+        graph.clone().run_directory().is_none(),
+        "a clone starts without one"
+    );
+    let perm = girg.morton_permutation();
+    assert!(
+        graph.relabel(&perm).run_directory().is_none(),
+        "a relabeled copy starts without one"
+    );
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]

@@ -25,11 +25,14 @@ use smallworld::core::{
     PackedGirgObjective, RouteOutcome, RouteRecord, Router, RoutingIndex, ShardSlice, Simulator,
 };
 use smallworld::geometry::Point;
+use smallworld::graph::view::DIRECTORY_MIN_IDS;
 use smallworld::graph::{Components, Graph, NodeId};
 use smallworld::models::girg::{Girg, GirgBuilder, GirgParams};
 use smallworld::models::Alpha;
 use smallworld::net::{GreedyPolicy, Injection, PacketOutcome, Simulation, SliceWorkload};
-use smallworld::store::{save_girg, GraphStore};
+use smallworld::store::{load_girg, save_girg, GraphStore};
+use smallworld_bench::TrialBatch;
+use smallworld_par::Pool;
 
 fn temp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -278,4 +281,119 @@ fn every_substrate_breaks_phi_ties_first_best() {
         assert!(!got.bounded, "{name}: four vertices fill no id block");
         assert_all_equal(&reference, &got);
     }
+}
+
+/// In-RAM hops over a loaded Morton store walk the graph's run directory,
+/// which the first bounded hop over a long list builds and every thread
+/// then shares: the bounded in-RAM routes (the routing index's objective
+/// over `load_girg`), the mapped cursor's and the unbounded reference's
+/// are the same records, and a `TrialBatch` over a fresh load gives the
+/// same records at 1, 2 and 8 threads, whichever thread builds the
+/// directory. Unbounded routes, and bounded objectives over ids in
+/// sampling order (which build no bounds), never build one.
+#[test]
+fn loaded_morton_girg_routes_identically_through_its_run_directory() {
+    let mut rng = StdRng::seed_from_u64(31);
+    let sampled = GirgBuilder::<2>::new(20_000)
+        .beta(2.5)
+        .alpha(2.0)
+        .sample(&mut rng)
+        .expect("valid parameters");
+    let morton = sampled.relabel(&sampled.morton_permutation());
+    let path = temp_path("directory");
+    save_girg(&morton, &path, 1).expect("temp dir is writable");
+    let load = || load_girg::<2>(&path).expect("own file loads");
+    let girg = load();
+    let graph = girg.graph();
+    let long = graph
+        .nodes()
+        .filter(|&v| graph.degree(v) >= DIRECTORY_MIN_IDS)
+        .count();
+    assert!(long > 0, "no list reaches {DIRECTORY_MIN_IDS} ids");
+    let comps = Components::compute(graph);
+    let n = girg.node_count();
+    let pairs: Vec<(NodeId, NodeId)> = std::iter::repeat_with(|| {
+        (
+            NodeId::from_index(rng.gen_range(0..n)),
+            NodeId::from_index(rng.gen_range(0..n)),
+        )
+    })
+    .filter(|&(s, t)| s != t && comps.same_component(s, t))
+    .take(300)
+    .collect();
+    let router = GreedyRouter::new();
+
+    let objective = GirgObjective::new(&girg);
+    let reference: Vec<RouteRecord> = pairs
+        .iter()
+        .map(|&(s, t)| router.route_quiet(graph, &objective, s, t))
+        .collect();
+    assert!(
+        graph.run_directory().is_none(),
+        "unbounded routes fold no runs"
+    );
+
+    let index = RoutingIndex::for_girg(&girg);
+    assert!(index.bounds().is_some(), "Morton ids build bounds");
+    let indexed_objective = IndexedGirgObjective::new(GirgObjective::new(&girg), &index);
+    let indexed: Vec<RouteRecord> = pairs
+        .iter()
+        .map(|&(s, t)| router.route_quiet(graph, &indexed_objective, s, t))
+        .collect();
+    let dir = graph
+        .run_directory()
+        .expect("a bounded hop over a long list builds the directory");
+    assert_eq!(dir.list_count(), long);
+
+    let store = GraphStore::open(&path).expect("own file reopens");
+    let positions = store.packed_positions().expect("positions stored");
+    let weights = store.packed_weights().expect("weights stored");
+    let (params, _) = store.params().expect("params stored");
+    let packed =
+        PackedGirgObjective::<2>::new(&positions, &weights, params.wmin * params.intensity);
+    let mapped_graph = store.mapped_graph().expect("own file maps");
+    let mut cursor = mapped_graph.cursor();
+    let mapped: Vec<RouteRecord> = pairs
+        .iter()
+        .map(|&(s, t)| router.route_view_quiet(&mut cursor, &packed.prepare(t), s))
+        .collect();
+    for (i, expect) in reference.iter().enumerate() {
+        assert_eq!(&indexed[i], expect, "indexed, pair {i}");
+        assert_eq!(&mapped[i], expect, "mapped, pair {i}");
+    }
+
+    let batch = |threads: usize| {
+        let girg = load();
+        let index = RoutingIndex::for_girg(&girg);
+        let objective = IndexedGirgObjective::new(GirgObjective::new(&girg), &index);
+        assert!(girg.graph().run_directory().is_none());
+        let records: Vec<RouteRecord> = TrialBatch::new(girg.graph(), &comps, 400)
+            .connected_only(true)
+            .run_recorded(&router, &objective, 7, &Pool::with_threads(threads))
+            .into_iter()
+            .map(|(_, record)| record)
+            .collect();
+        assert!(girg.graph().run_directory().is_some(), "{threads} threads");
+        records
+    };
+    let one = batch(1);
+    let unbounded: Vec<RouteRecord> = TrialBatch::new(graph, &comps, 400)
+        .connected_only(true)
+        .run_recorded(&router, &objective, 7, &Pool::with_threads(1))
+        .into_iter()
+        .map(|(_, record)| record)
+        .collect();
+    assert_eq!(one, unbounded, "bounded and unbounded batches");
+    for threads in [2, 8] {
+        assert_eq!(batch(threads), one, "{threads} threads");
+    }
+    std::fs::remove_file(&path).ok();
+
+    let index = RoutingIndex::for_girg(&sampled);
+    assert!(index.bounds().is_none(), "sampling order builds no bounds");
+    let objective = IndexedGirgObjective::new(GirgObjective::new(&sampled), &index);
+    for &(s, t) in &pairs {
+        router.route_quiet(sampled.graph(), &objective, s, t);
+    }
+    assert!(sampled.graph().run_directory().is_none());
 }
