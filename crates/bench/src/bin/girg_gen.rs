@@ -40,11 +40,15 @@
 //! cache hits / misses, skipped hub runs and decoded ids per route to
 //! stderr, and refuses a store whose dimension is not 2. `--load --route`
 //! prints the size of the run directory the decoded graph's routes built
-//! (lists, entries, bytes) to stderr instead.
+//! (lists, entries, bytes) to stderr instead. Both `--mapped` and a
+//! `--load` of a `.swg` store print one `set-up:` line accounting for
+//! making the store ready to route: the bytes open verified, at what rate
+//! and with which CRC kernel, the accessors' checks, the φ-ladder build and
+//! the decode.
 
 use std::path::Path;
 use std::process::ExitCode;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -63,7 +67,7 @@ use smallworld_models::hyperbolic::HrgBuilder;
 use smallworld_models::{Alpha, ChungLuBuilder, GraphInstance, GraphModel, KleinbergLatticeBuilder};
 use smallworld_obs::Span;
 use smallworld_par::Pool;
-use smallworld_store::{GraphStore, StoreError};
+use smallworld_store::{CrcKernel, GraphStore, StoreError};
 
 struct Options {
     model: String,
@@ -275,14 +279,120 @@ fn sample_and_summarize<I: GraphInstance>(
     Ok((instance, comps, table))
 }
 
+/// What making a `.swg` store ready to route cost, step by step; printed
+/// as one stderr line by `--mapped` and by `--load` of a `.swg` store.
+struct SetupAccount {
+    /// Bytes the CRCs of [`GraphStore::open`] covered.
+    verified_bytes: usize,
+    /// Seconds `open` took: the CRC pass with the structural checks it
+    /// runs on each hot chunk.
+    open_secs: f64,
+    /// The CRC kernel open ran.
+    kernel: CrcKernel,
+    /// Seconds of `mapped_graph`, `packed_positions` and `packed_weights`,
+    /// which report what open's checks found.
+    checks_secs: f64,
+    /// Seconds of the φ objective's ladder build and whether it built
+    /// bounds; `None` until a route phase builds the objective.
+    ladder: Option<(f64, bool)>,
+    /// Seconds of the full decode; `None` on the decode-free path.
+    decode_secs: Option<f64>,
+}
+
+impl SetupAccount {
+    /// Opens the store at `path`, timing the open.
+    fn open(path: &str) -> Result<(GraphStore, SetupAccount), StoreError> {
+        let start = Instant::now();
+        let store = {
+            let _span = Span::enter("open_swg");
+            GraphStore::open(Path::new(path))?
+        };
+        let account = SetupAccount {
+            verified_bytes: store.verified_bytes(),
+            open_secs: start.elapsed().as_secs_f64(),
+            kernel: CrcKernel::detect(),
+            checks_secs: 0.0,
+            ladder: None,
+            decode_secs: None,
+        };
+        Ok((store, account))
+    }
+
+    /// Runs `check`, adding its time to the accessor checks.
+    fn check<T>(&mut self, check: impl FnOnce() -> T) -> T {
+        let start = Instant::now();
+        let out = check();
+        self.checks_secs += start.elapsed().as_secs_f64();
+        out
+    }
+
+    /// Builds the packed φ objective over the lanes, timing its ladder.
+    fn objective<'a>(
+        &mut self,
+        positions: &'a [f64],
+        weights: &'a [f64],
+        norm: f64,
+    ) -> PackedGirgObjective<'a, 2> {
+        let start = Instant::now();
+        let objective = PackedGirgObjective::<2>::new(positions, weights, norm);
+        self.ladder = Some((start.elapsed().as_secs_f64(), objective.bounds().is_some()));
+        objective
+    }
+
+    /// The stderr line.
+    fn line(&self) -> String {
+        const MIB: f64 = (1 << 20) as f64;
+        let ms = |secs: f64| format!("{:.1} ms", secs * 1e3);
+        let ladder = match self.ladder {
+            Some((secs, true)) => ms(secs),
+            Some((secs, false)) => format!("{} (no bounds)", ms(secs)),
+            None => "none (no routes)".into(),
+        };
+        let decode = self
+            .decode_secs
+            .map_or_else(|| "none (decode-free)".into(), ms);
+        format!(
+            "set-up: verified {:.1} MiB in {} ({:.1} GiB/s, {} CRC); accessor checks {}; \
+             ladder build {ladder}; decode {decode}",
+            self.verified_bytes as f64 / MIB,
+            ms(self.open_secs),
+            self.verified_bytes as f64 / MIB / 1024.0 / self.open_secs,
+            self.kernel.name(),
+            ms(self.checks_secs),
+        )
+    }
+}
+
 /// Loads a GIRG from a store file and summarizes it with the load time in
 /// the `sample secs` column; the params label is rebuilt from the stored
-/// parameters so the table matches the generating run's.
-fn load_and_summarize(path: &str, seed: u64) -> Result<(Girg<2>, Components, Table), String> {
-    let start = std::time::Instant::now();
-    let girg: Girg<2> = {
+/// parameters so the table matches the generating run's. A `.swg` store
+/// comes with its [`SetupAccount`] (the ladder still to be built).
+fn load_and_summarize(
+    path: &str,
+    seed: u64,
+) -> Result<(Girg<2>, Components, Table, Option<SetupAccount>), String> {
+    let start = Instant::now();
+    let (girg, account): (Girg<2>, _) = {
         let _span = Span::enter("load_graph");
-        smallworld_store::load_girg(Path::new(path)).map_err(|e| format!("loading {path}: {e}"))?
+        let loading = |e: StoreError| format!("loading {path}: {e}");
+        if smallworld_store::is_swg_path(Path::new(path)) {
+            let (store, mut account) = SetupAccount::open(path).map_err(loading)?;
+            let decode = Instant::now();
+            let girg = store.load_girg().map_err(loading)?;
+            account.decode_secs = Some(decode.elapsed().as_secs_f64());
+            // decoded: the accessors cannot fail, and report open's checks
+            account.check(|| {
+                store.mapped_graph().is_ok()
+                    && store.packed_positions().is_ok()
+                    && store.packed_weights().is_ok()
+            });
+            (girg, Some(account))
+        } else {
+            (
+                smallworld_store::load_girg(Path::new(path)).map_err(loading)?,
+                None,
+            )
+        }
     };
     let elapsed = start.elapsed().as_secs_f64();
     let graph = girg.graph();
@@ -308,7 +418,7 @@ fn load_and_summarize(path: &str, seed: u64) -> Result<(Girg<2>, Components, Tab
         comps.giant_fraction(),
         elapsed,
     );
-    Ok((girg, comps, table))
+    Ok((girg, comps, table, account))
 }
 
 /// Runs `pairs` connected greedy trials through `trials` on the shared
@@ -389,11 +499,9 @@ fn run_directory_line(graph: &Graph) -> String {
 /// the wall-clock columns (`swreport --diff --ignore "sample secs,route
 /// secs"`), which CI pins.
 fn run_mapped(path: &str, route: usize, seed: u64) -> Result<Vec<Table>, String> {
-    let start = std::time::Instant::now();
-    let store = {
-        let _span = Span::enter("open_swg");
-        GraphStore::open(Path::new(path)).map_err(|e| format!("opening {path}: {e}"))?
-    };
+    let start = Instant::now();
+    let (store, mut account) =
+        SetupAccount::open(path).map_err(|e| format!("opening {path}: {e}"))?;
     // the objective reads d = 2 lanes; refuse other stores as `--load` does
     if store.dim() != 2 {
         let e = StoreError::DimensionMismatch {
@@ -402,8 +510,8 @@ fn run_mapped(path: &str, route: usize, seed: u64) -> Result<Vec<Table>, String>
         };
         return Err(format!("opening {path}: {e}"));
     }
-    let mapped = store
-        .mapped_graph()
+    let mapped = account
+        .check(|| store.mapped_graph())
         .map_err(|e| format!("mapping {path}: {e}"))?;
     let open_secs = start.elapsed().as_secs_f64();
     let comps = {
@@ -446,13 +554,13 @@ fn run_mapped(path: &str, route: usize, seed: u64) -> Result<Vec<Table>, String>
     );
     let mut tables = vec![table];
     if route > 0 {
-        let positions = store
-            .packed_positions()
+        let positions = account
+            .check(|| store.packed_positions())
             .map_err(|e| format!("reading positions from {path}: {e}"))?;
-        let weights = store
-            .packed_weights()
+        let weights = account
+            .check(|| store.packed_weights())
             .map_err(|e| format!("reading weights from {path}: {e}"))?;
-        let packed = PackedGirgObjective::<2>::new(&positions, &weights, p.wmin * p.intensity);
+        let packed = account.objective(&positions, &weights, p.wmin * p.intensity);
         tables.push(route_phase(route, |pool| {
             let (trials, cursors) = TrialBatch::for_views(mapped.node_count(), &comps, route)
                 .connected_only(true)
@@ -475,6 +583,7 @@ fn run_mapped(path: &str, route: usize, seed: u64) -> Result<Vec<Table>, String>
             trials
         }));
     }
+    eprintln!("{}", account.line());
     Ok(tables)
 }
 
@@ -525,7 +634,7 @@ fn main() -> ExitCode {
                         }
                     };
                 }
-                let (girg, comps, table) = if let Some(path) = &opts.load {
+                let (girg, comps, table, mut account) = if let Some(path) = &opts.load {
                     match load_and_summarize(path, opts.seed) {
                         Ok(parts) => parts,
                         Err(e) => {
@@ -556,7 +665,8 @@ fn main() -> ExitCode {
                         "sampler: {counts}; edge sampling {:.3} s",
                         edge_time.as_secs_f64()
                     );
-                    parts
+                    let (girg, comps, table) = parts;
+                    (girg, comps, table, None)
                 };
                 let mut tables = vec![table];
                 if opts.route > 0 {
@@ -564,11 +674,12 @@ fn main() -> ExitCode {
                     // loaded (Morton-ordered) store prunes hub scans as
                     // `--mapped` does; sampled ids get no bounds
                     let p = girg.params();
-                    let obj = PackedGirgObjective::<2>::new(
-                        Point::flatten(girg.positions()),
-                        girg.weights(),
-                        p.wmin * p.intensity,
-                    );
+                    let (positions, weights) = (Point::flatten(girg.positions()), girg.weights());
+                    let norm = p.wmin * p.intensity;
+                    let obj = match &mut account {
+                        Some(account) => account.objective(positions, weights, norm),
+                        None => PackedGirgObjective::<2>::new(positions, weights, norm),
+                    };
                     tables.push(route_decoded(
                         girg.graph(),
                         &comps,
@@ -579,6 +690,9 @@ fn main() -> ExitCode {
                     if opts.load.is_some() {
                         eprintln!("{}", run_directory_line(girg.graph()));
                     }
+                }
+                if let Some(account) = &account {
+                    eprintln!("{}", account.line());
                 }
                 if let Some(path) = &opts.out {
                     let _span = Span::enter("write_girg");
@@ -669,6 +783,50 @@ mod tests {
             let err = run_mapped(file, route, 1).expect_err("a d = 3 store must be refused");
             assert!(err.contains("store has dimension 3, expected 2"), "{err}");
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The set-up line accounts for each step: the verified bytes with
+    /// their rate and the CRC kernel, the accessor checks, the ladder
+    /// build (or that none was built yet, or that it declined bounds) and
+    /// the decode (or that there was none).
+    #[test]
+    fn setup_line_accounts_for_each_step() {
+        let mut account = SetupAccount {
+            verified_bytes: 3 << 29,
+            open_secs: 0.125,
+            kernel: CrcKernel::Fold,
+            checks_secs: 0.000_04,
+            ladder: None,
+            decode_secs: None,
+        };
+        assert_eq!(
+            account.line(),
+            "set-up: verified 1536.0 MiB in 125.0 ms (12.0 GiB/s, pclmulqdq-128 CRC); \
+             accessor checks 0.0 ms; ladder build none (no routes); decode none (decode-free)"
+        );
+        account.ladder = Some((0.0031, true));
+        account.decode_secs = Some(0.25);
+        assert!(account
+            .line()
+            .ends_with("; ladder build 3.1 ms; decode 250.0 ms"));
+        account.ladder = Some((0.0004, false));
+        assert!(account
+            .line()
+            .contains("; ladder build 0.4 ms (no bounds);"));
+
+        // a real open fills in the bytes its CRCs covered and the kernel
+        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
+        let girg = GirgBuilder::<2>::new(500).sample(&mut rng).unwrap();
+        let path = std::env::temp_dir().join(format!(
+            "smallworld-girg-gen-setup-{}.swg",
+            std::process::id()
+        ));
+        smallworld_store::save_girg(&girg, &path, 1).unwrap();
+        let (store, account) = SetupAccount::open(path.to_str().unwrap()).unwrap();
+        assert_eq!(account.verified_bytes, store.verified_bytes());
+        assert_eq!(account.kernel, CrcKernel::detect());
+        assert!(account.line().contains(CrcKernel::detect().name()));
         std::fs::remove_file(&path).ok();
     }
 

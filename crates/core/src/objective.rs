@@ -128,24 +128,57 @@ impl<const D: usize> IdBox<D> {
     /// The box of `xs` with the largest of `ws`, or `None` if a vertex
     /// falls outside the soundness argument (a non-finite coordinate, a
     /// negative or NaN weight).
+    ///
+    /// Branch-free, so that it vectorizes: [`IdBox::LANES`] interleaved
+    /// accumulators take the minima, maxima and validity tests, which are
+    /// folded together once at the end. Minima and maxima are exact, so
+    /// the box does not depend on the order they are taken in; a NaN,
+    /// which the selects would skip, fails the validity test instead.
     fn of(xs: &[[f64; D]], ws: &[f64]) -> Option<Self> {
-        let (mut lo, mut hi, mut w_max) = ([f64::INFINITY; D], [f64::NEG_INFINITY; D], 0.0f64);
-        for (x, &w) in xs.iter().zip(ws) {
-            if w.is_nan() || w < 0.0 || x.iter().any(|c| !c.is_finite()) {
-                return None;
-            }
+        const LANES: usize = IdBox::<1>::LANES;
+        let mut lo = [[f64::INFINITY; D]; LANES];
+        let mut hi = [[f64::NEG_INFINITY; D]; LANES];
+        let mut w_max = [0.0f64; LANES];
+        let mut invalid = [0u64; LANES];
+        let (xs_lanes, xs_rest) = xs.as_chunks::<LANES>();
+        let (ws_lanes, ws_rest) = ws.as_chunks::<LANES>();
+        let mut take = |j: usize, x: &[f64; D], w: f64| {
+            invalid[j] |= u64::from(w.is_nan() | (w < 0.0));
             for k in 0..D {
-                lo[k] = lo[k].min(x[k]);
-                hi[k] = hi[k].max(x[k]);
+                invalid[j] |= u64::from(!x[k].is_finite());
+                lo[j][k] = if x[k] < lo[j][k] { x[k] } else { lo[j][k] };
+                hi[j][k] = if x[k] > hi[j][k] { x[k] } else { hi[j][k] };
             }
-            w_max = w_max.max(w);
+            w_max[j] = if w > w_max[j] { w } else { w_max[j] };
+        };
+        for (x, w) in xs_lanes.iter().zip(ws_lanes) {
+            for j in 0..LANES {
+                take(j, &x[j], w[j]);
+            }
+        }
+        for (j, (x, &w)) in xs_rest.iter().zip(ws_rest).enumerate() {
+            take(j, x, w);
+        }
+        if invalid.iter().any(|&bad| bad != 0) {
+            return None;
+        }
+        let (mut lo_all, mut hi_all) = (lo[0], hi[0]);
+        for j in 1..LANES {
+            for k in 0..D {
+                lo_all[k] = lo_all[k].min(lo[j][k]);
+                hi_all[k] = hi_all[k].max(hi[j][k]);
+            }
         }
         Some(IdBox {
-            lo: lo.map(f32_down),
-            hi: hi.map(f32_up),
-            w_max: f32_up(w_max),
+            lo: lo_all.map(f32_down),
+            hi: hi_all.map(f32_up),
+            w_max: f32_up(w_max.into_iter().fold(0.0, f64::max)),
         })
     }
+
+    /// Interleaved accumulators of [`IdBox::of`]: vertex `i` of a block
+    /// goes to lane `i % LANES`.
+    const LANES: usize = 8;
 
     /// The smallest box holding all of `boxes`.
     fn union(boxes: &[IdBox<D>]) -> Self {
@@ -1185,6 +1218,74 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The box fold as a plain loop that stops at the first invalid
+    /// vertex: the reference for [`IdBox::of`].
+    fn sequential_box<const D: usize>(xs: &[[f64; D]], ws: &[f64]) -> Option<IdBox<D>> {
+        let (mut lo, mut hi, mut w_max) = ([f64::INFINITY; D], [f64::NEG_INFINITY; D], 0.0f64);
+        for (x, &w) in xs.iter().zip(ws) {
+            if w.is_nan() || w < 0.0 || x.iter().any(|c| !c.is_finite()) {
+                return None;
+            }
+            for k in 0..D {
+                lo[k] = lo[k].min(x[k]);
+                hi[k] = hi[k].max(x[k]);
+            }
+            w_max = w_max.max(w);
+        }
+        Some(IdBox {
+            lo: lo.map(f32_down),
+            hi: hi.map(f32_up),
+            w_max: f32_up(w_max),
+        })
+    }
+
+    /// The branch-free [`IdBox::of`] gives the sequential fold's boxes
+    /// bitwise, and `None` for the same lanes, at every block length and
+    /// with each kind of invalid value at any vertex. (Signed zeros are
+    /// left out: `f64::min` leaves the sign of `min(0, -0)` unspecified.)
+    #[test]
+    fn id_box_matches_the_sequential_fold_bitwise() {
+        use rand::Rng;
+        fn bits<const D: usize>(b: Option<IdBox<D>>) -> Option<(Vec<u32>, Vec<u32>, u32)> {
+            b.map(|b| {
+                let lane = |v: [f32; D]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                (lane(b.lo), lane(b.hi), b.w_max.to_bits())
+            })
+        }
+        let mut rng = StdRng::seed_from_u64(9);
+        let poison = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let mut none = 0;
+        for case in 0..4000 {
+            let len = 1 + case % 64;
+            let mut xs: Vec<[f64; 3]> = (0..len)
+                .map(|_| [(); 3].map(|_| rng.gen::<f64>() * 2.0 - 0.5))
+                .collect();
+            let mut ws: Vec<f64> = (0..len).map(|_| rng.gen::<f64>() * 10.0).collect();
+            match case % 8 {
+                0 => {
+                    let (i, k): (usize, usize) = (rng.gen_range(0..len), rng.gen_range(0..3));
+                    xs[i][k] = poison[case / 8 % 3];
+                }
+                1 => {
+                    let i: usize = rng.gen_range(0..len);
+                    ws[i] = [f64::NAN, -1e-300, f64::INFINITY][case / 8 % 3];
+                }
+                2 => ws.iter_mut().for_each(|w| *w = 0.0),
+                _ => {}
+            }
+            let want = sequential_box(&xs, &ws);
+            none += usize::from(want.is_none());
+            assert_eq!(bits(IdBox::of(&xs, &ws)), bits(want), "case {case}");
+            let flat: Vec<[f64; 1]> = xs.iter().map(|x| [x[0]]).collect();
+            assert_eq!(
+                bits(IdBox::of(&flat, &ws)),
+                bits(sequential_box(&flat, &ws)),
+                "d = 1, case {case}"
+            );
+        }
+        assert!(none > 500 && none < 1000, "{none} invalid blocks");
     }
 
     /// `NaiveObjective` produces the same scores through both paths.

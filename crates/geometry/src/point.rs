@@ -200,6 +200,47 @@ impl<const D: usize> Point<D> {
         unsafe { std::slice::from_raw_parts(points.as_ptr().cast::<f64>(), points.len() * D) }
     }
 
+    /// Points from a flat vertex-major lane of canonical coordinates, each
+    /// in `[0, 1)`: the inverse of [`Point::flatten`]. The points are
+    /// bitwise those [`Point::new`] builds, without its per-coordinate
+    /// wrap, which on `[0, 1)` only turns `-0.0` into `0.0` (as `+ 0.0`
+    /// does here). The range test is folded over the whole lane and
+    /// checked once.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use smallworld_geometry::Point;
+    ///
+    /// let points = Point::<2>::from_canonical(&[0.25, 0.5, 0.75, 0.0]);
+    /// assert_eq!(points, [Point::new([0.25, 0.5]), Point::new([0.75, 0.0])]);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flat.len()` is not a multiple of `D`, or if a coordinate
+    /// lies outside `[0, 1)` (NaN included).
+    pub fn from_canonical(flat: &[f64]) -> Vec<Point<D>> {
+        let (lanes, rest) = flat.as_chunks::<D>();
+        assert!(
+            rest.is_empty(),
+            "a lane of {} values is not whole points",
+            flat.len()
+        );
+        let mut canonical = true;
+        let points = lanes
+            .iter()
+            .map(|lane| Point {
+                coords: lane.map(|c| {
+                    canonical &= (0.0..1.0).contains(&c);
+                    c + 0.0
+                }),
+            })
+            .collect();
+        assert!(canonical, "canonical coordinates must lie in [0, 1)");
+        points
+    }
+
     /// The point shifted by `delta` (component-wise, wrapped back onto the
     /// torus). Useful for planting vertices at controlled distances.
     ///
@@ -283,6 +324,45 @@ mod tests {
     #[should_panic(expected = "finite")]
     fn non_finite_coordinate_panics() {
         let _ = Point::new([f64::NAN]);
+    }
+
+    /// `from_canonical` builds bitwise the points `Point::new` builds,
+    /// at the ends of `[0, 1)`, on subnormals and negative zero, and on
+    /// random coordinates.
+    #[test]
+    fn from_canonical_matches_new_bitwise() {
+        use rand::Rng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let mut lane = vec![
+            0.0,
+            -0.0,
+            1.0f64.next_down(),
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE.next_down(),
+            f64::from_bits(1),
+            0.5,
+        ];
+        lane.extend((0..1001).map(|_| rng.gen::<f64>()));
+        let bits = |points: &[Point<1>]| -> Vec<u64> {
+            points.iter().map(|p| p.coord(0).to_bits()).collect()
+        };
+        let want: Vec<Point<1>> = lane.iter().map(|&c| Point::new([c])).collect();
+        assert_eq!(bits(&Point::from_canonical(&lane)), bits(&want));
+        let pairs = Point::<2>::from_canonical(&lane);
+        for (p, c) in pairs.iter().zip(lane.as_chunks::<2>().0) {
+            let q = Point::new(*c);
+            assert_eq!(p.coords().map(f64::to_bits), q.coords().map(f64::to_bits));
+        }
+    }
+
+    #[test]
+    fn from_canonical_rejects_coordinates_off_the_torus() {
+        for bad in [1.0, -1e-300, f64::NAN, f64::INFINITY] {
+            let lane = [0.5, bad, 0.25];
+            let caught = std::panic::catch_unwind(|| Point::<1>::from_canonical(&lane));
+            assert!(caught.is_err(), "{bad} must be refused");
+        }
+        assert!(std::panic::catch_unwind(|| Point::<2>::from_canonical(&[0.5])).is_err());
     }
 
     #[test]

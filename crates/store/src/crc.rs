@@ -2,24 +2,34 @@
 //! gzip and zlib.
 //!
 //! [`GraphStore::open`](crate::GraphStore::open) checks the CRC of every
-//! section, so this kernel sets the open time. Two kernels compute the same
-//! value:
+//! section, so this kernel sets the open time. Three kernels compute the
+//! same value; [`CrcKernel::detect`] picks the fastest the CPU has, by
+//! run-time feature detection alone:
 //!
-//! - **Carry-less-multiply fold** (x86_64 with PCLMULQDQ and SSE4.1, detected
-//!   at run time; slices of at least [`FOLD_MIN_LEN`] bytes): four 128-bit
+//! - **512-bit carry-less-multiply fold** (x86_64 with AVX-512F and
+//!   VPCLMULQDQ; slices of at least [`WIDE_MIN_LEN`] bytes): four zmm
+//!   accumulators fold 256 bytes per step with the constants
+//!   x^(2048±32) mod P, then fold into four 128-bit lanes and finish as
+//!   the 128-bit fold does.
+//! - **128-bit carry-less-multiply fold** (x86_64 with PCLMULQDQ and
+//!   SSE4.1; slices of at least [`FOLD_MIN_LEN`] bytes): four 128-bit
 //!   accumulators fold 64 bytes per step, then reduce to 32 bits by a
 //!   Barrett step. This follows Intel's "Fast CRC Computation for Generic
 //!   Polynomials Using PCLMULQDQ Instruction" (2009) with zlib's constants.
 //! - **Slicing-by-16** (every target): sixteen 256-entry tables, built at
 //!   compile time, consume 16 bytes per step. It handles short slices, the
-//!   fold's sub-16-byte tail, and everything on other targets.
+//!   folds' sub-16-byte tails, and everything on other targets.
 
 /// The reflected IEEE polynomial.
 const POLY: u32 = 0xEDB8_8320;
 
-/// Shortest slice the fold is used for; shorter ones are not worth the
-/// feature check and the reduction.
+/// Shortest slice the 128-bit fold is used for; shorter ones are not worth
+/// the reduction.
 const FOLD_MIN_LEN: usize = 128;
+
+/// Shortest slice the 512-bit fold is used for: one step of its four zmm
+/// accumulators.
+const WIDE_MIN_LEN: usize = 256;
 
 /// `TABLES[0]` is the classic bytewise table; `TABLES[k][b]` is the CRC
 /// state contribution of byte `b` followed by `k` zero bytes.
@@ -82,20 +92,82 @@ impl Crc32 {
     }
 }
 
+/// The CRC kernels, widest first. [`CrcKernel::detect`] picks one by the
+/// CPU's features; each computes the same value.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CrcKernel {
+    /// The 512-bit carry-less-multiply fold (AVX-512F and VPCLMULQDQ).
+    Wide,
+    /// The 128-bit carry-less-multiply fold (PCLMULQDQ and SSE4.1).
+    Fold,
+    /// Slicing-by-16 tables, on every target.
+    Table,
+}
+
+impl CrcKernel {
+    /// The widest kernel this CPU supports.
+    pub fn detect() -> CrcKernel {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected as has;
+            if has!("pclmulqdq") && has!("sse4.1") {
+                if has!("avx512f") && has!("vpclmulqdq") {
+                    return CrcKernel::Wide;
+                }
+                return CrcKernel::Fold;
+            }
+        }
+        CrcKernel::Table
+    }
+
+    /// The kernel's short name, as reports print it.
+    pub fn name(self) -> &'static str {
+        match self {
+            CrcKernel::Wide => "vpclmulqdq-512",
+            CrcKernel::Fold => "pclmulqdq-128",
+            CrcKernel::Table => "slice16",
+        }
+    }
+
+    /// Advances the (pre-inverted) CRC state over `bytes` with this
+    /// kernel: the fold over the longest prefix it takes, slicing-by-16
+    /// over the rest.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the CPU lacks the kernel's features.
+    fn update(self, state: u32, bytes: &[u8]) -> u32 {
+        #[cfg(target_arch = "x86_64")]
+        if self != CrcKernel::Table {
+            assert!(self.supported(), "{} needs CPU features", self.name());
+            let (head, tail) = bytes.split_at(bytes.len() & !15);
+            let state = if self == CrcKernel::Wide && head.len() >= WIDE_MIN_LEN {
+                // SAFETY: `supported` checked every feature `fold_wide`
+                // enables.
+                unsafe { clmul::fold_wide(state, head) }
+            } else if head.len() >= FOLD_MIN_LEN {
+                // SAFETY: as above; `Wide` implies `fold`'s features.
+                unsafe { clmul::fold(state, head) }
+            } else {
+                return slice16(state, bytes);
+            };
+            return slice16(state, tail);
+        }
+        slice16(state, bytes)
+    }
+
+    /// Whether this CPU has the kernel's features: the detected kernel's
+    /// or a narrower one's (each kernel's features include those of every
+    /// narrower kernel).
+    fn supported(self) -> bool {
+        self == CrcKernel::Table || (CrcKernel::detect() as u8) <= (self as u8)
+    }
+}
+
 /// Advances the (pre-inverted) CRC state over `bytes` with the fastest
 /// kernel this CPU supports.
 fn update(state: u32, bytes: &[u8]) -> u32 {
-    #[cfg(target_arch = "x86_64")]
-    if bytes.len() >= FOLD_MIN_LEN
-        && std::arch::is_x86_feature_detected!("pclmulqdq")
-        && std::arch::is_x86_feature_detected!("sse4.1")
-    {
-        let (head, tail) = bytes.split_at(bytes.len() & !15);
-        // SAFETY: both CPU features `fold` enables were detected just above.
-        let state = unsafe { clmul::fold(state, head) };
-        return slice16(state, tail);
-    }
-    slice16(state, bytes)
+    CrcKernel::detect().update(state, bytes)
 }
 
 /// The portable kernel: 16 bytes per step through [`TABLES`], then the
@@ -122,8 +194,11 @@ fn slice16(mut state: u32, bytes: &[u8]) -> u32 {
 #[cfg(target_arch = "x86_64")]
 mod clmul {
     use std::arch::x86_64::{
-        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
-        _mm_loadu_si128, _mm_set_epi64x, _mm_setr_epi32, _mm_srli_si128, _mm_xor_si128,
+        __m128i, __m512i, _mm512_broadcast_i32x4, _mm512_clmulepi64_epi128,
+        _mm512_extracti32x4_epi32, _mm512_loadu_si512, _mm512_ternarylogic_epi64, _mm512_xor_si512,
+        _mm512_zextsi128_si512, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128,
+        _mm_extract_epi32, _mm_loadu_si128, _mm_set_epi64x, _mm_setr_epi32, _mm_srli_si128,
+        _mm_xor_si128,
     };
 
     // zlib's constants for the reflected IEEE polynomial P: K1/K2 fold a
@@ -137,6 +212,11 @@ mod clmul {
     const K5: i64 = 0x0001_63cd_6124;
     const P_PRIME: i64 = 0x0001_db71_0641;
     const MU: i64 = 0x0001_f701_1641;
+    // The same derivation one level up: W1/W2 are x^(2048±32) mod P,
+    // bit-reflected, and fold a 128-bit lane forward by 2048 bits (the
+    // wide loop's four zmm accumulators).
+    const W1: i64 = 0x0001_1542_778a;
+    const W2: i64 = 0x0001_322d_1430;
 
     /// The 16 bytes of `bytes` at `at`, unaligned.
     #[inline(always)]
@@ -147,6 +227,16 @@ mod clmul {
         unsafe { _mm_loadu_si128(lane.as_ptr().cast()) }
     }
 
+    /// The 64 bytes of `bytes` at `at`, unaligned.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn load_wide(bytes: &[u8], at: usize) -> __m512i {
+        let lane: &[u8; 64] = bytes[at..at + 64].try_into().expect("64 bytes");
+        // SAFETY: `lane` is 64 readable bytes and `_mm512_loadu_si512` has
+        // no alignment requirement.
+        unsafe { _mm512_loadu_si512(lane.as_ptr().cast()) }
+    }
+
     /// Folds the 128-bit accumulator `acc` forward over the next 128 bits
     /// (or 4·128 bits, with the 4-lane constants `k`) and adds `next`.
     #[target_feature(enable = "pclmulqdq")]
@@ -155,6 +245,16 @@ mod clmul {
         let lo = _mm_clmulepi64_si128::<0x00>(acc, k);
         let hi = _mm_clmulepi64_si128::<0x11>(acc, k);
         _mm_xor_si128(_mm_xor_si128(lo, hi), next)
+    }
+
+    /// [`fold_into`] on each of the four 128-bit lanes of `acc`.
+    #[target_feature(enable = "avx512f,vpclmulqdq")]
+    #[inline]
+    fn fold_wide_into(acc: __m512i, k: __m512i, next: __m512i) -> __m512i {
+        let lo = _mm512_clmulepi64_epi128::<0x00>(acc, k);
+        let hi = _mm512_clmulepi64_epi128::<0x11>(acc, k);
+        // 0x96: the three-way xor
+        _mm512_ternarylogic_epi64::<0x96>(lo, hi, next)
     }
 
     /// Advances the (pre-inverted) CRC state over `bytes`.
@@ -183,12 +283,63 @@ mod clmul {
                 *lane = fold_into(*lane, k1k2, load(block, 16 * i));
             }
         }
+        reduce(lanes, blocks.remainder())
+    }
 
+    /// Advances the (pre-inverted) CRC state over `bytes`, 256 bytes per
+    /// step.
+    ///
+    /// `bytes.len()` must be at least 256 and a multiple of 16.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support the `avx512f`, `vpclmulqdq`, `pclmulqdq` and
+    /// `sse4.1` features.
+    #[target_feature(enable = "avx512f,vpclmulqdq,pclmulqdq,sse4.1")]
+    pub(super) unsafe fn fold_wide(state: u32, bytes: &[u8]) -> u32 {
+        assert!(bytes.len() >= 256 && bytes.len().is_multiple_of(16));
+        let (first, rest) = bytes.split_at(256);
+        let mut lanes = [0, 64, 128, 192].map(|at| load_wide(first, at));
+        let seed = _mm512_zextsi128_si512(_mm_cvtsi32_si128(state as i32));
+        lanes[0] = _mm512_xor_si512(lanes[0], seed);
+
+        let w1w2 = _mm512_broadcast_i32x4(_mm_set_epi64x(W2, W1));
+        let mut blocks = rest.chunks_exact(256);
+        for block in &mut blocks {
+            for (i, lane) in lanes.iter_mut().enumerate() {
+                *lane = fold_wide_into(*lane, w1w2, load_wide(block, 64 * i));
+            }
+        }
+
+        // the zmm lanes lie 512 bits apart, so K1/K2 fold each onto the
+        // next, and then fold in the remaining whole 64-byte blocks
+        let k1k2 = _mm512_broadcast_i32x4(_mm_set_epi64x(K2, K1));
+        let mut acc = fold_wide_into(lanes[0], k1k2, lanes[1]);
+        acc = fold_wide_into(acc, k1k2, lanes[2]);
+        acc = fold_wide_into(acc, k1k2, lanes[3]);
+        let mut tail = blocks.remainder().chunks_exact(64);
+        for block in &mut tail {
+            acc = fold_wide_into(acc, k1k2, load_wide(block, 0));
+        }
+        let lanes = [
+            _mm512_extracti32x4_epi32::<0>(acc),
+            _mm512_extracti32x4_epi32::<1>(acc),
+            _mm512_extracti32x4_epi32::<2>(acc),
+            _mm512_extracti32x4_epi32::<3>(acc),
+        ];
+        reduce(lanes, tail.remainder())
+    }
+
+    /// Folds four consecutive 128-bit lanes into one, then the whole
+    /// 16-byte lanes of `rest` (a multiple of 16 bytes), and reduces the
+    /// result to the 32-bit CRC state.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn reduce(lanes: [__m128i; 4], rest: &[u8]) -> u32 {
         let k3k4 = _mm_set_epi64x(K4, K3);
         let mut acc = fold_into(lanes[0], k3k4, lanes[1]);
         acc = fold_into(acc, k3k4, lanes[2]);
         acc = fold_into(acc, k3k4, lanes[3]);
-        for lane in blocks.remainder().chunks_exact(16) {
+        for lane in rest.chunks_exact(16) {
             acc = fold_into(acc, k3k4, load(lane, 0));
         }
 
@@ -227,18 +378,32 @@ mod tests {
         state
     }
 
-    /// The dispatched kernel and slicing-by-16 each equal the reference on
-    /// `data[offset..]` from `state`.
+    /// The dispatched kernel and every kernel this CPU has, each called
+    /// directly, equal the reference on `data[offset..]` from `state`; so
+    /// does each raw fold on the lengths it takes.
     fn check_kernels(data: &[u8], offset: usize, state: u32) {
         let bytes = &data[offset.min(data.len())..];
         let want = bytewise(state, bytes);
-        assert_eq!(
-            update(state, bytes),
-            want,
-            "dispatched, len {}",
-            bytes.len()
-        );
-        assert_eq!(slice16(state, bytes), want, "slice16, len {}", bytes.len());
+        let len = bytes.len();
+        assert_eq!(update(state, bytes), want, "dispatched, len {len}");
+        for kernel in [CrcKernel::Wide, CrcKernel::Fold, CrcKernel::Table] {
+            if kernel.supported() {
+                assert_eq!(kernel.update(state, bytes), want, "{kernel:?}, len {len}");
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        if len.is_multiple_of(16) {
+            if len >= 64 && CrcKernel::Fold.supported() {
+                // SAFETY: `supported` checked the fold's CPU features.
+                let got = unsafe { clmul::fold(state, bytes) };
+                assert_eq!(got, want, "fold, len {len}");
+            }
+            if len >= WIDE_MIN_LEN && CrcKernel::Wide.supported() {
+                // SAFETY: as above, for the wide fold.
+                let got = unsafe { clmul::fold_wide(state, bytes) };
+                assert_eq!(got, want, "fold_wide, len {len}");
+            }
+        }
     }
 
     /// Feeding `Crc32` at the split points `cuts` equals one-shot [`crc32`].
@@ -291,11 +456,11 @@ mod tests {
 
     #[test]
     fn kernels_match_bytewise_at_every_short_length() {
-        // every length across the 16-, 64- and 128-byte boundaries, from
-        // every alignment
-        let data = noise(16 + 200);
-        for offset in 0..16 {
-            for len in 0..=200 {
+        // every length across the 16-, 64-, 128-, 256- and 1024-byte
+        // boundaries, from every alignment within a cache line
+        let data = noise(64 + 1100);
+        for offset in 0..64 {
+            for len in 0..=1100 {
                 check_kernels(&data[..offset + len], offset, 0x1234_5678 ^ len as u32);
             }
         }

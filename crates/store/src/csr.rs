@@ -99,6 +99,23 @@ impl<'a> CompressedCsr<'a> {
         node_count: usize,
         target_count: usize,
     ) -> Result<CompressedCsr<'a>, StoreError> {
+        Self::from_scanned_parts(offsets, data, node_count, target_count, |offsets| {
+            !offsets.windows(2).any(|w| w[0] > w[1])
+        })
+    }
+
+    /// [`CompressedCsr::from_parts`] with the one linear check, that the
+    /// offsets never decrease, answered by `nondecreasing` — for
+    /// [`GraphStore::open`](crate::GraphStore::open), which ran it while
+    /// it verified the section. The checks, and the error each gives, come
+    /// in the same order.
+    pub(crate) fn from_scanned_parts(
+        offsets: impl Into<Cow<'a, [u64]>>,
+        data: impl Into<Cow<'a, [u8]>>,
+        node_count: usize,
+        target_count: usize,
+        nondecreasing: impl FnOnce(&[u64]) -> bool,
+    ) -> Result<CompressedCsr<'a>, StoreError> {
         let (offsets, data) = (offsets.into(), data.into());
         if node_count.checked_add(1) != Some(offsets.len()) {
             return Err(StoreError::Corrupt(format!(
@@ -111,7 +128,7 @@ impl<'a> CompressedCsr<'a> {
                 "compressed offsets must start at 0".into(),
             ));
         }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
+        if !nondecreasing(&offsets) {
             return Err(StoreError::Corrupt("compressed offsets decrease".into()));
         }
         if offsets[node_count] != data.len() as u64 {

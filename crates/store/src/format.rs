@@ -20,10 +20,15 @@
 //! All integers are little-endian. Every section payload carries its own
 //! CRC32 (IEEE, reflected, zlib-compatible), verified when the file is
 //! opened, so opening reads every byte once. The checksum runs at memory
-//! speed: a carry-less-multiply fold on x86_64 CPUs with PCLMULQDQ, a
-//! slicing-by-16 table kernel elsewhere (see `crc.rs`). Payloads start on
-//! page boundaries so that, under `mmap`, fixed-width sections (OFFSETS,
-//! POS, WEIGHT) are naturally aligned for direct `&[u64]`/`&[f64]` views.
+//! speed: a carry-less-multiply fold on x86_64 CPUs with PCLMULQDQ (512
+//! bits wide with AVX-512 and VPCLMULQDQ), a slicing-by-16 table kernel
+//! elsewhere (see `crc.rs`). Open verifies each section in
+//! [`VERIFY_CHUNK`]-byte chunks and runs the section's structural check
+//! (OFFSETS never decrease, POS coordinates are canonical, WEIGHT values
+//! are finite) on each chunk right after its CRC, while it is still in
+//! cache; the accessors report what it found. Payloads start on page
+//! boundaries so that, under `mmap`, fixed-width sections (OFFSETS, POS,
+//! WEIGHT) are naturally aligned for direct `&[u64]`/`&[f64]` views.
 //!
 //! Sections:
 //!
@@ -61,6 +66,10 @@ pub const VERSION: u32 = 1;
 const ENDIAN_MARKER: u32 = 0x0A0B_0C0D;
 /// Section payload alignment.
 pub const PAGE: usize = 4096;
+/// Bytes [`GraphStore::open`] verifies per step: small enough that a
+/// chunk is still in cache when the section's structural check reads it
+/// after the CRC, and a whole number of pages (so of 8-byte words).
+pub const VERIFY_CHUNK: usize = 16 * PAGE;
 const HEADER_LEN: usize = 64;
 const SECTION_ENTRY_LEN: usize = 24;
 
@@ -378,6 +387,78 @@ struct SectionEntry {
     id: u32,
     offset: usize,
     len: usize,
+    /// What the section's structural check found at open.
+    flaw: Option<Flaw>,
+}
+
+/// A structural fault that [`GraphStore::open`] found in a section while
+/// verifying it; the accessor that reads the section reports it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Flaw {
+    /// OFFSETS: an entry is below the one before it.
+    Decreasing,
+    /// POS: the first coordinate outside the canonical torus `[0, 1)`.
+    Coordinate(f64),
+    /// WEIGHT: a weight that is not finite.
+    NonFiniteWeight,
+}
+
+/// The structural check of one section, fed its payload chunk by chunk in
+/// order. It reads whole little-endian 8-byte words (a trailing partial
+/// word is the accessors' length error, not a flaw).
+enum Check {
+    /// OFFSETS, carrying the last entry of the chunks seen so far.
+    Offsets { last: u64 },
+    /// POS.
+    Coordinates,
+    /// WEIGHT.
+    Weights,
+    /// Every other section: CRC only.
+    None,
+}
+
+impl Check {
+    fn of(id: u32) -> Check {
+        match id {
+            id if id == SectionId::Offsets as u32 => Check::Offsets { last: 0 },
+            id if id == SectionId::Pos as u32 => Check::Coordinates,
+            id if id == SectionId::Weight as u32 => Check::Weights,
+            _ => Check::None,
+        }
+    }
+
+    /// Checks the next chunk. Each test is folded over the whole chunk
+    /// without a branch, and only a failed chunk is searched again for
+    /// the first bad value.
+    fn chunk(&mut self, bytes: &[u8]) -> Option<Flaw> {
+        let words = bytes.as_chunks::<8>().0;
+        match self {
+            Check::Offsets { last } => {
+                let mut decreasing = false;
+                for word in words {
+                    let next = u64::from_le_bytes(*word);
+                    decreasing |= next < *last;
+                    *last = next;
+                }
+                decreasing.then_some(Flaw::Decreasing)
+            }
+            Check::Coordinates => {
+                let coords = || words.iter().map(|&w| f64::from_le_bytes(w));
+                let outside = |c: f64| !(0.0..1.0).contains(&c);
+                if !coords().fold(false, |bad, c| bad | outside(c)) {
+                    return None;
+                }
+                coords().find(|&c| outside(c)).map(Flaw::Coordinate)
+            }
+            Check::Weights => {
+                let finite = words
+                    .iter()
+                    .fold(true, |ok, &w| ok & f64::from_le_bytes(w).is_finite());
+                (!finite).then_some(Flaw::NonFiniteWeight)
+            }
+            Check::None => None,
+        }
+    }
 }
 
 /// An opened `.swg` store: the file mapped (or read) into memory with the
@@ -529,12 +610,24 @@ impl GraphStore {
             if end > bytes.len() {
                 return Err(StoreError::Truncated { what: "section payload" });
             }
-            if crc32(&bytes[offset..end]) != crc {
+            let (mut sum, mut check, mut flaw) = (Crc32::new(), Check::of(id), None);
+            for chunk in bytes[offset..end].chunks(VERIFY_CHUNK) {
+                sum.update(chunk);
+                if flaw.is_none() {
+                    flaw = check.chunk(chunk);
+                }
+            }
+            if sum.finish() != crc {
                 return Err(StoreError::ChecksumMismatch {
                     section: SectionId::name_of(id),
                 });
             }
-            sections.push(SectionEntry { id, offset, len });
+            sections.push(SectionEntry {
+                id,
+                offset,
+                len,
+                flaw,
+            });
         }
 
         Ok(GraphStore {
@@ -583,18 +676,35 @@ impl GraphStore {
         self.mapping.is_zero_copy()
     }
 
-    fn section(&self, id: SectionId) -> Result<&[u8], StoreError> {
+    /// Bytes the CRCs of [`GraphStore::open`] covered: the header's first
+    /// 44 bytes, the section table and every section payload.
+    pub fn verified_bytes(&self) -> usize {
+        44 + self.sections.len() * SECTION_ENTRY_LEN
+            + self.sections.iter().map(|s| s.len).sum::<usize>()
+    }
+
+    fn entry(&self, id: SectionId) -> Result<&SectionEntry, StoreError> {
         self.sections
             .iter()
             .find(|s| s.id == id as u32)
-            .map(|s| &self.mapping[s.offset..s.offset + s.len])
             .ok_or(StoreError::MissingSection(id.name()))
     }
 
+    fn section(&self, id: SectionId) -> Result<&[u8], StoreError> {
+        self.entry(id)
+            .map(|s| &self.mapping[s.offset..s.offset + s.len])
+    }
+
+    /// What open's structural check found in section `id` (present).
+    fn flaw(&self, id: SectionId) -> Option<Flaw> {
+        self.entry(id).ok().and_then(|s| s.flaw)
+    }
+
     /// A decode-free adjacency view borrowing this store's OFFSETS and NBR
-    /// sections. The offsets index and the header counts are validated by
-    /// [`CompressedCsr::from_parts`] before any neighbor list is touched;
-    /// on a little-endian target an aligned OFFSETS section (every mmap'd
+    /// sections. The offsets index and the header counts are validated as
+    /// [`CompressedCsr::from_parts`] does before any neighbor list is
+    /// touched, with the scan for decreasing offsets taken from open; on
+    /// a little-endian target an aligned OFFSETS section (every mmap'd
     /// one) is borrowed in place, not copied.
     ///
     /// # Errors
@@ -610,11 +720,13 @@ impl GraphStore {
                 bytes.len()
             ))
         })?;
-        CompressedCsr::from_parts(
+        let decreasing = self.flaw(SectionId::Offsets) == Some(Flaw::Decreasing);
+        CompressedCsr::from_scanned_parts(
             offsets,
             self.section(SectionId::Nbr)?,
             self.node_count(),
             self.target_count(),
+            |_| !decreasing,
         )
     }
 
@@ -677,7 +789,7 @@ impl GraphStore {
 
     /// The packed position coordinates: `node_count · dim` canonical torus
     /// coordinates, vertex-major. Zero-copy when the section is aligned in
-    /// a little-endian mapping.
+    /// a little-endian mapping; the coordinates were range-checked at open.
     ///
     /// # Errors
     ///
@@ -695,7 +807,7 @@ impl GraphStore {
                 ))
             })?;
         let positions = self.f64_section(SectionId::Pos, count)?;
-        if let Some(c) = positions.iter().find(|c| !(0.0..1.0).contains(*c)) {
+        if let Some(Flaw::Coordinate(c)) = self.flaw(SectionId::Pos) {
             return Err(StoreError::Corrupt(format!(
                 "position coordinate {c} outside the canonical torus"
             )));
@@ -704,7 +816,8 @@ impl GraphStore {
     }
 
     /// The packed vertex weights (`node_count` values). Zero-copy when
-    /// aligned, like [`GraphStore::packed_positions`].
+    /// aligned, like [`GraphStore::packed_positions`]; checked finite at
+    /// open.
     ///
     /// # Errors
     ///
@@ -712,7 +825,7 @@ impl GraphStore {
     /// [`StoreError::Corrupt`] if any weight is not finite.
     pub fn packed_weights(&self) -> Result<Cow<'_, [f64]>, StoreError> {
         let weights = self.f64_section(SectionId::Weight, self.node_count())?;
-        if weights.iter().any(|w| !w.is_finite()) {
+        if self.flaw(SectionId::Weight) == Some(Flaw::NonFiniteWeight) {
             return Err(StoreError::Corrupt("non-finite vertex weight".into()));
         }
         Ok(weights)
@@ -738,7 +851,8 @@ impl GraphStore {
         }
         let graph = self.load_graph()?;
         let flat = self.packed_positions()?;
-        let positions = flat.as_chunks::<D>().0.iter().map(|&c| Point::new(c)).collect();
+        // `packed_positions` checked every coordinate canonical
+        let positions = Point::from_canonical(&flat);
         let weights = self.packed_weights()?;
         let (params, planted) = self.params()?;
         if graph.node_count() != self.node_count as usize {

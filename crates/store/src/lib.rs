@@ -49,12 +49,12 @@ use std::path::Path;
 
 use smallworld_models::girg::Girg;
 
-pub use crate::crc::crc32;
+pub use crate::crc::{crc32, CrcKernel};
 pub use crate::csr::CompressedCsr;
 pub use crate::error::StoreError;
 pub use crate::format::{
     write_girg_swg, write_graph_swg, GraphStore, SectionId, WriteStats, FLAG_GEOMETRY, FLAG_SHARDS,
-    MAGIC, VERSION,
+    MAGIC, VERIFY_CHUNK, VERSION,
 };
 pub use crate::mapped::{MappedCursor, MappedGraph};
 pub use crate::mmap::{map_readonly, Mapping};

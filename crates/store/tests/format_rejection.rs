@@ -9,7 +9,7 @@ use rand::SeedableRng;
 use smallworld_models::girg::{Girg, GirgBuilder};
 use smallworld_models::{GraphModel, KleinbergLatticeBuilder};
 use smallworld_store::{
-    crc32, write_graph_swg, GraphStore, SectionId, StoreError, MAGIC,
+    crc32, write_graph_swg, CompressedCsr, GraphStore, SectionId, StoreError, MAGIC, VERIFY_CHUNK,
 };
 
 fn temp_path(name: &str) -> std::path::PathBuf {
@@ -154,10 +154,9 @@ fn header_checksum_covers_the_section_table() {
     ));
 }
 
-/// Overwrites the first `f64` of section `id`'s payload with `value`, then
-/// rewrites that section's CRC and the header CRC so the file still opens:
-/// the damage reaches the geometry accessors instead of the checksums.
-fn poke_section_f64(bytes: &mut [u8], id: SectionId, value: f64) {
+/// The table entry offset, payload offset and payload length of section
+/// `id`.
+fn section_extent(bytes: &[u8], id: SectionId) -> (usize, usize, usize) {
     let count = u32::from_le_bytes(bytes[40..44].try_into().unwrap()) as usize;
     let table_end = 64 + count * 24;
     let entry = (64..table_end)
@@ -165,11 +164,29 @@ fn poke_section_f64(bytes: &mut [u8], id: SectionId, value: f64) {
         .find(|&at| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) == id as u32)
         .expect("section present");
     let field = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
-    let (offset, len) = (field(entry + 8), field(entry + 16));
-    bytes[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
+    (entry, field(entry + 8), field(entry + 16))
+}
+
+/// Overwrites 8-byte word `word` of section `id`'s payload with `value`,
+/// then rewrites that section's CRC and the header CRC so the file still
+/// opens: the damage reaches the accessors instead of the checksums.
+fn poke_section_word(bytes: &mut [u8], id: SectionId, word: usize, value: [u8; 8]) {
+    let (entry, offset, len) = section_extent(bytes, id);
+    bytes[offset + 8 * word..offset + 8 * word + 8].copy_from_slice(&value);
     let section_crc = crc32(&bytes[offset..offset + len]);
     bytes[entry + 4..entry + 8].copy_from_slice(&section_crc.to_le_bytes());
     rewrite_header_crc(bytes);
+}
+
+/// [`poke_section_word`] on the first `f64` of the section.
+fn poke_section_f64(bytes: &mut [u8], id: SectionId, value: f64) {
+    poke_section_word(bytes, id, 0, value.to_le_bytes());
+}
+
+/// Section `id`'s payload as little-endian 8-byte words.
+fn section_words(bytes: &[u8], id: SectionId) -> Vec<[u8; 8]> {
+    let (_, offset, len) = section_extent(bytes, id);
+    bytes[offset..offset + len].as_chunks::<8>().0.to_vec()
 }
 
 /// Recomputes the header CRC over header bytes 0..44 and the section table.
@@ -208,6 +225,121 @@ fn non_finite_geometry_with_valid_checksums_is_a_typed_error() {
         drop(store);
         std::fs::remove_file(&path).ok();
     }
+}
+
+/// Open checks OFFSETS, POS and WEIGHT one verify chunk at a time, right
+/// after each chunk's CRC, and the accessors report what it found. A bad
+/// value as the first or the last word of a chunk (and of the section)
+/// must give the error a whole-section scan gives, from the same calls,
+/// while the store still opens.
+#[test]
+fn bad_values_at_verify_chunk_edges_give_the_accessors_errors() {
+    let mut rng = StdRng::seed_from_u64(8);
+    let girg: Girg<2> = GirgBuilder::new(12_000)
+        .beta(2.6)
+        .lambda(0.02)
+        .sample(&mut rng)
+        .unwrap();
+    let n = girg.graph().node_count();
+    let path = temp_path("chunk-edges");
+    smallworld_store::save_girg(&girg, &path, 1).unwrap();
+    let clean = std::fs::read(&path).unwrap();
+    let per_chunk = VERIFY_CHUNK / 8;
+    assert!(2 * n > 2 * per_chunk, "POS spans three verify chunks");
+    assert!(n > per_chunk, "OFFSETS and WEIGHT span two verify chunks");
+    let edges = |words: usize| {
+        let mut at = vec![0, per_chunk - 1, per_chunk, words - 1];
+        if words > 2 * per_chunk {
+            at.push(2 * per_chunk - 1);
+        }
+        at
+    };
+    // an outcome compares by variant and message
+    let outcome = |result: Result<(), StoreError>| result.map_err(|e| format!("{e:?}"));
+    let corrupt = |msg: &str| Err(format!("{:?}", StoreError::Corrupt(msg.into())));
+    let reopen = |bytes: &[u8]| {
+        std::fs::write(&path, bytes).unwrap();
+        GraphStore::open(&path).expect("checksums were rewritten")
+    };
+
+    // OFFSETS: a whole-index `CompressedCsr::from_parts` is the reference
+    // (a 0 at word 0 or a 1 right after a 0 changes nothing, and a huge
+    // last word fails the cover check, not the scan)
+    let offset_words = n + 1;
+    let nbr_len = section_extent(&clean, SectionId::Nbr).2;
+    let mut decreasing = 0;
+    for word in edges(offset_words) {
+        for value in [0, 1, u64::MAX] {
+            let mut bytes = clean.clone();
+            poke_section_word(&mut bytes, SectionId::Offsets, word, value.to_le_bytes());
+            let offsets: Vec<u64> = section_words(&bytes, SectionId::Offsets)
+                .into_iter()
+                .map(u64::from_le_bytes)
+                .collect();
+            let nbr = vec![0u8; nbr_len];
+            let target_count = girg.graph().edge_count() * 2;
+            let want =
+                outcome(CompressedCsr::from_parts(offsets, nbr, n, target_count).map(|_| ()));
+            decreasing += usize::from(want == corrupt("compressed offsets decrease"));
+            let store = reopen(&bytes);
+            let got = [
+                ("mapped_graph", store.mapped_graph().map(|_| ())),
+                ("load_graph", store.load_graph().map(|_| ())),
+                ("load_girg", store.load_girg::<2>().map(|_| ())),
+            ];
+            for (call, result) in got {
+                assert_eq!(outcome(result), want, "OFFSETS[{word}] = {value}: {call}");
+            }
+            assert!(store.packed_positions().is_ok() && store.packed_weights().is_ok());
+        }
+    }
+    assert!(
+        decreasing >= 6,
+        "{decreasing} pokes made the offsets decrease"
+    );
+
+    // POS: the first coordinate outside [0, 1) names the error
+    for word in edges(2 * n) {
+        for value in [f64::NAN, 1.0, -0.5, f64::INFINITY] {
+            let mut bytes = clean.clone();
+            poke_section_word(&mut bytes, SectionId::Pos, word, value.to_le_bytes());
+            let want = corrupt(&format!(
+                "position coordinate {value} outside the canonical torus"
+            ));
+            let store = reopen(&bytes);
+            assert_eq!(outcome(store.packed_positions().map(|_| ())), want);
+            assert_eq!(outcome(store.load_girg::<2>().map(|_| ())), want);
+            assert!(store.mapped_graph().is_ok() && store.packed_weights().is_ok());
+        }
+    }
+    // two bad coordinates in different chunks: the earlier one is named
+    let mut bytes = clean.clone();
+    poke_section_word(&mut bytes, SectionId::Pos, 2 * n - 1, 2.0f64.to_le_bytes());
+    poke_section_word(
+        &mut bytes,
+        SectionId::Pos,
+        per_chunk - 1,
+        3.0f64.to_le_bytes(),
+    );
+    let store = reopen(&bytes);
+    assert_eq!(
+        outcome(store.packed_positions().map(|_| ())),
+        corrupt("position coordinate 3 outside the canonical torus")
+    );
+
+    // WEIGHT
+    for word in edges(n) {
+        for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut bytes = clean.clone();
+            poke_section_word(&mut bytes, SectionId::Weight, word, value.to_le_bytes());
+            let store = reopen(&bytes);
+            let want = corrupt("non-finite vertex weight");
+            assert_eq!(outcome(store.packed_weights().map(|_| ())), want);
+            assert_eq!(outcome(store.load_girg::<2>().map(|_| ())), want);
+            assert!(store.mapped_graph().is_ok() && store.packed_positions().is_ok());
+        }
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
