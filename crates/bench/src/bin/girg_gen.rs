@@ -44,7 +44,8 @@
 //! `--load` of a `.swg` store print one `set-up:` line accounting for
 //! making the store ready to route: the bytes open verified, at what rate
 //! and with which CRC kernel, the accessors' checks, the φ-ladder build and
-//! the decode.
+//! the decode, with its nanoseconds per decoded id and the minor page
+//! faults it took.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -295,8 +296,41 @@ struct SetupAccount {
     /// Seconds of the φ objective's ladder build and whether it built
     /// bounds; `None` until a route phase builds the objective.
     ladder: Option<(f64, bool)>,
-    /// Seconds of the full decode; `None` on the decode-free path.
-    decode_secs: Option<f64>,
+    /// The full decode; `None` on the decode-free path.
+    decode: Option<DecodeAccount>,
+}
+
+/// What the full decode (`load_girg`) of a `--load` cost.
+struct DecodeAccount {
+    /// Seconds it took.
+    secs: f64,
+    /// Neighbor ids it decoded (`2m`).
+    ids: usize,
+    /// Minor page faults it took (the first touches of the decoded
+    /// arrays), where the platform counts them.
+    minor_faults: Option<u64>,
+}
+
+impl DecodeAccount {
+    /// Decodes `store` through `load_girg`, counting its time and faults.
+    fn load(store: &GraphStore) -> Result<(Girg<2>, DecodeAccount), StoreError> {
+        let faults = smallworld_obs::minor_faults();
+        let start = Instant::now();
+        let girg = store.load_girg()?;
+        let secs = start.elapsed().as_secs_f64();
+        let minor_faults = faults
+            .zip(smallworld_obs::minor_faults())
+            .map(|(before, after)| after - before);
+        let ids = 2 * store.edge_count();
+        Ok((
+            girg,
+            DecodeAccount {
+                secs,
+                ids,
+                minor_faults,
+            },
+        ))
+    }
 }
 
 impl SetupAccount {
@@ -313,7 +347,7 @@ impl SetupAccount {
             kernel: CrcKernel::detect(),
             checks_secs: 0.0,
             ladder: None,
-            decode_secs: None,
+            decode: None,
         };
         Ok((store, account))
     }
@@ -348,9 +382,21 @@ impl SetupAccount {
             Some((secs, false)) => format!("{} (no bounds)", ms(secs)),
             None => "none (no routes)".into(),
         };
-        let decode = self
-            .decode_secs
-            .map_or_else(|| "none (decode-free)".into(), ms);
+        let decode = self.decode.as_ref().map_or_else(
+            || "none (decode-free)".into(),
+            |d| {
+                let ns_per_id = d.secs * 1e9 / d.ids.max(1) as f64;
+                match d.minor_faults {
+                    Some(faults) => {
+                        format!(
+                            "{} ({ns_per_id:.1} ns/id, {faults} minor faults)",
+                            ms(d.secs)
+                        )
+                    }
+                    None => format!("{} ({ns_per_id:.1} ns/id)", ms(d.secs)),
+                }
+            },
+        );
         format!(
             "set-up: verified {:.1} MiB in {} ({:.1} GiB/s, {} CRC); accessor checks {}; \
              ladder build {ladder}; decode {decode}",
@@ -377,9 +423,8 @@ fn load_and_summarize(
         let loading = |e: StoreError| format!("loading {path}: {e}");
         if smallworld_store::is_swg_path(Path::new(path)) {
             let (store, mut account) = SetupAccount::open(path).map_err(loading)?;
-            let decode = Instant::now();
-            let girg = store.load_girg().map_err(loading)?;
-            account.decode_secs = Some(decode.elapsed().as_secs_f64());
+            let (girg, decode) = DecodeAccount::load(&store).map_err(loading)?;
+            account.decode = Some(decode);
             // decoded: the accessors cannot fail, and report open's checks
             account.check(|| {
                 store.mapped_graph().is_ok()
@@ -789,7 +834,8 @@ mod tests {
     /// The set-up line accounts for each step: the verified bytes with
     /// their rate and the CRC kernel, the accessor checks, the ladder
     /// build (or that none was built yet, or that it declined bounds) and
-    /// the decode (or that there was none).
+    /// the decode (or that there was none) with its nanoseconds per id
+    /// and minor faults (where the platform counts them).
     #[test]
     fn setup_line_accounts_for_each_step() {
         let mut account = SetupAccount {
@@ -798,7 +844,7 @@ mod tests {
             kernel: CrcKernel::Fold,
             checks_secs: 0.000_04,
             ladder: None,
-            decode_secs: None,
+            decode: None,
         };
         assert_eq!(
             account.line(),
@@ -806,10 +852,16 @@ mod tests {
              accessor checks 0.0 ms; ladder build none (no routes); decode none (decode-free)"
         );
         account.ladder = Some((0.0031, true));
-        account.decode_secs = Some(0.25);
+        account.decode = Some(DecodeAccount {
+            secs: 0.25,
+            ids: 50_000_000,
+            minor_faults: Some(1234),
+        });
         assert!(account
             .line()
-            .ends_with("; ladder build 3.1 ms; decode 250.0 ms"));
+            .ends_with("; ladder build 3.1 ms; decode 250.0 ms (5.0 ns/id, 1234 minor faults)"));
+        account.decode.as_mut().unwrap().minor_faults = None;
+        assert!(account.line().ends_with("; decode 250.0 ms (5.0 ns/id)"));
         account.ladder = Some((0.0004, false));
         assert!(account
             .line()
@@ -827,6 +879,14 @@ mod tests {
         assert_eq!(account.verified_bytes, store.verified_bytes());
         assert_eq!(account.kernel, CrcKernel::detect());
         assert!(account.line().contains(CrcKernel::detect().name()));
+        // …and a real decode its ids and, where counted, its faults
+        let (loaded, decode) = DecodeAccount::load(&store).unwrap();
+        assert_eq!(loaded.graph(), girg.graph());
+        assert_eq!(decode.ids, 2 * girg.graph().edge_count());
+        assert_eq!(
+            decode.minor_faults.is_some(),
+            smallworld_obs::minor_faults().is_some()
+        );
         std::fs::remove_file(&path).ok();
     }
 

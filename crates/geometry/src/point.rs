@@ -200,19 +200,21 @@ impl<const D: usize> Point<D> {
         unsafe { std::slice::from_raw_parts(points.as_ptr().cast::<f64>(), points.len() * D) }
     }
 
-    /// Points from a flat vertex-major lane of canonical coordinates, each
-    /// in `[0, 1)`: the inverse of [`Point::flatten`]. The points are
-    /// bitwise those [`Point::new`] builds, without its per-coordinate
-    /// wrap, which on `[0, 1)` only turns `-0.0` into `0.0` (as `+ 0.0`
-    /// does here). The range test is folded over the whole lane and
-    /// checked once.
+    /// Appends to `out` the points of a flat vertex-major lane of
+    /// canonical coordinates, each in `[0, 1)`: the inverse of
+    /// [`Point::flatten`], into a buffer the caller allocated (the store
+    /// puts it on huge pages). The points are bitwise those [`Point::new`]
+    /// builds, without its per-coordinate wrap, which on `[0, 1)` only
+    /// turns `-0.0` into `0.0` (as `+ 0.0` does here). The range test is
+    /// folded over the whole lane and checked once.
     ///
     /// # Examples
     ///
     /// ```
     /// use smallworld_geometry::Point;
     ///
-    /// let points = Point::<2>::from_canonical(&[0.25, 0.5, 0.75, 0.0]);
+    /// let mut points = Vec::new();
+    /// Point::<2>::from_canonical(&[0.25, 0.5, 0.75, 0.0], &mut points);
     /// assert_eq!(points, [Point::new([0.25, 0.5]), Point::new([0.75, 0.0])]);
     /// ```
     ///
@@ -220,7 +222,7 @@ impl<const D: usize> Point<D> {
     ///
     /// Panics if `flat.len()` is not a multiple of `D`, or if a coordinate
     /// lies outside `[0, 1)` (NaN included).
-    pub fn from_canonical(flat: &[f64]) -> Vec<Point<D>> {
+    pub fn from_canonical(flat: &[f64], out: &mut Vec<Point<D>>) {
         let (lanes, rest) = flat.as_chunks::<D>();
         assert!(
             rest.is_empty(),
@@ -228,17 +230,13 @@ impl<const D: usize> Point<D> {
             flat.len()
         );
         let mut canonical = true;
-        let points = lanes
-            .iter()
-            .map(|lane| Point {
-                coords: lane.map(|c| {
-                    canonical &= (0.0..1.0).contains(&c);
-                    c + 0.0
-                }),
-            })
-            .collect();
+        out.extend(lanes.iter().map(|lane| Point {
+            coords: lane.map(|c| {
+                canonical &= (0.0..1.0).contains(&c);
+                c + 0.0
+            }),
+        }));
         assert!(canonical, "canonical coordinates must lie in [0, 1)");
-        points
     }
 
     /// The point shifted by `delta` (component-wise, wrapped back onto the
@@ -347,8 +345,16 @@ mod tests {
             points.iter().map(|p| p.coord(0).to_bits()).collect()
         };
         let want: Vec<Point<1>> = lane.iter().map(|&c| Point::new([c])).collect();
-        assert_eq!(bits(&Point::from_canonical(&lane)), bits(&want));
-        let pairs = Point::<2>::from_canonical(&lane);
+        let mut singles = vec![Point::new([0.5])];
+        Point::from_canonical(&lane, &mut singles);
+        assert_eq!(
+            bits(&singles[1..]),
+            bits(&want),
+            "appends after the buffer's points"
+        );
+        let mut pairs = Vec::new();
+        Point::<2>::from_canonical(&lane, &mut pairs);
+        assert_eq!(pairs.len(), lane.len() / 2);
         for (p, c) in pairs.iter().zip(lane.as_chunks::<2>().0) {
             let q = Point::new(*c);
             assert_eq!(p.coords().map(f64::to_bits), q.coords().map(f64::to_bits));
@@ -359,10 +365,14 @@ mod tests {
     fn from_canonical_rejects_coordinates_off_the_torus() {
         for bad in [1.0, -1e-300, f64::NAN, f64::INFINITY] {
             let lane = [0.5, bad, 0.25];
-            let caught = std::panic::catch_unwind(|| Point::<1>::from_canonical(&lane));
+            let caught =
+                std::panic::catch_unwind(|| Point::<1>::from_canonical(&lane, &mut Vec::new()));
             assert!(caught.is_err(), "{bad} must be refused");
         }
-        assert!(std::panic::catch_unwind(|| Point::<2>::from_canonical(&[0.5])).is_err());
+        assert!(std::panic::catch_unwind(|| {
+            Point::<2>::from_canonical(&[0.5], &mut Vec::new())
+        })
+        .is_err());
     }
 
     #[test]

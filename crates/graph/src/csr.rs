@@ -364,12 +364,12 @@ impl Graph {
         ))
     }
 
-    /// Builds a graph directly from pre-validated CSR arrays, skipping the
-    /// edge-list sort/dedup pipeline — the decode path of the compressed
-    /// on-disk store (`smallworld-store`), where the arrays were produced
-    /// from a valid [`Graph`] in the first place.
+    /// Builds a graph directly from sorted CSR arrays, skipping the
+    /// edge-list sort/dedup pipeline — the path of the compressed on-disk
+    /// store (`smallworld-store`) for arrays its decode found at fault,
+    /// so that each fault gets its error here.
     ///
-    /// The representation invariants are re-checked in one linear pass
+    /// The representation invariants are checked in one linear pass
     /// (monotone offsets covering `targets`, each neighbor list strictly
     /// increasing, ids in range, no self-loops). Symmetry of the adjacency
     /// relation is **not** re-verified — checking it costs a binary search
@@ -397,39 +397,22 @@ impl Graph {
         offsets: Vec<usize>,
         targets: Vec<NodeId>,
     ) -> Result<Graph, GraphError> {
-        let malformed = |detail| Err(GraphError::MalformedCsr { detail });
-        if offsets.is_empty() {
-            return malformed("offsets array is empty");
-        }
-        if offsets[0] != 0 {
-            return malformed("offsets must start at 0");
-        }
-        if *offsets.last().expect("non-empty") != targets.len() {
-            return malformed("offsets must end at targets.len()");
-        }
-        let n = offsets.len() - 1;
-        for v in 0..n {
-            let (lo, hi) = (offsets[v], offsets[v + 1]);
-            if lo > hi {
-                return malformed("offsets must be nondecreasing");
-            }
-            if hi > targets.len() {
-                return malformed("offset beyond targets.len()");
-            }
-            let list = &targets[lo..hi];
-            for (i, &t) in list.iter().enumerate() {
-                if t.index() >= n {
-                    return malformed("neighbor id out of range");
-                }
-                if t.index() == v {
-                    return malformed("self-loop in neighbor list");
-                }
-                if i > 0 && list[i - 1] >= t {
-                    return malformed("neighbor list not strictly increasing");
-                }
-            }
-        }
+        check_sorted_csr(&offsets, &targets)?;
         Ok(Graph::from_parts(offsets, targets))
+    }
+
+    /// Builds a graph from CSR arrays whose invariants the caller has
+    /// already established — the invariants [`Graph::from_sorted_csr`]
+    /// checks — without a second pass over them: the one-pass decode of
+    /// the compressed store (`smallworld-store`) checks each list's range
+    /// and self-loops as it decodes it, and its delta format makes every
+    /// list strictly increasing. Debug builds check the arrays again.
+    ///
+    /// Arrays that break an invariant give a graph whose queries may
+    /// panic or answer wrongly; they cannot cause undefined behavior.
+    pub fn from_verified_csr(offsets: Vec<usize>, targets: Vec<NodeId>) -> Graph {
+        debug_assert_eq!(check_sorted_csr(&offsets, &targets), Ok(()));
+        Graph::from_parts(offsets, targets)
     }
 
     /// Number of nodes.
@@ -747,6 +730,43 @@ fn build_csr(n: usize, edges: &[(u32, u32)]) -> Graph {
     new_offsets[n] = write;
     targets.truncate(write);
     Graph::from_parts(new_offsets, targets)
+}
+
+/// The invariants [`Graph::from_sorted_csr`] checks, in one linear pass.
+fn check_sorted_csr(offsets: &[usize], targets: &[NodeId]) -> Result<(), GraphError> {
+    let malformed = |detail| Err(GraphError::MalformedCsr { detail });
+    if offsets.is_empty() {
+        return malformed("offsets array is empty");
+    }
+    if offsets[0] != 0 {
+        return malformed("offsets must start at 0");
+    }
+    if *offsets.last().expect("non-empty") != targets.len() {
+        return malformed("offsets must end at targets.len()");
+    }
+    let n = offsets.len() - 1;
+    for v in 0..n {
+        let (lo, hi) = (offsets[v], offsets[v + 1]);
+        if lo > hi {
+            return malformed("offsets must be nondecreasing");
+        }
+        if hi > targets.len() {
+            return malformed("offset beyond targets.len()");
+        }
+        let list = &targets[lo..hi];
+        for (i, &t) in list.iter().enumerate() {
+            if t.index() >= n {
+                return malformed("neighbor id out of range");
+            }
+            if t.index() == v {
+                return malformed("self-loop in neighbor list");
+            }
+            if i > 0 && list[i - 1] >= t {
+                return malformed("neighbor list not strictly increasing");
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Splits `0..n` nodes into at most `parts` contiguous ranges whose total

@@ -16,7 +16,7 @@
 //! * [`sink`] + [`json`] — a hand-rolled JSON tree and the JSONL artifact
 //!   writer the experiment binaries use for machine-readable results
 //!   (tables, per-suite timings, metric snapshots, run reports, peak RSS
-//!   from [`rss::peak_rss`]).
+//!   from [`rss::peak_rss`]; [`rss::minor_faults`] counts page faults).
 //!
 //! # Examples
 //!
@@ -44,6 +44,6 @@ pub mod span;
 pub use hdr::{HdrHistogram, HdrSnapshot};
 pub use json::JsonValue;
 pub use metrics::{Counter, MetricsSnapshot, Registry};
-pub use rss::{peak_rss, peak_rss_bytes, RssSource};
+pub use rss::{minor_faults, peak_rss, peak_rss_bytes, RssSource};
 pub use sink::JsonlSink;
 pub use span::{Span, SpanNode, SpanStats};

@@ -20,6 +20,7 @@ use std::borrow::Cow;
 
 use smallworld_graph::{Graph, NodeId};
 
+use crate::mmap::huge_page_vec;
 use crate::varint;
 use crate::StoreError;
 
@@ -214,29 +215,32 @@ impl<'a> CompressedCsr<'a> {
         varint::decode_sorted(self.stream(v), out)
     }
 
-    /// Decodes the full adjacency into a [`Graph`], re-validating the CSR
-    /// invariants — the eager path behind
-    /// [`GraphStore::load_graph`](crate::GraphStore::load_graph). A
-    /// borrowed CSR decodes straight out of the mapping: the only
-    /// allocations are the decoded arrays themselves.
+    /// Decodes the full adjacency into a [`Graph`] in one checked pass —
+    /// the eager path behind
+    /// [`GraphStore::load_graph`](crate::GraphStore::load_graph),
+    /// [`GraphStore::load_girg`](crate::GraphStore::load_girg) and
+    /// [`StoreShard::local_graph`](crate::StoreShard::local_graph).
+    ///
+    /// One call decodes every list (`varint::decode_lists`) into arrays of
+    /// exact size on huge pages, checking each list as it goes: its last
+    /// id must name a vertex and it must not hold its own vertex. Strict
+    /// increase holds by the delta format, so no second pass over the
+    /// targets runs. Only if a list is at fault do the arrays go through
+    /// [`Graph::from_sorted_csr`], whose error names the fault. A borrowed
+    /// CSR decodes straight out of the mapping: the only allocations are
+    /// the decoded arrays themselves.
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::Corrupt`] on malformed streams or a
-    /// target-count mismatch, and [`StoreError::Graph`] if the decoded
-    /// arrays violate the graph invariants (out-of-range ids, self-loops,
-    /// unsorted lists).
+    /// target-count mismatch, and [`StoreError::Graph`] if a list names an
+    /// id out of range or its own vertex.
     pub fn decode(&self) -> Result<Graph, StoreError> {
-        let n = self.node_count();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets: Vec<NodeId> = Vec::with_capacity(self.target_count + varint::DECODE_SLACK);
-        offsets.push(0usize);
-        NodeId::with_raw_ids(&mut targets, |raw| {
-            for v in 0..n {
-                self.decode_into(v, raw)?;
-                offsets.push(raw.len());
-            }
-            Ok::<_, StoreError>(())
+        let mut offsets: Vec<usize> = huge_page_vec(self.node_count() + 1);
+        let mut targets: Vec<NodeId> = huge_page_vec(self.target_count + varint::DECODE_SLACK);
+        offsets.push(0);
+        let clean = NodeId::with_raw_ids(&mut targets, |raw| {
+            varint::decode_lists(&self.data, &self.offsets, raw, &mut offsets)
         })?;
         if targets.len() != self.target_count {
             return Err(StoreError::Corrupt(format!(
@@ -245,7 +249,11 @@ impl<'a> CompressedCsr<'a> {
                 self.target_count
             )));
         }
-        Ok(Graph::from_sorted_csr(offsets, targets)?)
+        if clean {
+            Ok(Graph::from_verified_csr(offsets, targets))
+        } else {
+            Ok(Graph::from_sorted_csr(offsets, targets)?)
+        }
     }
 }
 

@@ -54,7 +54,7 @@ use smallworld_models::Alpha;
 use crate::crc::{crc32, Crc32};
 use crate::csr::CompressedCsr;
 use crate::mapped::MappedGraph;
-use crate::mmap::{map_readonly, Mapping};
+use crate::mmap::{huge_page_vec, map_readonly, Mapping};
 use crate::shard::ShardedStore;
 use crate::StoreError;
 
@@ -730,9 +730,10 @@ impl GraphStore {
         )
     }
 
-    /// Decodes the full adjacency into a [`Graph`]: the full decode of
-    /// [`GraphStore::mapped_graph`]'s borrowed CSR, straight out of the
-    /// mapping, so no copy of the NBR bytes or the offsets index is made.
+    /// Decodes the full adjacency into a [`Graph`]: the one checked pass
+    /// of [`CompressedCsr::decode`] over [`GraphStore::mapped_graph`]'s
+    /// borrowed CSR, straight out of the mapping, so no copy of the NBR
+    /// bytes or the offsets index is made.
     ///
     /// # Errors
     ///
@@ -832,7 +833,10 @@ impl GraphStore {
     }
 
     /// Reassembles the stored GIRG: adjacency, positions, weights, and
-    /// parameters, bit-for-bit as written.
+    /// parameters, bit-for-bit as written. The adjacency decodes as
+    /// [`GraphStore::load_graph`] does; positions and weights are copied
+    /// out of the lanes open checked into vectors of exact size that, like
+    /// the decoded arrays, are advised onto huge pages before first touch.
     ///
     /// # Errors
     ///
@@ -852,21 +856,18 @@ impl GraphStore {
         let graph = self.load_graph()?;
         let flat = self.packed_positions()?;
         // `packed_positions` checked every coordinate canonical
-        let positions = Point::from_canonical(&flat);
-        let weights = self.packed_weights()?;
+        let mut positions = huge_page_vec(self.node_count());
+        Point::from_canonical(&flat, &mut positions);
+        let lane = self.packed_weights()?;
+        let mut weights = huge_page_vec(lane.len());
+        weights.extend_from_slice(&lane);
         let (params, planted) = self.params()?;
         if graph.node_count() != self.node_count as usize {
             return Err(StoreError::Corrupt(
                 "adjacency and header disagree on the vertex count".into(),
             ));
         }
-        Ok(Girg::from_parts(
-            graph,
-            positions,
-            weights.into_owned(),
-            params,
-            planted,
-        ))
+        Ok(Girg::from_parts(graph, positions, weights, params, planted))
     }
 
     /// Loads the stored shard partition.

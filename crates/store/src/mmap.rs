@@ -14,6 +14,9 @@
 //!
 //! The `Vec` fallback (non-unix, or `--no-default-features`) has none of
 //! these caveats at the cost of one full copy and the corresponding RSS.
+//!
+//! The same FFI advises the arrays a full decode fills onto transparent
+//! huge pages ([`huge_page_vec`]), on Linux with the `mmap` feature.
 
 use std::fs::File;
 use std::io::Read;
@@ -105,7 +108,45 @@ mod sys {
             offset: i64,
         ) -> *mut c_void;
         pub fn munmap(addr: *mut c_void, len: usize) -> i32;
+        #[cfg(target_os = "linux")]
+        pub fn madvise(addr: *mut c_void, len: usize, advice: i32) -> i32;
     }
+
+    /// `madvise(2)` advice: back the range with transparent huge pages.
+    #[cfg(target_os = "linux")]
+    pub const MADV_HUGEPAGE: i32 = 14;
+}
+
+/// An empty vector with room for exactly `capacity` elements, whose
+/// 2 MiB-aligned interior is advised for transparent huge pages before
+/// anything touches it: a large array filled front to back then takes one
+/// page fault per 2 MiB instead of one per 4 KiB. Only whole huge pages
+/// inside the allocation are advised, so the advice never makes the
+/// resident set larger than the allocation. The advice is a hint: where
+/// it fails, where the kernel has huge pages switched off, off Linux and
+/// without the `mmap` feature the vector is an ordinary one.
+pub(crate) fn huge_page_vec<T>(capacity: usize) -> Vec<T> {
+    let vec = Vec::with_capacity(capacity);
+    #[cfg(all(feature = "mmap", target_os = "linux"))]
+    {
+        const HUGE_PAGE: usize = 2 << 20;
+        let base = vec.as_ptr() as usize;
+        let start = base.next_multiple_of(HUGE_PAGE);
+        let end = (base + vec.capacity() * std::mem::size_of::<T>()) / HUGE_PAGE * HUGE_PAGE;
+        if start < end {
+            // SAFETY: `[start, end)` lies inside the vector's own
+            // allocation, and the advice changes no byte of it. Failure
+            // leaves the range as it was and is ignored.
+            unsafe {
+                sys::madvise(
+                    start as *mut core::ffi::c_void,
+                    end - start,
+                    sys::MADV_HUGEPAGE,
+                );
+            }
+        }
+    }
+    vec
 }
 
 /// Maps `path` read-only, preferring `mmap(2)` when available and falling

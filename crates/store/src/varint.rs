@@ -10,7 +10,8 @@
 //! [`decode_sorted_after`] decodes such a stream with an AVX2 window
 //! decoder where the CPU has one, and otherwise with the checked scalar
 //! decoder [`decode_sorted_from`], which the window decoder answers to
-//! exactly.
+//! exactly. `decode_lists` decodes every list of a compressed CSR in one
+//! call the same way, checking each against the graph invariants.
 
 use crate::StoreError;
 
@@ -122,8 +123,64 @@ pub fn decode_sorted_after(
     decode_sorted_from(buf, after, |_, v| out.push(v))
 }
 
-/// Spare capacity past its last value that [`decode_sorted_after`] may
-/// need in `out`: the window decoder stores eight values at a time.
+/// Decodes every list of a compressed CSR in one call: list `v` is
+/// `data[offsets[v]..offsets[v + 1]]` (`offsets` start at 0, never
+/// decrease and end at `data.len()`). Appends each list's ids to `ids`
+/// and then the length of `ids` to `ends`, and returns whether every list
+/// is a valid neighbor list of its vertex among `offsets.len() − 1`: its
+/// last id is in range and it does not hold the vertex itself. Strict
+/// increase needs no check: the delta format gives it.
+///
+/// The CPU features are detected once, for the whole call. With AVX2 each
+/// list runs through the window decoder, which reads a list's last
+/// windows in place with the bytes past the list masked to `0x80`, so
+/// only windows within eight bytes of the end of `data` are copied.
+/// Either way the ids, and the `Err` of the first malformed list, are
+/// those [`decode_sorted`] gives list by list.
+///
+/// # Errors
+///
+/// As [`decode_sorted`], for the first malformed list; `ids` and `ends`
+/// then hold a prefix.
+pub(crate) fn decode_lists(
+    data: &[u8],
+    offsets: &[u64],
+    ids: &mut Vec<u32>,
+    ends: &mut Vec<usize>,
+) -> Result<bool, StoreError> {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2, the one feature `window::decode_lists` enables, was
+        // detected just above.
+        return unsafe { window::decode_lists(data, offsets, ids, ends) };
+    }
+    decode_lists_scalar(data, offsets, ids, ends)
+}
+
+/// [`decode_lists`] through the checked scalar decoder.
+fn decode_lists_scalar(
+    data: &[u8],
+    offsets: &[u64],
+    ids: &mut Vec<u32>,
+    ends: &mut Vec<usize>,
+) -> Result<bool, StoreError> {
+    let n = offsets.len() - 1;
+    let mut clean = true;
+    for (v, bounds) in offsets.windows(2).enumerate() {
+        let start = ids.len();
+        let list = &data[bounds[0] as usize..bounds[1] as usize];
+        decode_sorted_from(list, None, |_, id| ids.push(id))?;
+        let list = &ids[start..];
+        clean &= list.last().is_none_or(|&last| (last as usize) < n)
+            && !list.iter().any(|&id| id as usize == v);
+        ends.push(ids.len());
+    }
+    Ok(clean)
+}
+
+/// Spare capacity past its last value that [`decode_sorted_after`] and
+/// [`decode_lists`] may need in their output: the window decoder stores
+/// eight values at a time.
 pub(crate) const DECODE_SLACK: usize = 7;
 
 /// The checked scalar decoder of [`encode_sorted`] streams: decodes `buf`
@@ -206,28 +263,45 @@ fn read_next(buf: &[u8], prev: u32) -> Result<(u32, usize), StoreError> {
 /// store-to-load forwarding) and stores all eight lanes into `out`'s spare
 /// capacity, keeping as many as the window held.
 ///
-/// Everything else goes through [`read_next`], the scalar decoder's own
-/// checks, so errors and prefixes are the scalar decoder's:
+/// In [`decode_lists`] a list's first, absolute id takes the windows too:
+/// the list starts from the id before 0, −1, so that id is −1 plus its
+/// varint plus one, like every id after it. [`decode_sorted_after`] reads
+/// it with [`read_first`], so a buffer grows as it always did: the mapped
+/// cursor keeps its decoded lists, and their capacities are a megabyte of
+/// mapped-1m's peak RSS.
+///
+/// Everything else goes through [`read_first`] and [`read_next`], the
+/// scalar decoder's own checks, so errors and prefixes are the scalar
+/// decoder's:
 ///
 /// - a window whose first varint is four bytes or longer, or does not end
 ///   inside the window (overlong, truncated, or too large for a `u32`);
 /// - a window whose last id wraps past `u32::MAX`. One window adds at most
 ///   8 · 2²¹ to the id, so its exact last id overflows exactly when the
-///   wrapped one is not above the previous id; the scalar decoder then
-///   fails on the varint that overflows;
-/// - the list's first, absolute id.
+///   wrapped one is not above the previous id (never from −1); the scalar
+///   decoder then fails on the varint that overflows.
 ///
-/// The final bytes of a stream shorter than a window are copied into a
-/// window padded with `0x80`: a varint running into the padding never
-/// ends inside the window, so it is never taken. No load reads past `buf`.
+/// A window that runs past the end of its list reads as if the list were
+/// padded with `0x80`: a varint running into the padding never ends
+/// inside the window, so it is never taken. Where eight bytes of the
+/// buffer remain, the window is loaded in place and its bytes past the
+/// list are masked; only a window within eight bytes of the buffer's end
+/// is copied into a padded one. No load reads past the buffer.
+///
+/// [`decode_lists`] checks each list as it decodes it: besides its last
+/// id, which it compares with the vertex count, each window compares its
+/// lanes with the list's own vertex, and the lanes past the window's
+/// count are masked out.
 #[cfg(target_arch = "x86_64")]
 mod window {
     use std::arch::x86_64::{
-        __m256i, _mm256_add_epi32, _mm256_and_si256, _mm256_cvtsi256_si32, _mm256_loadu_si256,
-        _mm256_madd_epi16, _mm256_maddubs_epi16, _mm256_permute2x128_si256,
+        __m256i, _mm256_add_epi32, _mm256_and_si256, _mm256_andnot_si256, _mm256_cmpeq_epi32,
+        _mm256_cmpgt_epi32, _mm256_cvtsi256_si32, _mm256_loadu_si256, _mm256_madd_epi16,
+        _mm256_maddubs_epi16, _mm256_or_si256, _mm256_permute2x128_si256,
         _mm256_permutevar8x32_epi32, _mm256_set1_epi16, _mm256_set1_epi32, _mm256_set1_epi64x,
-        _mm256_shuffle_epi32, _mm256_shuffle_epi8, _mm256_slli_si256, _mm256_storeu_si256,
-        _mm_cvtsi64_si128, _mm_movemask_epi8,
+        _mm256_setr_epi32, _mm256_setzero_si256, _mm256_shuffle_epi32, _mm256_shuffle_epi8,
+        _mm256_slli_si256, _mm256_storeu_si256, _mm256_testz_si256, _mm_cvtsi64_si128,
+        _mm_movemask_epi8,
     };
 
     use super::{decode_sorted_from, read_first, read_next};
@@ -235,6 +309,9 @@ mod window {
 
     /// Stream bytes per window.
     const WIDTH: usize = 8;
+
+    /// A window of `0x80` bytes: continuation bits and no data.
+    const PADDING: u64 = 0x8080_8080_8080_8080;
 
     /// The per-mask window tables (8.7 KB): for the continuation bits of
     /// eight bytes, the lane shuffle, the lane count and the bytes taken.
@@ -297,32 +374,91 @@ mod window {
         after: Option<u32>,
         out: &mut Vec<u32>,
     ) -> Result<(), StoreError> {
-        let mut at = 0;
-        let mut prev = match after {
-            Some(prev) => prev,
+        let (at, after) = match after {
+            None if buf.is_empty() => return Ok(()),
             None => {
-                if buf.is_empty() {
-                    return Ok(());
-                }
                 let (first, used) = read_first(buf)?;
                 out.push(first);
-                at = used;
-                first
+                (used, Some(first))
             }
+            Some(_) => (0, after),
         };
+        decode_list::<false>(buf, at, buf.len(), after, 0, out).map(|_| ())
+    }
+
+    /// The window decoder over a whole CSR; see the module docs. Same
+    /// contract as [`super::decode_lists`].
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn decode_lists(
+        data: &[u8],
+        offsets: &[u64],
+        ids: &mut Vec<u32>,
+        ends: &mut Vec<usize>,
+    ) -> Result<bool, StoreError> {
+        let n = offsets.len() as u64 - 1;
+        let mut clean = true;
+        for (v, bounds) in offsets.windows(2).enumerate() {
+            let (start, end) = (bounds[0] as usize, bounds[1] as usize);
+            // a vertex past `u32` can only be flagged falsely, and a flag
+            // costs only the caller's full check
+            let (bound, self_loop) = decode_list::<true>(data, start, end, None, v as u32, ids)?;
+            clean &= !self_loop & (bound <= n);
+            ends.push(ids.len());
+        }
+        Ok(clean)
+    }
+
+    /// Appends the ids of `data[at..end]` to `out`: a whole list when
+    /// `after` is `None`, else the rest of a list whose previous id was
+    /// `after`. Returns one more than the last id (0 for an empty whole
+    /// list) and, in a `SECTION`, whether an appended id is `own`. The
+    /// bytes of `data` past `end` are read only as masked window bytes;
+    /// outside a `SECTION`, `end` must be `data.len()`, so no window needs
+    /// a mask, and no id is compared with `own`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn decode_list<const SECTION: bool>(
+        data: &[u8],
+        mut at: usize,
+        end: usize,
+        after: Option<u32>,
+        own: u32,
+        out: &mut Vec<u32>,
+    ) -> Result<(u64, bool), StoreError> {
         let groups = _mm256_set1_epi32(0x007f_7f7f);
         // byte pairs (b0, b1) → b0 + 128·b1, then 16-bit pairs (lo, b2) →
         // lo + 2¹⁴·b2: the 7-bit groups of a varint folded into its value
         let byte_weights = _mm256_set1_epi16(0x8001_u16 as i16);
         let pair_weights = _mm256_set1_epi32(0x4000_0001);
         let one = _mm256_set1_epi32(1);
-        let mut running = _mm256_set1_epi32(prev as i32);
-        while at < buf.len() {
-            let rest = &buf[at..];
-            let word = match rest.first_chunk::<WIDTH>() {
-                Some(window) => u64::from_le_bytes(*window),
+        let lane_index = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let own_lanes = _mm256_set1_epi32(own as i32);
+        let mut seen = _mm256_setzero_si256();
+        let mut hit = false;
+        // one more than the previous id: 0 before a whole list's first id
+        let mut bound = after.map_or(0, |prev| u64::from(prev) + 1);
+        let mut running = _mm256_set1_epi32((bound as u32).wrapping_sub(1) as i32);
+        while at < end {
+            let word = match data[at..].first_chunk::<WIDTH>() {
+                Some(window) if !SECTION => u64::from_le_bytes(*window),
+                Some(window) => {
+                    // the bytes past the list read as padding
+                    let past = u64::MAX
+                        .checked_shl(8 * (end - at).min(WIDTH) as u32)
+                        .unwrap_or(0);
+                    (u64::from_le_bytes(*window) & !past) | (PADDING & past)
+                }
                 None => {
-                    let mut padded = [0x80; WIDTH];
+                    let rest = &data[at..end];
+                    let mut padded = PADDING.to_le_bytes();
                     padded[..rest.len()].copy_from_slice(rest);
                     u64::from_le_bytes(padded)
                 }
@@ -330,11 +466,16 @@ mod window {
             let mask = _mm_movemask_epi8(_mm_cvtsi64_si128(word as i64)) as usize;
             let lanes = usize::from(WINDOWS.lanes[mask]);
             if lanes == 0 {
-                let (next, used) = read_next(rest, prev)?;
+                let rest = &data[at..end];
+                let (next, used) = match bound {
+                    0 => read_first(rest)?,
+                    _ => read_next(rest, (bound - 1) as u32)?,
+                };
                 out.push(next);
+                hit |= SECTION && next == own;
                 at += used;
-                prev = next;
-                running = _mm256_set1_epi32(prev as i32);
+                bound = u64::from(next) + 1;
+                running = _mm256_set1_epi32(next as i32);
                 continue;
             }
             // SAFETY: the control is one 32-byte row of the table.
@@ -350,10 +491,23 @@ mod window {
                 _mm256_permute2x128_si256::<0x08>(low_total, low_total),
             );
             let ids = _mm256_add_epi32(sums, running);
-            let last = _mm256_permutevar8x32_epi32(ids, _mm256_set1_epi32(lanes as i32 - 1));
+            let last_lane = _mm256_set1_epi32(lanes as i32 - 1);
+            let last = _mm256_permutevar8x32_epi32(ids, last_lane);
             let last_id = _mm256_cvtsi256_si32(last) as u32;
-            if last_id <= prev {
-                return decode_sorted_from(rest, Some(prev), |_, v| out.push(v));
+            if u64::from(last_id) < bound {
+                // wrapped past `u32::MAX`; never on a first id (bound 0)
+                let prev = (bound - 1) as u32;
+                decode_sorted_from(&data[at..end], Some(prev), |_, v| {
+                    out.push(v);
+                    hit |= SECTION && v == own;
+                    bound = u64::from(v) + 1;
+                })?;
+                break;
+            }
+            if SECTION {
+                let own_at = _mm256_cmpeq_epi32(ids, own_lanes);
+                let unused = _mm256_cmpgt_epi32(lane_index, last_lane);
+                seen = _mm256_or_si256(seen, _mm256_andnot_si256(unused, own_at));
             }
             if out.capacity() - out.len() < WIDTH {
                 out.reserve(WIDTH);
@@ -366,10 +520,10 @@ mod window {
                 out.set_len(out.len() + lanes);
             }
             at += usize::from(WINDOWS.bytes[mask]);
-            prev = last_id;
+            bound = u64::from(last_id) + 1;
             running = last;
         }
-        Ok(())
+        Ok((bound, hit || _mm256_testz_si256(seen, seen) == 0))
     }
 
     #[cfg(test)]
@@ -516,6 +670,59 @@ mod tests {
         // a gap past u32 is rejected from an offset too
         let mut out = Vec::new();
         assert!(decode_sorted_from(&[0], Some(u32::MAX), |_, v| out.push(v)).is_err());
+    }
+
+    /// Both whole-section kernels give the same `Result`, ids, list ends
+    /// and verdict on sections of random lists, with ids past the vertex
+    /// count, self-loops, and every byte of the section flipped in turn.
+    #[test]
+    fn whole_section_kernels_agree() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 33) % bound
+        };
+        let decode_both = |data: &[u8], offsets: &[u64]| {
+            let mut scalar = (Vec::new(), vec![0]);
+            let want = decode_lists_scalar(data, offsets, &mut scalar.0, &mut scalar.1)
+                .map_err(|e| e.to_string());
+            let mut dispatched = (Vec::new(), vec![0]);
+            let got = decode_lists(data, offsets, &mut dispatched.0, &mut dispatched.1)
+                .map_err(|e| e.to_string());
+            assert_eq!(
+                (got, dispatched),
+                (want.clone(), scalar),
+                "{data:?} {offsets:?}"
+            );
+            want
+        };
+        let mut verdicts = [0; 2];
+        for case in 0..300 {
+            let n = 1 + draw(40) as usize;
+            let spread = [2, 300, 70_000][case % 3];
+            let (mut data, mut offsets) = (Vec::new(), vec![0u64]);
+            for v in 0..n {
+                let mut list: Vec<u32> = (0..draw(12)).map(|_| draw(spread) as u32).collect();
+                list.sort_unstable();
+                list.dedup();
+                if case % 2 == 0 {
+                    list.retain(|&id| id as usize != v && (id as usize) < n);
+                }
+                encode_sorted(&list, &mut data);
+                offsets.push(data.len() as u64);
+            }
+            if let Ok(clean) = decode_both(&data, &offsets) {
+                verdicts[usize::from(clean)] += 1;
+            }
+            for at in 0..data.len() {
+                let mut bad = data.clone();
+                bad[at] ^= 1 << draw(8);
+                let _ = decode_both(&bad, &offsets);
+            }
+        }
+        assert!(verdicts[0] > 10 && verdicts[1] > 10, "{verdicts:?}");
     }
 
     #[test]

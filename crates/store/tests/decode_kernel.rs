@@ -9,6 +9,11 @@
 //! lists that run into `u32::MAX`, on every byte flip and truncation of
 //! valid streams, and over a whole Morton-relabeled 10⁵-vertex store
 //! through `CompressedCsr::decode` and every path of the mapped cursor.
+//! The byte flips and truncations also go through `CompressedCsr::decode`,
+//! the one pass over a whole section, which must give the `Result` of the
+//! list-by-list reference.
+
+mod common;
 
 use proptest::collection::vec;
 use proptest::prelude::ProptestConfig;
@@ -17,7 +22,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use smallworld_graph::{AdjacencyView, NodeId, RunFold, RUN_IDS};
 use smallworld_models::girg::{Girg, GirgBuilder};
-use smallworld_store::{varint, GraphStore};
+use smallworld_store::{varint, CompressedCsr, GraphStore};
 
 /// A decode's outcome: the `Result` (errors by message) and the values it
 /// appended.
@@ -163,8 +168,26 @@ fn ids_at_and_past_u32_max_decode_alike() {
     assert_eq!(ids, (u32::MAX - 3..=u32::MAX).collect::<Vec<_>>());
 }
 
+/// The one-pass decode of a section holding `stream` as vertex 0's list,
+/// alone, and followed by `next` as vertex 1's among 256 vertices, gives
+/// the reference's `Result`.
+fn assert_section_decodes_alike(stream: &[u8], next: &[u8]) {
+    let count = |list: &[u8]| {
+        let mut ids = 0;
+        varint::decode_sorted_from(list, None, |_, _| ids += 1).map_or(0, |()| ids)
+    };
+    let alone = CompressedCsr::from_parts(vec![0, stream.len() as u64], stream, 1, count(stream));
+    let _ = common::assert_decodes_as_reference(&alone.unwrap());
+    let data = [stream, next].concat();
+    let mut offsets = vec![0, stream.len() as u64];
+    offsets.resize(257, data.len() as u64);
+    let pair = CompressedCsr::from_parts(offsets, data, 256, count(stream) + count(next));
+    let _ = common::assert_decodes_as_reference(&pair.unwrap());
+}
+
 /// Every single-byte change and every truncation of valid streams gives
-/// both decoders the same `Result` and the same values.
+/// both decoders the same `Result` and the same values, and the one-pass
+/// decode of a section the reference's `Result`.
 #[test]
 fn every_byte_flip_and_truncation_decodes_alike() {
     let lists = [
@@ -180,15 +203,18 @@ fn every_byte_flip_and_truncation_decodes_alike() {
         let mut buf = Vec::new();
         varint::encode_sorted(list, &mut buf);
         assert!(buf.len() >= 8, "{} bytes", buf.len());
+        let next = [3u8, 0, 0x7f];
         for cut in 0..buf.len() {
             assert_same(&buf[..cut], None);
             assert_same(&buf[cut..], Some(list[0]));
+            assert_section_decodes_alike(&buf[..cut], &next);
         }
         for at in 0..buf.len() {
             for flip in 1..=255u8 {
                 let mut bad = buf.clone();
                 bad[at] ^= flip;
                 assert_same(&bad, None);
+                assert_section_decodes_alike(&bad, &next);
             }
         }
     }

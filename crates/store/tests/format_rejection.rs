@@ -4,6 +4,8 @@
 //! `smallworld-models`' `garbage_inputs_are_rejected` tests for the text
 //! format).
 
+mod common;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use smallworld_models::girg::{Girg, GirgBuilder};
@@ -168,11 +170,17 @@ fn section_extent(bytes: &[u8], id: SectionId) -> (usize, usize, usize) {
 }
 
 /// Overwrites 8-byte word `word` of section `id`'s payload with `value`,
-/// then rewrites that section's CRC and the header CRC so the file still
-/// opens: the damage reaches the accessors instead of the checksums.
+/// as [`poke_section_bytes`] does.
 fn poke_section_word(bytes: &mut [u8], id: SectionId, word: usize, value: [u8; 8]) {
+    poke_section_bytes(bytes, id, 8 * word, &value);
+}
+
+/// Overwrites section `id`'s payload from byte `at` with `value`, then
+/// rewrites that section's CRC and the header CRC so the file still
+/// opens: the damage reaches the accessors instead of the checksums.
+fn poke_section_bytes(bytes: &mut [u8], id: SectionId, at: usize, value: &[u8]) {
     let (entry, offset, len) = section_extent(bytes, id);
-    bytes[offset + 8 * word..offset + 8 * word + 8].copy_from_slice(&value);
+    bytes[offset + at..offset + at + value.len()].copy_from_slice(value);
     let section_crc = crc32(&bytes[offset..offset + len]);
     bytes[entry + 4..entry + 8].copy_from_slice(&section_crc.to_le_bytes());
     rewrite_header_crc(bytes);
@@ -225,6 +233,24 @@ fn non_finite_geometry_with_valid_checksums_is_a_typed_error() {
         drop(store);
         std::fs::remove_file(&path).ok();
     }
+}
+
+/// Asserts `load_graph` and `load_girg` give the `Result` of the
+/// list-by-list reference decode of the store's adjacency, and returns it.
+fn assert_loads_as_reference(store: &GraphStore, context: &str) -> common::Outcome {
+    let want = common::outcome(
+        store
+            .mapped_graph()
+            .and_then(|csr| common::reference_decode(&csr)),
+    );
+    assert_eq!(
+        common::outcome(store.load_graph()),
+        want,
+        "{context}: load_graph"
+    );
+    let girg = store.load_girg::<2>().map(|girg| girg.graph().clone());
+    assert_eq!(common::outcome(girg), want, "{context}: load_girg");
+    want
 }
 
 /// Open checks OFFSETS, POS and WEIGHT one verify chunk at a time, right
@@ -290,6 +316,7 @@ fn bad_values_at_verify_chunk_edges_give_the_accessors_errors() {
             for (call, result) in got {
                 assert_eq!(outcome(result), want, "OFFSETS[{word}] = {value}: {call}");
             }
+            let _ = assert_loads_as_reference(&store, &format!("OFFSETS[{word}] = {value}"));
             assert!(store.packed_positions().is_ok() && store.packed_weights().is_ok());
         }
     }
@@ -297,6 +324,33 @@ fn bad_values_at_verify_chunk_edges_give_the_accessors_errors() {
         decreasing >= 6,
         "{decreasing} pokes made the offsets decrease"
     );
+
+    // NBR: a whole-section list-by-list decode is the reference; bytes at
+    // the ends of the section and of its verify chunks, and the first and
+    // last byte of lists, set to end a varint, continue one, or make a
+    // long one
+    let nbr_offsets: Vec<u64> = section_words(&clean, SectionId::Offsets)
+        .into_iter()
+        .map(u64::from_le_bytes)
+        .collect();
+    let mut at = vec![0, VERIFY_CHUNK - 1, VERIFY_CHUNK, nbr_len - 1];
+    for v in [1, n / 2, n - 1] {
+        let (start, end) = (nbr_offsets[v] as usize, nbr_offsets[v + 1] as usize);
+        if start < end {
+            at.extend([start, end - 1]);
+        }
+    }
+    let mut faults = 0;
+    for &byte in at.iter().filter(|&&byte| byte < nbr_len) {
+        for value in [0x00u8, 0x01, 0x7f, 0x80, 0xff] {
+            let mut bytes = clean.clone();
+            poke_section_bytes(&mut bytes, SectionId::Nbr, byte, &[value]);
+            let store = reopen(&bytes);
+            let context = format!("NBR[{byte}] = {value:#x}");
+            faults += usize::from(assert_loads_as_reference(&store, &context).is_err());
+        }
+    }
+    assert!(faults >= 10, "{faults} NBR pokes made the adjacency fail");
 
     // POS: the first coordinate outside [0, 1) names the error
     for word in edges(2 * n) {

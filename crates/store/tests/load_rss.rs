@@ -1,5 +1,8 @@
-//! Regression pin for the `open_buffered` double-copy: loading through the
-//! buffered fallback must not hold more than one copy of the file bytes.
+//! Regression pins for the peak RSS of a full load: loading through the
+//! buffered fallback must not hold more than one copy of the file bytes,
+//! and a mapped load must hold no more than the file bytes, the decoded
+//! CSR and a fixed slack — so huge-page advice on the decoded arrays can
+//! never round them up.
 //!
 //! `VmHWM` is a process-wide high-water mark, so each load strategy runs in
 //! its own subprocess (this test binary re-executed with `--exact` on the
@@ -12,7 +15,7 @@
 use std::process::Command;
 
 use smallworld_graph::Graph;
-use smallworld_store::{write_graph_swg, GraphStore};
+use smallworld_store::{write_graph_swg, CompressedCsr, GraphStore};
 
 const MODE_VAR: &str = "SMALLWORLD_LOAD_RSS_MODE";
 const PATH_VAR: &str = "SMALLWORLD_LOAD_RSS_PATH";
@@ -63,6 +66,13 @@ fn load_rss_child() {
     assert!(graph.edge_count() > 0, "decoded graph must not be empty");
     println!("PEAK_RSS_BYTES={}", peak_rss_bytes().unwrap_or(0));
 }
+
+/// What a mapped load may hold beyond the file bytes and the decoded CSR:
+/// the test binary and its allocator, 2.8–3.0 MB on Linux x86_64. What is
+/// left, about 1.2 MB, is less than a huge page, so a decoded array whose
+/// huge pages reached past its end would trip the pin whenever they
+/// rounded it up by more than that.
+const MAPPED_SLACK: u64 = 4 << 20;
 
 fn run_child(mode: &str, path: &std::path::Path) -> u64 {
     let exe = std::env::current_exe().expect("own executable path");
@@ -116,6 +126,17 @@ fn buffered_load_holds_a_single_copy_of_the_file() {
         eprintln!("skipping: children could not report VmHWM");
         return;
     }
+
+    // the mapped load: the touched mapping, the decoded CSR, and the test
+    // process itself within a fixed slack
+    let raw = CompressedCsr::from_graph(&graph).raw_byte_len() as u64;
+    let mapped_bound = file_bytes + raw + MAPPED_SLACK;
+    assert!(
+        mapped_peak <= mapped_bound,
+        "mapped load peaked at {mapped_peak} bytes, above the file's {file_bytes} \
+         plus the decoded CSR's {raw} plus {MAPPED_SLACK} of slack: the decoded \
+         arrays hold more than their size"
+    );
 
     let slack = file_bytes * 35 / 100 + 3 * 1024 * 1024;
     let excess = buffered_peak.saturating_sub(mapped_peak);
