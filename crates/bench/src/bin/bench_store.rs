@@ -225,6 +225,9 @@ fn routing_table(girg: &Girg<2>, comps: &Components, scale: Scale, dir: &std::pa
             )
     };
     let secs = start.elapsed().as_secs_f64();
+    if let Some(e) = cursors.iter().find_map(|c| c.error()) {
+        panic!("mapped routing could not read its store: {e}");
+    }
     assert_eq!(
         outcomes, decoded,
         "mapped routing diverged from the decoded baseline"

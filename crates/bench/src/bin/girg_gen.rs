@@ -38,14 +38,18 @@
 //! tables are cell-for-cell those of `--load` (CI diffs all three runs).
 //! It prints the peak RSS, the decode-free open time and the cursors'
 //! cache hits / misses, skipped hub runs and decoded ids per route to
-//! stderr, and refuses a store whose dimension is not 2. `--load --route`
+//! stderr, then the NBR chunks the cursors checked on first touch (open
+//! reads no adjacency byte), and refuses a store whose dimension is not 2.
+//! A chunk that fails its checksum, or a malformed list, fails the run with
+//! the cursor's error (exit status 1). `--load --route`
 //! prints the size of the run directory the decoded graph's routes built
 //! (lists, entries, bytes) to stderr instead. Both `--mapped` and a
 //! `--load` of a `.swg` store print one `set-up:` line accounting for
-//! making the store ready to route: the bytes open verified, at what rate
-//! and with which CRC kernel, the accessors' checks, the φ-ladder build and
-//! the decode, with its nanoseconds per decoded id and the minor page
-//! faults it took.
+//! making the store ready to route: the bytes open verified eagerly (every
+//! section but the adjacency), at what rate and with which CRC kernel, the
+//! accessors' checks, the φ-ladder build and the decode, which checks the
+//! adjacency's chunks first, with its nanoseconds per decoded id and the
+//! minor page faults it took.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -68,7 +72,7 @@ use smallworld_models::hyperbolic::HrgBuilder;
 use smallworld_models::{Alpha, ChungLuBuilder, GraphInstance, GraphModel, KleinbergLatticeBuilder};
 use smallworld_obs::Span;
 use smallworld_par::Pool;
-use smallworld_store::{CrcKernel, GraphStore, StoreError};
+use smallworld_store::{CrcKernel, FirstTouch, GraphStore, MappedCursor, StoreError};
 
 struct Options {
     model: String,
@@ -283,7 +287,8 @@ fn sample_and_summarize<I: GraphInstance>(
 /// What making a `.swg` store ready to route cost, step by step; printed
 /// as one stderr line by `--mapped` and by `--load` of a `.swg` store.
 struct SetupAccount {
-    /// Bytes the CRCs of [`GraphStore::open`] covered.
+    /// Bytes the CRCs of [`GraphStore::open`] covered: every section but
+    /// NBR, whose chunks are checked on first touch.
     verified_bytes: usize,
     /// Seconds `open` took: the CRC pass with the structural checks it
     /// runs on each hot chunk.
@@ -398,7 +403,7 @@ impl SetupAccount {
             },
         );
         format!(
-            "set-up: verified {:.1} MiB in {} ({:.1} GiB/s, {} CRC); accessor checks {}; \
+            "set-up: verified {:.1} MiB eager in {} ({:.1} GiB/s, {} CRC); accessor checks {}; \
              ladder build {ladder}; decode {decode}",
             self.verified_bytes as f64 / MIB,
             ms(self.open_secs),
@@ -537,6 +542,28 @@ fn run_directory_line(graph: &Graph) -> String {
     }
 }
 
+/// The stderr line on the NBR chunks the cursors checked on first touch.
+fn first_touch_line(touched: &FirstTouch) -> String {
+    format!(
+        "NBR verified on first touch: {} of {} chunks, {:.1} MiB in {:.1} ms",
+        touched.chunks,
+        touched.total_chunks,
+        touched.bytes as f64 / (1 << 20) as f64,
+        touched.secs * 1e3
+    )
+}
+
+/// The first error any of `cursors` kept, as the run's error message.
+fn cursor_error<'c, 'a: 'c>(
+    path: &str,
+    cursors: impl IntoIterator<Item = &'c mut MappedCursor<'a>>,
+) -> Result<(), String> {
+    match cursors.into_iter().find_map(|c| c.take_error()) {
+        Some(e) => Err(format!("reading {path}: {e}")),
+        None => Ok(()),
+    }
+}
+
 /// The `--mapped` path: open the store, route and analyze **without
 /// decoding the adjacency** — components stream one vertex at a time
 /// through the mapped cursor, and routing scores straight off the flat
@@ -562,7 +589,9 @@ fn run_mapped(path: &str, route: usize, seed: u64) -> Result<Vec<Table>, String>
     let comps = {
         let _span = Span::enter("components_view");
         let mut cursor = mapped.cursor();
-        Components::compute_view(&mut cursor)
+        let comps = Components::compute_view(&mut cursor);
+        cursor_error(path, [&mut cursor])?;
+        comps
     };
     let (p, _) = store
         .params()
@@ -606,8 +635,9 @@ fn run_mapped(path: &str, route: usize, seed: u64) -> Result<Vec<Table>, String>
             .check(|| store.packed_weights())
             .map_err(|e| format!("reading weights from {path}: {e}"))?;
         let packed = account.objective(&positions, &weights, p.wmin * p.intensity);
+        let mut read = Ok(());
         tables.push(route_phase(route, |pool| {
-            let (trials, cursors) = TrialBatch::for_views(mapped.node_count(), &comps, route)
+            let (trials, mut cursors) = TrialBatch::for_views(mapped.node_count(), &comps, route)
                 .connected_only(true)
                 .run_views(
                     &GreedyRouter::new(),
@@ -625,9 +655,12 @@ fn run_mapped(path: &str, route: usize, seed: u64) -> Result<Vec<Table>, String>
                 cursors.iter().map(|c| c.decoded_ids()).sum::<u64>() as f64
                     / trials.len().max(1) as f64
             );
+            read = cursor_error(path, &mut cursors);
             trials
         }));
+        read?;
     }
+    eprintln!("{}", first_touch_line(&store.first_touch()));
     eprintln!("{}", account.line());
     Ok(tables)
 }
@@ -831,8 +864,59 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// The set-up line accounts for each step: the verified bytes with
-    /// their rate and the CRC kernel, the accessor checks, the ladder
+    /// A flipped adjacency byte opens (open reads no NBR byte) and then
+    /// fails the mapped run with its chunk's checksum, with or without
+    /// routes; a clean store reports the chunks its cursors checked.
+    #[test]
+    fn run_mapped_fails_with_a_bad_nbr_chunk() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+        let girg = GirgBuilder::<2>::new(2_000).sample(&mut rng).unwrap();
+        let path = std::env::temp_dir().join(format!(
+            "smallworld-girg-gen-nbr-{}.swg",
+            std::process::id()
+        ));
+        smallworld_store::save_girg(&girg, &path, 1).unwrap();
+        let file = path.to_str().unwrap();
+        assert!(run_mapped(file, 20, 1).is_ok());
+        let store = GraphStore::open(&path).unwrap();
+        assert_eq!(store.first_touch().chunks, 0);
+        store.load_graph().unwrap();
+        let all = store.first_touch();
+        assert_eq!(all.chunks, all.total_chunks);
+        drop(store);
+
+        let mut bytes = std::fs::read(&path).unwrap();
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+        let nbr = (64..64 + 24 * bytes[40] as usize)
+            .step_by(24)
+            .find(|&entry| bytes[entry] == smallworld_store::SectionId::Nbr as u8)
+            .unwrap();
+        let middle = word(nbr + 8) + word(nbr + 16) / 2;
+        bytes[middle] ^= 0x10;
+        std::fs::write(&path, &bytes).unwrap();
+        for route in [0, 20] {
+            let err = run_mapped(file, route, 1).expect_err("a bad chunk must fail the run");
+            assert!(err.contains("checksum mismatch in section NBR"), "{err}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn first_touch_line_counts_chunks_bytes_and_time() {
+        let touched = FirstTouch {
+            chunks: 3,
+            total_chunks: 1280,
+            bytes: 3 << 16,
+            secs: 0.000_025,
+        };
+        assert_eq!(
+            first_touch_line(&touched),
+            "NBR verified on first touch: 3 of 1280 chunks, 0.2 MiB in 0.0 ms"
+        );
+    }
+
+    /// The set-up line accounts for each step: the eagerly verified bytes
+    /// with their rate and the CRC kernel, the accessor checks, the ladder
     /// build (or that none was built yet, or that it declined bounds) and
     /// the decode (or that there was none) with its nanoseconds per id
     /// and minor faults (where the platform counts them).
@@ -848,7 +932,7 @@ mod tests {
         };
         assert_eq!(
             account.line(),
-            "set-up: verified 1536.0 MiB in 125.0 ms (12.0 GiB/s, pclmulqdq-128 CRC); \
+            "set-up: verified 1536.0 MiB eager in 125.0 ms (12.0 GiB/s, pclmulqdq-128 CRC); \
              accessor checks 0.0 ms; ladder build none (no routes); decode none (decode-free)"
         );
         account.ladder = Some((0.0031, true));

@@ -14,19 +14,23 @@
 //! store ([`GraphStore::mapped_graph`](crate::GraphStore::mapped_graph)).
 //! Both forms pass the same validation in [`CompressedCsr::from_parts`] and
 //! share one decoder and one caching cursor
-//! ([`CompressedCsr::cursor`]).
+//! ([`CompressedCsr::cursor`]). A borrowed CSR also carries its store's
+//! NBR chunk checksums: every decode checks the chunks it reads the first
+//! time any decode of the store reads them.
 
 use std::borrow::Cow;
 
 use smallworld_graph::{Graph, NodeId};
 
+use crate::chunks::NbrChunks;
 use crate::mmap::huge_page_vec;
 use crate::varint;
 use crate::StoreError;
 
 /// A compressed CSR adjacency: the OFFSETS and NBR sections of a `.swg`
-/// store, owned or borrowed from the mapping.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// store, owned or borrowed from the mapping. Two CSRs are equal when
+/// their offsets, data and target counts are.
+#[derive(Clone, Debug)]
 pub struct CompressedCsr<'a> {
     /// `offsets[v]..offsets[v+1]` delimits `data` for vertex `v`;
     /// `offsets.len() == node_count + 1`.
@@ -35,7 +39,20 @@ pub struct CompressedCsr<'a> {
     data: Cow<'a, [u8]>,
     /// Total neighbor-list entries (`2m` for an undirected graph).
     target_count: usize,
+    /// The store's NBR chunk checksums, when `data` is a store's NBR
+    /// section; `None` for data this process encoded or verified whole.
+    chunks: Option<&'a NbrChunks>,
 }
+
+impl PartialEq for CompressedCsr<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.offsets == other.offsets
+            && self.data == other.data
+            && self.target_count == other.target_count
+    }
+}
+
+impl Eq for CompressedCsr<'_> {}
 
 impl CompressedCsr<'static> {
     /// Compresses a graph's adjacency. The graph is not consumed; the
@@ -78,6 +95,7 @@ impl CompressedCsr<'static> {
             offsets: Cow::Owned(offsets),
             data: Cow::Owned(data),
             target_count,
+            chunks: None,
         }
     }
 }
@@ -147,7 +165,16 @@ impl<'a> CompressedCsr<'a> {
             offsets,
             data,
             target_count,
+            chunks: None,
         })
+    }
+
+    /// This CSR with its data checked against `chunks` on first touch.
+    pub(crate) fn checked_by(self, chunks: &'a NbrChunks) -> CompressedCsr<'a> {
+        CompressedCsr {
+            chunks: Some(chunks),
+            ..self
+        }
     }
 
     /// Number of vertices.
@@ -194,25 +221,43 @@ impl<'a> CompressedCsr<'a> {
         self.offsets.len() * std::mem::size_of::<usize>() + self.target_count * 4
     }
 
-    /// Vertex `v`'s varint delta stream.
+    /// Vertex `v`'s varint delta stream, unchecked: for its length, or
+    /// bytes a [`CompressedCsr::checked_stream`] of `v` already returned.
     pub(crate) fn stream(&self, v: usize) -> &[u8] {
         &self.data[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }
 
-    /// Decodes vertex `v`'s sorted neighbor list, appending to `out`
-    /// (through [`varint::decode_sorted`]'s window decoder where the CPU
-    /// has one).
+    /// Vertex `v`'s varint delta stream, once every NBR chunk it spans has
+    /// matched its CRC.
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Corrupt`] on a malformed varint stream
-    /// (truncated varint, id overflow).
+    /// [`StoreError::ChecksumMismatch`] if a chunk does not.
+    #[inline]
+    pub(crate) fn checked_stream(&self, v: usize) -> Result<&[u8], StoreError> {
+        let (start, end) = (self.offsets[v] as usize, self.offsets[v + 1] as usize);
+        if let Some(chunks) = self.chunks {
+            chunks.check(&self.data, start, end)?;
+        }
+        Ok(&self.data[start..end])
+    }
+
+    /// Decodes vertex `v`'s sorted neighbor list, appending to `out`
+    /// (through [`varint::decode_sorted`]'s window decoder where the CPU
+    /// has one), after checking the NBR chunks the list spans on first
+    /// touch.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError::ChecksumMismatch`] if a chunk the list spans
+    /// does not match its CRC, and [`StoreError::Corrupt`] on a malformed
+    /// varint stream (truncated varint, id overflow).
     ///
     /// # Panics
     ///
     /// Panics if `v >= node_count`.
     pub fn decode_into(&self, v: usize, out: &mut Vec<u32>) -> Result<(), StoreError> {
-        varint::decode_sorted(self.stream(v), out)
+        varint::decode_sorted(self.checked_stream(v)?, out)
     }
 
     /// Decodes the full adjacency into a [`Graph`] in one checked pass —
@@ -221,9 +266,11 @@ impl<'a> CompressedCsr<'a> {
     /// [`GraphStore::load_girg`](crate::GraphStore::load_girg) and
     /// [`StoreShard::local_graph`](crate::StoreShard::local_graph).
     ///
-    /// One call decodes every list (`varint::decode_lists`) into arrays of
-    /// exact size on huge pages, checking each list as it goes: its last
-    /// id must name a vertex and it must not hold its own vertex. Strict
+    /// A store's CSR first checks every NBR chunk no earlier decode has
+    /// checked, in one pass. Then one call decodes every list
+    /// (`varint::decode_lists`) into arrays of exact size on huge pages,
+    /// checking each list as it goes: its last id must name a vertex and
+    /// it must not hold its own vertex. Strict
     /// increase holds by the delta format, so no second pass over the
     /// targets runs. Only if a list is at fault do the arrays go through
     /// [`Graph::from_sorted_csr`], whose error names the fault. A borrowed
@@ -232,10 +279,14 @@ impl<'a> CompressedCsr<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Corrupt`] on malformed streams or a
+    /// Returns [`StoreError::ChecksumMismatch`] if an NBR chunk does not
+    /// match its CRC, [`StoreError::Corrupt`] on malformed streams or a
     /// target-count mismatch, and [`StoreError::Graph`] if a list names an
     /// id out of range or its own vertex.
     pub fn decode(&self) -> Result<Graph, StoreError> {
+        if let Some(chunks) = self.chunks {
+            chunks.check(&self.data, 0, self.data.len())?;
+        }
         let mut offsets: Vec<usize> = huge_page_vec(self.node_count() + 1);
         let mut targets: Vec<NodeId> = huge_page_vec(self.target_count + varint::DECODE_SLACK);
         offsets.push(0);

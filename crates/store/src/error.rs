@@ -52,9 +52,12 @@ impl fmt::Display for StoreError {
         match self {
             StoreError::Io(e) => write!(f, "i/o error: {e}"),
             StoreError::BadMagic => write!(f, "not a .swg store (bad magic)"),
-            StoreError::UnsupportedVersion(v) => {
-                write!(f, "unsupported .swg format version {v}")
-            }
+            StoreError::UnsupportedVersion(v) => write!(
+                f,
+                "unsupported .swg format version {v}: this build reads version {}; \
+                 write the store again with `girg_gen --out <path>.swg`",
+                crate::VERSION
+            ),
             StoreError::Truncated { what } => write!(f, "truncated .swg store: {what}"),
             StoreError::ChecksumMismatch { section } => {
                 write!(f, "checksum mismatch in section {section}")
@@ -107,6 +110,9 @@ mod tests {
     fn display_names_the_failure() {
         assert!(StoreError::BadMagic.to_string().contains("magic"));
         assert!(StoreError::UnsupportedVersion(9).to_string().contains('9'));
+        assert!(StoreError::UnsupportedVersion(1)
+            .to_string()
+            .contains("girg_gen --out"));
         assert!(
             StoreError::ChecksumMismatch { section: "NBR" }
                 .to_string()

@@ -4,7 +4,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"SWGSTOR1"
-//! 8       4     format version (u32 LE) = 1
+//! 8       4     format version (u32 LE) = 2
 //! 12      4     endianness marker (u32 LE) = 0x0A0B0C0D
 //! 16      4     torus dimension d (0 = bare graph, no geometry)
 //! 20      4     flags (bit 0 = geometry sections, bit 1 = shard section)
@@ -17,18 +17,27 @@
 //! …             section payloads, each aligned to a 4096-byte page
 //! ```
 //!
-//! All integers are little-endian. Every section payload carries its own
-//! CRC32 (IEEE, reflected, zlib-compatible), verified when the file is
-//! opened, so opening reads every byte once. The checksum runs at memory
-//! speed: a carry-less-multiply fold on x86_64 CPUs with PCLMULQDQ (512
-//! bits wide with AVX-512 and VPCLMULQDQ), a slicing-by-16 table kernel
-//! elsewhere (see `crc.rs`). Open verifies each section in
-//! [`VERIFY_CHUNK`]-byte chunks and runs the section's structural check
-//! (OFFSETS never decrease, POS coordinates are canonical, WEIGHT values
-//! are finite) on each chunk right after its CRC, while it is still in
-//! cache; the accessors report what it found. Payloads start on page
-//! boundaries so that, under `mmap`, fixed-width sections (OFFSETS, POS,
-//! WEIGHT) are naturally aligned for direct `&[u64]`/`&[f64]` views.
+//! All integers are little-endian. Every section payload but NBR carries
+//! its own CRC32 (IEEE, reflected, zlib-compatible) in the section table,
+//! verified when the file is opened. NBR, the adjacency and most of the
+//! file, is checksummed per [`VERIFY_CHUNK`]-byte chunk instead: the
+//! NBR_CRC section holds one CRC32 per chunk (the last chunk may be
+//! shorter), NBR's table entry holds 0, and open reads no NBR byte. A
+//! chunk is checked the first time a decode reads one of its bytes — a
+//! [`MappedCursor`](crate::MappedCursor) list, [`CompressedCsr::decode_into`]
+//! or the full decode of [`GraphStore::load_graph`] — and one bit per
+//! chunk, shared by every cursor and thread, records that it matched.
+//!
+//! The checksum runs at memory speed: a carry-less-multiply fold on x86_64
+//! CPUs with PCLMULQDQ (512 bits wide with AVX-512 and VPCLMULQDQ), a
+//! slicing-by-16 table kernel elsewhere (see `crc.rs`). Open verifies each
+//! eager section in [`VERIFY_CHUNK`]-byte chunks and runs the section's
+//! structural check (OFFSETS never decrease, POS coordinates are
+//! canonical, WEIGHT values are finite) on each chunk right after its CRC,
+//! while it is still in cache; the accessors report what it found.
+//! Payloads start on page boundaries so that, under `mmap`, fixed-width
+//! sections (OFFSETS, POS, WEIGHT) are naturally aligned for direct
+//! `&[u64]`/`&[f64]` views.
 //!
 //! Sections:
 //!
@@ -40,6 +49,10 @@
 //! | 4  | POS     | n·d × f64: canonical torus coordinates, vertex-major |
 //! | 5  | WEIGHT  | n × f64 |
 //! | 6  | SHARDS  | serialized shard partition (see [`crate::shard`]) |
+//! | 7  | NBR_CRC | ⌈len(NBR) / [`VERIFY_CHUNK`]⌉ × u32: CRC32 of each NBR chunk |
+//!
+//! The writers lay sections out in the order META, OFFSETS, NBR_CRC, NBR,
+//! POS, WEIGHT, SHARDS (each when present).
 
 use std::borrow::Cow;
 use std::fs::File;
@@ -51,6 +64,7 @@ use smallworld_graph::Graph;
 use smallworld_models::girg::{Girg, GirgParams};
 use smallworld_models::Alpha;
 
+use crate::chunks::{ChunkCrcs, FirstTouch, NbrChunks};
 use crate::crc::{crc32, Crc32};
 use crate::csr::CompressedCsr;
 use crate::mapped::MappedGraph;
@@ -60,15 +74,17 @@ use crate::StoreError;
 
 /// File magic: the first 8 bytes of every `.swg` store.
 pub const MAGIC: [u8; 8] = *b"SWGSTOR1";
-/// Current format version.
-pub const VERSION: u32 = 1;
+/// Current format version: 2 since the NBR section is checksummed per
+/// chunk. No other version is read.
+pub const VERSION: u32 = 2;
 /// Endianness marker stored little-endian.
 const ENDIAN_MARKER: u32 = 0x0A0B_0C0D;
 /// Section payload alignment.
 pub const PAGE: usize = 4096;
-/// Bytes [`GraphStore::open`] verifies per step: small enough that a
-/// chunk is still in cache when the section's structural check reads it
-/// after the CRC, and a whole number of pages (so of 8-byte words).
+/// Bytes [`GraphStore::open`] verifies per step, and the bytes of an NBR
+/// chunk: small enough that a chunk is still in cache when the section's
+/// structural check reads it after the CRC, or a first-touch check's list
+/// decodes it, and a whole number of pages (so of 8-byte words).
 pub const VERIFY_CHUNK: usize = 16 * PAGE;
 const HEADER_LEN: usize = 64;
 const SECTION_ENTRY_LEN: usize = 24;
@@ -94,13 +110,15 @@ pub enum SectionId {
     Weight = 5,
     /// Shard partition.
     Shards = 6,
+    /// CRC32 of each [`VERIFY_CHUNK`]-byte chunk of NBR.
+    NbrCrc = 7,
 }
 
 impl SectionId {
     /// The name of the section with raw id `raw`, or `"unknown"`.
     fn name_of(raw: u32) -> &'static str {
         use SectionId::*;
-        [Meta, Offsets, Nbr, Pos, Weight, Shards]
+        [Meta, Offsets, Nbr, Pos, Weight, Shards, NbrCrc]
             .into_iter()
             .find(|&id| id as u32 == raw)
             .map_or("unknown", SectionId::name)
@@ -114,6 +132,7 @@ impl SectionId {
             SectionId::Pos => "POS",
             SectionId::Weight => "WEIGHT",
             SectionId::Shards => "SHARDS",
+            SectionId::NbrCrc => "NBR_CRC",
         }
     }
 }
@@ -135,22 +154,20 @@ fn round_up(x: usize, to: usize) -> usize {
     x.div_ceil(to) * to
 }
 
-/// A section payload for the writer: bytes held in memory, or a spill file
-/// an out-of-core producer already wrote (with its length and CRC32
-/// accumulated while spilling). Both feed the identical layout code, so a
-/// file-backed section is byte-for-byte what the in-memory path would have
-/// written.
+/// A section payload for the writer: bytes held in memory, or the NBR
+/// payload an out-of-core producer already wrote to a spill file (with its
+/// chunk CRCs accumulated while spilling). Both feed the identical layout
+/// code, so a file-backed section is byte-for-byte what the in-memory path
+/// would have written.
 pub(crate) enum SectionSource {
     /// Payload materialized in memory.
     Bytes(Vec<u8>),
-    /// Payload staged in a file, copied into the store in chunks.
+    /// NBR payload staged in a file, copied into the store in chunks.
     File {
         /// The staged payload file.
         path: std::path::PathBuf,
         /// Payload length in bytes.
         len: u64,
-        /// CRC32 of the payload, precomputed by the producer.
-        crc: u32,
     },
 }
 
@@ -159,13 +176,6 @@ impl SectionSource {
         match self {
             SectionSource::Bytes(b) => b.len() as u64,
             SectionSource::File { len, .. } => *len,
-        }
-    }
-
-    fn crc(&self) -> u32 {
-        match self {
-            SectionSource::Bytes(b) => crc32(b),
-            SectionSource::File { crc, .. } => *crc,
         }
     }
 }
@@ -185,8 +195,14 @@ pub(crate) fn write_sections(
     // section table
     let mut table = Vec::with_capacity(table_len);
     for (id, payload) in sections {
+        // NBR (the one payload ever staged in a file) is covered chunk by
+        // chunk by NBR_CRC, so its table entry holds 0
+        let crc = match payload {
+            SectionSource::Bytes(b) if *id != SectionId::Nbr => crc32(b),
+            _ => 0,
+        };
         table.extend_from_slice(&(*id as u32).to_le_bytes());
-        table.extend_from_slice(&payload.crc().to_le_bytes());
+        table.extend_from_slice(&crc.to_le_bytes());
         table.extend_from_slice(&(offset as u64).to_le_bytes());
         table.extend_from_slice(&payload.len().to_le_bytes());
         offset = round_up(offset + payload.len() as usize, PAGE);
@@ -247,11 +263,15 @@ pub(crate) fn offsets_section_bytes(offsets: &[u64]) -> Vec<u8> {
     bytes
 }
 
+/// The OFFSETS, NBR_CRC and NBR sections of a graph's adjacency.
 fn adjacency_sections(graph: &Graph) -> (CompressedCsr<'static>, Vec<(SectionId, SectionSource)>) {
     let compressed = CompressedCsr::from_graph(graph);
     let offsets_bytes = offsets_section_bytes(compressed.offsets());
+    let mut crcs = ChunkCrcs::new();
+    crcs.update(compressed.data());
     let sections = vec![
         (SectionId::Offsets, SectionSource::Bytes(offsets_bytes)),
+        (SectionId::NbrCrc, SectionSource::Bytes(crcs.finish())),
         (SectionId::Nbr, SectionSource::Bytes(compressed.data().to_vec())),
     ];
     (compressed, sections)
@@ -462,7 +482,8 @@ impl Check {
 }
 
 /// An opened `.swg` store: the file mapped (or read) into memory with the
-/// header parsed and every section checksum verified.
+/// header parsed and every section checksum verified but NBR's, whose
+/// chunks are checked on first touch.
 ///
 /// Loading is layered: [`GraphStore::load_graph`] decodes the adjacency,
 /// [`GraphStore::load_girg`] reassembles the full [`Girg`], and the
@@ -475,6 +496,8 @@ impl Check {
 pub struct GraphStore {
     mapping: Mapping,
     sections: Vec<SectionEntry>,
+    /// NBR's chunk CRCs and which chunks have matched them.
+    nbr: NbrChunks,
     dim: u32,
     flags: u32,
     node_count: u64,
@@ -537,14 +560,22 @@ fn le_words<T: LeWord>(bytes: &[u8]) -> Option<Cow<'_, [T]>> {
 
 impl GraphStore {
     /// Opens a `.swg` store, via `mmap` when available (see
-    /// [`map_readonly`](crate::map_readonly)). The header, section table,
-    /// and every section checksum are validated before this returns.
+    /// [`map_readonly`](crate::map_readonly)). Before this returns, the
+    /// header, the section table and the checksum of every section but NBR
+    /// are validated, with each section's structural check, and the NBR_CRC
+    /// table is checked to hold one CRC per NBR chunk. No NBR byte is read:
+    /// a decode checks each chunk it reads the first time any decode of
+    /// this store reads it ([`GraphStore::first_touch`]), so a flipped NBR
+    /// byte surfaces as [`StoreError::ChecksumMismatch`] from
+    /// [`GraphStore::load_graph`], [`CompressedCsr::decode_into`] or a
+    /// [`MappedCursor`](crate::MappedCursor)'s error.
     ///
     /// # Errors
     ///
     /// Returns the appropriate [`StoreError`] variant for I/O failures,
-    /// foreign files, version or endianness mismatches, truncation, and
-    /// checksum failures.
+    /// foreign files, version or endianness mismatches (a version-1 store is
+    /// [`StoreError::UnsupportedVersion`]`(1)`, whose message says how to
+    /// write it again), truncation, and checksum failures.
     pub fn open(path: impl AsRef<Path>) -> Result<GraphStore, StoreError> {
         let mapping = map_readonly(path.as_ref())?;
         Self::from_mapping(mapping)
@@ -611,16 +642,19 @@ impl GraphStore {
                 return Err(StoreError::Truncated { what: "section payload" });
             }
             let (mut sum, mut check, mut flaw) = (Crc32::new(), Check::of(id), None);
-            for chunk in bytes[offset..end].chunks(VERIFY_CHUNK) {
-                sum.update(chunk);
-                if flaw.is_none() {
-                    flaw = check.chunk(chunk);
+            // NBR's chunks are checked on first touch
+            if id != SectionId::Nbr as u32 {
+                for chunk in bytes[offset..end].chunks(VERIFY_CHUNK) {
+                    sum.update(chunk);
+                    if flaw.is_none() {
+                        flaw = check.chunk(chunk);
+                    }
                 }
-            }
-            if sum.finish() != crc {
-                return Err(StoreError::ChecksumMismatch {
-                    section: SectionId::name_of(id),
-                });
+                if sum.finish() != crc {
+                    return Err(StoreError::ChecksumMismatch {
+                        section: SectionId::name_of(id),
+                    });
+                }
             }
             sections.push(SectionEntry {
                 id,
@@ -630,9 +664,19 @@ impl GraphStore {
             });
         }
 
+        let find = |id: SectionId| sections.iter().find(|s| s.id == id as u32);
+        let nbr = match (find(SectionId::Nbr), find(SectionId::NbrCrc)) {
+            (Some(nbr), Some(crcs)) => {
+                NbrChunks::parse(&bytes[crcs.offset..crcs.offset + crcs.len], nbr.len)?
+            }
+            (Some(_), None) => return Err(StoreError::MissingSection("NBR_CRC")),
+            // no adjacency to check: `mapped_graph` reports the missing NBR
+            (None, _) => NbrChunks::parse(&[], 0)?,
+        };
         Ok(GraphStore {
             mapping,
             sections,
+            nbr,
             dim,
             flags,
             node_count,
@@ -677,10 +721,23 @@ impl GraphStore {
     }
 
     /// Bytes the CRCs of [`GraphStore::open`] covered: the header's first
-    /// 44 bytes, the section table and every section payload.
+    /// 44 bytes, the section table and every section payload but NBR's,
+    /// whose chunks are counted by [`GraphStore::first_touch`] as they are
+    /// checked.
     pub fn verified_bytes(&self) -> usize {
         44 + self.sections.len() * SECTION_ENTRY_LEN
-            + self.sections.iter().map(|s| s.len).sum::<usize>()
+            + self
+                .sections
+                .iter()
+                .filter(|s| s.id != SectionId::Nbr as u32)
+                .map(|s| s.len)
+                .sum::<usize>()
+    }
+
+    /// The NBR chunks checked so far, by every cursor, decode and thread
+    /// of this store, with their bytes and the time their CRCs took.
+    pub fn first_touch(&self) -> FirstTouch {
+        self.nbr.account()
     }
 
     fn entry(&self, id: SectionId) -> Result<&SectionEntry, StoreError> {
@@ -705,7 +762,9 @@ impl GraphStore {
     /// [`CompressedCsr::from_parts`] does before any neighbor list is
     /// touched, with the scan for decreasing offsets taken from open; on
     /// a little-endian target an aligned OFFSETS section (every mmap'd
-    /// one) is borrowed in place, not copied.
+    /// one) is borrowed in place, not copied. Every decode through the view
+    /// checks the NBR chunks it reads on first touch, sharing the store's
+    /// record of verified chunks.
     ///
     /// # Errors
     ///
@@ -728,16 +787,20 @@ impl GraphStore {
             self.target_count(),
             |_| !decreasing,
         )
+        .map(|csr| csr.checked_by(&self.nbr))
     }
 
     /// Decodes the full adjacency into a [`Graph`]: the one checked pass
     /// of [`CompressedCsr::decode`] over [`GraphStore::mapped_graph`]'s
     /// borrowed CSR, straight out of the mapping, so no copy of the NBR
-    /// bytes or the offsets index is made.
+    /// bytes or the offsets index is made. It first checks every NBR chunk
+    /// no earlier decode has checked.
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError`] on missing or malformed sections.
+    /// Returns [`StoreError`] on missing or malformed sections, and
+    /// [`StoreError::ChecksumMismatch`] if an NBR chunk does not match its
+    /// CRC.
     pub fn load_graph(&self) -> Result<Graph, StoreError> {
         self.mapped_graph()?.decode()
     }

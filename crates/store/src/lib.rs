@@ -16,7 +16,8 @@
 //!   [`GraphStore::mapped_graph`] ([`MappedGraph`] is an alias), with one
 //!   validating constructor, one decoder and one caching [`MappedCursor`].
 //! - **Format** ([`GraphStore`], [`write_girg_swg`], [`write_graph_swg`]):
-//!   a versioned, checksummed binary container with page-aligned sections,
+//!   a versioned, checksummed binary container with page-aligned sections
+//!   (the adjacency checksummed per chunk and checked on first touch),
 //!   memory-mapped on load (feature `mmap`, on by default; a portable
 //!   read-into-`Vec` fallback is always available). Geometry (positions,
 //!   weights) is stored packed so kernels can score straight off the file
@@ -33,6 +34,7 @@
 //! legacy text format of `smallworld-models::io` under the single
 //! [`StoreError`] type.
 
+mod chunks;
 mod crc;
 mod csr;
 mod error;
@@ -49,6 +51,7 @@ use std::path::Path;
 
 use smallworld_models::girg::Girg;
 
+pub use crate::chunks::FirstTouch;
 pub use crate::crc::{crc32, CrcKernel};
 pub use crate::csr::CompressedCsr;
 pub use crate::error::StoreError;

@@ -33,13 +33,15 @@
 //! does (DESIGN.md §4h), straight into the cursor's `NodeId` buffers
 //! ([`NodeId::with_raw_ids`]). Only a directory build keeps the scalar
 //! decoder: it needs each varint's byte offset, and it runs once per
-//! cached hub.
+//! cached hub. Before a whole list decodes, the NBR chunks it spans are
+//! checked if no decode of the store has checked them yet; a bad chunk or
+//! a malformed stream becomes the cursor's [`StoreError`], never a panic.
 
 use smallworld_graph::view::{fold_directory, fold_sorted_runs};
 use smallworld_graph::{AdjacencyView, NodeId, RunFold, RUN_IDS};
 
 use crate::csr::CompressedCsr;
-use crate::varint;
+use crate::{varint, StoreError};
 
 /// Geometry of [`MappedCursor`]'s cache of decoded lists: vertices map to
 /// one of [`LRU_SETS`] sets by `v % LRU_SETS`, each holding [`LRU_WAYS`]
@@ -126,6 +128,7 @@ impl CompressedCsr<'_> {
             lists: (0..LRU_SETS * LRU_WAYS).map(|_| Way::default()).collect(),
             directories: (0..DIR_SETS * DIR_WAYS).map(|_| Way::default()).collect(),
             ids: Vec::new(),
+            error: None,
             tick: 0,
             hits: 0,
             misses: 0,
@@ -205,18 +208,29 @@ fn lookup<T>(
     }
 }
 
-/// What a malformed stream panics with (see [`MappedCursor`]).
-const UNDECODABLE: &str = "validated store has decodable neighbor streams";
-
 /// Decodes `stream` (after `after`, see [`varint::decode_sorted_after`])
-/// into `ids` in place of its contents, panicking as [`MappedCursor`]
-/// documents on a malformed stream.
-fn decode(stream: &[u8], after: Option<u32>, ids: &mut Vec<NodeId>) {
+/// into `ids` in place of its contents. `ids` first reserves exactly the
+/// room the decoder can use — one id per stream byte plus its
+/// [`varint::DECODE_SLACK`] — so it never grows by doubling: its capacity
+/// ends at most at that room or where it was.
+fn decode(stream: &[u8], after: Option<u32>, ids: &mut Vec<NodeId>) -> Result<(), StoreError> {
     NodeId::with_raw_ids(ids, |raw| {
         raw.clear();
+        raw.reserve_exact(stream.len() + varint::DECODE_SLACK);
         varint::decode_sorted_after(stream, after, raw)
     })
-    .expect(UNDECODABLE);
+}
+
+/// Checks that a decoded whole list names only vertices of a graph of
+/// `node_count`: the list increases, so its last id is its largest.
+fn in_range(ids: &[NodeId], node_count: usize) -> Result<(), StoreError> {
+    match ids.last() {
+        Some(last) if last.index() >= node_count => Err(StoreError::Corrupt(format!(
+            "neighbor id {} out of range for {node_count} vertices",
+            last.raw()
+        ))),
+        _ => Ok(()),
+    }
 }
 
 /// A stateful adjacency reader over a [`CompressedCsr`] that decodes on
@@ -239,20 +253,24 @@ fn decode(stream: &[u8], after: Option<u32>, ids: &mut Vec<NodeId>) {
 /// `fold_sorted_runs` hands it from the whole list.
 ///
 /// Cursors are cheap and thread-confined; parallel harnesses create one
-/// per worker over the same shared [`CompressedCsr`].
+/// per worker over the same shared [`CompressedCsr`]. A store's NBR chunks
+/// are checked on the first whole-list decode that reads them, by whichever
+/// cursor gets there first; the record of verified chunks is the store's.
 ///
-/// # Panics
+/// # Errors
 ///
-/// [`AdjacencyView::with_neighbors`] and [`AdjacencyView::fold_runs`]
-/// panic on a malformed varint stream (a truncated varint or an id past
-/// `u32`) on the first visit, since that visit decodes the whole list; a
-/// list or directory is cached only once its list decoded cleanly. Opening
-/// a store proves only that its bytes are the ones that were written — the
-/// section checksums match — and [`CompressedCsr::from_parts`] checks only
-/// the offsets index, so a store written with a malformed stream reaches
-/// this panic. Making the view fallible is the ROADMAP's store-v2
-/// "fallible view" item; until then, [`CompressedCsr::decode`] is the path
-/// that returns a typed error instead.
+/// [`AdjacencyView`] cannot fail, so the cursor keeps the first
+/// [`StoreError`] it meets, for [`MappedCursor::error`] and
+/// [`MappedCursor::take_error`]: [`StoreError::ChecksumMismatch`] when an
+/// NBR chunk a list spans does not match its CRC, and
+/// [`StoreError::Corrupt`] on a malformed varint stream (a truncated varint
+/// or an id past `u32`) or a list naming an id out of range, which a store
+/// written with one reaches, since its checksums match.
+/// [`AdjacencyView::with_neighbors`] and [`AdjacencyView::fold_runs`] then
+/// present that vertex's list as empty, so a route dead-ends there, on the
+/// first visit and every later one: a list or directory is cached only
+/// once its list decoded cleanly. Callers check the error once they are
+/// done routing.
 #[derive(Debug)]
 pub struct MappedCursor<'a> {
     graph: &'a CompressedCsr<'a>,
@@ -262,6 +280,8 @@ pub struct MappedCursor<'a> {
     directories: Vec<Way<Vec<RunStart>>>,
     /// The list or run the directory path decoded last.
     ids: Vec<NodeId>,
+    /// The first error met (see [`MappedCursor`]'s `# Errors`).
+    error: Option<StoreError>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -291,6 +311,29 @@ impl<'a> MappedCursor<'a> {
     pub fn skipped_runs(&self) -> u64 {
         self.skipped_runs
     }
+
+    /// The first error a visit met, if any: the lists it made empty were
+    /// not the store's.
+    pub fn error(&self) -> Option<&StoreError> {
+        self.error.as_ref()
+    }
+
+    /// Takes the first error a visit met, leaving none.
+    pub fn take_error(&mut self) -> Option<StoreError> {
+        self.error.take()
+    }
+}
+
+/// Keeps `result`'s error in `slot` unless one is kept already, and
+/// returns whether `result` was `Ok`.
+fn keep_first(slot: &mut Option<StoreError>, result: Result<(), StoreError>) -> bool {
+    match result {
+        Ok(()) => true,
+        Err(e) => {
+            slot.get_or_insert(e);
+            false
+        }
+    }
 }
 
 impl AdjacencyView for MappedCursor<'_> {
@@ -307,13 +350,19 @@ impl AdjacencyView for MappedCursor<'_> {
             }
             Err(victim) => {
                 self.misses += 1;
-                let stream = self.graph.stream(v.index());
-                // a stream holds at most one id per byte: a hub's buffer
-                // is given back rather than kept by a short list's way
-                if victim.value.capacity() > LIST_SLACK * stream.len().max(LIST_KEEP_IDS) {
-                    victim.value = Vec::new();
+                let decoded = self.graph.checked_stream(v.index()).and_then(|stream| {
+                    // a stream holds at most one id per byte: a hub's
+                    // buffer is given back rather than kept by a short
+                    // list's way
+                    if victim.value.capacity() > LIST_SLACK * stream.len().max(LIST_KEEP_IDS) {
+                        victim.value = Vec::new();
+                    }
+                    decode(stream, None, &mut victim.value)?;
+                    in_range(&victim.value, self.graph.node_count())
+                });
+                if !keep_first(&mut self.error, decoded) {
+                    return f(&[]);
                 }
-                decode(stream, None, &mut victim.value);
                 self.decoded_ids += victim.value.len() as u64;
                 victim.vertex = v.raw();
                 victim
@@ -329,10 +378,11 @@ impl AdjacencyView for MappedCursor<'_> {
             return self.with_neighbors(v, |ns| fold_sorted_runs(ns, fold));
         }
         self.tick += 1;
-        let ids = &mut self.ids;
+        let (ids, error) = (&mut self.ids, &mut self.error);
         match lookup(&mut self.directories, DIR_WAYS, v, self.tick) {
             Ok(dir) => {
                 self.hits += 1;
+                // the build checked the list's chunks and decoded it whole
                 let runs = &dir.value;
                 let (mut folded, mut decoded) = (0, 0);
                 fold_directory(
@@ -345,10 +395,12 @@ impl AdjacencyView for MappedCursor<'_> {
                             .get(i + 1)
                             .map_or(stream.len(), |next| next.offset as usize);
                         let after = (start.offset != 0).then_some(start.prev);
-                        decode(&stream[start.offset as usize..end], after, ids);
-                        fold.fold(ids);
-                        folded += 1;
-                        decoded += ids.len();
+                        let run = decode(&stream[start.offset as usize..end], after, ids);
+                        if keep_first(error, run) {
+                            fold.fold(ids);
+                            folded += 1;
+                            decoded += ids.len();
+                        }
                     },
                 );
                 // every run not folded was skipped, alone or with its group
@@ -361,19 +413,24 @@ impl AdjacencyView for MappedCursor<'_> {
                 runs.clear();
                 ids.clear();
                 // the build needs each varint's offset: the scalar decoder
-                varint::decode_sorted_from(stream, None, |offset, id| {
-                    let run = id / RUN_IDS as u32;
-                    if runs.last().is_none_or(|r| r.run != run) {
-                        runs.push(RunStart {
-                            run,
-                            offset: u32::try_from(offset)
-                                .expect("offsets of a list with a directory fit u32"),
-                            prev: ids.last().map_or(0, |u| u.raw()),
-                        });
-                    }
-                    ids.push(NodeId::new(id));
-                })
-                .expect(UNDECODABLE);
+                let built = graph.checked_stream(v.index()).and_then(|stream| {
+                    varint::decode_sorted_from(stream, None, |offset, id| {
+                        let run = id / RUN_IDS as u32;
+                        if runs.last().is_none_or(|r| r.run != run) {
+                            runs.push(RunStart {
+                                run,
+                                offset: u32::try_from(offset)
+                                    .expect("offsets of a list with a directory fit u32"),
+                                prev: ids.last().map_or(0, |u| u.raw()),
+                            });
+                        }
+                        ids.push(NodeId::new(id));
+                    })?;
+                    in_range(ids, graph.node_count())
+                });
+                if !keep_first(error, built) {
+                    return;
+                }
                 victim.vertex = v.raw();
                 self.decoded_ids += ids.len() as u64;
                 fold_sorted_runs(ids, fold);
@@ -669,12 +726,13 @@ mod tests {
         }
     }
 
-    /// A malformed varint at the end of a hub list panics on the first
-    /// visit, which builds the directory, and on every later one, through
-    /// the run fold as through `with_neighbors`: no partial directory is
-    /// ever cached.
+    /// A malformed varint at the end of a hub list is the cursor's typed
+    /// error on the first visit, which builds the directory, and on every
+    /// later one, through the run fold as through `with_neighbors`: the list
+    /// is presented empty, no partial directory is ever cached, and the
+    /// other lists still decode.
     #[test]
-    fn malformed_hub_list_panics_on_every_visit() {
+    fn malformed_hub_list_is_a_typed_error_on_every_visit() {
         let n = 3 * RUN_IDS + 10;
         let hub: Vec<u32> = (1..=2 * DIRECTORY_MIN_BYTES as u32)
             .map(|u| 3 * u)
@@ -687,26 +745,68 @@ mod tests {
         let csr = CompressedCsr::from_parts(offsets, data, n, hub.len()).unwrap();
         assert!(takes_directory(csr.stream(0).len()));
         let mut cursor = csr.cursor();
-        let expect = UNDECODABLE;
+        assert!(cursor.error().is_none());
+        let hub = NodeId::new(0);
         for visit in 0..3 {
-            let folded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                cursor.fold_runs(NodeId::new(0), &mut KeepAll(Vec::new()))
-            }));
-            let listed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                cursor.with_neighbors(NodeId::new(0), |ns| ns.len())
-            }));
-            for (path, result) in [
-                ("fold_runs", folded.err()),
-                ("with_neighbors", listed.err()),
-            ] {
-                let message = result
-                    .unwrap_or_else(|| panic!("visit {visit}: {path} decoded a malformed list"))
-                    .downcast::<String>()
-                    .unwrap();
-                assert!(message.contains(expect), "visit {visit}: {path}: {message}");
-            }
+            let mut fold = KeepAll(Vec::new());
+            cursor.fold_runs(hub, &mut fold);
+            assert!(fold.0.is_empty(), "visit {visit}: the fold saw ids");
+            assert!(
+                matches!(cursor.take_error(), Some(StoreError::Corrupt(_))),
+                "visit {visit}: fold_runs"
+            );
+            assert_eq!(cursor.with_neighbors(hub, |ns| ns.len()), 0);
+            assert!(
+                matches!(cursor.take_error(), Some(StoreError::Corrupt(_))),
+                "visit {visit}: with_neighbors"
+            );
         }
-        assert_eq!(cursor.hits(), 0, "no directory was cached");
+        assert_eq!(cursor.hits(), 0, "no list or directory was cached");
+        // the first error is kept while later visits fail again
+        cursor.with_neighbors(hub, |_| ());
+        let first = format!("{:?}", cursor.error());
+        cursor.fold_runs(hub, &mut KeepAll(Vec::new()));
+        assert_eq!(format!("{:?}", cursor.error()), first);
+        assert!(cursor.take_error().is_some() && cursor.error().is_none());
+        assert_eq!(cursor.with_neighbors(NodeId::new(1), |ns| ns.len()), 0);
+        assert!(cursor.error().is_none(), "an empty list is not an error");
+    }
+
+    /// A refilled way reserves exactly the room its stream can decode to,
+    /// so its capacity stays at most the larger of that room and what it
+    /// held: it never doubles past a list.
+    #[test]
+    fn refilled_way_capacity_is_bounded_by_its_stream() {
+        let n = 3 * LIST_KEEP_IDS;
+        // vertex v holds v + 1 ids, so each stream is longer than the last
+        let csr = CompressedCsr::encode(n, 0, |v, list| {
+            if v % LRU_SETS == 0 && v < LRU_SETS * 40 {
+                list.extend((0..=v as u32).filter(|&u| u as usize != v));
+                list.push(n as u32 - 1);
+            }
+        });
+        let mut cursor = csr.cursor();
+        for v in (0..LRU_SETS * 40).step_by(LRU_SETS) {
+            // the way this list evicts into: the set's least recently used
+            let before: Vec<usize> = cursor.lists[..LRU_WAYS]
+                .iter()
+                .map(|w| w.value.capacity())
+                .collect();
+            let len = cursor.with_neighbors(NodeId::from_index(v), |ns| ns.len());
+            let room = csr.stream(v).len() + varint::DECODE_SLACK;
+            let way = cursor.lists[..LRU_WAYS]
+                .iter()
+                .position(|w| w.vertex == v as u32)
+                .expect("cached in set 0");
+            let capacity = cursor.lists[way].value.capacity();
+            assert!(len <= csr.stream(v).len());
+            assert!(
+                capacity <= room.max(before[way]),
+                "vertex {v}: capacity {capacity}, stream room {room}, before {}",
+                before[way]
+            );
+        }
+        assert!(cursor.error().is_none());
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! half-edge stream (k-way merged from its spill runs). This writer
 //! consumes it grouped by source vertex, varint-encodes each vertex's
 //! sorted neighbor list ([`varint::encode_sorted`]) into a staged NBR
-//! file — accumulating the section CRC32 and the offsets index as it goes
-//! — and then lays out the final store through the exact same
+//! file — accumulating the per-chunk CRC32s of the NBR_CRC section and the
+//! offsets index as it goes — and then lays out the final store through the exact same
 //! [`write_sections`] path as [`crate::write_girg_swg`]. Because both
 //! writers share the layout and section-payload code, a streamed store is
 //! **byte-for-byte identical** to what the in-RAM path would have written
@@ -25,7 +25,7 @@ use std::path::Path;
 
 use smallworld_models::girg::StreamedGirg;
 
-use crate::crc::Crc32;
+use crate::chunks::ChunkCrcs;
 use crate::format::{
     meta_section_bytes, offsets_section_bytes, pos_section_bytes, weight_section_bytes,
     SectionSource,
@@ -37,10 +37,10 @@ use crate::{varint, SectionId, StoreError, WriteStats, FLAG_GEOMETRY};
 const FLUSH_BYTES: usize = 1 << 16;
 
 /// Accumulates the NBR section in a staged spill file: per-vertex varint
-/// streams, a running offsets index, and the payload CRC32.
+/// streams, a running offsets index, and the payload's chunk CRC32s.
 struct NbrStager {
     file: File,
-    crc: Crc32,
+    crcs: ChunkCrcs,
     offsets: Vec<u64>,
     /// Bytes already written to `file`.
     written: u64,
@@ -54,7 +54,7 @@ impl NbrStager {
         offsets.push(0);
         Ok(NbrStager {
             file: File::create(path)?,
-            crc: Crc32::new(),
+            crcs: ChunkCrcs::new(),
             offsets,
             written: 0,
             encode_buf: Vec::new(),
@@ -75,15 +75,16 @@ impl NbrStager {
     /// Writes and checksums the batched encodings.
     fn flush(&mut self) -> Result<(), StoreError> {
         self.file.write_all(&self.encode_buf)?;
-        self.crc.update(&self.encode_buf);
+        self.crcs.update(&self.encode_buf);
         self.written += self.encode_buf.len() as u64;
         self.encode_buf.clear();
         Ok(())
     }
 
-    fn finish(mut self) -> Result<(Vec<u64>, u64, u32), StoreError> {
+    /// The offsets index, the payload length and the NBR_CRC payload.
+    fn finish(mut self) -> Result<(Vec<u64>, u64, Vec<u8>), StoreError> {
         self.flush()?;
-        Ok((self.offsets, self.written, self.crc.finish()))
+        Ok((self.offsets, self.written, self.crcs.finish()))
     }
 }
 
@@ -155,7 +156,7 @@ fn stage_and_write<const D: usize>(
         )));
     }
 
-    let (offsets, nbr_len, nbr_crc) = stager.finish()?;
+    let (offsets, nbr_len, nbr_crcs) = stager.finish()?;
 
     let sections = vec![
         (
@@ -166,12 +167,12 @@ fn stage_and_write<const D: usize>(
             SectionId::Offsets,
             SectionSource::Bytes(offsets_section_bytes(&offsets)),
         ),
+        (SectionId::NbrCrc, SectionSource::Bytes(nbr_crcs)),
         (
             SectionId::Nbr,
             SectionSource::File {
                 path: staged_path.to_path_buf(),
                 len: nbr_len,
-                crc: nbr_crc,
             },
         ),
         (

@@ -6,12 +6,16 @@
 
 mod common;
 
+use common::{rewrite_header_crc, rewrite_nbr_crcs, section_extent};
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use smallworld_graph::AdjacencyView;
 use smallworld_models::girg::{Girg, GirgBuilder};
 use smallworld_models::{GraphModel, KleinbergLatticeBuilder};
 use smallworld_store::{
     crc32, write_graph_swg, CompressedCsr, GraphStore, SectionId, StoreError, MAGIC, VERIFY_CHUNK,
+    VERSION,
 };
 
 fn temp_path(name: &str) -> std::path::PathBuf {
@@ -99,6 +103,24 @@ fn unsupported_version_is_rejected_by_number() {
     }
 }
 
+/// A version-1 store (whole-section NBR checksum) is refused by number,
+/// and the message says how to write the store again.
+#[test]
+fn version_one_store_is_refused_with_a_regeneration_hint() {
+    assert_eq!(VERSION, 2);
+    let (_, mut bytes) = written_girg_bytes(1, 1);
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    rewrite_header_crc(&mut bytes);
+    match open_bytes(&bytes, "version-one") {
+        Err(e @ StoreError::UnsupportedVersion(1)) => {
+            let message = e.to_string();
+            assert!(message.contains("version 1"), "{message}");
+            assert!(message.contains("girg_gen --out"), "{message}");
+        }
+        other => panic!("expected UnsupportedVersion(1), got {other:?}"),
+    }
+}
+
 #[test]
 fn truncated_files_are_rejected() {
     let (_, bytes) = written_girg_bytes(2, 2);
@@ -122,27 +144,60 @@ fn truncated_files_are_rejected() {
     }
 }
 
+/// Flips one byte in each section payload region (past the first page).
+/// A flip in an eager section fails open with its checksum; a flip in NBR
+/// opens, and fails its chunk's checksum on first touch: in `load_girg`,
+/// and in a cursor visiting every list, which presents the lists of that
+/// chunk as empty. Only padding between sections goes unchecked.
 #[test]
 fn flipped_section_bytes_fail_their_checksum() {
-    let (_, bytes) = written_girg_bytes(3, 2);
-    // flip one byte in each section payload region (past the first page);
-    // the per-section CRC must catch every one
+    let (girg, bytes) = written_girg_bytes(3, 2);
+    let (_, nbr_at, nbr_len) = section_extent(&bytes, SectionId::Nbr);
+    let nbr_mismatch =
+        |e: &StoreError| matches!(e, StoreError::ChecksumMismatch { section: "NBR" });
     let mut at = 4096 + 13;
-    let mut checked = 0;
+    let (mut eager, mut lazy) = (0, 0);
     while at < bytes.len() {
         let mut corrupt = bytes.clone();
         corrupt[at] ^= 0x40;
-        if corrupt[at] != bytes[at] {
-            match open_bytes(&corrupt, "flip") {
-                Err(StoreError::ChecksumMismatch { .. }) => checked += 1,
-                // padding bytes between sections are not covered by any CRC
-                Ok(_) => {}
-                Err(other) => panic!("flip at {at}: expected ChecksumMismatch, got {other:?}"),
+        let path = temp_path("flip");
+        std::fs::write(&path, &corrupt).unwrap();
+        let in_nbr = (nbr_at..nbr_at + nbr_len).contains(&at);
+        match GraphStore::open(&path) {
+            Err(StoreError::ChecksumMismatch { section }) => {
+                assert!(!in_nbr, "flip at {at}: open read NBR ({section})");
+                eager += 1;
             }
+            Err(other) => panic!("flip at {at}: expected ChecksumMismatch, got {other:?}"),
+            Ok(store) if in_nbr => {
+                let loaded = store.load_girg::<2>().map(|_| ());
+                assert!(
+                    loaded.as_ref().is_err_and(nbr_mismatch),
+                    "flip at {at}: {loaded:?}"
+                );
+                let reopened = GraphStore::open(&path).unwrap();
+                let mapped = reopened.mapped_graph().unwrap();
+                let mut cursor = mapped.cursor();
+                let mut empty = 0;
+                for v in girg.graph().nodes() {
+                    let len = cursor.with_neighbors(v, |ns| ns.len());
+                    empty += usize::from(len == 0 && girg.graph().degree(v) > 0);
+                }
+                let error = cursor.take_error();
+                assert!(
+                    error.as_ref().is_some_and(nbr_mismatch),
+                    "flip at {at}: {error:?}"
+                );
+                assert!(empty > 0, "flip at {at}: every list was presented");
+                lazy += 1;
+            }
+            // padding bytes between sections are not covered by any CRC
+            Ok(store) => assert_eq!(store.load_girg::<2>().unwrap().graph(), girg.graph()),
         }
+        std::fs::remove_file(&path).ok();
         at += 2048;
     }
-    assert!(checked > 0, "at least one flip must land in a section");
+    assert!(eager > 0 && lazy > 0, "{eager} eager and {lazy} NBR flips");
 }
 
 #[test]
@@ -156,19 +211,6 @@ fn header_checksum_covers_the_section_table() {
     ));
 }
 
-/// The table entry offset, payload offset and payload length of section
-/// `id`.
-fn section_extent(bytes: &[u8], id: SectionId) -> (usize, usize, usize) {
-    let count = u32::from_le_bytes(bytes[40..44].try_into().unwrap()) as usize;
-    let table_end = 64 + count * 24;
-    let entry = (64..table_end)
-        .step_by(24)
-        .find(|&at| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) == id as u32)
-        .expect("section present");
-    let field = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
-    (entry, field(entry + 8), field(entry + 16))
-}
-
 /// Overwrites 8-byte word `word` of section `id`'s payload with `value`,
 /// as [`poke_section_bytes`] does.
 fn poke_section_word(bytes: &mut [u8], id: SectionId, word: usize, value: [u8; 8]) {
@@ -176,13 +218,18 @@ fn poke_section_word(bytes: &mut [u8], id: SectionId, word: usize, value: [u8; 8
 }
 
 /// Overwrites section `id`'s payload from byte `at` with `value`, then
-/// rewrites that section's CRC and the header CRC so the file still
-/// opens: the damage reaches the accessors instead of the checksums.
+/// rewrites that section's CRC (for NBR, its chunk CRCs in NBR_CRC and
+/// that section's CRC) and the header CRC so the file still opens and
+/// decodes: the damage reaches the accessors instead of the checksums.
 fn poke_section_bytes(bytes: &mut [u8], id: SectionId, at: usize, value: &[u8]) {
     let (entry, offset, len) = section_extent(bytes, id);
     bytes[offset + at..offset + at + value.len()].copy_from_slice(value);
-    let section_crc = crc32(&bytes[offset..offset + len]);
-    bytes[entry + 4..entry + 8].copy_from_slice(&section_crc.to_le_bytes());
+    if id == SectionId::Nbr {
+        rewrite_nbr_crcs(bytes);
+    } else {
+        let section_crc = crc32(&bytes[offset..offset + len]);
+        bytes[entry + 4..entry + 8].copy_from_slice(&section_crc.to_le_bytes());
+    }
     rewrite_header_crc(bytes);
 }
 
@@ -195,14 +242,6 @@ fn poke_section_f64(bytes: &mut [u8], id: SectionId, value: f64) {
 fn section_words(bytes: &[u8], id: SectionId) -> Vec<[u8; 8]> {
     let (_, offset, len) = section_extent(bytes, id);
     bytes[offset..offset + len].as_chunks::<8>().0.to_vec()
-}
-
-/// Recomputes the header CRC over header bytes 0..44 and the section table.
-fn rewrite_header_crc(bytes: &mut [u8]) {
-    let count = u32::from_le_bytes(bytes[40..44].try_into().unwrap()) as usize;
-    let table_end = 64 + count * 24;
-    let header_crc = crc32(&[&bytes[..44], &bytes[64..table_end]].concat());
-    bytes[44..48].copy_from_slice(&header_crc.to_le_bytes());
 }
 
 #[test]

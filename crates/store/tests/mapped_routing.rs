@@ -25,7 +25,7 @@ use smallworld_geometry::Point;
 use smallworld_graph::view::DIRECTORY_MIN_IDS;
 use smallworld_graph::{AdjacencyView, Graph, NodeId, RunFold, RUN_IDS};
 use smallworld_models::girg::{Girg, GirgBuilder};
-use smallworld_store::{write_graph_swg, GraphStore, MappedGraph};
+use smallworld_store::{write_graph_swg, GraphStore, MappedCursor, MappedGraph};
 
 fn temp_path(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!(
@@ -167,6 +167,72 @@ fn check_mapped_routes(tag: &str, girg: &Girg<2>, bounded: bool) -> u64 {
     }
     std::fs::remove_file(&path).ok();
     lazy.skipped_runs()
+}
+
+/// Three threads' cursors over one store share its record of verified NBR
+/// chunks and each routes exactly as one cursor over a fresh store does,
+/// whatever order they touch the chunks in; between them they verify the
+/// chunks the one cursor verified, each counted once.
+#[test]
+fn three_threads_share_one_store_and_route_as_one_cursor() {
+    let mut rng = StdRng::seed_from_u64(5);
+    let sampled: Girg<2> = GirgBuilder::new(30_000).sample(&mut rng).unwrap();
+    let girg = sampled.relabel(&sampled.morton_permutation());
+    let pairs = trial_pairs(girg.node_count(), 400);
+    let path = temp_path("threads");
+    smallworld_store::save_girg(&girg, &path, 1).unwrap();
+    let route_all = |store: &GraphStore, cursor: &mut MappedCursor<'_>, rotate: usize| {
+        let positions = store.packed_positions().unwrap();
+        let weights = store.packed_weights().unwrap();
+        let (params, _) = store.params().unwrap();
+        let packed =
+            PackedGirgObjective::<2>::new(&positions, &weights, params.wmin * params.intensity);
+        let router = ViewRouter::new();
+        let mut records: Vec<(usize, RouteRecord)> = (0..pairs.len())
+            .map(|k| (k + rotate) % pairs.len())
+            .map(|i| {
+                let (s, t) = pairs[i];
+                (i, router.route_view_quiet(cursor, &packed.prepare(t), s))
+            })
+            .collect();
+        records.sort_by_key(|&(i, _)| i);
+        assert!(cursor.error().is_none(), "{:?}", cursor.error());
+        records
+    };
+
+    let single = GraphStore::open(&path).unwrap();
+    let one = route_all(&single, &mut single.mapped_graph().unwrap().cursor(), 0);
+    let touched = single.first_touch();
+    assert!(touched.total_chunks >= 4, "{touched:?}");
+    assert!(touched.chunks > 0 && touched.chunks <= touched.total_chunks);
+
+    let shared = GraphStore::open(&path).unwrap();
+    assert_eq!(shared.first_touch().chunks, 0, "open reads no NBR chunk");
+    let mapped = shared.mapped_graph().unwrap();
+    // the three start routing together, so they race for the chunks
+    let start = std::sync::Barrier::new(3);
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..3)
+            .map(|k| {
+                let (shared, mapped, start) = (&shared, &mapped, &start);
+                let rotate = k * pairs.len() / 3;
+                scope.spawn(move || {
+                    let mut cursor = mapped.cursor();
+                    start.wait();
+                    route_all(shared, &mut cursor, rotate)
+                })
+            })
+            .collect();
+        for (k, worker) in workers.into_iter().enumerate() {
+            assert_eq!(worker.join().unwrap(), one, "thread {k}");
+        }
+    });
+    let account = shared.first_touch();
+    assert_eq!(
+        (account.chunks, account.bytes),
+        (touched.chunks, touched.bytes)
+    );
+    std::fs::remove_file(&path).ok();
 }
 
 /// Over a Morton-relabeled store the hop scans prune through id-block

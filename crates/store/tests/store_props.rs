@@ -9,23 +9,32 @@
 //!    GIRG, writing `.swg`, reopening, and decoding yields the identical
 //!    adjacency, geometry, and parameters, at any shard count.
 //! 3. **Corruption never panics and is never silent** — flipping any
-//!    payload byte of a written file either fails the open with a typed
-//!    error or (for bytes in inter-section padding) leaves the loaded
-//!    graph identical.
+//!    byte of a written file either gives a typed error (at open, at load,
+//!    or in the cursor of a route that reads it, since NBR is checked on
+//!    first touch) or (for bytes in inter-section padding) leaves the
+//!    loaded graph and every route identical.
 //!
 //! The vendored `proptest!` macro is a recursive muncher, so the checks
 //! live in plain `fn`s (failures panic via `assert!`) and the macro
 //! clauses stay one-liners.
 
+mod common;
+
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+use common::{rewrite_header_crc, rewrite_nbr_crcs, section_extent};
 
 use proptest::collection::vec;
 use proptest::prelude::ProptestConfig;
 use proptest::proptest;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use smallworld_core::{
+    GirgObjective, GreedyRouter, Objective, PackedGirgObjective, RouteRecord, Router,
+};
+use smallworld_graph::NodeId;
 use smallworld_models::girg::{Girg, GirgBuilder};
-use smallworld_store::{varint, CompressedCsr, GraphStore, ShardedStore};
+use smallworld_store::{varint, CompressedCsr, GraphStore, SectionId, ShardedStore, StoreError};
 
 fn temp_path(tag: &str) -> std::path::PathBuf {
     static SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -131,24 +140,92 @@ fn check_girg_store_roundtrip(seed: u64, n: u64, shards: usize) {
     std::fs::remove_file(&path).ok();
 }
 
-fn check_corruption_is_detected_or_harmless(seed: u64, flip_at: usize, xor: u8) {
+/// Where a flip lands.
+#[derive(Clone, Copy, PartialEq)]
+enum Flip {
+    /// Any byte of the file.
+    Anywhere,
+    /// A byte of NBR.
+    Nbr,
+    /// A byte of NBR, with the chunk CRCs (and the CRCs over them)
+    /// written again, so the damage reaches the decoders.
+    NbrRechecksummed,
+}
+
+/// Flips byte `flip_at` (modulo the file, or modulo NBR) of a written
+/// store by `xor`.
+fn check_corruption_is_detected_or_harmless(seed: u64, flip_at: usize, xor: u8, flip: Flip) {
     let mut rng = StdRng::seed_from_u64(seed);
     let girg: Girg<2> = GirgBuilder::new(120).sample(&mut rng).expect("valid params");
     let path = temp_path("flip");
     smallworld_store::save_girg(&girg, &path, 2).expect("write");
     let mut bytes = std::fs::read(&path).expect("read back");
-    let at = flip_at % bytes.len();
+    let (_, nbr, nbr_len) = section_extent(&bytes, SectionId::Nbr);
+    let at = match flip {
+        Flip::Anywhere => flip_at % bytes.len(),
+        Flip::Nbr | Flip::NbrRechecksummed => nbr + flip_at % nbr_len,
+    };
     bytes[at] ^= xor;
+    if flip == Flip::NbrRechecksummed {
+        rewrite_nbr_crcs(&mut bytes);
+        rewrite_header_crc(&mut bytes);
+    }
     std::fs::write(&path, &bytes).expect("rewrite");
-    match GraphStore::open(&path).and_then(|s| s.load_girg::<2>()) {
+    let loaded = GraphStore::open(&path).and_then(|s| s.load_girg::<2>());
+    match &loaded {
         // only a flip inside zero padding can go unnoticed, and then the
         // content must be untouched
-        Ok(back) => assert_eq!(back.graph(), girg.graph(), "flip at {at} changed the graph"),
-        Err(e) => {
-            let _typed: smallworld_store::StoreError = e;
+        Ok(back) if flip != Flip::NbrRechecksummed => {
+            assert_eq!(back.graph(), girg.graph(), "flip at {at} changed the graph")
+        }
+        _ => {}
+    }
+    // the lazy route path: a fresh open, then routes through a cursor; a
+    // rechecksummed flip may make another valid graph, which routes
+    // differently but still without a panic or a hang
+    if let Ok(store) = GraphStore::open(&path) {
+        let routes = check_flipped_routes(&store, &girg);
+        let harmless = loaded.is_ok_and(|back| back.graph() == girg.graph());
+        if let (Ok(routes), true) = (routes, harmless) {
+            for (i, (lazy, want)) in routes.iter().enumerate() {
+                assert_eq!(lazy, want, "flip at {at}: pair {i} routed differently");
+            }
         }
     }
     std::fs::remove_file(&path).ok();
+}
+
+/// Routes pairs over `store`'s mapped cursor and over the clean graph,
+/// or gives the error the store or the cursor met.
+fn check_flipped_routes(
+    store: &GraphStore,
+    girg: &Girg<2>,
+) -> Result<Vec<(RouteRecord, RouteRecord)>, StoreError> {
+    let mapped = store.mapped_graph()?;
+    let (positions, weights) = (store.packed_positions()?, store.packed_weights()?);
+    let (params, _) = store.params()?;
+    let packed =
+        PackedGirgObjective::<2>::new(&positions, &weights, params.wmin * params.intensity);
+    let clean = GirgObjective::new(girg);
+    let router = GreedyRouter::new();
+    let mut cursor = mapped.cursor();
+    let n = girg.node_count();
+    let pairs = (0..60).map(|i| {
+        (
+            NodeId::from_index(i * 7 % n),
+            NodeId::from_index((i * 13 + n / 2) % n),
+        )
+    });
+    let routes: Vec<_> = pairs
+        .map(|(s, t)| {
+            let lazy = router.route_view_quiet(&mut cursor, &packed.prepare(t), s);
+            (lazy, router.route_quiet(girg.graph(), &clean, s, t))
+        })
+        .collect();
+    match cursor.take_error() {
+        Some(e) => Err(e),
+        None => Ok(routes),
+    }
 }
 
 proptest! {
@@ -183,7 +260,25 @@ proptest! {
         flip_at in 0usize..1 << 20,
         xor in 1u8..=255,
     ) {
-        check_corruption_is_detected_or_harmless(seed, flip_at, xor);
+        check_corruption_is_detected_or_harmless(seed, flip_at, xor, Flip::Anywhere);
+    }
+
+    #[test]
+    fn prop_nbr_byte_flips_are_typed_errors_on_the_route_path(
+        seed in 0u64..1 << 16,
+        flip_at in 0usize..1 << 20,
+        xor in 1u8..=255,
+    ) {
+        check_corruption_is_detected_or_harmless(seed, flip_at, xor, Flip::Nbr);
+    }
+
+    #[test]
+    fn prop_rechecksummed_nbr_flips_never_panic_on_the_route_path(
+        seed in 0u64..1 << 16,
+        flip_at in 0usize..1 << 20,
+        xor in 1u8..=255,
+    ) {
+        check_corruption_is_detected_or_harmless(seed, flip_at, xor, Flip::NbrRechecksummed);
     }
 }
 
